@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import RationalMap
 from .errors import HenselConditionError, PoleInBallError
 from .field import KElement, ValExp, reduce_mod
-from .geometry import Ball, Radius, image_of_ball, pole_free_on_ball, wdeg
+from .geometry import Ball, LocalExpansion, Radius, image_of_ball
 from .gluing import check_c3_hypotheses
 
 __all__ = [
@@ -98,16 +98,15 @@ def classify_disk(F: RationalMap, U: Ball) -> DiskBehavior:
     """
     if U.closed:
         raise ValueError("classification requires an open disk")
-    if not pole_free_on_ball(F, U):
-        raise PoleInBallError(f"map has a pole on {U}")
-    img = image_of_ball(F, U)
+    local = LocalExpansion(F, U)
+    img = local.image  # raises PoleInBallError when F has a pole on U
     if img.disjoint_from(U):
         return DiskBehavior(kind=INCONCLUSIVE, image=img)
     if U.properly_contains(img):
-        d = wdeg(F, img.center, U)
+        d = local.wdeg(img.center)
         return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
     if img.same_set(U):
-        d = wdeg(F, U.center, U)
+        d = local.wdeg(U.center)
         if d >= 2:
             return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
         lam = F.derivative_at(U.center)
@@ -120,7 +119,7 @@ def classify_disk(F: RationalMap, U: Ball) -> DiskBehavior:
             derivative_at_center=lam if isinstance(lam, KElement) else None,
         )
     if img.properly_contains(U):
-        d = wdeg(F, U.center, U)
+        d = local.wdeg(U.center)
         if d == 1:
             return DiskBehavior(kind=REPELLING, image=img, wdeg=d)
         return DiskBehavior(kind=INCONCLUSIVE, image=img, wdeg=d)

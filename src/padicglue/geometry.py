@@ -11,12 +11,17 @@ finite comparison of exact exponents.  The key facts used throughout:
   of a Gauss norm;
 * root counting in a ball reduces to the Newton polygon of the recentered
   numerator.
+
+A LocalExpansion recenters a map's numerator and denominator once about a
+ball's center; the pole test, the image, sup norms and root counts on
+that ball are all read off the shifted coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     POLE,
@@ -30,6 +35,7 @@ from .field import KElement, ValExp, uniformizer_power
 
 __all__ = [
     "Ball",
+    "LocalExpansion",
     "Radius",
     "count_roots_in_ball",
     "distance_exp",
@@ -195,6 +201,16 @@ def pairwise_deltas(centers) -> list:
     return out
 
 
+def _roots_in_ball(shifted: Poly, ball: Ball) -> int:
+    # roots of a polynomial already written in powers of (z - center)
+    return count_roots_with_min_valuation(shifted, ball.radius.exp, strict=not ball.closed)
+
+
+def _shift(P: Poly, a: KElement) -> Poly:
+    # a constant is its own Taylor expansion about any point
+    return P if P.degree <= 0 else P.recenter(a)
+
+
 def count_roots_in_ball(P: Poly, ball: Ball) -> int:
     """Number of roots of P in the ball, with multiplicity, over C_v.
 
@@ -203,62 +219,123 @@ def count_roots_in_ball(P: Poly, ball: Ball) -> int:
     """
     if P.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    shifted = P.recenter(ball.center)
-    return count_roots_with_min_valuation(shifted, ball.radius.exp, strict=not ball.closed)
+    return _roots_in_ball(P.recenter(ball.center), ball)
+
+
+class LocalExpansion:
+    """A rational map f = P/Q rewritten in powers of (z - a) about the
+    center a of a ball.
+
+    P and Q are each Taylor-shifted at most once, on first use, and every
+    question about the ball is answered from the shifted coefficients Pr
+    and Qr, whose constant terms are P(a) and Q(a).
+    """
+
+    def __init__(self, f: RationalMap, ball: Ball):
+        self.f = f
+        self.ball = ball
+
+    @cached_property
+    def num(self) -> Poly:
+        return _shift(self.f.num, self.ball.center)
+
+    @cached_property
+    def den(self) -> Poly:
+        return _shift(self.f.den, self.ball.center)
+
+    @cached_property
+    def pole_free(self) -> bool:
+        """True when the reduced denominator has no zero in the ball."""
+        return self.f.den.degree == 0 or _roots_in_ball(self.den, self.ball) == 0
+
+    def _require_pole_free(self) -> None:
+        if not self.pole_free:
+            raise PoleInBallError(f"map has a pole on {self.ball}")
+
+    @cached_property
+    def image(self) -> Ball:
+        """The exact image f(ball), which is again a ball of the same kind.
+
+        Center: f(a) = P(a)/Q(a). Radius: the numerator of f(z) - f(a) is
+        g(z) = P(z)Q(a) - P(a)Q(z), which vanishes at a, and in powers of
+        (z - a) it is the combination Pr*Q(a) - Qr*P(a) of the two shifted
+        polynomials.  The image radius is the Gauss norm of g over the terms
+        of index >= 1, divided by |Q(a)|^2 (|Q| is constant on the ball).
+        """
+        self._require_pole_free()
+        pa = self.num.coeff(0)
+        qa = self.den.coeff(0)
+        g = self.num * qa - self.den * pa
+        e = gauss_norm_exp(g, self.ball.radius.exp, from_k=1)
+        if e.is_infinite:
+            raise ValueError("constant map: the image of the ball is a point, not a ball")
+        img_exp = e - qa.valuation() * 2
+        return Ball(pa * qa.inverse(), Radius(img_exp), closed=self.ball.closed)
+
+    def sup_norm_exp(self, minus: "LocalExpansion | None" = None) -> ValExp:
+        """Exponent of sup |f - g| over the ball (maximum for closed balls),
+        where g is the map of `minus`, an expansion about the same ball, or
+        g = 0 when it is omitted.
+
+        Both maps must be pole-free on the ball.  A denominator without
+        zeros on the ball has constant absolute value there, equal to its
+        value at the center, so the sup is the Gauss norm of the shifted
+        numerator divided by that constant.  With f = N/D and g = n/d the
+        difference is taken unreduced, as (N*d - n*D) / (D*d): any common
+        factor of numerator and denominator is a divisor of D*d, hence has
+        no zero on the ball, and since the Gauss norm is multiplicative its
+        norm cancels between numerator and denominator.  The bound is the
+        one the reduced difference gives.
+        """
+        self._require_pole_free()
+        num = self.num
+        den_val = self.den.coeff(0).valuation()
+        if minus is not None:
+            if minus.ball != self.ball:
+                raise ValueError(f"expansions about different balls: {self.ball} and {minus.ball}")
+            minus._require_pole_free()
+            num = self.num * minus.den - minus.num * self.den
+            den_val = den_val + minus.den.coeff(0).valuation()
+        return gauss_norm_exp(num, self.ball.radius.exp, from_k=0) - den_val
+
+    def wdeg(self, b: KElement) -> int:
+        """Number of solutions of f(z) = b in the ball, with multiplicity.
+
+        b must lie in the image of the ball.  Counts roots of Pr - b*Qr, the
+        shifted numerator of f(z) - b; the denominator contributes none
+        since f is pole-free there.
+        """
+        img = self.image
+        if not img.contains_point(b):
+            raise ValueError(f"target {b} lies outside the image {img}")
+        return _roots_in_ball(self.num - self.den * b, self.ball)
 
 
 def pole_free_on_ball(f: RationalMap, ball: Ball) -> bool:
     """True when the reduced denominator of f has no zero in the ball."""
-    if f.den.degree == 0:
-        return True
-    return count_roots_in_ball(f.den, ball) == 0
+    return LocalExpansion(f, ball).pole_free
 
 
 def sup_norm_exp_on_ball(f: RationalMap, ball: Ball) -> ValExp:
     """Exponent of sup |f| over the ball (maximum for closed balls).
 
-    Requires f pole-free on the ball.  The denominator then has constant
-    absolute value |den(center)| on the ball, so the sup is the Gauss norm
-    of the recentered numerator divided by that constant.
+    Requires f pole-free on the ball; see LocalExpansion.sup_norm_exp.
     """
-    if not pole_free_on_ball(f, ball):
-        raise PoleInBallError(f"map has a pole on {ball}")
-    num_exp = gauss_norm_exp(f.num.recenter(ball.center), ball.radius.exp, from_k=0)
-    den_val = f.den(ball.center).valuation()
-    return num_exp - den_val
+    return LocalExpansion(f, ball).sup_norm_exp()
 
 
 def image_of_ball(f: RationalMap, ball: Ball) -> Ball:
-    """The exact image f(ball), which is again a ball of the same kind.
-
-    Center: f(center). Radius exponent: with f = P/Q and a the center, the
-    numerator of f(z) - f(a) is g(z) = P(z)Q(a) - P(a)Q(z), which vanishes
-    at a; the image radius is the Gauss norm of the recentered g over the
-    terms of index >= 1, divided by |Q(a)|^2 (|Q| is constant on the ball).
-    """
-    if not pole_free_on_ball(f, ball):
-        raise PoleInBallError(f"map has a pole on {ball}")
-    a = ball.center
-    pa = f.num(a)
-    qa = f.den(a)
-    g = f.num * qa - f.den * pa
-    e = gauss_norm_exp(g.recenter(a), ball.radius.exp, from_k=1)
-    if e.is_infinite:
-        raise ValueError("constant map: the image of the ball is a point, not a ball")
-    img_exp = e - qa.valuation() * 2
-    return Ball(pa * qa.inverse(), Radius(img_exp), closed=ball.closed)
+    """The exact image f(ball), which is again a ball of the same kind;
+    see LocalExpansion.image."""
+    return LocalExpansion(f, ball).image
 
 
 def wdeg(f: RationalMap, b: KElement, ball: Ball) -> int:
     """Number of solutions of f(z) = b in the ball, with multiplicity.
 
-    b must lie in the image of the ball.  Counts roots of the numerator of
-    f(z) - b; the denominator contributes none since f is pole-free there.
+    b must lie in the image of the ball; see LocalExpansion.wdeg.
     """
-    img = image_of_ball(f, ball)
-    if not img.contains_point(b):
-        raise ValueError(f"target {b} lies outside the image {img}")
-    return count_roots_in_ball(f.num - f.den * b, ball)
+    return LocalExpansion(f, ball).wdeg(b)
 
 
 def sample_points(ball: Ball, budget: int) -> list:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import Poly, RationalMap
 from .errors import HypothesisViolation, LemmaInapplicable
 from .field import KElement, ValExp, uniformizer_power
-from .geometry import Ball, Radius, image_of_ball, pole_free_on_ball, sample_points, sup_norm_exp_on_ball
+from .geometry import Ball, LocalExpansion, Radius, image_of_ball, sample_points
 
 __all__ = [
     "BallCheck",
@@ -53,10 +53,11 @@ class LocalModel:
     def __post_init__(self):
         if not self.domain.closed:
             raise HypothesisViolation("local model domains must be closed balls")
-        if not pole_free_on_ball(self.f, self.domain):
+        local = LocalExpansion(self.f, self.domain)
+        if not local.pole_free:
             raise HypothesisViolation(f"local map has a pole on its domain {self.domain}")
         try:
-            img = image_of_ball(self.f, self.domain)
+            img = local.image
         except ValueError as exc:
             raise HypothesisViolation(
                 "local map is constant on its domain; its image is not a ball"
@@ -157,12 +158,13 @@ def _check_global_boundedness(models) -> None:
     # every f_i must be pole-free on every ball and map it inside B(0, 1)
     for i, mi in enumerate(models):
         for j, mj in enumerate(models):
-            if not pole_free_on_ball(mi.f, mj.domain):
+            local = LocalExpansion(mi.f, mj.domain)
+            if not local.pole_free:
                 raise HypothesisViolation(
                     f"map {i} has a pole on ball {j} ({mj.domain}); "
                     "every local map must be analytic on the union of the balls"
                 )
-            img = image_of_ball(mi.f, mj.domain)
+            img = local.image
             if img.radius.exp < 0 or img.center.valuation() < 0:
                 raise HypothesisViolation(
                     f"map {i} sends ball {j} onto {img}, which is not inside B(0; 1)"
@@ -318,16 +320,28 @@ def build_F(models, plan: GluingPlan) -> RationalMap:
 def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8) -> Certificate:
     """Exact certification of the glued map against its contract.
 
-    Per ball: (a) F pole-free; (b) image_of_ball(F, B_i) equals the model
-    image as a set; (c) the sup-norm exponent of F - f_i on B_i strictly
-    exceeds the epsilon exponent; (d) sampled points agree with both the
-    certified bound and the image.  Failures are recorded, never raised.
+    Per ball B_i: (a) F pole-free; (b) image_of_ball(F, B_i) equals the
+    model image as a set; (c) the sup-norm exponent of F - f_i on B_i
+    strictly exceeds the epsilon exponent; (d) sampled points agree with
+    both the certified bound and the image.  Failures are recorded, never
+    raised.
+
+    Each ball gets one LocalExpansion of F: the numerator and denominator
+    of F are Taylor-shifted once about a_i, and (a), (b) and (c) are all
+    read off those shifted coefficients (with f_i shifted once as well).
+    The sup norm in (c) is taken of the unreduced difference
+    (N*d - n*D) / (D*d) for F = N/D and f_i = n/d, without a gcd.  Its
+    bound equals that of the reduced F - f_i: the Gauss norm on a ball is
+    multiplicative, and a common factor divides D*d, which has no zero on
+    B_i, so its norm on B_i equals its absolute value at a_i and cancels.
+    F is evaluated once per sample point.
     """
     eps_exp = plan.epsilon.exp
     checks = []
     for i, m in enumerate(models):
         B = m.domain
-        if not pole_free_on_ball(F, B):
+        local = LocalExpansion(F, B)
+        if not local.pole_free:
             checks.append(
                 BallCheck(
                     index=i,
@@ -340,18 +354,18 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
                 )
             )
             continue
-        img = image_of_ball(F, B)
+        img = local.image
         image_ok = img.same_set(m.image)
-        diff = F - m.f
-        bound = sup_norm_exp_on_ball(diff, B)
+        bound = local.sup_norm_exp(minus=LocalExpansion(m.f, B))
         witnesses = []
         samples_ok = True
         for z in sample_points(B, samples):
-            w = (F.eval(z) - m.f.eval(z)).valuation()
+            Fz = F.eval(z)
+            w = (Fz - m.f.eval(z)).valuation()
             witnesses.append((z, w))
             # pointwise values can never beat the certified sup bound, and
             # must themselves clear epsilon; the image must contain F(z)
-            if not (w >= bound and w > eps_exp and img.contains_point(F.eval(z))):
+            if not (w >= bound and w > eps_exp and img.contains_point(Fz)):
                 samples_ok = False
         checks.append(
             BallCheck(

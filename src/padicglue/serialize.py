@@ -15,7 +15,7 @@ from math import gcd, lcm
 from .algebra import Poly, RationalMap
 from .dynamics import CensusReport, FixedPointCensus, OrbitStep, Witness
 from .errors import SpecFormatError
-from .field import KElement, ValExp
+from .field import KElement, ValExp, is_prime
 from .geometry import Ball, Radius
 from .gluing import BallCheck, Certificate, GluingPlan, LocalModel
 
@@ -63,6 +63,13 @@ def _fraction_from_str(s, where: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFormatError(f"{where}: bad rational {s!r}") from exc
+
+
+def _prime_from_json(obj: dict, where: str) -> int:
+    p = obj.get("prime")
+    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+        raise SpecFormatError(f"{where}.prime: expected an integer prime, got {p!r}")
+    return p
 
 
 def valexp_to_json(v: ValExp) -> dict:
@@ -389,9 +396,7 @@ def problem_from_json(obj) -> dict:
     """
     if not isinstance(obj, dict):
         raise SpecFormatError("problem: expected a JSON object")
-    p = obj.get("prime")
-    if not isinstance(p, int):
-        raise SpecFormatError("problem.prime: expected an integer prime")
+    p = _prime_from_json(obj, "problem")
     eps_exp = _fraction_from_str(obj.get("epsilon_exp"), "problem.epsilon_exp")
     if eps_exp.denominator != 1:
         raise SpecFormatError(f"problem.epsilon_exp: must be an integer, got {eps_exp}")
@@ -496,9 +501,7 @@ def result_from_json(obj) -> dict:
     """
     if not isinstance(obj, dict):
         raise SpecFormatError("result: expected a JSON object")
-    p = obj.get("prime")
-    if not isinstance(p, int):
-        raise SpecFormatError("result.prime: expected an integer prime")
+    p = _prime_from_json(obj, "result")
     eps = Radius(_fraction_from_str(obj.get("epsilon_exp"), "result.epsilon_exp"))
     raw_models = obj.get("models")
     if not isinstance(raw_models, list) or not raw_models:

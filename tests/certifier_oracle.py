@@ -1,0 +1,116 @@
+"""Reference certifier and disk classifier for differential tests.
+
+These are the direct formulations that `LocalExpansion` replaced: every
+question recenters the polynomials it needs from scratch, the sup norm of
+F - f_i is taken of the gcd-reduced difference, and F is evaluated twice
+per sample point.  They are slow but obviously faithful to the
+definitions, so the library's certificates and disk classifications must
+equal theirs exactly.
+"""
+
+from padicglue import (
+    ATTRACTING,
+    INCONCLUSIVE,
+    INDIFFERENT,
+    REPELLING,
+    Ball,
+    BallCheck,
+    Certificate,
+    DiskBehavior,
+    KElement,
+    PoleInBallError,
+    Radius,
+    count_roots_in_ball,
+    gauss_norm_exp,
+    sample_points,
+)
+
+
+def pole_free_on_ball(f, ball):
+    if f.den.degree == 0:
+        return True
+    return count_roots_in_ball(f.den, ball) == 0
+
+
+def sup_norm_exp_on_ball(f, ball):
+    if not pole_free_on_ball(f, ball):
+        raise PoleInBallError(f"map has a pole on {ball}")
+    num_exp = gauss_norm_exp(f.num.recenter(ball.center), ball.radius.exp, from_k=0)
+    return num_exp - f.den(ball.center).valuation()
+
+
+def image_of_ball(f, ball):
+    if not pole_free_on_ball(f, ball):
+        raise PoleInBallError(f"map has a pole on {ball}")
+    a = ball.center
+    pa = f.num(a)
+    qa = f.den(a)
+    g = f.num * qa - f.den * pa
+    e = gauss_norm_exp(g.recenter(a), ball.radius.exp, from_k=1)
+    if e.is_infinite:
+        raise ValueError("constant map: the image of the ball is a point, not a ball")
+    return Ball(pa * qa.inverse(), Radius(e - qa.valuation() * 2), closed=ball.closed)
+
+
+def wdeg(f, b, ball):
+    img = image_of_ball(f, ball)
+    if not img.contains_point(b):
+        raise ValueError(f"target {b} lies outside the image {img}")
+    return count_roots_in_ball(f.num - f.den * b, ball)
+
+
+def certify_theorem1(F, models, plan, samples=8):
+    eps_exp = plan.epsilon.exp
+    checks = []
+    for i, m in enumerate(models):
+        B = m.domain
+        if not pole_free_on_ball(F, B):
+            checks.append(BallCheck(i, False, False, None, None, (), False))
+            continue
+        img = image_of_ball(F, B)
+        bound = sup_norm_exp_on_ball(F - m.f, B)
+        witnesses = []
+        samples_ok = True
+        for z in sample_points(B, samples):
+            w = (F.eval(z) - m.f.eval(z)).valuation()
+            witnesses.append((z, w))
+            if not (w >= bound and w > eps_exp and img.contains_point(F.eval(z))):
+                samples_ok = False
+        checks.append(
+            BallCheck(i, True, img.same_set(m.image), img, bound, tuple(witnesses), samples_ok)
+        )
+    return Certificate(
+        checks=tuple(checks),
+        epsilon=plan.epsilon,
+        degree_num=F.num.degree,
+        degree_den=F.den.degree,
+    )
+
+
+def classify_disk(F, U):
+    if U.closed:
+        raise ValueError("classification requires an open disk")
+    if not pole_free_on_ball(F, U):
+        raise PoleInBallError(f"map has a pole on {U}")
+    img = image_of_ball(F, U)
+    if img.disjoint_from(U):
+        return DiskBehavior(kind=INCONCLUSIVE, image=img)
+    if U.properly_contains(img):
+        return DiskBehavior(kind=ATTRACTING, image=img, wdeg=wdeg(F, img.center, U))
+    if img.same_set(U):
+        d = wdeg(F, U.center, U)
+        if d >= 2:
+            return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
+        lam = F.derivative_at(U.center)
+        certified = isinstance(lam, KElement) and (lam - 1).valuation() == 0
+        return DiskBehavior(
+            kind=INDIFFERENT,
+            image=img,
+            wdeg=d,
+            existence_certified=certified,
+            derivative_at_center=lam if isinstance(lam, KElement) else None,
+        )
+    if img.properly_contains(U):
+        d = wdeg(F, U.center, U)
+        return DiskBehavior(kind=REPELLING if d == 1 else INCONCLUSIVE, image=img, wdeg=d)
+    return DiskBehavior(kind=INCONCLUSIVE, image=img)

@@ -1,0 +1,185 @@
+"""The certifier and disk classifier against their direct formulations.
+
+`certifier_oracle` recenters from scratch for every question and reduces
+F - f_i by a gcd; the library shifts each polynomial once per ball and
+takes the sup norm of the unreduced difference.  Certificates and disk
+classifications must agree exactly, including on local maps with
+non-constant denominators, where the unreduced difference keeps a common
+factor.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+import certifier_oracle as oracle
+from conftest import make_gluing_instance
+from padicglue import (
+    Ball,
+    FieldConfig,
+    HypothesisViolation,
+    LocalModel,
+    PoleInBallError,
+    Poly,
+    Radius,
+    RationalMap,
+    build_F,
+    certify_theorem1,
+    classify_disk,
+    distance_exp,
+    plan_gluing,
+)
+from padicglue.presets import (
+    EX2_EPSILON,
+    crossed_sum,
+    ex1_census,
+    ex1_epsilon,
+    ex1_models,
+    ex2_census,
+    ex2_models,
+)
+from padicglue.serialize import certificate_to_json
+
+SUITE_SEED = 20261017
+SUITE_SIZE = 30
+
+
+def make_rational_instance(rng):
+    """A random gluing problem whose local maps have non-constant
+    denominators: f_i = p^k * g_i(z) / ((z - c)(1 + p z)).
+
+    The pole c is a random integer outside every ball, and 1 + p z is a
+    unit on the closed unit disk.  With |z - c| >= p^(-k) on every ball,
+    the factor p^k keeps each map inside B(0; 1) on each ball."""
+    while True:
+        models, _ = make_gluing_instance(rng)
+        p = models[0].domain.p
+        c = FieldConfig(p)(rng.randrange(p**3))
+        balls = [m.domain for m in models]
+        if any(b.contains_point(c) for b in balls):
+            continue
+        k = int(max(distance_exp(c, b.center).exp for b in balls))
+        z = Poly.x(p)
+        den = (z - c) * (z * p + 1)
+        try:
+            rational = [
+                LocalModel(f=RationalMap(m.f.num * p**k, den), domain=m.domain) for m in models
+            ]
+        except HypothesisViolation:
+            continue  # g_i shares the factor z - c and the map is constant
+        e_eps = max([1] + [m.image.radius.exp for m in rational]) + rng.choice((0, 1))
+        return rational, Radius(e_eps)
+
+
+def _glue(models, eps):
+    plan = plan_gluing(models, eps)
+    return plan, build_F(models, plan)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (PoleInBallError, ValueError) as exc:
+        return ("raises", type(exc), str(exc))
+
+
+def _disks(models, plan):
+    """Open disks about each center: the ball itself, one step inside, and
+    the disk out to delta_i, which holds the poles of the bump factor."""
+    for m, delta in zip(models, plan.deltas):
+        a, e = m.domain.center, m.domain.radius.exp
+        for exp in (e, e + 1, delta.exp):
+            yield Ball(a, Radius(exp), closed=False)
+
+
+def assert_same_certificate(F, models, plan, samples=8):
+    cert = certify_theorem1(F, models, plan, samples=samples)
+    ref = oracle.certify_theorem1(F, models, plan, samples=samples)
+    assert certificate_to_json(cert) == certificate_to_json(ref)
+    return cert
+
+
+def assert_same_classifications(F, disks):
+    for U in disks:
+        assert _outcome(classify_disk, F, U) == _outcome(oracle.classify_disk, F, U), U
+
+
+@pytest.fixture(scope="module")
+def suite():
+    rng = random.Random(SUITE_SEED)
+    return [make_gluing_instance(rng) for _ in range(SUITE_SIZE)]
+
+
+@pytest.fixture(scope="module")
+def rational_suite():
+    rng = random.Random(SUITE_SEED + 1)
+    return [make_rational_instance(rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("alpha, beta", [("3", "1/3"), ("2", "1/3"), ("1/3", "2")])
+def test_ex1_and_crossed_control(alpha, beta):
+    models = ex1_models(alpha, beta)
+    census = ex1_census(models)
+    plan, F = _glue(models, ex1_epsilon(models, census))
+    assert assert_same_certificate(F, models, plan).passes
+    assert not assert_same_certificate(crossed_sum(models, plan), models, plan).passes
+    assert_same_classifications(F, [w.disk for w in census.witnesses])
+    assert_same_classifications(F, _disks(models, plan))
+
+
+def test_ex2_and_crossed_control():
+    models = ex2_models()
+    plan, F = _glue(models, EX2_EPSILON)
+    assert assert_same_certificate(F, models, plan, samples=20).passes
+    assert not assert_same_certificate(crossed_sum(models, plan), models, plan).passes
+    assert_same_classifications(F, [w.disk for w in ex2_census(models).witnesses])
+    assert_same_classifications(F, _disks(models, plan))
+
+
+@pytest.mark.parametrize("index", range(SUITE_SIZE))
+def test_seeded_suite(suite, index):
+    models, eps = suite[index]
+    plan, F = _glue(models, eps)
+    assert_same_certificate(F, models, plan)
+    assert_same_classifications(F, _disks(models, plan))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_local_maps_with_denominators(rational_suite, index):
+    models, eps = rational_suite[index]
+    assert all(m.f.den.degree == 2 for m in models)
+    plan, F = _glue(models, eps)
+    assert assert_same_certificate(F, models, plan).passes
+    assert_same_classifications(F, _disks(models, plan))
+
+
+def test_classify_disk_raises_on_a_pole():
+    # D(0; 3^-1) reaches the zeros of the bump denominator at |z| = 3^(-3/2)
+    models = ex2_models()
+    plan, F = _glue(models, EX2_EPSILON)
+    U = Ball(models[0].domain.center, plan.deltas[0], closed=False)
+    with pytest.raises(PoleInBallError):
+        classify_disk(F, U)
+    with pytest.raises(PoleInBallError):
+        oracle.classify_disk(F, U)
+
+
+def test_certifier_shifts_F_once_per_ball(monkeypatch):
+    models = ex2_models()
+    plan, F = _glue(models, EX2_EPSILON)
+    shifted = []
+    recenter = Poly.recenter
+
+    def spy(self, a):
+        shifted.append((self, a))
+        return recenter(self, a)
+
+    monkeypatch.setattr(Poly, "recenter", spy)
+    assert certify_theorem1(F, models, plan).passes
+    # each of F.den and F.num is shifted exactly once about every center,
+    # and nothing is shifted more than three times per ball in all
+    centers = sorted(str(m.domain.center) for m in models)
+    for poly in (F.den, F.num):
+        assert sorted(str(a) for P, a in shifted if P is poly) == centers
+    assert max(Counter(str(a) for _, a in shifted).values()) <= 3

@@ -2,13 +2,15 @@
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from padicglue import Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap
 from padicglue.cli import main
 from padicglue.presets import ex2_problem
-from padicglue.serialize import problem_to_json, read_json, write_json
+from padicglue.serialize import problem_from_json, problem_to_json, read_json, write_json
 
 K3 = FieldConfig(3)
 Z = Poly.x(3)
@@ -65,6 +67,18 @@ class TestGlue:
         assert main(["glue", "--input", str(path)]) == 3
         assert "pole" in capsys.readouterr().err
 
+    def test_readme_problem_example_glues(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Problem files.*?```json\n(.*?)```", readme, re.S).group(1)
+        doc = json.loads(block)
+        prob = problem_from_json(doc)
+        assert len(prob["models"]) == 1 and prob["delta_override"] is not None
+        path = tmp_path / "readme.json"
+        write_json(path, doc)
+        assert main(["glue", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "certificate: PASS" in out and "census: PASS" in out
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["glue", "--input", str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -82,6 +96,14 @@ class TestGlue:
         write_json(path, doc)
         assert main(["glue", "--input", str(path)]) == 2
         assert "problem.models[1].ball.radius_exp" in capsys.readouterr().err
+
+    def test_non_prime_exit_2(self, tmp_path, capsys):
+        doc = copy.deepcopy(ex2_problem())
+        doc["prime"] = 4
+        path = tmp_path / "composite.json"
+        write_json(path, doc)
+        assert main(["glue", "--input", str(path)]) == 2
+        assert "problem.prime: expected an integer prime, got 4" in capsys.readouterr().err
 
     def test_wrong_census_counts_exit_1(self, tmp_path, capsys):
         doc = copy.deepcopy(ex2_problem())
@@ -150,6 +172,15 @@ class TestVerify:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["verify", "--input", str(tmp_path / "absent.json")]) == 2
+
+    def test_non_prime_exit_2(self, ex2_paths, tmp_path, capsys):
+        _, result = ex2_paths
+        doc = read_json(result)
+        doc["prime"] = 4
+        path = tmp_path / "composite.json"
+        write_json(path, doc)
+        assert main(["verify", "--input", str(path)]) == 2
+        assert "result.prime: expected an integer prime, got 4" in capsys.readouterr().err
 
 
 class TestOrbit:
