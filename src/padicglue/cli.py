@@ -40,24 +40,28 @@ EXIT_FAIL = 1
 EXIT_IO = 2
 EXIT_HYPOTHESIS = 3
 
-
-def _fmt_exp(p: int, exp) -> str:
-    return f"{p}^({-exp})"
+# The one map from library errors to exit codes and stderr prefixes; the
+# first matching row wins.  An OSError also exits 2 (see main).
+_EXIT_CODES = (
+    (SpecFormatError, EXIT_IO, "parse error"),
+    (HypothesisViolation, EXIT_HYPOTHESIS, "hypothesis violation"),
+    (PadicGlueError, EXIT_FAIL, "error"),
+)
 
 
 def _fmt_abs(p: int, v) -> str:
     # |x| = p^(-v(x)); valuation infinity means the value 0
-    return "0" if v.is_infinite else _fmt_exp(p, v.exp)
+    return "0" if v.is_infinite else f"{p}^({-v.exp})"
 
 
 def _print_plan(p: int, models, plan) -> None:
-    print(f"prime {p}, epsilon {_fmt_exp(p, plan.epsilon.exp)}")
+    print(f"prime {p}, epsilon {_fmt_abs(p, plan.epsilon)}")
     for i, m in enumerate(models):
         print(
-            f"ball {i}: {m.domain}  delta {_fmt_exp(p, plan.deltas[i].exp)}"
-            f"  s {_fmt_exp(p, plan.s[i].exp)}  M {plan.M[i]}"
+            f"ball {i}: {m.domain}  delta {_fmt_abs(p, plan.deltas[i])}"
+            f"  s {_fmt_abs(p, plan.s[i])}  M {plan.M[i]}"
         )
-    print(f"tau {_fmt_exp(p, plan.tau.exp)}")
+    print(f"tau {_fmt_abs(p, plan.tau)}")
 
 
 def _print_certificate(p: int, models, cert) -> None:
@@ -68,7 +72,7 @@ def _print_certificate(p: int, models, cert) -> None:
         print(
             f"ball {ch.index}: pole-free {ch.pole_free_ok}, image {ch.image}"
             f" matches {ch.image_ok}, |F - f_{ch.index}| <= {bound}"
-            f" (needs < {_fmt_exp(p, cert.epsilon.exp)}), samples ok {ch.samples_ok}"
+            f" (needs < {_fmt_abs(p, cert.epsilon)}), samples ok {ch.samples_ok}"
         )
     print(f"F degree: numerator {cert.degree_num}, denominator {cert.degree_den}")
     print(f"certificate: {'PASS' if cert.passes else 'FAIL'}")
@@ -133,34 +137,18 @@ def _run_orbits(p: int, F, models, requests):
 
 
 def cmd_glue(args) -> int:
-    try:
-        prob = problem_from_json(read_json(args.input))
-    except SpecFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except HypothesisViolation as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-
+    prob = problem_from_json(read_json(args.input))
     p = prob["p"]
     models = prob["models"]
-    try:
-        plan = plan_gluing(
-            models,
-            prob["epsilon"],
-            delta_override=prob["delta_override"],
-            M_override=prob["M_override"],
-            c_override=prob["c_override"],
-        )
-        F = build_F(models, plan)
-        cert = certify_theorem1(F, models, plan, samples=args.samples)
-    except HypothesisViolation as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-
+    plan = plan_gluing(
+        models,
+        prob["epsilon"],
+        delta_override=prob["delta_override"],
+        M_override=prob["M_override"],
+        c_override=prob["c_override"],
+    )
+    F = build_F(models, plan)
+    cert = certify_theorem1(F, models, plan, samples=args.samples)
     _print_plan(p, models, plan)
     _print_certificate(p, models, cert)
 
@@ -199,26 +187,11 @@ def cmd_glue(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        res = result_from_json(read_json(args.input))
-    except SpecFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except HypothesisViolation as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-
+    res = result_from_json(read_json(args.input))
     p = res["p"]
     models = res["models"]
-    try:
-        validate_plan(models, res["plan"])
-        cert = certify_theorem1(res["F"], models, res["plan"], samples=args.samples)
-    except HypothesisViolation as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    validate_plan(models, res["plan"])
+    cert = certify_theorem1(res["F"], models, res["plan"], samples=args.samples)
     _print_plan(p, models, res["plan"])
     _print_certificate(p, models, cert)
 
@@ -240,24 +213,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    try:
-        res = result_from_json(read_json(args.input))
-    except SpecFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except HypothesisViolation as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-
+    res = result_from_json(read_json(args.input))
     p = res["p"]
-    try:
-        start = parse_point(args.start, p)
-    except SpecFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    start = parse_point(args.start, p)
     _run_orbits(p, res["F"], res["models"], [{"start": start, "steps": args.steps}])
     return EXIT_PASS
 
@@ -348,13 +306,9 @@ def _example_ex1(args) -> int:
 
 
 def cmd_example(args) -> int:
-    try:
-        if args.name == "ex1":
-            return _example_ex1(args)
-        return _example_ex2(args)
-    except HypothesisViolation as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    if args.name == "ex1":
+        return _example_ex1(args)
+    return _example_ex2(args)
 
 
 def main(argv=None) -> int:
@@ -392,9 +346,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:
+        source = getattr(args, "input", None)
+        verb = "read" if exc.filename in (None, source) else "write"
+        print(f"cannot {verb} {exc.filename or source}: {exc}", file=sys.stderr)
+        return EXIT_IO
     except PadicGlueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        code, prefix = next((c, t) for kind, c, t in _EXIT_CODES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

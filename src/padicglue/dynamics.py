@@ -14,13 +14,12 @@ in the value group |C_v^x|; the surjectivity criteria need that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import RationalMap
 from .errors import HenselConditionError, PoleInBallError
 from .field import KElement, ValExp, reduce_mod
-from .geometry import Ball, LocalExpansion, Radius, image_of_ball
-from .gluing import check_c3_hypotheses
+from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas
+from .gluing import check_c3_hypotheses, plan_gluing
 
 __all__ = [
     "ATTRACTING",
@@ -245,16 +244,13 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     """
     if not isinstance(start, KElement):
         start = KElement(F.p, start)
-    if isinstance(target_exp, ValExp):
-        if target_exp.is_infinite:
-            raise ValueError("target exponent must be finite")
-        target = target_exp.exp
-    else:
-        target = Fraction(target_exp)
+    target = ValExp(target_exp)
+    if target.is_infinite:
+        raise ValueError("target exponent must be finite")
     G = F - RationalMap.identity(F.p)
     # working precision: far above the target so rounding never disturbs
     # the valuations the iteration reasons about
-    prec = int(2 * target) + 128 + F.degree
+    prec = int(2 * target.exp) + 128 + F.degree
 
     z = start
     gz = G.eval(z)
@@ -358,7 +354,7 @@ def suggest_witness(model, fixed_point, expected: str, max_shrink: int = 8) -> B
     if not model.domain.contains_point(fixed_point):
         raise ValueError("fixed point lies outside the model domain")
     for j in range(max_shrink + 1):
-        disk = Ball(fixed_point, Radius(model.domain.radius.exp + j), closed=False)
+        disk = Ball(fixed_point, model.domain.radius + j, closed=False)
         try:
             behavior = classify_disk(model.f, disk)
         except PoleInBallError:
@@ -370,35 +366,30 @@ def suggest_witness(model, fixed_point, expected: str, max_shrink: int = 8) -> B
     )
 
 
-def epsilon_for_census(models, census: FixedPointCensus, delta_override=None) -> Radius:
+def epsilon_for_census(models, census: FixedPointCensus, delta_override=None) -> ValExp:
     """Tolerance small enough that gluing preserves every witness's kind.
 
     Needs epsilon below each witness's local image radius; indifferent
     witnesses additionally need epsilon below every separation delta and
     below the witness radius, with all plan exponents M >= 2.
     """
-    from .gluing import plan_gluing
-
     models = list(models)
-    exps = [m.image.radius.exp for m in models]
+    exps = [m.image.radius for m in models]
     has_indifferent = False
     for w in census.witnesses:
-        local_img = image_of_ball(models[w.ball_index].f, w.disk)
-        exps.append(local_img.radius.exp)
+        exps.append(image_of_ball(models[w.ball_index].f, w.disk).radius)
         if w.expected == INDIFFERENT:
             has_indifferent = True
-            exps.append(w.disk.radius.exp)
+            exps.append(w.disk.radius)
     if has_indifferent:
         if delta_override is not None:
-            exps.extend(Radius(d).exp if not isinstance(d, Radius) else d.exp for d in delta_override)
+            exps.extend(ValExp(d) for d in delta_override)
         else:
-            from .geometry import pairwise_deltas
-
-            exps.extend(d.exp for d in pairwise_deltas([m.domain.center for m in models]))
+            exps.extend(pairwise_deltas([m.domain.center for m in models]))
     e = max(exps) + 1
     while has_indifferent:
-        plan = plan_gluing(models, Radius(e), delta_override=delta_override)
+        plan = plan_gluing(models, e, delta_override=delta_override)
         if all(M >= 2 for M in plan.M):
             break
         e += 1
-    return Radius(e)
+    return e

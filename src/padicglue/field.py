@@ -64,15 +64,20 @@ class ValExp:
     """Valuation exponent: an exact element of (1/2)Z, or +infinity (for 0).
 
     Encodes |x| = p^(-e); a larger exponent means a smaller absolute value.
+    This one type carries every such quantity: valuations, sup-norm bounds,
+    and the radii, separations and tolerances of the gluing construction.
     Infinity absorbs addition and compares above every finite exponent.
-    Comparisons and addition also accept plain ints and Fractions.
+    Comparisons and addition also accept plain ints and Fractions, and the
+    constructor accepts an existing ValExp.
     """
 
     __slots__ = ("exp",)
 
     exp: Fraction | None
 
-    def __init__(self, exp: Fraction | int | str | None):
+    def __init__(self, exp: "ValExp | Fraction | int | str | None"):
+        if isinstance(exp, ValExp):
+            exp = exp.exp
         if exp is None:
             object.__setattr__(self, "exp", None)
             return
@@ -91,10 +96,6 @@ class ValExp:
     @property
     def is_infinite(self) -> bool:
         return self.exp is None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.exp is not None
 
     def _key(self):
         return (1, Fraction(0)) if self.exp is None else (0, self.exp)
@@ -142,8 +143,6 @@ class ValExp:
                 return ValExp(None)
             return ValExp(self.exp + Fraction(other))
         return NotImplemented
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         o = other if isinstance(other, ValExp) else ValExp(other)
@@ -389,13 +388,9 @@ def uniformizer_power(p: int, e) -> KElement:
     Integral e gives p^e; half-integral e gives p^floor(e) * sqrt(p).
     """
     _check_prime(p)
-    if isinstance(e, ValExp):
-        if e.is_infinite:
-            raise ValueError("no uniformizer power has infinite valuation")
-        e = e.exp
-    e = Fraction(e)
-    if e.denominator not in (1, 2):
-        raise ValueError(f"exponent must lie in (1/2)Z, got {e}")
+    e = ValExp(e).exp
+    if e is None:
+        raise ValueError("no uniformizer power has infinite valuation")
     t = e.numerator if e.denominator == 2 else 2 * e.numerator
     if t % 2 == 0:
         return KElement(p, Fraction(p) ** (t // 2))

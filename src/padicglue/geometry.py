@@ -20,7 +20,6 @@ that ball are all read off the shifted coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (
@@ -48,70 +47,9 @@ __all__ = [
 ]
 
 
-class Radius:
-    """A radius p^(-exp) with exp in (1/2)Z, stored by its exponent.
-
-    Order comparisons are by magnitude: r < s means r is the smaller
-    radius, i.e. r.exp > s.exp.
-    """
-
-    __slots__ = ("exp",)
-
-    exp: Fraction
-
-    def __init__(self, exp):
-        if isinstance(exp, ValExp):
-            if exp.is_infinite:
-                raise ValueError("a radius must be positive")
-            exp = exp.exp
-        e = Fraction(exp)
-        if e.denominator not in (1, 2):
-            raise ValueError(f"radius exponent must lie in (1/2)Z, got {e}")
-        object.__setattr__(self, "exp", e)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Radius is immutable")
-
-    @property
-    def valexp(self) -> ValExp:
-        return ValExp(self.exp)
-
-    def divided_by_p(self, k: int = 1) -> "Radius":
-        return Radius(self.exp + k)
-
-    def __eq__(self, other):
-        if not isinstance(other, Radius):
-            return NotImplemented
-        return self.exp == other.exp
-
-    def __hash__(self):
-        return hash(("Radius", self.exp))
-
-    def __lt__(self, other):
-        if not isinstance(other, Radius):
-            return NotImplemented
-        return self.exp > other.exp
-
-    def __le__(self, other):
-        if not isinstance(other, Radius):
-            return NotImplemented
-        return self.exp >= other.exp
-
-    def __gt__(self, other):
-        if not isinstance(other, Radius):
-            return NotImplemented
-        return self.exp < other.exp
-
-    def __ge__(self, other):
-        if not isinstance(other, Radius):
-            return NotImplemented
-        return self.exp <= other.exp
-
-    def __str__(self):
-        return f"p^(-{self.exp})" if self.exp >= 0 else f"p^{-self.exp}"
-
-    def __repr__(self):
-        return f"Radius({self.exp})"
+# A radius p^(-e) is held as its exponent e, ordered like every other
+# exponent: a larger e is a smaller radius.
+Radius = ValExp
 
 
 def distance_exp(x: KElement, y: KElement) -> ValExp:
@@ -128,8 +66,12 @@ class Ball:
     """
 
     center: KElement
-    radius: Radius
+    radius: ValExp
     closed: bool = True
+
+    def __post_init__(self):
+        if self.radius.is_infinite:
+            raise ValueError("a radius must be positive")
 
     @property
     def p(self) -> int:
@@ -141,18 +83,18 @@ class Ball:
 
     def contains_point(self, x: KElement) -> bool:
         d = distance_exp(x, self.center)
-        return d >= self.radius.exp if self.closed else d > self.radius.exp
+        return d >= self.radius if self.closed else d > self.radius
 
     def contains_ball(self, other: "Ball") -> bool:
         d = distance_exp(other.center, self.center)
         if self.closed:
-            return other.radius.exp >= self.radius.exp and d >= self.radius.exp
+            return other.radius >= self.radius and d >= self.radius
         # open outer ball: a closed inner ball must be strictly smaller
-        if other.closed and not other.radius.exp > self.radius.exp:
+        if other.closed and not other.radius > self.radius:
             return False
-        if not other.closed and not other.radius.exp >= self.radius.exp:
+        if not other.closed and not other.radius >= self.radius:
             return False
-        return d > self.radius.exp
+        return d > self.radius
 
     def same_set(self, other: "Ball") -> bool:
         # over C_v a closed ball of radius in the value group never equals
@@ -160,7 +102,7 @@ class Ball:
         if self.closed != other.closed or self.radius != other.radius:
             return False
         d = distance_exp(other.center, self.center)
-        return d >= self.radius.exp if self.closed else d > self.radius.exp
+        return d >= self.radius if self.closed else d > self.radius
 
     def properly_contains(self, other: "Ball") -> bool:
         return self.contains_ball(other) and not self.same_set(other)
@@ -175,11 +117,11 @@ class Ball:
 
     def __str__(self):
         tag = "B" if self.closed else "D"
-        return f"{tag}({self.center}; {self.p}^(-{self.radius.exp}))"
+        return f"{tag}({self.center}; {self.p}^(-{self.radius}))"
 
 
 def pairwise_deltas(centers) -> list:
-    """delta_i = min over j != i of |a_i - a_j|, returned as Radius objects.
+    """delta_i = min over j != i of |a_i - a_j|, returned as exponents.
 
     Needs at least two centers; duplicate centers are rejected.
     """
@@ -195,9 +137,9 @@ def pairwise_deltas(centers) -> list:
             d = distance_exp(a, b)
             if d.is_infinite:
                 raise ValueError(f"duplicate centers at indices {i} and {j}")
-            if best is None or d.exp > best:
-                best = d.exp
-        out.append(Radius(best))
+            if best is None or d > best:
+                best = d
+        out.append(best)
     return out
 
 
@@ -269,8 +211,7 @@ class LocalExpansion:
         e = gauss_norm_exp(g, self.ball.radius.exp, from_k=1)
         if e.is_infinite:
             raise ValueError("constant map: the image of the ball is a point, not a ball")
-        img_exp = e - qa.valuation() * 2
-        return Ball(pa * qa.inverse(), Radius(img_exp), closed=self.ball.closed)
+        return Ball(pa * qa.inverse(), e - qa.valuation() * 2, closed=self.ball.closed)
 
     def sup_norm_exp(self, minus: "LocalExpansion | None" = None) -> ValExp:
         """Exponent of sup |f - g| over the ball (maximum for closed balls),
@@ -350,7 +291,7 @@ def sample_points(ball: Ball, budget: int) -> list:
         return []
     p = ball.p
     pts = [ball.center]
-    j = ball.radius.exp if ball.closed else ball.radius.exp + 1
+    j = ball.radius if ball.closed else ball.radius + 1
     while len(pts) < budget:
         scale = uniformizer_power(p, j)
         for u in range(1, p):

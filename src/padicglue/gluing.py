@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import Poly, RationalMap
 from .errors import HypothesisViolation, LemmaInapplicable
 from .field import KElement, ValExp, uniformizer_power
-from .geometry import Ball, LocalExpansion, Radius, image_of_ball, sample_points
+from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas, sample_points
 
 __all__ = [
     "BallCheck",
@@ -85,8 +85,8 @@ class GluingPlan:
     s: tuple
     c: tuple
     M: tuple
-    tau: Radius
-    epsilon: Radius
+    tau: ValExp
+    epsilon: ValExp
 
     @property
     def n(self) -> int:
@@ -120,7 +120,7 @@ class Certificate:
     """
 
     checks: tuple
-    epsilon: Radius
+    epsilon: ValExp
     degree_num: int
     degree_den: int
 
@@ -129,7 +129,7 @@ class Certificate:
         for ch in self.checks:
             if not ch.ok:
                 return False
-            if ch.eps_bound_exp is None or not ch.eps_bound_exp > self.epsilon.exp:
+            if ch.eps_bound_exp is None or not ch.eps_bound_exp > self.epsilon:
                 return False
         return True
 
@@ -165,7 +165,7 @@ def _check_global_boundedness(models) -> None:
                     "every local map must be analytic on the union of the balls"
                 )
             img = local.image
-            if img.radius.exp < 0 or img.center.valuation() < 0:
+            if img.radius < 0 or img.center.valuation() < 0:
                 raise HypothesisViolation(
                     f"map {i} sends ball {j} onto {img}, which is not inside B(0; 1)"
                 )
@@ -173,7 +173,7 @@ def _check_global_boundedness(models) -> None:
 
 def plan_gluing(
     models,
-    epsilon: Radius,
+    epsilon: ValExp,
     delta_override=None,
     M_override=None,
     c_override=None,
@@ -190,6 +190,8 @@ def plan_gluing(
     n = len(models)
     if n == 0:
         raise HypothesisViolation("need at least one local model")
+    if epsilon.is_infinite:
+        raise HypothesisViolation("epsilon must be a positive radius")
     for i, m in enumerate(models):
         for j in range(i + 1, n):
             if not m.domain.disjoint_from(models[j].domain):
@@ -200,32 +202,34 @@ def plan_gluing(
 
     # separations
     if delta_override is not None:
-        deltas = [d if isinstance(d, Radius) else Radius(d) for d in delta_override]
+        deltas = [ValExp(d) for d in delta_override]
         if len(deltas) != n:
             raise HypothesisViolation(f"delta override must list {n} radii")
         if n >= 2:
-            true_deltas = _pairwise(models)
+            true_deltas = pairwise_deltas([m.domain.center for m in models])
             for i, (d, td) in enumerate(zip(deltas, true_deltas)):
-                if d > td:
+                if d < td:
                     raise HypothesisViolation(
                         f"delta override for ball {i} exceeds the distance to the nearest other center"
                     )
     elif n == 1:
         raise HypothesisViolation("a single ball needs an explicit delta_override")
     else:
-        deltas = _pairwise(models)
+        deltas = pairwise_deltas([m.domain.center for m in models])
 
     radii = [m.domain.radius for m in models]
     for i, (r, d) in enumerate(zip(radii, deltas)):
-        if not r < d:
+        # all comparisons are of exponents: the smaller radius has the larger one
+        if not r > d:
             raise HypothesisViolation(
-                f"ball {i}: radius must be strictly smaller than delta (r={r!r}, delta={d!r})"
+                f"ball {i}: radius must be strictly smaller than delta"
+                f" (r = p^(-{r}), delta = p^(-{d}))"
             )
 
     ss = []
     for i, (r, d) in enumerate(zip(radii, deltas)):
         try:
-            ss.append(Radius((r.exp + d.exp) / 2))
+            ss.append((r + d) * Fraction(1, 2))
         except ValueError as exc:
             raise HypothesisViolation(
                 f"ball {i}: the geometric mean of r and delta has no radius in p^((1/2)Z)"
@@ -237,20 +241,19 @@ def plan_gluing(
         if len(cs) != n:
             raise HypothesisViolation(f"c override must list {n} elements")
         for i, (c, s) in enumerate(zip(cs, ss)):
-            if not isinstance(c, KElement) or c.valuation() != s.exp:
+            if not isinstance(c, KElement) or c.valuation() != s:
                 raise HypothesisViolation(f"c override for ball {i} must have |c| = s_i")
     else:
-        cs = [uniformizer_power(p, s.exp) for s in ss]
+        cs = [uniformizer_power(p, s) for s in ss]
 
-    tau_exp = max([m.image.radius.exp for m in models] + [epsilon.exp])
-    tau = Radius(tau_exp)
+    tau = max([m.image.radius for m in models] + [epsilon])
 
     Ms = []
     for i, (r, d) in enumerate(zip(radii, deltas)):
-        gap = r.exp - d.exp  # > 0 by the radius check above
-        # minimal integer M >= 1 with M*gap/2 > tau_exp
+        gap = r - d  # > 0 by the radius check above
+        # minimal integer M >= 1 with M*gap/2 > tau, i.e. M*gap > 2*tau
         m_min = 1
-        while Fraction(m_min) * gap / 2 <= tau_exp:
+        while gap * m_min <= tau * 2:
             m_min += 1
         if M_override is not None:
             mo = M_override[i] if i < len(M_override) else None
@@ -272,12 +275,6 @@ def plan_gluing(
     )
 
 
-def _pairwise(models):
-    from .geometry import pairwise_deltas
-
-    return pairwise_deltas([m.domain.center for m in models])
-
-
 def validate_plan(models, plan: GluingPlan) -> None:
     """Check a plan against its models; raises HypothesisViolation on mismatch.
 
@@ -287,22 +284,22 @@ def validate_plan(models, plan: GluingPlan) -> None:
     n = len(models)
     if not (len(plan.deltas) == len(plan.s) == len(plan.c) == len(plan.M) == n):
         raise HypothesisViolation("plan size differs from the number of models")
-    tau_exp = max([m.image.radius.exp for m in models] + [plan.epsilon.exp])
-    if plan.tau.exp != tau_exp:
+    tau = max([m.image.radius for m in models] + [plan.epsilon])
+    if plan.tau != tau:
         raise HypothesisViolation("plan tau is not min{t_i, epsilon}")
     for i, m in enumerate(models):
         r = m.domain.radius
         d = plan.deltas[i]
-        if not r < d:
+        if not r > d:
             raise HypothesisViolation(f"ball {i}: radius is not strictly smaller than delta")
-        if plan.s[i].exp * 2 != r.exp + d.exp:
+        if plan.s[i] * 2 != r + d:
             raise HypothesisViolation(f"ball {i}: s is not the geometric mean of r and delta")
-        if plan.c[i].valuation() != plan.s[i].exp:
+        if plan.c[i].valuation() != plan.s[i]:
             raise HypothesisViolation(f"ball {i}: |c| differs from s")
         M = plan.M[i]
         if not isinstance(M, int) or M < 1:
             raise HypothesisViolation(f"ball {i}: M must be a positive integer")
-        if not Fraction(M) * (r.exp - d.exp) / 2 > tau_exp:
+        if not (r - d) * M > tau * 2:
             raise HypothesisViolation(f"ball {i}: M fails the strict tau bound")
 
 
@@ -336,7 +333,7 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     B_i, so its norm on B_i equals its absolute value at a_i and cancels.
     F is evaluated once per sample point.
     """
-    eps_exp = plan.epsilon.exp
+    eps = plan.epsilon
     checks = []
     for i, m in enumerate(models):
         B = m.domain
@@ -365,7 +362,7 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
             witnesses.append((z, w))
             # pointwise values can never beat the certified sup bound, and
             # must themselves clear epsilon; the image must contain F(z)
-            if not (w >= bound and w > eps_exp and img.contains_point(Fz)):
+            if not (w >= bound and w > eps and img.contains_point(Fz)):
                 samples_ok = False
         checks.append(
             BallCheck(
@@ -386,9 +383,9 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     )
 
 
-def check_monotonicity(models, eps: Radius, eps_prime: Radius) -> bool:
+def check_monotonicity(models, eps: ValExp, eps_prime: ValExp) -> bool:
     """Build at the finer tolerance eps_prime, certify against the coarser eps."""
-    if not eps_prime < eps:
+    if not eps_prime > eps:
         raise ValueError("eps_prime must be strictly smaller than eps")
     plan = plan_gluing(models, eps_prime)
     F = build_F(models, plan)
@@ -396,15 +393,16 @@ def check_monotonicity(models, eps: Radius, eps_prime: Radius) -> bool:
     return cert.passes
 
 
-def check_subdisk_transfer(F: RationalMap, model: LocalModel, sub: Ball, eps: Radius) -> bool:
+def check_subdisk_transfer(F: RationalMap, model: LocalModel, sub: Ball, eps: ValExp) -> bool:
     """On a sub-ball whose local image radius exceeds eps, F and the local
     map must have identical images.  Raises LemmaInapplicable otherwise."""
     if not model.domain.contains_ball(sub):
         raise ValueError(f"{sub} is not contained in the model domain {model.domain}")
     local_img = image_of_ball(model.f, sub)
-    if not local_img.radius > eps:
+    if not local_img.radius < eps:
         raise LemmaInapplicable(
-            f"local image radius {local_img.radius} is at most eps {eps}; transfer says nothing"
+            f"local image radius p^(-{local_img.radius}) is at most eps p^(-{eps});"
+            " transfer says nothing"
         )
     return image_of_ball(F, sub).same_set(local_img)
 
@@ -430,13 +428,13 @@ def check_c3_hypotheses(models, i: int) -> bool:
     if (lam - 1).valuation() != 0:
         return False
     # min over all model image radii; the bound is |f_j'(a_i)| < p^(max exp)
-    max_t_exp = max(mm.image.radius.exp for mm in models)
+    max_t = max(mm.image.radius for mm in models)
     for j, mj in enumerate(models):
         if j == i:
             continue
         dj = mj.f.derivative_at(a)
         if not isinstance(dj, KElement):
             return False
-        if not dj.valuation() > -max_t_exp:
+        if not dj.valuation() > -max_t:
             return False
     return True

@@ -21,8 +21,8 @@ from .dynamics import (
     multiplier,
     suggest_witness,
 )
-from .field import FieldConfig, KElement
-from .geometry import Ball, Radius
+from .field import FieldConfig, KElement, ValExp
+from .geometry import Ball
 from .gluing import GluingPlan, LocalModel, build_h
 
 __all__ = [
@@ -36,12 +36,11 @@ __all__ = [
     "ex2_census",
     "ex2_models",
     "ex2_problem",
-    "write_preset_files",
 ]
 
 _KIND_SLOT = {ATTRACTING: 0, REPELLING: 1, INDIFFERENT: 2}
 
-EX2_EPSILON = Radius(3)
+EX2_EPSILON = ValExp(3)
 
 
 def ex1_models(alpha, beta) -> list:
@@ -57,8 +56,8 @@ def ex1_models(alpha, beta) -> list:
     f1 = RationalMap(z * alpha)
     f2 = RationalMap(z * (z - 3) * beta + z)
     return [
-        LocalModel(f=f1, domain=Ball(K(0), Radius(2))),
-        LocalModel(f=f2, domain=Ball(K(3), Radius(2))),
+        LocalModel(f=f1, domain=Ball(K(0), ValExp(2))),
+        LocalModel(f=f2, domain=Ball(K(3), ValExp(2))),
     ]
 
 
@@ -79,7 +78,7 @@ def ex1_census(models) -> FixedPointCensus:
     )
 
 
-def ex1_epsilon(models, census: FixedPointCensus) -> Radius:
+def ex1_epsilon(models, census: FixedPointCensus) -> ValExp:
     return epsilon_for_census(models, census)
 
 
@@ -101,18 +100,18 @@ def ex2_models() -> list:
     return [
         LocalModel(
             f=RationalMap(z * 3),
-            domain=Ball(K(0), Radius(2)),
-            declared_image=Ball(K(0), Radius(3)),
+            domain=Ball(K(0), ValExp(2)),
+            declared_image=Ball(K(0), ValExp(3)),
         ),
         LocalModel(
             f=RationalMap(z * Fraction(1, 3) + 2),
-            domain=Ball(K(3), Radius(2)),
-            declared_image=Ball(K(3), Radius(1)),
+            domain=Ball(K(3), ValExp(2)),
+            declared_image=Ball(K(3), ValExp(1)),
         ),
         LocalModel(
             f=RationalMap(z),
-            domain=Ball(K(6), Radius(2)),
-            declared_image=Ball(K(6), Radius(2)),
+            domain=Ball(K(6), ValExp(2)),
+            declared_image=Ball(K(6), ValExp(2)),
         ),
     ]
 
@@ -174,17 +173,3 @@ def ex2_problem() -> dict:
         orbits=[{"start": "9", "steps": 10, "ref": "0"}],
     )
 
-
-def write_preset_files(directory) -> list:
-    """Write ex1.json and ex2.json under the given directory; returns paths."""
-    import os
-
-    from .serialize import write_json
-
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name, doc in (("ex1.json", ex1_problem()), ("ex2.json", ex2_problem())):
-        path = os.path.join(directory, name)
-        write_json(path, doc)
-        paths.append(path)
-    return paths

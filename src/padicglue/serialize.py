@@ -13,10 +13,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Poly, RationalMap
-from .dynamics import CensusReport, FixedPointCensus, OrbitStep, Witness
+from .dynamics import CensusReport, FixedPointCensus, Witness
 from .errors import SpecFormatError
 from .field import KElement, ValExp, is_prime
-from .geometry import Ball, Radius
+from .geometry import Ball
 from .gluing import BallCheck, Certificate, GluingPlan, LocalModel
 
 __all__ = [
@@ -50,10 +50,6 @@ __all__ = [
 # -- scalars ------------------------------------------------------------------
 
 
-def _fraction_to_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _fraction_from_str(s, where: str) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
@@ -65,6 +61,24 @@ def _fraction_from_str(s, where: str) -> Fraction:
         raise SpecFormatError(f"{where}: bad rational {s!r}") from exc
 
 
+def _exp_from_json(s, where: str, integral: bool = False) -> ValExp:
+    # a finite exponent e of p^(-e); integral=True narrows (1/2)Z to Z
+    e = _fraction_from_str(s, where)
+    if integral and e.denominator != 1:
+        raise SpecFormatError(f"{where}: must be an integer, got {e}")
+    try:
+        return ValExp(e)
+    except ValueError as exc:
+        raise SpecFormatError(f"{where}: {exc}") from exc
+
+
+def _int_from_json(x, where: str) -> int:
+    # counts and indices: a JSON float or bool is never silently truncated
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise SpecFormatError(f"{where}: expected an integer, got {x!r}")
+    return x
+
+
 def _prime_from_json(obj: dict, where: str) -> int:
     p = obj.get("prime")
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
@@ -73,7 +87,7 @@ def _prime_from_json(obj: dict, where: str) -> int:
 
 
 def valexp_to_json(v: ValExp) -> dict:
-    return {"exp": "inf" if v.is_infinite else _fraction_to_str(v.exp)}
+    return {"exp": str(v)}
 
 
 def valexp_from_json(obj, where: str) -> ValExp:
@@ -81,11 +95,11 @@ def valexp_from_json(obj, where: str) -> ValExp:
         raise SpecFormatError(f"{where}: expected an object with an 'exp' field")
     if obj["exp"] == "inf":
         return ValExp(None)
-    return ValExp(_fraction_from_str(obj["exp"], where))
+    return _exp_from_json(obj["exp"], where)
 
 
 def kelement_to_json(x: KElement) -> dict:
-    return {"a": _fraction_to_str(x.a), "b": _fraction_to_str(x.b)}
+    return {"a": str(x.a), "b": str(x.b)}
 
 
 def kelement_from_json(obj, p: int, where: str, rational_only: bool = False) -> KElement:
@@ -117,7 +131,7 @@ def parse_point(text: str, p: int) -> KElement:
 def ball_to_json(B: Ball) -> dict:
     return {
         "center": kelement_to_json(B.center),
-        "radius_exp": _fraction_to_str(B.radius.exp),
+        "radius_exp": str(B.radius),
         "kind": B.kind,
     }
 
@@ -126,16 +140,10 @@ def ball_from_json(obj, p: int, where: str, strict: bool = False) -> Ball:
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected a ball object")
     center = kelement_from_json(obj.get("center"), p, f"{where}.center", rational_only=strict)
-    exp = _fraction_from_str(obj.get("radius_exp"), f"{where}.radius_exp")
-    if strict and exp.denominator != 1:
-        raise SpecFormatError(f"{where}.radius_exp: must be an integer, got {exp}")
+    radius = _exp_from_json(obj.get("radius_exp"), f"{where}.radius_exp", integral=strict)
     kind = obj.get("kind", "closed")
     if kind not in ("closed", "open"):
         raise SpecFormatError(f"{where}.kind: expected 'closed' or 'open', got {kind!r}")
-    try:
-        radius = Radius(exp)
-    except ValueError as exc:
-        raise SpecFormatError(f"{where}.radius_exp: {exc}") from exc
     return Ball(center, radius, closed=kind == "closed")
 
 
@@ -152,22 +160,13 @@ def poly_from_json(obj, p: int, where: str) -> Poly:
     return Poly(p, [kelement_from_json(c, p, f"{where}[{k}]") for k, c in enumerate(obj)])
 
 
-def _joint_content(f: RationalMap) -> Fraction:
-    nums, dens = [], []
-    for poly in (f.num, f.den):
-        for c in poly.coeffs:
-            for fr in (c.a, c.b):
-                if fr:
-                    nums.append(abs(fr.numerator))
-                    dens.append(fr.denominator)
-    if not nums:
-        return Fraction(1)
-    return Fraction(gcd(*nums), lcm(*dens))
-
-
 def ratmap_to_json(f: RationalMap) -> dict:
-    # emit the integral coprime representative; parsing re-canonicalizes
-    scale = 1 / _joint_content(f)
+    # emit the integral coprime representative; parsing re-canonicalizes.
+    # Each content is in lowest terms (a prime dividing every numerator
+    # divides no reduced denominator), so the joint content of num and den
+    # is the gcd of their numerators over the lcm of their denominators.
+    cn, cd = f.num.content(), f.den.content()
+    scale = Fraction(lcm(cn.denominator, cd.denominator), gcd(cn.numerator, cd.numerator))
     return {"num": poly_to_json(f.num * scale), "den": poly_to_json(f.den * scale)}
 
 
@@ -186,12 +185,12 @@ def ratmap_from_json(obj, p: int, where: str) -> RationalMap:
 
 def plan_to_json(plan: GluingPlan) -> dict:
     return {
-        "delta_exps": [_fraction_to_str(d.exp) for d in plan.deltas],
-        "s_exps": [_fraction_to_str(s.exp) for s in plan.s],
+        "delta_exps": [str(d) for d in plan.deltas],
+        "s_exps": [str(s) for s in plan.s],
         "c": [kelement_to_json(c) for c in plan.c],
         "M": list(plan.M),
-        "tau_exp": _fraction_to_str(plan.tau.exp),
-        "epsilon_exp": _fraction_to_str(plan.epsilon.exp),
+        "tau_exp": str(plan.tau),
+        "epsilon_exp": str(plan.epsilon),
     }
 
 
@@ -199,16 +198,14 @@ def plan_from_json(obj, p: int, where: str) -> GluingPlan:
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected a plan object")
     try:
-        deltas = tuple(Radius(_fraction_from_str(d, f"{where}.delta_exps")) for d in obj["delta_exps"])
-        ss = tuple(Radius(_fraction_from_str(s, f"{where}.s_exps")) for s in obj["s_exps"])
+        deltas = tuple(_exp_from_json(d, f"{where}.delta_exps") for d in obj["delta_exps"])
+        ss = tuple(_exp_from_json(s, f"{where}.s_exps") for s in obj["s_exps"])
         cs = tuple(kelement_from_json(c, p, f"{where}.c") for c in obj["c"])
-        Ms = tuple(int(m) for m in obj["M"])
-        tau = Radius(_fraction_from_str(obj["tau_exp"], f"{where}.tau_exp"))
-        epsilon = Radius(_fraction_from_str(obj["epsilon_exp"], f"{where}.epsilon_exp"))
+        Ms = tuple(_int_from_json(m, f"{where}.M") for m in obj["M"])
+        tau = _exp_from_json(obj["tau_exp"], f"{where}.tau_exp")
+        epsilon = _exp_from_json(obj["epsilon_exp"], f"{where}.epsilon_exp")
     except KeyError as exc:
         raise SpecFormatError(f"{where}: missing plan field {exc}") from exc
-    except ValueError as exc:
-        raise SpecFormatError(f"{where}: {exc}") from exc
     return GluingPlan(deltas=deltas, s=ss, c=cs, M=Ms, tau=tau, epsilon=epsilon)
 
 
@@ -233,7 +230,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         )
     return {
         "passes": cert.passes,
-        "epsilon_exp": _fraction_to_str(cert.epsilon.exp),
+        "epsilon_exp": str(cert.epsilon),
         "degree": {"num": cert.degree_num, "den": cert.degree_den},
         "balls": balls,
     }
@@ -245,32 +242,39 @@ def certificate_from_json(obj, p: int, where: str) -> Certificate:
     checks = []
     for k, ch in enumerate(obj.get("balls", [])):
         w = f"{where}.balls[{k}]"
-        witnesses = tuple(
-            (
-                kelement_from_json(e["point"], p, f"{w}.witnesses"),
-                valexp_from_json(e["diff_exp"], f"{w}.witnesses"),
+        if not isinstance(ch, dict):
+            raise SpecFormatError(f"{w}: expected a ball check object")
+        try:
+            witnesses = tuple(
+                (
+                    kelement_from_json(e["point"], p, f"{w}.witnesses"),
+                    valexp_from_json(e["diff_exp"], f"{w}.witnesses"),
+                )
+                for e in ch.get("witnesses", [])
             )
-            for e in ch.get("witnesses", [])
-        )
-        checks.append(
-            BallCheck(
-                index=int(ch["index"]),
-                pole_free_ok=bool(ch["pole_free_ok"]),
-                image_ok=bool(ch["image_ok"]),
-                image=ball_from_json(ch["image"], p, f"{w}.image") if ch.get("image") else None,
-                eps_bound_exp=valexp_from_json(ch["eps_bound_exp"], f"{w}.eps_bound_exp")
-                if ch.get("eps_bound_exp")
-                else None,
-                witnesses=witnesses,
-                samples_ok=bool(ch["samples_ok"]),
+            checks.append(
+                BallCheck(
+                    index=_int_from_json(ch["index"], f"{w}.index"),
+                    pole_free_ok=bool(ch["pole_free_ok"]),
+                    image_ok=bool(ch["image_ok"]),
+                    image=ball_from_json(ch["image"], p, f"{w}.image") if ch.get("image") else None,
+                    eps_bound_exp=valexp_from_json(ch["eps_bound_exp"], f"{w}.eps_bound_exp")
+                    if ch.get("eps_bound_exp")
+                    else None,
+                    witnesses=witnesses,
+                    samples_ok=bool(ch["samples_ok"]),
+                )
             )
-        )
+        except KeyError as exc:
+            raise SpecFormatError(f"{w}: missing field {exc}") from exc
     deg = obj.get("degree", {})
+    if not isinstance(deg, dict):
+        raise SpecFormatError(f"{where}.degree: expected an object")
     return Certificate(
         checks=tuple(checks),
-        epsilon=Radius(_fraction_from_str(obj["epsilon_exp"], f"{where}.epsilon_exp")),
-        degree_num=int(deg.get("num", -1)),
-        degree_den=int(deg.get("den", -1)),
+        epsilon=_exp_from_json(obj.get("epsilon_exp"), f"{where}.epsilon_exp"),
+        degree_num=_int_from_json(deg.get("num", -1), f"{where}.degree.num"),
+        degree_den=_int_from_json(deg.get("den", -1), f"{where}.degree.den"),
     )
 
 
@@ -309,7 +313,7 @@ def census_from_json(obj, p: int, where: str, strict: bool = False) -> FixedPoin
             raise SpecFormatError(f"{ww}: expected a witness object")
         witnesses.append(
             Witness(
-                ball_index=int(w.get("ball_index", -1)),
+                ball_index=_int_from_json(w.get("ball_index", -1), f"{ww}.ball_index"),
                 disk=ball_from_json(w.get("disk"), p, f"{ww}.disk", strict=strict),
                 expected=w.get("expected", ""),
             )
@@ -357,12 +361,12 @@ def orbit_to_json(steps) -> list:
 # -- problems and results ------------------------------------------------------
 
 
-def problem_to_json(p: int, epsilon: Radius, models, delta_override=None, M_override=None,
+def problem_to_json(p: int, epsilon: ValExp, models, delta_override=None, M_override=None,
                     c_override=None, census: FixedPointCensus | None = None,
                     orbits=None) -> dict:
     out = {
         "prime": p,
-        "epsilon_exp": _fraction_to_str(epsilon.exp),
+        "epsilon_exp": str(epsilon),
         "models": [
             {
                 "map": ratmap_to_json(m.f),
@@ -373,7 +377,7 @@ def problem_to_json(p: int, epsilon: Radius, models, delta_override=None, M_over
         ],
     }
     if delta_override is not None:
-        out["delta_override"] = [_fraction_to_str(d.exp) for d in delta_override]
+        out["delta_override"] = [str(d) for d in delta_override]
     if M_override is not None:
         out["M_override"] = list(M_override)
     if c_override is not None:
@@ -397,9 +401,7 @@ def problem_from_json(obj) -> dict:
     if not isinstance(obj, dict):
         raise SpecFormatError("problem: expected a JSON object")
     p = _prime_from_json(obj, "problem")
-    eps_exp = _fraction_from_str(obj.get("epsilon_exp"), "problem.epsilon_exp")
-    if eps_exp.denominator != 1:
-        raise SpecFormatError(f"problem.epsilon_exp: must be an integer, got {eps_exp}")
+    epsilon = _exp_from_json(obj.get("epsilon_exp"), "problem.epsilon_exp", integral=True)
     raw_models = obj.get("models")
     if not isinstance(raw_models, list) or not raw_models:
         raise SpecFormatError("problem.models: expected a non-empty list")
@@ -421,14 +423,10 @@ def problem_from_json(obj) -> dict:
         raw = obj["delta_override"]
         if not isinstance(raw, list):
             raise SpecFormatError("problem.delta_override: expected a list of exponents")
-        delta_override = []
-        for i, d in enumerate(raw):
-            e = _fraction_from_str(d, f"problem.delta_override[{i}]")
-            if e.denominator != 1:
-                raise SpecFormatError(
-                    f"problem.delta_override[{i}]: must be an integer, got {e}"
-                )
-            delta_override.append(Radius(e))
+        delta_override = [
+            _exp_from_json(d, f"problem.delta_override[{i}]", integral=True)
+            for i, d in enumerate(raw)
+        ]
     M_override = None
     if obj.get("M_override") is not None:
         raw = obj["M_override"]
@@ -459,7 +457,7 @@ def problem_from_json(obj) -> dict:
             orbits.append(
                 {
                     "start": kelement_from_json(o["start"], p, f"problem.orbits[{i}].start"),
-                    "steps": int(o.get("steps", 10)),
+                    "steps": _int_from_json(o.get("steps", 10), f"problem.orbits[{i}].steps"),
                     "ref": kelement_from_json(o["ref"], p, f"problem.orbits[{i}].ref")
                     if o.get("ref") is not None
                     else None,
@@ -467,7 +465,7 @@ def problem_from_json(obj) -> dict:
             )
     return {
         "p": p,
-        "epsilon": Radius(eps_exp),
+        "epsilon": epsilon,
         "models": models,
         "delta_override": delta_override,
         "M_override": M_override,
@@ -477,7 +475,7 @@ def problem_from_json(obj) -> dict:
     }
 
 
-def result_to_json(p: int, epsilon: Radius, models, plan: GluingPlan, F: RationalMap,
+def result_to_json(p: int, epsilon: ValExp, models, plan: GluingPlan, F: RationalMap,
                    cert: Certificate, census: FixedPointCensus | None = None,
                    census_report: CensusReport | None = None, orbit_tables=None) -> dict:
     out = problem_to_json(p, epsilon, models)
@@ -502,13 +500,15 @@ def result_from_json(obj) -> dict:
     if not isinstance(obj, dict):
         raise SpecFormatError("result: expected a JSON object")
     p = _prime_from_json(obj, "result")
-    eps = Radius(_fraction_from_str(obj.get("epsilon_exp"), "result.epsilon_exp"))
+    eps = _exp_from_json(obj.get("epsilon_exp"), "result.epsilon_exp")
     raw_models = obj.get("models")
     if not isinstance(raw_models, list) or not raw_models:
         raise SpecFormatError("result.models: expected a non-empty list")
     models = []
     for i, m in enumerate(raw_models):
         where = f"result.models[{i}]"
+        if not isinstance(m, dict):
+            raise SpecFormatError(f"{where}: expected a model object")
         f = ratmap_from_json(m.get("map"), p, f"{where}.map")
         ball = ball_from_json(m.get("ball"), p, f"{where}.ball")
         image = (

@@ -183,6 +183,59 @@ class TestVerify:
         assert "result.prime: expected an integer prime, got 4" in capsys.readouterr().err
 
 
+def _set(*path, value):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+
+    return mutate
+
+
+class TestMalformedInput:
+    """Bad field values exit 2 with a parse error that names the field,
+    never a traceback and never a silently truncated number."""
+
+    @pytest.mark.parametrize(
+        "command, mutate, where",
+        [
+            ("verify", _set("models", 0, value="x"), "result.models[0]"),
+            ("verify", _set("certificate", "balls", 0, value=5), "result.certificate.balls[0]"),
+            ("verify", _drop("certificate", "balls", 0, "index"), "result.certificate.balls[0]"),
+            ("verify", _set("epsilon_exp", value="1/3"), "result.epsilon_exp"),
+            ("verify", _set("certificate", "epsilon_exp", value="1/3"),
+             "result.certificate.epsilon_exp"),
+            ("verify", _set("plan", "M", 0, value=7.5), "result.plan.M"),
+            ("verify", _set("certificate", "balls", 0, "index", value=0.0),
+             "result.certificate.balls[0].index"),
+            ("verify", _set("certificate", "balls", 0, "index", value=True),
+             "result.certificate.balls[0].index"),
+            ("verify", _set("certificate", "degree", "num", value=9.0),
+             "result.certificate.degree.num"),
+            ("glue", _set("orbits", 0, "steps", value="x"), "problem.orbits[0].steps"),
+            ("glue", _set("orbits", 0, "steps", value=2.7), "problem.orbits[0].steps"),
+        ],
+    )
+    def test_named_parse_error_exit_2(self, ex2_paths, tmp_path, capsys, command, mutate, where):
+        problem, result = ex2_paths
+        doc = read_json(problem if command == "glue" else result)
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and where in err
+
+
 class TestOrbit:
     def test_reference_orbit(self, ex2_paths, capsys):
         _, result = ex2_paths

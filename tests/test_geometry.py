@@ -40,17 +40,20 @@ class TestRadius:
         from padicglue import ValExp
 
         with pytest.raises(ValueError, match="positive"):
-            Radius(ValExp.infinite())
+            Ball(K3(0), ValExp.infinite())
 
-    def test_ordering_is_by_magnitude(self):
-        # bigger exponent means smaller radius
-        assert Radius(3) < Radius(2)
-        assert Radius(Fraction(5, 2)) > Radius(3)
-        assert Radius(-1) > Radius(0)
+    def test_ordering_is_by_exponent(self):
+        # Radius is the exponent e of p^(-e): a bigger exponent is a smaller radius
+        assert Radius(3) > Radius(2)
+        assert Radius(Fraction(5, 2)) < Radius(3)
+        assert Radius(-1) < Radius(0)
 
-    def test_divided_by_p(self):
-        assert Radius(1).divided_by_p() == Radius(2)
-        assert Radius(1).divided_by_p(3) == Radius(4)
+    def test_is_the_one_exponent_type(self):
+        import padicglue
+        from padicglue import ValExp
+
+        assert padicglue.Radius is ValExp
+        assert Radius(ValExp(Fraction(3, 2))) == Radius(Fraction(3, 2))
 
 
 class TestBallSetSemantics:

@@ -124,6 +124,11 @@ class TestPlanGluing:
         with pytest.raises(HypothesisViolation, match="strictly smaller than delta"):
             plan_gluing(models, EX2_EPSILON, delta_override=[Radius(1), Radius(1), Radius(2)])
 
+    def test_infinite_epsilon_rejected(self):
+        # a zero tolerance admits no finite bump exponent M
+        with pytest.raises(HypothesisViolation, match="epsilon must be a positive radius"):
+            plan_gluing(ex2_models(), Radius.infinite())
+
     def test_single_ball_needs_delta_override(self):
         models = [LocalModel(RationalMap(3 * Z), B(0, 2))]
         with pytest.raises(HypothesisViolation, match="explicit delta_override"):

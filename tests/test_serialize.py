@@ -2,7 +2,9 @@
 
 import copy
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,7 @@ from padicglue import (
     plan_gluing,
     orbit,
 )
-from padicglue.presets import EX2_EPSILON, ex2_census, ex2_models, ex2_problem
+from padicglue.presets import EX2_EPSILON, ex1_problem, ex2_census, ex2_models, ex2_problem
 from padicglue.serialize import (
     ball_from_json,
     ball_to_json,
@@ -97,12 +99,17 @@ class TestAlgebraRoundTrips:
         assert poly_from_json(poly_to_json(P), 3, "t") == P
 
     def test_ratmap_emits_integral_coprime_form(self):
-        f = RationalMap(2 * Z + 4, 6 * Z - 8)
-        doc = ratmap_to_json(f)
-        emitted = [c["a"] for c in doc["num"]] + [c["a"] for c in doc["den"]]
-        assert all(Fraction(a).denominator == 1 for a in emitted)
-        g = ratmap_from_json(doc, 3, "t")
-        assert g.num == f.num and g.den == f.den
+        for f in (
+            RationalMap(2 * Z + 4, 6 * Z - 8),
+            RationalMap(Poly.zero(3)),
+            RationalMap(Z * KElement(3, Fraction(3, 5), Fraction(9, 10)) + 6, Z * Z + Fraction(1, 4)),
+        ):
+            doc = ratmap_to_json(f)
+            parts = [Fraction(c[k]) for side in ("num", "den") for c in doc[side] for k in "ab"]
+            assert all(q.denominator == 1 for q in parts)
+            assert math.gcd(*(q.numerator for q in parts)) == 1
+            g = ratmap_from_json(doc, 3, "t")
+            assert g.num == f.num and g.den == f.den
 
     def test_ratmap_with_sqrt_coefficients(self):
         f = RationalMap(Z * KElement(3, 0, Fraction(1, 2)) + 1)
@@ -231,6 +238,13 @@ class TestFiles:
         path.write_text("{ not json")
         with pytest.raises(SpecFormatError, match="invalid JSON"):
             read_json(path)
+
+    @pytest.mark.parametrize("name, make", [("ex1", ex1_problem), ("ex2", ex2_problem)])
+    def test_committed_presets_match_their_generators(self, name, make, tmp_path):
+        path = tmp_path / f"{name}.json"
+        write_json(path, make())
+        committed = Path(__file__).resolve().parents[1] / "presets" / f"{name}.json"
+        assert path.read_bytes() == committed.read_bytes()
 
     def test_output_is_pure_exact_strings(self, tmp_path):
         path = tmp_path / "doc.json"
