@@ -196,12 +196,10 @@ class Poly:
     # -- evaluation and calculus ---------------------------------------------
 
     def __call__(self, x) -> KElement:
-        if not isinstance(x, KElement):
-            x = KElement(self.p, x)
-        acc = KElement(self.p)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        u, v, w = _point(self.p, x)
+        den, n, ra, rb, _, _ = _horner(self, u, v, w, False)
+        den *= w**n
+        return KElement(self.p, Fraction(ra, den), Fraction(rb, den))
 
     def derivative(self) -> "Poly":
         return Poly(self.p, [k * c for k, c in enumerate(self.coeffs)][1:])
@@ -283,6 +281,73 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(p={self.p}, {self})"
+
+
+# -- exact evaluation in integers ----------------------------------------------
+#
+# Every evaluation runs in Z[sqrt p]: the point is x = (u + v sqrt p)/w and
+# the polynomial is P = (1/D) sum (A_k + B_k sqrt p) z^k, all integers.
+# Horner on integer pairs then yields P(x) with the single denominator
+# D w^deg, so a result costs one gcd per coordinate instead of one per step.
+
+
+def _point(p: int, x) -> tuple:
+    """Integers (u, v, w), w > 0, with x = (u + v sqrt p)/w."""
+    if not isinstance(x, KElement):
+        x = KElement(p, x)
+    elif x.p != p:
+        raise ValueError(f"mixed primes: {p} and {x.p}")
+    a, b = x.a, x.b
+    w = lcm(a.denominator, b.denominator)
+    return a.numerator * (w // a.denominator), b.numerator * (w // b.denominator), w
+
+
+def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
+    """Horner's rule for P at x = (u + v sqrt p)/w, in integers.
+
+    Returns (D, n, ha, hb, ga, gb) with n = max(deg P, 0) and
+    P(x) = (ha + hb sqrt p)/(D w^n); when deriv is set, also
+    P'(x) = (ga + gb sqrt p)/(D w^(n-1)), else ga = gb = 0.
+    """
+    coeffs = P.coeffs
+    if not coeffs:
+        return 1, 0, 0, 0, 0, 0
+    D = lcm(*[c.a.denominator for c in coeffs], *[c.b.denominator for c in coeffs])
+    pv = P.p * v
+    top = coeffs[-1]
+    ha = top.a.numerator * (D // top.a.denominator)
+    hb = top.b.numerator * (D // top.b.denominator)
+    ga = gb = 0
+    wk = 1
+    for c in coeffs[-2::-1]:
+        # with x = X/w: H_k = X H_(k+1) + C_k w^(n-k), G_k = X G_(k+1) + H_(k+1)
+        wk *= w
+        if deriv:
+            ga, gb = ga * u + gb * pv + ha, ga * v + gb * u + hb
+        ha, hb = (
+            ha * u + hb * pv + c.a.numerator * (D // c.a.denominator) * wk,
+            ha * v + hb * u + c.b.numerator * (D // c.b.denominator) * wk,
+        )
+    return D, len(coeffs) - 1, ha, hb, ga, gb
+
+
+def _quotient(p: int, na: int, nb: int, da: int, db: int, up: int, down: int,
+              w: int, e: int) -> KElement:
+    """(na + nb sqrt p) up w^e / ((da + db sqrt p) down), in one division.
+
+    Multiplies through by the conjugate da - db sqrt p; the norm
+    da^2 - p db^2 is nonzero for (da, db) != (0, 0) since sqrt p is
+    irrational."""
+    if e >= 0:
+        up *= w**e
+    else:
+        down *= w**-e
+    down *= da * da - p * db * db
+    return KElement(
+        p,
+        Fraction((na * da - p * nb * db) * up, down),
+        Fraction((nb * da - na * db) * up, down),
+    )
 
 
 # primes = 3 mod 4, so square roots mod q are a single pow() when they exist
@@ -575,27 +640,40 @@ class RationalMap:
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, x):
-        """Value at x, or POLE when the (reduced) denominator vanishes."""
-        if not isinstance(x, KElement):
-            x = KElement(self.p, x)
-        d = self.den(x)
-        if d.is_zero:
+        """Value at x, or POLE when the (reduced) denominator vanishes.
+
+        With s = sqrt p, `_horner` gives N(x) = (na + nb s)/(Dn w^n) and
+        Q(x) = (da + db s)/(Dd w^m), so
+        N/Q = (na + nb s) Dd w^m / ((da + db s) Dn w^n).
+        """
+        p = self.p
+        u, v, w = _point(p, x)
+        dn, n, na, nb, _, _ = _horner(self.num, u, v, w, False)
+        dd, m, da, db, _, _ = _horner(self.den, u, v, w, False)
+        if not da and not db:
             return POLE
-        return self.num(x) * d.inverse()
+        return _quotient(p, na, nb, da, db, dd, dn, w, m - n)
 
     __call__ = eval
 
     def derivative_at(self, x):
-        """Derivative value at x without building the reduced derivative map."""
-        if not isinstance(x, KElement):
-            x = KElement(self.p, x)
-        d = self.den(x)
-        if d.is_zero:
+        """Derivative value at x without building the reduced derivative map.
+
+        (N'Q - NQ')/Q^2 from the integer pairs hn, gn (values of N and N')
+        and hd, gd (of Q and Q') that `_horner` returns: the numerator is
+        (gn hd - hn gd)/(Dn Dd w^(n+m-1)) and Q^2 = hd^2/(Dd w^m)^2.
+        """
+        p = self.p
+        u, v, w = _point(p, x)
+        dn, n, na, nb, gna, gnb = _horner(self.num, u, v, w, True)
+        dd, m, da, db, gda, gdb = _horner(self.den, u, v, w, True)
+        if not da and not db:
             return POLE
-        n = self.num(x)
-        dn = self.num.derivative()(x)
-        dd = self.den.derivative()(x)
-        return (dn * d - n * dd) * (d * d).inverse()
+        ta = gna * da + p * gnb * db - na * gda - p * nb * gdb
+        tb = gna * db + gnb * da - na * gdb - nb * gda
+        return _quotient(
+            p, ta, tb, da * da + p * db * db, 2 * da * db, dd, dn, w, m - n + 1
+        )
 
     # -- misc ----------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from .presets import (
 from .serialize import (
     orbit_to_json,
     parse_point,
+    parse_rational,
     problem_from_json,
     read_json,
     result_from_json,
@@ -268,7 +269,9 @@ def _example_ex1(args) -> int:
     if args.alpha is None or args.beta is None:
         print("example ex1 requires --alpha and --beta", file=sys.stderr)
         return EXIT_IO
-    models = ex1_models(args.alpha, args.beta)
+    alpha = parse_rational(args.alpha, "--alpha")
+    beta = parse_rational(args.beta, "--beta")
+    models = ex1_models(alpha, beta)
     census = ex1_census(models)
     eps = ex1_epsilon(models, census)
     plan = plan_gluing(models, eps)
@@ -282,7 +285,7 @@ def _example_ex1(args) -> int:
     if not isinstance(lam, KElement):
         print("F has a pole at 0; no derivative to compare", file=sys.stderr)
         return EXIT_FAIL
-    closed = ex1_derivative_closed_form(args.alpha, args.beta, plan)
+    closed = ex1_derivative_closed_form(alpha, beta, plan)
     equal = lam == closed
     print(f"F'(0) evaluated: {lam}")
     print(f"F'(0) closed form: {closed}")

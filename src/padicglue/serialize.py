@@ -31,6 +31,7 @@ __all__ = [
     "kelement_to_json",
     "orbit_to_json",
     "parse_point",
+    "parse_rational",
     "plan_from_json",
     "plan_to_json",
     "poly_from_json",
@@ -50,7 +51,8 @@ __all__ = [
 # -- scalars ------------------------------------------------------------------
 
 
-def _fraction_from_str(s, where: str) -> Fraction:
+def parse_rational(s, where: str) -> Fraction:
+    """An exact rational from a JSON integer or a string such as '-1/3'."""
     if isinstance(s, int):
         return Fraction(s)
     if not isinstance(s, str):
@@ -63,7 +65,7 @@ def _fraction_from_str(s, where: str) -> Fraction:
 
 def _exp_from_json(s, where: str, integral: bool = False) -> ValExp:
     # a finite exponent e of p^(-e); integral=True narrows (1/2)Z to Z
-    e = _fraction_from_str(s, where)
+    e = parse_rational(s, where)
     if integral and e.denominator != 1:
         raise SpecFormatError(f"{where}: must be an integer, got {e}")
     try:
@@ -76,6 +78,13 @@ def _int_from_json(x, where: str) -> int:
     # counts and indices: a JSON float or bool is never silently truncated
     if not isinstance(x, int) or isinstance(x, bool):
         raise SpecFormatError(f"{where}: expected an integer, got {x!r}")
+    return x
+
+
+def _list_from_json(x, where: str) -> list:
+    # every JSON array field; a scalar here would otherwise end in a TypeError
+    if not isinstance(x, list):
+        raise SpecFormatError(f"{where}: expected a list, got {x!r}")
     return x
 
 
@@ -105,11 +114,11 @@ def kelement_to_json(x: KElement) -> dict:
 def kelement_from_json(obj, p: int, where: str, rational_only: bool = False) -> KElement:
     if isinstance(obj, (str, int)):
         # plain rational shorthand
-        return KElement(p, _fraction_from_str(obj, where))
+        return KElement(p, parse_rational(obj, where))
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected a field element object")
-    a = _fraction_from_str(obj.get("a", "0"), f"{where}.a")
-    b = _fraction_from_str(obj.get("b", "0"), f"{where}.b")
+    a = parse_rational(obj.get("a", "0"), f"{where}.a")
+    b = parse_rational(obj.get("b", "0"), f"{where}.b")
     if rational_only and b:
         raise SpecFormatError(f"{where}: must be rational (no sqrt part), got b = {b}")
     return KElement(p, a, b)
@@ -120,8 +129,8 @@ def parse_point(text: str, p: int) -> KElement:
     parts = text.split(",")
     if len(parts) > 2:
         raise SpecFormatError(f"point {text!r}: expected 'a' or 'a,b'")
-    a = _fraction_from_str(parts[0].strip(), "point")
-    b = _fraction_from_str(parts[1].strip(), "point") if len(parts) == 2 else Fraction(0)
+    a = parse_rational(parts[0].strip(), "point")
+    b = parse_rational(parts[1].strip(), "point") if len(parts) == 2 else Fraction(0)
     return KElement(p, a, b)
 
 
@@ -197,11 +206,15 @@ def plan_to_json(plan: GluingPlan) -> dict:
 def plan_from_json(obj, p: int, where: str) -> GluingPlan:
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected a plan object")
+
+    def items(key):
+        return _list_from_json(obj[key], f"{where}.{key}")
+
     try:
-        deltas = tuple(_exp_from_json(d, f"{where}.delta_exps") for d in obj["delta_exps"])
-        ss = tuple(_exp_from_json(s, f"{where}.s_exps") for s in obj["s_exps"])
-        cs = tuple(kelement_from_json(c, p, f"{where}.c") for c in obj["c"])
-        Ms = tuple(_int_from_json(m, f"{where}.M") for m in obj["M"])
+        deltas = tuple(_exp_from_json(d, f"{where}.delta_exps") for d in items("delta_exps"))
+        ss = tuple(_exp_from_json(s, f"{where}.s_exps") for s in items("s_exps"))
+        cs = tuple(kelement_from_json(c, p, f"{where}.c") for c in items("c"))
+        Ms = tuple(_int_from_json(m, f"{where}.M") for m in items("M"))
         tau = _exp_from_json(obj["tau_exp"], f"{where}.tau_exp")
         epsilon = _exp_from_json(obj["epsilon_exp"], f"{where}.epsilon_exp")
     except KeyError as exc:
@@ -240,18 +253,22 @@ def certificate_from_json(obj, p: int, where: str) -> Certificate:
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected a certificate object")
     checks = []
-    for k, ch in enumerate(obj.get("balls", [])):
+    for k, ch in enumerate(_list_from_json(obj.get("balls", []), f"{where}.balls")):
         w = f"{where}.balls[{k}]"
         if not isinstance(ch, dict):
             raise SpecFormatError(f"{w}: expected a ball check object")
         try:
-            witnesses = tuple(
-                (
-                    kelement_from_json(e["point"], p, f"{w}.witnesses"),
-                    valexp_from_json(e["diff_exp"], f"{w}.witnesses"),
+            witnesses = []
+            for j, e in enumerate(_list_from_json(ch.get("witnesses", []), f"{w}.witnesses")):
+                ww = f"{w}.witnesses[{j}]"
+                if not isinstance(e, dict):
+                    raise SpecFormatError(f"{ww}: expected a witness object")
+                witnesses.append(
+                    (
+                        kelement_from_json(e["point"], p, f"{ww}.point"),
+                        valexp_from_json(e["diff_exp"], f"{ww}.diff_exp"),
+                    )
                 )
-                for e in ch.get("witnesses", [])
-            )
             checks.append(
                 BallCheck(
                     index=_int_from_json(ch["index"], f"{w}.index"),
@@ -261,7 +278,7 @@ def certificate_from_json(obj, p: int, where: str) -> Certificate:
                     eps_bound_exp=valexp_from_json(ch["eps_bound_exp"], f"{w}.eps_bound_exp")
                     if ch.get("eps_bound_exp")
                     else None,
-                    witnesses=witnesses,
+                    witnesses=tuple(witnesses),
                     samples_ok=bool(ch["samples_ok"]),
                 )
             )

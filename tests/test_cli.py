@@ -221,6 +221,13 @@ class TestMalformedInput:
              "result.certificate.balls[0].index"),
             ("verify", _set("certificate", "degree", "num", value=9.0),
              "result.certificate.degree.num"),
+            ("verify", _set("plan", "delta_exps", value=5), "result.plan.delta_exps"),
+            ("verify", _set("plan", "M", value=5), "result.plan.M"),
+            ("verify", _set("certificate", "balls", value=5), "result.certificate.balls"),
+            ("verify", _set("certificate", "balls", 0, "witnesses", value=5),
+             "result.certificate.balls[0].witnesses"),
+            ("verify", _set("certificate", "balls", 0, "witnesses", 0, value=5),
+             "result.certificate.balls[0].witnesses[0]"),
             ("glue", _set("orbits", 0, "steps", value="x"), "problem.orbits[0].steps"),
             ("glue", _set("orbits", 0, "steps", value=2.7), "problem.orbits[0].steps"),
         ],
@@ -300,6 +307,15 @@ class TestExample:
     def test_ex1_requires_parameters(self, capsys):
         assert main(["example", "--name", "ex1"]) == 2
         assert "requires --alpha and --beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "alpha, beta, flag",
+        [("x", "1", "--alpha"), ("1/0", "1", "--alpha"), ("3", "1/3/3", "--beta"),
+         ("3", "0/0", "--beta")],
+    )
+    def test_ex1_bad_rational_exit_2(self, alpha, beta, flag, capsys):
+        assert main(["example", "--name", "ex1", "--alpha", alpha, "--beta", beta]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {flag}: bad rational")
 
     def test_example_writes_result(self, tmp_path):
         out = tmp_path / "ex1.out.json"
