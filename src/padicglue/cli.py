@@ -14,6 +14,7 @@ import sys
 from .dynamics import multiplier, orbit, verify_census
 from .errors import HypothesisViolation, PadicGlueError, SpecFormatError
 from .field import KElement
+from .geometry import Ball
 from .gluing import build_F, certify_theorem1, plan_gluing, validate_plan
 from .presets import (
     EX2_EPSILON,
@@ -65,7 +66,7 @@ def _print_plan(p: int, models, plan) -> None:
     print(f"tau {_fmt_abs(p, plan.tau)}")
 
 
-def _print_certificate(p: int, models, cert) -> None:
+def _print_certificate(p: int, cert) -> None:
     for ch in cert.checks:
         bound = (
             _fmt_abs(p, ch.eps_bound_exp) if ch.eps_bound_exp is not None else "n/a"
@@ -94,6 +95,59 @@ def _print_census(p: int, report) -> None:
             f" expected {c.expected}, got {c.got}"
         )
     print(f"census: {'PASS' if report.passes else 'FAIL'}")
+
+
+def _certify(p: int, models, plan, F, census, samples: int):
+    """Certify F, print the plan and the certificate, then check and print
+    the census when there is one: the one path of glue, verify and example.
+
+    Returns (certificate, census report or None, whether both pass).
+    """
+    cert = certify_theorem1(F, models, plan, samples=samples)
+    _print_plan(p, models, plan)
+    _print_certificate(p, cert)
+    report = None
+    if census is not None:
+        report = verify_census(F, models, census)
+        _print_census(p, report)
+    return cert, report, cert.passes and (report is None or report.passes)
+
+
+def _write_result(path, p, epsilon, models, plan, F, cert, census, report, tables=None):
+    if path:
+        write_json(
+            path,
+            result_to_json(p, epsilon, models, plan, F, cert, census=census,
+                           census_report=report, orbit_tables=tables),
+        )
+        print(f"result written to {path}")
+
+
+def _claims_agree(stored, stored_passes: bool, cert) -> bool:
+    """Compare a result's stored certificate claims with the recomputed
+    certificate, printing one stderr line per disagreement.
+
+    Witnesses and samples_ok depend on --samples and are skipped; passes
+    does not, since every sample obeys the certified sup bound.  Images are
+    compared as sets: a deep perturbation of F moves the exact center F(a_i)
+    but not the ball.
+    """
+    claims = [
+        ("passes", stored_passes, cert.passes),
+        ("epsilon_exp", stored.epsilon, cert.epsilon),
+        ("degree", (stored.degree_num, stored.degree_den), (cert.degree_num, cert.degree_den)),
+        ("balls", len(stored.checks), len(cert.checks)),
+    ]
+    for k, (s, c) in enumerate(zip(stored.checks, cert.checks)):
+        for field in ("index", "pole_free_ok", "image_ok", "image", "eps_bound_exp"):
+            claims.append((f"balls[{k}].{field}", getattr(s, field), getattr(c, field)))
+    agree = True
+    for name, s, c in claims:
+        same = s.same_set(c) if isinstance(s, Ball) and isinstance(c, Ball) else s == c
+        if not same:
+            print(f"result.certificate.{name}: stored {s}, recomputed {c}", file=sys.stderr)
+            agree = False
+    return agree
 
 
 def _orbit_rows(p: int, steps) -> None:
@@ -139,8 +193,7 @@ def _run_orbits(p: int, F, models, requests):
 
 def cmd_glue(args) -> int:
     prob = problem_from_json(read_json(args.input))
-    p = prob["p"]
-    models = prob["models"]
+    p, models, census = prob["p"], prob["models"], prob["census"]
     plan = plan_gluing(
         models,
         prob["epsilon"],
@@ -149,64 +202,18 @@ def cmd_glue(args) -> int:
         c_override=prob["c_override"],
     )
     F = build_F(models, plan)
-    cert = certify_theorem1(F, models, plan, samples=args.samples)
-    _print_plan(p, models, plan)
-    _print_certificate(p, models, cert)
-
-    report = None
-    if prob["census"] is not None:
-        try:
-            report = verify_census(F, models, prob["census"])
-        except ValueError as exc:
-            print(f"census is malformed: {exc}", file=sys.stderr)
-            return EXIT_IO
-        _print_census(p, report)
-
-    tables = None
-    if prob["orbits"]:
-        tables = _run_orbits(p, F, models, prob["orbits"])
-
-    if args.output:
-        write_json(
-            args.output,
-            result_to_json(
-                p,
-                prob["epsilon"],
-                models,
-                plan,
-                F,
-                cert,
-                census=prob["census"],
-                census_report=report,
-                orbit_tables=tables,
-            ),
-        )
-        print(f"result written to {args.output}")
-
-    ok = cert.passes and (report is None or report.passes)
+    cert, report, ok = _certify(p, models, plan, F, census, args.samples)
+    tables = _run_orbits(p, F, models, prob["orbits"]) if prob["orbits"] else None
+    _write_result(args.output, p, prob["epsilon"], models, plan, F, cert, census, report, tables)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_verify(args) -> int:
     res = result_from_json(read_json(args.input))
-    p = res["p"]
-    models = res["models"]
-    validate_plan(models, res["plan"])
-    cert = certify_theorem1(res["F"], models, res["plan"], samples=args.samples)
-    _print_plan(p, models, res["plan"])
-    _print_certificate(p, models, cert)
-
-    census_ok = True
-    if res["census"] is not None:
-        try:
-            report = verify_census(res["F"], models, res["census"])
-        except ValueError as exc:
-            print(f"census is malformed: {exc}", file=sys.stderr)
-            return EXIT_IO
-        _print_census(p, report)
-        census_ok = report.passes
-
-    if cert.passes and census_ok:
+    models, plan = res["models"], res["plan"]
+    validate_plan(models, plan)
+    cert, _, ok = _certify(res["p"], models, plan, res["F"], res["census"], args.samples)
+    if _claims_agree(res["certificate"], res["stored_passes"], cert) and ok:
         print(f"verification passed with {args.samples} samples per ball")
         return EXIT_PASS
     print("verification FAILED")
@@ -226,24 +233,17 @@ def _example_ex2(args) -> int:
     census = ex2_census(models)
     plan = plan_gluing(models, EX2_EPSILON)
     F = build_F(models, plan)
-    cert = certify_theorem1(F, models, plan, samples=args.samples)
-    _print_plan(3, models, plan)
-    _print_certificate(3, models, cert)
-
-    images_ok = True
-    for i, m in enumerate(models):
-        got = cert.checks[i].image
-        want = m.image
-        same = got is not None and got.same_set(want)
-        images_ok = images_ok and same
-        print(f"image of ball {i}: got {got}, expected {want}: {'equal' if same else 'DIFFERENT'}")
-
-    report = verify_census(F, models, census)
-    _print_census(3, report)
+    cert, report, ok = _certify(3, models, plan, F, census, args.samples)
     print(
         "note: ball 2 carries the identity map; every point is fixed and"
         " none is isolated, so it contributes no witnesses"
     )
+
+    for i, m in enumerate(models):
+        got, want = cert.checks[i].image, m.image
+        same = got is not None and got.same_set(want)
+        ok = ok and same
+        print(f"image of ball {i}: got {got}, expected {want}: {'equal' if same else 'DIFFERENT'}")
 
     crossed = crossed_sum(models, plan)
     crossed_cert = certify_theorem1(crossed, models, plan, samples=2)
@@ -252,23 +252,13 @@ def _example_ex2(args) -> int:
         f" certificate passes: {crossed_cert.passes} (expected False)"
     )
 
-    if args.output:
-        write_json(
-            args.output,
-            result_to_json(
-                3, EX2_EPSILON, models, plan, F, cert, census=census, census_report=report
-            ),
-        )
-        print(f"result written to {args.output}")
-
-    ok = cert.passes and report.passes and images_ok and not crossed_cert.passes
-    return EXIT_PASS if ok else EXIT_FAIL
+    _write_result(args.output, 3, EX2_EPSILON, models, plan, F, cert, census, report)
+    return EXIT_PASS if ok and not crossed_cert.passes else EXIT_FAIL
 
 
 def _example_ex1(args) -> int:
     if args.alpha is None or args.beta is None:
-        print("example ex1 requires --alpha and --beta", file=sys.stderr)
-        return EXIT_IO
+        raise SpecFormatError("example ex1 requires --alpha and --beta")
     alpha = parse_rational(args.alpha, "--alpha")
     beta = parse_rational(args.beta, "--beta")
     models = ex1_models(alpha, beta)
@@ -276,9 +266,7 @@ def _example_ex1(args) -> int:
     eps = ex1_epsilon(models, census)
     plan = plan_gluing(models, eps)
     F = build_F(models, plan)
-    cert = certify_theorem1(F, models, plan, samples=args.samples)
-    _print_plan(3, models, plan)
-    _print_certificate(3, models, cert)
+    cert, report, ok = _certify(3, models, plan, F, census, args.samples)
 
     zero = KElement(3, 0)
     lam = F.derivative_at(zero)
@@ -294,18 +282,8 @@ def _example_ex1(args) -> int:
     kind = multiplier(F, zero).kind
     print(f"fixed point 0 of the glued map is {kind} (|F'(0)| = {_fmt_abs(3, lam.valuation())})")
 
-    report = verify_census(F, models, census)
-    _print_census(3, report)
-
-    if args.output:
-        write_json(
-            args.output,
-            result_to_json(3, eps, models, plan, F, cert, census=census, census_report=report),
-        )
-        print(f"result written to {args.output}")
-
-    ok = cert.passes and report.passes and equal
-    return EXIT_PASS if ok else EXIT_FAIL
+    _write_result(args.output, 3, eps, models, plan, F, cert, census, report)
+    return EXIT_PASS if ok and equal else EXIT_FAIL
 
 
 def cmd_example(args) -> int:

@@ -40,6 +40,7 @@ __all__ = [
     "multiplier",
     "orbit",
     "suggest_witness",
+    "validate_census",
     "verify_census",
 ]
 
@@ -169,15 +170,13 @@ class CensusReport:
     passes: bool
 
 
-def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusReport:
-    """Classify every witness disk and compare aggregated counts per ball.
+def validate_census(models, census: FixedPointCensus) -> None:
+    """Structural checks of a census against its models; raises ValueError.
 
-    Structural problems (witness outside its ball, overlapping witnesses,
-    bad kind tags) are caller errors and raise; classification mismatches
-    are reported, never raised.  Indifferent witnesses additionally require
-    certified existence and the exact indifferent-case hypothesis check.
+    One count triple per ball; every witness names a known kind and an
+    existing ball, and is an open disk inside that ball; no two witness
+    disks overlap.
     """
-    models = list(models)
     n = len(models)
     if len(census.counts) != n:
         raise ValueError(f"census lists {len(census.counts)} count triples for {n} balls")
@@ -198,10 +197,22 @@ def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusRep
             if not wa.disk.disjoint_from(wb.disk):
                 raise ValueError(f"witness disks {wa.disk} and {wb.disk} overlap")
 
+
+def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusReport:
+    """Classify every witness disk and compare aggregated counts per ball.
+
+    Structural problems (see validate_census) are caller errors and raise
+    ValueError; classification mismatches are reported, never raised.
+    Indifferent witnesses additionally require certified existence and the
+    exact indifferent-case hypothesis check.
+    """
+    models = list(models)
+    validate_census(models, census)
+    n = len(models)
     wresults = []
     got_counts = [[0, 0, 0] for _ in range(n)]
     slot = {ATTRACTING: 0, REPELLING: 1, INDIFFERENT: 2}
-    for w in wits:
+    for w in census.witnesses:
         behavior = classify_disk(F, w.disk)
         got = behavior.kind
         ok = got == w.expected

@@ -184,7 +184,8 @@ def plan_gluing(
     s_i is the geometric mean of r_i and delta_i; c_i the canonical element
     of absolute value s_i; M_i minimal with (r_i/delta_i)^(M_i/2) < tau
     where tau = min{t_1, ..., t_n, epsilon}.  Overrides may shrink deltas,
-    raise M_i, or replace c_i by another element of the same absolute value.
+    raise M_i, or replace c_i by another element of the same absolute value;
+    a None entry in M_override or c_override keeps the default for its ball.
     """
     models = list(models)
     n = len(models)
@@ -236,15 +237,14 @@ def plan_gluing(
             ) from exc
 
     p = models[0].domain.p
-    if c_override is not None:
-        cs = list(c_override)
-        if len(cs) != n:
-            raise HypothesisViolation(f"c override must list {n} elements")
-        for i, (c, s) in enumerate(zip(cs, ss)):
-            if not isinstance(c, KElement) or c.valuation() != s:
-                raise HypothesisViolation(f"c override for ball {i} must have |c| = s_i")
-    else:
-        cs = [uniformizer_power(p, s) for s in ss]
+    cs = list(c_override) if c_override is not None else [None] * n
+    if len(cs) != n:
+        raise HypothesisViolation(f"c override must list {n} elements")
+    for i, (c, s) in enumerate(zip(cs, ss)):
+        if c is None:
+            cs[i] = uniformizer_power(p, s)
+        elif not isinstance(c, KElement) or c.valuation() != s:
+            raise HypothesisViolation(f"c override for ball {i} must have |c| = s_i")
 
     tau = max([m.image.radius for m in models] + [epsilon])
 

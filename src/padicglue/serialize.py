@@ -1,9 +1,11 @@
 """JSON encoding of every exact object: problems, plans, maps, certificates.
 
 All numbers are exact rational strings ("7/2", "-1", "inf"); no floats
-anywhere.  Problem files are parsed strictly (rational ball centers,
-integer radius exponents, named diagnostics); result files round-trip the
-canonical in-memory forms exactly.
+anywhere.  Problem and result documents share one strict reader: every
+object must carry its required keys and no key outside its known set, and
+the sections both documents hold (prime, epsilon, models, census) are read
+under the problem rules (rational ball centers, integer ball and epsilon
+exponents).  Every diagnostic names the offending entry.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Poly, RationalMap
-from .dynamics import CensusReport, FixedPointCensus, Witness
+from .dynamics import CensusReport, FixedPointCensus, Witness, validate_census
 from .errors import SpecFormatError
 from .field import KElement, ValExp, is_prime
 from .geometry import Ball
@@ -47,13 +49,17 @@ __all__ = [
     "write_json",
 ]
 
+# is_prime is trial division: about 23,000 divisions just below this bound,
+# hours for a prime near 2^61
+PRIME_LIMIT = 2**31
+
 
 # -- scalars ------------------------------------------------------------------
 
 
 def parse_rational(s, where: str) -> Fraction:
     """An exact rational from a JSON integer or a string such as '-1/3'."""
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise SpecFormatError(f"{where}: expected an exact rational string, got {s!r}")
@@ -76,8 +82,14 @@ def _exp_from_json(s, where: str, integral: bool = False) -> ValExp:
 
 def _int_from_json(x, where: str) -> int:
     # counts and indices: a JSON float or bool is never silently truncated
-    if not isinstance(x, int) or isinstance(x, bool):
+    if type(x) is not int:
         raise SpecFormatError(f"{where}: expected an integer, got {x!r}")
+    return x
+
+
+def _bool_from_json(x, where: str) -> bool:
+    if not isinstance(x, bool):
+        raise SpecFormatError(f"{where}: expected true or false, got {x!r}")
     return x
 
 
@@ -88,10 +100,25 @@ def _list_from_json(x, where: str) -> list:
     return x
 
 
-def _prime_from_json(obj: dict, where: str) -> int:
-    p = obj.get("prime")
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-        raise SpecFormatError(f"{where}.prime: expected an integer prime, got {p!r}")
+def _fields(obj, where: str, required, optional=()) -> dict:
+    # every JSON object: all required keys present, no key outside the known set
+    if not isinstance(obj, dict):
+        raise SpecFormatError(f"{where}: expected an object")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise SpecFormatError(f"{where}: unknown key {unknown[0]!r}")
+    if not all(k in obj for k in required):
+        *rest, last = required
+        names = f"{', '.join(rest)}, or {last}" if len(rest) > 1 else " or ".join(required)
+        raise SpecFormatError(f"{where}: missing {names}")
+    return obj
+
+
+def _prime_from_json(p, where: str) -> int:
+    if type(p) is int and p >= PRIME_LIMIT:
+        raise SpecFormatError(f"{where}: must be below 2^31, got {p}")
+    if type(p) is not int or not is_prime(p):
+        raise SpecFormatError(f"{where}: expected an integer prime, got {p!r}")
     return p
 
 
@@ -100,8 +127,7 @@ def valexp_to_json(v: ValExp) -> dict:
 
 
 def valexp_from_json(obj, where: str) -> ValExp:
-    if not isinstance(obj, dict) or "exp" not in obj:
-        raise SpecFormatError(f"{where}: expected an object with an 'exp' field")
+    obj = _fields(obj, where, ("exp",))
     if obj["exp"] == "inf":
         return ValExp(None)
     return _exp_from_json(obj["exp"], where)
@@ -115,9 +141,8 @@ def kelement_from_json(obj, p: int, where: str, rational_only: bool = False) -> 
     if isinstance(obj, (str, int)):
         # plain rational shorthand
         return KElement(p, parse_rational(obj, where))
-    if not isinstance(obj, dict):
-        raise SpecFormatError(f"{where}: expected a field element object")
-    a = parse_rational(obj.get("a", "0"), f"{where}.a")
+    obj = _fields(obj, where, ("a",), ("b",))
+    a = parse_rational(obj["a"], f"{where}.a")
     b = parse_rational(obj.get("b", "0"), f"{where}.b")
     if rational_only and b:
         raise SpecFormatError(f"{where}: must be rational (no sqrt part), got b = {b}")
@@ -146,10 +171,9 @@ def ball_to_json(B: Ball) -> dict:
 
 
 def ball_from_json(obj, p: int, where: str, strict: bool = False) -> Ball:
-    if not isinstance(obj, dict):
-        raise SpecFormatError(f"{where}: expected a ball object")
-    center = kelement_from_json(obj.get("center"), p, f"{where}.center", rational_only=strict)
-    radius = _exp_from_json(obj.get("radius_exp"), f"{where}.radius_exp", integral=strict)
+    obj = _fields(obj, where, ("center", "radius_exp"), ("kind",))
+    center = kelement_from_json(obj["center"], p, f"{where}.center", rational_only=strict)
+    radius = _exp_from_json(obj["radius_exp"], f"{where}.radius_exp", integral=strict)
     kind = obj.get("kind", "closed")
     if kind not in ("closed", "open"):
         raise SpecFormatError(f"{where}.kind: expected 'closed' or 'open', got {kind!r}")
@@ -164,9 +188,8 @@ def poly_to_json(P: Poly) -> list:
 
 
 def poly_from_json(obj, p: int, where: str) -> Poly:
-    if not isinstance(obj, list):
-        raise SpecFormatError(f"{where}: expected a coefficient list")
-    return Poly(p, [kelement_from_json(c, p, f"{where}[{k}]") for k, c in enumerate(obj)])
+    coeffs = _list_from_json(obj, where)
+    return Poly(p, [kelement_from_json(c, p, f"{where}[{k}]") for k, c in enumerate(coeffs)])
 
 
 def ratmap_to_json(f: RationalMap) -> dict:
@@ -180,8 +203,7 @@ def ratmap_to_json(f: RationalMap) -> dict:
 
 
 def ratmap_from_json(obj, p: int, where: str) -> RationalMap:
-    if not isinstance(obj, dict) or "num" not in obj:
-        raise SpecFormatError(f"{where}: expected an object with 'num' and 'den'")
+    obj = _fields(obj, where, ("num",), ("den",))
     num = poly_from_json(obj["num"], p, f"{where}.num")
     den = poly_from_json(obj.get("den", [{"a": "1", "b": "0"}]), p, f"{where}.den")
     if den.is_zero:
@@ -204,22 +226,19 @@ def plan_to_json(plan: GluingPlan) -> dict:
 
 
 def plan_from_json(obj, p: int, where: str) -> GluingPlan:
-    if not isinstance(obj, dict):
-        raise SpecFormatError(f"{where}: expected a plan object")
+    obj = _fields(obj, where, ("delta_exps", "s_exps", "c", "M", "tau_exp", "epsilon_exp"))
 
     def items(key):
         return _list_from_json(obj[key], f"{where}.{key}")
 
-    try:
-        deltas = tuple(_exp_from_json(d, f"{where}.delta_exps") for d in items("delta_exps"))
-        ss = tuple(_exp_from_json(s, f"{where}.s_exps") for s in items("s_exps"))
-        cs = tuple(kelement_from_json(c, p, f"{where}.c") for c in items("c"))
-        Ms = tuple(_int_from_json(m, f"{where}.M") for m in items("M"))
-        tau = _exp_from_json(obj["tau_exp"], f"{where}.tau_exp")
-        epsilon = _exp_from_json(obj["epsilon_exp"], f"{where}.epsilon_exp")
-    except KeyError as exc:
-        raise SpecFormatError(f"{where}: missing plan field {exc}") from exc
-    return GluingPlan(deltas=deltas, s=ss, c=cs, M=Ms, tau=tau, epsilon=epsilon)
+    return GluingPlan(
+        deltas=tuple(_exp_from_json(d, f"{where}.delta_exps") for d in items("delta_exps")),
+        s=tuple(_exp_from_json(s, f"{where}.s_exps") for s in items("s_exps")),
+        c=tuple(kelement_from_json(c, p, f"{where}.c") for c in items("c")),
+        M=tuple(_int_from_json(m, f"{where}.M") for m in items("M")),
+        tau=_exp_from_json(obj["tau_exp"], f"{where}.tau_exp"),
+        epsilon=_exp_from_json(obj["epsilon_exp"], f"{where}.epsilon_exp"),
+    )
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -249,49 +268,45 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
-def certificate_from_json(obj, p: int, where: str) -> Certificate:
-    if not isinstance(obj, dict):
-        raise SpecFormatError(f"{where}: expected a certificate object")
-    checks = []
-    for k, ch in enumerate(_list_from_json(obj.get("balls", []), f"{where}.balls")):
-        w = f"{where}.balls[{k}]"
-        if not isinstance(ch, dict):
-            raise SpecFormatError(f"{w}: expected a ball check object")
-        try:
-            witnesses = []
-            for j, e in enumerate(_list_from_json(ch.get("witnesses", []), f"{w}.witnesses")):
-                ww = f"{w}.witnesses[{j}]"
-                if not isinstance(e, dict):
-                    raise SpecFormatError(f"{ww}: expected a witness object")
-                witnesses.append(
-                    (
-                        kelement_from_json(e["point"], p, f"{ww}.point"),
-                        valexp_from_json(e["diff_exp"], f"{ww}.diff_exp"),
-                    )
-                )
-            checks.append(
-                BallCheck(
-                    index=_int_from_json(ch["index"], f"{w}.index"),
-                    pole_free_ok=bool(ch["pole_free_ok"]),
-                    image_ok=bool(ch["image_ok"]),
-                    image=ball_from_json(ch["image"], p, f"{w}.image") if ch.get("image") else None,
-                    eps_bound_exp=valexp_from_json(ch["eps_bound_exp"], f"{w}.eps_bound_exp")
-                    if ch.get("eps_bound_exp")
-                    else None,
-                    witnesses=tuple(witnesses),
-                    samples_ok=bool(ch["samples_ok"]),
-                )
+def _ball_check_from_json(ch, p: int, w: str) -> BallCheck:
+    ch = _fields(ch, w, ("index", "pole_free_ok", "image_ok", "image", "eps_bound_exp",
+                         "witnesses", "samples_ok"))
+    witnesses = []
+    for j, e in enumerate(_list_from_json(ch["witnesses"], f"{w}.witnesses")):
+        ww = f"{w}.witnesses[{j}]"
+        e = _fields(e, ww, ("point", "diff_exp"))
+        witnesses.append(
+            (
+                kelement_from_json(e["point"], p, f"{ww}.point"),
+                valexp_from_json(e["diff_exp"], f"{ww}.diff_exp"),
             )
-        except KeyError as exc:
-            raise SpecFormatError(f"{w}: missing field {exc}") from exc
-    deg = obj.get("degree", {})
-    if not isinstance(deg, dict):
-        raise SpecFormatError(f"{where}.degree: expected an object")
+        )
+    return BallCheck(
+        index=_int_from_json(ch["index"], f"{w}.index"),
+        pole_free_ok=_bool_from_json(ch["pole_free_ok"], f"{w}.pole_free_ok"),
+        image_ok=_bool_from_json(ch["image_ok"], f"{w}.image_ok"),
+        image=ball_from_json(ch["image"], p, f"{w}.image") if ch["image"] is not None else None,
+        eps_bound_exp=valexp_from_json(ch["eps_bound_exp"], f"{w}.eps_bound_exp")
+        if ch["eps_bound_exp"] is not None
+        else None,
+        witnesses=tuple(witnesses),
+        samples_ok=_bool_from_json(ch["samples_ok"], f"{w}.samples_ok"),
+    )
+
+
+def certificate_from_json(obj, p: int, where: str) -> Certificate:
+    obj = _fields(obj, where, ("passes", "epsilon_exp", "degree", "balls"))
+    # the stored verdict is a claim; verify compares it with its own
+    _bool_from_json(obj["passes"], f"{where}.passes")
+    balls = _list_from_json(obj["balls"], f"{where}.balls")
+    deg = _fields(obj["degree"], f"{where}.degree", ("num", "den"))
     return Certificate(
-        checks=tuple(checks),
-        epsilon=_exp_from_json(obj.get("epsilon_exp"), f"{where}.epsilon_exp"),
-        degree_num=_int_from_json(deg.get("num", -1), f"{where}.degree.num"),
-        degree_den=_int_from_json(deg.get("den", -1), f"{where}.degree.den"),
+        checks=tuple(
+            _ball_check_from_json(ch, p, f"{where}.balls[{k}]") for k, ch in enumerate(balls)
+        ),
+        epsilon=_exp_from_json(obj["epsilon_exp"], f"{where}.epsilon_exp"),
+        degree_num=_int_from_json(deg["num"], f"{where}.degree.num"),
+        degree_den=_int_from_json(deg["den"], f"{where}.degree.den"),
     )
 
 
@@ -313,29 +328,24 @@ def census_to_json(census: FixedPointCensus) -> dict:
 
 
 def census_from_json(obj, p: int, where: str, strict: bool = False) -> FixedPointCensus:
-    if not isinstance(obj, dict):
-        raise SpecFormatError(f"{where}: expected a census object")
-    counts = obj.get("counts")
-    if not isinstance(counts, list):
-        raise SpecFormatError(f"{where}.counts: expected a list of [n, m, l] triples")
-    parsed_counts = []
-    for i, c in enumerate(counts):
-        if not (isinstance(c, list) and len(c) == 3 and all(isinstance(x, int) for x in c)):
+    obj = _fields(obj, where, ("counts", "witnesses"))
+    counts = []
+    for i, c in enumerate(_list_from_json(obj["counts"], f"{where}.counts")):
+        if not (isinstance(c, list) and len(c) == 3):
             raise SpecFormatError(f"{where}.counts[{i}]: expected [n, m, l] integers")
-        parsed_counts.append(tuple(c))
+        counts.append(tuple(_int_from_json(x, f"{where}.counts[{i}]") for x in c))
     witnesses = []
-    for i, w in enumerate(obj.get("witnesses", [])):
+    for i, w in enumerate(_list_from_json(obj["witnesses"], f"{where}.witnesses")):
         ww = f"{where}.witnesses[{i}]"
-        if not isinstance(w, dict):
-            raise SpecFormatError(f"{ww}: expected a witness object")
+        w = _fields(w, ww, ("ball_index", "disk", "expected"))
         witnesses.append(
             Witness(
-                ball_index=_int_from_json(w.get("ball_index", -1), f"{ww}.ball_index"),
-                disk=ball_from_json(w.get("disk"), p, f"{ww}.disk", strict=strict),
-                expected=w.get("expected", ""),
+                ball_index=_int_from_json(w["ball_index"], f"{ww}.ball_index"),
+                disk=ball_from_json(w["disk"], p, f"{ww}.disk", strict=strict),
+                expected=w["expected"],
             )
         )
-    return FixedPointCensus(counts=tuple(parsed_counts), witnesses=tuple(witnesses))
+    return FixedPointCensus(counts=tuple(counts), witnesses=tuple(witnesses))
 
 
 def census_report_to_json(report: CensusReport) -> dict:
@@ -408,88 +418,81 @@ def problem_to_json(p: int, epsilon: ValExp, models, delta_override=None, M_over
     return out
 
 
+def _document(obj, where: str, required, optional) -> dict:
+    """Check a document's keys, then read the sections problems and results
+    share: prime, epsilon, models and census, under the problem rules."""
+    obj = _fields(obj, where, required, optional + ("prime", "epsilon_exp", "models", "census"))
+    p = _prime_from_json(obj.get("prime"), f"{where}.prime")
+    epsilon = _exp_from_json(obj.get("epsilon_exp"), f"{where}.epsilon_exp", integral=True)
+    raw_models = obj.get("models")
+    if not isinstance(raw_models, list) or not raw_models:
+        raise SpecFormatError(f"{where}.models: expected a non-empty list")
+    models = []
+    for i, m in enumerate(raw_models):
+        w = f"{where}.models[{i}]"
+        m = _fields(m, w, ("map", "ball"), ("image",))
+        image = m.get("image")
+        models.append(
+            LocalModel(
+                f=ratmap_from_json(m["map"], p, f"{w}.map"),
+                domain=ball_from_json(m["ball"], p, f"{w}.ball", strict=True),
+                declared_image=None
+                if image is None
+                else ball_from_json(image, p, f"{w}.image", strict=True),
+            )
+        )
+    census = None
+    if obj.get("census") is not None:
+        census = census_from_json(obj["census"], p, f"{where}.census", strict=True)
+        try:
+            validate_census(models, census)
+        except ValueError as exc:
+            raise SpecFormatError(f"{where}.census: census is malformed: {exc}") from exc
+    return {"p": p, "epsilon": epsilon, "models": models, "census": census}
+
+
+def _orbit_request_from_json(obj, p: int, where: str) -> dict:
+    obj = _fields(obj, where, ("start",), ("steps", "ref"))
+    ref = obj.get("ref")
+    return {
+        "start": kelement_from_json(obj["start"], p, f"{where}.start"),
+        "steps": _int_from_json(obj.get("steps", 10), f"{where}.steps"),
+        "ref": None if ref is None else kelement_from_json(ref, p, f"{where}.ref"),
+    }
+
+
 def problem_from_json(obj) -> dict:
     """Strict parse of a problem document.
 
     Returns a dict with keys: p, epsilon, models, delta_override,
-    M_override, census, orbits.  Raises SpecFormatError with the offending
-    entry named.
+    M_override, c_override, census, orbits.  Raises SpecFormatError with
+    the offending entry named.
     """
-    if not isinstance(obj, dict):
-        raise SpecFormatError("problem: expected a JSON object")
-    p = _prime_from_json(obj, "problem")
-    epsilon = _exp_from_json(obj.get("epsilon_exp"), "problem.epsilon_exp", integral=True)
-    raw_models = obj.get("models")
-    if not isinstance(raw_models, list) or not raw_models:
-        raise SpecFormatError("problem.models: expected a non-empty list")
-    models = []
-    for i, m in enumerate(raw_models):
-        where = f"problem.models[{i}]"
-        if not isinstance(m, dict) or "map" not in m or "ball" not in m:
-            raise SpecFormatError(f"{where}: expected an object with 'map' and 'ball'")
-        f = ratmap_from_json(m["map"], p, f"{where}.map")
-        ball = ball_from_json(m["ball"], p, f"{where}.ball", strict=True)
-        image = (
-            ball_from_json(m["image"], p, f"{where}.image", strict=True)
-            if m.get("image") is not None
-            else None
-        )
-        models.append(LocalModel(f=f, domain=ball, declared_image=image))
-    delta_override = None
-    if obj.get("delta_override") is not None:
-        raw = obj["delta_override"]
-        if not isinstance(raw, list):
-            raise SpecFormatError("problem.delta_override: expected a list of exponents")
-        delta_override = [
-            _exp_from_json(d, f"problem.delta_override[{i}]", integral=True)
-            for i, d in enumerate(raw)
-        ]
-    M_override = None
-    if obj.get("M_override") is not None:
-        raw = obj["M_override"]
-        if not isinstance(raw, list) or not all(isinstance(x, (int, type(None))) for x in raw):
-            raise SpecFormatError("problem.M_override: expected a list of integers")
-        M_override = list(raw)
-    c_override = None
-    if obj.get("c_override") is not None:
-        raw = obj["c_override"]
-        if not isinstance(raw, list):
-            raise SpecFormatError("problem.c_override: expected a list")
-        c_override = [
-            kelement_from_json(c, p, f"problem.c_override[{i}]") if c is not None else None
-            for i, c in enumerate(raw)
-        ]
-    census = None
-    if obj.get("census") is not None:
-        census = census_from_json(obj["census"], p, "problem.census", strict=True)
-    orbits = None
-    if obj.get("orbits") is not None:
-        raw = obj["orbits"]
-        if not isinstance(raw, list):
-            raise SpecFormatError("problem.orbits: expected a list")
-        orbits = []
-        for i, o in enumerate(raw):
-            if not isinstance(o, dict) or "start" not in o:
-                raise SpecFormatError(f"problem.orbits[{i}]: expected an object with 'start'")
-            orbits.append(
-                {
-                    "start": kelement_from_json(o["start"], p, f"problem.orbits[{i}].start"),
-                    "steps": _int_from_json(o.get("steps", 10), f"problem.orbits[{i}].steps"),
-                    "ref": kelement_from_json(o["ref"], p, f"problem.orbits[{i}].ref")
-                    if o.get("ref") is not None
-                    else None,
-                }
-            )
-    return {
-        "p": p,
-        "epsilon": epsilon,
-        "models": models,
-        "delta_override": delta_override,
-        "M_override": M_override,
-        "c_override": c_override,
-        "census": census,
-        "orbits": orbits,
-    }
+    prob = _document(obj, "problem", (), ("delta_override", "M_override", "c_override", "orbits"))
+    p = prob["p"]
+
+    def entries(key, read):
+        # an optional list section, null meaning absent; read(entry, where)
+        raw = obj.get(key)
+        if raw is None:
+            return None
+        return [read(x, f"problem.{key}[{i}]")
+                for i, x in enumerate(_list_from_json(raw, f"problem.{key}"))]
+
+    prob["delta_override"] = entries(
+        "delta_override", lambda d, w: _exp_from_json(d, w, integral=True)
+    )
+    M_override = obj.get("M_override")
+    if M_override is not None and not (
+        isinstance(M_override, list) and all(m is None or type(m) is int for m in M_override)
+    ):
+        raise SpecFormatError("problem.M_override: expected a list of integers")
+    prob["M_override"] = M_override
+    prob["c_override"] = entries(
+        "c_override", lambda c, w: None if c is None else kelement_from_json(c, p, w)
+    )
+    prob["orbits"] = entries("orbits", lambda o, w: _orbit_request_from_json(o, p, w))
+    return prob
 
 
 def result_to_json(p: int, epsilon: ValExp, models, plan: GluingPlan, F: RationalMap,
@@ -509,48 +512,20 @@ def result_to_json(p: int, epsilon: ValExp, models, plan: GluingPlan, F: Rationa
 
 
 def result_from_json(obj) -> dict:
-    """Lenient parse of a result document (glue output).
+    """Strict parse of a result document (glue output).
 
-    Returns a dict with keys: p, epsilon, models, plan, F, certificate,
-    census (optional).  Models are re-validated on construction.
+    Returns a dict with keys: p, epsilon, models, census, plan, F,
+    certificate, and stored_passes, the document's own verdict.  The
+    census_report and orbit_tables sections are recomputed output and are
+    not read.
     """
-    if not isinstance(obj, dict):
-        raise SpecFormatError("result: expected a JSON object")
-    p = _prime_from_json(obj, "result")
-    eps = _exp_from_json(obj.get("epsilon_exp"), "result.epsilon_exp")
-    raw_models = obj.get("models")
-    if not isinstance(raw_models, list) or not raw_models:
-        raise SpecFormatError("result.models: expected a non-empty list")
-    models = []
-    for i, m in enumerate(raw_models):
-        where = f"result.models[{i}]"
-        if not isinstance(m, dict):
-            raise SpecFormatError(f"{where}: expected a model object")
-        f = ratmap_from_json(m.get("map"), p, f"{where}.map")
-        ball = ball_from_json(m.get("ball"), p, f"{where}.ball")
-        image = (
-            ball_from_json(m["image"], p, f"{where}.image")
-            if m.get("image") is not None
-            else None
-        )
-        models.append(LocalModel(f=f, domain=ball, declared_image=image))
-    if "plan" not in obj or "F" not in obj or "certificate" not in obj:
-        raise SpecFormatError("result: missing plan, F, or certificate")
-    plan = plan_from_json(obj["plan"], p, "result.plan")
-    F = ratmap_from_json(obj["F"], p, "result.F")
-    cert = certificate_from_json(obj["certificate"], p, "result.certificate")
-    census = (
-        census_from_json(obj["census"], p, "result.census") if obj.get("census") else None
-    )
-    return {
-        "p": p,
-        "epsilon": eps,
-        "models": models,
-        "plan": plan,
-        "F": F,
-        "certificate": cert,
-        "census": census,
-    }
+    res = _document(obj, "result", ("plan", "F", "certificate"), ("census_report", "orbit_tables"))
+    p = res["p"]
+    res["plan"] = plan_from_json(obj["plan"], p, "result.plan")
+    res["F"] = ratmap_from_json(obj["F"], p, "result.F")
+    res["certificate"] = certificate_from_json(obj["certificate"], p, "result.certificate")
+    res["stored_passes"] = obj["certificate"]["passes"]
+    return res
 
 
 # -- files ---------------------------------------------------------------------

@@ -1,19 +1,29 @@
 """Exit-code contract and output of the command line front end."""
 
 import copy
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from padicglue import Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap
+from padicglue import (
+    Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap, certify_theorem1,
+    plan_gluing,
+)
 from padicglue.cli import main
-from padicglue.presets import ex2_problem
-from padicglue.serialize import problem_from_json, problem_to_json, read_json, write_json
+from padicglue.presets import EX2_EPSILON, crossed_sum, ex2_models, ex2_problem
+from padicglue.serialize import (
+    problem_from_json, problem_to_json, read_json, result_to_json, write_json,
+)
 
 K3 = FieldConfig(3)
 Z = Poly.x(3)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +122,41 @@ class TestGlue:
         write_json(path, doc)
         assert main(["glue", "--input", str(path)]) == 1
         assert "census: FAIL" in capsys.readouterr().out
+
+    def test_null_c_override_means_default(self, ex2_paths, tmp_path):
+        _, result = ex2_paths
+        doc = ex2_problem()
+        doc["c_override"] = [None, None, None]
+        problem, out = tmp_path / "cnull.json", tmp_path / "cnull.out.json"
+        write_json(problem, doc)
+        assert main(["glue", "--input", str(problem), "--output", str(out)]) == 0
+        assert out.read_bytes() == result.read_bytes()
+
+    def test_partial_overrides_glue(self, tmp_path, capsys):
+        doc = ex2_problem()
+        doc["M_override"] = [9, None, 8]
+        doc["c_override"] = [{"a": "0", "b": "3"}, None, None]
+        path = tmp_path / "partial.json"
+        write_json(path, doc)
+        assert main(["glue", "--input", str(path)]) == 0
+        assert "M 9" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, where", [("glue", "problem"), ("verify", "result")])
+    def test_huge_prime_exit_2_promptly(self, ex2_paths, tmp_path, command, where):
+        # trial division of 2^61 - 1 would run for hours; a separate process
+        # turns a missing bound into a timeout instead of a hung suite
+        problem, result = ex2_paths
+        doc = read_json(problem if command == "glue" else result)
+        doc["prime"] = 2**61 - 1
+        path = tmp_path / "huge.json"
+        write_json(path, doc)
+        run = subprocess.run(
+            [sys.executable, "-m", "padicglue.cli", command, "--input", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert run.returncode == 2
+        assert run.stderr.startswith(f"parse error: {where}.prime: must be below 2^31")
 
     def test_truncated_census_exit_2(self, tmp_path, capsys):
         doc = copy.deepcopy(ex2_problem())
@@ -230,6 +275,17 @@ class TestMalformedInput:
              "result.certificate.balls[0].witnesses[0]"),
             ("glue", _set("orbits", 0, "steps", value="x"), "problem.orbits[0].steps"),
             ("glue", _set("orbits", 0, "steps", value=2.7), "problem.orbits[0].steps"),
+            ("glue", _set("colour", value="red"), "problem: unknown key 'colour'"),
+            ("verify", _set("metrics", value={}), "result: unknown key 'metrics'"),
+            ("glue", _set("models", 0, "ball", "center", value={"re": "3"}),
+             "problem.models[0].ball.center: unknown key 're'"),
+            ("glue", _set("census", "witnesses", value=5), "problem.census.witnesses"),
+            ("glue", _set("census", "counts", 0, 0, value=True), "problem.census.counts[0]"),
+            ("glue", _set("M_override", value=[True, None, None]), "problem.M_override"),
+            ("verify", _set("models", 0, "ball", "center", "b", value="1"),
+             "result.models[0].ball.center"),
+            ("verify", _set("models", 1, "ball", "radius_exp", value="5/2"),
+             "result.models[1].ball.radius_exp"),
         ],
     )
     def test_named_parse_error_exit_2(self, ex2_paths, tmp_path, capsys, command, mutate, where):
@@ -241,6 +297,68 @@ class TestMalformedInput:
         assert main([command, "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and where in err
+
+
+class TestStoredClaims:
+    """verify recomputes the certificate and refuses a result whose stored
+    claims disagree with it, naming each field on stderr."""
+
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (_set("certificate", "passes", value=False),
+             "result.certificate.passes: stored False, recomputed True"),
+            (_set("certificate", "epsilon_exp", value="4"),
+             "result.certificate.epsilon_exp: stored 4, recomputed 3"),
+            (_set("certificate", "degree", "num", value=16),
+             "result.certificate.degree: stored (16, 21), recomputed (15, 21)"),
+            (lambda doc: doc["certificate"]["balls"].pop(),
+             "result.certificate.balls: stored 2, recomputed 3"),
+            (_set("certificate", "balls", 2, "index", value=5),
+             "result.certificate.balls[2].index: stored 5, recomputed 2"),
+            (_set("certificate", "balls", 0, "image_ok", value=False),
+             "result.certificate.balls[0].image_ok: stored False, recomputed True"),
+            (_set("certificate", "balls", 0, "eps_bound_exp", value={"exp": "100"}),
+             "result.certificate.balls[0].eps_bound_exp: stored 100, recomputed 7/2"),
+            (_set("certificate", "balls", 1, "image", "radius_exp", value="9"),
+             "result.certificate.balls[1].image: stored B("),
+        ],
+    )
+    def test_disagreeing_claim_fails(self, ex2_paths, tmp_path, capsys, mutate, line):
+        _, result = ex2_paths
+        doc = read_json(result)
+        mutate(doc)
+        path = tmp_path / "claims.json"
+        write_json(path, doc)
+        assert main(["verify", "--input", str(path), "--samples", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("verification FAILED\n")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(line)
+
+    def test_result_with_report_sections_verifies(self, ex2_paths, capsys):
+        _, result = ex2_paths
+        assert {"census_report", "orbit_tables"} <= read_json(result).keys()
+        assert main(["verify", "--input", str(result), "--samples", "4"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_stdout_matches_benchmark_digests(self, tmp_path, capsys):
+        # the stored digests of the verify workload, only read here
+        digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+        result = tmp_path / "ex2.json"
+        assert main(["glue", "--input", str(ROOT / "presets" / "ex2.json"),
+                     "--output", str(result)]) == 0
+        models = ex2_models()
+        plan = plan_gluing(models, EX2_EPSILON)
+        crossed = crossed_sum(models, plan)
+        cert = certify_theorem1(crossed, models, plan, samples=2)
+        control = tmp_path / "ex2-crossed.json"
+        write_json(control, result_to_json(3, EX2_EPSILON, models, plan, crossed, cert))
+        for key, path, code in (("verify/ex2", result, 0), ("verify/ex2-crossed", control, 1)):
+            capsys.readouterr()
+            assert main(["verify", "--input", str(path), "--samples", "100"]) == code
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
 
 
 class TestOrbit:
