@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
-from .field import KElement, ValExp
+from .field import KElement, ValExp, _int_val
 
 __all__ = [
     "POLE",
@@ -348,6 +349,46 @@ def _quotient(p: int, na: int, nb: int, da: int, db: int, up: int, down: int,
         Fraction((na * da - p * nb * db) * up, down),
         Fraction((nb * da - na * db) * up, down),
     )
+
+
+def _pair_val(p: int, a: int, b: int) -> Fraction:
+    """v(a + b sqrt p) for integers a, b, not both 0."""
+    vb = _int_val(b, p) + Fraction(1, 2) if b else None
+    if not a:
+        return vb
+    va = Fraction(_int_val(a, p))
+    return va if vb is None else min(va, vb)
+
+
+def _newton(f: "RationalMap", x) -> tuple | None:
+    """One Newton step for a root of f = N/Q at x = X/w, in integers.
+
+    One `_horner` pass each gives the pairs hn, gn (N and N' at x) and
+    hd, gd (Q and Q'), so f(x) = hn Dd w^m / (hd Dn w^n) and, with
+    T = gn hd - hn gd, f'(x) = T Dd w^(m-n+1) / (Dn hd^2); f'(x) = 0
+    exactly when T = 0.  The iterate x - f(x)/f'(x) is then
+    (X T - hn hd)/(w T), the same field element as through f(x) and
+    f'(x), built with one division.
+
+    Returns None when Q(x) = 0, else (v(f(x)), v(f'(x)), step), where
+    step() returns the iterate and may be called only when T != 0.
+    """
+    p = f.p
+    u, v, w = _point(p, x)
+    dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, True)
+    dd, m, da, db, gda, gdb = _horner(f.den, u, v, w, True)
+    if not da and not db:
+        return None
+    ta = gna * da + p * gnb * db - na * gda - p * nb * gdb
+    tb = gna * db + gnb * da - na * gdb - nb * gda
+    vq, vw = _pair_val(p, da, db), _int_val(w, p)
+    # v(Dd w^(m-n) / Dn), a factor of both f(x) and f'(x)
+    scale = _int_val(dd, p) - _int_val(dn, p) + (m - n) * vw
+    vf = ValExp(_pair_val(p, na, nb) - vq + scale if na or nb else None)
+    vd = ValExp(_pair_val(p, ta, tb) - 2 * vq + scale + vw if ta or tb else None)
+    sa = u * ta + p * v * tb - na * da - p * nb * db
+    sb = u * tb + v * ta - na * db - nb * da
+    return vf, vd, partial(_quotient, p, sa, sb, ta, tb, 1, 1, w, -1)
 
 
 # primes = 3 mod 4, so square roots mod q are a single pow() when they exist

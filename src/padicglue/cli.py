@@ -1,9 +1,9 @@
 """Command line front end: glue, verify, orbit, example.
 
 Exit codes are a stable contract: 0 success, 1 certificate or census
-failure, 2 I/O and parse errors (including bad flags), 3 hypothesis
-violations.  All printed numbers are exact; absolute values appear as
-p^(e) with exact rational e.
+failure, 2 I/O and parse errors (including bad flags) and inputs above a
+size limit, 3 hypothesis violations.  All printed numbers are exact;
+absolute values appear as p^(e) with exact rational e.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .dynamics import multiplier, orbit, verify_census
-from .errors import HypothesisViolation, PadicGlueError, SpecFormatError
+from .errors import HypothesisViolation, LimitExceeded, PadicGlueError, SpecFormatError
 from .field import KElement
 from .geometry import Ball
 from .gluing import build_F, certify_theorem1, plan_gluing, validate_plan
@@ -27,6 +27,9 @@ from .presets import (
     ex2_models,
 )
 from .serialize import (
+    SAMPLES_LIMIT,
+    STEPS_LIMIT,
+    check_count,
     orbit_to_json,
     parse_point,
     parse_rational,
@@ -46,6 +49,7 @@ EXIT_HYPOTHESIS = 3
 # first matching row wins.  An OSError also exits 2 (see main).
 _EXIT_CODES = (
     (SpecFormatError, EXIT_IO, "parse error"),
+    (LimitExceeded, EXIT_IO, "limit exceeded"),
     (HypothesisViolation, EXIT_HYPOTHESIS, "hypothesis violation"),
     (PadicGlueError, EXIT_FAIL, "error"),
 )
@@ -326,6 +330,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        for flag, limit in (("samples", SAMPLES_LIMIT), ("steps", STEPS_LIMIT)):
+            if hasattr(args, flag):
+                check_count(getattr(args, flag), limit, f"--{flag}")
         return args.func(args)
     except OSError as exc:
         source = getattr(args, "input", None)

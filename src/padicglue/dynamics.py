@@ -14,8 +14,9 @@ in the value group |C_v^x|; the surjectivity criteria need that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
-from .algebra import RationalMap
+from .algebra import RationalMap, _newton
 from .errors import HenselConditionError, PoleInBallError
 from .field import KElement, ValExp, reduce_mod
 from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas
@@ -249,9 +250,11 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     Hensel condition v(G(start)) > 2 v(G'(start)) for G = F - z.
 
     Iterates z <- z - G(z)/G'(z) until v(G(z)) >= target_exp (checked by
-    exact evaluation).  Iterates are rounded to a generous p-adic working
-    precision so coordinate heights stay bounded; the final exactness
-    check is unaffected by the rounding.
+    exact evaluation).  Each iterate costs one integer Horner pass over
+    G's numerator and denominator and one division (`algebra._newton`).
+    Iterates are rounded to a generous p-adic working precision so
+    coordinate heights stay bounded; the final exactness check is
+    unaffected by the rounding.
     """
     if not isinstance(start, KElement):
         start = KElement(F.p, start)
@@ -264,29 +267,26 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     prec = int(2 * target.exp) + 128 + F.degree
 
     z = start
-    gz = G.eval(z)
-    if not isinstance(gz, KElement):
-        raise HenselConditionError("seed point is a pole of the map")
-    if gz.valuation() >= target:
-        return z
-    gpz = G.derivative_at(z)
-    if not isinstance(gpz, KElement) or gpz.is_zero:
-        raise HenselConditionError("G' vanishes at the seed point")
-    if not gz.valuation() > gpz.valuation() * 2:
-        raise HenselConditionError(
-            f"Hensel condition fails at seed: v(G) = {gz.valuation()}, v(G') = {gpz.valuation()}"
-        )
-    for _ in range(max_iter):
-        z = _round_point(z - gz * gpz.inverse(), prec)
-        gz = G.eval(z)
-        if not isinstance(gz, KElement):
-            raise HenselConditionError("iteration stepped onto a pole")
-        if gz.valuation() >= target:
+    for k in count():
+        newton = _newton(G, z)
+        if newton is None:
+            raise HenselConditionError(
+                "seed point is a pole of the map" if k == 0 else "iteration stepped onto a pole"
+            )
+        vg, vgp, step = newton
+        if vg >= target:
             return z
-        gpz = G.derivative_at(z)
-        if not isinstance(gpz, KElement) or gpz.is_zero:
-            raise HenselConditionError("G' vanished during the iteration")
-    raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
+        if vgp.is_infinite:
+            raise HenselConditionError(
+                "G' vanishes at the seed point" if k == 0 else "G' vanished during the iteration"
+            )
+        if k == 0 and not vg > vgp * 2:
+            raise HenselConditionError(
+                f"Hensel condition fails at seed: v(G) = {vg}, v(G') = {vgp}"
+            )
+        if k >= max_iter:
+            raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
+        z = _round_point(step(), prec)
 
 
 def _round_point(z: KElement, prec: int) -> KElement:

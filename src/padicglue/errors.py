@@ -28,3 +28,7 @@ class LemmaInapplicable(PadicGlueError):
 
 class SpecFormatError(PadicGlueError):
     """A JSON problem or result document is malformed."""
+
+
+class LimitExceeded(PadicGlueError):
+    """An input asks for more work than a named size limit allows."""

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from .algebra import Poly, RationalMap
 from .dynamics import CensusReport, FixedPointCensus, Witness, validate_census
-from .errors import SpecFormatError
+from .errors import LimitExceeded, SpecFormatError
 from .field import KElement, ValExp, is_prime
 from .geometry import Ball
 from .gluing import BallCheck, Certificate, GluingPlan, LocalModel
@@ -29,6 +29,7 @@ __all__ = [
     "census_to_json",
     "certificate_from_json",
     "certificate_to_json",
+    "check_count",
     "kelement_from_json",
     "kelement_to_json",
     "orbit_to_json",
@@ -52,6 +53,10 @@ __all__ = [
 # is_prime is trial division: about 23,000 divisions just below this bound,
 # hours for a prime near 2^61
 PRIME_LIMIT = 2**31
+# sample points per ball (glue, verify and example use 8 or 100) and orbit
+# steps (the benchmark's orbits take 30); each costs one exact evaluation
+SAMPLES_LIMIT = 10**4
+STEPS_LIMIT = 10**4
 
 
 # -- scalars ------------------------------------------------------------------
@@ -67,6 +72,16 @@ def parse_rational(s, where: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFormatError(f"{where}: bad rational {s!r}") from exc
+
+
+def check_count(n: int, limit: int, where: str) -> int:
+    """n itself when 0 <= n <= limit: a negative count is malformed, and a
+    larger one asks for more work than the limit allows."""
+    if n < 0:
+        raise SpecFormatError(f"{where}: must not be negative, got {n}")
+    if n > limit:
+        raise LimitExceeded(f"{where}: {n} is above the limit of {limit}")
+    return n
 
 
 def _exp_from_json(s, where: str, integral: bool = False) -> ValExp:
@@ -456,7 +471,9 @@ def _orbit_request_from_json(obj, p: int, where: str) -> dict:
     ref = obj.get("ref")
     return {
         "start": kelement_from_json(obj["start"], p, f"{where}.start"),
-        "steps": _int_from_json(obj.get("steps", 10), f"{where}.steps"),
+        "steps": check_count(
+            _int_from_json(obj.get("steps", 10), f"{where}.steps"), STEPS_LIMIT, f"{where}.steps"
+        ),
         "ref": None if ref is None else kelement_from_json(ref, p, f"{where}.ref"),
     }
 

@@ -5,10 +5,13 @@ These are the `KElement` Horner loops that the integer kernel in
 `KElement`s, so every coordinate is reduced by a gcd at every step, and
 `derivative_at` builds both derivative polynomials.  They are slow but
 plainly faithful to the definitions, so the library's values must equal
-theirs exactly.
+theirs exactly.  The same holds for the Newton loop of
+`hensel_fixed_point`, kept here as it was before each iterate became one
+integer step.
 """
 
-from padicglue import POLE, KElement
+from padicglue import POLE, HenselConditionError, KElement, RationalMap, ValExp
+from padicglue.dynamics import _round_point
 
 
 def poly_eval(P, x):
@@ -39,3 +42,42 @@ def derivative_at(f, x):
     dn = poly_eval(f.num.derivative(), x)
     dd = poly_eval(f.den.derivative(), x)
     return (dn * d - n * dd) * (d * d).inverse()
+
+
+def hensel_fixed_point(F, start, target_exp, max_iter=64):
+    """The Newton loop that `padicglue.hensel_fixed_point` replaced: each
+    iterate evaluates G = F - z and G' as `KElement`s and steps by
+    z - G(z) G'(z)^(-1) in `KElement` arithmetic, rounding as the library
+    does.  Errors carry the library's messages."""
+    if not isinstance(start, KElement):
+        start = KElement(F.p, start)
+    target = ValExp(target_exp)
+    if target.is_infinite:
+        raise ValueError("target exponent must be finite")
+    G = F - RationalMap.identity(F.p)
+    prec = int(2 * target.exp) + 128 + F.degree
+
+    z = start
+    gz = G.eval(z)
+    if not isinstance(gz, KElement):
+        raise HenselConditionError("seed point is a pole of the map")
+    if gz.valuation() >= target:
+        return z
+    gpz = G.derivative_at(z)
+    if not isinstance(gpz, KElement) or gpz.is_zero:
+        raise HenselConditionError("G' vanishes at the seed point")
+    if not gz.valuation() > gpz.valuation() * 2:
+        raise HenselConditionError(
+            f"Hensel condition fails at seed: v(G) = {gz.valuation()}, v(G') = {gpz.valuation()}"
+        )
+    for _ in range(max_iter):
+        z = _round_point(z - gz * gpz.inverse(), prec)
+        gz = G.eval(z)
+        if not isinstance(gz, KElement):
+            raise HenselConditionError("iteration stepped onto a pole")
+        if gz.valuation() >= target:
+            return z
+        gpz = G.derivative_at(z)
+        if not isinstance(gpz, KElement) or gpz.is_zero:
+            raise HenselConditionError("G' vanished during the iteration")
+    raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -12,13 +13,15 @@ from pathlib import Path
 import pytest
 
 from padicglue import (
-    Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap, certify_theorem1,
-    plan_gluing,
+    Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap, build_F,
+    certify_theorem1, epsilon_for_census, hensel_fixed_point, orbit, plan_gluing,
 )
 from padicglue.cli import main
+from padicglue.gluing import M_LIMIT
 from padicglue.presets import EX2_EPSILON, crossed_sum, ex2_models, ex2_problem
 from padicglue.serialize import (
-    problem_from_json, problem_to_json, read_json, result_to_json, write_json,
+    SAMPLES_LIMIT, STEPS_LIMIT, kelement_to_json, orbit_to_json, problem_from_json,
+    problem_to_json, read_json, result_to_json, write_json,
 )
 
 K3 = FieldConfig(3)
@@ -359,6 +362,110 @@ class TestStoredClaims:
             assert main(["verify", "--input", str(path), "--samples", "100"]) == code
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
+
+
+    @pytest.mark.parametrize("key", ["orbits/p3/0", "orbits/p5/0", "orbits/p7/0"])
+    def test_orbits_match_benchmark_digests(self, key):
+        # the benchmark's instance generator and stored digests, only read;
+        # its dataclasses need their module registered while they are built
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
+        )
+        inputs = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = inputs
+        try:
+            spec.loader.exec_module(inputs)
+        finally:
+            del sys.modules[spec.name]
+        digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+        inst = inputs.fixed_point_instance(key)
+        plan = plan_gluing(inst.models, epsilon_for_census(inst.models, inst.census))
+        F = build_F(inst.models, plan)
+        zstar = hensel_fixed_point(F, inst.attracting_center, inputs.HENSEL_TARGET)
+        steps = orbit(F, inst.orbit_start, inputs.ORBIT_STEPS, ref=zstar,
+                      precision=inputs.ORBIT_PRECISION)
+        doc = {"fixed_point": kelement_to_json(zstar), "orbit": orbit_to_json(steps)}
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[key]
+
+
+class TestLimits:
+    """Counts and plan sizes outside their limits exit 2 with a diagnostic
+    that names the flag, the file entry or the ball."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["glue", "--input", "{problem}", "--samples", "-3"],
+             "parse error: --samples: must not be negative, got -3"),
+            (["verify", "--input", "{result}", "--samples", "-1"],
+             "parse error: --samples: must not be negative, got -1"),
+            (["example", "--name", "ex2", "--samples", "-1"],
+             "parse error: --samples: must not be negative, got -1"),
+            (["orbit", "--input", "{result}", "--start", "9", "--steps", "-2"],
+             "parse error: --steps: must not be negative, got -2"),
+            (["glue", "--input", "{problem}", "--samples", str(SAMPLES_LIMIT + 1)],
+             f"limit exceeded: --samples: {SAMPLES_LIMIT + 1} is above the limit of"),
+            (["verify", "--input", "{result}", "--samples", "100000000"],
+             "limit exceeded: --samples: 100000000 is above the limit of"),
+            (["example", "--name", "ex2", "--samples", str(SAMPLES_LIMIT + 1)],
+             f"limit exceeded: --samples: {SAMPLES_LIMIT + 1} is above the limit of"),
+            (["orbit", "--input", "{result}", "--start", "9", "--steps", str(STEPS_LIMIT + 1)],
+             f"limit exceeded: --steps: {STEPS_LIMIT + 1} is above the limit of"),
+        ],
+        ids=["glue-negative", "verify-negative", "example-negative", "orbit-negative",
+             "glue-above", "verify-above", "example-above", "orbit-above"],
+    )
+    def test_count_flag_out_of_range_exit_2(self, ex2_paths, capsys, argv, err):
+        problem, result = ex2_paths
+        argv = [a.format(problem=problem, result=result) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(err)
+
+    @pytest.mark.parametrize("steps, err", [
+        (-1, "parse error: problem.orbits[0].steps: must not be negative, got -1"),
+        (STEPS_LIMIT + 1,
+         f"limit exceeded: problem.orbits[0].steps: {STEPS_LIMIT + 1} is above the limit of"),
+    ])
+    def test_orbit_steps_in_problem_out_of_range_exit_2(self, tmp_path, capsys, steps, err):
+        doc = ex2_problem()
+        doc["orbits"][0]["steps"] = steps
+        path = tmp_path / "steps.json"
+        write_json(path, doc)
+        assert main(["glue", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(err)
+
+    def test_zero_counts_run(self, ex2_paths):
+        _, result = ex2_paths
+        assert main(["orbit", "--input", str(result), "--start", "9", "--steps", "0"]) == 0
+        assert main(["verify", "--input", str(result), "--samples", "0"]) == 0
+
+    def test_limits_clear_every_value_in_use(self):
+        # the largest in presets, tests and the benchmark: --samples 100,
+        # orbit steps 30, M = 15
+        assert SAMPLES_LIMIT >= 10 * 100 and STEPS_LIMIT >= 10 * 30 and M_LIMIT >= 10 * 15
+
+    @pytest.mark.parametrize("key, value, err", [
+        ("M_override", [100000, None, None],
+         "limit exceeded: ball 0: M = 100000 is above the limit of"),
+        ("epsilon_exp", "100000", "limit exceeded: ball 0: M = 200001 is above the limit of"),
+    ])
+    def test_huge_M_exit_2_promptly(self, tmp_path, key, value, err):
+        # glue would not finish at M = 100000 (certifying ex2 with one M_i
+        # of 1000 takes minutes); a separate process turns a missing bound
+        # into a timeout instead of a hung suite
+        doc = read_json(ROOT / "presets" / "ex2.json")
+        doc[key] = value
+        path = tmp_path / "hugeM.json"
+        write_json(path, doc)
+        run = subprocess.run(
+            [sys.executable, "-m", "padicglue.cli", "glue", "--input", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert run.returncode == 2
+        assert run.stderr.startswith(err)
 
 
 class TestOrbit:

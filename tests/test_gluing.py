@@ -10,6 +10,7 @@ from padicglue import (
     FieldConfig,
     HypothesisViolation,
     LemmaInapplicable,
+    LimitExceeded,
     LocalModel,
     Poly,
     Radius,
@@ -25,6 +26,7 @@ from padicglue import (
     uniformizer_power,
     validate_plan,
 )
+from padicglue.gluing import M_LIMIT
 from padicglue.presets import EX2_EPSILON, crossed_sum, ex1_models, ex2_models
 
 from conftest import shell_points
@@ -162,6 +164,32 @@ class TestPlanGluing:
         assert plan.M == (9, 7, 12)
         with pytest.raises(HypothesisViolation, match="minimal value 7"):
             plan_gluing(models, EX2_EPSILON, M_override=[6, None, None])
+
+    @pytest.mark.parametrize("eps", [-3, -1, 0, 1, 2, 3, 4, 5, 6, 10, 100])
+    def test_M_is_minimal(self, eps):
+        # ex2's balls B(a; 3^-2) with delta 3^-1, and B(a; 3^-5) with
+        # delta 3^-2, give gaps 1 and 3; M must be the least integer >= 1
+        # with M*gap > 2*tau
+        for models in (
+            ex2_models(),
+            [LocalModel(RationalMap(Z), B(0, 5)), LocalModel(RationalMap(Z), B(9, 5))],
+        ):
+            plan = plan_gluing(models, Radius(eps))
+            for m, d, M in zip(models, plan.deltas, plan.M):
+                gap, tau = (m.domain.radius - d).exp, plan.tau.exp
+                least = 1
+                while least * gap <= 2 * tau:
+                    least += 1
+                assert M == least
+
+    def test_M_limit(self):
+        models = ex2_models()
+        assert plan_gluing(models, EX2_EPSILON, M_override=[M_LIMIT, None, None]).M[0] == M_LIMIT
+        with pytest.raises(LimitExceeded, match=f"ball 0: M = {M_LIMIT + 1} is above the limit"):
+            plan_gluing(models, EX2_EPSILON, M_override=[M_LIMIT + 1, None, None])
+        # the minimal M of ball 0 at epsilon 3^-(10^5) is 2*10^5 + 1
+        with pytest.raises(LimitExceeded, match="ball 0: M = 200001"):
+            plan_gluing(models, Radius(10**5))
 
     def test_c_override(self):
         models = ex2_models()
