@@ -1,14 +1,13 @@
 """Polynomials and rational maps over K, with valuation-theoretic tools.
 
-Root counting never factorizes anything: the number of roots of a
-polynomial in a ball is read off the lower Newton polygon of the
-recentered polynomial, and sup norms over balls come from Gauss norms.
-Both are exact integer/Fraction computations.
+Root counting never factorizes anything: root counts in a ball and Gauss
+norms over it are both read off one min-plus scan of the recentered
+coefficients (see count_roots_with_min_valuation).  Both are exact
+integer/Fraction computations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
@@ -17,13 +16,11 @@ from .field import KElement, ValExp, _int_val
 
 __all__ = [
     "POLE",
-    "NewtonPolygon",
     "Poly",
     "PoleMarker",
     "RationalMap",
     "count_roots_with_min_valuation",
     "gauss_norm_exp",
-    "newton_polygon",
     "poly_gcd",
 ]
 
@@ -181,9 +178,6 @@ class Poly:
             while rem and rem[-1].is_zero:
                 rem.pop()
         return Poly(self.p, quot), Poly(self.p, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -476,59 +470,38 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
     return A.monic()
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower Newton polygon of a nonzero polynomial.
-
-    ord0 is the multiplicity of the root at 0; segments are (slope, length)
-    pairs with strictly increasing slopes.  A segment of slope -e and
-    horizontal length L certifies exactly L roots of valuation e, counted
-    with multiplicity, in an algebraic closure.
-    """
-
-    ord0: int
-    segments: tuple
-
-    @property
-    def total_roots(self) -> int:
-        return self.ord0 + sum(length for _, length in self.segments)
-
-
-def newton_polygon(P: Poly) -> NewtonPolygon:
-    if P.is_zero:
-        raise ValueError("the zero polynomial has no Newton polygon")
-    pts = []
-    for k, c in enumerate(P.coeffs):
-        if not c.is_zero:
-            pts.append((Fraction(k), c.valuation().exp))
-    ord0 = int(pts[0][0])
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            # pop the middle point when it is on or above the chord
-            if (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    segments = []
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        segments.append(((y1 - y0) / (x1 - x0), int(x1 - x0)))
-    return NewtonPolygon(ord0=ord0, segments=tuple(segments))
+def _min_plus(P: Poly, e, from_k: int = 0) -> tuple:
+    """(m, first, last): m = min over k >= from_k of v(c_k) + k*e, taken
+    over the nonzero coefficients c_k of P, and the first and last index
+    attaining it; all None when there is no such coefficient."""
+    e = e.exp if isinstance(e, ValExp) else Fraction(e)
+    m = first = last = None
+    for k in range(from_k, len(P.coeffs)):
+        c = P.coeffs[k]
+        if c.is_zero:
+            continue
+        t = c.valuation().exp + k * e
+        if m is None or t < m:
+            m, first, last = t, k, k
+        elif t == m:
+            last = k
+    return m, first, last
 
 
 def count_roots_with_min_valuation(P: Poly, min_exp, strict: bool) -> int:
     """Roots of P (with multiplicity, in an algebraic closure) of valuation
-    >= min_exp, or > min_exp when strict.  Exact, via the Newton polygon."""
-    np_ = newton_polygon(P)
-    min_exp = Fraction(min_exp)
-    count = np_.ord0
-    for slope, length in np_.segments:
-        root_exp = -slope
-        if root_exp > min_exp or (not strict and root_exp == min_exp):
-            count += length
-    return count
+    >= min_exp, or > min_exp when strict.  min_exp is a ValExp or a rational.
+
+    The line of slope -min_exp supporting the Newton polygon of P touches it
+    exactly at the indices k attaining min v(c_k) + k*min_exp.  The last of
+    them counts the roots of valuation >= min_exp, the first those of
+    valuation > min_exp; a root at 0 is counted because zero coefficients
+    are skipped.
+    """
+    if P.is_zero:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    _, first, last = _min_plus(P, min_exp)
+    return first if strict else last
 
 
 def gauss_norm_exp(P: Poly, radius_exp, from_k: int = 0) -> ValExp:
@@ -537,16 +510,9 @@ def gauss_norm_exp(P: Poly, radius_exp, from_k: int = 0) -> ValExp:
     Returns min over k >= from_k of v(c_k) + k*radius_exp, which encodes the
     sup of |P| over the closed ball of that radius about 0 (restricted to the
     terms of index >= from_k).  Infinite when no such term exists.
+    radius_exp is a ValExp or a rational.
     """
-    radius_exp = Fraction(radius_exp)
-    best = None
-    for k, c in enumerate(P.coeffs):
-        if k < from_k or c.is_zero:
-            continue
-        e = c.valuation().exp + k * radius_exp
-        if best is None or e < best:
-            best = e
-    return ValExp(best)
+    return ValExp(_min_plus(P, radius_exp, from_k)[0])
 
 
 class PoleMarker:

@@ -205,7 +205,8 @@ def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusRep
     Structural problems (see validate_census) are caller errors and raise
     ValueError; classification mismatches are reported, never raised.
     Indifferent witnesses additionally require certified existence and the
-    exact indifferent-case hypothesis check.
+    exact indifferent-case hypothesis check; a ball whose center is not a
+    fixed point of its local map fails that check.
     """
     models = list(models)
     validate_census(models, census)
@@ -219,7 +220,11 @@ def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusRep
         ok = got == w.expected
         c3_ok = None
         if w.expected == INDIFFERENT:
-            c3_ok = check_c3_hypotheses(models, w.ball_index)
+            try:
+                c3_ok = check_c3_hypotheses(models, w.ball_index)
+            except ValueError:
+                # the center is not a fixed point of its local map
+                c3_ok = False
             ok = ok and behavior.existence_certified is True and c3_ok
         if got in slot:
             got_counts[w.ball_index][slot[got]] += 1

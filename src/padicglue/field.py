@@ -408,15 +408,3 @@ class FieldConfig:
 
     def __call__(self, a=0, b=0) -> KElement:
         return KElement(self.p, a, b)
-
-    def zero(self) -> KElement:
-        return KElement(self.p)
-
-    def one(self) -> KElement:
-        return KElement(self.p, 1)
-
-    def sqrtp(self) -> KElement:
-        return KElement(self.p, 0, 1)
-
-    def uniformizer_power(self, e) -> KElement:
-        return uniformizer_power(self.p, e)

@@ -9,8 +9,9 @@ finite comparison of exact exponents.  The key facts used throughout:
 * a rational map with no poles on a ball sends the ball exactly onto a
   ball, whose center is the image of the center and whose radius comes out
   of a Gauss norm;
-* root counting in a ball reduces to the Newton polygon of the recentered
-  numerator.
+* root counting in a ball reduces to one min-plus scan of the recentered
+  polynomial: the number of roots is the last (closed ball) or first
+  (open ball) index k attaining min v(c_k) + k*e for radius p^(-e).
 
 A LocalExpansion recenters a map's numerator and denominator once about a
 ball's center; the pole test, the image, sup norms and root counts on
@@ -145,7 +146,7 @@ def pairwise_deltas(centers) -> list:
 
 def _roots_in_ball(shifted: Poly, ball: Ball) -> int:
     # roots of a polynomial already written in powers of (z - center)
-    return count_roots_with_min_valuation(shifted, ball.radius.exp, strict=not ball.closed)
+    return count_roots_with_min_valuation(shifted, ball.radius, strict=not ball.closed)
 
 
 def _shift(P: Poly, a: KElement) -> Poly:
@@ -156,8 +157,9 @@ def _shift(P: Poly, a: KElement) -> Poly:
 def count_roots_in_ball(P: Poly, ball: Ball) -> int:
     """Number of roots of P in the ball, with multiplicity, over C_v.
 
-    Recenters P at the ball's center and reads the count off the Newton
-    polygon: valuation >= exp for a closed ball, > exp for an open one.
+    Recenters P at the ball's center and counts the roots of valuation
+    >= exp for a closed ball, > exp for an open one
+    (see count_roots_with_min_valuation).
     """
     if P.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -208,7 +210,7 @@ class LocalExpansion:
         pa = self.num.coeff(0)
         qa = self.den.coeff(0)
         g = self.num * qa - self.den * pa
-        e = gauss_norm_exp(g, self.ball.radius.exp, from_k=1)
+        e = gauss_norm_exp(g, self.ball.radius, from_k=1)
         if e.is_infinite:
             raise ValueError("constant map: the image of the ball is a point, not a ball")
         return Ball(pa * qa.inverse(), e - qa.valuation() * 2, closed=self.ball.closed)
@@ -237,7 +239,7 @@ class LocalExpansion:
             minus._require_pole_free()
             num = self.num * minus.den - minus.num * self.den
             den_val = den_val + minus.den.coeff(0).valuation()
-        return gauss_norm_exp(num, self.ball.radius.exp, from_k=0) - den_val
+        return gauss_norm_exp(num, self.ball.radius, from_k=0) - den_val
 
     def wdeg(self, b: KElement) -> int:
         """Number of solutions of f(z) = b in the ball, with multiplicity.

@@ -310,15 +310,21 @@ def validate_plan(models, plan: GluingPlan) -> None:
             raise HypothesisViolation(f"ball {i}: M fails the strict tau bound")
 
 
+def _glued_sum(models, plan: GluingPlan, shift: int) -> RationalMap:
+    # sum_i f_i * h_j with h_j the bump factor of ball j = (i + shift) mod n
+    n = len(models)
+    F = None
+    for i, m in enumerate(models):
+        j = (i + shift) % n
+        term = m.f * build_h(models[j].domain.center, plan.c[j], plan.M[j])
+        F = term if F is None else F + term
+    return F
+
+
 def build_F(models, plan: GluingPlan) -> RationalMap:
     """Assemble F = sum_i f_i * h_i for the given plan."""
     validate_plan(models, plan)
-    F = None
-    for m, c, M in zip(models, plan.c, plan.M):
-        h = build_h(m.domain.center, c, M)
-        term = m.f * h
-        F = term if F is None else F + term
-    return F
+    return _glued_sum(models, plan, 0)
 
 
 def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8) -> Certificate:

@@ -23,7 +23,7 @@ from .dynamics import (
 )
 from .field import FieldConfig, KElement, ValExp
 from .geometry import Ball
-from .gluing import GluingPlan, LocalModel, build_h
+from .gluing import GluingPlan, LocalModel, _glued_sum
 
 __all__ = [
     "EX2_EPSILON",
@@ -141,14 +141,7 @@ def crossed_sum(models, plan: GluingPlan) -> RationalMap:
     """Deliberately mis-paired sum: each local map is multiplied by the
     bump factor of the NEXT ball.  Certification must reject it; it exists
     as a negative control for the example harness."""
-    n = len(models)
-    F = None
-    for i, m in enumerate(models):
-        j = (i + 1) % n
-        h = build_h(models[j].domain.center, plan.c[j], plan.M[j])
-        term = m.f * h
-        F = term if F is None else F + term
-    return F
+    return _glued_sum(models, plan, 1)
 
 
 def ex1_problem(alpha="3", beta="1/3") -> dict:

@@ -342,7 +342,7 @@ def census_to_json(census: FixedPointCensus) -> dict:
     }
 
 
-def census_from_json(obj, p: int, where: str, strict: bool = False) -> FixedPointCensus:
+def census_from_json(obj, p: int, where: str) -> FixedPointCensus:
     obj = _fields(obj, where, ("counts", "witnesses"))
     counts = []
     for i, c in enumerate(_list_from_json(obj["counts"], f"{where}.counts")):
@@ -356,7 +356,7 @@ def census_from_json(obj, p: int, where: str, strict: bool = False) -> FixedPoin
         witnesses.append(
             Witness(
                 ball_index=_int_from_json(w["ball_index"], f"{ww}.ball_index"),
-                disk=ball_from_json(w["disk"], p, f"{ww}.disk", strict=strict),
+                disk=ball_from_json(w["disk"], p, f"{ww}.disk", strict=True),
                 expected=w["expected"],
             )
         )
@@ -458,7 +458,7 @@ def _document(obj, where: str, required, optional) -> dict:
         )
     census = None
     if obj.get("census") is not None:
-        census = census_from_json(obj["census"], p, f"{where}.census", strict=True)
+        census = census_from_json(obj["census"], p, f"{where}.census")
         try:
             validate_census(models, census)
         except ValueError as exc:
@@ -552,7 +552,9 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; nesting
+        # deeper than the interpreter's recursion limit raises RecursionError
         raise SpecFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -1,4 +1,4 @@
-"""Polynomials, Newton polygons, and rational maps over K."""
+"""Polynomials, root counts, Gauss norms and rational maps over K."""
 
 from fractions import Fraction
 
@@ -11,9 +11,9 @@ from padicglue import (
     KElement,
     Poly,
     RationalMap,
+    ValExp,
     count_roots_with_min_valuation,
     gauss_norm_exp,
-    newton_polygon,
     poly_gcd,
 )
 from padicglue.algebra import _provably_coprime
@@ -109,31 +109,7 @@ class TestPolyGcd:
         assert (B * C) % g == Poly.zero(3)
 
 
-class TestNewtonPolygon:
-    def test_two_segment_hull(self):
-        P = Z**3 + 3 * Z + 9
-        np = newton_polygon(P)
-        assert np.ord0 == 0
-        assert np.segments == ((Fraction(-1), 1), (Fraction(-1, 2), 2))
-        assert np.total_roots == 3
-
-    def test_root_at_zero_counted_in_ord0(self):
-        P = Z**3 - 3 * Z**2
-        np = newton_polygon(P)
-        assert np.ord0 == 2
-        assert np.segments == ((Fraction(-1), 1),)
-
-    def test_collinear_points_merge(self):
-        P = Z**3 + 3 * Z**2 + 9 * Z + 27
-        assert newton_polygon(P).segments == ((Fraction(-1), 3),)
-
-    def test_unit_roots(self):
-        assert newton_polygon(Z**4 + 1).segments == ((Fraction(0), 4),)
-
-    def test_zero_poly_rejected(self):
-        with pytest.raises(ValueError):
-            newton_polygon(Poly.zero(3))
-
+class TestCountRoots:
     def test_count_roots_with_min_valuation(self):
         P = Z**3 + 3 * Z + 9
         assert count_roots_with_min_valuation(P, Fraction(1), strict=False) == 1
@@ -141,15 +117,53 @@ class TestNewtonPolygon:
         assert count_roots_with_min_valuation(P, Fraction(1, 2), strict=False) == 3
         assert count_roots_with_min_valuation(P, Fraction(2), strict=False) == 0
 
-    def test_factored_oracle(self):
-        # roots 3, 9, 1/3 with valuations 1, 2, -1; slopes increase along
-        # the hull, so root valuations come out in decreasing order
+    def test_root_at_zero_counted(self):
+        # roots 0, 0 and 3: the zero coefficients c_0 and c_1 are skipped
+        P = Z**3 - 3 * Z**2
+        assert count_roots_with_min_valuation(P, Fraction(1), strict=False) == 3
+        assert count_roots_with_min_valuation(P, Fraction(1), strict=True) == 2
+        assert count_roots_with_min_valuation(P, Fraction(5), strict=False) == 2
+
+    def test_all_terms_tie(self):
+        # every term attains the min at e = 1: three roots of valuation 1
+        P = Z**3 + 3 * Z**2 + 9 * Z + 27
+        assert count_roots_with_min_valuation(P, Fraction(1), strict=False) == 3
+        assert count_roots_with_min_valuation(P, Fraction(1), strict=True) == 0
+
+    def test_unit_roots(self):
+        assert count_roots_with_min_valuation(Z**4 + 1, 0, strict=False) == 4
+        assert count_roots_with_min_valuation(Z**4 + 1, 0, strict=True) == 0
+
+    def test_zero_poly_rejected(self):
+        with pytest.raises(ValueError):
+            count_roots_with_min_valuation(Poly.zero(3), 0, strict=False)
+
+    @pytest.mark.parametrize(
+        "e, closed, open_",
+        [(-2, 3, 3), (-1, 3, 2), (0, 2, 2), (1, 2, 1), (2, 1, 0), (3, 0, 0)],
+    )
+    def test_factored_oracle(self, e, closed, open_):
+        # roots 3, 9, 1/3 with valuations 1, 2, -1
         P = (Z - 3) * (Z - 9) * (3 * Z - 1)
-        np = newton_polygon(P)
-        vals = []
-        for slope, length in np.segments:
-            vals.extend([-slope] * length)
-        assert vals == [Fraction(2), Fraction(1), Fraction(-1)]
+        assert count_roots_with_min_valuation(P, Fraction(e), strict=False) == closed
+        assert count_roots_with_min_valuation(P, Fraction(e), strict=True) == open_
+
+    def test_valexp_radius(self):
+        # roots sqrt(3) and 3 sqrt(3) + 9, of valuations 1/2 and 3/2
+        P = (Z - K3(0, 1)) * (Z - K3(9, 3))
+        assert count_roots_with_min_valuation(P, ValExp(Fraction(1, 2)), strict=False) == 2
+        assert count_roots_with_min_valuation(P, ValExp(Fraction(1, 2)), strict=True) == 1
+        assert count_roots_with_min_valuation(P, ValExp(Fraction(3, 2)), strict=False) == 1
+        assert count_roots_with_min_valuation(P, ValExp(2), strict=False) == 0
+
+    def test_recentered_about_negative_valuation_center(self):
+        # roots a, a + 9, a + 1 about a = 1/3, of valuation -1
+        a = K3(Fraction(1, 3))
+        Q = ((Z - a) * (Z - a - 9) * (Z - a - 1)).recenter(a)
+        assert count_roots_with_min_valuation(Q, ValExp(2), strict=False) == 2
+        assert count_roots_with_min_valuation(Q, ValExp(2), strict=True) == 1
+        assert count_roots_with_min_valuation(Q, ValExp(0), strict=False) == 3
+        assert count_roots_with_min_valuation(Q, ValExp(0), strict=True) == 2
 
 
 class TestGaussNorm:
@@ -162,6 +176,12 @@ class TestGaussNorm:
         P = 9 * Z + 3 * Z**2 + Z**5
         # at e_r = 1: min(2+1, 1+2, 0+5) = 3
         assert gauss_norm_exp(P, Fraction(1)) == 3
+
+    def test_valexp_radius(self):
+        P = 9 * Z + 3 * Z**2 + Z**5
+        assert gauss_norm_exp(P, ValExp(1)) == 3
+        # at e_r = 1/2 from k = 2: min(1+1, 0+5/2) = 2
+        assert gauss_norm_exp(P, ValExp(Fraction(1, 2)), from_k=2) == 2
 
     def test_empty_tail_is_infinite(self):
         assert gauss_norm_exp(Poly.constant(3, 5), Fraction(1), from_k=1).is_infinite

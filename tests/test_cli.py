@@ -102,6 +102,17 @@ class TestGlue:
         assert main(["glue", "--input", str(path)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"[" * 5000 + b"]" * 5000, b"\xff\xfe{}"],
+        ids=["nested-deeper-than-the-recursion-limit", "not-utf-8"],
+    )
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(text)
+        assert main(["glue", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {path}: invalid JSON")
+
     def test_named_parse_diagnostic_exit_2(self, tmp_path, capsys):
         doc = copy.deepcopy(ex2_problem())
         doc["models"][1]["ball"]["radius_exp"] = "5/2"
@@ -160,6 +171,20 @@ class TestGlue:
         )
         assert run.returncode == 2
         assert run.stderr.startswith(f"parse error: {where}.prime: must be below 2^31")
+
+    def test_indifferent_witness_off_fixed_point_fails_census(self, tmp_path, capsys):
+        # f_1 = (z^2 + 3)/3 does not fix the center 3 of its ball, so the
+        # indifferent-case hypotheses fail instead of raising
+        doc = read_json(ROOT / "presets" / "ex1.json")
+        doc["models"][1]["map"]["num"][0] = 3
+        path = tmp_path / "offcenter.json"
+        write_json(path, doc)
+        assert main(["glue", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "expected indifferent, got inconclusive" in captured.out
+        assert "hypotheses False" in captured.out
+        assert "census: FAIL" in captured.out
+        assert captured.err == ""
 
     def test_truncated_census_exit_2(self, tmp_path, capsys):
         doc = copy.deepcopy(ex2_problem())
@@ -302,6 +327,21 @@ class TestMalformedInput:
         assert err.startswith("parse error: ") and where in err
 
 
+def _perfbench(name: str):
+    """A module of the benchmark harness, loaded by path and only read.
+    Dataclasses need their module registered while it runs."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 class TestStoredClaims:
     """verify recomputes the certificate and refuses a result whose stored
     claims disagree with it, naming each field on stderr."""
@@ -366,17 +406,8 @@ class TestStoredClaims:
 
     @pytest.mark.parametrize("key", ["orbits/p3/0", "orbits/p5/0", "orbits/p7/0"])
     def test_orbits_match_benchmark_digests(self, key):
-        # the benchmark's instance generator and stored digests, only read;
-        # its dataclasses need their module registered while they are built
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
-        )
-        inputs = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = inputs
-        try:
-            spec.loader.exec_module(inputs)
-        finally:
-            del sys.modules[spec.name]
+        # the benchmark's instance generator and stored digests, only read
+        inputs = _perfbench("inputs")
         digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
         inst = inputs.fixed_point_instance(key)
         plan = plan_gluing(inst.models, epsilon_for_census(inst.models, inst.census))
@@ -387,6 +418,17 @@ class TestStoredClaims:
         doc = {"fixed_point": kelement_to_json(zstar), "orbit": orbit_to_json(steps)}
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digests[key]
+
+    def test_traced_names_resolve(self):
+        # the benchmark's tracer rebinds these by name; a renamed or deleted
+        # one would silently drop its span or counter
+        tracer = _perfbench("tracer")
+        names = list(tracer.SPANNED) + [(m, q) for m, q, _ in tracer.COUNTED]
+        for module, qualname in names:
+            obj = importlib.import_module(module)
+            for attr in qualname.split("."):
+                obj = getattr(obj, attr, None)
+            assert callable(obj), f"{module}.{qualname}"
 
 
 class TestLimits:
