@@ -327,22 +327,41 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
 
 
 def _quotient(p: int, na: int, nb: int, da: int, db: int, up: int, down: int,
-              w: int, e: int) -> KElement:
+              w: int, e: int) -> tuple:
     """(na + nb sqrt p) up w^e / ((da + db sqrt p) down), in one division.
 
-    Multiplies through by the conjugate da - db sqrt p; the norm
-    da^2 - p db^2 is nonzero for (da, db) != (0, 0) since sqrt p is
-    irrational."""
+    Returns integers (xa, xb, den), den != 0, with the quotient equal to
+    (xa + xb sqrt p)/den, not reduced to lowest terms.  Multiplies through
+    by the conjugate da - db sqrt p; the norm da^2 - p db^2 is nonzero for
+    (da, db) != (0, 0) since sqrt p is irrational."""
     if e >= 0:
         up *= w**e
     else:
         down *= w**-e
     down *= da * da - p * db * db
-    return KElement(
-        p,
-        Fraction((na * da - p * nb * db) * up, down),
-        Fraction((nb * da - na * db) * up, down),
-    )
+    return (na * da - p * nb * db) * up, (nb * da - na * db) * up, down
+
+
+def _element(p: int, xa: int, xb: int, den: int) -> KElement:
+    """The reduced K element (xa + xb sqrt p)/den."""
+    return KElement(p, Fraction(xa, den), Fraction(xb, den))
+
+
+def _eval_ints(f: "RationalMap", x) -> tuple | None:
+    """f(x) as an unreduced `_quotient` triple (xa, xb, den), or None when
+    the (reduced) denominator vanishes at x.
+
+    With s = sqrt p, `_horner` gives N(x) = (na + nb s)/(Dn w^n) and
+    Q(x) = (da + db s)/(Dd w^m), so
+    N/Q = (na + nb s) Dd w^m / ((da + db s) Dn w^n).
+    """
+    p = f.p
+    u, v, w = _point(p, x)
+    dn, n, na, nb, _, _ = _horner(f.num, u, v, w, False)
+    dd, m, da, db, _, _ = _horner(f.den, u, v, w, False)
+    if not da and not db:
+        return None
+    return _quotient(p, na, nb, da, db, dd, dn, w, m - n)
 
 
 def _pair_val(p: int, a: int, b: int) -> Fraction:
@@ -365,7 +384,8 @@ def _newton(f: "RationalMap", x) -> tuple | None:
     f'(x), built with one division.
 
     Returns None when Q(x) = 0, else (v(f(x)), v(f'(x)), step), where
-    step() returns the iterate and may be called only when T != 0.
+    step() returns the iterate as a `_quotient` triple and may be called
+    only when T != 0.
     """
     p = f.p
     u, v, w = _point(p, x)
@@ -647,19 +667,9 @@ class RationalMap:
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, x):
-        """Value at x, or POLE when the (reduced) denominator vanishes.
-
-        With s = sqrt p, `_horner` gives N(x) = (na + nb s)/(Dn w^n) and
-        Q(x) = (da + db s)/(Dd w^m), so
-        N/Q = (na + nb s) Dd w^m / ((da + db s) Dn w^n).
-        """
-        p = self.p
-        u, v, w = _point(p, x)
-        dn, n, na, nb, _, _ = _horner(self.num, u, v, w, False)
-        dd, m, da, db, _, _ = _horner(self.den, u, v, w, False)
-        if not da and not db:
-            return POLE
-        return _quotient(p, na, nb, da, db, dd, dn, w, m - n)
+        """Value at x, or POLE when the (reduced) denominator vanishes."""
+        value = _eval_ints(self, x)
+        return POLE if value is None else _element(self.p, *value)
 
     __call__ = eval
 
@@ -678,9 +688,9 @@ class RationalMap:
             return POLE
         ta = gna * da + p * gnb * db - na * gda - p * nb * gdb
         tb = gna * db + gnb * da - na * gdb - nb * gda
-        return _quotient(
+        return _element(p, *_quotient(
             p, ta, tb, da * da + p * db * db, 2 * da * db, dd, dn, w, m - n + 1
-        )
+        ))
 
     # -- misc ----------------------------------------------------------------
 

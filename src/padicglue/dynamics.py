@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .algebra import RationalMap, _newton
+from .algebra import RationalMap, _element, _eval_ints, _newton
 from .errors import HenselConditionError, PoleInBallError
-from .field import KElement, ValExp, reduce_mod
+from .field import KElement, ValExp, _coord_mod, _int_val, reduce_mod
 from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas
 from .gluing import check_c3_hypotheses, plan_gluing
 
@@ -258,8 +258,8 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     exact evaluation).  Each iterate costs one integer Horner pass over
     G's numerator and denominator and one division (`algebra._newton`).
     Iterates are rounded to a generous p-adic working precision so
-    coordinate heights stay bounded; the final exactness check is
-    unaffected by the rounding.
+    coordinate heights stay bounded (see `_round_quotient`); the final
+    exactness check is unaffected by the rounding.
     """
     if not isinstance(start, KElement):
         start = KElement(F.p, start)
@@ -291,7 +291,7 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
             )
         if k >= max_iter:
             raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
-        z = _round_point(step(), prec)
+        z = _round_quotient(F.p, *step(), prec)
 
 
 def _round_point(z: KElement, prec: int) -> KElement:
@@ -305,6 +305,39 @@ def _round_point(z: KElement, prec: int) -> KElement:
     if h <= 8 * prec:
         return z
     return reduce_mod(z, prec)
+
+
+def _provably_taller(h: int, den: int, *coords: int) -> bool:
+    """True when some nonzero x in coords has |bitlen(x) - bitlen(den)| > h,
+    for den != 0; then x/den in lowest terms has a numerator or denominator
+    of more than h bits.
+
+    g = gcd(x, den) divides both, so bitlen(g) <= min(bitlen(x), bitlen(den)).
+    Since |x| >= 2^(bitlen(x) - 1) and g < 2^bitlen(g), |x/g| exceeds
+    2^(bitlen(x) - bitlen(g) - 1), so x/g has at least bitlen(x) - bitlen(den)
+    bits; likewise den/g has at least bitlen(den) - bitlen(x).
+    """
+    bd = den.bit_length()
+    return any(x and abs(x.bit_length() - bd) > h for x in coords)
+
+
+def _round_quotient(p: int, xa: int, xb: int, den: int, prec: int) -> KElement:
+    """`_round_point` of the point (xa + xb sqrt p)/den, den != 0, given in
+    integers not reduced to lowest terms.
+
+    The rule stays `_round_point`'s: round mod p^prec iff the reduced
+    height exceeds H = 8 prec bits.  When the sizes alone prove that
+    (`_provably_taller`), the point is rounded straight from the integers,
+    with no gcd; rounding depends only on the value, so the result is the
+    one `reduce_mod` gives for the reduced point.  Otherwise the point is
+    reduced and handed to `_round_point`.
+    """
+    if _provably_taller(8 * prec, den, xa, xb):
+        vden = _int_val(den, p)
+        return KElement(
+            p, _coord_mod(xa, den, vden, p, prec), _coord_mod(xb, den, vden, p, prec)
+        )
+    return _round_point(_element(p, xa, xb, den), prec)
 
 
 @dataclass(frozen=True)
@@ -324,9 +357,12 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
 
     Records v(z_k - ref) when a reference point is supplied and the size of
     each step.  A pole truncates the orbit with a marked entry.  Points are
-    held at bounded height by p-adic rounding far below the working
-    precision, which leaves all recorded valuations exact.
+    held at bounded height by rounding mod p^precision (see
+    `_round_quotient`), so a recorded valuation is exact only while it is
+    below `precision`; `precision` must be an int >= 1.
     """
+    if not isinstance(precision, int) or isinstance(precision, bool) or precision < 1:
+        raise ValueError(f"orbit precision must be an integer >= 1, got {precision!r}")
     if not isinstance(z0, KElement):
         z0 = KElement(F.p, z0)
     if ref is not None and not isinstance(ref, KElement):
@@ -341,11 +377,11 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
     ]
     z = z0
     for k in range(1, steps + 1):
-        nxt = F.eval(z)
-        if not isinstance(nxt, KElement):
+        value = _eval_ints(F, z)
+        if value is None:
             out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None, pole=True))
             break
-        nxt = _round_point(nxt, precision)
+        nxt = _round_quotient(F.p, *value, precision)
         out.append(
             OrbitStep(
                 k=k,

@@ -46,13 +46,31 @@ def _check_prime(p) -> None:
         raise ValueError(f"p must be a prime integer, got {p!r}")
 
 
+# factors of p stripped one at a time before _int_val starts doubling
+_LINEAR_VAL = 4
+
+
 def _int_val(n: int, p: int) -> int:
-    # p-adic valuation of a nonzero integer
+    # p-adic valuation of a nonzero integer: one division per factor while
+    # the valuation is small, then O(log v) divisions instead of v
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+        if v == _LINEAR_VAL:
+            break
+    else:
+        return v
+    # strip p^b for b = 8, 16, 32, ... while it divides; the first that does
+    # not leaves r = n mod p^b, far shorter than a long n, with v_p(r) < b
+    b = 2 * _LINEAR_VAL
+    while True:
+        q, r = divmod(n, p**b)
+        if r:
+            return v + _int_val(r, p)
+        n = q
+        v += b
+        b *= 2
 
 
 def _rat_val(q: Fraction, p: int) -> int:
@@ -352,21 +370,24 @@ class KElement:
         return f"KElement(p={self.p}, a={self.a}, b={self.b})"
 
 
-def _coord_mod(q: Fraction, p: int, m: int) -> Fraction:
-    # canonical representative of q modulo p^m: p^v * (unit residue),
-    # exact and congruent, i.e. v_p(q - result) >= m
-    if not q:
-        return q
-    v = _rat_val(q, p)
-    if v >= m:
-        return Fraction(0)
-    num, den = q.numerator, q.denominator
-    if v >= 0:
-        num //= p**v
-    else:
-        den //= p**(-v)
+def _coord_mod(num: int, den: int, vden: int, p: int, m: int) -> Fraction:
+    # canonical representative of num/den modulo p^m, for integers num and
+    # den != 0 in any common scale and vden = v_p(den): p^v * (unit residue)
+    # with v = v_p(num/den), exact and congruent: v_p(num/den - result) >= m.
+    # Only num mod p^(m + vden) decides it, so a long num is cut to that
+    # first.  The residue depends only on the value num/den, so reduced and
+    # unreduced inputs give the same result.
+    t = m + vden
+    if t <= 0:
+        return Fraction(0)  # v >= -vden >= m
+    num %= p**t
+    if not num:
+        return Fraction(0)  # v_p(num) >= t, so v >= m
+    vnum = _int_val(num, p)
+    v = vnum - vden
     mod = p ** (m - v)
-    r = num * pow(den, -1, mod) % mod
+    unit_den = den % (p**vden * mod) // p**vden
+    r = num // p**vnum * pow(unit_den, -1, mod) % mod
     if v >= 0:
         return Fraction(r * p**v)
     return Fraction(r, p**(-v))
@@ -379,7 +400,12 @@ def reduce_mod(x: KElement, m: int) -> KElement:
     Newton iterates and orbit points at bounded height; all recorded
     valuations stay exact as long as they sit below the working precision.
     """
-    return KElement(x.p, _coord_mod(x.a, x.p, m), _coord_mod(x.b, x.p, m))
+    p = x.p
+    return KElement(
+        p,
+        _coord_mod(x.a.numerator, x.a.denominator, _int_val(x.a.denominator, p), p, m),
+        _coord_mod(x.b.numerator, x.b.denominator, _int_val(x.b.denominator, p), p, m),
+    )
 
 
 def uniformizer_power(p: int, e) -> KElement:

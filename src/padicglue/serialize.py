@@ -11,11 +11,20 @@ exponents).  Every diagnostic names the offending entry.
 from __future__ import annotations
 
 import json
+import reprlib
 from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Poly, RationalMap
-from .dynamics import CensusReport, FixedPointCensus, Witness, validate_census
+from .dynamics import (
+    ATTRACTING,
+    INDIFFERENT,
+    REPELLING,
+    CensusReport,
+    FixedPointCensus,
+    Witness,
+    validate_census,
+)
 from .errors import LimitExceeded, SpecFormatError
 from .field import KElement, ValExp, is_prime
 from .geometry import Ball
@@ -57,9 +66,19 @@ PRIME_LIMIT = 2**31
 # steps (the benchmark's orbits take 30); each costs one exact evaluation
 SAMPLES_LIMIT = 10**4
 STEPS_LIMIT = 10**4
+# characters of an offending value that a diagnostic echoes
+SHOW_LIMIT = 40
 
 
 # -- scalars ------------------------------------------------------------------
+
+
+def _show(x) -> str:
+    """An offending value as a diagnostic echoes it, cut to SHOW_LIMIT
+    characters.  Rationals print as '7/2'; anything else goes through
+    reprlib, which never walks deep nesting or prints a long string whole."""
+    text = str(x) if isinstance(x, Fraction) else reprlib.repr(x)
+    return text if len(text) <= SHOW_LIMIT else text[: SHOW_LIMIT - 3] + "..."
 
 
 def parse_rational(s, where: str) -> Fraction:
@@ -67,20 +86,20 @@ def parse_rational(s, where: str) -> Fraction:
     if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
-        raise SpecFormatError(f"{where}: expected an exact rational string, got {s!r}")
+        raise SpecFormatError(f"{where}: expected an exact rational string, got {_show(s)}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecFormatError(f"{where}: bad rational {s!r}") from exc
+        raise SpecFormatError(f"{where}: bad rational {_show(s)}") from exc
 
 
 def check_count(n: int, limit: int, where: str) -> int:
     """n itself when 0 <= n <= limit: a negative count is malformed, and a
     larger one asks for more work than the limit allows."""
     if n < 0:
-        raise SpecFormatError(f"{where}: must not be negative, got {n}")
+        raise SpecFormatError(f"{where}: must not be negative, got {_show(n)}")
     if n > limit:
-        raise LimitExceeded(f"{where}: {n} is above the limit of {limit}")
+        raise LimitExceeded(f"{where}: {_show(n)} is above the limit of {limit}")
     return n
 
 
@@ -88,30 +107,29 @@ def _exp_from_json(s, where: str, integral: bool = False) -> ValExp:
     # a finite exponent e of p^(-e); integral=True narrows (1/2)Z to Z
     e = parse_rational(s, where)
     if integral and e.denominator != 1:
-        raise SpecFormatError(f"{where}: must be an integer, got {e}")
-    try:
-        return ValExp(e)
-    except ValueError as exc:
-        raise SpecFormatError(f"{where}: {exc}") from exc
+        raise SpecFormatError(f"{where}: must be an integer, got {_show(e)}")
+    if e.denominator not in (1, 2):
+        raise SpecFormatError(f"{where}: valuation exponent must lie in (1/2)Z, got {_show(e)}")
+    return ValExp(e)
 
 
 def _int_from_json(x, where: str) -> int:
     # counts and indices: a JSON float or bool is never silently truncated
     if type(x) is not int:
-        raise SpecFormatError(f"{where}: expected an integer, got {x!r}")
+        raise SpecFormatError(f"{where}: expected an integer, got {_show(x)}")
     return x
 
 
 def _bool_from_json(x, where: str) -> bool:
     if not isinstance(x, bool):
-        raise SpecFormatError(f"{where}: expected true or false, got {x!r}")
+        raise SpecFormatError(f"{where}: expected true or false, got {_show(x)}")
     return x
 
 
 def _list_from_json(x, where: str) -> list:
     # every JSON array field; a scalar here would otherwise end in a TypeError
     if not isinstance(x, list):
-        raise SpecFormatError(f"{where}: expected a list, got {x!r}")
+        raise SpecFormatError(f"{where}: expected a list, got {_show(x)}")
     return x
 
 
@@ -121,7 +139,7 @@ def _fields(obj, where: str, required, optional=()) -> dict:
         raise SpecFormatError(f"{where}: expected an object")
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
-        raise SpecFormatError(f"{where}: unknown key {unknown[0]!r}")
+        raise SpecFormatError(f"{where}: unknown key {_show(unknown[0])}")
     if not all(k in obj for k in required):
         *rest, last = required
         names = f"{', '.join(rest)}, or {last}" if len(rest) > 1 else " or ".join(required)
@@ -131,9 +149,9 @@ def _fields(obj, where: str, required, optional=()) -> dict:
 
 def _prime_from_json(p, where: str) -> int:
     if type(p) is int and p >= PRIME_LIMIT:
-        raise SpecFormatError(f"{where}: must be below 2^31, got {p}")
+        raise SpecFormatError(f"{where}: must be below 2^31, got {_show(p)}")
     if type(p) is not int or not is_prime(p):
-        raise SpecFormatError(f"{where}: expected an integer prime, got {p!r}")
+        raise SpecFormatError(f"{where}: expected an integer prime, got {_show(p)}")
     return p
 
 
@@ -160,7 +178,7 @@ def kelement_from_json(obj, p: int, where: str, rational_only: bool = False) -> 
     a = parse_rational(obj["a"], f"{where}.a")
     b = parse_rational(obj.get("b", "0"), f"{where}.b")
     if rational_only and b:
-        raise SpecFormatError(f"{where}: must be rational (no sqrt part), got b = {b}")
+        raise SpecFormatError(f"{where}: must be rational (no sqrt part), got b = {_show(b)}")
     return KElement(p, a, b)
 
 
@@ -168,7 +186,7 @@ def parse_point(text: str, p: int) -> KElement:
     """Parse a command-line point: 'a' or 'a,b' with exact rationals."""
     parts = text.split(",")
     if len(parts) > 2:
-        raise SpecFormatError(f"point {text!r}: expected 'a' or 'a,b'")
+        raise SpecFormatError(f"point {_show(text)}: expected 'a' or 'a,b'")
     a = parse_rational(parts[0].strip(), "point")
     b = parse_rational(parts[1].strip(), "point") if len(parts) == 2 else Fraction(0)
     return KElement(p, a, b)
@@ -191,7 +209,7 @@ def ball_from_json(obj, p: int, where: str, strict: bool = False) -> Ball:
     radius = _exp_from_json(obj["radius_exp"], f"{where}.radius_exp", integral=strict)
     kind = obj.get("kind", "closed")
     if kind not in ("closed", "open"):
-        raise SpecFormatError(f"{where}.kind: expected 'closed' or 'open', got {kind!r}")
+        raise SpecFormatError(f"{where}.kind: expected 'closed' or 'open', got {_show(kind)}")
     return Ball(center, radius, closed=kind == "closed")
 
 
@@ -353,6 +371,8 @@ def census_from_json(obj, p: int, where: str) -> FixedPointCensus:
     for i, w in enumerate(_list_from_json(obj["witnesses"], f"{where}.witnesses")):
         ww = f"{where}.witnesses[{i}]"
         w = _fields(w, ww, ("ball_index", "disk", "expected"))
+        if w["expected"] not in (ATTRACTING, REPELLING, INDIFFERENT):
+            raise SpecFormatError(f"{ww}.expected: unknown kind {_show(w['expected'])}")
         witnesses.append(
             Witness(
                 ball_index=_int_from_json(w["ball_index"], f"{ww}.ball_index"),

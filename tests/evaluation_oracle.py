@@ -7,10 +7,11 @@ These are the `KElement` Horner loops that the integer kernel in
 plainly faithful to the definitions, so the library's values must equal
 theirs exactly.  The same holds for the Newton loop of
 `hensel_fixed_point`, kept here as it was before each iterate became one
-integer step.
+integer step, and for the loop of `orbit`, kept here as it was before
+each point was rounded straight from the integers of its quotient.
 """
 
-from padicglue import POLE, HenselConditionError, KElement, RationalMap, ValExp
+from padicglue import POLE, HenselConditionError, KElement, OrbitStep, RationalMap, ValExp
 from padicglue.dynamics import _round_point
 
 
@@ -81,3 +82,37 @@ def hensel_fixed_point(F, start, target_exp, max_iter=64):
         if not isinstance(gpz, KElement) or gpz.is_zero:
             raise HenselConditionError("G' vanished during the iteration")
     raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
+
+
+def orbit(F, z0, steps, ref=None, precision=512):
+    """The loop that `padicglue.orbit` replaced: each point is F.eval of
+    the last, a reduced `KElement`, then `_round_point`."""
+    if not isinstance(z0, KElement):
+        z0 = KElement(F.p, z0)
+    if ref is not None and not isinstance(ref, KElement):
+        ref = KElement(F.p, ref)
+    out = [
+        OrbitStep(
+            k=0,
+            point=z0,
+            dist_exp=(z0 - ref).valuation() if ref is not None else None,
+            step_exp=None,
+        )
+    ]
+    z = z0
+    for k in range(1, steps + 1):
+        nxt = F.eval(z)
+        if not isinstance(nxt, KElement):
+            out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None, pole=True))
+            break
+        nxt = _round_point(nxt, precision)
+        out.append(
+            OrbitStep(
+                k=k,
+                point=nxt,
+                dist_exp=(nxt - ref).valuation() if ref is not None else None,
+                step_exp=(nxt - z).valuation(),
+            )
+        )
+        z = nxt
+    return out

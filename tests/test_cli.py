@@ -172,6 +172,32 @@ class TestGlue:
         assert run.returncode == 2
         assert run.stderr.startswith(f"parse error: {where}.prime: must be below 2^31")
 
+    @pytest.mark.parametrize(
+        "value, echo",
+        [
+            (json.dumps("1" * 1_000_000), "bad rational '111111111111"),
+            ("[" * 980 + "]" * 980, "expected an exact rational string, got [[[[[[["),
+        ],
+        ids=["million-char-string", "980-deep-list"],
+    )
+    def test_offending_value_echo_is_cut_short(self, tmp_path, value, echo):
+        # the whole value used to be echoed: a 1,000,064-byte stderr line
+        # for the string, one bracket per level for the list
+        doc = copy.deepcopy(ex2_problem())
+        doc["models"][0]["ball"]["radius_exp"] = "@"
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc).replace('"@"', value))
+        run = subprocess.run(
+            [sys.executable, "-m", "padicglue.cli", "glue", "--input", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert run.returncode == 2
+        assert run.stderr.startswith(
+            f"parse error: problem.models[0].ball.radius_exp: {echo}"
+        )
+        assert run.stderr.count("\n") == 1 and len(run.stderr.encode()) < 300
+
     def test_indifferent_witness_off_fixed_point_fails_census(self, tmp_path, capsys):
         # f_1 = (z^2 + 3)/3 does not fix the center 3 of its ball, so the
         # indifferent-case hypotheses fail instead of raising
@@ -404,7 +430,7 @@ class TestStoredClaims:
             assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
 
 
-    @pytest.mark.parametrize("key", ["orbits/p3/0", "orbits/p5/0", "orbits/p7/0"])
+    @pytest.mark.parametrize("key", _perfbench("inputs").orbit_pool())
     def test_orbits_match_benchmark_digests(self, key):
         # the benchmark's instance generator and stored digests, only read
         inputs = _perfbench("inputs")

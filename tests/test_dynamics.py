@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padicglue import (
     ATTRACTING,
@@ -31,6 +32,7 @@ from padicglue import (
     suggest_witness,
     verify_census,
 )
+from padicglue.dynamics import _provably_taller
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_models, ex2_census, ex2_models
 
 K3 = FieldConfig(3)
@@ -180,6 +182,36 @@ class TestOrbit:
         assert all(s.dist_exp is None for s in steps)
 
 
+class TestSizeTest:
+    """`_provably_taller` claims a reduced height above h only when the
+    point, reduced to lowest terms, has it."""
+
+    @given(
+        st.integers(min_value=-(2**3000), max_value=2**3000).filter(bool),
+        st.integers(min_value=1, max_value=2**3000),
+        st.integers(min_value=1, max_value=2**500),
+        st.sampled_from((2, 3, 5, 7, 23)),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_fires_only_on_tall_points(self, x, den, g, p, k, slack):
+        # plant a common factor, p^k included, then put h just below the gap
+        x, den = x * g * p**k, den * g * p**k
+        gap = abs(x.bit_length() - den.bit_length())
+        q = Fraction(x, den)
+        height = max(q.numerator.bit_length(), q.denominator.bit_length())
+        # the lemma: reduced height >= gap, so a gap above h proves height > h
+        assert height >= gap
+        assert not _provably_taller(gap, den, x)
+        h = gap - 1 - slack
+        if h >= 0:
+            assert _provably_taller(h, den, x) and _provably_taller(h, den, 0, x)
+
+    def test_zero_coordinate_ignored(self):
+        assert not _provably_taller(0, 2**100, 0, 0)
+        assert _provably_taller(0, 2**100, 0, 1)
+
+
 class TestGluedOrbits:
     def test_contraction_toward_refined_fixed_point(self, glued_ex2):
         _, _, F = glued_ex2
@@ -212,6 +244,18 @@ class TestGluedOrbits:
         exps = [s.dist_exp for s in steps]
         assert exps[:4] == [3, 2, 1, 1]
         assert not D(3, 1).contains_point(steps[2].point)
+
+    @pytest.mark.parametrize("precision", (0, -5, True, 1.5))
+    def test_bad_precision_rejected(self, glued_ex2, precision):
+        # 0, -5 and True used to round every point of this orbit to 0
+        _, _, F = glued_ex2
+        with pytest.raises(ValueError, match="precision must be an integer >= 1"):
+            orbit(F, 1, 3, ref=0, precision=precision)
+
+    def test_precision_one_agrees_mod_p(self, glued_ex2):
+        _, _, F = glued_ex2
+        coarse, fine = orbit(F, 1, 3, precision=1), orbit(F, 1, 3)
+        assert all((a.point - b.point).valuation() >= 1 for a, b in zip(coarse, fine))
 
     def test_identity_ball_parks_the_escapee(self, glued_ex2):
         models, _, F = glued_ex2

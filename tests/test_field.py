@@ -1,11 +1,13 @@
 """Exact arithmetic in K = Q(sqrt p): valuations, inverses, rounding."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from padicglue import FieldConfig, KElement, ValExp, is_prime, reduce_mod, uniformizer_power
+from padicglue.field import _coord_mod, _int_val
 
 K3 = FieldConfig(3)
 
@@ -133,6 +135,62 @@ def test_reduce_mod_property(a, b, m):
     x = K3(a, b)
     r = reduce_mod(x, m)
     assert (x - r).valuation() >= m
+
+
+class TestIntVal:
+    """`_int_val` against the one-division-per-factor loop it replaced."""
+
+    PRIMES = (2, 3, 5, 7, 23)
+
+    @staticmethod
+    def linear(n, p):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_planted_valuations_on_long_integers(self, p):
+        rng = random.Random(f"int-val/{p}")
+        for bits in (1, 30, 64, 40_000):
+            for v in (0, 1, 3, 4, 5, 7, 8, 9, 23, 24, 25, 100, 255, 256, 257, 600):
+                unit = rng.getrandbits(bits) | 1
+                while unit % p == 0:
+                    unit += 2
+                for n in (unit * p**v, -unit * p**v):
+                    assert _int_val(n, p) == self.linear(n, p) == v
+
+    @given(st.integers().filter(bool), st.integers(0, 80), st.sampled_from(PRIMES))
+    def test_matches_linear_loop(self, n, k, p):
+        n *= p**k
+        assert _int_val(n, p) == self.linear(n, p)
+
+
+@given(
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.integers(min_value=1, max_value=2**300),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=2**80),
+    st.sampled_from((2, 3, 5, 7, 23)),
+    st.integers(min_value=1, max_value=40),
+)
+def test_coord_mod_ignores_common_factors(num, den, k, g, p, m):
+    """Rounding reads only the value: num/den scaled by any common factor,
+    powers of p included, rounds to the one canonical representative
+    p^v u, 0 < u < p^(m - v), u prime to p, with v = v_p(num/den) < m
+    and v_p(num/den - p^v u) >= m (0 when v >= m)."""
+    g *= p**k
+    r = _coord_mod(num * g, den * g, _int_val(den * g, p), p, m)
+    q = Fraction(num, den)
+    assert r == _coord_mod(q.numerator, q.denominator, _int_val(q.denominator, p), p, m)
+    if not num or KElement(p, q).valuation() >= m:
+        assert r == 0
+        return
+    v = KElement(p, q).valuation().exp
+    u = r / Fraction(p) ** v
+    assert u.denominator == 1 and 0 < u < p ** (m - v) and u % p
+    assert KElement(p, q - r).valuation() >= m
 
 
 def test_reduce_mod_fixes_small_integers():
