@@ -9,7 +9,6 @@ integer/Fraction computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 
 from .field import KElement, ValExp, _int_val
@@ -191,10 +190,7 @@ class Poly:
     # -- evaluation and calculus ---------------------------------------------
 
     def __call__(self, x) -> KElement:
-        u, v, w = _point(self.p, x)
-        den, n, ra, rb, _, _ = _horner(self, u, v, w, False)
-        den *= w**n
-        return KElement(self.p, Fraction(ra, den), Fraction(rb, den))
+        return RationalMap(self).eval(x)
 
     def derivative(self) -> "Poly":
         return Poly(self.p, [k * c for k, c in enumerate(self.coeffs)][1:])
@@ -326,20 +322,46 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     return D, len(coeffs) - 1, ha, hb, ga, gb
 
 
-def _quotient(p: int, na: int, nb: int, da: int, db: int, up: int, down: int,
-              w: int, e: int) -> tuple:
-    """(na + nb sqrt p) up w^e / ((da + db sqrt p) down), in one division.
+def _values(f: "RationalMap", x, deriv: bool) -> tuple:
+    """N(x), N'(x), Q(x), Q'(x) for f = N/Q as Z[sqrt p] pairs n0, n1, q0,
+    q1, all over one common nonzero integer S.  So f(x) = n0/q0,
+    f'(x) = (n1 q0 - n0 q1)/q0^2, and x is a pole exactly when
+    q0 = (0, 0).  Without deriv, n1 = q1 = (0, 0).
 
-    Returns integers (xa, xb, den), den != 0, with the quotient equal to
-    (xa + xb sqrt p)/den, not reduced to lowest terms.  Multiplies through
-    by the conjugate da - db sqrt p; the norm da^2 - p db^2 is nonzero for
-    (da, db) != (0, 0) since sqrt p is irrational."""
-    if e >= 0:
-        up *= w**e
-    else:
-        down *= w**-e
-    down *= da * da - p * db * db
-    return (na * da - p * nb * db) * up, (nb * da - na * db) * up, down
+    `_horner` gives N(x) over Dn w^n and N'(x) over Dn w^(n-1), likewise
+    Q(x) and Q'(x) over Dd w^m and Dd w^(m-1); S = Dn Dd w^max(n, m).
+    No other function knows these scales.
+    """
+    u, v, w = _point(f.p, x)
+    dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, deriv)
+    dd, m, da, db, gda, gdb = _horner(f.den, u, v, w, deriv)
+    k = max(n, m)
+    sn, sd = dd * w ** (k - n), dn * w ** (k - m)
+    return (
+        (na * sn, nb * sn), (gna * sn * w, gnb * sn * w),
+        (da * sd, db * sd), (gda * sd * w, gdb * sd * w),
+    )
+
+
+def _mul(p: int, x: tuple, y: tuple) -> tuple:
+    """The product of two Z[sqrt p] pairs."""
+    (a, b), (c, d) = x, y
+    return a * c + p * b * d, a * d + b * c
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _quotient(p: int, num: tuple, den: tuple) -> tuple:
+    """num/den for Z[sqrt p] pairs, den != (0, 0), in one division.
+
+    Returns integers (xa, xb, d), d != 0, with num/den = (xa + xb sqrt p)/d,
+    not reduced to lowest terms.  Multiplies through by the conjugate of
+    den = a + b sqrt p; its norm a^2 - p b^2 is nonzero since sqrt p is
+    irrational."""
+    (na, nb), (da, db) = num, den
+    return na * da - p * nb * db, nb * da - na * db, da * da - p * db * db
 
 
 def _element(p: int, xa: int, xb: int, den: int) -> KElement:
@@ -349,60 +371,18 @@ def _element(p: int, xa: int, xb: int, den: int) -> KElement:
 
 def _eval_ints(f: "RationalMap", x) -> tuple | None:
     """f(x) as an unreduced `_quotient` triple (xa, xb, den), or None when
-    the (reduced) denominator vanishes at x.
-
-    With s = sqrt p, `_horner` gives N(x) = (na + nb s)/(Dn w^n) and
-    Q(x) = (da + db s)/(Dd w^m), so
-    N/Q = (na + nb s) Dd w^m / ((da + db s) Dn w^n).
-    """
-    p = f.p
-    u, v, w = _point(p, x)
-    dn, n, na, nb, _, _ = _horner(f.num, u, v, w, False)
-    dd, m, da, db, _, _ = _horner(f.den, u, v, w, False)
-    if not da and not db:
-        return None
-    return _quotient(p, na, nb, da, db, dd, dn, w, m - n)
+    the (reduced) denominator vanishes at x."""
+    n0, _, q0, _ = _values(f, x, False)
+    return _quotient(f.p, n0, q0) if any(q0) else None
 
 
-def _pair_val(p: int, a: int, b: int) -> Fraction:
-    """v(a + b sqrt p) for integers a, b, not both 0."""
+def _pair_val(p: int, x: tuple, scale: int = 1) -> Fraction:
+    """v((a + b sqrt p)/scale) for a pair x = (a, b) != (0, 0) and an
+    integer scale != 0."""
+    a, b = x
     vb = _int_val(b, p) + Fraction(1, 2) if b else None
-    if not a:
-        return vb
-    va = Fraction(_int_val(a, p))
-    return va if vb is None else min(va, vb)
-
-
-def _newton(f: "RationalMap", x) -> tuple | None:
-    """One Newton step for a root of f = N/Q at x = X/w, in integers.
-
-    One `_horner` pass each gives the pairs hn, gn (N and N' at x) and
-    hd, gd (Q and Q'), so f(x) = hn Dd w^m / (hd Dn w^n) and, with
-    T = gn hd - hn gd, f'(x) = T Dd w^(m-n+1) / (Dn hd^2); f'(x) = 0
-    exactly when T = 0.  The iterate x - f(x)/f'(x) is then
-    (X T - hn hd)/(w T), the same field element as through f(x) and
-    f'(x), built with one division.
-
-    Returns None when Q(x) = 0, else (v(f(x)), v(f'(x)), step), where
-    step() returns the iterate as a `_quotient` triple and may be called
-    only when T != 0.
-    """
-    p = f.p
-    u, v, w = _point(p, x)
-    dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, True)
-    dd, m, da, db, gda, gdb = _horner(f.den, u, v, w, True)
-    if not da and not db:
-        return None
-    ta = gna * da + p * gnb * db - na * gda - p * nb * gdb
-    tb = gna * db + gnb * da - na * gdb - nb * gda
-    vq, vw = _pair_val(p, da, db), _int_val(w, p)
-    # v(Dd w^(m-n) / Dn), a factor of both f(x) and f'(x)
-    scale = _int_val(dd, p) - _int_val(dn, p) + (m - n) * vw
-    vf = ValExp(_pair_val(p, na, nb) - vq + scale if na or nb else None)
-    vd = ValExp(_pair_val(p, ta, tb) - 2 * vq + scale + vw if ta or tb else None)
-    sa = u * ta + p * v * tb - na * da - p * nb * db
-    sb = u * tb + v * ta - na * db - nb * da
-    return vf, vd, partial(_quotient, p, sa, sb, ta, tb, 1, 1, w, -1)
+    va = Fraction(_int_val(a, p)) if a else vb
+    return (va if vb is None else min(va, vb)) - _int_val(scale, p)
 
 
 # primes = 3 mod 4, so square roots mod q are a single pow() when they exist
@@ -674,23 +654,14 @@ class RationalMap:
     __call__ = eval
 
     def derivative_at(self, x):
-        """Derivative value at x without building the reduced derivative map.
-
-        (N'Q - NQ')/Q^2 from the integer pairs hn, gn (values of N and N')
-        and hd, gd (of Q and Q') that `_horner` returns: the numerator is
-        (gn hd - hn gd)/(Dn Dd w^(n+m-1)) and Q^2 = hd^2/(Dd w^m)^2.
-        """
+        """Derivative value at x without building the reduced derivative map:
+        (n1 q0 - n0 q1)/q0^2 from the pairs of `_values`."""
         p = self.p
-        u, v, w = _point(p, x)
-        dn, n, na, nb, gna, gnb = _horner(self.num, u, v, w, True)
-        dd, m, da, db, gda, gdb = _horner(self.den, u, v, w, True)
-        if not da and not db:
+        n0, n1, q0, q1 = _values(self, x, True)
+        if not any(q0):
             return POLE
-        ta = gna * da + p * gnb * db - na * gda - p * nb * gdb
-        tb = gna * db + gnb * da - na * gdb - nb * gda
-        return _element(p, *_quotient(
-            p, ta, tb, da * da + p * db * db, 2 * da * db, dd, dn, w, m - n + 1
-        ))
+        t = _sub(_mul(p, n1, q0), _mul(p, n0, q1))
+        return _element(p, *_quotient(p, t, _mul(p, q0, q0)))
 
     # -- misc ----------------------------------------------------------------
 

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .dynamics import multiplier, orbit, verify_census
-from .errors import HypothesisViolation, LimitExceeded, PadicGlueError, SpecFormatError
+from .errors import HypothesisViolation, LimitExceeded, PadicGlueError, SpecFormatError, _show
 from .field import KElement
 from .geometry import Ball
 from .gluing import build_F, certify_theorem1, plan_gluing, validate_plan
@@ -149,7 +149,8 @@ def _claims_agree(stored, stored_passes: bool, cert) -> bool:
     for name, s, c in claims:
         same = s.same_set(c) if isinstance(s, Ball) and isinstance(c, Ball) else s == c
         if not same:
-            print(f"result.certificate.{name}: stored {s}, recomputed {c}", file=sys.stderr)
+            print(f"result.certificate.{name}: stored {_show(s)}, recomputed {_show(c)}",
+                  file=sys.stderr)
             agree = False
     return agree
 

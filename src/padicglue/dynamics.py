@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .algebra import RationalMap, _element, _eval_ints, _newton
-from .errors import HenselConditionError, PoleInBallError
+from .algebra import (
+    RationalMap, _element, _eval_ints, _mul, _pair_val, _point, _quotient, _sub, _values,
+)
+from .errors import HenselConditionError, PoleInBallError, _show
 from .field import KElement, ValExp, _coord_mod, _int_val, reduce_mod
 from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas
 from .gluing import check_c3_hypotheses, plan_gluing
@@ -49,6 +51,9 @@ ATTRACTING = "attracting"
 REPELLING = "repelling"
 INDIFFERENT = "indifferent"
 INCONCLUSIVE = "inconclusive"
+
+# how many times suggest_witness shrinks a disk by p before giving up
+MAX_SHRINK = 8
 
 
 @dataclass(frozen=True)
@@ -184,19 +189,19 @@ def validate_census(models, census: FixedPointCensus) -> None:
     wits = list(census.witnesses)
     for w in wits:
         if w.expected not in (ATTRACTING, REPELLING, INDIFFERENT):
-            raise ValueError(f"unknown expected kind {w.expected!r}")
+            raise ValueError(f"unknown expected kind {_show(w.expected)}")
         if not (0 <= w.ball_index < n):
-            raise ValueError(f"witness ball index {w.ball_index} out of range")
+            raise ValueError(f"witness ball index {_show(w.ball_index)} out of range")
         if w.disk.closed:
             raise ValueError("witness disks must be open")
         if not models[w.ball_index].domain.contains_ball(w.disk):
             raise ValueError(
-                f"witness disk {w.disk} is not inside ball {w.ball_index}"
+                f"witness disk {_show(w.disk)} is not inside ball {w.ball_index}"
             )
     for i, wa in enumerate(wits):
         for wb in wits[i + 1:]:
             if not wa.disk.disjoint_from(wb.disk):
-                raise ValueError(f"witness disks {wa.disk} and {wb.disk} overlap")
+                raise ValueError(f"witness disks {_show(wa.disk)} and {_show(wb.disk)} overlap")
 
 
 def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusReport:
@@ -255,43 +260,53 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     Hensel condition v(G(start)) > 2 v(G'(start)) for G = F - z.
 
     Iterates z <- z - G(z)/G'(z) until v(G(z)) >= target_exp (checked by
-    exact evaluation).  Each iterate costs one integer Horner pass over
-    G's numerator and denominator and one division (`algebra._newton`).
-    Iterates are rounded to a generous p-adic working precision so
-    coordinate heights stay bounded (see `_round_quotient`); the final
-    exactness check is unaffected by the rounding.
+    exact evaluation).  Each iterate steps on F itself: with z = X/w and
+    the pairs n0, n1, q0, q1 of `algebra._values` (F(z) = n0/q0 and
+    F'(z) = T/q0^2, T = n1 q0 - n0 q1), G(z) = g0/(w q0) with
+    g0 = w n0 - X q0 and G'(z) = g1/q0^2 with g1 = T - q0^2, so the
+    iterate is (X g1 - q0 g0)/(w g1), built with one division.  Iterates
+    are rounded to a generous p-adic working precision so coordinate
+    heights stay bounded (see `_round_quotient`); the final exactness
+    check is unaffected by the rounding.
     """
     if not isinstance(start, KElement):
         start = KElement(F.p, start)
     target = ValExp(target_exp)
     if target.is_infinite:
         raise ValueError("target exponent must be finite")
-    G = F - RationalMap.identity(F.p)
+    p = F.p
     # working precision: far above the target so rounding never disturbs
     # the valuations the iteration reasons about
     prec = int(2 * target.exp) + 128 + F.degree
 
     z = start
     for k in count():
-        newton = _newton(G, z)
-        if newton is None:
+        n0, n1, q0, q1 = _values(F, z, True)
+        if not any(q0):
             raise HenselConditionError(
                 "seed point is a pole of the map" if k == 0 else "iteration stepped onto a pole"
             )
-        vg, vgp, step = newton
+        *X, w = _point(p, z)
+        g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
+        # T - q0^2 = (n1 - q0) q0 - n0 q1
+        g1 = _sub(_mul(p, _sub(n1, q0), q0), _mul(p, n0, q1))
+        vq = _pair_val(p, q0)
+        vg = ValExp(_pair_val(p, g0, w) - vq if any(g0) else None)
         if vg >= target:
             return z
-        if vgp.is_infinite:
+        if not any(g1):
             raise HenselConditionError(
                 "G' vanishes at the seed point" if k == 0 else "G' vanished during the iteration"
             )
+        vgp = ValExp(_pair_val(p, g1) - 2 * vq)
         if k == 0 and not vg > vgp * 2:
             raise HenselConditionError(
                 f"Hensel condition fails at seed: v(G) = {vg}, v(G') = {vgp}"
             )
         if k >= max_iter:
             raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
-        z = _round_quotient(F.p, *step(), prec)
+        xa, xb, den = _quotient(p, _sub(_mul(p, X, g1), _mul(p, q0, g0)), g1)
+        z = _round_quotient(p, xa, xb, den * w, prec)
 
 
 def _round_point(z: KElement, prec: int) -> KElement:
@@ -394,18 +409,19 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
     return out
 
 
-def suggest_witness(model, fixed_point, expected: str, max_shrink: int = 8) -> Ball:
+def suggest_witness(model, fixed_point, expected: str) -> Ball:
     """Smallest-shrink open witness disk around a fixed point of the LOCAL
     map whose local classification matches the expected kind.
 
-    Starts from the open disk with the domain's radius and shrinks by p
-    until classify_disk(f, disk) returns the expected kind.
+    Starts from the open disk with the domain's radius and shrinks by p,
+    at most MAX_SHRINK times, until classify_disk(f, disk) returns the
+    expected kind.
     """
     if not isinstance(fixed_point, KElement):
         fixed_point = KElement(model.domain.p, fixed_point)
     if not model.domain.contains_point(fixed_point):
         raise ValueError("fixed point lies outside the model domain")
-    for j in range(max_shrink + 1):
+    for j in range(MAX_SHRINK + 1):
         disk = Ball(fixed_point, model.domain.radius + j, closed=False)
         try:
             behavior = classify_disk(model.f, disk)
@@ -414,11 +430,11 @@ def suggest_witness(model, fixed_point, expected: str, max_shrink: int = 8) -> B
         if behavior.kind == expected:
             return disk
     raise ValueError(
-        f"no witness disk within {max_shrink} shrinks classifies as {expected}"
+        f"no witness disk within {MAX_SHRINK} shrinks classifies as {expected}"
     )
 
 
-def epsilon_for_census(models, census: FixedPointCensus, delta_override=None) -> ValExp:
+def epsilon_for_census(models, census: FixedPointCensus) -> ValExp:
     """Tolerance small enough that gluing preserves every witness's kind.
 
     Needs epsilon below each witness's local image radius; indifferent
@@ -434,13 +450,10 @@ def epsilon_for_census(models, census: FixedPointCensus, delta_override=None) ->
             has_indifferent = True
             exps.append(w.disk.radius)
     if has_indifferent:
-        if delta_override is not None:
-            exps.extend(ValExp(d) for d in delta_override)
-        else:
-            exps.extend(pairwise_deltas([m.domain.center for m in models]))
+        exps.extend(pairwise_deltas([m.domain.center for m in models]))
     e = max(exps) + 1
     while has_indifferent:
-        plan = plan_gluing(models, e, delta_override=delta_override)
+        plan = plan_gluing(models, e)
         if all(M >= 2 for M in plan.M):
             break
         e += 1

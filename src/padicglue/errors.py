@@ -2,8 +2,26 @@
 
 The split matters for the CLI exit codes: hypothesis violations (bad
 inputs to the gluing construction) are distinguished from I/O and parse
-problems and from certificates that simply fail.
+problems and from certificates that simply fail.  Every value a
+diagnostic echoes goes through `_show`, so no message grows with its input.
 """
+
+import reprlib
+
+# characters of an offending value that a diagnostic echoes
+SHOW_LIMIT = 40
+
+
+def _show(x) -> str:
+    """An offending value as a diagnostic echoes it, cut to SHOW_LIMIT
+    characters.  Strings and containers go through reprlib, which never
+    walks deep nesting or prints a long string whole; numbers, field
+    elements and balls print as str ('7/2', 'D(0; 3^(-2))')."""
+    try:
+        text = reprlib.repr(x) if isinstance(x, (str, list, dict)) else str(x)
+    except ValueError:  # Python prints no integer of more than 4300 digits
+        return "<a value too long to print>"
+    return text if len(text) <= SHOW_LIMIT else text[: SHOW_LIMIT - 3] + "..."
 
 
 class PadicGlueError(Exception):

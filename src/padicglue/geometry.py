@@ -30,7 +30,7 @@ from .algebra import (
     count_roots_with_min_valuation,
     gauss_norm_exp,
 )
-from .errors import PoleInBallError
+from .errors import PoleInBallError, _show
 from .field import KElement, ValExp, uniformizer_power
 
 __all__ = [
@@ -194,7 +194,7 @@ class LocalExpansion:
 
     def _require_pole_free(self) -> None:
         if not self.pole_free:
-            raise PoleInBallError(f"map has a pole on {self.ball}")
+            raise PoleInBallError(f"map has a pole on {_show(self.ball)}")
 
     @cached_property
     def image(self) -> Ball:

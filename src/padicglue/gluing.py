@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import Poly, RationalMap
-from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded
+from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _show
 from .field import KElement, ValExp, uniformizer_power
 from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas, sample_points
 
@@ -61,7 +61,7 @@ class LocalModel:
             raise HypothesisViolation("local model domains must be closed balls")
         local = LocalExpansion(self.f, self.domain)
         if not local.pole_free:
-            raise HypothesisViolation(f"local map has a pole on its domain {self.domain}")
+            raise HypothesisViolation(f"local map has a pole on its domain {_show(self.domain)}")
         try:
             img = local.image
         except ValueError as exc:
@@ -70,7 +70,8 @@ class LocalModel:
             ) from exc
         if self.declared_image is not None and not img.same_set(self.declared_image):
             raise HypothesisViolation(
-                f"declared image {self.declared_image} differs from computed image {img}"
+                f"declared image {_show(self.declared_image)} differs from"
+                f" computed image {_show(img)}"
             )
         object.__setattr__(self, "_image", img)
 
@@ -167,13 +168,13 @@ def _check_global_boundedness(models) -> None:
             local = LocalExpansion(mi.f, mj.domain)
             if not local.pole_free:
                 raise HypothesisViolation(
-                    f"map {i} has a pole on ball {j} ({mj.domain}); "
+                    f"map {i} has a pole on ball {j} ({_show(mj.domain)}); "
                     "every local map must be analytic on the union of the balls"
                 )
             img = local.image
             if img.radius < 0 or img.center.valuation() < 0:
                 raise HypothesisViolation(
-                    f"map {i} sends ball {j} onto {img}, which is not inside B(0; 1)"
+                    f"map {i} sends ball {j} onto {_show(img)}, which is not inside B(0; 1)"
                 )
 
 
@@ -230,7 +231,7 @@ def plan_gluing(
         if not r > d:
             raise HypothesisViolation(
                 f"ball {i}: radius must be strictly smaller than delta"
-                f" (r = p^(-{r}), delta = p^(-{d}))"
+                f" (r = p^(-{_show(r)}), delta = p^(-{_show(d)}))"
             )
 
     ss = []

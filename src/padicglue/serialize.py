@@ -11,7 +11,6 @@ exponents).  Every diagnostic names the offending entry.
 from __future__ import annotations
 
 import json
-import reprlib
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,7 +24,8 @@ from .dynamics import (
     Witness,
     validate_census,
 )
-from .errors import LimitExceeded, SpecFormatError
+# re-exported: the README names the echo limit serialize.SHOW_LIMIT too
+from .errors import SHOW_LIMIT, LimitExceeded, SpecFormatError, _show
 from .field import KElement, ValExp, is_prime
 from .geometry import Ball
 from .gluing import BallCheck, Certificate, GluingPlan, LocalModel
@@ -66,19 +66,9 @@ PRIME_LIMIT = 2**31
 # steps (the benchmark's orbits take 30); each costs one exact evaluation
 SAMPLES_LIMIT = 10**4
 STEPS_LIMIT = 10**4
-# characters of an offending value that a diagnostic echoes
-SHOW_LIMIT = 40
 
 
 # -- scalars ------------------------------------------------------------------
-
-
-def _show(x) -> str:
-    """An offending value as a diagnostic echoes it, cut to SHOW_LIMIT
-    characters.  Rationals print as '7/2'; anything else goes through
-    reprlib, which never walks deep nesting or prints a long string whole."""
-    text = str(x) if isinstance(x, Fraction) else reprlib.repr(x)
-    return text if len(text) <= SHOW_LIMIT else text[: SHOW_LIMIT - 3] + "..."
 
 
 def parse_rational(s, where: str) -> Fraction:

@@ -18,7 +18,9 @@ from padicglue import (
 )
 from padicglue.cli import main
 from padicglue.gluing import M_LIMIT
-from padicglue.presets import EX2_EPSILON, crossed_sum, ex2_models, ex2_problem
+from padicglue.presets import (
+    EX2_EPSILON, crossed_sum, ex1_census, ex1_epsilon, ex1_models, ex2_models, ex2_problem,
+)
 from padicglue.serialize import (
     SAMPLES_LIMIT, STEPS_LIMIT, kelement_to_json, orbit_to_json, problem_from_json,
     problem_to_json, read_json, result_to_json, write_json,
@@ -27,6 +29,8 @@ from padicglue.serialize import (
 K3 = FieldConfig(3)
 Z = Poly.x(3)
 ROOT = Path(__file__).resolve().parents[1]
+# a rational of 4,002 characters, below Python's 4,300-digit print limit
+LONG = "1/" + "7" * 4000
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +200,39 @@ class TestGlue:
         assert run.stderr.startswith(
             f"parse error: problem.models[0].ball.radius_exp: {echo}"
         )
+        assert run.stderr.count("\n") == 1 and len(run.stderr.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "edit, code, start",
+        [
+            (lambda d: d["census"]["witnesses"][0]["disk"]["center"].__setitem__("a", LONG),
+             2, "parse error: problem.census: census is malformed: witness disk D(1/777"),
+            (lambda d: d["models"][0]["map"]["num"][0].__setitem__("a", LONG),
+             3, "hypothesis violation: declared image B(0; 3^(-3)) differs from computed"
+                " image B(1/777"),
+            # dividing by a 4,000-digit constant gives an image center of
+            # more digits than Python prints
+            (lambda d: (d["models"][0]["map"]["num"][0].__setitem__("a", LONG),
+                        d["models"][0]["map"]["den"][0].__setitem__("a", "7" * 4000 + "/11")),
+             3, "hypothesis violation: declared image B(0; 3^(-3)) differs from computed"
+                " image <a value too long to print>"),
+        ],
+        ids=["census-witness-center", "map-coefficient", "unprintable-image-center"],
+    )
+    def test_echoed_ball_is_cut_short(self, tmp_path, edit, code, start):
+        # census and hypothesis diagnostics used to print whole balls: a
+        # 4,098-byte and a 4,092-byte stderr line, and a traceback for the last
+        doc = read_json(ROOT / "presets" / "ex2.json")
+        edit(doc)
+        path = tmp_path / "long.json"
+        write_json(path, doc)
+        run = subprocess.run(
+            [sys.executable, "-m", "padicglue.cli", "glue", "--input", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert run.returncode == code
+        assert run.stderr.startswith(start)
         assert run.stderr.count("\n") == 1 and len(run.stderr.encode()) < 300
 
     def test_indifferent_witness_off_fixed_point_fails_census(self, tmp_path, capsys):
@@ -412,23 +449,26 @@ class TestStoredClaims:
         assert capsys.readouterr().err == ""
 
     def test_stdout_matches_benchmark_digests(self, tmp_path, capsys):
-        # the stored digests of the verify workload, only read here
+        # the stored digests of the verify workload, only read here; ex1's
+        # indifferent witness runs derivative_at through the census
         digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
-        result = tmp_path / "ex2.json"
-        assert main(["glue", "--input", str(ROOT / "presets" / "ex2.json"),
-                     "--output", str(result)]) == 0
-        models = ex2_models()
-        plan = plan_gluing(models, EX2_EPSILON)
-        crossed = crossed_sum(models, plan)
-        cert = certify_theorem1(crossed, models, plan, samples=2)
-        control = tmp_path / "ex2-crossed.json"
-        write_json(control, result_to_json(3, EX2_EPSILON, models, plan, crossed, cert))
-        for key, path, code in (("verify/ex2", result, 0), ("verify/ex2-crossed", control, 1)):
-            capsys.readouterr()
-            assert main(["verify", "--input", str(path), "--samples", "100"]) == code
-            out = capsys.readouterr().out
-            assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
-
+        ex1 = ex1_models("3", "1/3")
+        for name, models, eps in (("ex1", ex1, ex1_epsilon(ex1, ex1_census(ex1))),
+                                  ("ex2", ex2_models(), EX2_EPSILON)):
+            result = tmp_path / f"{name}.json"
+            assert main(["glue", "--input", str(ROOT / "presets" / f"{name}.json"),
+                         "--output", str(result)]) == 0
+            plan = plan_gluing(models, eps)
+            crossed = crossed_sum(models, plan)
+            cert = certify_theorem1(crossed, models, plan, samples=2)
+            control = tmp_path / f"{name}-crossed.json"
+            write_json(control, result_to_json(3, eps, models, plan, crossed, cert))
+            for key, path, code in ((f"verify/{name}", result, 0),
+                                    (f"verify/{name}-crossed", control, 1)):
+                capsys.readouterr()
+                assert main(["verify", "--input", str(path), "--samples", "100"]) == code
+                out = capsys.readouterr().out
+                assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
 
     @pytest.mark.parametrize("key", _perfbench("inputs").orbit_pool())
     def test_orbits_match_benchmark_digests(self, key):

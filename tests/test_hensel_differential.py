@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import evaluation_oracle as oracle
+from padicglue import algebra
 from padicglue import (
     ATTRACTING,
     INDIFFERENT,
@@ -101,6 +102,20 @@ def test_glued_examples_seeds_0_and_3(glued_examples, target):
     for F in glued_examples:
         for seed in (0, 3):
             assert_same(F, seed, target)
+
+
+def test_builds_no_second_map(glued_examples, monkeypatch):
+    # Newton steps on F itself: no G = F - z map, so no gcd and no RationalMap
+    calls = []
+    gcd, init = algebra.poly_gcd, RationalMap.__init__
+    monkeypatch.setattr(algebra, "poly_gcd", lambda *a: calls.append("poly_gcd") or gcd(*a))
+    monkeypatch.setattr(
+        RationalMap, "__init__", lambda *a, **k: calls.append("RationalMap") or init(*a, **k)
+    )
+    for F in glued_examples:
+        for seed in (0, 3):
+            hensel_fixed_point(F, seed, 64)
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
