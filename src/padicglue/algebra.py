@@ -229,11 +229,6 @@ class Poly:
             return Fraction(1)
         return Fraction(gcd(*nums), lcm(*dens))
 
-    def primitive_part(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self * (1 / self.content())
-
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
@@ -449,8 +444,10 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
     """Monic gcd via the Euclidean algorithm.
 
     A modular pretest certifies the (typical) coprime case cheaply; the
-    exact remainder sequence runs otherwise, reduced to primitive form at
-    every step to keep the Fraction coefficients from blowing up.
+    exact remainder sequence runs otherwise, each remainder made monic.
+    Monic remainders are quotients of subresultants, so their coefficients
+    stay polynomial in size even when scalars of K with a sqrt p part
+    enter (Collins, J. ACM 1967).
     """
     if A.p != B.p:
         raise ValueError("mixed primes")
@@ -462,12 +459,10 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
         return Poly.one(A.p)
     if _provably_coprime(A, B):
         return Poly.one(A.p)
-    A = A.primitive_part()
-    B = B.primitive_part()
+    A, B = A.monic(), B.monic()
     while not B.is_zero:
-        r = A % B
-        A, B = B, (r if r.is_zero else r.primitive_part())
-    return A.monic()
+        A, B = B, (A % B).monic()
+    return A
 
 
 def _min_plus(P: Poly, e, from_k: int = 0) -> tuple:
@@ -572,77 +567,13 @@ class RationalMap:
     def p(self) -> int:
         return self.num.p
 
-    @classmethod
-    def constant(cls, p: int, c) -> "RationalMap":
-        return cls(Poly.constant(p, c))
-
-    @classmethod
-    def identity(cls, p: int) -> "RationalMap":
-        return cls(Poly.x(p))
-
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
     @property
-    def degrees(self) -> tuple:
-        return (self.num.degree, self.den.degree)
-
-    @property
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree, 0)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RationalMap):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        if isinstance(other, Poly):
-            return RationalMap(other)
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, Fraction, KElement)):
-            return RationalMap(Poly.constant(self.p, other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalMap(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalMap(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalMap(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RationalMap(-self.num, self.den)
-
-    def derivative(self) -> "RationalMap":
-        return RationalMap(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
 
     # -- evaluation -----------------------------------------------------------
 

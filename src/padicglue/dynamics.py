@@ -51,6 +51,8 @@ ATTRACTING = "attracting"
 REPELLING = "repelling"
 INDIFFERENT = "indifferent"
 INCONCLUSIVE = "inconclusive"
+# the slot of each certified kind in a census count triple
+KIND_SLOT = {ATTRACTING: 0, REPELLING: 1, INDIFFERENT: 2}
 
 # how many times suggest_witness shrinks a disk by p before giving up
 MAX_SHRINK = 8
@@ -218,7 +220,6 @@ def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusRep
     n = len(models)
     wresults = []
     got_counts = [[0, 0, 0] for _ in range(n)]
-    slot = {ATTRACTING: 0, REPELLING: 1, INDIFFERENT: 2}
     for w in census.witnesses:
         behavior = classify_disk(F, w.disk)
         got = behavior.kind
@@ -231,8 +232,8 @@ def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusRep
                 # the center is not a fixed point of its local map
                 c3_ok = False
             ok = ok and behavior.existence_certified is True and c3_ok
-        if got in slot:
-            got_counts[w.ball_index][slot[got]] += 1
+        if got in KIND_SLOT:
+            got_counts[w.ball_index][KIND_SLOT[got]] += 1
         wresults.append(
             WitnessResult(
                 ball_index=w.ball_index,

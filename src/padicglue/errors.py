@@ -19,7 +19,7 @@ def _show(x) -> str:
     elements and balls print as str ('7/2', 'D(0; 3^(-2))')."""
     try:
         text = reprlib.repr(x) if isinstance(x, (str, list, dict)) else str(x)
-    except ValueError:  # Python prints no integer of more than 4300 digits
+    except (ValueError, LimitExceeded):  # no integer of more than 4300 digits
         return "<a value too long to print>"
     return text if len(text) <= SHOW_LIMIT else text[: SHOW_LIMIT - 3] + "..."
 

@@ -10,9 +10,12 @@ Elements are immutable pairs (a, b) of Fractions denoting a + b*sqrt(p).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .errors import LimitExceeded
 
 __all__ = [
     "FieldConfig",
@@ -357,9 +360,10 @@ class KElement:
             return "0"
         parts = []
         if self.a:
-            parts.append(str(self.a))
+            parts.append(_rational_str(self.a))
         if self.b:
-            mag = f"{abs(self.b)}*sqrt({self.p})" if abs(self.b) != 1 else f"sqrt({self.p})"
+            b = abs(self.b)
+            mag = f"{_rational_str(b)}*sqrt({self.p})" if b != 1 else f"sqrt({self.p})"
             if not parts:
                 parts.append(mag if self.b > 0 else f"-{mag}")
             else:
@@ -368,6 +372,18 @@ class KElement:
 
     def __repr__(self):
         return f"KElement(p={self.p}, a={self.a}, b={self.b})"
+
+
+def _rational_str(q: Fraction) -> str:
+    """str(q) for a coordinate; every printed or written K element goes
+    through here.  Python refuses to print an integer of more digits than
+    sys.get_int_max_str_digits(), and that ValueError becomes LimitExceeded."""
+    try:
+        return str(q)
+    except ValueError:
+        raise LimitExceeded(
+            f"a value of more than {sys.get_int_max_str_digits()} digits cannot be printed"
+        ) from None
 
 
 def _coord_mod(num: int, den: int, vden: int, p: int, m: int) -> Fraction:

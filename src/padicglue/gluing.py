@@ -312,14 +312,18 @@ def validate_plan(models, plan: GluingPlan) -> None:
 
 
 def _glued_sum(models, plan: GluingPlan, shift: int) -> RationalMap:
-    # sum_i f_i * h_j with h_j the bump factor of ball j = (i + shift) mod n
+    # sum_i f_i * h_j with h_j the bump factor of ball j = (i + shift) mod n,
+    # accumulated as one fraction N/D of plain polynomials and reduced once;
+    # the reduced form with a monic denominator is unique, so it is the F
+    # that reducing every partial sum would give
     n = len(models)
-    F = None
+    N, D = Poly.zero(models[0].domain.p), Poly.one(models[0].domain.p)
     for i, m in enumerate(models):
         j = (i + shift) % n
-        term = m.f * build_h(models[j].domain.center, plan.c[j], plan.M[j])
-        F = term if F is None else F + term
-    return F
+        h = build_h(models[j].domain.center, plan.c[j], plan.M[j])
+        num, den = m.f.num * h.num, m.f.den * h.den
+        N, D = N * den + num * D, D * den
+    return RationalMap(N, D)
 
 
 def build_F(models, plan: GluingPlan) -> RationalMap:

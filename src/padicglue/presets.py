@@ -13,7 +13,7 @@ from fractions import Fraction
 from .algebra import Poly, RationalMap
 from .dynamics import (
     ATTRACTING,
-    INDIFFERENT,
+    KIND_SLOT,
     REPELLING,
     FixedPointCensus,
     Witness,
@@ -37,8 +37,6 @@ __all__ = [
     "ex2_models",
     "ex2_problem",
 ]
-
-_KIND_SLOT = {ATTRACTING: 0, REPELLING: 1, INDIFFERENT: 2}
 
 EX2_EPSILON = ValExp(3)
 
@@ -69,7 +67,7 @@ def ex1_census(models) -> FixedPointCensus:
     witnesses = []
     for i, fp in enumerate(fixed_points):
         kind = multiplier(models[i].f, fp).kind
-        counts[i][_KIND_SLOT[kind]] += 1
+        counts[i][KIND_SLOT[kind]] += 1
         witnesses.append(
             Witness(ball_index=i, disk=suggest_witness(models[i], fp, kind), expected=kind)
         )

@@ -26,7 +26,7 @@ from .dynamics import (
 )
 # re-exported: the README names the echo limit serialize.SHOW_LIMIT too
 from .errors import SHOW_LIMIT, LimitExceeded, SpecFormatError, _show
-from .field import KElement, ValExp, is_prime
+from .field import KElement, ValExp, _rational_str, is_prime
 from .geometry import Ball
 from .gluing import BallCheck, Certificate, GluingPlan, LocalModel
 
@@ -157,7 +157,7 @@ def valexp_from_json(obj, where: str) -> ValExp:
 
 
 def kelement_to_json(x: KElement) -> dict:
-    return {"a": str(x.a), "b": str(x.b)}
+    return {"a": _rational_str(x.a), "b": _rational_str(x.b)}
 
 
 def kelement_from_json(obj, p: int, where: str, rational_only: bool = False) -> KElement:
@@ -413,8 +413,7 @@ def orbit_to_json(steps) -> list:
 # -- problems and results ------------------------------------------------------
 
 
-def problem_to_json(p: int, epsilon: ValExp, models, delta_override=None, M_override=None,
-                    c_override=None, census: FixedPointCensus | None = None,
+def problem_to_json(p: int, epsilon: ValExp, models, census: FixedPointCensus | None = None,
                     orbits=None) -> dict:
     out = {
         "prime": p,
@@ -428,14 +427,6 @@ def problem_to_json(p: int, epsilon: ValExp, models, delta_override=None, M_over
             for m in models
         ],
     }
-    if delta_override is not None:
-        out["delta_override"] = [str(d) for d in delta_override]
-    if M_override is not None:
-        out["M_override"] = list(M_override)
-    if c_override is not None:
-        out["c_override"] = [
-            kelement_to_json(c) if c is not None else None for c in c_override
-        ]
     if census is not None:
         out["census"] = census_to_json(census)
     if orbits is not None:

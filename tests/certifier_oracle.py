@@ -5,7 +5,8 @@ question recenters the polynomials it needs from scratch, the sup norm of
 F - f_i is taken of the gcd-reduced difference, and F is evaluated twice
 per sample point.  They are slow but obviously faithful to the
 definitions, so the library's certificates and disk classifications must
-equal theirs exactly.
+equal theirs exactly.  `glued_sum` is the sum as it was before it became
+one fraction: every bump factor, product and partial sum reduced by a gcd.
 """
 
 from padicglue import (
@@ -20,10 +21,27 @@ from padicglue import (
     KElement,
     PoleInBallError,
     Radius,
+    RationalMap,
+    build_h,
     count_roots_in_ball,
     gauss_norm_exp,
     sample_points,
 )
+
+
+def glued_sum(models, plan, shift=0):
+    """sum_i f_i * h_j, h_j the bump factor of ball j = (i + shift) mod n,
+    as n products and n - 1 sums of reduced rational maps."""
+    n = len(models)
+    F = None
+    for i, m in enumerate(models):
+        j = (i + shift) % n
+        h = build_h(models[j].domain.center, plan.c[j], plan.M[j])
+        term = RationalMap(m.f.num * h.num, m.f.den * h.den)
+        if F is not None:
+            term = RationalMap(F.num * term.den + term.num * F.den, F.den * term.den)
+        F = term
+    return F
 
 
 def pole_free_on_ball(f, ball):
@@ -68,7 +86,8 @@ def certify_theorem1(F, models, plan, samples=8):
             checks.append(BallCheck(i, False, False, None, None, (), False))
             continue
         img = image_of_ball(F, B)
-        bound = sup_norm_exp_on_ball(F - m.f, B)
+        diff = RationalMap(F.num * m.f.den - m.f.num * F.den, F.den * m.f.den)
+        bound = sup_norm_exp_on_ball(diff, B)
         witnesses = []
         samples_ok = True
         for z in sample_points(B, samples):

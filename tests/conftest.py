@@ -53,6 +53,23 @@ def make_gluing_instance(rng: random.Random):
     return models, Radius(e_eps)
 
 
+def shared_pole_problem():
+    """Four balls over p = 3 whose maps all share the denominator
+    3z^2 - 32z - 11 = (z - 11)(3z + 1), with epsilon 3^-6: the second draw
+    of make_rational_instance(random.Random(20261017)) in
+    test_certifier_differential.py.  Every term of the glued sum carries
+    that factor, so the sum has a common factor of degree 6 to cancel."""
+    K = FieldConfig(3)
+    den = Poly(3, (-11, -32, 3))
+    nums = ((840, -222, 15), (423, -186, 21), (69, -66, 15), (24, -3, 3))
+    balls = ((8, 2), (5, 3), (3, 2), (1, 1))
+    models = [
+        LocalModel(f=RationalMap(Poly(3, g), den), domain=Ball(K(a), Radius(e)))
+        for g, (a, e) in zip(nums, balls)
+    ]
+    return models, Radius(6)
+
+
 def shell_points(center: KElement, exps, per_shell: int | None = None):
     """Exact points at prescribed distances: for each exponent e, the
     points center + u * pi^(2e) for units u, pi = sqrt(p)."""

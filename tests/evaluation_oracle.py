@@ -11,7 +11,7 @@ integer step, and for the loop of `orbit`, kept here as it was before
 each point was rounded straight from the integers of its quotient.
 """
 
-from padicglue import POLE, HenselConditionError, KElement, OrbitStep, RationalMap, ValExp
+from padicglue import POLE, HenselConditionError, KElement, OrbitStep, Poly, RationalMap, ValExp
 from padicglue.dynamics import _round_point
 
 
@@ -55,7 +55,7 @@ def hensel_fixed_point(F, start, target_exp, max_iter=64):
     target = ValExp(target_exp)
     if target.is_infinite:
         raise ValueError("target exponent must be finite")
-    G = F - RationalMap.identity(F.p)
+    G = RationalMap(F.num - F.den * Poly.x(F.p), F.den)
     prec = int(2 * target.exp) + 128 + F.degree
 
     z = start

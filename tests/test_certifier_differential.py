@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 import certifier_oracle as oracle
-from conftest import make_gluing_instance
+from conftest import make_gluing_instance, shared_pole_problem
 from padicglue import (
     Ball,
     FieldConfig,
@@ -152,6 +152,39 @@ def test_local_maps_with_denominators(rational_suite, index):
     plan, F = _glue(models, eps)
     assert assert_same_certificate(F, models, plan).passes
     assert_same_classifications(F, _disks(models, plan))
+
+
+def assert_same_sums(models, plan):
+    assert build_F(models, plan) == oracle.glued_sum(models, plan)
+    assert crossed_sum(models, plan) == oracle.glued_sum(models, plan, 1)
+
+
+def test_shared_pole_problem_is_the_second_rational_draw():
+    rng = random.Random(SUITE_SEED)
+    make_rational_instance(rng)
+    models, eps = make_rational_instance(rng)
+    ref, ref_eps = shared_pole_problem()
+    assert [(m.f, m.domain) for m in models] == [(m.f, m.domain) for m in ref]
+    assert eps == ref_eps
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "shared-pole"])
+def test_one_fraction_equals_sequential_sum(name):
+    # one reduction of the whole fraction gives the map that reducing
+    # every product and partial sum gives
+    if name == "ex1":
+        models = ex1_models("3", "1/3")
+        eps = ex1_epsilon(models, ex1_census(models))
+    elif name == "ex2":
+        models, eps = ex2_models(), EX2_EPSILON
+    else:
+        models, eps = shared_pole_problem()
+    assert_same_sums(models, plan_gluing(models, eps))
+
+
+def test_one_fraction_equals_sequential_sum_on_suites(suite, rational_suite):
+    for models, eps in suite + rational_suite:
+        assert_same_sums(models, plan_gluing(models, eps))
 
 
 def test_classify_disk_raises_on_a_pole():

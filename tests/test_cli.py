@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import shared_pole_problem
 from padicglue import (
     Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap, build_F,
     certify_theorem1, epsilon_for_census, hensel_fixed_point, orbit, plan_gluing,
@@ -234,6 +235,41 @@ class TestGlue:
         assert run.returncode == code
         assert run.stderr.startswith(start)
         assert run.stderr.count("\n") == 1 and len(run.stderr.encode()) < 300
+
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout-only", "with-output"])
+    def test_unprintable_certificate_value_exit_2(self, tmp_path, output):
+        # the image center of ball 0 is 11 * 3^10 / 7...7^2, over 8,000
+        # digits, and still inside the declared image; printing it used to
+        # end in a ValueError traceback (exit 1)
+        doc = read_json(ROOT / "presets" / "ex2.json")
+        doc["models"][0]["map"]["num"][0]["a"] = "59049/" + "7" * 4000
+        doc["models"][0]["map"]["den"][0]["a"] = "7" * 4000 + "/11"
+        path, result = tmp_path / "long.json", tmp_path / "result.json"
+        write_json(path, doc)
+        argv = ["glue", "--input", str(path)] + (["--output", str(result)] if output else [])
+        run = subprocess.run(
+            [sys.executable, "-m", "padicglue.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert run.returncode == 2
+        assert run.stderr.startswith("limit exceeded: a value of more than ")
+        assert run.stderr.count("\n") == 1 and len(run.stderr.encode()) < 300
+        assert not result.exists()
+
+    def test_shared_pole_glues_promptly(self, tmp_path):
+        # every local map has the pole pair (z - 11)(3z + 1); reducing each
+        # partial sum by a primitive remainder sequence took over a minute
+        models, eps = shared_pole_problem()
+        path = tmp_path / "shared-pole.json"
+        write_json(path, problem_to_json(3, eps, models))
+        run = subprocess.run(
+            [sys.executable, "-m", "padicglue.cli", "glue", "--input", str(path)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert run.returncode == 0, run.stderr
+        assert "certificate: PASS\n" in run.stdout
 
     def test_indifferent_witness_off_fixed_point_fails_census(self, tmp_path, capsys):
         # f_1 = (z^2 + 3)/3 does not fix the center 3 of its ball, so the
@@ -469,6 +505,26 @@ class TestStoredClaims:
                 assert main(["verify", "--input", str(path), "--samples", "100"]) == code
                 out = capsys.readouterr().out
                 assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
+
+    @pytest.mark.parametrize(
+        "key",
+        _perfbench("inputs").suite_pool()
+        + [k for k in _perfbench("inputs").sweep_pool() if int(k.split("/")[1][1:]) <= 10],
+    )
+    def test_glue_matches_benchmark_digests(self, key):
+        # the plan, F and certificate sections of the benchmark's glue ops,
+        # against the stored digests, which this test only reads
+        inputs = _perfbench("inputs")
+        digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+        make = inputs.suite_instance if key.startswith("suite/") else inputs.sweep_instance
+        inst = make(key)
+        plan = plan_gluing(inst.models, inst.epsilon)
+        F = build_F(inst.models, plan)
+        cert = certify_theorem1(F, inst.models, plan, samples=8)
+        doc = result_to_json(inst.p, inst.epsilon, inst.models, plan, F, cert)
+        sections = {k: doc[k] for k in ("plan", "F", "certificate")}
+        text = json.dumps(sections, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[key]
 
     @pytest.mark.parametrize("key", _perfbench("inputs").orbit_pool())
     def test_orbits_match_benchmark_digests(self, key):

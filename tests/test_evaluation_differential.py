@@ -85,9 +85,9 @@ def test_zero_and_constant_polynomials(p):
             assert same(Poly.constant(p, c)(x), c)
         for f in (
             RationalMap(Poly.zero(p)),
-            RationalMap.constant(p, KElement(p, Fraction(5, 3), -1)),
+            RationalMap(Poly.constant(p, KElement(p, Fraction(5, 3), -1))),
             RationalMap(Poly.zero(p), Poly(p, (1, 1, 1))),
-            RationalMap.identity(p),
+            RationalMap(Poly.x(p)),
         ):
             check_all(f, x)
 

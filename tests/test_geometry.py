@@ -184,7 +184,7 @@ class TestImageOfBall:
 
     def test_constant_map_rejected(self):
         with pytest.raises(ValueError, match="constant"):
-            image_of_ball(RationalMap.constant(3, 5), B(0, 1))
+            image_of_ball(RationalMap(Poly.constant(3, 5)), B(0, 1))
 
     def test_square_map_drops_radius_by_degree(self):
         img = image_of_ball(RationalMap(Z**2), B(0, 1))

@@ -61,7 +61,7 @@ class TestLocalModel:
 
     def test_constant_rejected(self):
         with pytest.raises(HypothesisViolation, match="constant"):
-            LocalModel(RationalMap.constant(3, 1), B(0, 2))
+            LocalModel(RationalMap(Poly.one(3)), B(0, 2))
 
     def test_wrong_declared_image_rejected(self):
         with pytest.raises(HypothesisViolation, match="differs from computed"):
@@ -235,6 +235,18 @@ class TestValidatePlan:
             validate_plan(models[:2], plan)
 
 
+class TestBuildF:
+    def test_reduces_one_fraction(self, ex2, monkeypatch):
+        # n bump factors and the sum itself: no map per product or partial sum
+        models, plan, F = ex2
+        built, init = [], RationalMap.__init__
+        monkeypatch.setattr(
+            RationalMap, "__init__", lambda *a, **k: built.append(a) or init(*a, **k)
+        )
+        assert build_F(models, plan) == F
+        assert len(built) == len(models) + 1 == 4
+
+
 class TestCertification:
     def test_reference_glue_certifies(self, ex2):
         models, plan, F = ex2
@@ -254,7 +266,7 @@ class TestCertification:
 
     def test_perturbation_below_epsilon_fails(self, ex2):
         models, plan, F = ex2
-        cert = certify_theorem1(F + RationalMap.constant(3, 3), models, plan)
+        cert = certify_theorem1(RationalMap(F.num + F.den * 3, F.den), models, plan)
         assert not cert.passes
 
     def test_epsilon_beyond_plan_fails(self, ex2):

@@ -12,6 +12,7 @@ from padicglue import (
     Ball,
     FieldConfig,
     KElement,
+    LimitExceeded,
     Poly,
     Radius,
     RationalMap,
@@ -22,6 +23,7 @@ from padicglue import (
     plan_gluing,
     orbit,
 )
+from padicglue.errors import _show
 from padicglue.presets import EX2_EPSILON, ex1_problem, ex2_census, ex2_models, ex2_problem
 from padicglue.serialize import (
     ball_from_json,
@@ -39,6 +41,7 @@ from padicglue.serialize import (
     poly_from_json,
     poly_to_json,
     problem_from_json,
+    problem_to_json,
     ratmap_from_json,
     ratmap_to_json,
     read_json,
@@ -73,6 +76,15 @@ class TestScalars:
     def test_rational_only_guard(self):
         with pytest.raises(SpecFormatError, match="must be rational"):
             kelement_from_json({"a": "0", "b": "1"}, 3, "t", rational_only=True)
+
+    def test_unprintable_coordinate_is_a_limit(self):
+        # Python prints no integer of more than 4,300 digits
+        for x in (K3(Fraction(1, 7**6000)), K3(1, 7**6000), K3(0, Fraction(7**6000, 11))):
+            with pytest.raises(LimitExceeded, match="digits cannot be printed"):
+                str(x)
+            with pytest.raises(LimitExceeded, match="digits cannot be printed"):
+                kelement_to_json(x)
+            assert _show(x) == "<a value too long to print>"
 
     def test_valexp_forms(self):
         assert valexp_to_json(ValExp(Fraction(7, 2))) == {"exp": "7/2"}
@@ -172,6 +184,21 @@ class TestStructuredRoundTrips:
         assert back["F"].num == F.num and back["F"].den == F.den
         assert back["certificate"] == cert
         assert [m.domain for m in back["models"]] == [m.domain for m in models]
+
+    def test_writers_refuse_unprintable_maps(self):
+        # a map with 4,000-digit coefficients is written scaled to integers
+        # of about 8,000 digits
+        doc = ex2_problem()
+        doc["models"][0]["map"]["num"][0]["a"] = "59049/" + "7" * 4000
+        doc["models"][0]["map"]["den"][0]["a"] = "7" * 4000 + "/11"
+        models = problem_from_json(doc)["models"]
+        plan = plan_gluing(models, EX2_EPSILON)
+        F = build_F(models, plan)
+        cert = certify_theorem1(F, models, plan, samples=1)
+        with pytest.raises(LimitExceeded):
+            problem_to_json(3, EX2_EPSILON, models)
+        with pytest.raises(LimitExceeded):
+            result_to_json(3, EX2_EPSILON, models, plan, F, cert)
 
     def test_result_missing_sections(self, ex2_result):
         models, plan, F, cert = ex2_result
