@@ -187,13 +187,7 @@ class Poly:
             raise ValueError("division is not exact")
         return q
 
-    # -- evaluation and calculus ---------------------------------------------
-
-    def __call__(self, x) -> KElement:
-        return RationalMap(self).eval(x)
-
-    def derivative(self) -> "Poly":
-        return Poly(self.p, [k * c for k, c in enumerate(self.coeffs)][1:])
+    # -- Taylor shift ---------------------------------------------------------
 
     def recenter(self, a) -> "Poly":
         """Coefficients of the same polynomial in powers of (z - a).

@@ -24,6 +24,12 @@ def _show(x) -> str:
     return text if len(text) <= SHOW_LIMIT else text[: SHOW_LIMIT - 3] + "..."
 
 
+def _power_str(base, e) -> str:
+    # the radius base^(-e) for a ValExp e, as balls and diagnostics print
+    # it: a negative e = -k prints as base^(k), never as base^(--k)
+    return f"{base}^({-e.exp})" if e.exp is not None and e.exp < 0 else f"{base}^(-{e})"
+
+
 class PadicGlueError(Exception):
     """Base class for all library errors."""
 

@@ -30,7 +30,7 @@ from .algebra import (
     count_roots_with_min_valuation,
     gauss_norm_exp,
 )
-from .errors import PoleInBallError, _show
+from .errors import PoleInBallError, _power_str, _show
 from .field import KElement, ValExp, uniformizer_power
 
 __all__ = [
@@ -118,7 +118,7 @@ class Ball:
 
     def __str__(self):
         tag = "B" if self.closed else "D"
-        return f"{tag}({self.center}; {self.p}^(-{self.radius}))"
+        return f"{tag}({self.center}; {_power_str(self.p, self.radius)})"
 
 
 def pairwise_deltas(centers) -> list:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import Poly, RationalMap
-from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _show
+from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
 from .field import KElement, ValExp, uniformizer_power
 from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas, sample_points
 
@@ -50,6 +51,8 @@ class LocalModel:
 
     The image ball is always computed exactly; when a declared image is
     supplied it is checked against the computation at construction time.
+    The expansion of f about its own domain is kept, so the image, the
+    boundedness check and the certificate share one recentring.
     """
 
     f: RationalMap
@@ -73,11 +76,11 @@ class LocalModel:
                 f"declared image {_show(self.declared_image)} differs from"
                 f" computed image {_show(img)}"
             )
-        object.__setattr__(self, "_image", img)
+        object.__setattr__(self, "_local", local)
 
     @property
     def image(self) -> Ball:
-        return self._image
+        return self._local.image
 
     @property
     def center(self) -> KElement:
@@ -95,22 +98,19 @@ class GluingPlan:
     tau: ValExp
     epsilon: ValExp
 
-    @property
-    def n(self) -> int:
-        return len(self.M)
-
 
 @dataclass(frozen=True)
 class BallCheck:
-    """Certificate entry for one ball."""
+    """Certificate entry for one ball.  A ball on which F has a pole
+    records nothing else: the remaining fields keep their defaults."""
 
     index: int
     pole_free_ok: bool
-    image_ok: bool
-    image: Ball | None
-    eps_bound_exp: ValExp | None
-    witnesses: tuple
-    samples_ok: bool
+    image_ok: bool = False
+    image: Ball | None = None
+    eps_bound_exp: ValExp | None = None
+    witnesses: tuple = ()
+    samples_ok: bool = False
 
     @property
     def ok(self) -> bool:
@@ -161,21 +161,79 @@ def build_h(a, c: KElement, M: int) -> RationalMap:
     return RationalMap(Poly.constant(p, cM), Poly.constant(p, cM) - shifted)
 
 
-def _check_global_boundedness(models) -> None:
-    # every f_i must be pole-free on every ball and map it inside B(0, 1)
+def _check_models(models) -> None:
+    # the hypotheses on the local models: at least one, on pairwise disjoint
+    # balls, every f_i pole-free on every ball B_j and f_i(B_j) inside
+    # B(0; 1).  A pole-free map sends a ball onto a ball, so f_i(B_j) lies
+    # in B(0; 1) exactly when sup |f_i| <= 1 on B_j.
+    if not models:
+        raise HypothesisViolation("need at least one local model")
+    for (i, mi), (j, mj) in combinations(enumerate(models), 2):
+        if not mi.domain.disjoint_from(mj.domain):
+            raise HypothesisViolation(f"balls not pairwise disjoint: balls {i} and {j} intersect")
     for i, mi in enumerate(models):
         for j, mj in enumerate(models):
-            local = LocalExpansion(mi.f, mj.domain)
+            local = mi._local if i == j else LocalExpansion(mi.f, mj.domain)
             if not local.pole_free:
                 raise HypothesisViolation(
                     f"map {i} has a pole on ball {j} ({_show(mj.domain)}); "
                     "every local map must be analytic on the union of the balls"
                 )
-            img = local.image
-            if img.radius < 0 or img.center.valuation() < 0:
+            if local.sup_norm_exp() < 0:
                 raise HypothesisViolation(
-                    f"map {i} sends ball {j} onto {_show(img)}, which is not inside B(0; 1)"
+                    f"map {i} sends ball {j} onto {_show(local.image)}, which is not inside B(0; 1)"
                 )
+
+
+def _tau(models, epsilon: ValExp) -> ValExp:
+    # tau = min{t_1, ..., t_n, epsilon}, as the largest exponent
+    return max([m.image.radius for m in models] + [epsilon])
+
+
+def _least_M(r: ValExp, d: ValExp, tau: ValExp) -> int:
+    # the least integer M with (r/delta)^(M/2) < tau, i.e. M*(r - d) > 2*tau
+    # in exponents; it is >= 1 because every image lies in B(0; 1), so
+    # tau >= 0.  Without r < delta and a finite tau no M exists: 0 then
+    # stands in, and _check_plan names the failed hypothesis first.
+    if not r > d or tau.is_infinite:
+        return 0
+    return 2 * tau.exp // (r - d).exp + 1
+
+
+def _check_plan(models, plan: GluingPlan) -> None:
+    # every recorded constant against the models; M_i need not be minimal
+    n = len(models)
+    if not (len(plan.deltas) == len(plan.s) == len(plan.c) == len(plan.M) == n):
+        raise HypothesisViolation("plan size differs from the number of models")
+    if plan.epsilon.is_infinite:
+        raise HypothesisViolation("epsilon must be a positive radius")
+    if plan.tau != _tau(models, plan.epsilon):
+        raise HypothesisViolation("plan tau is not min{t_i, epsilon}")
+    true_deltas = pairwise_deltas([m.domain.center for m in models]) if n >= 2 else None
+    for i, m in enumerate(models):
+        r, d, s, c, M = m.domain.radius, plan.deltas[i], plan.s[i], plan.c[i], plan.M[i]
+        if true_deltas is not None and d < true_deltas[i]:
+            raise HypothesisViolation(
+                f"delta for ball {i} exceeds the distance to the nearest other center"
+            )
+        # all comparisons are of exponents: the smaller radius has the larger one
+        if not r > d:
+            raise HypothesisViolation(
+                f"ball {i}: radius must be strictly smaller than delta"
+                f" (r = {_power_str('p', r)}, delta = {_power_str('p', d)})"
+            )
+        if s * 2 != r + d:
+            raise HypothesisViolation(f"ball {i}: s is not the geometric mean of r and delta")
+        if not isinstance(c, KElement) or c.valuation() != s:
+            raise HypothesisViolation(f"ball {i}: |c| differs from s; c must have |c| = s_i")
+        m_min = _least_M(r, d, plan.tau)
+        if not isinstance(M, int) or isinstance(M, bool) or M < m_min:
+            raise HypothesisViolation(
+                f"ball {i}: M = {_show(M)} fails the strict tau bound;"
+                f" M must be an integer >= the minimal value {m_min}"
+            )
+        if M > M_LIMIT:
+            raise LimitExceeded(f"ball {i}: M = {M} is above the limit of {M_LIMIT}")
 
 
 def plan_gluing(
@@ -190,90 +248,40 @@ def plan_gluing(
     delta_i defaults to the distance from a_i to the nearest other center;
     s_i is the geometric mean of r_i and delta_i; c_i the canonical element
     of absolute value s_i; M_i minimal with (r_i/delta_i)^(M_i/2) < tau
-    where tau = min{t_1, ..., t_n, epsilon}.  Overrides may shrink deltas,
-    raise M_i, or replace c_i by another element of the same absolute value;
-    a None entry in M_override or c_override keeps the default for its ball.
+    where tau = min{t_1, ..., t_n, epsilon}.  Overrides list one entry per
+    ball.  They may shrink deltas, raise M_i, or replace c_i by another
+    element of the same absolute value; a None entry in M_override or
+    c_override keeps the default for its ball.  The plan is checked like
+    validate_plan checks a stored one.
     """
     models = list(models)
+    _check_models(models)
     n = len(models)
-    if n == 0:
-        raise HypothesisViolation("need at least one local model")
-    if epsilon.is_infinite:
-        raise HypothesisViolation("epsilon must be a positive radius")
-    for i, m in enumerate(models):
-        for j in range(i + 1, n):
-            if not m.domain.disjoint_from(models[j].domain):
-                raise HypothesisViolation(
-                    f"balls not pairwise disjoint: balls {i} and {j} intersect"
-                )
-    _check_global_boundedness(models)
-
-    # separations
+    for name, given in (("delta", delta_override), ("M", M_override), ("c", c_override)):
+        if given is not None and len(given) != n:
+            raise HypothesisViolation(f"{name} override must list {n} entries, one per ball")
     if delta_override is not None:
         deltas = [ValExp(d) for d in delta_override]
-        if len(deltas) != n:
-            raise HypothesisViolation(f"delta override must list {n} radii")
-        if n >= 2:
-            true_deltas = pairwise_deltas([m.domain.center for m in models])
-            for i, (d, td) in enumerate(zip(deltas, true_deltas)):
-                if d < td:
-                    raise HypothesisViolation(
-                        f"delta override for ball {i} exceeds the distance to the nearest other center"
-                    )
     elif n == 1:
         raise HypothesisViolation("a single ball needs an explicit delta_override")
     else:
         deltas = pairwise_deltas([m.domain.center for m in models])
 
-    radii = [m.domain.radius for m in models]
-    for i, (r, d) in enumerate(zip(radii, deltas)):
-        # all comparisons are of exponents: the smaller radius has the larger one
-        if not r > d:
-            raise HypothesisViolation(
-                f"ball {i}: radius must be strictly smaller than delta"
-                f" (r = p^(-{_show(r)}), delta = p^(-{_show(d)}))"
-            )
-
-    ss = []
-    for i, (r, d) in enumerate(zip(radii, deltas)):
+    tau = _tau(models, epsilon)
+    ss, cs, Ms = [], [], []
+    for i, (m, d, c, M) in enumerate(
+        zip(models, deltas, c_override or [None] * n, M_override or [None] * n)
+    ):
         try:
-            ss.append((r + d) * Fraction(1, 2))
+            ss.append((m.domain.radius + d) * Fraction(1, 2))
         except ValueError as exc:
             raise HypothesisViolation(
                 f"ball {i}: the geometric mean of r and delta has no radius in p^((1/2)Z)"
             ) from exc
+        cs.append(uniformizer_power(m.domain.p, ss[i]) if c is None else c)
+        Ms.append(_least_M(m.domain.radius, d, tau) if M is None else M)
 
-    p = models[0].domain.p
-    cs = list(c_override) if c_override is not None else [None] * n
-    if len(cs) != n:
-        raise HypothesisViolation(f"c override must list {n} elements")
-    for i, (c, s) in enumerate(zip(cs, ss)):
-        if c is None:
-            cs[i] = uniformizer_power(p, s)
-        elif not isinstance(c, KElement) or c.valuation() != s:
-            raise HypothesisViolation(f"c override for ball {i} must have |c| = s_i")
-
-    tau = max([m.image.radius for m in models] + [epsilon])
-
-    Ms = []
-    for i, (r, d) in enumerate(zip(radii, deltas)):
-        gap = (r - d).exp  # > 0 by the radius check above
-        # minimal integer M with M*gap/2 > tau, i.e. M*gap > 2*tau; it is
-        # >= 1 because every image lies in B(0; 1), so tau >= 0
-        m_min = 2 * tau.exp // gap + 1
-        if M_override is not None:
-            mo = M_override[i] if i < len(M_override) else None
-            if mo is not None:
-                if not isinstance(mo, int) or mo < m_min:
-                    raise HypothesisViolation(
-                        f"M override for ball {i} must be an integer >= the minimal value {m_min}"
-                    )
-                m_min = mo
-        if m_min > M_LIMIT:
-            raise LimitExceeded(f"ball {i}: M = {m_min} is above the limit of {M_LIMIT}")
-        Ms.append(m_min)
-
-    return GluingPlan(
+    plan = GluingPlan(
         deltas=tuple(deltas),
         s=tuple(ss),
         c=tuple(cs),
@@ -281,34 +289,17 @@ def plan_gluing(
         tau=tau,
         epsilon=epsilon,
     )
+    _check_plan(models, plan)
+    return plan
 
 
 def validate_plan(models, plan: GluingPlan) -> None:
-    """Check a plan against its models; raises HypothesisViolation on mismatch.
-
-    M values need not be minimal (overrides may raise them), but every
-    recorded invariant must hold.
-    """
-    n = len(models)
-    if not (len(plan.deltas) == len(plan.s) == len(plan.c) == len(plan.M) == n):
-        raise HypothesisViolation("plan size differs from the number of models")
-    tau = max([m.image.radius for m in models] + [plan.epsilon])
-    if plan.tau != tau:
-        raise HypothesisViolation("plan tau is not min{t_i, epsilon}")
-    for i, m in enumerate(models):
-        r = m.domain.radius
-        d = plan.deltas[i]
-        if not r > d:
-            raise HypothesisViolation(f"ball {i}: radius is not strictly smaller than delta")
-        if plan.s[i] * 2 != r + d:
-            raise HypothesisViolation(f"ball {i}: s is not the geometric mean of r and delta")
-        if plan.c[i].valuation() != plan.s[i]:
-            raise HypothesisViolation(f"ball {i}: |c| differs from s")
-        M = plan.M[i]
-        if not isinstance(M, int) or M < 1:
-            raise HypothesisViolation(f"ball {i}: M must be a positive integer")
-        if not (r - d) * M > tau * 2:
-            raise HypothesisViolation(f"ball {i}: M fails the strict tau bound")
+    """Check the models' hypotheses and every constant of the plan, as
+    plan_gluing checks the plans it makes; M values need not be minimal
+    (overrides may raise them).  Raises HypothesisViolation, or
+    LimitExceeded for an M_i above M_LIMIT."""
+    _check_models(models)
+    _check_plan(models, plan)
 
 
 def _glued_sum(models, plan: GluingPlan, shift: int) -> RationalMap:
@@ -343,7 +334,8 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
 
     Each ball gets one LocalExpansion of F: the numerator and denominator
     of F are Taylor-shifted once about a_i, and (a), (b) and (c) are all
-    read off those shifted coefficients (with f_i shifted once as well).
+    read off those shifted coefficients; f_i's expansion is the one its
+    LocalModel keeps.
     The sup norm in (c) is taken of the unreduced difference
     (N*d - n*D) / (D*d) for F = N/D and f_i = n/d, without a gcd.  Its
     bound equals that of the reduced F - f_i: the Gauss norm on a ball is
@@ -351,27 +343,15 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     B_i, so its norm on B_i equals its absolute value at a_i and cancels.
     F is evaluated once per sample point.
     """
-    eps = plan.epsilon
     checks = []
     for i, m in enumerate(models):
         B = m.domain
         local = LocalExpansion(F, B)
         if not local.pole_free:
-            checks.append(
-                BallCheck(
-                    index=i,
-                    pole_free_ok=False,
-                    image_ok=False,
-                    image=None,
-                    eps_bound_exp=None,
-                    witnesses=(),
-                    samples_ok=False,
-                )
-            )
+            checks.append(BallCheck(index=i, pole_free_ok=False))
             continue
         img = local.image
-        image_ok = img.same_set(m.image)
-        bound = local.sup_norm_exp(minus=LocalExpansion(m.f, B))
+        bound = local.sup_norm_exp(minus=m._local)
         witnesses = []
         samples_ok = True
         for z in sample_points(B, samples):
@@ -380,13 +360,13 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
             witnesses.append((z, w))
             # pointwise values can never beat the certified sup bound, and
             # must themselves clear epsilon; the image must contain F(z)
-            if not (w >= bound and w > eps and img.contains_point(Fz)):
+            if not (w >= bound and w > plan.epsilon and img.contains_point(Fz)):
                 samples_ok = False
         checks.append(
             BallCheck(
                 index=i,
                 pole_free_ok=True,
-                image_ok=image_ok,
+                image_ok=img.same_set(m.image),
                 image=img,
                 eps_bound_exp=bound,
                 witnesses=tuple(witnesses),
@@ -419,8 +399,8 @@ def check_subdisk_transfer(F: RationalMap, model: LocalModel, sub: Ball, eps: Va
     local_img = image_of_ball(model.f, sub)
     if not local_img.radius < eps:
         raise LemmaInapplicable(
-            f"local image radius p^(-{local_img.radius}) is at most eps p^(-{eps});"
-            " transfer says nothing"
+            f"local image radius {_power_str('p', local_img.radius)} is at most"
+            f" eps {_power_str('p', eps)}; transfer says nothing"
         )
     return image_of_ball(F, sub).same_set(local_img)
 

@@ -7,8 +7,12 @@ per sample point.  They are slow but obviously faithful to the
 definitions, so the library's certificates and disk classifications must
 equal theirs exactly.  `glued_sum` is the sum as it was before it became
 one fraction: every bump factor, product and partial sum reduced by a gcd.
+`check_global_boundedness` is the boundedness hypothesis as it was checked
+before it was read off the sup norm: the image of every ball under every
+map, computed in full.
 """
 
+from evaluation_oracle import poly_eval
 from padicglue import (
     ATTRACTING,
     INCONCLUSIVE,
@@ -18,6 +22,7 @@ from padicglue import (
     BallCheck,
     Certificate,
     DiskBehavior,
+    HypothesisViolation,
     KElement,
     PoleInBallError,
     Radius,
@@ -27,6 +32,7 @@ from padicglue import (
     gauss_norm_exp,
     sample_points,
 )
+from padicglue.errors import _show
 
 
 def glued_sum(models, plan, shift=0):
@@ -44,6 +50,23 @@ def glued_sum(models, plan, shift=0):
     return F
 
 
+def check_global_boundedness(models):
+    """Every f_i pole-free on every ball B_j with f_i(B_j) inside B(0; 1),
+    raising HypothesisViolation with the library's messages."""
+    for i, mi in enumerate(models):
+        for j, mj in enumerate(models):
+            if not pole_free_on_ball(mi.f, mj.domain):
+                raise HypothesisViolation(
+                    f"map {i} has a pole on ball {j} ({_show(mj.domain)}); "
+                    "every local map must be analytic on the union of the balls"
+                )
+            img = image_of_ball(mi.f, mj.domain)
+            if img.radius < 0 or img.center.valuation() < 0:
+                raise HypothesisViolation(
+                    f"map {i} sends ball {j} onto {_show(img)}, which is not inside B(0; 1)"
+                )
+
+
 def pole_free_on_ball(f, ball):
     if f.den.degree == 0:
         return True
@@ -54,15 +77,15 @@ def sup_norm_exp_on_ball(f, ball):
     if not pole_free_on_ball(f, ball):
         raise PoleInBallError(f"map has a pole on {ball}")
     num_exp = gauss_norm_exp(f.num.recenter(ball.center), ball.radius.exp, from_k=0)
-    return num_exp - f.den(ball.center).valuation()
+    return num_exp - poly_eval(f.den, ball.center).valuation()
 
 
 def image_of_ball(f, ball):
     if not pole_free_on_ball(f, ball):
         raise PoleInBallError(f"map has a pole on {ball}")
     a = ball.center
-    pa = f.num(a)
-    qa = f.den(a)
+    pa = poly_eval(f.num, a)
+    qa = poly_eval(f.den, a)
     g = f.num * qa - f.den * pa
     e = gauss_norm_exp(g.recenter(a), ball.radius.exp, from_k=1)
     if e.is_infinite:

@@ -40,8 +40,9 @@ def derivative_at(f, x):
     if d.is_zero:
         return POLE
     n = poly_eval(f.num, x)
-    dn = poly_eval(f.num.derivative(), x)
-    dd = poly_eval(f.den.derivative(), x)
+    # the coefficients k*c_k of each derivative, spelled out
+    dn, dd = (poly_eval(Poly(f.p, [k * c for k, c in enumerate(P.coeffs)][1:]), x)
+              for P in (f.num, f.den))
     return (dn * d - n * dd) * (d * d).inverse()
 
 

@@ -34,7 +34,7 @@ class TestPoly:
 
     def test_arithmetic_and_call(self):
         P = Z**2 + 2 * Z + 1
-        assert P(K3(2)) == K3(9)
+        assert RationalMap(P).eval(K3(2)) == K3(9)
         assert (P - P).is_zero
         assert (Z - 1) * (Z + 1) == Z**2 - 1
 
@@ -62,11 +62,7 @@ class TestPoly:
         assert (Z**2).recenter(K3(1)) == Poly(3, (1, 2, 1))
         P = Z**3 - 2 * Z + 7
         a = K3(5)
-        assert P.recenter(a)(K3(2) - a) == P(K3(2))
-
-    def test_derivative(self):
-        assert (Z**3 + 2 * Z).derivative() == 3 * Z**2 + 2
-        assert Poly.constant(3, 9).derivative().is_zero
+        assert RationalMap(P.recenter(a)).eval(K3(2) - a) == RationalMap(P).eval(K3(2))
 
     def test_content_and_primitive(self):
         P = 6 * Z + 4
@@ -208,7 +204,8 @@ class TestRationalMap:
     def test_derivative_at_matches_symbolic(self):
         f = RationalMap(Z**2 + 1, Z - 1)
         N, D = f.num, f.den
-        fp = RationalMap(N.derivative() * D - N * D.derivative(), D * D)
+        # N' = 2z and D' = 1
+        fp = RationalMap(2 * Z * D - N, D * D)
         for x in (K3(0), K3(5), K3(Fraction(1, 2)), K3(2, 1)):
             assert f.derivative_at(x) == fp.eval(x)
 

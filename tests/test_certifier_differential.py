@@ -10,6 +10,7 @@ factor.
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from padicglue import (
     classify_disk,
     distance_exp,
     plan_gluing,
+    uniformizer_power,
 )
 from padicglue.presets import (
     EX2_EPSILON,
@@ -185,6 +187,47 @@ def test_one_fraction_equals_sequential_sum(name):
 def test_one_fraction_equals_sequential_sum_on_suites(suite, rational_suite):
     for models, eps in suite + rational_suite:
         assert_same_sums(models, plan_gluing(models, eps))
+
+
+def make_boundedness_instance(rng):
+    """A seeded model set that may break the boundedness hypothesis: a map
+    of make_gluing_instance may be scaled by p^-k for k in 1..2, or get a
+    pole at a point of a sibling ball."""
+    models, eps = make_gluing_instance(rng)
+    p = models[0].domain.p
+    z = Poly.x(p)
+    out = []
+    for i, m in enumerate(models):
+        num, den = m.f.num * Fraction(1, p ** rng.choice((0, 0, 0, 0, 0, 1, 2))), m.f.den
+        if rng.random() < 0.1:
+            sibling = models[rng.choice([j for j in range(len(models)) if j != i])].domain
+            den = den * (z - sibling.center - uniformizer_power(p, sibling.radius))
+        try:
+            out.append(LocalModel(f=RationalMap(num, den), domain=m.domain))
+        except HypothesisViolation:
+            out.append(m)  # the new map is constant on its ball
+    return out, eps
+
+
+def _verdict(fn, *args):
+    try:
+        fn(*args)
+    except HypothesisViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_boundedness_check_agrees_with_image_oracle():
+    # plan_gluing reads boundedness off the sup norm of each map on each
+    # ball; the oracle computes every image ball in full
+    rng = random.Random(SUITE_SEED + 2)
+    verdicts = Counter()
+    for _ in range(60):
+        models, eps = make_boundedness_instance(rng)
+        got = _verdict(plan_gluing, models, eps)
+        assert got == _verdict(oracle.check_global_boundedness, models)
+        verdicts["passes" if got is None else "pole" if "pole" in got else "unbounded"] += 1
+    assert min(verdicts[k] for k in ("passes", "pole", "unbounded")) >= 5, verdicts
 
 
 def test_classify_disk_raises_on_a_pole():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,10 @@ from conftest import shared_pole_problem
 from padicglue import (
     Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap, build_F,
     certify_theorem1, epsilon_for_census, hensel_fixed_point, orbit, plan_gluing,
+    uniformizer_power,
 )
 from padicglue.cli import main
-from padicglue.gluing import M_LIMIT
+from padicglue.gluing import M_LIMIT, GluingPlan, _glued_sum
 from padicglue.presets import (
     EX2_EPSILON, crossed_sum, ex1_census, ex1_epsilon, ex1_models, ex2_models, ex2_problem,
 )
@@ -271,6 +273,30 @@ class TestGlue:
         assert run.returncode == 0, run.stderr
         assert "certificate: PASS\n" in run.stdout
 
+    @pytest.mark.parametrize("override", [[9], [9, None, 8, 100]], ids=["short", "long"])
+    def test_M_override_of_wrong_length_exit_3(self, tmp_path, capsys, override):
+        doc = ex2_problem()
+        doc["M_override"] = override
+        path = tmp_path / "Mlength.json"
+        write_json(path, doc)
+        assert main(["glue", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "hypothesis violation: M override must list 3 entries, one per ball\n"
+        )
+
+    def test_image_radius_above_one_prints_its_exponent(self, tmp_path, capsys):
+        # the image of B(0; 3^-2) under z/27 is B(0; 3^1)
+        models, _, _ = _hypothesis_breaking_result("unbounded")
+        path = tmp_path / "unbounded.json"
+        write_json(path, problem_to_json(3, Radius(3), models))
+        assert main(["glue", "--input", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "hypothesis violation: map 0 sends ball 0 onto B(0; 3^(1)),"
+            " which is not inside B(0; 1)\n"
+        )
+
     def test_indifferent_witness_off_fixed_point_fails_census(self, tmp_path, capsys):
         # f_1 = (z^2 + 3)/3 does not fix the center 3 of its ball, so the
         # indifferent-case hypotheses fail instead of raising
@@ -294,7 +320,44 @@ class TestGlue:
         assert "census is malformed" in capsys.readouterr().err
 
 
+def _hypothesis_breaking_result(name):
+    """Models, plan and F of a result that glue would refuse but whose
+    certificate passes: two overlapping balls, or a map that sends its
+    ball onto B(0; 3^1)."""
+    s = Radius(Fraction(3, 2))
+    if name == "overlapping":
+        models = [LocalModel(RationalMap(3 * Z), Ball(K3(0), Radius(r))) for r in (2, 3)]
+        plan = GluingPlan(deltas=(Radius(1),) * 2, s=(s, Radius(2)), c=(K3(0, 3), K3(9)),
+                          M=(9, 5), tau=Radius(4), epsilon=Radius(3))
+        return models, plan, RationalMap(3 * Z)
+    models = [LocalModel(RationalMap(Z * Fraction(1, 27)), Ball(K3(0), Radius(2))),
+              LocalModel(RationalMap(Z), Ball(K3(3), Radius(2)))]
+    plan = GluingPlan(deltas=(Radius(1),) * 2, s=(s, s), c=(uniformizer_power(3, s),) * 2,
+                      M=(12, 12), tau=Radius(3), epsilon=Radius(3))
+    return models, plan, _glued_sum(models, plan, 0)
+
+
 class TestVerify:
+    @pytest.mark.parametrize("name, err", [
+        ("overlapping", "balls not pairwise disjoint: balls 0 and 1 intersect"),
+        ("unbounded", "map 0 sends ball 0 onto B(0; 3^(1)), which is not inside B(0; 1)"),
+    ], ids=["overlapping", "unbounded"])
+    def test_result_breaking_a_hypothesis_exit_3(self, tmp_path, name, err):
+        # both certificates pass, so only the hypothesis check refuses them,
+        # as it refuses the same problems in glue
+        models, plan, F = _hypothesis_breaking_result(name)
+        cert = certify_theorem1(F, models, plan)
+        assert cert.passes
+        path = tmp_path / f"{name}.json"
+        write_json(path, result_to_json(3, plan.epsilon, models, plan, F, cert))
+        run = subprocess.run(
+            [sys.executable, "-m", "padicglue.cli", "verify", "--input", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert (run.returncode, run.stdout) == (3, "")
+        assert run.stderr == f"hypothesis violation: {err}\n"
+
     def test_roundtrip_passes(self, ex2_paths, capsys):
         _, result = ex2_paths
         assert main(["verify", "--input", str(result), "--samples", "100"]) == 0
@@ -551,6 +614,19 @@ class TestStoredClaims:
             for attr in qualname.split("."):
                 obj = getattr(obj, attr, None)
             assert callable(obj), f"{module}.{qualname}"
+
+
+    def test_tracer_installs_and_restores(self):
+        # the tracer's own lookup: it must find every traced function and
+        # method in the loaded library, rebind it, and put it back
+        tracer_module = _perfbench("tracer")
+        tracer = tracer_module.Tracer()
+        try:
+            tracer.install()
+            traced = {id(original) for _, _, original in tracer._patches}
+        finally:
+            tracer.restore()
+        assert len(traced) == len(tracer_module.SPANNED) + len(tracer_module.COUNTED)
 
 
 class TestLimits:

@@ -21,6 +21,7 @@ from padicglue import (
     sup_norm_exp_on_ball,
     wdeg,
 )
+from padicglue.errors import _power_str
 
 K3 = FieldConfig(3)
 Z = Poly.x(3)
@@ -97,6 +98,15 @@ class TestBallSetSemantics:
     def test_str_forms(self):
         assert str(B(0, 2)) == "B(0; 3^(-2))"
         assert str(B(3, 1, closed=False)) == "D(3; 3^(-1))"
+
+    def test_str_of_radius_at_least_one(self):
+        # a radius p^(-e) with e <= 0; e = 0 keeps its sign, as stored
+        # outputs print it
+        assert str(B(0, 0)) == "B(0; 3^(-0))"
+        assert str(B(0, -1)) == "B(0; 3^(1))"
+        assert str(B(1, Fraction(-3, 2), closed=False)) == "D(1; 3^(3/2))"
+        assert _power_str("p", Radius(-2)) == "p^(2)"
+        assert _power_str("p", Radius(Fraction(1, 2))) == "p^(-1/2)"
 
 
 def test_distance_exp():

@@ -26,6 +26,7 @@ from padicglue import (
     uniformizer_power,
     validate_plan,
 )
+from padicglue import gluing
 from padicglue.gluing import M_LIMIT
 from padicglue.presets import EX2_EPSILON, crossed_sum, ex1_models, ex2_models
 
@@ -152,6 +153,17 @@ class TestPlanGluing:
         assert plan.deltas == (Radius(1), Radius(1))
         assert [s.exp for s in plan.s] == [Fraction(3, 2)] * 2
 
+    def test_radius_above_one_prints_its_exponent(self):
+        # r = 3^1 on a single ball squeezed to delta = 3^0
+        models = [LocalModel(RationalMap(27 * Z), B(0, -1))]
+        with pytest.raises(HypothesisViolation, match=r"\(r = p\^\(1\), delta = p\^\(-0\)\)$"):
+            plan_gluing(models, Radius(3), delta_override=[Radius(0)])
+
+    @pytest.mark.parametrize("override", [[9], [9, None, 8, 100]])
+    def test_M_override_lists_one_entry_per_ball(self, override):
+        with pytest.raises(HypothesisViolation, match="M override must list 3 entries"):
+            plan_gluing(ex2_models(), EX2_EPSILON, M_override=override)
+
     def test_geometric_mean_must_stay_on_grid(self):
         models = ex2_models()
         override = [Radius(1), Radius(1), Radius(Fraction(3, 2))]
@@ -221,6 +233,28 @@ class TestValidatePlan:
         models, plan, _ = ex2
         validate_plan(models, replace(plan, M=(8, 7, 10)))
 
+    def test_delta_beyond_true_separation_rejected(self, ex2):
+        # ex2's centers are 3^-1 apart; a stored delta of 3^0 is not
+        models, plan, _ = ex2
+        with pytest.raises(HypothesisViolation, match="delta for ball 0 exceeds the distance"):
+            validate_plan(models, replace(plan, deltas=(Radius(0),) + plan.deltas[1:]))
+
+    def test_models_breaking_a_hypothesis_rejected(self, ex2):
+        # the stored plan fits the constants, but the models do not fit
+        # the construction: the same model check as plan_gluing refuses them
+        models, plan, _ = ex2
+        overlap = [models[0], LocalModel(RationalMap(Z), B(0, 3)), models[2]]
+        with pytest.raises(HypothesisViolation, match="balls 0 and 1 intersect"):
+            validate_plan(overlap, plan)
+        escaping = [LocalModel(RationalMap(Z * Fraction(1, 27)), models[0].domain)] + models[1:]
+        with pytest.raises(HypothesisViolation, match=r"map 0 sends ball 0 onto B\(0; 3\^\(1\)\)"):
+            validate_plan(escaping, plan)
+
+    def test_M_above_limit_rejected(self, ex2):
+        models, plan, _ = ex2
+        with pytest.raises(LimitExceeded, match=f"ball 1: M = {M_LIMIT + 1} is above the limit"):
+            validate_plan(models, replace(plan, M=(7, M_LIMIT + 1, 7)))
+
     def test_tampered_fields_rejected(self, ex2):
         models, plan, _ = ex2
         with pytest.raises(HypothesisViolation, match="strict tau bound"):
@@ -248,6 +282,18 @@ class TestBuildF:
 
 
 class TestCertification:
+    def test_expands_only_F_about_each_ball(self, ex2, monkeypatch):
+        # each f_i comes with the expansion its LocalModel keeps
+        models, plan, F = ex2
+        expanded = []
+        init = gluing.LocalExpansion.__init__
+        monkeypatch.setattr(
+            gluing.LocalExpansion, "__init__",
+            lambda self, f, ball: expanded.append(f) or init(self, f, ball),
+        )
+        assert certify_theorem1(F, models, plan).passes
+        assert expanded == [F] * len(models)
+
     def test_reference_glue_certifies(self, ex2):
         models, plan, F = ex2
         assert (F.num.degree, F.den.degree) == (15, 21)
