@@ -14,9 +14,7 @@ from math import gcd, lcm
 from .field import KElement, ValExp, _int_val
 
 __all__ = [
-    "POLE",
     "Poly",
-    "PoleMarker",
     "RationalMap",
     "count_roots_with_min_valuation",
     "gauss_norm_exp",
@@ -504,23 +502,6 @@ def gauss_norm_exp(P: Poly, radius_exp, from_k: int = 0) -> ValExp:
     return ValExp(_min_plus(P, radius_exp, from_k)[0])
 
 
-class PoleMarker:
-    """Sentinel returned when a rational map is evaluated at a pole."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "POLE"
-
-
-POLE = PoleMarker()
-
-
 class RationalMap:
     """Quotient of polynomials in canonical form: reduced, monic denominator."""
 
@@ -572,19 +553,19 @@ class RationalMap:
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, x):
-        """Value at x, or POLE when the (reduced) denominator vanishes."""
+        """Value at x, or None at a pole: a root of the reduced denominator."""
         value = _eval_ints(self, x)
-        return POLE if value is None else _element(self.p, *value)
+        return None if value is None else _element(self.p, *value)
 
     __call__ = eval
 
     def derivative_at(self, x):
         """Derivative value at x without building the reduced derivative map:
-        (n1 q0 - n0 q1)/q0^2 from the pairs of `_values`."""
+        (n1 q0 - n0 q1)/q0^2 from the pairs of `_values`; None at a pole."""
         p = self.p
         n0, n1, q0, q1 = _values(self, x, True)
         if not any(q0):
-            return POLE
+            return None
         t = _sub(_mul(p, n1, q0), _mul(p, n0, q1))
         return _element(p, *_quotient(p, t, _mul(p, q0, q0)))
 

@@ -127,30 +127,32 @@ def _write_result(path, p, epsilon, models, plan, F, cert, census, report, table
         print(f"result written to {path}")
 
 
-def _claims_agree(stored, stored_passes: bool, cert) -> bool:
-    """Compare a result's stored certificate claims with the recomputed
-    certificate, printing one stderr line per disagreement.
+def _claims_agree(res, cert) -> bool:
+    """Compare a result's epsilon and stored certificate claims with the
+    recomputed certificate, printing one stderr line per disagreement.
 
     Witnesses and samples_ok depend on --samples and are skipped; passes
     does not, since every sample obeys the certified sup bound.  Images are
     compared as sets: a deep perturbation of F moves the exact center F(a_i)
     but not the ball.
     """
+    stored = res["certificate"]
     claims = [
-        ("passes", stored_passes, cert.passes),
-        ("epsilon_exp", stored.epsilon, cert.epsilon),
-        ("degree", (stored.degree_num, stored.degree_den), (cert.degree_num, cert.degree_den)),
-        ("balls", len(stored.checks), len(cert.checks)),
+        ("epsilon_exp", res["epsilon"], cert.epsilon),
+        ("certificate.passes", res["stored_passes"], cert.passes),
+        ("certificate.epsilon_exp", stored.epsilon, cert.epsilon),
+        ("certificate.degree", (stored.degree_num, stored.degree_den),
+         (cert.degree_num, cert.degree_den)),
+        ("certificate.balls", len(stored.checks), len(cert.checks)),
     ]
     for k, (s, c) in enumerate(zip(stored.checks, cert.checks)):
         for field in ("index", "pole_free_ok", "image_ok", "image", "eps_bound_exp"):
-            claims.append((f"balls[{k}].{field}", getattr(s, field), getattr(c, field)))
+            claims.append((f"certificate.balls[{k}].{field}", getattr(s, field), getattr(c, field)))
     agree = True
     for name, s, c in claims:
         same = s.same_set(c) if isinstance(s, Ball) and isinstance(c, Ball) else s == c
         if not same:
-            print(f"result.certificate.{name}: stored {_show(s)}, recomputed {_show(c)}",
-                  file=sys.stderr)
+            print(f"result.{name}: stored {_show(s)}, recomputed {_show(c)}", file=sys.stderr)
             agree = False
     return agree
 
@@ -218,7 +220,7 @@ def cmd_verify(args) -> int:
     models, plan = res["models"], res["plan"]
     validate_plan(models, plan)
     cert, _, ok = _certify(res["p"], models, plan, res["F"], res["census"], args.samples)
-    if _claims_agree(res["certificate"], res["stored_passes"], cert) and ok:
+    if _claims_agree(res, cert) and ok:
         print(f"verification passed with {args.samples} samples per ball")
         return EXIT_PASS
     print("verification FAILED")
@@ -275,7 +277,7 @@ def _example_ex1(args) -> int:
 
     zero = KElement(3, 0)
     lam = F.derivative_at(zero)
-    if not isinstance(lam, KElement):
+    if lam is None:
         print("F has a pole at 0; no derivative to compare", file=sys.stderr)
         return EXIT_FAIL
     closed = ex1_derivative_closed_form(alpha, beta, plan)

@@ -71,7 +71,7 @@ def multiplier(f: RationalMap, x) -> Multiplier:
     if not isinstance(x, KElement):
         x = KElement(f.p, x)
     fx = f.eval(x)
-    if not isinstance(fx, KElement) or fx != x:
+    if fx is None or fx != x:
         raise ValueError(f"{x} is not a fixed point")
     lam = f.derivative_at(x)
     v = lam.valuation()
@@ -117,14 +117,14 @@ def classify_disk(F: RationalMap, U: Ball) -> DiskBehavior:
         d = local.wdeg(U.center)
         if d >= 2:
             return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
+        # local.image succeeded, so F has no pole on U and lam is a value
         lam = F.derivative_at(U.center)
-        certified = isinstance(lam, KElement) and (lam - 1).valuation() == 0
         return DiskBehavior(
             kind=INDIFFERENT,
             image=img,
             wdeg=d,
-            existence_certified=certified,
-            derivative_at_center=lam if isinstance(lam, KElement) else None,
+            existence_certified=(lam - 1).valuation() == 0,
+            derivative_at_center=lam,
         )
     if img.properly_contains(U):
         d = local.wdeg(U.center)
@@ -365,7 +365,11 @@ class OrbitStep:
     point: KElement | None
     dist_exp: ValExp | None
     step_exp: ValExp | None
-    pole: bool = False
+
+    @property
+    def pole(self) -> bool:
+        """The orbit stopped on a pole: this entry has no point."""
+        return self.point is None
 
 
 def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> list:
@@ -395,7 +399,7 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
     for k in range(1, steps + 1):
         value = _eval_ints(F, z)
         if value is None:
-            out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None, pole=True))
+            out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None))
             break
         nxt = _round_quotient(F.p, *value, precision)
         out.append(

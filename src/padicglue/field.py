@@ -220,16 +220,6 @@ class KElement:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
-
-    @property
-    def rational_value(self) -> Fraction:
-        if self.b:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
     # -- coercion ---------------------------------------------------------
 
     def _coerce(self, other):
@@ -286,18 +276,6 @@ class KElement:
         n = self.a * self.a - self.p * self.b * self.b
         return KElement(self.p, self.a / n, -self.b / n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __neg__(self):
         return KElement(self.p, -self.a, -self.b)
 
@@ -315,9 +293,6 @@ class KElement:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self) -> "KElement":
-        return KElement(self.p, self.a, -self.b)
 
     # -- valuation ----------------------------------------------------------
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
-    POLE,
     Poly,
     RationalMap,
     count_roots_with_min_valuation,

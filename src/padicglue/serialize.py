@@ -24,8 +24,7 @@ from .dynamics import (
     Witness,
     validate_census,
 )
-# re-exported: the README names the echo limit serialize.SHOW_LIMIT too
-from .errors import SHOW_LIMIT, LimitExceeded, SpecFormatError, _show
+from .errors import LimitExceeded, SpecFormatError, _show
 from .field import KElement, ValExp, _rational_str, is_prime
 from .geometry import Ball
 from .gluing import BallCheck, Certificate, GluingPlan, LocalModel
@@ -500,12 +499,9 @@ def problem_from_json(obj) -> dict:
     prob["delta_override"] = entries(
         "delta_override", lambda d, w: _exp_from_json(d, w, integral=True)
     )
-    M_override = obj.get("M_override")
-    if M_override is not None and not (
-        isinstance(M_override, list) and all(m is None or type(m) is int for m in M_override)
-    ):
-        raise SpecFormatError("problem.M_override: expected a list of integers")
-    prob["M_override"] = M_override
+    prob["M_override"] = entries(
+        "M_override", lambda m, w: None if m is None else _int_from_json(m, w)
+    )
     prob["c_override"] = entries(
         "c_override", lambda c, w: None if c is None else kelement_from_json(c, p, w)
     )

@@ -11,7 +11,7 @@ integer step, and for the loop of `orbit`, kept here as it was before
 each point was rounded straight from the integers of its quotient.
 """
 
-from padicglue import POLE, HenselConditionError, KElement, OrbitStep, Poly, RationalMap, ValExp
+from padicglue import HenselConditionError, KElement, OrbitStep, Poly, RationalMap, ValExp
 from padicglue.dynamics import _round_point
 
 
@@ -29,7 +29,7 @@ def ratmap_eval(f, x):
         x = KElement(f.p, x)
     d = poly_eval(f.den, x)
     if d.is_zero:
-        return POLE
+        return None
     return poly_eval(f.num, x) * d.inverse()
 
 
@@ -38,7 +38,7 @@ def derivative_at(f, x):
         x = KElement(f.p, x)
     d = poly_eval(f.den, x)
     if d.is_zero:
-        return POLE
+        return None
     n = poly_eval(f.num, x)
     # the coefficients k*c_k of each derivative, spelled out
     dn, dd = (poly_eval(Poly(f.p, [k * c for k, c in enumerate(P.coeffs)][1:]), x)
@@ -104,7 +104,7 @@ def orbit(F, z0, steps, ref=None, precision=512):
     for k in range(1, steps + 1):
         nxt = F.eval(z)
         if not isinstance(nxt, KElement):
-            out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None, pole=True))
+            out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None))
             break
         nxt = _round_point(nxt, precision)
         out.append(

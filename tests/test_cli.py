@@ -1,5 +1,6 @@
 """Exit-code contract and output of the command line front end."""
 
+import ast
 import copy
 import hashlib
 import importlib.util
@@ -472,6 +473,8 @@ class TestMalformedInput:
             ("glue", _set("census", "witnesses", value=5), "problem.census.witnesses"),
             ("glue", _set("census", "counts", 0, 0, value=True), "problem.census.counts[0]"),
             ("glue", _set("M_override", value=[True, None, None]), "problem.M_override"),
+            ("glue", _set("M_override", value=[7, 7.5, None]),
+             "problem.M_override[1]: expected an integer, got 7.5"),
             ("verify", _set("models", 0, "ball", "center", "b", value="1"),
              "result.models[0].ball.center"),
             ("verify", _set("models", 1, "ball", "radius_exp", value="5/2"),
@@ -511,6 +514,7 @@ class TestStoredClaims:
     @pytest.mark.parametrize(
         "mutate, line",
         [
+            (_set("epsilon_exp", value="9"), "result.epsilon_exp: stored 9, recomputed 3"),
             (_set("certificate", "passes", value=False),
              "result.certificate.passes: stored False, recomputed True"),
             (_set("certificate", "epsilon_exp", value="4"),
@@ -615,6 +619,20 @@ class TestStoredClaims:
                 obj = getattr(obj, attr, None)
             assert callable(obj), f"{module}.{qualname}"
 
+    @pytest.mark.parametrize("name", ["workloads", "inputs"])
+    def test_workload_library_reads_resolve(self, name):
+        # every `pg.`, `presets.`, `serialize.` and `cli.` attribute the
+        # harness reads, found in its source, which is only parsed here
+        tree = ast.parse((ROOT / "perfbench" / f"{name}.py").read_text())
+        aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for a in node.names
+                   if a.name.split(".")[0] == "padicglue"}
+        reads = {(aliases[n.value.id], n.attr) for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                 and n.value.id in aliases}
+        assert reads
+        for module, attr in sorted(reads):
+            assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
 
     def test_tracer_installs_and_restores(self):
         # the tracer's own lookup: it must find every traced function and

@@ -105,12 +105,6 @@ class TestFieldArithmetic:
         assert x**-2 == (x.inverse()) ** 2
         assert x**0 == K3(1)
 
-    def test_conjugate_norm_is_rational(self):
-        x = K3(Fraction(2, 3), Fraction(5, 7))
-        n = x * x.conjugate()
-        assert n.is_rational
-        assert n.rational_value == Fraction(2, 3) ** 2 - 3 * Fraction(5, 7) ** 2
-
     def test_hash_matches_rational_equality(self):
         assert hash(K3(Fraction(5, 2))) == hash(Fraction(5, 2))
         assert K3(Fraction(5, 2)) == Fraction(5, 2)

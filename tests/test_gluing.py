@@ -1,7 +1,9 @@
 """Bump factors, plan selection, assembly, and exact certification."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -375,3 +377,14 @@ class TestC3Hypotheses:
         models = [LocalModel(RationalMap(Z + 3), B(0, 2))]
         with pytest.raises(ValueError, match="not a fixed point"):
             check_c3_hypotheses(models, 0)
+
+
+def test_readme_library_example_prints_what_its_comments_claim(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["(7, 7) True", "7/2", "attracting"]
+    # each print's trailing comment opens with the line it prints
+    claims = re.findall(r"^print\(.*#\s*(.*)$", block, re.M)
+    assert len(claims) == len(out) and all(c.startswith(o) for o, c in zip(out, claims))

@@ -235,7 +235,7 @@ class TestProblemParsing:
             (lambda d: d.__setitem__("delta_override", ["1/2"]),
              r"problem\.delta_override\[0\]: must be an integer"),
             (lambda d: d.__setitem__("M_override", ["7"]),
-             r"problem\.M_override: expected a list of integers"),
+             r"problem\.M_override\[0\]: expected an integer, got '7'"),
         ],
     )
     def test_strict_diagnostics_name_the_entry(self, mutate, message):
