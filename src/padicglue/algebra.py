@@ -29,7 +29,7 @@ class Poly:
     zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "coeffs", "_ints")
 
     p: int
     coeffs: tuple
@@ -267,6 +267,7 @@ class Poly:
 # the polynomial is P = (1/D) sum (A_k + B_k sqrt p) z^k, all integers.
 # Horner on integer pairs then yields P(x) with the single denominator
 # D w^deg, so a result costs one gcd per coordinate instead of one per step.
+# The integer form of a Poly is computed once, on first use, and kept.
 
 
 def _point(p: int, x) -> tuple:
@@ -280,6 +281,24 @@ def _point(p: int, x) -> tuple:
     return a.numerator * (w // a.denominator), b.numerator * (w // b.denominator), w
 
 
+def _int_form(P: Poly) -> tuple:
+    """(D, ((A_0, B_0), ...)) with P = (1/D) sum (A_k + B_k sqrt p) z^k and
+    D the lcm of the coefficient denominators; (1, ()) for P = 0.  Kept in
+    a private slot of P, so it is computed once per Poly."""
+    try:
+        return P._ints
+    except AttributeError:
+        pass
+    coeffs = P.coeffs
+    D = lcm(*[c.a.denominator for c in coeffs], *[c.b.denominator for c in coeffs])
+    form = D, tuple(
+        (c.a.numerator * (D // c.a.denominator), c.b.numerator * (D // c.b.denominator))
+        for c in coeffs
+    )
+    object.__setattr__(P, "_ints", form)
+    return form
+
+
 def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     """Horner's rule for P at x = (u + v sqrt p)/w, in integers.
 
@@ -287,26 +306,20 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     P(x) = (ha + hb sqrt p)/(D w^n); when deriv is set, also
     P'(x) = (ga + gb sqrt p)/(D w^(n-1)), else ga = gb = 0.
     """
-    coeffs = P.coeffs
-    if not coeffs:
+    D, cs = _int_form(P)
+    if not cs:
         return 1, 0, 0, 0, 0, 0
-    D = lcm(*[c.a.denominator for c in coeffs], *[c.b.denominator for c in coeffs])
     pv = P.p * v
-    top = coeffs[-1]
-    ha = top.a.numerator * (D // top.a.denominator)
-    hb = top.b.numerator * (D // top.b.denominator)
+    ha, hb = cs[-1]
     ga = gb = 0
     wk = 1
-    for c in coeffs[-2::-1]:
+    for ca, cb in cs[-2::-1]:
         # with x = X/w: H_k = X H_(k+1) + C_k w^(n-k), G_k = X G_(k+1) + H_(k+1)
         wk *= w
         if deriv:
             ga, gb = ga * u + gb * pv + ha, ga * v + gb * u + hb
-        ha, hb = (
-            ha * u + hb * pv + c.a.numerator * (D // c.a.denominator) * wk,
-            ha * v + hb * u + c.b.numerator * (D // c.b.denominator) * wk,
-        )
-    return D, len(coeffs) - 1, ha, hb, ga, gb
+        ha, hb = ha * u + hb * pv + ca * wk, ha * v + hb * u + cb * wk
+    return D, len(cs) - 1, ha, hb, ga, gb
 
 
 def _values(f: "RationalMap", x, deriv: bool) -> tuple:
@@ -363,13 +376,29 @@ def _eval_ints(f: "RationalMap", x) -> tuple | None:
     return _quotient(f.p, n0, q0) if any(q0) else None
 
 
+def _twice_val(p: int, x: tuple) -> int:
+    """2 v(a + b sqrt p) for a pair x = (a, b) != (0, 0), an integer: the
+    two terms have valuations of different parity, so the smaller wins."""
+    a, b = x
+    vb = 2 * _int_val(b, p) + 1 if b else None
+    va = 2 * _int_val(a, p) if a else vb
+    return va if vb is None else min(va, vb)
+
+
 def _pair_val(p: int, x: tuple, scale: int = 1) -> Fraction:
     """v((a + b sqrt p)/scale) for a pair x = (a, b) != (0, 0) and an
     integer scale != 0."""
-    a, b = x
-    vb = _int_val(b, p) + Fraction(1, 2) if b else None
-    va = Fraction(_int_val(a, p)) if a else vb
-    return (va if vb is None else min(va, vb)) - _int_val(scale, p)
+    return Fraction(_twice_val(p, x), 2) - _int_val(scale, p)
+
+
+def _diff_val(p: int, x: tuple, y: tuple, x2: tuple, y2: tuple) -> ValExp:
+    """v(x/y - x2/y2) for Z[sqrt p] pairs with y, y2 != (0, 0): the
+    valuation of x y2 - x2 y less those of y and y2, infinite exactly when
+    the two quotients are equal."""
+    t = _sub(_mul(p, x, y2), _mul(p, x2, y))
+    if not any(t):
+        return ValExp.infinite()
+    return ValExp(Fraction(_twice_val(p, t) - _twice_val(p, y) - _twice_val(p, y2), 2))
 
 
 # primes = 3 mod 4, so square roots mod q are a single pow() when they exist

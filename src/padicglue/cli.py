@@ -131,10 +131,12 @@ def _claims_agree(res, cert) -> bool:
     """Compare a result's epsilon and stored certificate claims with the
     recomputed certificate, printing one stderr line per disagreement.
 
-    Witnesses and samples_ok depend on --samples and are skipped; passes
-    does not, since every sample obeys the certified sup bound.  Images are
-    compared as sets: a deep perturbation of F moves the exact center F(a_i)
-    but not the ball.
+    samples_ok depends on --samples and is skipped; passes does not, since
+    every sample obeys the certified sup bound.  Sample points are taken
+    breadth-first, so the points of a smaller budget are a prefix of those
+    of a larger one: the first min(stored, recomputed) witnesses of each
+    ball, point and diff_exp, must agree.  Images are compared as sets: a
+    deep perturbation of F moves the exact center F(a_i) but not the ball.
     """
     stored = res["certificate"]
     claims = [
@@ -148,13 +150,21 @@ def _claims_agree(res, cert) -> bool:
     for k, (s, c) in enumerate(zip(stored.checks, cert.checks)):
         for field in ("index", "pole_free_ok", "image_ok", "image", "eps_bound_exp"):
             claims.append((f"certificate.balls[{k}].{field}", getattr(s, field), getattr(c, field)))
+        for j, (sw, cw) in enumerate(zip(s.witnesses, c.witnesses)):
+            claims.append((f"certificate.balls[{k}].witnesses[{j}]", sw, cw))
     agree = True
     for name, s, c in claims:
         same = s.same_set(c) if isinstance(s, Ball) and isinstance(c, Ball) else s == c
         if not same:
-            print(f"result.{name}: stored {_show(s)}, recomputed {_show(c)}", file=sys.stderr)
+            print(f"result.{name}: stored {_echo(s)}, recomputed {_echo(c)}", file=sys.stderr)
             agree = False
     return agree
+
+
+def _echo(x) -> str:
+    # a claim as a mismatch line shows it; a pair such as a degree or a
+    # witness (point, diff_exp) shows each part through _show
+    return f"({', '.join(map(_show, x))})" if isinstance(x, tuple) else _show(x)
 
 
 def _orbit_rows(p: int, steps) -> None:

@@ -20,7 +20,9 @@ that ball are all read off the shifted coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (
@@ -30,7 +32,7 @@ from .algebra import (
     gauss_norm_exp,
 )
 from .errors import PoleInBallError, _power_str, _show
-from .field import KElement, ValExp, uniformizer_power
+from .field import KElement, ValExp
 
 __all__ = [
     "Ball",
@@ -81,28 +83,31 @@ class Ball:
     def kind(self) -> str:
         return "closed" if self.closed else "open"
 
-    def contains_point(self, x: KElement) -> bool:
-        d = distance_exp(x, self.center)
+    def _within(self, d: ValExp) -> bool:
+        # whether a point at distance exponent d from the center lies in
+        # the ball: the one closed/open comparison rule
         return d >= self.radius if self.closed else d > self.radius
 
+    def contains_point(self, x: KElement) -> bool:
+        return self._within(distance_exp(x, self.center))
+
     def contains_ball(self, other: "Ball") -> bool:
-        d = distance_exp(other.center, self.center)
+        within = self._within(distance_exp(other.center, self.center))
         if self.closed:
-            return other.radius >= self.radius and d >= self.radius
+            return other.radius >= self.radius and within
         # open outer ball: a closed inner ball must be strictly smaller
         if other.closed and not other.radius > self.radius:
             return False
         if not other.closed and not other.radius >= self.radius:
             return False
-        return d > self.radius
+        return within
 
     def same_set(self, other: "Ball") -> bool:
         # over C_v a closed ball of radius in the value group never equals
         # an open one, so kinds must agree
         if self.closed != other.closed or self.radius != other.radius:
             return False
-        d = distance_exp(other.center, self.center)
-        return d >= self.radius if self.closed else d > self.radius
+        return self._within(distance_exp(other.center, self.center))
 
     def properly_contains(self, other: "Ball") -> bool:
         return self.contains_ball(other) and not self.same_set(other)
@@ -282,21 +287,27 @@ def wdeg(f: RationalMap, b: KElement, ball: Ball) -> int:
 
 def sample_points(ball: Ball, budget: int) -> list:
     """Deterministic K-rational points of the ball: the center first, then
-    shells of decreasing radius, breadth-first.
+    shells of decreasing radius, breadth-first, so the first k points of a
+    larger budget are the points of budget k.
 
     Shell j contributes center + u * pi^(2j) for u = 1..p-1, where pi is
     sqrt(p); shells start at the ball's radius exponent (one step inside
-    for an open ball) and shrink by a factor of p each round.
+    for an open ball) and shrink by a factor of p each round.  The offset
+    u * pi^(2j) is u * p^floor(j), added to the rational coordinate of the
+    center for integral j and to its sqrt p coordinate otherwise, so each
+    point is built from two Fractions without a multiplication in K.
     """
     if budget < 1:
         return []
-    p = ball.p
+    p, a, b = ball.p, ball.center.a, ball.center.b
     pts = [ball.center]
-    j = ball.radius if ball.closed else ball.radius + 1
+    j = (ball.radius if ball.closed else ball.radius + 1).exp
     while len(pts) < budget:
-        scale = uniformizer_power(p, j)
+        k = math.floor(j)
+        step = p**k if k >= 0 else Fraction(1, p**-k)
         for u in range(1, p):
-            pts.append(ball.center + scale * u)
+            off = step * u
+            pts.append(KElement(p, a + off, b) if j.denominator == 1 else KElement(p, a, b + off))
             if len(pts) >= budget:
                 break
         j += 1

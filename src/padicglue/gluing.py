@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Poly, RationalMap
+from .algebra import Poly, RationalMap, _diff_val, _point, _values
 from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
 from .field import KElement, ValExp, uniformizer_power
 from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas, sample_points
@@ -341,8 +341,13 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     bound equals that of the reduced F - f_i: the Gauss norm on a ball is
     multiplicative, and a common factor divides D*d, which has no zero on
     B_i, so its norm on B_i equals its absolute value at a_i and cancels.
-    F is evaluated once per sample point.
+
+    The spot checks build no K element for F(z) or f_i(z): one `_values`
+    call each gives F(z) = nF/qF and f_i(z) = nf/qf as Z[sqrt p] pairs,
+    and both the witness valuation v(F(z) - f_i(z)) and the distance from
+    F(z) to the image center are read off integer combinations of them.
     """
+    p = F.p
     checks = []
     for i, m in enumerate(models):
         B = m.domain
@@ -352,15 +357,19 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
             continue
         img = local.image
         bound = local.sup_norm_exp(minus=m._local)
+        cu, cv, cw = _point(p, img.center)
         witnesses = []
         samples_ok = True
         for z in sample_points(B, samples):
-            Fz = F.eval(z)
-            w = (Fz - m.f.eval(z)).valuation()
+            # F and f_i are pole-free on B, so neither qF nor qf is (0, 0)
+            nF, _, qF, _ = _values(F, z, False)
+            nf, _, qf, _ = _values(m.f, z, False)
+            w = _diff_val(p, nF, qF, nf, qf)
             witnesses.append((z, w))
             # pointwise values can never beat the certified sup bound, and
             # must themselves clear epsilon; the image must contain F(z)
-            if not (w >= bound and w > plan.epsilon and img.contains_point(Fz)):
+            in_image = img._within(_diff_val(p, nF, qF, (cu, cv), (cw, 0)))
+            if not (w >= bound and w > plan.epsilon and in_image):
                 samples_ok = False
         checks.append(
             BallCheck(

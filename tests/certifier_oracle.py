@@ -9,7 +9,10 @@ equal theirs exactly.  `glued_sum` is the sum as it was before it became
 one fraction: every bump factor, product and partial sum reduced by a gcd.
 `check_global_boundedness` is the boundedness hypothesis as it was checked
 before it was read off the sup norm: the image of every ball under every
-map, computed in full.
+map, computed in full.  `sample_points` builds each point as
+center + pi^(2j) * u by multiplication and addition in K, as the library
+once did, and `certify_theorem1` evaluates F and f_i at those points as K
+elements, so the library's integer spot checks are checked against it.
 """
 
 from evaluation_oracle import poly_eval
@@ -30,7 +33,7 @@ from padicglue import (
     build_h,
     count_roots_in_ball,
     gauss_norm_exp,
-    sample_points,
+    uniformizer_power,
 )
 from padicglue.errors import _show
 
@@ -98,6 +101,22 @@ def wdeg(f, b, ball):
     if not img.contains_point(b):
         raise ValueError(f"target {b} lies outside the image {img}")
     return count_roots_in_ball(f.num - f.den * b, ball)
+
+
+def sample_points(ball, budget):
+    if budget < 1:
+        return []
+    p = ball.p
+    pts = [ball.center]
+    j = ball.radius if ball.closed else ball.radius + 1
+    while len(pts) < budget:
+        scale = uniformizer_power(p, j)
+        for u in range(1, p):
+            pts.append(ball.center + scale * u)
+            if len(pts) >= budget:
+                break
+        j += 1
+    return pts
 
 
 def certify_theorem1(F, models, plan, samples=8):

@@ -1,5 +1,6 @@
 """Polynomials, root counts, Gauss norms and rational maps over K."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from padicglue import (
     gauss_norm_exp,
     poly_gcd,
 )
-from padicglue.algebra import _provably_coprime
+from padicglue import algebra
+from padicglue.algebra import _int_form, _provably_coprime
 
 K3 = FieldConfig(3)
 Z = Poly.x(3)
@@ -69,6 +71,58 @@ class TestPoly:
         Q = Poly(3, (Fraction(1, 2), Fraction(3, 4)))
         assert Q.content() == Fraction(1, 4)
         assert (Q * 4).content() == 1
+
+
+def _random_poly(rng, p):
+    def coord():
+        return Fraction(rng.randrange(-60, 61), rng.choice((1, 2, p, 4 * p, p**3, 35)))
+
+    return Poly(p, [KElement(p, coord(), coord() if rng.random() < 0.5 else 0)
+                    for _ in range(rng.randrange(0, 7))])
+
+
+class TestIntegerForm:
+    """P = (1/D) sum (A_k + B_k sqrt p) z^k, computed once per Poly."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 23])
+    def test_pairs_over_D_are_the_coefficients(self, p):
+        rng = random.Random(1300 + p)
+        for _ in range(40):
+            P = _random_poly(rng, p)
+            D, pairs = _int_form(P)
+            assert D >= 1 and len(pairs) == len(P.coeffs)
+            for (A, B), c in zip(pairs, P.coeffs):
+                assert KElement(p, Fraction(A, D), Fraction(B, D)) == c
+            dens = [x.denominator for c in P.coeffs for x in (c.a, c.b)]
+            assert all(D % d == 0 for d in dens)
+
+    def test_zero_polynomial(self):
+        assert _int_form(Poly.zero(3)) == (1, ())
+
+    def test_computed_once_per_poly(self, monkeypatch):
+        P = Poly(3, (Fraction(1, 2), KElement(3, Fraction(2, 9), Fraction(-1, 4)), 5))
+        f = RationalMap(P)
+        form = _int_form(P)
+        assert _int_form(P) is form
+        _int_form(f.den)
+        calls = []
+        real = algebra.lcm
+        monkeypatch.setattr(algebra, "lcm", lambda *xs: calls.append(xs) or real(*xs))
+        for x in range(5):
+            f.eval(K3(x))
+        # only each point's own (u, v, w) takes an lcm now
+        assert len(calls) == 5
+
+    def test_equality_hash_and_immutability_unchanged(self):
+        P = Poly(3, (Fraction(1, 2), KElement(3, 1, Fraction(1, 3))))
+        Q = Poly(3, (Fraction(1, 2), KElement(3, 1, Fraction(1, 3))))
+        _int_form(P)
+        assert P == Q and hash(P) == hash(Q)
+        assert P != Poly(3, (Fraction(1, 2), 1))
+        for name in ("coeffs", "p", "_ints"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(P, name, None)
+        assert _int_form(P) == _int_form(Q)
 
 
 class TestPolyGcd:

@@ -29,6 +29,7 @@ from padicglue import (
     certify_theorem1,
     classify_disk,
     distance_exp,
+    pairwise_deltas,
     plan_gluing,
     uniformizer_power,
 )
@@ -72,6 +73,40 @@ def make_rational_instance(rng):
             continue  # g_i shares the factor z - c and the map is constant
         e_eps = max([1] + [m.image.radius.exp for m in rational]) + rng.choice((0, 1))
         return rational, Radius(e_eps)
+
+
+def make_sqrt_instance(rng, p):
+    """A random gluing problem over p whose ball centers have a sqrt p part
+    and denominators prime to p, so separations, and with them the radii
+    r_i = delta_i + 1 or + 2, may be half-integral.  Coefficients are
+    p-integral, so every map sends every ball into B(0; 1)."""
+    K = FieldConfig(p)
+    dens = [d for d in range(1, 8) if d % p]
+    z = Poly.x(p)
+    while True:
+        # rational parts all divisible by p leave the sqrt p parts to set
+        # the separations, which then tend to be half-integral
+        step = rng.choice((1, p))
+        centers = set()
+        while len(centers) < rng.choice((2, 3)):
+            centers.add(K(Fraction(step * rng.randrange(p * p), rng.choice(dens)),
+                          Fraction(rng.randrange(p * p), rng.choice(dens))))
+        centers = sorted(centers, key=str)
+        models = []
+        for a, d in zip(centers, pairwise_deltas(centers)):
+            f, pw = Poly.constant(p, K(rng.randrange(p), rng.randrange(p))), Poly.one(p)
+            for k in range(1, rng.choice((1, 2, 3)) + 1):
+                # a nonzero linear term keeps f from being constant
+                pw = pw * (z - a)
+                f = f + pw * K(rng.randrange(1 if k == 1 else 0, p * p), rng.randrange(p))
+            models.append(LocalModel(f=RationalMap(f), domain=Ball(a, d + rng.choice((1, 2)))))
+        top = max([Fraction(1)] + [m.image.radius.exp for m in models])
+        eps = Radius(top + rng.choice((0, Fraction(1, 2), 1)))
+        try:
+            plan_gluing(models, eps)
+        except HypothesisViolation:
+            continue
+        return models, eps
 
 
 def _glue(models, eps):
@@ -154,6 +189,47 @@ def test_local_maps_with_denominators(rational_suite, index):
     plan, F = _glue(models, eps)
     assert assert_same_certificate(F, models, plan).passes
     assert_same_classifications(F, _disks(models, plan))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_crossed_controls_fail_their_samples(name):
+    # the mis-paired sums break the spot checks themselves, so the integer
+    # witness valuations decide samples_ok = False on some ball
+    if name == "ex1":
+        models = ex1_models("3", "1/3")
+        eps = ex1_epsilon(models, ex1_census(models))
+    else:
+        models, eps = ex2_models(), EX2_EPSILON
+    plan = plan_gluing(models, eps)
+    cert = assert_same_certificate(crossed_sum(models, plan), models, plan, samples=20)
+    assert not all(ch.samples_ok for ch in cert.checks)
+
+
+def test_single_ball_witness_at_the_center_is_exact():
+    # f(z) = z on B(0; 3^-2) alone: F = z h(z) and F(0) = f(0) = 0, so the
+    # witness at the center has an infinite diff_exp
+    K = FieldConfig(3)
+    models = [LocalModel(f=RationalMap(Poly.x(3)), domain=Ball(K(0), Radius(2)))]
+    plan = plan_gluing(models, Radius(3), delta_override=[Radius(1)])
+    F = build_F(models, plan)
+    cert = assert_same_certificate(F, models, plan, samples=12)
+    assert cert.passes
+    ball = certificate_to_json(cert)["balls"][0]
+    assert ball["witnesses"][0] == {"point": {"a": "0", "b": "0"}, "diff_exp": {"exp": "inf"}}
+    assert all(w["diff_exp"]["exp"] != "inf" for w in ball["witnesses"][1:])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sqrt_centers_and_half_integral_radii(p):
+    rng = random.Random(SUITE_SEED + p)
+    instances = [make_sqrt_instance(rng, p) for _ in range(4)]
+    balls = [m.domain for models, _ in instances for m in models]
+    assert any(b.radius.exp.denominator == 2 for b in balls)
+    assert any(b.center.b and b.center.b.denominator > 1 for b in balls)
+    for models, eps in instances:
+        plan, F = _glue(models, eps)
+        assert_same_certificate(F, models, plan, samples=20)
+        assert_same_certificate(crossed_sum(models, plan), models, plan, samples=20)
 
 
 def assert_same_sums(models, plan):

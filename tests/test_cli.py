@@ -388,11 +388,14 @@ class TestVerify:
         assert "verification FAILED" in capsys.readouterr().out
 
     def test_deep_perturbation_still_passes(self, ex2_paths, tmp_path):
-        # below the certification resolution the map is indistinguishable
+        # below the certification resolution the map is indistinguishable.
+        # |D| = 3^(-49/2) on every ball, so adding 3^k to N moves F by
+        # valuation k - 49/2; the stored witnesses reach 11/2, and k = 40
+        # leaves them unmoved too
         _, result = ex2_paths
         doc = read_json(result)
         c0 = doc["F"]["num"][0]
-        c0["a"] = str(int(c0["a"]) + 3**30)
+        c0["a"] = str(int(c0["a"]) + 3**40)
         path = tmp_path / "deep.json"
         write_json(path, doc)
         assert main(["verify", "--input", str(path)]) == 0
@@ -544,6 +547,32 @@ class TestStoredClaims:
         assert captured.out.endswith("verification FAILED\n")
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(line)
+
+    def test_tampered_witnesses_fail(self, tmp_path, capsys):
+        # stored witnesses are a prefix of the recomputed ones, so each is
+        # compared, point and diff_exp
+        result = tmp_path / "ex2.json"
+        assert main(["example", "--name", "ex2", "--output", str(result)]) == 0
+        doc = read_json(result)
+        witnesses = doc["certificate"]["balls"][0]["witnesses"]
+        witnesses[1]["diff_exp"]["exp"] = "1000"
+        witnesses[2]["point"]["a"] = "12345"  # outside B(0; 3^-2)
+        write_json(result, doc)
+        capsys.readouterr()
+        assert main(["verify", "--input", str(result), "--samples", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("verification FAILED\n")
+        assert captured.err.splitlines() == [
+            "result.certificate.balls[0].witnesses[1]: stored (9, 1000), recomputed (9, 7/2)",
+            "result.certificate.balls[0].witnesses[2]: stored (12345, 7/2), recomputed (18, 7/2)",
+        ]
+
+    @pytest.mark.parametrize("samples", ["2", "30"])
+    def test_witnesses_compared_up_to_the_shorter_list(self, ex2_paths, capsys, samples):
+        # the result holds 8 witnesses per ball
+        _, result = ex2_paths
+        assert main(["verify", "--input", str(result), "--samples", samples]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_result_with_report_sections_verifies(self, ex2_paths, capsys):
         _, result = ex2_paths

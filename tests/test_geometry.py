@@ -1,8 +1,11 @@
 """Balls, images, root counting, and sampling in the completed field."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+import certifier_oracle as oracle
 
 from padicglue import (
     Ball,
@@ -232,3 +235,51 @@ class TestSamplePoints:
         assert len(set(pts)) == 9
         assert all(ball.contains_point(z) for z in pts)
         assert any(distance_exp(z, ball.center) == ball.radius.exp for z in pts)
+
+
+def _seeded_balls(rng):
+    for p in (2, 3, 5, 23):
+        K = FieldConfig(p)
+        for _ in range(12):
+            def coord():
+                return Fraction(rng.randrange(-p * p, p * p), rng.choice((1, 2, p, 7, p * p)))
+
+            center = K(coord(), coord() if rng.random() < 0.5 else 0)
+            exp = Fraction(rng.randrange(-4, 9), rng.choice((1, 2)))
+            yield Ball(center, Radius(exp), closed=rng.random() < 0.5)
+
+
+class TestSamplePointsAgainstOracle:
+    """The coordinate-addition points against center + pi^(2j) * u in K."""
+
+    def test_same_points_in_the_same_order(self):
+        rng = random.Random(1301)
+        balls = list(_seeded_balls(rng))
+        assert {b.radius.exp.denominator for b in balls} == {1, 2}
+        assert {b.closed for b in balls} == {True, False}
+        for ball in balls:
+            p = ball.p
+            # shell boundaries fall after 1 + k (p - 1) points
+            edges = {1 + k * (p - 1) + d for k in (1, 2, 5) for d in (-1, 0, 1)}
+            for budget in sorted({0, 1, 2, 120} | {rng.randrange(121) for _ in range(4)} | edges):
+                got = sample_points(ball, budget)
+                want = oracle.sample_points(ball, budget)
+                assert got == want, (ball, budget)
+                assert [(x.p, x.a, x.b) for x in got] == [(x.p, x.a, x.b) for x in want]
+
+    def test_smaller_budget_is_a_prefix(self):
+        # the stored witnesses of a result are a prefix of those verify
+        # recomputes with more samples
+        rng = random.Random(1302)
+        for ball in _seeded_balls(rng):
+            full = sample_points(ball, 120)
+            assert len(full) == 120
+            for k in (0, 1, 2, 7, 8, 50, 100):
+                assert sample_points(ball, k) == full[:k]
+
+    def test_points_lie_in_the_ball(self):
+        rng = random.Random(1303)
+        for ball in _seeded_balls(rng):
+            pts = sample_points(ball, 40)
+            assert len(set(pts)) == 40
+            assert all(ball.contains_point(z) for z in pts)

@@ -296,6 +296,19 @@ class TestCertification:
         assert certify_theorem1(F, models, plan).passes
         assert expanded == [F] * len(models)
 
+    def test_spot_checks_evaluate_no_map(self, ex2, monkeypatch):
+        # F(z) and f_i(z) are read as integer pairs; no K element is built
+        models, plan, F = ex2
+
+        def refuse(self, x):
+            raise AssertionError("certify_theorem1 evaluated a map")
+
+        monkeypatch.setattr(RationalMap, "eval", refuse)
+        monkeypatch.setattr(RationalMap, "__call__", refuse)
+        cert = certify_theorem1(F, models, plan, samples=20)
+        assert cert.passes
+        assert [len(ch.witnesses) for ch in cert.checks] == [20] * len(models)
+
     def test_reference_glue_certifies(self, ex2):
         models, plan, F = ex2
         assert (F.num.degree, F.den.degree) == (15, 21)
