@@ -322,17 +322,18 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     return D, len(cs) - 1, ha, hb, ga, gb
 
 
-def _values(f: "RationalMap", x, deriv: bool) -> tuple:
-    """N(x), N'(x), Q(x), Q'(x) for f = N/Q as Z[sqrt p] pairs n0, n1, q0,
-    q1, all over one common nonzero integer S.  So f(x) = n0/q0,
-    f'(x) = (n1 q0 - n0 q1)/q0^2, and x is a pole exactly when
-    q0 = (0, 0).  Without deriv, n1 = q1 = (0, 0).
+def _values(f: "RationalMap", point: tuple, deriv: bool) -> tuple:
+    """N(x), N'(x), Q(x), Q'(x) for f = N/Q at the point
+    x = (u + v sqrt p)/w given as its `_point` triple (u, v, w), as
+    Z[sqrt p] pairs n0, n1, q0, q1, all over one common nonzero integer S.
+    So f(x) = n0/q0, f'(x) = (n1 q0 - n0 q1)/q0^2, and x is a pole exactly
+    when q0 = (0, 0).  Without deriv, n1 = q1 = (0, 0).
 
     `_horner` gives N(x) over Dn w^n and N'(x) over Dn w^(n-1), likewise
     Q(x) and Q'(x) over Dd w^m and Dd w^(m-1); S = Dn Dd w^max(n, m).
     No other function knows these scales.
     """
-    u, v, w = _point(f.p, x)
+    u, v, w = point
     dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, deriv)
     dd, m, da, db, gda, gdb = _horner(f.den, u, v, w, deriv)
     k = max(n, m)
@@ -372,7 +373,7 @@ def _element(p: int, xa: int, xb: int, den: int) -> KElement:
 def _eval_ints(f: "RationalMap", x) -> tuple | None:
     """f(x) as an unreduced `_quotient` triple (xa, xb, den), or None when
     the (reduced) denominator vanishes at x."""
-    n0, _, q0, _ = _values(f, x, False)
+    n0, _, q0, _ = _values(f, _point(f.p, x), False)
     return _quotient(f.p, n0, q0) if any(q0) else None
 
 
@@ -391,14 +392,16 @@ def _pair_val(p: int, x: tuple, scale: int = 1) -> Fraction:
     return Fraction(_twice_val(p, x), 2) - _int_val(scale, p)
 
 
-def _diff_val(p: int, x: tuple, y: tuple, x2: tuple, y2: tuple) -> ValExp:
-    """v(x/y - x2/y2) for Z[sqrt p] pairs with y, y2 != (0, 0): the
-    valuation of x y2 - x2 y less those of y and y2, infinite exactly when
-    the two quotients are equal."""
+def _diff_val(p: int, x: tuple, y: tuple, x2: tuple, y2: tuple, ty: int, ty2: int) -> ValExp:
+    """v(x/y - x2/y2) for Z[sqrt p] pairs with y, y2 != (0, 0), given
+    ty = _twice_val(p, y) and ty2 = _twice_val(p, y2), so a caller that
+    compares one quotient with several others reads its denominator's
+    valuation once: the valuation of x y2 - x2 y less those of y and y2,
+    infinite exactly when the two quotients are equal."""
     t = _sub(_mul(p, x, y2), _mul(p, x2, y))
     if not any(t):
         return ValExp.infinite()
-    return ValExp(Fraction(_twice_val(p, t) - _twice_val(p, y) - _twice_val(p, y2), 2))
+    return ValExp(Fraction(_twice_val(p, t) - ty - ty2, 2))
 
 
 # primes = 3 mod 4, so square roots mod q are a single pow() when they exist
@@ -592,7 +595,7 @@ class RationalMap:
         """Derivative value at x without building the reduced derivative map:
         (n1 q0 - n0 q1)/q0^2 from the pairs of `_values`; None at a pole."""
         p = self.p
-        n0, n1, q0, q1 = _values(self, x, True)
+        n0, n1, q0, q1 = _values(self, _point(p, x), True)
         if not any(q0):
             return None
         t = _sub(_mul(p, n1, q0), _mul(p, n0, q1))

@@ -14,7 +14,7 @@ import sys
 from .dynamics import multiplier, orbit, verify_census
 from .errors import HypothesisViolation, LimitExceeded, PadicGlueError, SpecFormatError, _show
 from .field import KElement
-from .geometry import Ball
+from .geometry import Ball, Expansions
 from .gluing import build_F, certify_theorem1, plan_gluing, validate_plan
 from .presets import (
     EX2_EPSILON,
@@ -104,15 +104,20 @@ def _print_census(p: int, report) -> None:
 def _certify(p: int, models, plan, F, census, samples: int):
     """Certify F, print the plan and the certificate, then check and print
     the census when there is one: the one path of glue, verify and example.
+    With a census, certificate and census read F's expansions from one
+    cache, so F is Taylor-shifted once per center; the cache ends with this
+    call.  Without one, nothing would read the cache again, so the
+    certificate keeps no shift past its ball.
 
     Returns (certificate, census report or None, whether both pass).
     """
-    cert = certify_theorem1(F, models, plan, samples=samples)
+    expansions = None if census is None else Expansions(F)
+    cert = certify_theorem1(F, models, plan, samples=samples, expansions=expansions)
     _print_plan(p, models, plan)
     _print_certificate(p, cert)
     report = None
     if census is not None:
-        report = verify_census(F, models, census)
+        report = verify_census(F, models, census, expansions=expansions)
         _print_census(p, report)
     return cert, report, cert.passes and (report is None or report.passes)
 
@@ -127,16 +132,26 @@ def _write_result(path, p, epsilon, models, plan, F, cert, census, report, table
         print(f"result written to {path}")
 
 
-def _claims_agree(res, cert) -> bool:
-    """Compare a result's epsilon and stored certificate claims with the
-    recomputed certificate, printing one stderr line per disagreement.
+# the rows of a census report and the fields verify compares in each
+_REPORT_FIELDS = (
+    ("witnesses", ("ball_index", "disk", "expected", "got", "existence_certified", "c3_ok", "ok")),
+    ("counts", ("index", "expected", "got", "ok")),
+)
+
+
+def _claims_agree(res, cert, report) -> bool:
+    """Compare a result's epsilon, stored certificate claims and stored
+    census report with the recomputed ones, printing one stderr line per
+    disagreement.
 
     samples_ok depends on --samples and is skipped; passes does not, since
     every sample obeys the certified sup bound.  Sample points are taken
     breadth-first, so the points of a smaller budget are a prefix of those
     of a larger one: the first min(stored, recomputed) witnesses of each
-    ball, point and diff_exp, must agree.  Images are compared as sets: a
-    deep perturbation of F moves the exact center F(a_i) but not the ball.
+    ball, point and diff_exp, must agree.  Images and disks are compared as
+    sets: a deep perturbation of F moves the exact center F(a_i) but not
+    the ball.  A stored census report (read only with a census, so report
+    is then recomputed too) is compared in full.
     """
     stored = res["certificate"]
     claims = [
@@ -152,6 +167,16 @@ def _claims_agree(res, cert) -> bool:
             claims.append((f"certificate.balls[{k}].{field}", getattr(s, field), getattr(c, field)))
         for j, (sw, cw) in enumerate(zip(s.witnesses, c.witnesses)):
             claims.append((f"certificate.balls[{k}].witnesses[{j}]", sw, cw))
+    told = res["census_report"]
+    if told is not None:
+        claims.append(("census_report.passes", told.passes, report.passes))
+        for name, fields in _REPORT_FIELDS:
+            s_rows, c_rows = getattr(told, name), getattr(report, name)
+            claims.append((f"census_report.{name}", len(s_rows), len(c_rows)))
+            for k, (s, c) in enumerate(zip(s_rows, c_rows)):
+                for field in fields:
+                    claims.append((f"census_report.{name}[{k}].{field}",
+                                   getattr(s, field), getattr(c, field)))
     agree = True
     for name, s, c in claims:
         same = s.same_set(c) if isinstance(s, Ball) and isinstance(c, Ball) else s == c
@@ -229,8 +254,8 @@ def cmd_verify(args) -> int:
     res = result_from_json(read_json(args.input))
     models, plan = res["models"], res["plan"]
     validate_plan(models, plan)
-    cert, _, ok = _certify(res["p"], models, plan, res["F"], res["census"], args.samples)
-    if _claims_agree(res, cert) and ok:
+    cert, report, ok = _certify(res["p"], models, plan, res["F"], res["census"], args.samples)
+    if _claims_agree(res, cert, report) and ok:
         print(f"verification passed with {args.samples} samples per ball")
         return EXIT_PASS
     print("verification FAILED")

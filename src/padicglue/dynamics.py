@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .errors import HenselConditionError, PoleInBallError, _show
 from .field import KElement, ValExp, _coord_mod, _int_val, reduce_mod
-from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas
+from .geometry import Ball, Expansions, image_of_ball, pairwise_deltas
 from .gluing import check_c3_hypotheses, plan_gluing
 
 __all__ = [
@@ -95,7 +95,7 @@ class DiskBehavior:
     derivative_at_center: KElement | None = None
 
 
-def classify_disk(F: RationalMap, U: Ball) -> DiskBehavior:
+def classify_disk(F: RationalMap, U: Ball, expansions: Expansions | None = None) -> DiskBehavior:
     """Trichotomy for an open disk U.
 
     Attracting: F(U) a proper subdisk of U, or F(U) = U with wdeg >= 2.
@@ -103,10 +103,12 @@ def classify_disk(F: RationalMap, U: Ball) -> DiskBehavior:
     Indifferent (bijective): F(U) = U with wdeg 1; any fixed points are
     indifferent, and existence is certified iff |F'(center) - 1| = 1.
     Anything else (including F(U) disjoint from U) is inconclusive.
+    F's expansion about U comes from `expansions` when given (they must be
+    F's), so a disk about an already shifted center shifts nothing.
     """
     if U.closed:
         raise ValueError("classification requires an open disk")
-    local = LocalExpansion(F, U)
+    local = Expansions.of(F, expansions)(U)
     img = local.image  # raises PoleInBallError when F has a pole on U
     if img.disjoint_from(U):
         return DiskBehavior(kind=INCONCLUSIVE, image=img)
@@ -206,14 +208,18 @@ def validate_census(models, census: FixedPointCensus) -> None:
                 raise ValueError(f"witness disks {_show(wa.disk)} and {_show(wb.disk)} overlap")
 
 
-def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusReport:
+def verify_census(
+    F: RationalMap, models, census: FixedPointCensus, expansions: Expansions | None = None,
+) -> CensusReport:
     """Classify every witness disk and compare aggregated counts per ball.
 
     Structural problems (see validate_census) are caller errors and raise
-    ValueError; classification mismatches are reported, never raised.
+    ValueError; classification mismatches are reported, never raised.  A
+    witness disk that holds a pole of F is classified inconclusive.
     Indifferent witnesses additionally require certified existence and the
     exact indifferent-case hypothesis check; a ball whose center is not a
-    fixed point of its local map fails that check.
+    fixed point of its local map fails that check.  Disks are expanded
+    through `expansions` when given (see classify_disk).
     """
     models = list(models)
     validate_census(models, census)
@@ -221,8 +227,11 @@ def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusRep
     wresults = []
     got_counts = [[0, 0, 0] for _ in range(n)]
     for w in census.witnesses:
-        behavior = classify_disk(F, w.disk)
-        got = behavior.kind
+        try:
+            behavior = classify_disk(F, w.disk, expansions=expansions)
+        except PoleInBallError:
+            behavior = None
+        got = INCONCLUSIVE if behavior is None else behavior.kind
         ok = got == w.expected
         c3_ok = None
         if w.expected == INDIFFERENT:
@@ -240,7 +249,7 @@ def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusRep
                 disk=w.disk,
                 expected=w.expected,
                 got=got,
-                existence_certified=behavior.existence_certified,
+                existence_certified=None if behavior is None else behavior.existence_certified,
                 c3_ok=c3_ok,
                 ok=ok,
             )
@@ -282,12 +291,12 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
 
     z = start
     for k in count():
-        n0, n1, q0, q1 = _values(F, z, True)
+        *X, w = point = _point(p, z)
+        n0, n1, q0, q1 = _values(F, point, True)
         if not any(q0):
             raise HenselConditionError(
                 "seed point is a pole of the map" if k == 0 else "iteration stepped onto a pole"
             )
-        *X, w = _point(p, z)
         g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
         # T - q0^2 = (n1 - q0) q0 - n0 q1
         g1 = _sub(_mul(p, _sub(n1, q0), q0), _mul(p, n0, q1))

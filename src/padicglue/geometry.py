@@ -15,7 +15,9 @@ finite comparison of exact exponents.  The key facts used throughout:
 
 A LocalExpansion recenters a map's numerator and denominator once about a
 ball's center; the pole test, the image, sup norms and root counts on
-that ball are all read off the shifted coefficients.
+that ball are all read off the shifted coefficients.  The shift does not
+depend on the radius, so balls about one center can share it (see
+Expansions).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .algebra import (
     Poly,
@@ -36,6 +38,7 @@ from .field import KElement, ValExp
 
 __all__ = [
     "Ball",
+    "Expansions",
     "LocalExpansion",
     "Radius",
     "count_roots_in_ball",
@@ -170,26 +173,58 @@ def count_roots_in_ball(P: Poly, ball: Ball) -> int:
     return _roots_in_ball(P.recenter(ball.center), ball)
 
 
+class _Shift:
+    """A rational map f = P/Q rewritten in powers of (z - a) about a point a.
+
+    P and Q are each Taylor-shifted at most once, on first use, into Pr and
+    Qr, whose constant terms are P(a) and Q(a).  The image numerator
+    Pr*Q(a) - Qr*P(a) is formed at most once as well.  Nothing here
+    depends on a radius, so every ball about a can read the same shift.
+    """
+
+    def __init__(self, f: RationalMap, center: KElement):
+        self.f = f
+        self.center = center
+
+    @cached_property
+    def num(self) -> Poly:
+        return _shift(self.f.num, self.center)
+
+    @cached_property
+    def den(self) -> Poly:
+        return _shift(self.f.den, self.center)
+
+    @cached_property
+    def image_num(self) -> Poly:
+        # f(z) - f(a) has the numerator P(z)Q(a) - P(a)Q(z), which vanishes
+        # at a; in powers of (z - a) it is Pr*Q(a) - Qr*P(a)
+        return self.num * self.den.coeff(0) - self.den * self.num.coeff(0)
+
+
 class LocalExpansion:
     """A rational map f = P/Q rewritten in powers of (z - a) about the
     center a of a ball.
 
     P and Q are each Taylor-shifted at most once, on first use, and every
     question about the ball is answered from the shifted coefficients Pr
-    and Qr, whose constant terms are P(a) and Q(a).
+    and Qr, whose constant terms are P(a) and Q(a).  The shift may be one
+    that other balls about a share (see Expansions); the radius and the
+    kind of the ball only enter the scans.
     """
 
-    def __init__(self, f: RationalMap, ball: Ball):
+    def __init__(self, f: RationalMap, ball: Ball, shift: _Shift | None = None):
+        # a shift passed in is f's about ball.center (Expansions keys it so)
         self.f = f
         self.ball = ball
+        self._shift = _Shift(f, ball.center) if shift is None else shift
 
-    @cached_property
+    @property
     def num(self) -> Poly:
-        return _shift(self.f.num, self.ball.center)
+        return self._shift.num
 
-    @cached_property
+    @property
     def den(self) -> Poly:
-        return _shift(self.f.den, self.ball.center)
+        return self._shift.den
 
     @cached_property
     def pole_free(self) -> bool:
@@ -213,8 +248,7 @@ class LocalExpansion:
         self._require_pole_free()
         pa = self.num.coeff(0)
         qa = self.den.coeff(0)
-        g = self.num * qa - self.den * pa
-        e = gauss_norm_exp(g, self.ball.radius, from_k=1)
+        e = gauss_norm_exp(self._shift.image_num, self.ball.radius, from_k=1)
         if e.is_infinite:
             raise ValueError("constant map: the image of the ball is a point, not a ball")
         return Ball(pa * qa.inverse(), e - qa.valuation() * 2, closed=self.ball.closed)
@@ -256,6 +290,38 @@ class LocalExpansion:
         if not img.contains_point(b):
             raise ValueError(f"target {b} lies outside the image {img}")
         return _roots_in_ball(self.num - self.den * b, self.ball)
+
+
+class Expansions:
+    """The LocalExpansions of one map f, with one Taylor shift per center.
+
+    Calling it with a ball returns f's expansion about that ball; balls
+    with the same center share the shifted numerator, denominator and
+    image numerator, and only their radius and kind enter the scans.  It
+    caches one computation: whoever makes it decides how long the shifts
+    live, and it is never kept on a map or a model.
+    """
+
+    def __init__(self, f: RationalMap):
+        self.f = f
+        self._shifts = {}
+
+    def __call__(self, ball: Ball) -> LocalExpansion:
+        shift = self._shifts.get(ball.center)
+        if shift is None:
+            shift = self._shifts[ball.center] = _Shift(self.f, ball.center)
+        return LocalExpansion(self.f, ball, shift)
+
+    @staticmethod
+    def of(f: RationalMap, expansions: "Expansions | None"):
+        """A function from balls to f's expansions: the given expansions,
+        which must be f's, or, without them, one that expands afresh and
+        keeps nothing, so no shift outlives the ball that needed it."""
+        if expansions is None:
+            return partial(LocalExpansion, f)
+        if expansions.f is not f:
+            raise ValueError("the expansions belong to another map")
+        return expansions
 
 
 def pole_free_on_ball(f: RationalMap, ball: Ball) -> bool:

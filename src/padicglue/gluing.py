@@ -18,10 +18,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Poly, RationalMap, _diff_val, _point, _values
+from .algebra import Poly, RationalMap, _diff_val, _point, _twice_val, _values
 from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
 from .field import KElement, ValExp, uniformizer_power
-from .geometry import Ball, LocalExpansion, image_of_ball, pairwise_deltas, sample_points
+from .geometry import (
+    Ball, Expansions, LocalExpansion, image_of_ball, pairwise_deltas, sample_points,
+)
 
 __all__ = [
     "BallCheck",
@@ -323,7 +325,10 @@ def build_F(models, plan: GluingPlan) -> RationalMap:
     return _glued_sum(models, plan, 0)
 
 
-def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8) -> Certificate:
+def certify_theorem1(
+    F: RationalMap, models, plan: GluingPlan, samples: int = 8,
+    expansions: Expansions | None = None,
+) -> Certificate:
     """Exact certification of the glued map against its contract.
 
     Per ball B_i: (a) F pole-free; (b) image_of_ball(F, B_i) equals the
@@ -335,40 +340,49 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     Each ball gets one LocalExpansion of F: the numerator and denominator
     of F are Taylor-shifted once about a_i, and (a), (b) and (c) are all
     read off those shifted coefficients; f_i's expansion is the one its
-    LocalModel keeps.
+    LocalModel keeps.  The expansions of F come from `expansions` when
+    given (they must be F's), so a caller that also classifies disks about
+    the same centers shifts F once per center in all.
     The sup norm in (c) is taken of the unreduced difference
     (N*d - n*D) / (D*d) for F = N/D and f_i = n/d, without a gcd.  Its
     bound equals that of the reduced F - f_i: the Gauss norm on a ball is
     multiplicative, and a common factor divides D*d, which has no zero on
     B_i, so its norm on B_i equals its absolute value at a_i and cancels.
 
-    The spot checks build no K element for F(z) or f_i(z): one `_values`
-    call each gives F(z) = nF/qF and f_i(z) = nf/qf as Z[sqrt p] pairs,
-    and both the witness valuation v(F(z) - f_i(z)) and the distance from
-    F(z) to the image center are read off integer combinations of them.
+    The spot checks build no K element for F(z) or f_i(z): per sample z,
+    one `_point` of z feeds one `_values` call each, which gives
+    F(z) = nF/qF and f_i(z) = nf/qf as Z[sqrt p] pairs.  Both the witness
+    valuation v(F(z) - f_i(z)) and the distance from F(z) to the image
+    center are read off integer combinations of them, with v(qF) read once
+    per sample and the image center's denominator once per ball.
     """
     p = F.p
+    expand = Expansions.of(F, expansions)
     checks = []
     for i, m in enumerate(models):
         B = m.domain
-        local = LocalExpansion(F, B)
+        local = expand(B)
         if not local.pole_free:
             checks.append(BallCheck(index=i, pole_free_ok=False))
             continue
         img = local.image
         bound = local.sup_norm_exp(minus=m._local)
         cu, cv, cw = _point(p, img.center)
+        center, scale = (cu, cv), (cw, 0)
+        t_scale = _twice_val(p, scale)
         witnesses = []
         samples_ok = True
         for z in sample_points(B, samples):
             # F and f_i are pole-free on B, so neither qF nor qf is (0, 0)
-            nF, _, qF, _ = _values(F, z, False)
-            nf, _, qf, _ = _values(m.f, z, False)
-            w = _diff_val(p, nF, qF, nf, qf)
+            point = _point(p, z)
+            nF, _, qF, _ = _values(F, point, False)
+            nf, _, qf, _ = _values(m.f, point, False)
+            tF = _twice_val(p, qF)
+            w = _diff_val(p, nF, qF, nf, qf, tF, _twice_val(p, qf))
             witnesses.append((z, w))
             # pointwise values can never beat the certified sup bound, and
             # must themselves clear epsilon; the image must contain F(z)
-            in_image = img._within(_diff_val(p, nF, qF, (cu, cv), (cw, 0)))
+            in_image = img._within(_diff_val(p, nF, qF, center, scale, tF, t_scale))
             if not (w >= bound and w > plan.epsilon and in_image):
                 samples_ok = False
         checks.append(

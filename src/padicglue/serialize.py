@@ -17,11 +17,14 @@ from math import gcd, lcm
 from .algebra import Poly, RationalMap
 from .dynamics import (
     ATTRACTING,
+    INCONCLUSIVE,
     INDIFFERENT,
     REPELLING,
     CensusReport,
+    CountResult,
     FixedPointCensus,
     Witness,
+    WitnessResult,
     validate_census,
 )
 from .errors import LimitExceeded, SpecFormatError, _show
@@ -33,6 +36,7 @@ __all__ = [
     "ball_from_json",
     "ball_to_json",
     "census_from_json",
+    "census_report_from_json",
     "census_report_to_json",
     "census_to_json",
     "certificate_from_json",
@@ -335,6 +339,22 @@ def certificate_from_json(obj, p: int, where: str) -> Certificate:
 # -- dynamics -----------------------------------------------------------------
 
 
+# the kinds a witness may expect; a classification may also be inconclusive
+_EXPECTED_KINDS = (ATTRACTING, REPELLING, INDIFFERENT)
+
+
+def _kind_from_json(x, where: str, kinds) -> str:
+    if x not in kinds:
+        raise SpecFormatError(f"{where}: unknown kind {_show(x)}")
+    return x
+
+
+def _count_triple(c, where: str) -> tuple:
+    if not (isinstance(c, list) and len(c) == 3):
+        raise SpecFormatError(f"{where}: expected [n, m, l] integers")
+    return tuple(_int_from_json(x, where) for x in c)
+
+
 def census_to_json(census: FixedPointCensus) -> dict:
     return {
         "counts": [list(c) for c in census.counts],
@@ -351,22 +371,17 @@ def census_to_json(census: FixedPointCensus) -> dict:
 
 def census_from_json(obj, p: int, where: str) -> FixedPointCensus:
     obj = _fields(obj, where, ("counts", "witnesses"))
-    counts = []
-    for i, c in enumerate(_list_from_json(obj["counts"], f"{where}.counts")):
-        if not (isinstance(c, list) and len(c) == 3):
-            raise SpecFormatError(f"{where}.counts[{i}]: expected [n, m, l] integers")
-        counts.append(tuple(_int_from_json(x, f"{where}.counts[{i}]") for x in c))
+    counts = [_count_triple(c, f"{where}.counts[{i}]")
+              for i, c in enumerate(_list_from_json(obj["counts"], f"{where}.counts"))]
     witnesses = []
     for i, w in enumerate(_list_from_json(obj["witnesses"], f"{where}.witnesses")):
         ww = f"{where}.witnesses[{i}]"
         w = _fields(w, ww, ("ball_index", "disk", "expected"))
-        if w["expected"] not in (ATTRACTING, REPELLING, INDIFFERENT):
-            raise SpecFormatError(f"{ww}.expected: unknown kind {_show(w['expected'])}")
         witnesses.append(
             Witness(
                 ball_index=_int_from_json(w["ball_index"], f"{ww}.ball_index"),
                 disk=ball_from_json(w["disk"], p, f"{ww}.disk", strict=True),
-                expected=w["expected"],
+                expected=_kind_from_json(w["expected"], f"{ww}.expected", _EXPECTED_KINDS),
             )
         )
     return FixedPointCensus(counts=tuple(counts), witnesses=tuple(witnesses))
@@ -392,6 +407,50 @@ def census_report_to_json(report: CensusReport) -> dict:
             for c in report.counts
         ],
     }
+
+
+def census_report_from_json(obj, p: int, where: str) -> CensusReport:
+    """Strict parse of a stored census report, which verify compares with
+    the one it recomputes; existence_certified and c3_ok may be null."""
+    obj = _fields(obj, where, ("passes", "witnesses", "counts"))
+
+    def maybe_bool(x, w):
+        return None if x is None else _bool_from_json(x, w)
+
+    witnesses = []
+    for i, w in enumerate(_list_from_json(obj["witnesses"], f"{where}.witnesses")):
+        ww = f"{where}.witnesses[{i}]"
+        w = _fields(w, ww, ("ball_index", "disk", "expected", "got", "existence_certified",
+                            "c3_ok", "ok"))
+        witnesses.append(
+            WitnessResult(
+                ball_index=_int_from_json(w["ball_index"], f"{ww}.ball_index"),
+                disk=ball_from_json(w["disk"], p, f"{ww}.disk", strict=True),
+                expected=_kind_from_json(w["expected"], f"{ww}.expected", _EXPECTED_KINDS),
+                got=_kind_from_json(w["got"], f"{ww}.got", _EXPECTED_KINDS + (INCONCLUSIVE,)),
+                existence_certified=maybe_bool(w["existence_certified"],
+                                               f"{ww}.existence_certified"),
+                c3_ok=maybe_bool(w["c3_ok"], f"{ww}.c3_ok"),
+                ok=_bool_from_json(w["ok"], f"{ww}.ok"),
+            )
+        )
+    counts = []
+    for i, c in enumerate(_list_from_json(obj["counts"], f"{where}.counts")):
+        cw = f"{where}.counts[{i}]"
+        c = _fields(c, cw, ("index", "expected", "got", "ok"))
+        counts.append(
+            CountResult(
+                index=_int_from_json(c["index"], f"{cw}.index"),
+                expected=_count_triple(c["expected"], f"{cw}.expected"),
+                got=_count_triple(c["got"], f"{cw}.got"),
+                ok=_bool_from_json(c["ok"], f"{cw}.ok"),
+            )
+        )
+    return CensusReport(
+        witnesses=tuple(witnesses),
+        counts=tuple(counts),
+        passes=_bool_from_json(obj["passes"], f"{where}.passes"),
+    )
 
 
 def orbit_to_json(steps) -> list:
@@ -529,9 +588,10 @@ def result_from_json(obj) -> dict:
     """Strict parse of a result document (glue output).
 
     Returns a dict with keys: p, epsilon, models, census, plan, F,
-    certificate, and stored_passes, the document's own verdict.  The
-    census_report and orbit_tables sections are recomputed output and are
-    not read.
+    certificate, stored_passes, the document's own verdict, and
+    census_report, the stored report or None.  A census report needs the
+    census it reports on.  The orbit_tables section is recomputed output
+    and is not read.
     """
     res = _document(obj, "result", ("plan", "F", "certificate"), ("census_report", "orbit_tables"))
     p = res["p"]
@@ -539,6 +599,13 @@ def result_from_json(obj) -> dict:
     res["F"] = ratmap_from_json(obj["F"], p, "result.F")
     res["certificate"] = certificate_from_json(obj["certificate"], p, "result.certificate")
     res["stored_passes"] = obj["certificate"]["passes"]
+    res["census_report"] = None
+    if obj.get("census_report") is not None:
+        if res["census"] is None:
+            raise SpecFormatError("result.census_report: the result has no census to report on")
+        res["census_report"] = census_report_from_json(
+            obj["census_report"], p, "result.census_report"
+        )
     return res
 
 

@@ -232,6 +232,34 @@ def test_sqrt_centers_and_half_integral_radii(p):
         assert_same_certificate(crossed_sum(models, plan), models, plan, samples=20)
 
 
+VERIFY_SAMPLES = 100  # verify's default budget per ball
+
+
+def _verify_budget_cases():
+    ex1 = ex1_models("3", "1/3")
+    yield pytest.param("ex1", ex1, ex1_epsilon(ex1, ex1_census(ex1)), id="ex1")
+    yield pytest.param("ex2", ex2_models(), EX2_EPSILON, id="ex2")
+    for p in (2, 3, 5):
+        models, eps = make_sqrt_instance(random.Random(SUITE_SEED + p), p)
+        yield pytest.param(f"sqrt-p{p}", models, eps, id=f"sqrt-p{p}")
+
+
+@pytest.mark.parametrize("name, models, eps", list(_verify_budget_cases()))
+def test_verify_budget_against_oracle(name, models, eps):
+    # verify spot-checks 100 points per ball; shells far inside the ball
+    # exercise witness valuations and image tests the 8- and 20-point
+    # budgets never reach.  The glued map and its crossed control each
+    # give the oracle's certificate, on the presets and on centers with a
+    # sqrt p part
+    plan, F = _glue(models, eps)
+    assert assert_same_certificate(F, models, plan, samples=VERIFY_SAMPLES).passes
+    crossed = assert_same_certificate(crossed_sum(models, plan), models, plan,
+                                      samples=VERIFY_SAMPLES)
+    assert all(len(ch.witnesses) == VERIFY_SAMPLES for ch in crossed.checks if ch.pole_free_ok)
+    if name.startswith("sqrt"):
+        assert any(m.domain.center.b for m in models)
+
+
 def assert_same_sums(models, plan):
     assert build_F(models, plan) == oracle.glued_sum(models, plan)
     assert crossed_sum(models, plan) == oracle.glued_sum(models, plan, 1)

@@ -26,8 +26,8 @@ from padicglue.presets import (
     EX2_EPSILON, crossed_sum, ex1_census, ex1_epsilon, ex1_models, ex2_models, ex2_problem,
 )
 from padicglue.serialize import (
-    SAMPLES_LIMIT, STEPS_LIMIT, kelement_to_json, orbit_to_json, problem_from_json,
-    problem_to_json, read_json, result_to_json, write_json,
+    SAMPLES_LIMIT, STEPS_LIMIT, kelement_from_json, kelement_to_json, orbit_to_json,
+    problem_from_json, problem_to_json, ratmap_from_json, read_json, result_to_json, write_json,
 )
 
 K3 = FieldConfig(3)
@@ -421,6 +421,67 @@ class TestVerify:
         assert main(["verify", "--input", str(path)]) == 2
         assert "result.prime: expected an integer prime, got 4" in capsys.readouterr().err
 
+    def test_pole_on_a_witness_disk_fails_the_census(self, ex2_paths, tmp_path, capsys):
+        # F = N/z has a pole at 0, the center of ball 0 and of its witness
+        # disk: the census reports the witness inconclusive instead of
+        # raising, and the stored claims are still compared
+        _, result = ex2_paths
+        doc = read_json(result)
+        doc["F"]["den"] = [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}]
+        path = tmp_path / "pole.json"
+        write_json(path, doc)
+        assert main(["verify", "--input", str(path), "--samples", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "certificate: FAIL" in captured.out
+        assert ("witness in ball 0 at D(0; 3^(-2)): expected attracting, got inconclusive"
+                in captured.out)
+        assert "census: FAIL" in captured.out
+        assert captured.out.endswith("verification FAILED\n")
+        assert "error:" not in captured.err
+        assert ("result.census_report.witnesses[0].got: stored 'attracting',"
+                " recomputed 'inconclusive'") in captured.err.splitlines()
+
+
+def _spy_recenter(monkeypatch) -> list:
+    """Record every polynomial Poly.recenter shifts, with its center."""
+    shifted, recenter = [], Poly.recenter
+    monkeypatch.setattr(Poly, "recenter", lambda P, a: shifted.append((P, a)) or recenter(P, a))
+    return shifted
+
+
+class TestOneShiftPerCenter:
+    """glue, verify and example certify and take the census through one
+    cache of F's expansions: every preset witness disk is centered at its
+    ball's center, so F's numerator and denominator are each shifted once
+    per ball, where certificate and census used to shift them twice about
+    each witnessed center."""
+
+    def _assert_one_shift_per_ball(self, shifted, result):
+        doc = read_json(result)
+        F = ratmap_from_json(doc["F"], 3, "F")
+        centers = sorted(str(kelement_from_json(m["ball"]["center"], 3, "center"))
+                         for m in doc["models"])
+        for poly in (F.num, F.den):
+            assert sorted(str(a) for P, a in shifted if P == poly) == centers
+        assert doc["census_report"]["passes"]
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_verify(self, tmp_path, monkeypatch, capsys, name):
+        result = tmp_path / f"{name}.json"
+        assert main(["glue", "--input", str(ROOT / "presets" / f"{name}.json"),
+                     "--output", str(result)]) == 0
+        shifted = _spy_recenter(monkeypatch)
+        assert main(["verify", "--input", str(result), "--samples", "4"]) == 0
+        assert "census: PASS" in capsys.readouterr().out
+        self._assert_one_shift_per_ball(shifted, result)
+
+    def test_glue(self, tmp_path, monkeypatch):
+        result = tmp_path / "ex1.json"
+        shifted = _spy_recenter(monkeypatch)
+        assert main(["glue", "--input", str(ROOT / "presets" / "ex1.json"),
+                     "--output", str(result)]) == 0
+        self._assert_one_shift_per_ball(shifted, result)
+
 
 def _set(*path, value):
     def mutate(doc):
@@ -491,6 +552,37 @@ class TestMalformedInput:
         path = tmp_path / "bad.json"
         write_json(path, doc)
         assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and where in err
+
+
+    @pytest.mark.parametrize(
+        "mutate, where",
+        [
+            (_set("census_report", "witnesses", 0, "got", value="sideways"),
+             "result.census_report.witnesses[0].got: unknown kind 'sideways'"),
+            (_set("census_report", "passes", value="yes"),
+             "result.census_report.passes: expected true or false"),
+            (_set("census_report", "witnesses", 0, "c3_ok", value=0),
+             "result.census_report.witnesses[0].c3_ok: expected true or false"),
+            (_drop("census_report", "counts", 0, "got"),
+             "result.census_report.counts[0]: missing"),
+            (_set("census_report", "counts", 0, "got", value=[1, 0]),
+             "result.census_report.counts[0].got: expected [n, m, l] integers"),
+            (_set("census_report", "witnesses", 0, "colour", value="red"),
+             "result.census_report.witnesses[0]: unknown key 'colour'"),
+            (_drop("census"), "result.census_report: the result has no census"),
+        ],
+        ids=["got", "passes", "c3_ok", "missing", "triple", "unknown-key", "no-census"],
+    )
+    def test_census_report_parse_error_exit_2(self, ex2_paths, tmp_path, capsys, mutate, where):
+        # a stored census report is read as strictly as the certificate
+        _, result = ex2_paths
+        doc = read_json(result)
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        assert main(["verify", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and where in err
 
@@ -580,10 +672,80 @@ class TestStoredClaims:
         assert main(["verify", "--input", str(result), "--samples", "4"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_tampered_census_report_fails(self, ex2_paths, tmp_path, capsys):
+        _, result = ex2_paths
+        doc = read_json(result)
+        doc["census_report"]["witnesses"][0]["got"] = "repelling"
+        doc["census_report"]["counts"][0]["got"] = [0, 1, 0]
+        doc["census_report"]["passes"] = False
+        path = tmp_path / "report.json"
+        write_json(path, doc)
+        assert main(["verify", "--input", str(path), "--samples", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "census: PASS" in captured.out
+        assert captured.out.endswith("verification FAILED\n")
+        assert captured.err.splitlines() == [
+            "result.census_report.passes: stored False, recomputed True",
+            "result.census_report.witnesses[0].got: stored 'repelling', recomputed 'attracting'",
+            "result.census_report.counts[0].got: stored (0, 1, 0), recomputed (1, 0, 0)",
+        ]
+
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (_set("census_report", "witnesses", 1, "ok", value=False),
+             "result.census_report.witnesses[1].ok: stored False, recomputed True"),
+            (_set("census_report", "witnesses", 0, "existence_certified", value=True),
+             "result.census_report.witnesses[0].existence_certified: stored True,"
+             " recomputed None"),
+            (_set("census_report", "witnesses", 1, "c3_ok", value=False),
+             "result.census_report.witnesses[1].c3_ok: stored False, recomputed None"),
+            (_set("census_report", "witnesses", 1, "disk", "radius_exp", value="3"),
+             "result.census_report.witnesses[1].disk: stored D(3; 3^(-3)),"
+             " recomputed D(3; 3^(-2))"),
+            (lambda doc: doc["census_report"]["witnesses"].pop(),
+             "result.census_report.witnesses: stored 1, recomputed 2"),
+            (_set("census_report", "counts", 2, "expected", value=[0, 0, 1]),
+             "result.census_report.counts[2].expected: stored (0, 0, 1), recomputed (0, 0, 0)"),
+            (_set("census_report", "counts", 2, "ok", value=False),
+             "result.census_report.counts[2].ok: stored False, recomputed True"),
+        ],
+        ids=["ok", "existence", "c3", "disk", "witness-count", "expected", "count-ok"],
+    )
+    def test_disagreeing_census_claim_fails(self, ex2_paths, tmp_path, capsys, mutate, line):
+        _, result = ex2_paths
+        doc = read_json(result)
+        mutate(doc)
+        path = tmp_path / "claims.json"
+        write_json(path, doc)
+        assert main(["verify", "--input", str(path), "--samples", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("verification FAILED\n")
+        assert captured.err.splitlines() == [line]
+
     def test_stdout_matches_benchmark_digests(self, tmp_path, capsys):
-        # the stored digests of the verify workload, only read here; ex1's
-        # indifferent witness runs derivative_at through the census
+        # the stored digests of the verify workload, only read here: the
+        # presets, their controls, and every generated instance the workload
+        # may draw, glued as it glues them; ex1's indifferent witness runs
+        # derivative_at through the census
         digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+        inputs = _perfbench("inputs")
+        generated = [inputs.suite_instance(key) for key in inputs.verify_suite_candidates()] + [
+            inputs.sweep_instance(inputs.sweep_key(inputs.VERIFY_SWEEP_N, v))
+            for v in range(inputs.SWEEP_VARIANTS)
+        ]
+        assert len(generated) == 9
+        for inst in generated:
+            plan = plan_gluing(inst.models, inst.epsilon)
+            F = build_F(inst.models, plan)
+            cert = certify_theorem1(F, inst.models, plan, samples=8)
+            path = tmp_path / "generated.json"
+            write_json(path, result_to_json(inst.p, inst.epsilon, inst.models, plan, F, cert))
+            capsys.readouterr()
+            assert main(["verify", "--input", str(path), "--samples", "100"]) == 0
+            out = capsys.readouterr().out
+            key = "verify/" + inst.key
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
         ex1 = ex1_models("3", "1/3")
         for name, models, eps in (("ex1", ex1, ex1_epsilon(ex1, ex1_census(ex1))),
                                   ("ex2", ex2_models(), EX2_EPSILON)):

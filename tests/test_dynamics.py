@@ -12,6 +12,7 @@ from padicglue import (
     INDIFFERENT,
     REPELLING,
     Ball,
+    Expansions,
     FieldConfig,
     FixedPointCensus,
     HenselConditionError,
@@ -22,6 +23,7 @@ from padicglue import (
     RationalMap,
     Witness,
     build_F,
+    certify_theorem1,
     classify_disk,
     epsilon_for_census,
     hensel_fixed_point,
@@ -316,6 +318,33 @@ class TestVerifyCensus:
         assert report.witnesses[0].got == ATTRACTING
         assert not report.witnesses[0].ok
         assert report.counts[0].got == (1, 0, 0)
+
+    def test_pole_on_a_witness_disk_is_reported_not_raised(self, glued_ex2):
+        # F/z has a pole at 0, the center of the first witness disk
+        models, _, F = glued_ex2
+        with_pole = RationalMap(F.num, F.den * Z)
+        census = ex2_census(models)
+        with pytest.raises(PoleInBallError):
+            classify_disk(with_pole, census.witnesses[0].disk)
+        report = verify_census(with_pole, models, census)
+        first = report.witnesses[0]
+        assert (first.got, first.existence_certified, first.ok) == (INCONCLUSIVE, None, False)
+        assert report.counts[0].got == (0, 0, 0) and not report.counts[0].ok
+        assert not report.passes
+
+    def test_census_reuses_the_certificate_shifts(self, glued_ex2, monkeypatch):
+        # every ex2 witness disk is centered at its ball's center, which
+        # certify_theorem1 has already shifted F about
+        models, plan, F = glued_ex2
+        census = ex2_census(models)
+        expansions = Expansions(F)
+        assert certify_theorem1(F, models, plan, expansions=expansions).passes
+        shifted, recenter = [], Poly.recenter
+        monkeypatch.setattr(Poly, "recenter", lambda P, a: shifted.append(P) or recenter(P, a))
+        report = verify_census(F, models, census, expansions=expansions)
+        assert report.passes and shifted == []
+        with pytest.raises(ValueError, match="another map"):
+            verify_census(RationalMap(Z), models, census, expansions=expansions)
 
     def test_structural_errors_raise(self, glued_ex2):
         models, _, F = glued_ex2

@@ -9,8 +9,10 @@ import certifier_oracle as oracle
 
 from padicglue import (
     Ball,
+    Expansions,
     FieldConfig,
     KElement,
+    LocalExpansion,
     Poly,
     PoleInBallError,
     Radius,
@@ -202,6 +204,58 @@ class TestImageOfBall:
     def test_square_map_drops_radius_by_degree(self):
         img = image_of_ball(RationalMap(Z**2), B(0, 1))
         assert img.same_set(B(0, 2))
+
+
+class TestExpansions:
+    """Balls about one center share one Taylor shift; the radius and the
+    kind only enter the scans, so every answer equals a fresh expansion's."""
+
+    F = RationalMap(Z**3 + 2 * Z + 1, Z**2 - 3)
+
+    def _spy(self, monkeypatch):
+        shifted, recenter = [], Poly.recenter
+        monkeypatch.setattr(
+            Poly, "recenter", lambda P, a: shifted.append((P, a)) or recenter(P, a)
+        )
+        return shifted
+
+    def test_balls_about_one_center_share_one_shift(self, monkeypatch):
+        balls = [B(1, 1), B(1, 1, closed=False), B(1, 2, closed=False), B(1, 3)]
+
+        def answers(local):
+            img = local.image
+            return (local.pole_free, str(img), img.closed, local.sup_norm_exp(),
+                    local.wdeg(img.center))
+
+        fresh = [answers(LocalExpansion(self.F, b)) for b in balls]
+        shifted = self._spy(monkeypatch)
+        expand = Expansions(self.F)
+        assert [answers(expand(b)) for b in balls] == fresh
+        assert [P for P, _ in shifted] == [self.F.den, self.F.num]
+
+    def test_each_center_is_shifted_once(self, monkeypatch):
+        shifted = self._spy(monkeypatch)
+        expand = Expansions(self.F)
+        for b in (B(1, 1), B(4, 2), B(1, 3, closed=False), B(4, 2, closed=False)):
+            expand(b).image
+        assert sorted((str(a), str(P)) for P, a in shifted) == sorted(
+            (str(K3(c)), str(P)) for c in (1, 4) for P in (self.F.num, self.F.den)
+        )
+
+    def test_pole_is_found_on_the_larger_ball_only(self):
+        # z^2 - 3 has its roots at valuation 1/2: inside B(0; 3^0), outside D(0; 3^(-1/2))
+        expand = Expansions(self.F)
+        assert not expand(B(0, 0)).pole_free
+        assert expand(Ball(K3(0), Radius(Fraction(1, 2)), closed=False)).pole_free
+
+    def test_expansions_of_another_map_are_refused(self):
+        expand = Expansions(self.F)
+        assert Expansions.of(self.F, expand) is expand
+        # without a cache each ball gets a fresh expansion that keeps nothing
+        fresh = Expansions.of(self.F, None)
+        assert fresh(B(1, 1)).f is self.F and fresh(B(1, 1))._shift is not fresh(B(1, 2))._shift
+        with pytest.raises(ValueError, match="another map"):
+            Expansions.of(RationalMap(Z), expand)
 
 
 class TestWdeg:
