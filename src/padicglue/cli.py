@@ -104,14 +104,12 @@ def _print_census(p: int, report) -> None:
 def _certify(p: int, models, plan, F, census, samples: int):
     """Certify F, print the plan and the certificate, then check and print
     the census when there is one: the one path of glue, verify and example.
-    With a census, certificate and census read F's expansions from one
-    cache, so F is Taylor-shifted once per center; the cache ends with this
-    call.  Without one, nothing would read the cache again, so the
-    certificate keeps no shift past its ball.
+    Certificate and census read F's expansions from one cache, so F is
+    Taylor-shifted once per center; the cache ends with this call.
 
     Returns (certificate, census report or None, whether both pass).
     """
-    expansions = None if census is None else Expansions(F)
+    expansions = Expansions(F)
     cert = certify_theorem1(F, models, plan, samples=samples, expansions=expansions)
     _print_plan(p, models, plan)
     _print_certificate(p, cert)

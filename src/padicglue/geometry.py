@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from .algebra import (
     Poly,
@@ -38,7 +38,6 @@ from .field import KElement, ValExp
 
 __all__ = [
     "Ball",
-    "Expansions",
     "LocalExpansion",
     "Radius",
     "count_roots_in_ball",
@@ -313,12 +312,10 @@ class Expansions:
         return LocalExpansion(self.f, ball, shift)
 
     @staticmethod
-    def of(f: RationalMap, expansions: "Expansions | None"):
-        """A function from balls to f's expansions: the given expansions,
-        which must be f's, or, without them, one that expands afresh and
-        keeps nothing, so no shift outlives the ball that needed it."""
+    def of(f: RationalMap, expansions: "Expansions | None") -> "Expansions":
+        """The given expansions, which must be f's, or new ones for f."""
         if expansions is None:
-            return partial(LocalExpansion, f)
+            return Expansions(f)
         if expansions.f is not f:
             raise ValueError("the expansions belong to another map")
         return expansions
