@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .dynamics import multiplier, orbit, verify_census
 from .errors import HypothesisViolation, LimitExceeded, PadicGlueError, SpecFormatError, _show
@@ -130,17 +131,11 @@ def _write_result(path, p, epsilon, models, plan, F, cert, census, report, table
         print(f"result written to {path}")
 
 
-# the rows of a census report and the fields verify compares in each
-_REPORT_FIELDS = (
-    ("witnesses", ("ball_index", "disk", "expected", "got", "existence_certified", "c3_ok", "ok")),
-    ("counts", ("index", "expected", "got", "ok")),
-)
-
-
 def _claims_agree(res, cert, report) -> bool:
     """Compare a result's epsilon, stored certificate claims and stored
     census report with the recomputed ones, printing one stderr line per
-    disagreement.
+    disagreement.  Certificate balls and census report rows are compared
+    over the fields of their dataclass, a ball's witnesses as a prefix.
 
     samples_ok depends on --samples and is skipped; passes does not, since
     every sample obeys the certified sup bound.  Sample points are taken
@@ -161,20 +156,17 @@ def _claims_agree(res, cert, report) -> bool:
         ("certificate.balls", len(stored.checks), len(cert.checks)),
     ]
     for k, (s, c) in enumerate(zip(stored.checks, cert.checks)):
-        for field in ("index", "pole_free_ok", "image_ok", "image", "eps_bound_exp"):
-            claims.append((f"certificate.balls[{k}].{field}", getattr(s, field), getattr(c, field)))
+        claims += _field_claims(f"certificate.balls[{k}]", s, c, skip=("witnesses", "samples_ok"))
         for j, (sw, cw) in enumerate(zip(s.witnesses, c.witnesses)):
             claims.append((f"certificate.balls[{k}].witnesses[{j}]", sw, cw))
     told = res["census_report"]
     if told is not None:
         claims.append(("census_report.passes", told.passes, report.passes))
-        for name, fields in _REPORT_FIELDS:
+        for name in ("witnesses", "counts"):
             s_rows, c_rows = getattr(told, name), getattr(report, name)
             claims.append((f"census_report.{name}", len(s_rows), len(c_rows)))
             for k, (s, c) in enumerate(zip(s_rows, c_rows)):
-                for field in fields:
-                    claims.append((f"census_report.{name}[{k}].{field}",
-                                   getattr(s, field), getattr(c, field)))
+                claims += _field_claims(f"census_report.{name}[{k}]", s, c)
     agree = True
     for name, s, c in claims:
         same = s.same_set(c) if isinstance(s, Ball) and isinstance(c, Ball) else s == c
@@ -182,6 +174,12 @@ def _claims_agree(res, cert, report) -> bool:
             print(f"result.{name}: stored {_echo(s)}, recomputed {_echo(c)}", file=sys.stderr)
             agree = False
     return agree
+
+
+def _field_claims(name: str, stored, recomputed, skip=()) -> list:
+    # one claim per field of a record, in the dataclass's order
+    return [(f"{name}.{f.name}", getattr(stored, f.name), getattr(recomputed, f.name))
+            for f in fields(stored) if f.name not in skip]
 
 
 def _echo(x) -> str:

@@ -51,8 +51,10 @@ ATTRACTING = "attracting"
 REPELLING = "repelling"
 INDIFFERENT = "indifferent"
 INCONCLUSIVE = "inconclusive"
-# the slot of each certified kind in a census count triple
-KIND_SLOT = {ATTRACTING: 0, REPELLING: 1, INDIFFERENT: 2}
+# the kinds a witness may expect, in the order of a census count triple;
+# a classification may also be inconclusive
+KINDS = (ATTRACTING, REPELLING, INDIFFERENT)
+KIND_SLOT = {kind: slot for slot, kind in enumerate(KINDS)}
 
 # how many times suggest_witness shrinks a disk by p before giving up
 MAX_SHRINK = 8
@@ -192,7 +194,7 @@ def validate_census(models, census: FixedPointCensus) -> None:
         raise ValueError(f"census lists {len(census.counts)} count triples for {n} balls")
     wits = list(census.witnesses)
     for w in wits:
-        if w.expected not in (ATTRACTING, REPELLING, INDIFFERENT):
+        if w.expected not in KINDS:
             raise ValueError(f"unknown expected kind {_show(w.expected)}")
         if not (0 <= w.ball_index < n):
             raise ValueError(f"witness ball index {_show(w.ball_index)} out of range")

@@ -11,15 +11,14 @@ exponents).  Every diagnostic names the offending entry.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Poly, RationalMap
 from .dynamics import (
-    ATTRACTING,
     INCONCLUSIVE,
-    INDIFFERENT,
-    REPELLING,
+    KINDS,
     CensusReport,
     CountResult,
     FixedPointCensus,
@@ -237,6 +236,57 @@ def ratmap_from_json(obj, p: int, where: str) -> RationalMap:
     return RationalMap(num, den)
 
 
+# -- records ------------------------------------------------------------------
+#
+# A record is a dataclass whose JSON object has one key per field, under the
+# field's name: a certificate ball, a census and its witnesses, a census
+# report and its rows, an orbit step.  Its dataclass is the one list of its
+# fields; the writer walks them, and each reader table maps the same names,
+# in the order the "missing ..." diagnostic lists them, to their readers.
+
+
+def _to_json(x):
+    """x by type: a field element, exponent or ball through its writer, a
+    certificate's (point, diff_exp) sample witness as {point, diff_exp}, a
+    record as one key per field, any other tuple or list as a list, and
+    None, bool, int and str as they are."""
+    if isinstance(x, (tuple, list)):
+        if len(x) == 2 and isinstance(x[0], KElement) and isinstance(x[1], ValExp):
+            return {"point": kelement_to_json(x[0]), "diff_exp": valexp_to_json(x[1])}
+        return [_to_json(v) for v in x]
+    if isinstance(x, KElement):
+        return kelement_to_json(x)
+    if isinstance(x, ValExp):
+        return valexp_to_json(x)
+    if isinstance(x, Ball):
+        return ball_to_json(x)
+    if is_dataclass(x):
+        return {f.name: _to_json(getattr(x, f.name)) for f in fields(x)}
+    return x
+
+
+def _record_from_json(cls, obj, where: str, readers: dict):
+    # exactly the keys of readers; readers[key](value, where) reads each
+    obj = _fields(obj, where, readers)
+    return cls(**{k: read(obj[k], f"{where}.{k}") for k, read in readers.items()})
+
+
+def _maybe(read):
+    # a nullable field
+    return lambda x, where: None if x is None else read(x, where)
+
+
+def _items(read):
+    # a list field, read into a tuple; each item keeps its [i] path
+    return lambda x, where: tuple(
+        read(v, f"{where}[{i}]") for i, v in enumerate(_list_from_json(x, where))
+    )
+
+
+def _records(cls, readers: dict):
+    return _items(lambda x, where: _record_from_json(cls, x, where, readers))
+
+
 # -- gluing -------------------------------------------------------------------
 
 
@@ -268,68 +318,32 @@ def plan_from_json(obj, p: int, where: str) -> GluingPlan:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    balls = []
-    for ch in cert.checks:
-        balls.append(
-            {
-                "index": ch.index,
-                "pole_free_ok": ch.pole_free_ok,
-                "image_ok": ch.image_ok,
-                "image": ball_to_json(ch.image) if ch.image is not None else None,
-                "eps_bound_exp": valexp_to_json(ch.eps_bound_exp)
-                if ch.eps_bound_exp is not None
-                else None,
-                "witnesses": [
-                    {"point": kelement_to_json(z), "diff_exp": valexp_to_json(w)}
-                    for z, w in ch.witnesses
-                ],
-                "samples_ok": ch.samples_ok,
-            }
-        )
     return {
         "passes": cert.passes,
         "epsilon_exp": str(cert.epsilon),
         "degree": {"num": cert.degree_num, "den": cert.degree_den},
-        "balls": balls,
+        "balls": _to_json(cert.checks),
     }
-
-
-def _ball_check_from_json(ch, p: int, w: str) -> BallCheck:
-    ch = _fields(ch, w, ("index", "pole_free_ok", "image_ok", "image", "eps_bound_exp",
-                         "witnesses", "samples_ok"))
-    witnesses = []
-    for j, e in enumerate(_list_from_json(ch["witnesses"], f"{w}.witnesses")):
-        ww = f"{w}.witnesses[{j}]"
-        e = _fields(e, ww, ("point", "diff_exp"))
-        witnesses.append(
-            (
-                kelement_from_json(e["point"], p, f"{ww}.point"),
-                valexp_from_json(e["diff_exp"], f"{ww}.diff_exp"),
-            )
-        )
-    return BallCheck(
-        index=_int_from_json(ch["index"], f"{w}.index"),
-        pole_free_ok=_bool_from_json(ch["pole_free_ok"], f"{w}.pole_free_ok"),
-        image_ok=_bool_from_json(ch["image_ok"], f"{w}.image_ok"),
-        image=ball_from_json(ch["image"], p, f"{w}.image") if ch["image"] is not None else None,
-        eps_bound_exp=valexp_from_json(ch["eps_bound_exp"], f"{w}.eps_bound_exp")
-        if ch["eps_bound_exp"] is not None
-        else None,
-        witnesses=tuple(witnesses),
-        samples_ok=_bool_from_json(ch["samples_ok"], f"{w}.samples_ok"),
-    )
 
 
 def certificate_from_json(obj, p: int, where: str) -> Certificate:
     obj = _fields(obj, where, ("passes", "epsilon_exp", "degree", "balls"))
     # the stored verdict is a claim; verify compares it with its own
     _bool_from_json(obj["passes"], f"{where}.passes")
-    balls = _list_from_json(obj["balls"], f"{where}.balls")
     deg = _fields(obj["degree"], f"{where}.degree", ("num", "den"))
+    # a sample witness is a (point, diff_exp) pair, not a record
+    samples = {"point": lambda x, w: kelement_from_json(x, p, w), "diff_exp": valexp_from_json}
+    balls = _records(BallCheck, {
+        "index": _int_from_json,
+        "pole_free_ok": _bool_from_json,
+        "image_ok": _bool_from_json,
+        "image": _maybe(lambda x, w: ball_from_json(x, p, w)),
+        "eps_bound_exp": _maybe(valexp_from_json),
+        "witnesses": _records(lambda **pair: tuple(pair.values()), samples),
+        "samples_ok": _bool_from_json,
+    })
     return Certificate(
-        checks=tuple(
-            _ball_check_from_json(ch, p, f"{where}.balls[{k}]") for k, ch in enumerate(balls)
-        ),
+        checks=balls(obj["balls"], f"{where}.balls"),
         epsilon=_exp_from_json(obj["epsilon_exp"], f"{where}.epsilon_exp"),
         degree_num=_int_from_json(deg["num"], f"{where}.degree.num"),
         degree_den=_int_from_json(deg["den"], f"{where}.degree.den"),
@@ -339,14 +353,13 @@ def certificate_from_json(obj, p: int, where: str) -> Certificate:
 # -- dynamics -----------------------------------------------------------------
 
 
-# the kinds a witness may expect; a classification may also be inconclusive
-_EXPECTED_KINDS = (ATTRACTING, REPELLING, INDIFFERENT)
+def _kind(kinds):
+    def read(x, where: str) -> str:
+        if x not in kinds:
+            raise SpecFormatError(f"{where}: unknown kind {_show(x)}")
+        return x
 
-
-def _kind_from_json(x, where: str, kinds) -> str:
-    if x not in kinds:
-        raise SpecFormatError(f"{where}: unknown kind {_show(x)}")
-    return x
+    return read
 
 
 def _count_triple(c, where: str) -> tuple:
@@ -355,117 +368,53 @@ def _count_triple(c, where: str) -> tuple:
     return tuple(_int_from_json(x, where) for x in c)
 
 
-def census_to_json(census: FixedPointCensus) -> dict:
+def _witness_readers(p: int) -> dict:
+    # a census witness; a census report witness extends it
     return {
-        "counts": [list(c) for c in census.counts],
-        "witnesses": [
-            {
-                "ball_index": w.ball_index,
-                "disk": ball_to_json(w.disk),
-                "expected": w.expected,
-            }
-            for w in census.witnesses
-        ],
+        "ball_index": _int_from_json,
+        "disk": lambda x, w: ball_from_json(x, p, w, strict=True),
+        "expected": _kind(KINDS),
     }
+
+
+def census_to_json(census: FixedPointCensus) -> dict:
+    return _to_json(census)
 
 
 def census_from_json(obj, p: int, where: str) -> FixedPointCensus:
-    obj = _fields(obj, where, ("counts", "witnesses"))
-    counts = [_count_triple(c, f"{where}.counts[{i}]")
-              for i, c in enumerate(_list_from_json(obj["counts"], f"{where}.counts"))]
-    witnesses = []
-    for i, w in enumerate(_list_from_json(obj["witnesses"], f"{where}.witnesses")):
-        ww = f"{where}.witnesses[{i}]"
-        w = _fields(w, ww, ("ball_index", "disk", "expected"))
-        witnesses.append(
-            Witness(
-                ball_index=_int_from_json(w["ball_index"], f"{ww}.ball_index"),
-                disk=ball_from_json(w["disk"], p, f"{ww}.disk", strict=True),
-                expected=_kind_from_json(w["expected"], f"{ww}.expected", _EXPECTED_KINDS),
-            )
-        )
-    return FixedPointCensus(counts=tuple(counts), witnesses=tuple(witnesses))
+    return _record_from_json(FixedPointCensus, obj, where, {
+        "counts": _items(_count_triple),
+        "witnesses": _records(Witness, _witness_readers(p)),
+    })
 
 
 def census_report_to_json(report: CensusReport) -> dict:
-    return {
-        "passes": report.passes,
-        "witnesses": [
-            {
-                "ball_index": w.ball_index,
-                "disk": ball_to_json(w.disk),
-                "expected": w.expected,
-                "got": w.got,
-                "existence_certified": w.existence_certified,
-                "c3_ok": w.c3_ok,
-                "ok": w.ok,
-            }
-            for w in report.witnesses
-        ],
-        "counts": [
-            {"index": c.index, "expected": list(c.expected), "got": list(c.got), "ok": c.ok}
-            for c in report.counts
-        ],
-    }
+    return _to_json(report)
 
 
 def census_report_from_json(obj, p: int, where: str) -> CensusReport:
     """Strict parse of a stored census report, which verify compares with
     the one it recomputes; existence_certified and c3_ok may be null."""
-    obj = _fields(obj, where, ("passes", "witnesses", "counts"))
-
-    def maybe_bool(x, w):
-        return None if x is None else _bool_from_json(x, w)
-
-    witnesses = []
-    for i, w in enumerate(_list_from_json(obj["witnesses"], f"{where}.witnesses")):
-        ww = f"{where}.witnesses[{i}]"
-        w = _fields(w, ww, ("ball_index", "disk", "expected", "got", "existence_certified",
-                            "c3_ok", "ok"))
-        witnesses.append(
-            WitnessResult(
-                ball_index=_int_from_json(w["ball_index"], f"{ww}.ball_index"),
-                disk=ball_from_json(w["disk"], p, f"{ww}.disk", strict=True),
-                expected=_kind_from_json(w["expected"], f"{ww}.expected", _EXPECTED_KINDS),
-                got=_kind_from_json(w["got"], f"{ww}.got", _EXPECTED_KINDS + (INCONCLUSIVE,)),
-                existence_certified=maybe_bool(w["existence_certified"],
-                                               f"{ww}.existence_certified"),
-                c3_ok=maybe_bool(w["c3_ok"], f"{ww}.c3_ok"),
-                ok=_bool_from_json(w["ok"], f"{ww}.ok"),
-            )
-        )
-    counts = []
-    for i, c in enumerate(_list_from_json(obj["counts"], f"{where}.counts")):
-        cw = f"{where}.counts[{i}]"
-        c = _fields(c, cw, ("index", "expected", "got", "ok"))
-        counts.append(
-            CountResult(
-                index=_int_from_json(c["index"], f"{cw}.index"),
-                expected=_count_triple(c["expected"], f"{cw}.expected"),
-                got=_count_triple(c["got"], f"{cw}.got"),
-                ok=_bool_from_json(c["ok"], f"{cw}.ok"),
-            )
-        )
-    return CensusReport(
-        witnesses=tuple(witnesses),
-        counts=tuple(counts),
-        passes=_bool_from_json(obj["passes"], f"{where}.passes"),
-    )
+    return _record_from_json(CensusReport, obj, where, {
+        "passes": _bool_from_json,
+        "witnesses": _records(WitnessResult, {
+            **_witness_readers(p),
+            "got": _kind(KINDS + (INCONCLUSIVE,)),
+            "existence_certified": _maybe(_bool_from_json),
+            "c3_ok": _maybe(_bool_from_json),
+            "ok": _bool_from_json,
+        }),
+        "counts": _records(CountResult, {
+            "index": _int_from_json,
+            "expected": _count_triple,
+            "got": _count_triple,
+            "ok": _bool_from_json,
+        }),
+    })
 
 
 def orbit_to_json(steps) -> list:
-    out = []
-    for s in steps:
-        out.append(
-            {
-                "k": s.k,
-                "point": kelement_to_json(s.point) if s.point is not None else None,
-                "dist_exp": valexp_to_json(s.dist_exp) if s.dist_exp is not None else None,
-                "step_exp": valexp_to_json(s.step_exp) if s.step_exp is not None else None,
-                "pole": s.pole,
-            }
-        )
-    return out
+    return [{**_to_json(s), "pole": s.pole} for s in steps]
 
 
 # -- problems and results ------------------------------------------------------
@@ -589,14 +538,16 @@ def result_from_json(obj) -> dict:
 
     Returns a dict with keys: p, epsilon, models, census, plan, F,
     certificate, stored_passes, the document's own verdict, and
-    census_report, the stored report or None.  A census report needs the
-    census it reports on.  The orbit_tables section is recomputed output
-    and is not read.
+    census_report, the stored report or None.  F must not be constant,
+    and a census report needs the census it reports on.  The orbit_tables
+    section is recomputed output and is not read.
     """
     res = _document(obj, "result", ("plan", "F", "certificate"), ("census_report", "orbit_tables"))
     p = res["p"]
     res["plan"] = plan_from_json(obj["plan"], p, "result.plan")
     res["F"] = ratmap_from_json(obj["F"], p, "result.F")
+    if res["F"].degree == 0:
+        raise SpecFormatError("result.F: a constant map sends no ball onto a ball")
     res["certificate"] = certificate_from_json(obj["certificate"], p, "result.certificate")
     res["stored_passes"] = obj["certificate"]["passes"]
     res["census_report"] = None

@@ -586,6 +586,22 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and where in err
 
+    @pytest.mark.parametrize("argv", [["verify", "--samples", "2"], ["orbit", "--start", "9"]],
+                             ids=["verify", "orbit"])
+    @pytest.mark.parametrize("F", [{"num": ["5"], "den": ["1"]}, {"num": [], "den": ["1"]}],
+                             ids=["constant", "zero"])
+    def test_constant_F_exit_2(self, ex2_paths, tmp_path, capsys, argv, F):
+        # a constant map sends a ball to a point, so it has no image to certify
+        _, result = ex2_paths
+        doc = read_json(result)
+        doc["F"] = F
+        path = tmp_path / "constant.json"
+        write_json(path, doc)
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "parse error: result.F: a constant map sends no ball onto a ball\n"
+
 
 def _perfbench(name: str):
     """A module of the benchmark harness, loaded by path and only read.

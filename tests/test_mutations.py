@@ -2,10 +2,11 @@
 
 Each case applies one to three random edits to a preset problem or to a
 glued ex2 result: a dropped or added key, a value of another type, a huge
-or negative number, a bool for an int, or deep nesting.  `glue`, `verify`
-and `orbit` then run in-process and must end in an exit code of the CLI
-contract, without a traceback and within a bounded wall time.  Every crash
-these cases have found is pinned as its own test in `test_cli.py`.
+or negative number, a bool for an int, or deep nesting.  A few value-level
+edits set the result's F to a constant map.  `glue`, `verify` and `orbit`
+then run in-process and must end in an exit code of the CLI contract,
+without a traceback and within a bounded wall time.  Every crash these
+cases have found is pinned as its own test in `test_cli.py`.
 """
 
 import copy
@@ -100,15 +101,7 @@ def sources(tmp_path_factory):
     }
 
 
-@pytest.mark.parametrize("case", range(CASES))
-@pytest.mark.parametrize("source", ["ex1", "ex2", "result"])
-def test_mutation_exits_cleanly(sources, tmp_path, capsys, source, case):
-    rng = random.Random(f"{source}/{case}")
-    doc = copy.deepcopy(sources[source])
-    for _ in range(rng.choice((1, 1, 2, 3))):
-        _mutate(doc, rng)
-    path = tmp_path / "mutant.json"
-    _write(path, doc)
+def _exits_cleanly(path: Path, capsys, source: str) -> None:
     if source == "result":
         runs = [["verify", "--input", str(path), "--samples", "2"],
                 ["orbit", "--input", str(path), "--start", "9", "--steps", "3"]]
@@ -122,3 +115,32 @@ def test_mutation_exits_cleanly(sources, tmp_path, capsys, source, case):
         assert code in EXIT_CODES, (argv[0], code, err)
         assert "Traceback" not in err
         assert seconds < CASE_SECONDS, (argv[0], seconds)
+
+
+@pytest.mark.parametrize("case", range(CASES))
+@pytest.mark.parametrize("source", ["ex1", "ex2", "result"])
+def test_mutation_exits_cleanly(sources, tmp_path, capsys, source, case):
+    rng = random.Random(f"{source}/{case}")
+    doc = copy.deepcopy(sources[source])
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        _mutate(doc, rng)
+    path = tmp_path / "mutant.json"
+    _write(path, doc)
+    _exits_cleanly(path, capsys, source)
+
+
+# well-typed values of the result's F that no structural edit above makes
+F_VALUES = {
+    "constant": {"num": ["5"], "den": ["1"]},
+    "zero-numerator": {"num": [], "den": ["1"]},
+    "zero-coefficients": {"num": ["0", "0"], "den": ["1", "1"]},
+}
+
+
+@pytest.mark.parametrize("name", list(F_VALUES))
+def test_value_edit_of_F_exits_cleanly(sources, tmp_path, capsys, name):
+    doc = copy.deepcopy(sources["result"])
+    doc["F"] = F_VALUES[name]
+    path = tmp_path / "mutant.json"
+    _write(path, doc)
+    _exits_cleanly(path, capsys, "result")

@@ -3,13 +3,19 @@
 import copy
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from padicglue import (
+    INCONCLUSIVE,
+    INDIFFERENT,
     Ball,
+    BallCheck,
+    CensusReport,
+    FixedPointCensus,
     FieldConfig,
     KElement,
     LimitExceeded,
@@ -17,14 +23,27 @@ from padicglue import (
     Radius,
     RationalMap,
     SpecFormatError,
+    OrbitStep,
     ValExp,
+    Witness,
     build_F,
     certify_theorem1,
     plan_gluing,
     orbit,
+    verify_census,
 )
+from padicglue.dynamics import CountResult, WitnessResult
 from padicglue.errors import _show
-from padicglue.presets import EX2_EPSILON, ex1_problem, ex2_census, ex2_models, ex2_problem
+from padicglue.presets import (
+    EX2_EPSILON,
+    ex1_census,
+    ex1_epsilon,
+    ex1_models,
+    ex1_problem,
+    ex2_census,
+    ex2_models,
+    ex2_problem,
+)
 from padicglue.serialize import (
     ball_from_json,
     ball_to_json,
@@ -206,6 +225,61 @@ class TestStructuredRoundTrips:
         del doc["plan"]
         with pytest.raises(SpecFormatError, match="missing plan, F, or certificate"):
             result_from_json(doc)
+
+
+def _names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+class TestRecords:
+    """Each record is written as one key per dataclass field and read back
+    equal.  F is ex1's glued map (an indifferent fixed point in ball 0)
+    with an added pole at 3, the centre of ball 1: that ball's image and
+    sup bound are null, and its witness is inconclusive."""
+
+    @pytest.fixture(scope="class")
+    def written(self):
+        models = ex1_models(2, Fraction(1, 9))
+        census = ex1_census(models)
+        eps = ex1_epsilon(models, census)
+        plan = plan_gluing(models, eps)
+        F = build_F(models, plan)
+        F = RationalMap(F.num, F.den * (Z - 3))
+        cert = certify_theorem1(F, models, plan, samples=4)
+        report = verify_census(F, models, census)
+        doc = result_to_json(3, eps, models, plan, F, cert, census=census, census_report=report)
+        steps = orbit(F, K3(3), 2)
+        return json.loads(json.dumps(doc)), cert, census, report, steps
+
+    def test_the_result_holds_every_case(self, written):
+        _, cert, _, report, steps = written
+        assert any(ch.image is None and ch.eps_bound_exp is None for ch in cert.checks)
+        assert any(w.got == INCONCLUSIVE and w.existence_certified is None
+                   for w in report.witnesses)
+        assert any(w.expected == INDIFFERENT and w.c3_ok is not None for w in report.witnesses)
+        assert steps[-1].pole
+
+    def test_writer_keys_are_the_fields(self, written):
+        doc, _, _, _, steps = written
+        objects = [
+            (BallCheck, doc["certificate"]["balls"]),
+            (FixedPointCensus, [doc["census"]]),
+            (Witness, doc["census"]["witnesses"]),
+            (CensusReport, [doc["census_report"]]),
+            (WitnessResult, doc["census_report"]["witnesses"]),
+            (CountResult, doc["census_report"]["counts"]),
+        ]
+        for cls, written_objects in objects:
+            assert written_objects
+            assert all(set(obj) == _names(cls) for obj in written_objects), cls
+        assert all(set(row) == _names(OrbitStep) | {"pole"} for row in orbit_to_json(steps))
+
+    def test_reading_gives_the_records_back(self, written):
+        doc, cert, census, report, _ = written
+        back = result_from_json(doc)
+        assert back["certificate"].checks == cert.checks
+        assert back["census"] == census
+        assert back["census_report"] == report
 
 
 class TestProblemParsing:
