@@ -9,9 +9,9 @@ integer/Fraction computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
-from .field import KElement, ValExp, _int_val
+from .field import KElement, ValExp, _int_val, _rat_val
 
 __all__ = [
     "Poly",
@@ -29,7 +29,7 @@ class Poly:
     zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("p", "coeffs", "_ints")
+    __slots__ = ("p", "coeffs", "_ints", "_v2s")
 
     p: int
     coeffs: tuple
@@ -489,27 +489,64 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
     return A
 
 
-def _min_plus(P: Poly, e, from_k: int = 0) -> tuple:
+def _v2(c: KElement):
+    """2 v(c), an integer, or math.inf for c = 0, so that bounds add and
+    compare as they are; the two coordinates' terms differ in parity."""
+    a, b, p = c.a, c.b, c.p
+    va = 2 * _rat_val(a, p) if a else inf
+    return min(va, 2 * _rat_val(b, p) + 1) if b else va
+
+
+def _v2s(P: Poly) -> tuple:
+    """(_v2(c_0), _v2(c_1), ...) for P, computed once per Poly and kept in
+    a private slot of it."""
+    try:
+        return P._v2s
+    except AttributeError:
+        pass
+    v2s = tuple(_v2(c) for c in P.coeffs)
+    object.__setattr__(P, "_v2s", v2s)
+    return v2s
+
+
+def _bounds(P) -> tuple:
+    # lower bounds of 2 v(c_k) for a Poly, where they are exact, or a source
+    return _v2s(P) if isinstance(P, Poly) else P.bounds
+
+
+def _min_plus(P, e, from_k: int = 0) -> tuple:
     """(m, first, last): m = min over k >= from_k of v(c_k) + k*e, taken
     over the nonzero coefficients c_k of P, and the first and last index
-    attaining it; all None when there is no such coefficient."""
-    e = e.exp if isinstance(e, ValExp) else Fraction(e)
-    m = first = last = None
-    for k in range(from_k, len(P.coeffs)):
-        c = P.coeffs[k]
-        if c.is_zero:
+    attaining it; all None when there is no such coefficient.
+
+    P is a Poly or a coefficient source, whose `bounds[k]` <= 2 v(c_k)
+    holds for every index k and whose `val(k)` computes 2 v(c_k) on demand.
+    The scan reads c_k only where bounds[k] + 2k*e does not exceed the
+    least value so far; no other index can attain the minimum, so the
+    result is a full scan's, and a lazy shift computes only the prefix up
+    to the last index read.  It runs on doubled exponents, which are
+    integers for every radius in (1/2)Z.
+    """
+    e2 = 2 * (e.exp if isinstance(e, ValExp) else Fraction(e))
+    e2 = int(e2) if e2.denominator == 1 else e2
+    bounds = _bounds(P)
+    val = bounds.__getitem__ if isinstance(P, Poly) else P.val
+    m, first, last = inf, None, None
+    for k in range(from_k, len(bounds)):
+        if bounds[k] + k * e2 > m:
             continue
-        t = c.valuation().exp + k * e
-        if m is None or t < m:
+        t = val(k) + k * e2
+        if t < m:
             m, first, last = t, k, k
-        elif t == m:
+        elif t == m < inf:
             last = k
-    return m, first, last
+    return (None if first is None else Fraction(m) / 2), first, last
 
 
-def count_roots_with_min_valuation(P: Poly, min_exp, strict: bool) -> int:
+def count_roots_with_min_valuation(P, min_exp, strict: bool) -> int:
     """Roots of P (with multiplicity, in an algebraic closure) of valuation
-    >= min_exp, or > min_exp when strict.  min_exp is a ValExp or a rational.
+    >= min_exp, or > min_exp when strict.  min_exp is a ValExp or a rational,
+    and P a Poly or a coefficient source (see _min_plus).
 
     The line of slope -min_exp supporting the Newton polygon of P touches it
     exactly at the indices k attaining min v(c_k) + k*min_exp.  The last of
@@ -517,19 +554,20 @@ def count_roots_with_min_valuation(P: Poly, min_exp, strict: bool) -> int:
     valuation > min_exp; a root at 0 is counted because zero coefficients
     are skipped.
     """
-    if P.is_zero:
-        raise ValueError("the zero polynomial vanishes everywhere")
     _, first, last = _min_plus(P, min_exp)
+    if first is None:
+        raise ValueError("the zero polynomial vanishes everywhere")
     return first if strict else last
 
 
-def gauss_norm_exp(P: Poly, radius_exp, from_k: int = 0) -> ValExp:
+def gauss_norm_exp(P, radius_exp, from_k: int = 0) -> ValExp:
     """Exponent of the Gauss norm of P at radius p^(-radius_exp).
 
     Returns min over k >= from_k of v(c_k) + k*radius_exp, which encodes the
     sup of |P| over the closed ball of that radius about 0 (restricted to the
     terms of index >= from_k).  Infinite when no such term exists.
-    radius_exp is a ValExp or a rational.
+    radius_exp is a ValExp or a rational, and P a Poly or a coefficient
+    source (see _min_plus).
     """
     return ValExp(_min_plus(P, radius_exp, from_k)[0])
 

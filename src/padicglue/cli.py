@@ -105,8 +105,8 @@ def _print_census(p: int, report) -> None:
 def _certify(p: int, models, plan, F, census, samples: int):
     """Certify F, print the plan and the certificate, then check and print
     the census when there is one: the one path of glue, verify and example.
-    Certificate and census read F's expansions from one cache, so F is
-    Taylor-shifted once per center; the cache ends with this call.
+    Certificate and census read F's expansions from one cache, so F gets
+    one lazy Taylor shift per center; the cache ends with this call.
 
     Returns (certificate, census report or None, whether both pass).
     """

@@ -13,11 +13,14 @@ finite comparison of exact exponents.  The key facts used throughout:
   polynomial: the number of roots is the last (closed ball) or first
   (open ball) index k attaining min v(c_k) + k*e for radius p^(-e).
 
-A LocalExpansion recenters a map's numerator and denominator once about a
-ball's center; the pole test, the image, sup norms and root counts on
-that ball are all read off the shifted coefficients.  The shift does not
-depend on the radius, so balls about one center can share it (see
-Expansions).
+A LocalExpansion rewrites a map's numerator and denominator in powers of
+(z - a) about a ball's center a; the pole test, the image, sup norms and
+root counts on that ball are all scans of the shifted coefficients.  The
+shift is lazy (_Prefix): it yields the coefficients one at a time and
+bounds all of them up front by the ultrametric inequality, so each scan
+computes only the prefix whose coefficients might still reach its
+minimum.  The shift does not depend on the radius, so balls about one
+center share it (see Expansions).
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from functools import cached_property
 from .algebra import (
     Poly,
     RationalMap,
+    _bounds,
+    _v2,
+    _v2s,
     count_roots_with_min_valuation,
     gauss_norm_exp,
 )
@@ -155,11 +161,6 @@ def _roots_in_ball(shifted: Poly, ball: Ball) -> int:
     return count_roots_with_min_valuation(shifted, ball.radius, strict=not ball.closed)
 
 
-def _shift(P: Poly, a: KElement) -> Poly:
-    # a constant is its own Taylor expansion about any point
-    return P if P.degree <= 0 else P.recenter(a)
-
-
 def count_roots_in_ball(P: Poly, ball: Ball) -> int:
     """Number of roots of P in the ball, with multiplicity, over C_v.
 
@@ -172,42 +173,92 @@ def count_roots_in_ball(P: Poly, ball: Ball) -> int:
     return _roots_in_ball(P.recenter(ball.center), ball)
 
 
-class _Shift:
-    """A rational map f = P/Q rewritten in powers of (z - a) about a point a.
+class _Prefix:
+    """P in powers of (z - a), one coefficient c'_k at a time: the lazy
+    Taylor shift, a coefficient source for algebra._min_plus.
 
-    P and Q are each Taylor-shifted at most once, on first use, into Pr and
-    Qr, whose constant terms are P(a) and Q(a).  The image numerator
-    Pr*Q(a) - Qr*P(a) is formed at most once as well.  Nothing here
-    depends on a radius, so every ball about a can read the same shift.
+    It keeps the state of the in-place synthetic division by (z - a) that
+    Poly.recenter runs to the end; pass k yields c'_k for deg P - k
+    products.  Since c'_k = sum over j >= k of C(j, k) c_j a^(j-k), the
+    ultrametric inequality bounds every c'_k before any pass runs, by the
+    tail bound L_k = min over j >= k of v(c_j) + (j - k) v(a) <= v(c'_k),
+    and L_k = min(v(c_k), L_(k+1) + v(a)).
     """
 
+    __slots__ = ("a", "_w", "_done", "bounds")
+
+    def __init__(self, P: Poly, a: KElement):
+        # _w[:_done] are c'_0, ..., the rest the quotient still to divide
+        self.a, self._w, self._done = a, list(P.coeffs), 0
+        va, low, bounds = _v2(a), math.inf, []  # doubled, as algebra._min_plus reads them
+        for vc in reversed(_v2s(P)):
+            low = min(vc, low + va)
+            bounds.append(low)
+        self.bounds = bounds[::-1]
+
+    def coeff(self, k: int) -> KElement:
+        w, a = self._w, self.a
+        while self._done <= k < len(w):
+            for i in range(len(w) - 2, self._done - 1, -1):
+                w[i] = w[i] + a * w[i + 1]
+            self._done += 1
+        return w[k] if k < len(w) else KElement(a.p)
+
+    def val(self, k: int):
+        return _v2(self.coeff(k))
+
+
+def _products(X, Y, k: int) -> range:
+    # the indices i for which X_i * Y_(k-i) is a term of coefficient k of X*Y
+    return range(max(0, k - len(_bounds(Y)) + 1), min(k + 1, len(_bounds(X))))
+
+
+class _Diff:
+    """The coefficient source of A*B - C*D, for Poly or _Prefix factors.
+    Coefficient k sums products X_i * Y_(k-i), so the least bound of
+    v(X_i) + v(Y_(k-i)) bounds it, and reading it exactly reads the
+    factors up to index k only."""
+
+    __slots__ = ("_factors", "bounds")
+
+    def __init__(self, A, B, C, D):
+        self._factors, self.bounds = (A, B, C, D), []
+        for X, Y in ((A, B), (C, D)):
+            for i, u in enumerate(_bounds(X)):
+                for j, w in enumerate(_bounds(Y)):
+                    if i + j == len(self.bounds):
+                        self.bounds.append(u + w)
+                    elif u + w < self.bounds[i + j]:
+                        self.bounds[i + j] = u + w
+
+    def val(self, k: int):
+        A, B, C, D = self._factors
+        return _v2(sum(A.coeff(i) * B.coeff(k - i) for i in _products(A, B, k))
+                   - sum(C.coeff(i) * D.coeff(k - i) for i in _products(C, D, k)))
+
+
+class _Shift:
+    """A rational map f = P/Q rewritten in powers of (z - a) about a point a:
+    one _Prefix each for P and Q (a constant is its own), Pr and Qr, whose
+    constant terms are P(a) and Q(a).  Nothing here depends on a radius, so
+    every ball about a reads the same prefixes, and each scan extends them
+    only as far as it must.
+    """
+
+    __slots__ = ("num", "den")
+
     def __init__(self, f: RationalMap, center: KElement):
-        self.f = f
-        self.center = center
-
-    @cached_property
-    def num(self) -> Poly:
-        return _shift(self.f.num, self.center)
-
-    @cached_property
-    def den(self) -> Poly:
-        return _shift(self.f.den, self.center)
-
-    @cached_property
-    def image_num(self) -> Poly:
-        # f(z) - f(a) has the numerator P(z)Q(a) - P(a)Q(z), which vanishes
-        # at a; in powers of (z - a) it is Pr*Q(a) - Qr*P(a)
-        return self.num * self.den.coeff(0) - self.den * self.num.coeff(0)
+        self.num, self.den = (P if P.degree <= 0 else _Prefix(P, center) for P in (f.num, f.den))
 
 
 class LocalExpansion:
     """A rational map f = P/Q rewritten in powers of (z - a) about the
     center a of a ball.
 
-    P and Q are each Taylor-shifted at most once, on first use, and every
-    question about the ball is answered from the shifted coefficients Pr
-    and Qr, whose constant terms are P(a) and Q(a).  The shift may be one
-    that other balls about a share (see Expansions); the radius and the
+    Every question about the ball is a scan of the shifted Pr and Qr, whose
+    constant terms are P(a) and Q(a), or of a _Diff of them, which computes
+    only the prefix that its tail bound cannot rule out.  The shift may be
+    one that other balls about a share (see Expansions); the radius and the
     kind of the ball only enter the scans.
     """
 
@@ -217,18 +268,10 @@ class LocalExpansion:
         self.ball = ball
         self._shift = _Shift(f, ball.center) if shift is None else shift
 
-    @property
-    def num(self) -> Poly:
-        return self._shift.num
-
-    @property
-    def den(self) -> Poly:
-        return self._shift.den
-
     @cached_property
     def pole_free(self) -> bool:
         """True when the reduced denominator has no zero in the ball."""
-        return self.f.den.degree == 0 or _roots_in_ball(self.den, self.ball) == 0
+        return self.f.den.degree == 0 or _roots_in_ball(self._shift.den, self.ball) == 0
 
     def _require_pole_free(self) -> None:
         if not self.pole_free:
@@ -245,9 +288,10 @@ class LocalExpansion:
         of index >= 1, divided by |Q(a)|^2 (|Q| is constant on the ball).
         """
         self._require_pole_free()
-        pa = self.num.coeff(0)
-        qa = self.den.coeff(0)
-        e = gauss_norm_exp(self._shift.image_num, self.ball.radius, from_k=1)
+        N, D, p = self._shift.num, self._shift.den, self.f.p
+        pa, qa = N.coeff(0), D.coeff(0)
+        g = _Diff(N, Poly.constant(p, qa), D, Poly.constant(p, pa))
+        e = gauss_norm_exp(g, self.ball.radius, from_k=1)
         if e.is_infinite:
             raise ValueError("constant map: the image of the ball is a point, not a ball")
         return Ball(pa * qa.inverse(), e - qa.valuation() * 2, closed=self.ball.closed)
@@ -268,14 +312,15 @@ class LocalExpansion:
         one the reduced difference gives.
         """
         self._require_pole_free()
-        num = self.num
-        den_val = self.den.coeff(0).valuation()
+        N, D = self._shift.num, self._shift.den
+        num, den_val = N, D.coeff(0).valuation()
         if minus is not None:
             if minus.ball != self.ball:
                 raise ValueError(f"expansions about different balls: {self.ball} and {minus.ball}")
             minus._require_pole_free()
-            num = self.num * minus.den - minus.num * self.den
-            den_val = den_val + minus.den.coeff(0).valuation()
+            n, d = minus._shift.num, minus._shift.den
+            num = _Diff(N, d, n, D)
+            den_val = den_val + d.coeff(0).valuation()
         return gauss_norm_exp(num, self.ball.radius, from_k=0) - den_val
 
     def wdeg(self, b: KElement) -> int:
@@ -288,15 +333,16 @@ class LocalExpansion:
         img = self.image
         if not img.contains_point(b):
             raise ValueError(f"target {b} lies outside the image {img}")
-        return _roots_in_ball(self.num - self.den * b, self.ball)
+        s, p = self._shift, self.f.p
+        return _roots_in_ball(_Diff(s.num, Poly.one(p), s.den, Poly.constant(p, b)), self.ball)
 
 
 class Expansions:
     """The LocalExpansions of one map f, with one Taylor shift per center.
 
     Calling it with a ball returns f's expansion about that ball; balls
-    with the same center share the shifted numerator, denominator and
-    image numerator, and only their radius and kind enter the scans.  It
+    with the same center share the shifted numerator and denominator, and
+    only their radius and kind enter the scans.  It
     caches one computation: whoever makes it decides how long the shifts
     live, and it is never kept on a map or a model.
     """

@@ -41,9 +41,10 @@ __all__ = [
     "validate_plan",
 ]
 
-# each M_i adds to deg F, and certification time grows about quadratically
-# in deg F: ex2 with one M_i of 100, 300 and 1000 certified in about 1, 11
-# and 113 s on a 2-vCPU host
+# each M_i adds to deg F, and a Taylor shift whose tail bound is slack costs
+# time quadratic in deg F: ex2 with one M_i of 100, 300 and 1000 certifies
+# in about 0.16, 0.45 and 1.5 s on a 2-vCPU host, where shifting every
+# coefficient took about 1.4, 10 and 101 s
 M_LIMIT = 256
 
 
@@ -338,11 +339,13 @@ def certify_theorem1(
     raised.
 
     Each ball gets one LocalExpansion of F: the numerator and denominator
-    of F are Taylor-shifted once about a_i, and (a), (b) and (c) are all
-    read off those shifted coefficients; f_i's expansion is the one its
-    LocalModel keeps.  The expansions of F come from `expansions` when
-    given (they must be F's), so a caller that also classifies disks about
-    the same centers shifts F once per center in all.
+    of F each get one lazy Taylor shift about a_i, and (a), (b) and (c) are
+    scans of it that compute only the shifted coefficients their tail
+    bounds cannot rule out (see geometry._Prefix): on the benchmark's
+    20-ball sweep, 6 of deg F + 1 = 97 or 101 per shift.  f_i's expansion
+    is the one its LocalModel keeps.  The expansions of F come from
+    `expansions` when given (they must be F's), so a caller that also
+    classifies disks about the same centers shifts F once per center in all.
     The sup norm in (c) is taken of the unreduced difference
     (N*d - n*D) / (D*d) for F = N/D and f_i = n/d, without a gcd.  Its
     bound equals that of the reduced F - f_i: the Gauss norm on a ball is

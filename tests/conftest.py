@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from padicglue import geometry
 from padicglue import (
     Ball,
     FieldConfig,
@@ -87,6 +88,15 @@ def shell_points(center: KElement, exps, per_shell: int | None = None):
             out.append(center + step * u)
             made += 1
     return out
+
+
+def spy_shifts(monkeypatch) -> list:
+    """Record (P, a) for every Taylor shift started: each non-constant
+    polynomial P rewritten in powers of (z - a) gets one `geometry._Prefix`,
+    however many of its coefficients the scans go on to compute."""
+    started, prefix = [], geometry._Prefix
+    monkeypatch.setattr(geometry, "_Prefix", lambda P, a: started.append((P, a)) or prefix(P, a))
+    return started
 
 
 @pytest.fixture(scope="session")

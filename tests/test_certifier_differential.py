@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import certifier_oracle as oracle
-from conftest import make_gluing_instance, shared_pole_problem
+from conftest import make_gluing_instance, shared_pole_problem, spy_shifts
 from padicglue import (
     Ball,
     FieldConfig,
@@ -348,14 +348,7 @@ def test_classify_disk_raises_on_a_pole():
 def test_certifier_shifts_F_once_per_ball(monkeypatch):
     models = ex2_models()
     plan, F = _glue(models, EX2_EPSILON)
-    shifted = []
-    recenter = Poly.recenter
-
-    def spy(self, a):
-        shifted.append((self, a))
-        return recenter(self, a)
-
-    monkeypatch.setattr(Poly, "recenter", spy)
+    shifted = spy_shifts(monkeypatch)
     assert certify_theorem1(F, models, plan).passes
     # each of F.den and F.num is shifted exactly once about every center,
     # and nothing is shifted more than three times per ball in all

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import shared_pole_problem
+from conftest import shared_pole_problem, spy_shifts
 from padicglue import (
     Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap, build_F,
     certify_theorem1, epsilon_for_census, hensel_fixed_point, orbit, plan_gluing,
@@ -442,18 +442,11 @@ class TestVerify:
                 " recomputed 'inconclusive'") in captured.err.splitlines()
 
 
-def _spy_recenter(monkeypatch) -> list:
-    """Record every polynomial Poly.recenter shifts, with its center."""
-    shifted, recenter = [], Poly.recenter
-    monkeypatch.setattr(Poly, "recenter", lambda P, a: shifted.append((P, a)) or recenter(P, a))
-    return shifted
-
-
 class TestOneShiftPerCenter:
     """glue, verify and example certify and take the census through one
     cache of F's expansions: every preset witness disk is centered at its
-    ball's center, so F's numerator and denominator are each shifted once
-    per ball, where certificate and census used to shift them twice about
+    ball's center, so F's numerator and denominator each get one Taylor
+    shift per ball, where certificate and census used to start two about
     each witnessed center."""
 
     def _assert_one_shift_per_ball(self, shifted, result):
@@ -470,14 +463,14 @@ class TestOneShiftPerCenter:
         result = tmp_path / f"{name}.json"
         assert main(["glue", "--input", str(ROOT / "presets" / f"{name}.json"),
                      "--output", str(result)]) == 0
-        shifted = _spy_recenter(monkeypatch)
+        shifted = spy_shifts(monkeypatch)
         assert main(["verify", "--input", str(result), "--samples", "4"]) == 0
         assert "census: PASS" in capsys.readouterr().out
         self._assert_one_shift_per_ball(shifted, result)
 
     def test_glue(self, tmp_path, monkeypatch):
         result = tmp_path / "ex1.json"
-        shifted = _spy_recenter(monkeypatch)
+        shifted = spy_shifts(monkeypatch)
         assert main(["glue", "--input", str(ROOT / "presets" / "ex1.json"),
                      "--output", str(result)]) == 0
         self._assert_one_shift_per_ball(shifted, result)

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import spy_shifts
 from padicglue import (
     ATTRACTING,
     INCONCLUSIVE,
@@ -339,8 +340,7 @@ class TestVerifyCensus:
         census = ex2_census(models)
         expansions = Expansions(F)
         assert certify_theorem1(F, models, plan, expansions=expansions).passes
-        shifted, recenter = [], Poly.recenter
-        monkeypatch.setattr(Poly, "recenter", lambda P, a: shifted.append(P) or recenter(P, a))
+        shifted = spy_shifts(monkeypatch)
         report = verify_census(F, models, census, expansions=expansions)
         assert report.passes and shifted == []
 

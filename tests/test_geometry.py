@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import certifier_oracle as oracle
+from conftest import spy_shifts
 
 from padicglue import (
     Ball,
@@ -212,13 +213,6 @@ class TestExpansions:
 
     F = RationalMap(Z**3 + 2 * Z + 1, Z**2 - 3)
 
-    def _spy(self, monkeypatch):
-        shifted, recenter = [], Poly.recenter
-        monkeypatch.setattr(
-            Poly, "recenter", lambda P, a: shifted.append((P, a)) or recenter(P, a)
-        )
-        return shifted
-
     def test_balls_about_one_center_share_one_shift(self, monkeypatch):
         balls = [B(1, 1), B(1, 1, closed=False), B(1, 2, closed=False), B(1, 3)]
 
@@ -228,13 +222,13 @@ class TestExpansions:
                     local.wdeg(img.center))
 
         fresh = [answers(LocalExpansion(self.F, b)) for b in balls]
-        shifted = self._spy(monkeypatch)
+        shifted = spy_shifts(monkeypatch)
         expand = Expansions(self.F)
         assert [answers(expand(b)) for b in balls] == fresh
-        assert [P for P, _ in shifted] == [self.F.den, self.F.num]
+        assert [P for P, _ in shifted] == [self.F.num, self.F.den]
 
     def test_each_center_is_shifted_once(self, monkeypatch):
-        shifted = self._spy(monkeypatch)
+        shifted = spy_shifts(monkeypatch)
         expand = Expansions(self.F)
         for b in (B(1, 1), B(4, 2), B(1, 3, closed=False), B(4, 2, closed=False)):
             expand(b).image
