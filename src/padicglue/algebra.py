@@ -305,20 +305,34 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     Returns (D, n, ha, hb, ga, gb) with n = max(deg P, 0) and
     P(x) = (ha + hb sqrt p)/(D w^n); when deriv is set, also
     P'(x) = (ga + gb sqrt p)/(D w^(n-1)), else ga = gb = 0.
+
+    A rational point (v = 0) without deriv, the spot checks' common case,
+    runs without the sqrt p cross terms, and without the w^k scaling
+    when w = 1 as well.
     """
     D, cs = _int_form(P)
     if not cs:
         return 1, 0, 0, 0, 0, 0
-    pv = P.p * v
     ha, hb = cs[-1]
     ga = gb = 0
-    wk = 1
-    for ca, cb in cs[-2::-1]:
-        # with x = X/w: H_k = X H_(k+1) + C_k w^(n-k), G_k = X G_(k+1) + H_(k+1)
-        wk *= w
-        if deriv:
-            ga, gb = ga * u + gb * pv + ha, ga * v + gb * u + hb
-        ha, hb = ha * u + hb * pv + ca * wk, ha * v + hb * u + cb * wk
+    rest = cs[-2::-1]
+    if v or deriv:
+        pv = P.p * v
+        wk = 1
+        for ca, cb in rest:
+            # with x = X/w: H_k = X H_(k+1) + C_k w^(n-k), G_k = X G_(k+1) + H_(k+1)
+            wk *= w
+            if deriv:
+                ga, gb = ga * u + gb * pv + ha, ga * v + gb * u + hb
+            ha, hb = ha * u + hb * pv + ca * wk, ha * v + hb * u + cb * wk
+    elif w == 1:
+        for ca, cb in rest:
+            ha, hb = ha * u + ca, hb * u + cb
+    else:
+        wk = 1
+        for ca, cb in rest:
+            wk *= w
+            ha, hb = ha * u + ca * wk, hb * u + cb * wk
     return D, len(cs) - 1, ha, hb, ga, gb
 
 
@@ -392,16 +406,24 @@ def _pair_val(p: int, x: tuple, scale: int = 1) -> Fraction:
     return Fraction(_twice_val(p, x), 2) - _int_val(scale, p)
 
 
-def _diff_val(p: int, x: tuple, y: tuple, x2: tuple, y2: tuple, ty: int, ty2: int) -> ValExp:
-    """v(x/y - x2/y2) for Z[sqrt p] pairs with y, y2 != (0, 0), given
-    ty = _twice_val(p, y) and ty2 = _twice_val(p, y2), so a caller that
-    compares one quotient with several others reads its denominator's
-    valuation once: the valuation of x y2 - x2 y less those of y and y2,
-    infinite exactly when the two quotients are equal."""
-    t = _sub(_mul(p, x, y2), _mul(p, x2, y))
-    if not any(t):
-        return ValExp.infinite()
-    return ValExp(Fraction(_twice_val(p, t) - ty - ty2, 2))
+def _twice_val_at_least(p: int, n: tuple, q: tuple, c: tuple, r: int) -> bool:
+    """Whether 2 v(n cw - (cu + cv sqrt p) q) >= r, for Z[sqrt p] pairs n
+    and q and a point triple c = (cu, cv, cw), decided by divisibility.
+
+    The difference is a pair (x, y) with 2 v(x + y sqrt p) =
+    min(2 v(x), 2 v(y) + 1), so the test is that p^ceil(r/2) divides x and
+    p^floor(r/2) divides y; r <= 0 always passes.  Every input is reduced
+    mod p^ceil(r/2) first, so the products stay short however long n and q
+    are, and no valuation is computed.
+    """
+    if r <= 0:
+        return True
+    m = p ** ((r + 1) // 2)
+    (na, nb), (qa, qb), (cu, cv, cw) = n, q, c
+    na, nb, qa, qb, cu, cv, cw = na % m, nb % m, qa % m, qb % m, cu % m, cv % m, cw % m
+    if (na * cw - cu * qa - p * cv * qb) % m:
+        return False
+    return (nb * cw - cu * qb - cv * qa) % (m if r % 2 == 0 else m // p) == 0
 
 
 # primes = 3 mod 4, so square roots mod q are a single pow() when they exist

@@ -17,10 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 
-from .algebra import Poly, RationalMap, _diff_val, _point, _twice_val, _values
+from .algebra import (
+    Poly, RationalMap, _mul, _point, _sub, _twice_val, _twice_val_at_least, _values,
+)
 from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
-from .field import KElement, ValExp, uniformizer_power
+from .field import KElement, ValExp, _int_val, uniformizer_power
 from .geometry import (
     Ball, Expansions, LocalExpansion, image_of_ball, pairwise_deltas, sample_points,
 )
@@ -326,6 +329,35 @@ def build_F(models, plan: GluingPlan) -> RationalMap:
     return _glued_sum(models, plan, 0)
 
 
+def _twice(e: ValExp):
+    # 2e as an integer, or math.inf for an infinite exponent
+    return inf if e.is_infinite else int(2 * e.exp)
+
+
+def _twice_thresholds(bound: ValExp, epsilon: ValExp, image: Ball, cw: int) -> tuple:
+    """One ball's spot-check thresholds as doubled integers (b2, e2, r0):
+    a witness w passes when 2w >= b2 and 2w > e2, since a pointwise value
+    can never beat the certified sup bound and must itself clear epsilon;
+    and F(z) = n/q lies in the image with center (cu + cv sqrt p)/cw
+    exactly when 2 v(n cw - (cu + cv sqrt p) q) >= r0 + 2 v(q).  The +1 of
+    an open image turns its strict radius test into the same >=."""
+    r0 = _twice(image.radius) + 2 * _int_val(cw, image.p) + (0 if image.closed else 1)
+    return _twice(bound), _twice(epsilon), r0
+
+
+def _spot_check(p, nF, qF, nf, qf, center, b2, e2, r0) -> tuple:
+    """(tw, ok) for one sample z with F(z) = nF/qF and f_i(z) = nf/qf:
+    tw = 2 v(F(z) - f_i(z)), math.inf when the two values are equal, and
+    whether tw clears the thresholds and F(z) lies in the image (see
+    _twice_thresholds).  The image test runs only for a witness that
+    passes, since it cannot change ok otherwise."""
+    tF = _twice_val(p, qF)
+    t = _sub(_mul(p, nF, qf), _mul(p, nf, qF))
+    tw = _twice_val(p, t) - tF - _twice_val(p, qf) if any(t) else inf
+    ok = tw >= b2 and tw > e2 and _twice_val_at_least(p, nF, qF, center, r0 + tF)
+    return tw, ok
+
+
 def certify_theorem1(
     F: RationalMap, models, plan: GluingPlan, samples: int = 8,
     expansions: Expansions | None = None,
@@ -352,12 +384,17 @@ def certify_theorem1(
     multiplicative, and a common factor divides D*d, which has no zero on
     B_i, so its norm on B_i equals its absolute value at a_i and cancels.
 
-    The spot checks build no K element for F(z) or f_i(z): per sample z,
-    one `_point` of z feeds one `_values` call each, which gives
-    F(z) = nF/qF and f_i(z) = nf/qf as Z[sqrt p] pairs.  Both the witness
-    valuation v(F(z) - f_i(z)) and the distance from F(z) to the image
-    center are read off integer combinations of them, with v(qF) read once
-    per sample and the image center's denominator once per ball.
+    The spot checks build no K element for F(z) or f_i(z), and decide
+    every pass or fail on integers: per sample z, one `_point` of z feeds
+    one `_values` call each, which gives F(z) = nF/qF and f_i(z) = nf/qf
+    as Z[sqrt p] pairs.  The bound, epsilon and the image radius become
+    doubled integer thresholds once per ball, and the doubled witness
+    2 v(nF*qf - nf*qF) - 2 v(qF) - 2 v(qf) is compared with them; each
+    distinct witness ValExp is built once per ball.  F(z) lies in the image
+    about (cu + cv sqrt p)/cw when the pair nF*cw - (cu + cv sqrt p)*qF is
+    divisible by p^ceil(R/2) in its rational and p^floor(R/2) in its sqrt p
+    coordinate, R = 2 rho + 2 v(qF) + 2 v(cw), plus 1 for an open image of
+    radius exponent rho; no valuation of that pair is computed.
     """
     p = F.p
     expand = Expansions.of(F, expansions)
@@ -370,9 +407,9 @@ def certify_theorem1(
             continue
         img = local.image
         bound = local.sup_norm_exp(minus=m._local)
-        cu, cv, cw = _point(p, img.center)
-        center, scale = (cu, cv), (cw, 0)
-        t_scale = _twice_val(p, scale)
+        center = _point(p, img.center)
+        b2, e2, r0 = _twice_thresholds(bound, plan.epsilon, img, center[2])
+        exps = {}
         witnesses = []
         samples_ok = True
         for z in sample_points(B, samples):
@@ -380,14 +417,12 @@ def certify_theorem1(
             point = _point(p, z)
             nF, _, qF, _ = _values(F, point, False)
             nf, _, qf, _ = _values(m.f, point, False)
-            tF = _twice_val(p, qF)
-            w = _diff_val(p, nF, qF, nf, qf, tF, _twice_val(p, qf))
+            tw, ok = _spot_check(p, nF, qF, nf, qf, center, b2, e2, r0)
+            w = exps.get(tw)
+            if w is None:
+                w = exps[tw] = ValExp(None if tw == inf else Fraction(tw, 2))
             witnesses.append((z, w))
-            # pointwise values can never beat the certified sup bound, and
-            # must themselves clear epsilon; the image must contain F(z)
-            in_image = img._within(_diff_val(p, nF, qF, center, scale, tF, t_scale))
-            if not (w >= bound and w > plan.epsilon and in_image):
-                samples_ok = False
+            samples_ok = samples_ok and ok
         checks.append(
             BallCheck(
                 index=i,

@@ -99,6 +99,22 @@ def spy_shifts(monkeypatch) -> list:
     return started
 
 
+def spy(monkeypatch, owner, name: str) -> list:
+    """Record (args, result) for every call of `owner.name` made through
+    that binding.  Like perfbench's tracer, this rebinds a name, so patch
+    the module whose code makes the calls: `spy(monkeypatch, gluing,
+    "_values")` sees the certifier's evaluations and not the census's."""
+    calls, fn = [], getattr(owner, name)
+
+    def record(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def rng_factory():
     def make(seed: int) -> random.Random:
