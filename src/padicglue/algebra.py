@@ -306,9 +306,9 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     P(x) = (ha + hb sqrt p)/(D w^n); when deriv is set, also
     P'(x) = (ga + gb sqrt p)/(D w^(n-1)), else ga = gb = 0.
 
-    A rational point (v = 0) without deriv, the spot checks' common case,
-    runs without the sqrt p cross terms, and without the w^k scaling
-    when w = 1 as well.
+    An integer point (v = 0, w = 1) without deriv, the case of every spot
+    check at an integer center with radius p^-e, e >= 0 an integer, runs
+    without the sqrt p cross terms and the w^k scaling.
     """
     D, cs = _int_form(P)
     if not cs:
@@ -316,7 +316,7 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     ha, hb = cs[-1]
     ga = gb = 0
     rest = cs[-2::-1]
-    if v or deriv:
+    if v or deriv or w != 1:
         pv = P.p * v
         wk = 1
         for ca, cb in rest:
@@ -325,14 +325,9 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
             if deriv:
                 ga, gb = ga * u + gb * pv + ha, ga * v + gb * u + hb
             ha, hb = ha * u + hb * pv + ca * wk, ha * v + hb * u + cb * wk
-    elif w == 1:
+    else:
         for ca, cb in rest:
             ha, hb = ha * u + ca, hb * u + cb
-    else:
-        wk = 1
-        for ca, cb in rest:
-            wk *= w
-            ha, hb = ha * u + ca * wk, hb * u + cb * wk
     return D, len(cs) - 1, ha, hb, ga, gb
 
 

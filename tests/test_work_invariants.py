@@ -45,24 +45,33 @@ def test_certify_evaluates_each_map_once_per_sample(problem, monkeypatch):
 
 
 def euclid_runs(monkeypatch, models, epsilon) -> tuple:
-    """(exact Euclid runs, degrees of the gcds they found) over build_F."""
+    """(the pretest results, the degrees of the gcds found by exact Euclid
+    runs) over build_F."""
     plan = plan_gluing(models, epsilon)
     pretests = spy(monkeypatch, algebra, "_provably_coprime")
     gcds = spy(monkeypatch, algebra, "poly_gcd")
     build_F(models, plan)
     # a pretest that fails is always followed by the exact Euclid
     runs = [args for args, coprime in pretests if not coprime]
-    return tuple(g.degree for args, g in gcds if args in runs)
+    return (
+        tuple(coprime for _, coprime in pretests),
+        tuple(g.degree for args, g in gcds if args in runs),
+    )
 
 
 def test_shared_pole_glue_runs_the_exact_euclid_once(monkeypatch):
-    # one Euclid, which finds the glued sum's common factor of degree 6
-    assert euclid_runs(monkeypatch, *shared_pole_problem()) == (6,)
+    # one failed pretest, then one Euclid, which finds the glued sum's
+    # common factor of degree 6
+    pretests, degrees = euclid_runs(monkeypatch, *shared_pole_problem())
+    assert pretests == (False,)
+    assert degrees == (6,)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_modular_pretest_certifies_coprime_glues(seed, monkeypatch):
     # polynomial local maps: F's numerator and denominator are coprime,
-    # and the pretest certifies it, so no exact Euclid runs
+    # and the pretest runs and certifies it, so no exact Euclid runs
     models, epsilon = make_gluing_instance(random.Random(f"work/{seed}"))
-    assert euclid_runs(monkeypatch, models, epsilon) == ()
+    pretests, degrees = euclid_runs(monkeypatch, models, epsilon)
+    assert pretests and all(pretests)
+    assert degrees == ()
