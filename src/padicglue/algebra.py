@@ -379,13 +379,6 @@ def _element(p: int, xa: int, xb: int, den: int) -> KElement:
     return KElement(p, Fraction(xa, den), Fraction(xb, den))
 
 
-def _eval_ints(f: "RationalMap", x) -> tuple | None:
-    """f(x) as an unreduced `_quotient` triple (xa, xb, den), or None when
-    the (reduced) denominator vanishes at x."""
-    n0, _, q0, _ = _values(f, _point(f.p, x), False)
-    return _quotient(f.p, n0, q0) if any(q0) else None
-
-
 def _twice_val(p: int, x: tuple) -> int:
     """2 v(a + b sqrt p) for a pair x = (a, b) != (0, 0), an integer: the
     two terms have valuations of different parity, so the smaller wins."""
@@ -641,8 +634,9 @@ class RationalMap:
 
     def eval(self, x):
         """Value at x, or None at a pole: a root of the reduced denominator."""
-        value = _eval_ints(self, x)
-        return None if value is None else _element(self.p, *value)
+        p = self.p
+        n0, _, q0, _ = _values(self, _point(p, x), False)
+        return _element(p, *_quotient(p, n0, q0)) if any(q0) else None
 
     __call__ = eval
 

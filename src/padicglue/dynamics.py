@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from itertools import count
 
 from .algebra import (
-    RationalMap, _element, _eval_ints, _mul, _pair_val, _point, _quotient, _sub, _values,
+    RationalMap, _element, _mul, _pair_val, _point, _quotient, _sub, _twice_val, _values,
 )
 from .errors import HenselConditionError, PoleInBallError, _show
-from .field import KElement, ValExp, _coord_mod, _int_val, reduce_mod
+from .field import KElement, ValExp, _coords_mod, _int_val, reduce_mod
 from .geometry import Ball, Expansions, image_of_ball, pairwise_deltas
 from .gluing import check_c3_hypotheses, plan_gluing
 
@@ -276,10 +276,12 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     the pairs n0, n1, q0, q1 of `algebra._values` (F(z) = n0/q0 and
     F'(z) = T/q0^2, T = n1 q0 - n0 q1), G(z) = g0/(w q0) with
     g0 = w n0 - X q0 and G'(z) = g1/q0^2 with g1 = T - q0^2, so the
-    iterate is (X g1 - q0 g0)/(w g1), built with one division.  Iterates
-    are rounded to a generous p-adic working precision so coordinate
-    heights stay bounded (see `_round_quotient`); the final exactness
-    check is unaffected by the rounding.
+    iterate is (X g1 - q0 g0)/(w g1).  Iterates are rounded to a generous
+    p-adic working precision so coordinate heights stay bounded: the
+    pairs X g1 - q0 g0 and g1 and the scale w go to `_round_quotient`,
+    which forms the quotient from residues when the leading bits prove
+    the iterate tall.  The final exactness check is unaffected by the
+    rounding.
     """
     if not isinstance(start, KElement):
         start = KElement(F.p, start)
@@ -317,8 +319,7 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
             )
         if k >= max_iter:
             raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
-        xa, xb, den = _quotient(p, _sub(_mul(p, X, g1), _mul(p, q0, g0)), g1)
-        z = _round_quotient(p, xa, xb, den * w, prec)
+        z = _round_quotient(p, _sub(_mul(p, X, g1), _mul(p, q0, g0)), g1, w, prec)
 
 
 def _round_point(z: KElement, prec: int) -> KElement:
@@ -348,23 +349,101 @@ def _provably_taller(h: int, den: int, *coords: int) -> bool:
     return any(x and abs(x.bit_length() - bd) > h for x in coords)
 
 
-def _round_quotient(p: int, xa: int, xb: int, den: int, prec: int) -> KElement:
-    """`_round_point` of the point (xa + xb sqrt p)/den, den != 0, given in
-    integers not reduced to lowest terms.
+# leading bits of each factor that `_quotient_bits` keeps
+_LEAD_BITS = 96
+
+
+def _lead(x: int) -> tuple:
+    """x as an interval (lo, hi, s) with lo 2^s <= x <= hi 2^s, from the
+    leading _LEAD_BITS bits of x; exact (lo = hi = x, s = 0) for a short x."""
+    s = max(x.bit_length() - _LEAD_BITS, 0)
+    t = x >> s  # floor, for either sign
+    return (t, t, 0) if not s else (t, t + 1, s)
+
+
+def _lead_mul(x: tuple, y: tuple) -> tuple:
+    (a, b, s), (c, d, t) = x, y
+    ends = (a * c, a * d, b * c, b * d)
+    return min(ends), max(ends), s + t
+
+
+def _lead_sub(x: tuple, y: tuple) -> tuple:
+    # both intervals are widened to the coarser scale, lo down and hi up
+    (a, b, s), (c, d, t) = x, y
+    u = max(s, t)
+    a, b, c, d = a >> (u - s), -(-b >> (u - s)), c >> (u - t), -(-d >> (u - t))
+    return a - d, b - c, u
+
+
+def _lead_bitlen(x: tuple) -> tuple | None:
+    """(lo, hi) with lo <= bitlen(v) <= hi for every v in the interval x,
+    or None when x holds 0: then the truncation error could hide
+    cancellation down to any size, zero included."""
+    lo, hi, s = x
+    if lo > 0:
+        return lo.bit_length() + s, hi.bit_length() + s
+    if hi < 0:
+        return (-hi).bit_length() + s, (-lo).bit_length() + s
+    return None
+
+
+def _quotient_bits(p: int, num: tuple, den: tuple, scale: int) -> tuple:
+    """Bounds on the bit lengths of xa, xb and d * scale for
+    (xa, xb, d) = `_quotient(p, num, den)`, each a `_lead_bitlen` range
+    or None, from the leading bits of the factors alone: xa = na da -
+    p nb db, xb = nb da - na db and d = da^2 - p db^2 are never formed."""
+    (na, nb), (da, db) = num, den
+    na, nb, da, db, cp = _lead(na), _lead(nb), _lead(da), _lead(db), _lead(p)
+    d = _lead_mul(_lead_sub(_lead_mul(da, da), _lead_mul(cp, _lead_mul(db, db))), _lead(scale))
+    xa = _lead_sub(_lead_mul(na, da), _lead_mul(cp, _lead_mul(nb, db)))
+    xb = _lead_sub(_lead_mul(nb, da), _lead_mul(na, db))
+    return _lead_bitlen(xa), _lead_bitlen(xb), _lead_bitlen(d)
+
+
+def _leading_bits_taller(h: int, p: int, num: tuple, den: tuple, scale: int) -> bool:
+    """`_provably_taller(h, d * scale, xa, xb)` for (xa, xb, d) =
+    `_quotient(p, num, den)`, proved from `_quotient_bits` alone.  False
+    when the bounds cannot prove it, whatever the exact test would say."""
+    *coords, bits_d = _quotient_bits(p, num, den, scale)
+    if bits_d is None:
+        return False
+    lo_d, hi_d = bits_d
+    return any(
+        bits is not None and (bits[0] - hi_d > h or lo_d - bits[1] > h) for bits in coords
+    )
+
+
+def _round_quotient(p: int, num: tuple, den: tuple, scale: int, prec: int) -> KElement:
+    """`_round_point` of the point num/(den scale), for Z[sqrt p] pairs
+    num and den != (0, 0) and an integer scale != 0, in three tiers.
 
     The rule stays `_round_point`'s: round mod p^prec iff the reduced
-    height exceeds H = 8 prec bits.  When the sizes alone prove that
-    (`_provably_taller`), the point is rounded straight from the integers,
-    with no gcd; rounding depends only on the value, so the result is the
-    one `reduce_mod` gives for the reduced point.  Otherwise the point is
-    reduced and handed to `_round_point`.
+    height exceeds H = 8 prec bits.  Rounding depends only on the value,
+    so whenever the height is proved to exceed H the result is the residue
+    `reduce_mod` gives for the reduced point.
+    - Leading bits: when `_leading_bits_taller` proves the size test of
+      `_provably_taller` for the quotient's integers xa, xb and
+      d = (da^2 - p db^2) scale, every input is first reduced mod
+      p^(prec + 2 vden), vden = v_p(d), which is all the residue reads
+      (see `field._coords_mod`).  The two terms of da^2 - p db^2 have
+      valuations of different parity, so vden = min(2 v(da), 2 v(db) + 1)
+      + v(scale) needs no product.
+    - Size test: otherwise the quotient is formed in full, and
+      `_provably_taller` decides from its exact bit lengths.
+    - gcd: otherwise the point is reduced and handed to `_round_point`.
     """
-    if _provably_taller(8 * prec, den, xa, xb):
-        vden = _int_val(den, p)
-        return KElement(
-            p, _coord_mod(xa, den, vden, p, prec), _coord_mod(xb, den, vden, p, prec)
-        )
-    return _round_point(_element(p, xa, xb, den), prec)
+    h = 8 * prec
+    if _leading_bits_taller(h, p, num, den, scale):
+        vden = _twice_val(p, den) + _int_val(scale, p)
+        m = p ** (prec + 2 * vden)
+        (na, nb), (da, db) = num, den
+        xa, xb, d = _quotient(p, (na % m, nb % m), (da % m, db % m))
+        return KElement(p, *_coords_mod((xa, xb), d * (scale % m), vden, p, prec))
+    xa, xb, d = _quotient(p, num, den)
+    d *= scale
+    if _provably_taller(h, d, xa, xb):
+        return KElement(p, *_coords_mod((xa, xb), d, _int_val(d, p), p, prec))
+    return _round_point(_element(p, xa, xb, d), prec)
 
 
 @dataclass(frozen=True)
@@ -388,9 +467,12 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
 
     Records v(z_k - ref) when a reference point is supplied and the size of
     each step.  A pole truncates the orbit with a marked entry.  Points are
-    held at bounded height by rounding mod p^precision (see
-    `_round_quotient`), so a recorded valuation is exact only while it is
-    below `precision`; `precision` must be an int >= 1.
+    held at bounded height by rounding mod p^precision: each F(z) goes to
+    `_round_quotient` as the pairs N(z), Q(z) of `algebra._values`, so a
+    point that the leading bits prove tall is rounded from residues, and
+    the full quotient is formed only otherwise.  A recorded valuation is
+    exact only while it is below `precision`; `precision` must be an
+    int >= 1.
     """
     if not isinstance(precision, int) or isinstance(precision, bool) or precision < 1:
         raise ValueError(f"orbit precision must be an integer >= 1, got {precision!r}")
@@ -408,11 +490,11 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
     ]
     z = z0
     for k in range(1, steps + 1):
-        value = _eval_ints(F, z)
-        if value is None:
+        n0, _, q0, _ = _values(F, _point(F.p, z), False)
+        if not any(q0):
             out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None))
             break
-        nxt = _round_quotient(F.p, *value, precision)
+        nxt = _round_quotient(F.p, n0, q0, 1, precision)
         out.append(
             OrbitStep(
                 k=k,

@@ -361,27 +361,37 @@ def _rational_str(q: Fraction) -> str:
         ) from None
 
 
-def _coord_mod(num: int, den: int, vden: int, p: int, m: int) -> Fraction:
-    # canonical representative of num/den modulo p^m, for integers num and
-    # den != 0 in any common scale and vden = v_p(den): p^v * (unit residue)
-    # with v = v_p(num/den), exact and congruent: v_p(num/den - result) >= m.
-    # Only num mod p^(m + vden) decides it, so a long num is cut to that
-    # first.  The residue depends only on the value num/den, so reduced and
+def _coords_mod(nums: tuple, den: int, vden: int, p: int, m: int) -> tuple:
+    # canonical representative of num/den modulo p^m for each num in nums,
+    # for integers num and den != 0 in any common scale and vden = v_p(den):
+    # p^v * (unit residue) with v = v_p(num/den), exact and congruent:
+    # v_p(num/den - result) >= m.  Only num mod p^(m + vden) and den mod
+    # p^(m + 2 vden) decide it, so long inputs are cut to those first, and
+    # the unit part of den is inverted once, mod p^(m + vden), for all nums.
+    # The residue depends only on the value num/den, so reduced and
     # unreduced inputs give the same result.
     t = m + vden
     if t <= 0:
-        return Fraction(0)  # v >= -vden >= m
-    num %= p**t
-    if not num:
-        return Fraction(0)  # v_p(num) >= t, so v >= m
-    vnum = _int_val(num, p)
-    v = vnum - vden
-    mod = p ** (m - v)
-    unit_den = den % (p**vden * mod) // p**vden
-    r = num // p**vnum * pow(unit_den, -1, mod) % mod
-    if v >= 0:
-        return Fraction(r * p**v)
-    return Fraction(r, p**(-v))
+        return (Fraction(0),) * len(nums)  # v >= -vden >= m
+    mod_t, inv, out = p**t, None, []
+    for num in nums:
+        num %= mod_t
+        if not num:
+            out.append(Fraction(0))  # v_p(num) >= t, so v >= m
+            continue
+        if inv is None:
+            pv = p**vden
+            inv = pow(den % (pv * mod_t) // pv, -1, mod_t)
+        vnum = _int_val(num, p)
+        v = vnum - vden
+        r = num // p**vnum * inv % p ** (m - v)
+        out.append(Fraction(r * p**v) if v >= 0 else Fraction(r, p**(-v)))
+    return tuple(out)
+
+
+def _coord_mod(num: int, den: int, vden: int, p: int, m: int) -> Fraction:
+    # `_coords_mod` of a single numerator
+    return _coords_mod((num,), den, vden, p, m)[0]
 
 
 def reduce_mod(x: KElement, m: int) -> KElement:

@@ -2,9 +2,12 @@
 
 `evaluation_oracle.orbit` evaluates each point with `F.eval`, which
 reduces it to lowest terms, and then rounds it with `_round_point`.  The
-library rounds the unreduced integers of the quotient through
-`dynamics._round_quotient`.  Both must record the same `OrbitStep`s, with
-the same canonical point at every step.
+library rounds each quotient N(z)/Q(z) through `dynamics._round_quotient`,
+in three tiers: from residues once the leading bits prove the point tall,
+from the full quotient's integers once their exact sizes prove it, and
+through the gcd of `_round_point` otherwise.  Both must record the same
+`OrbitStep`s, with the same canonical point at every step, and every tier
+must round points at every precision of `PLAN`.
 """
 
 import random
@@ -13,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import evaluation_oracle as oracle
+from conftest import spy
 from padicglue import FieldConfig, KElement, build_F, dynamics, orbit, plan_gluing
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
 from test_hensel_differential import fixed_point_instance
@@ -50,29 +54,21 @@ CASES = [*_glued_examples(), *_three_ball_examples()]
 
 @pytest.mark.parametrize("precision", sorted(PLAN))
 def test_same_steps(monkeypatch, precision):
-    rounded = {"sizes": 0, "fallback": 0}
-
-    def sizes(*args):
-        rounded["sizes"] += 1
-        return coord_mod(*args)
-
-    def fallback(z, prec):
-        out = round_point(z, prec)
-        rounded["fallback"] += out is not z
-        return out
-
+    lead = spy(monkeypatch, dynamics, "_leading_bits_taller")
+    sizes = spy(monkeypatch, dynamics, "_provably_taller")
     # the oracle holds its own reference to `_round_point`, so only the
-    # library's rounding is counted: a point rounded from sizes alone costs
-    # two `_coord_mod` calls, one reduced first and then rounded comes back
-    # from `_round_point` as a new element
-    coord_mod, round_point = dynamics._coord_mod, dynamics._round_point
-    monkeypatch.setattr(dynamics, "_coord_mod", sizes)
-    monkeypatch.setattr(dynamics, "_round_point", fallback)
+    # library's fallback is recorded; a point it rounds comes back as a
+    # new element
+    fallback = spy(monkeypatch, dynamics, "_round_point")
     steps, n_starts = PLAN[precision]
     for name, F, ref, starts in CASES:
         for start in starts[:n_starts]:
             want = oracle.orbit(F, start, steps, ref=ref, precision=precision)
             assert orbit(F, start, steps, ref=ref, precision=precision) == want, (name, start)
-    # both branches round points at every precision
-    assert rounded["sizes"] > 0 and rounded["fallback"] > 0, rounded
-
+    tiers = {
+        "leading bits": sum(taller for _, taller in lead),
+        "size test": sum(taller for _, taller in sizes),
+        "gcd": sum(out is not z for (z, _), out in fallback),
+    }
+    # all three tiers round points at every precision
+    assert all(tiers.values()), tiers

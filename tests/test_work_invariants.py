@@ -2,9 +2,10 @@
 
 A lost optimisation shows up in a timed benchmark only as noise, so the
 counts are pinned here instead: the spot checks evaluate each map once per
-sample, and the gcd of a glued sum runs the exact Euclid only when the
-modular pretest cannot certify coprimality.  Shifts per center are pinned
-in test_lazy_shift.py and by the `spy_shifts` tests.
+sample, the gcd of a glued sum runs the exact Euclid only when the
+modular pretest cannot certify coprimality, and an orbit point whose
+leading bits prove it tall is rounded from residues.  Shifts per center
+are pinned in test_lazy_shift.py and by the `spy_shifts` tests.
 """
 
 import random
@@ -12,8 +13,11 @@ import random
 import pytest
 
 from conftest import make_gluing_instance, shared_pole_problem, spy
-from padicglue import algebra, build_F, certify_theorem1, gluing, plan_gluing
+from padicglue import (
+    FieldConfig, algebra, build_F, certify_theorem1, dynamics, gluing, orbit, plan_gluing,
+)
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
+from test_hensel_differential import fixed_point_instance
 
 SAMPLES = 100
 
@@ -75,3 +79,21 @@ def test_modular_pretest_certifies_coprime_glues(seed, monkeypatch):
     pretests, degrees = euclid_runs(monkeypatch, models, epsilon)
     assert pretests and all(pretests)
     assert degrees == ()
+
+
+@pytest.mark.parametrize("p, rounded", ((3, 23), (5, 25), (7, 22)))
+def test_orbit_rounds_tall_points_from_residues(p, rounded, monkeypatch):
+    # 30 steps at precision 256 from a start near the attracting center:
+    # from the third step on most quotients N(z)/Q(z) are proved tall by
+    # the leading bits alone, and only their residues mod p^(256 + 2 vden)
+    # are multiplied; the rest are short or cancel in their leading bits
+    F, (a0, _, _) = fixed_point_instance(p)
+    lead = spy(monkeypatch, dynamics, "_leading_bits_taller")
+    quotients = spy(monkeypatch, dynamics, "_quotient")
+    orbit(F, FieldConfig(p)(a0 + p**3), 30, precision=256)
+    assert len(lead) == len(quotients) == 30
+    assert sum(taller for _, taller in lead) == rounded
+    for ((_, _, _, den, scale), taller), ((_, *pairs), _) in zip(lead, quotients):
+        if taller:
+            vden = algebra._twice_val(p, den)
+            assert scale == 1 and all(0 <= x < p ** (256 + 2 * vden) for x in sum(pairs, ()))
