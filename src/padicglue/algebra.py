@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from .field import KElement, ValExp, _int_val, _rat_val
+from .field import KElement, ValExp, _v2
 
 __all__ = [
     "Poly",
@@ -379,21 +379,6 @@ def _element(p: int, xa: int, xb: int, den: int) -> KElement:
     return KElement(p, Fraction(xa, den), Fraction(xb, den))
 
 
-def _twice_val(p: int, x: tuple) -> int:
-    """2 v(a + b sqrt p) for a pair x = (a, b) != (0, 0), an integer: the
-    two terms have valuations of different parity, so the smaller wins."""
-    a, b = x
-    vb = 2 * _int_val(b, p) + 1 if b else None
-    va = 2 * _int_val(a, p) if a else vb
-    return va if vb is None else min(va, vb)
-
-
-def _pair_val(p: int, x: tuple, scale: int = 1) -> Fraction:
-    """v((a + b sqrt p)/scale) for a pair x = (a, b) != (0, 0) and an
-    integer scale != 0."""
-    return Fraction(_twice_val(p, x), 2) - _int_val(scale, p)
-
-
 def _twice_val_at_least(p: int, n: tuple, q: tuple, c: tuple, r: int) -> bool:
     """Whether 2 v(n cw - (cu + cv sqrt p) q) >= r, for Z[sqrt p] pairs n
     and q and a point triple c = (cu, cv, cw), decided by divisibility.
@@ -499,14 +484,6 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
     return A
 
 
-def _v2(c: KElement):
-    """2 v(c), an integer, or math.inf for c = 0, so that bounds add and
-    compare as they are; the two coordinates' terms differ in parity."""
-    a, b, p = c.a, c.b, c.p
-    va = 2 * _rat_val(a, p) if a else inf
-    return min(va, 2 * _rat_val(b, p) + 1) if b else va
-
-
 def _v2s(P: Poly) -> tuple:
     """(_v2(c_0), _v2(c_1), ...) for P, computed once per Poly and kept in
     a private slot of it."""
@@ -525,20 +502,22 @@ def _bounds(P) -> tuple:
 
 
 def _min_plus(P, e, from_k: int = 0) -> tuple:
-    """(m, first, last): m = min over k >= from_k of v(c_k) + k*e, taken
-    over the nonzero coefficients c_k of P, and the first and last index
-    attaining it; all None when there is no such coefficient.
+    """(m, first, last): m = min over k >= from_k of 2 v(c_k) + 2k*e, the
+    doubled minimum, an integer, taken over the nonzero coefficients c_k
+    of P, and the first and last index attaining it; math.inf, None and
+    None when there is no such coefficient.  e is a finite exponent in
+    (1/2)Z, a ValExp, an int or a Fraction.
 
     P is a Poly or a coefficient source, whose `bounds[k]` <= 2 v(c_k)
     holds for every index k and whose `val(k)` computes 2 v(c_k) on demand.
     The scan reads c_k only where bounds[k] + 2k*e does not exceed the
     least value so far; no other index can attain the minimum, so the
     result is a full scan's, and a lazy shift computes only the prefix up
-    to the last index read.  It runs on doubled exponents, which are
-    integers for every radius in (1/2)Z.
+    to the last index read.
     """
-    e2 = 2 * (e.exp if isinstance(e, ValExp) else Fraction(e))
-    e2 = int(e2) if e2.denominator == 1 else e2
+    e2 = ValExp(e).t
+    if e2 == inf:
+        raise ValueError("the radius exponent is infinite: a ball of radius 0 has no Newton line")
     bounds = _bounds(P)
     val = bounds.__getitem__ if isinstance(P, Poly) else P.val
     m, first, last = inf, None, None
@@ -550,12 +529,12 @@ def _min_plus(P, e, from_k: int = 0) -> tuple:
             m, first, last = t, k, k
         elif t == m < inf:
             last = k
-    return (None if first is None else Fraction(m) / 2), first, last
+    return m, first, last
 
 
 def count_roots_with_min_valuation(P, min_exp, strict: bool) -> int:
     """Roots of P (with multiplicity, in an algebraic closure) of valuation
-    >= min_exp, or > min_exp when strict.  min_exp is a ValExp or a rational,
+    >= min_exp, or > min_exp when strict.  min_exp is a finite exponent,
     and P a Poly or a coefficient source (see _min_plus).
 
     The line of slope -min_exp supporting the Newton polygon of P touches it
@@ -576,10 +555,10 @@ def gauss_norm_exp(P, radius_exp, from_k: int = 0) -> ValExp:
     Returns min over k >= from_k of v(c_k) + k*radius_exp, which encodes the
     sup of |P| over the closed ball of that radius about 0 (restricted to the
     terms of index >= from_k).  Infinite when no such term exists.
-    radius_exp is a ValExp or a rational, and P a Poly or a coefficient
-    source (see _min_plus).
+    radius_exp is a finite exponent, and P a Poly or a coefficient source
+    (see _min_plus).
     """
-    return ValExp(_min_plus(P, radius_exp, from_k)[0])
+    return ValExp.twice(_min_plus(P, radius_exp, from_k)[0])
 
 
 class RationalMap:

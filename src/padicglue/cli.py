@@ -58,7 +58,7 @@ _EXIT_CODES = (
 
 def _fmt_abs(p: int, v) -> str:
     # |x| = p^(-v(x)); valuation infinity means the value 0
-    return "0" if v.is_infinite else f"{p}^({-v.exp})"
+    return "0" if v.is_infinite else f"{p}^({-v})"
 
 
 def _print_plan(p: int, models, plan) -> None:

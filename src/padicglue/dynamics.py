@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from math import inf
 
 from .algebra import (
-    RationalMap, _element, _mul, _pair_val, _point, _quotient, _sub, _twice_val, _values,
+    RationalMap, _element, _mul, _point, _quotient, _sub, _values,
 )
 from .errors import HenselConditionError, PoleInBallError, _show
-from .field import KElement, ValExp, _coords_mod, _int_val, reduce_mod
+from .field import KElement, ValExp, _coords_mod, _int_val, _twice_val, reduce_mod
 from .geometry import Ball, Expansions, image_of_ball, pairwise_deltas
 from .gluing import check_c3_hypotheses, plan_gluing
 
@@ -291,7 +292,7 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     p = F.p
     # working precision: far above the target so rounding never disturbs
     # the valuations the iteration reasons about
-    prec = int(2 * target.exp) + 128 + F.degree
+    prec = target.t + 128 + F.degree
 
     z = start
     for k in count():
@@ -304,15 +305,15 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
         g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
         # T - q0^2 = (n1 - q0) q0 - n0 q1
         g1 = _sub(_mul(p, _sub(n1, q0), q0), _mul(p, n0, q1))
-        vq = _pair_val(p, q0)
-        vg = ValExp(_pair_val(p, g0, w) - vq if any(g0) else None)
+        vq = _twice_val(p, q0)
+        vg = ValExp.twice(_twice_val(p, g0) - 2 * _int_val(w, p) - vq if any(g0) else inf)
         if vg >= target:
             return z
         if not any(g1):
             raise HenselConditionError(
                 "G' vanishes at the seed point" if k == 0 else "G' vanished during the iteration"
             )
-        vgp = ValExp(_pair_val(p, g1) - 2 * vq)
+        vgp = ValExp.twice(_twice_val(p, g1) - 2 * vq)
         if k == 0 and not vg > vgp * 2:
             raise HenselConditionError(
                 f"Hensel condition fails at seed: v(G) = {vg}, v(G') = {vgp}"

@@ -27,7 +27,7 @@ def _show(x) -> str:
 def _power_str(base, e) -> str:
     # the radius base^(-e) for a ValExp e, as balls and diagnostics print
     # it: a negative e = -k prints as base^(k), never as base^(--k)
-    return f"{base}^({-e.exp})" if e.exp is not None and e.exp < 0 else f"{base}^(-{e})"
+    return f"{base}^({-e})" if e.t < 0 else f"{base}^(-{e})"
 
 
 class PadicGlueError(Exception):

@@ -3,7 +3,8 @@
 With rational ball centers and radius exponents restricted to integers,
 every constant the planner needs (half-integral powers of p in particular)
 lies in the ramified quadratic extension K.  Its value group is (1/2)Z, so
-valuations are represented as exact half-integers, never floats.
+a valuation e is held exactly as the integer 2e (ValExp), K's own
+valuation with v(sqrt p) = 1; the valuation of 0 is math.inf.
 
 Elements are immutable pairs (a, b) of Fractions denoting a + b*sqrt(p).
 """
@@ -14,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 from .errors import LimitExceeded
 
@@ -81,116 +83,137 @@ def _rat_val(q: Fraction, p: int) -> int:
     return _int_val(q.numerator, p) - _int_val(q.denominator, p)
 
 
+def _v2(c: KElement):
+    """2 v(c), an integer, or math.inf for c = 0, so that bounds add and
+    compare as they are; the two coordinates' terms differ in parity."""
+    a, b, p = c.a, c.b, c.p
+    va = 2 * _rat_val(a, p) if a else inf
+    return min(va, 2 * _rat_val(b, p) + 1) if b else va
+
+
+def _twice_val(p: int, x: tuple) -> int:
+    """2 v(a + b sqrt p) for an integer pair x = (a, b) != (0, 0), an
+    integer: the two terms have valuations of different parity, so the
+    smaller wins."""
+    a, b = x
+    vb = 2 * _int_val(b, p) + 1 if b else None
+    va = 2 * _int_val(a, p) if a else vb
+    return va if vb is None else min(va, vb)
+
+
 class ValExp:
     """Valuation exponent: an exact element of (1/2)Z, or +infinity (for 0).
 
     Encodes |x| = p^(-e); a larger exponent means a smaller absolute value.
     This one type carries every such quantity: valuations, sup-norm bounds,
     and the radii, separations and tolerances of the gluing construction.
-    Infinity absorbs addition and compares above every finite exponent.
+    It holds t = 2e, K's own integer valuation (v(sqrt p) = 1), or math.inf
+    for an infinite exponent, so comparisons and addition run on ints and
+    infinity absorbs addition and compares above every finite exponent.
     Comparisons and addition also accept plain ints and Fractions, and the
     constructor accepts an existing ValExp.
     """
 
-    __slots__ = ("exp",)
+    __slots__ = ("t",)
 
-    exp: Fraction | None
+    t: int | float
 
     def __init__(self, exp: "ValExp | Fraction | int | str | None"):
         if isinstance(exp, ValExp):
-            exp = exp.exp
-        if exp is None:
-            object.__setattr__(self, "exp", None)
-            return
-        e = Fraction(exp)
-        if e.denominator not in (1, 2):
-            raise ValueError(f"valuation exponent must lie in (1/2)Z, got {e}")
-        object.__setattr__(self, "exp", e)
+            t = exp.t
+        elif exp is None:
+            t = inf
+        else:
+            e = Fraction(exp)
+            if e.denominator not in (1, 2):
+                raise ValueError(f"valuation exponent must lie in (1/2)Z, got {e}")
+            t = 2 * e.numerator // e.denominator
+        object.__setattr__(self, "t", t)
+
+    @classmethod
+    def twice(cls, t: int | float) -> ValExp:
+        """The exponent t/2, for an int t or math.inf, unchecked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "t", t)
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("ValExp is immutable")
 
     @classmethod
     def infinite(cls) -> "ValExp":
-        return cls(None)
+        return cls.twice(inf)
+
+    @property
+    def exp(self) -> Fraction | None:
+        return None if self.t == inf else Fraction(self.t, 2)
 
     @property
     def is_infinite(self) -> bool:
-        return self.exp is None
-
-    def _key(self):
-        return (1, Fraction(0)) if self.exp is None else (0, self.exp)
+        return self.t == inf
 
     @staticmethod
-    def _other_key(other):
+    def _other_t(other):
         if isinstance(other, ValExp):
-            return other._key()
+            return other.t
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return (0, Fraction(other))
+            return 2 * other
         return None
 
     def __eq__(self, other):
-        k = self._other_key(other)
-        return NotImplemented if k is None else self._key() == k
+        t = self._other_t(other)
+        return NotImplemented if t is None else self.t == t
 
     def __hash__(self):
-        if self.exp is None:
-            return hash(("ValExp", "inf"))
-        return hash(self.exp)
+        return hash(("ValExp", "inf")) if self.t == inf else hash(Fraction(self.t, 2))
 
     def __lt__(self, other):
-        k = self._other_key(other)
-        return NotImplemented if k is None else self._key() < k
+        t = self._other_t(other)
+        return NotImplemented if t is None else self.t < t
 
     def __le__(self, other):
-        k = self._other_key(other)
-        return NotImplemented if k is None else self._key() <= k
+        t = self._other_t(other)
+        return NotImplemented if t is None else self.t <= t
 
     def __gt__(self, other):
-        k = self._other_key(other)
-        return NotImplemented if k is None else self._key() > k
+        t = self._other_t(other)
+        return NotImplemented if t is None else self.t > t
 
     def __ge__(self, other):
-        k = self._other_key(other)
-        return NotImplemented if k is None else self._key() >= k
+        t = self._other_t(other)
+        return NotImplemented if t is None else self.t >= t
 
     def __add__(self, other):
         if isinstance(other, ValExp):
-            if self.exp is None or other.exp is None:
-                return ValExp(None)
-            return ValExp(self.exp + other.exp)
+            return ValExp.twice(self.t + other.t)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            if self.exp is None:
-                return ValExp(None)
-            return ValExp(self.exp + Fraction(other))
+            return self if self.t == inf else ValExp(self.exp + other)
         return NotImplemented
 
     def __sub__(self, other):
         o = other if isinstance(other, ValExp) else ValExp(other)
-        if o.exp is None:
+        if o.t == inf:
             raise ValueError("cannot subtract an infinite exponent")
-        if self.exp is None:
-            return ValExp(None)
-        return ValExp(self.exp - o.exp)
+        return ValExp.twice(self.t - o.t)
 
     def __mul__(self, k):
         if not isinstance(k, (int, Fraction)) or isinstance(k, bool):
             return NotImplemented
-        if self.exp is None:
+        if self.t == inf:
             if k <= 0:
                 raise ValueError("cannot scale an infinite exponent by a nonpositive factor")
-            return ValExp(None)
-        return ValExp(self.exp * Fraction(k))
+            return self
+        return ValExp.twice(self.t * k) if type(k) is int else ValExp(self.exp * k)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        if self.exp is None:
+        if self.t == inf:
             raise ValueError("cannot negate an infinite exponent")
-        return ValExp(-self.exp)
+        return ValExp.twice(-self.t)
 
     def __str__(self):
-        return "inf" if self.exp is None else str(self.exp)
+        return "inf" if self.t == inf else str(Fraction(self.t, 2))
 
     def __repr__(self):
         return f"ValExp({self})"
@@ -298,17 +321,7 @@ class KElement:
 
     def valuation(self) -> ValExp:
         """Exact valuation in (1/2)Z, with v(sqrt p) = 1/2; v(0) = infinity."""
-        if self.is_zero:
-            return ValExp(None)
-        cands = []
-        if self.a:
-            cands.append(Fraction(_rat_val(self.a, self.p)))
-        if self.b:
-            cands.append(_rat_val(self.b, self.p) + Fraction(1, 2))
-        # The two candidate exponents always differ (one is integral, the
-        # other is not), so the minimum is attained exactly once and no
-        # cancellation can raise the valuation.
-        return ValExp(min(cands))
+        return ValExp.twice(_v2(self))
 
     # -- equality / hashing -------------------------------------------------
 
@@ -415,10 +428,9 @@ def uniformizer_power(p: int, e) -> KElement:
     Integral e gives p^e; half-integral e gives p^floor(e) * sqrt(p).
     """
     _check_prime(p)
-    e = ValExp(e).exp
-    if e is None:
+    t = ValExp(e).t
+    if t == inf:
         raise ValueError("no uniformizer power has infinite valuation")
-    t = e.numerator if e.denominator == 2 else 2 * e.numerator
     if t % 2 == 0:
         return KElement(p, Fraction(p) ** (t // 2))
     return KElement(p, 0, Fraction(p) ** ((t - 1) // 2))

@@ -34,13 +34,12 @@ from .algebra import (
     Poly,
     RationalMap,
     _bounds,
-    _v2,
     _v2s,
     count_roots_with_min_valuation,
     gauss_norm_exp,
 )
 from .errors import PoleInBallError, _power_str, _show
-from .field import KElement, ValExp
+from .field import KElement, ValExp, _v2
 
 __all__ = [
     "Ball",
@@ -410,14 +409,14 @@ def sample_points(ball: Ball, budget: int) -> list:
         return []
     p, a, b = ball.p, ball.center.a, ball.center.b
     pts = [ball.center]
-    j = (ball.radius if ball.closed else ball.radius + 1).exp
+    t = (ball.radius if ball.closed else ball.radius + 1).t  # t = 2j
     while len(pts) < budget:
-        k = math.floor(j)
+        k = t // 2
         step = p**k if k >= 0 else Fraction(1, p**-k)
         for u in range(1, p):
             off = step * u
-            pts.append(KElement(p, a + off, b) if j.denominator == 1 else KElement(p, a, b + off))
+            pts.append(KElement(p, a + off, b) if t % 2 == 0 else KElement(p, a, b + off))
             if len(pts) >= budget:
                 break
-        j += 1
+        t += 2
     return pts

@@ -20,10 +20,10 @@ from itertools import combinations
 from math import inf
 
 from .algebra import (
-    Poly, RationalMap, _mul, _point, _sub, _twice_val, _twice_val_at_least, _values,
+    Poly, RationalMap, _mul, _point, _sub, _twice_val_at_least, _values,
 )
 from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
-from .field import KElement, ValExp, _int_val, uniformizer_power
+from .field import KElement, ValExp, _int_val, _twice_val, uniformizer_power
 from .geometry import (
     Ball, Expansions, LocalExpansion, image_of_ball, pairwise_deltas, sample_points,
 )
@@ -203,7 +203,7 @@ def _least_M(r: ValExp, d: ValExp, tau: ValExp) -> int:
     # stands in, and _check_plan names the failed hypothesis first.
     if not r > d or tau.is_infinite:
         return 0
-    return 2 * tau.exp // (r - d).exp + 1
+    return 2 * tau.t // (r - d).t + 1
 
 
 def _check_plan(models, plan: GluingPlan) -> None:
@@ -329,11 +329,6 @@ def build_F(models, plan: GluingPlan) -> RationalMap:
     return _glued_sum(models, plan, 0)
 
 
-def _twice(e: ValExp):
-    # 2e as an integer, or math.inf for an infinite exponent
-    return inf if e.is_infinite else int(2 * e.exp)
-
-
 def _twice_thresholds(bound: ValExp, epsilon: ValExp, image: Ball, cw: int) -> tuple:
     """One ball's spot-check thresholds as doubled integers (b2, e2, r0):
     a witness w passes when 2w >= b2 and 2w > e2, since a pointwise value
@@ -341,8 +336,8 @@ def _twice_thresholds(bound: ValExp, epsilon: ValExp, image: Ball, cw: int) -> t
     and F(z) = n/q lies in the image with center (cu + cv sqrt p)/cw
     exactly when 2 v(n cw - (cu + cv sqrt p) q) >= r0 + 2 v(q).  The +1 of
     an open image turns its strict radius test into the same >=."""
-    r0 = _twice(image.radius) + 2 * _int_val(cw, image.p) + (0 if image.closed else 1)
-    return _twice(bound), _twice(epsilon), r0
+    r0 = image.radius.t + 2 * _int_val(cw, image.p) + (0 if image.closed else 1)
+    return bound.t, epsilon.t, r0
 
 
 def _spot_check(p, nF, qF, nf, qf, center, b2, e2, r0) -> tuple:
@@ -389,8 +384,8 @@ def certify_theorem1(
     one `_values` call each, which gives F(z) = nF/qF and f_i(z) = nf/qf
     as Z[sqrt p] pairs.  The bound, epsilon and the image radius become
     doubled integer thresholds once per ball, and the doubled witness
-    2 v(nF*qf - nf*qF) - 2 v(qF) - 2 v(qf) is compared with them; each
-    distinct witness ValExp is built once per ball.  F(z) lies in the image
+    2 v(nF*qf - nf*qF) - 2 v(qF) - 2 v(qf) is compared with them and
+    wrapped, unchanged, as the sample's witness ValExp.  F(z) lies in the image
     about (cu + cv sqrt p)/cw when the pair nF*cw - (cu + cv sqrt p)*qF is
     divisible by p^ceil(R/2) in its rational and p^floor(R/2) in its sqrt p
     coordinate, R = 2 rho + 2 v(qF) + 2 v(cw), plus 1 for an open image of
@@ -409,7 +404,6 @@ def certify_theorem1(
         bound = local.sup_norm_exp(minus=m._local)
         center = _point(p, img.center)
         b2, e2, r0 = _twice_thresholds(bound, plan.epsilon, img, center[2])
-        exps = {}
         witnesses = []
         samples_ok = True
         for z in sample_points(B, samples):
@@ -418,10 +412,7 @@ def certify_theorem1(
             nF, _, qF, _ = _values(F, point, False)
             nf, _, qf, _ = _values(m.f, point, False)
             tw, ok = _spot_check(p, nF, qF, nf, qf, center, b2, e2, r0)
-            w = exps.get(tw)
-            if w is None:
-                w = exps[tw] = ValExp(None if tw == inf else Fraction(tw, 2))
-            witnesses.append((z, w))
+            witnesses.append((z, ValExp.twice(tw)))
             samples_ok = samples_ok and ok
         checks.append(
             BallCheck(

@@ -235,6 +235,14 @@ class TestGaussNorm:
     def test_empty_tail_is_infinite(self):
         assert gauss_norm_exp(Poly.constant(3, 5), Fraction(1), from_k=1).is_infinite
 
+    def test_infinite_radius_rejected(self):
+        # p^(-inf) = 0 is no radius: both scans refuse it before reading P
+        P = 9 * Z + 3 * Z**2 + Z**5
+        with pytest.raises(ValueError, match="infinite"):
+            gauss_norm_exp(P, ValExp(None))
+        with pytest.raises(ValueError, match="infinite"):
+            count_roots_with_min_valuation(P, ValExp(None), strict=False)
+
 
 class TestRationalMap:
     def test_canonical_reduction_and_monic_den(self):

@@ -1,5 +1,7 @@
 """Exact arithmetic in K = Q(sqrt p): valuations, inverses, rounding."""
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padicglue import FieldConfig, KElement, ValExp, is_prime, reduce_mod, uniformizer_power
-from padicglue.field import _coord_mod, _int_val
+from padicglue.field import _coord_mod, _int_val, _twice_val, _v2
 
 K3 = FieldConfig(3)
 
@@ -54,6 +56,95 @@ class TestValExp:
         v = ValExp(1)
         with pytest.raises(AttributeError):
             v.exp = 2
+
+    EXPS = st.one_of(st.none(), st.integers(-40, 40).map(lambda t: Fraction(t, 2)))
+    NUMBERS = st.one_of(
+        st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    )
+
+    @given(EXPS, EXPS, NUMBERS)
+    def test_matches_a_fraction_reference(self, x, y, n):
+        """ValExp(x) against x itself, a Fraction in (1/2)Z or None for
+        infinity: comparisons with ValExps and plain numbers on either side,
+        arithmetic, str and hash."""
+        v, w = ValExp(x), ValExp(y)
+        X, Y = (math.inf if e is None else e for e in (x, y))
+        for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+            assert op(v, w) == op(X, Y)
+            assert op(v, n) == op(X, n)
+            assert op(n, v) == op(n, X)
+
+        def outcome(f):
+            # f()'s exponent, None for infinity, or ValueError
+            try:
+                r = f()
+            except ValueError:
+                return ValueError
+            return r.exp if isinstance(r, ValExp) else r
+
+        def grid(e):
+            if e.denominator not in (1, 2):
+                raise ValueError(e)
+            return e
+
+        def add(a, b):
+            return None if a is None or b is None else grid(a + b)
+
+        def sub(a, b):
+            if b is None:
+                raise ValueError(b)
+            return None if a is None else grid(a - b)
+
+        def mul(a, k):
+            if a is None and k <= 0:
+                raise ValueError(k)
+            return None if a is None else grid(a * k)
+
+        def neg(a):
+            if a is None:
+                raise ValueError(a)
+            return -a
+
+        assert outcome(lambda: v + w) == outcome(lambda: add(x, y))
+        assert outcome(lambda: v + n) == outcome(lambda: add(x, n))
+        assert outcome(lambda: v - w) == outcome(lambda: sub(x, y))
+        assert outcome(lambda: v - n) == outcome(lambda: sub(x, grid(Fraction(n))))
+        assert outcome(lambda: v * n) == outcome(lambda: n * v) == outcome(lambda: mul(x, n))
+        assert outcome(lambda: -v) == outcome(lambda: neg(x))
+        assert str(v) == ("inf" if x is None else str(x))
+        assert hash(v) == hash(ValExp(x))
+        if x is not None:
+            assert v == x and hash(v) == hash(x)
+
+    def test_each_refused_operation(self):
+        inf = ValExp.infinite()
+        with pytest.raises(ValueError):
+            ValExp(1) - inf
+        for k in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                inf * k
+        with pytest.raises(ValueError):
+            -inf
+        with pytest.raises(ValueError):
+            ValExp(1) + Fraction(1, 3)
+        with pytest.raises(ValueError):
+            ValExp(Fraction(1, 2)) * Fraction(1, 2)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 23]),
+    st.integers(-10**6, 10**6), st.integers(0, 9),
+    st.integers(-10**6, 10**6), st.integers(0, 9),
+    st.integers(1, 10**6), st.integers(0, 9),
+)
+def test_valuation_kernels_agree(p, u, i, v, j, w, k):
+    """For x = (u + v sqrt p)/w: the pair kernel less 2 v(w), the element
+    kernel and KElement.valuation all give 2 v(x)."""
+    u, v, w = u * p**i, v * p**j, w * p**k
+    if u or v:
+        x = KElement(p, Fraction(u, w), Fraction(v, w))
+        assert _twice_val(p, (u, v)) - 2 * _int_val(w, p) == _v2(x) == x.valuation().t
+    assert _v2(KElement(p)) == math.inf == KElement(p).valuation().t
 
 
 class TestValuationOracles:

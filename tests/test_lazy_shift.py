@@ -9,6 +9,7 @@ Every scan must return exactly what a full scan of `Poly.recenter`'s eager
 shift returns, and the prefix a certificate computes is pinned.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -38,15 +39,16 @@ CENTERS = ("zero", "integer", "denominator", "sqrt p", "negative valuation")
 
 
 def full_scan(P: Poly, e: Fraction, from_k: int) -> tuple:
-    """(m, first, last) of v(c_k) + k*e over every nonzero coefficient of
-    index >= from_k, read one after another with no bound."""
-    m = first = last = None
+    """(m, first, last) of 2 v(c_k) + 2k*e over every nonzero coefficient
+    of index >= from_k, read one after another with no bound; m is
+    math.inf when there is no such coefficient."""
+    m, first, last = math.inf, None, None
     for k in range(from_k, len(P.coeffs)):
         c = P.coeffs[k]
         if c.is_zero:
             continue
-        t = c.valuation().exp + k * e
-        if m is None or t < m:
+        t = 2 * (c.valuation().exp + k * e)
+        if t < m:
             m, first, last = t, k, k
         elif t == m:
             last = k
@@ -127,7 +129,7 @@ def test_lazy_scans_equal_full_scans_of_the_eager_shift(p, kind):
             # one the last; the Gauss norm is the minimum
             e = RADII[-1]
             m, first, last = full_scan(eager, e, 0)
-            assert gauss_norm_exp(lazy, e).exp == m
+            assert gauss_norm_exp(lazy, e).t == m
             if not eager.is_zero:
                 for strict, want in ((True, first), (False, last)):
                     assert count_roots_with_min_valuation(lazy, e, strict) == want

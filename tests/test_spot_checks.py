@@ -16,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from padicglue import Ball, KElement, ValExp
-from padicglue.algebra import _quotient, _twice_val, _twice_val_at_least
+from padicglue.algebra import _quotient, _twice_val_at_least
+from padicglue.field import _twice_val
 from padicglue.gluing import _spot_check, _twice_thresholds
 
 SEED = 20261019

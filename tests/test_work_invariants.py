@@ -14,7 +14,7 @@ import pytest
 
 from conftest import make_gluing_instance, shared_pole_problem, spy
 from padicglue import (
-    FieldConfig, algebra, build_F, certify_theorem1, dynamics, gluing, orbit, plan_gluing,
+    FieldConfig, algebra, build_F, certify_theorem1, dynamics, field, gluing, orbit, plan_gluing,
 )
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
 from test_hensel_differential import fixed_point_instance
@@ -95,5 +95,5 @@ def test_orbit_rounds_tall_points_from_residues(p, rounded, monkeypatch):
     assert sum(taller for _, taller in lead) == rounded
     for ((_, _, _, den, scale), taller), ((_, *pairs), _) in zip(lead, quotients):
         if taller:
-            vden = algebra._twice_val(p, den)
+            vden = field._twice_val(p, den)
             assert scale == 1 and all(0 <= x < p ** (256 + 2 * vden) for x in sum(pairs, ()))
