@@ -51,6 +51,10 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # the cached integer forms are rebuilt on demand
+        return Poly, (self.p, self.coeffs)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -596,6 +600,9 @@ class RationalMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMap is immutable")
+
+    def __reduce__(self):
+        return RationalMap, (self.num, self.den)
 
     @property
     def p(self) -> int:

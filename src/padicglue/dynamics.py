@@ -336,22 +336,9 @@ def _round_point(z: KElement, prec: int) -> KElement:
     return reduce_mod(z, prec)
 
 
-def _provably_taller(h: int, den: int, *coords: int) -> bool:
-    """True when some nonzero x in coords has |bitlen(x) - bitlen(den)| > h,
-    for den != 0; then x/den in lowest terms has a numerator or denominator
-    of more than h bits.
-
-    g = gcd(x, den) divides both, so bitlen(g) <= min(bitlen(x), bitlen(den)).
-    Since |x| >= 2^(bitlen(x) - 1) and g < 2^bitlen(g), |x/g| exceeds
-    2^(bitlen(x) - bitlen(g) - 1), so x/g has at least bitlen(x) - bitlen(den)
-    bits; likewise den/g has at least bitlen(den) - bitlen(x).
-    """
-    bd = den.bit_length()
-    return any(x and abs(x.bit_length() - bd) > h for x in coords)
-
-
-# leading bits of each factor that `_quotient_bits` keeps
-_LEAD_BITS = 96
+# leading bits of each factor that `_quotient_bits` keeps: the sqrt p
+# parts of glued maps make orbit quotients cancel in about 300 leading bits
+_LEAD_BITS = 384
 
 
 def _lead(x: int) -> tuple:
@@ -402,9 +389,17 @@ def _quotient_bits(p: int, num: tuple, den: tuple, scale: int) -> tuple:
 
 
 def _leading_bits_taller(h: int, p: int, num: tuple, den: tuple, scale: int) -> bool:
-    """`_provably_taller(h, d * scale, xa, xb)` for (xa, xb, d) =
-    `_quotient(p, num, den)`, proved from `_quotient_bits` alone.  False
-    when the bounds cannot prove it, whatever the exact test would say."""
+    """True when `_quotient_bits` proves |bitlen(x) - bitlen(d scale)| > h
+    for a nonzero coordinate x of (xa, xb, d) = `_quotient(p, num, den)`;
+    then x/(d scale) in lowest terms has a numerator or denominator of
+    more than h bits.  False when the bounds cannot prove it.
+
+    g = gcd(x, d scale) divides both, so bitlen(g) <= min(bitlen(x),
+    bitlen(d scale)).  Since |x| >= 2^(bitlen(x) - 1) and g < 2^bitlen(g),
+    |x/g| exceeds 2^(bitlen(x) - bitlen(g) - 1), so x/g has at least
+    bitlen(x) - bitlen(d scale) bits; likewise (d scale)/g has at least
+    bitlen(d scale) - bitlen(x).
+    """
     *coords, bits_d = _quotient_bits(p, num, den, scale)
     if bits_d is None:
         return False
@@ -416,35 +411,28 @@ def _leading_bits_taller(h: int, p: int, num: tuple, den: tuple, scale: int) -> 
 
 def _round_quotient(p: int, num: tuple, den: tuple, scale: int, prec: int) -> KElement:
     """`_round_point` of the point num/(den scale), for Z[sqrt p] pairs
-    num and den != (0, 0) and an integer scale != 0, in three tiers.
+    num and den != (0, 0) and an integer scale != 0, in two tiers.
 
     The rule stays `_round_point`'s: round mod p^prec iff the reduced
     height exceeds H = 8 prec bits.  Rounding depends only on the value,
     so whenever the height is proved to exceed H the result is the residue
     `reduce_mod` gives for the reduced point.
-    - Leading bits: when `_leading_bits_taller` proves the size test of
-      `_provably_taller` for the quotient's integers xa, xb and
-      d = (da^2 - p db^2) scale, every input is first reduced mod
-      p^(prec + 2 vden), vden = v_p(d), which is all the residue reads
-      (see `field._coords_mod`).  The two terms of da^2 - p db^2 have
-      valuations of different parity, so vden = min(2 v(da), 2 v(db) + 1)
-      + v(scale) needs no product.
-    - Size test: otherwise the quotient is formed in full, and
-      `_provably_taller` decides from its exact bit lengths.
+    - Leading bits: when `_leading_bits_taller` proves the height above H
+      for the quotient's integers xa, xb and d = (da^2 - p db^2) scale,
+      every input is first reduced mod p^(prec + 2 vden), vden = v_p(d),
+      which is all the residue reads (see `field._coords_mod`).  The two
+      terms of da^2 - p db^2 have valuations of different parity, so
+      vden = min(2 v(da), 2 v(db) + 1) + v(scale) needs no product.
     - gcd: otherwise the point is reduced and handed to `_round_point`.
     """
-    h = 8 * prec
-    if _leading_bits_taller(h, p, num, den, scale):
+    if _leading_bits_taller(8 * prec, p, num, den, scale):
         vden = _twice_val(p, den) + _int_val(scale, p)
         m = p ** (prec + 2 * vden)
         (na, nb), (da, db) = num, den
         xa, xb, d = _quotient(p, (na % m, nb % m), (da % m, db % m))
         return KElement(p, *_coords_mod((xa, xb), d * (scale % m), vden, p, prec))
     xa, xb, d = _quotient(p, num, den)
-    d *= scale
-    if _provably_taller(h, d, xa, xb):
-        return KElement(p, *_coords_mod((xa, xb), d, _int_val(d, p), p, prec))
-    return _round_point(_element(p, xa, xb, d), prec)
+    return _round_point(_element(p, xa, xb, d * scale), prec)
 
 
 @dataclass(frozen=True)

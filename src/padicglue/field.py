@@ -140,6 +140,9 @@ class ValExp:
     def __setattr__(self, name, value):
         raise AttributeError("ValExp is immutable")
 
+    def __reduce__(self):
+        return ValExp.twice, (self.t,)
+
     @classmethod
     def infinite(cls) -> "ValExp":
         return cls.twice(inf)
@@ -236,6 +239,9 @@ class KElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("KElement is immutable")
+
+    def __reduce__(self):
+        return KElement, (self.p, self.a, self.b)
 
     # -- basic predicates -------------------------------------------------
 
@@ -402,11 +408,6 @@ def _coords_mod(nums: tuple, den: int, vden: int, p: int, m: int) -> tuple:
     return tuple(out)
 
 
-def _coord_mod(num: int, den: int, vden: int, p: int, m: int) -> Fraction:
-    # `_coords_mod` of a single numerator
-    return _coords_mod((num,), den, vden, p, m)[0]
-
-
 def reduce_mod(x: KElement, m: int) -> KElement:
     """Canonical small representative congruent to x modulo p^m.
 
@@ -415,11 +416,10 @@ def reduce_mod(x: KElement, m: int) -> KElement:
     valuations stay exact as long as they sit below the working precision.
     """
     p = x.p
-    return KElement(
-        p,
-        _coord_mod(x.a.numerator, x.a.denominator, _int_val(x.a.denominator, p), p, m),
-        _coord_mod(x.b.numerator, x.b.denominator, _int_val(x.b.denominator, p), p, m),
-    )
+    return KElement(p, *(
+        _coords_mod((c.numerator,), c.denominator, _int_val(c.denominator, p), p, m)[0]
+        for c in (x.a, x.b)
+    ))
 
 
 def uniformizer_power(p: int, e) -> KElement:

@@ -304,14 +304,14 @@ def plan_to_json(plan: GluingPlan) -> dict:
 def plan_from_json(obj, p: int, where: str) -> GluingPlan:
     obj = _fields(obj, where, ("delta_exps", "s_exps", "c", "M", "tau_exp", "epsilon_exp"))
 
-    def items(key):
-        return _list_from_json(obj[key], f"{where}.{key}")
+    def items(key, read):
+        return _items(read)(obj[key], f"{where}.{key}")
 
     return GluingPlan(
-        deltas=tuple(_exp_from_json(d, f"{where}.delta_exps") for d in items("delta_exps")),
-        s=tuple(_exp_from_json(s, f"{where}.s_exps") for s in items("s_exps")),
-        c=tuple(kelement_from_json(c, p, f"{where}.c") for c in items("c")),
-        M=tuple(_int_from_json(m, f"{where}.M") for m in items("M")),
+        deltas=items("delta_exps", _exp_from_json),
+        s=items("s_exps", _exp_from_json),
+        c=items("c", lambda x, w: kelement_from_json(x, p, w)),
+        M=items("M", _int_from_json),
         tau=_exp_from_json(obj["tau_exp"], f"{where}.tau_exp"),
         epsilon=_exp_from_json(obj["epsilon_exp"], f"{where}.epsilon_exp"),
     )

@@ -1,5 +1,7 @@
 """Polynomials, root counts, Gauss norms and rational maps over K."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -278,3 +280,29 @@ class TestRationalMap:
         f = RationalMap(Z**3 + 1, Z)
         assert (f.num.degree, f.den.degree) == (3, 1)
         assert f.degree == 3
+
+
+def _value_types():
+    # one instance of each immutable value type; the Poly has its cached
+    # integer forms filled in, which a copy rebuilds on demand
+    P = 2 * Z**2 + K3(Fraction(1, 3), 1)
+    _int_form(P)
+    algebra._v2s(P)
+    return (
+        ValExp(Fraction(3, 2)), ValExp(None), K3(Fraction(-2, 9), 5), P,
+        RationalMap(Z + 1, Z**2 - 3), RationalMap(Poly.zero(3)),
+    )
+
+
+@pytest.mark.parametrize(
+    "value", _value_types(), ids=lambda v: type(v).__name__,
+)
+@pytest.mark.parametrize(
+    "clone", (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))),
+    ids=("copy", "deepcopy", "pickle"),
+)
+def test_value_types_copy_and_pickle(value, clone):
+    out = clone(value)
+    assert type(out) is type(value) and out == value and hash(out) == hash(value)
+    if isinstance(value, Poly):
+        assert _int_form(out) == _int_form(value)

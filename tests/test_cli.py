@@ -508,6 +508,10 @@ class TestMalformedInput:
             ("verify", _set("certificate", "epsilon_exp", value="1/3"),
              "result.certificate.epsilon_exp"),
             ("verify", _set("plan", "M", 0, value=7.5), "result.plan.M"),
+            ("verify", _set("plan", "M", 1, value=7.5),
+             "result.plan.M[1]: expected an integer, got 7.5"),
+            ("verify", _set("plan", "c", 2, value="x"), "result.plan.c[2]: bad rational 'x'"),
+            ("verify", _set("plan", "delta_exps", 1, value="1/3"), "result.plan.delta_exps[1]"),
             ("verify", _set("certificate", "balls", 0, "index", value=0.0),
              "result.certificate.balls[0].index"),
             ("verify", _set("certificate", "balls", 0, "index", value=True),

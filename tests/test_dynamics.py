@@ -34,7 +34,7 @@ from padicglue import (
     suggest_witness,
     verify_census,
 )
-from padicglue.dynamics import _provably_taller
+from padicglue.dynamics import _LEAD_BITS, _leading_bits_taller
 from padicglue.geometry import Expansions
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_models, ex2_census, ex2_models
 
@@ -186,33 +186,40 @@ class TestOrbit:
 
 
 class TestSizeTest:
-    """`_provably_taller` claims a reduced height above h only when the
-    point, reduced to lowest terms, has it."""
+    """`_leading_bits_taller` claims a reduced height above h only when the
+    point, reduced to lowest terms, has it.  The point x/den is passed as
+    the quotient (x, 0)/((1, 0) den), on operands shorter than the kept
+    leading bits, where the bit-length bounds are exact."""
+
+    @staticmethod
+    def taller(h, p, den, x, y=0):
+        return _leading_bits_taller(h, p, (x, y), (1, 0), den)
 
     @given(
-        st.integers(min_value=-(2**3000), max_value=2**3000).filter(bool),
-        st.integers(min_value=1, max_value=2**3000),
-        st.integers(min_value=1, max_value=2**500),
+        st.integers(min_value=-(2**150), max_value=2**150).filter(bool),
+        st.integers(min_value=1, max_value=2**150),
+        st.integers(min_value=1, max_value=2**100),
         st.sampled_from((2, 3, 5, 7, 23)),
-        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=25),
         st.integers(min_value=0, max_value=3),
     )
     def test_fires_only_on_tall_points(self, x, den, g, p, k, slack):
         # plant a common factor, p^k included, then put h just below the gap
         x, den = x * g * p**k, den * g * p**k
+        assert max(x.bit_length(), den.bit_length()) <= _LEAD_BITS
         gap = abs(x.bit_length() - den.bit_length())
         q = Fraction(x, den)
         height = max(q.numerator.bit_length(), q.denominator.bit_length())
         # the lemma: reduced height >= gap, so a gap above h proves height > h
         assert height >= gap
-        assert not _provably_taller(gap, den, x)
+        assert not self.taller(gap, p, den, x)
         h = gap - 1 - slack
         if h >= 0:
-            assert _provably_taller(h, den, x) and _provably_taller(h, den, 0, x)
+            assert self.taller(h, p, den, x) and self.taller(h, p, den, 0, x)
 
     def test_zero_coordinate_ignored(self):
-        assert not _provably_taller(0, 2**100, 0, 0)
-        assert _provably_taller(0, 2**100, 0, 1)
+        assert not self.taller(0, 3, 2**100, 0, 0)
+        assert self.taller(0, 3, 2**100, 0, 1)
 
 
 class TestGluedOrbits:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padicglue import FieldConfig, KElement, ValExp, is_prime, reduce_mod, uniformizer_power
-from padicglue.field import _coord_mod, _int_val, _twice_val, _v2
+from padicglue.field import _coords_mod, _int_val, _twice_val, _v2
 
 K3 = FieldConfig(3)
 
@@ -266,9 +266,9 @@ def test_coord_mod_ignores_common_factors(num, den, k, g, p, m):
     p^v u, 0 < u < p^(m - v), u prime to p, with v = v_p(num/den) < m
     and v_p(num/den - p^v u) >= m (0 when v >= m)."""
     g *= p**k
-    r = _coord_mod(num * g, den * g, _int_val(den * g, p), p, m)
+    (r,) = _coords_mod((num * g,), den * g, _int_val(den * g, p), p, m)
     q = Fraction(num, den)
-    assert r == _coord_mod(q.numerator, q.denominator, _int_val(q.denominator, p), p, m)
+    assert (r,) == _coords_mod((q.numerator,), q.denominator, _int_val(q.denominator, p), p, m)
     if not num or KElement(p, q).valuation() >= m:
         assert r == 0
         return

@@ -1,7 +1,7 @@
 """Bump factors, plan selection, assembly, and exact certification."""
 
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +9,7 @@ import pytest
 
 from padicglue import (
     Ball,
+    BallCheck,
     FieldConfig,
     HypothesisViolation,
     LemmaInapplicable,
@@ -401,3 +402,16 @@ def test_readme_library_example_prints_what_its_comments_claim(capsys):
     # each print's trailing comment opens with the line it prints
     claims = re.findall(r"^print\(.*#\s*(.*)$", block, re.M)
     assert len(claims) == len(out) and all(c.startswith(o) for o, c in zip(out, claims))
+
+
+def test_ball_check_as_dict():
+    # asdict deep-copies every field, the K elements and exponents of the
+    # image, the bound and the witnesses included
+    K = FieldConfig(3)
+    image = Ball(K(3, 1), Radius(1))
+    check = BallCheck(0, True, True, image, Radius(2), ((K(1), Radius(3)),), True)
+    assert asdict(check) == {
+        "index": 0, "pole_free_ok": True, "image_ok": True,
+        "image": {"center": K(3, 1), "radius": Radius(1), "closed": True},
+        "eps_bound_exp": Radius(2), "witnesses": ((K(1), Radius(3)),), "samples_ok": True,
+    }

@@ -3,11 +3,10 @@
 `evaluation_oracle.orbit` evaluates each point with `F.eval`, which
 reduces it to lowest terms, and then rounds it with `_round_point`.  The
 library rounds each quotient N(z)/Q(z) through `dynamics._round_quotient`,
-in three tiers: from residues once the leading bits prove the point tall,
-from the full quotient's integers once their exact sizes prove it, and
-through the gcd of `_round_point` otherwise.  Both must record the same
-`OrbitStep`s, with the same canonical point at every step, and every tier
-must round points at every precision of `PLAN`.
+in two tiers: from residues once the leading bits prove the point tall,
+and through the gcd of `_round_point` otherwise.  Both must record the
+same `OrbitStep`s, with the same canonical point at every step, and both
+tiers must round points at every precision of `PLAN`.
 """
 
 import random
@@ -55,7 +54,6 @@ CASES = [*_glued_examples(), *_three_ball_examples()]
 @pytest.mark.parametrize("precision", sorted(PLAN))
 def test_same_steps(monkeypatch, precision):
     lead = spy(monkeypatch, dynamics, "_leading_bits_taller")
-    sizes = spy(monkeypatch, dynamics, "_provably_taller")
     # the oracle holds its own reference to `_round_point`, so only the
     # library's fallback is recorded; a point it rounds comes back as a
     # new element
@@ -67,8 +65,7 @@ def test_same_steps(monkeypatch, precision):
             assert orbit(F, start, steps, ref=ref, precision=precision) == want, (name, start)
     tiers = {
         "leading bits": sum(taller for _, taller in lead),
-        "size test": sum(taller for _, taller in sizes),
         "gcd": sum(out is not z for (z, _), out in fallback),
     }
-    # all three tiers round points at every precision
+    # both tiers round points at every precision
     assert all(tiers.values()), tiers

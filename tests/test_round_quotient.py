@@ -4,7 +4,9 @@
 from the leading bits of its factors; a bound is either a range holding
 the true bit length or None.  `dynamics._round_quotient` must round every
 point num/(den scale) exactly as `_round_point` rounds the reduced point,
-whichever of its three tiers decides it.
+whether the leading bits prove it tall and it is rounded from residues or
+it goes through the gcd.  Norms that cancel on either side of the kept
+bits reach both tiers with tall points.
 """
 
 import random
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from padicglue.algebra import _element, _quotient
-from padicglue.dynamics import _LEAD_BITS, _quotient_bits, _round_point, _round_quotient
+from padicglue.dynamics import (
+    _LEAD_BITS, _leading_bits_taller, _quotient_bits, _round_point, _round_quotient,
+)
 
 PRIMES = st.sampled_from((2, 3, 5, 7, 23))
 
@@ -35,6 +39,11 @@ def _near(target: int, slack_bits: int, seed: int) -> int:
     # target moved by less than 2^slack_bits, so a difference that should
     # cancel keeps only about slack_bits bits
     return target + random.Random(seed).getrandbits(slack_bits) - (1 << slack_bits) // 2
+
+
+def _cancelling(db: int, p: int, depth: int) -> tuple:
+    # (da, db) with da = isqrt(p db^2) + 2^k, k = max(bitlen(db) - depth, 0)
+    return isqrt(p * db * db) + (1 << max(db.bit_length() - depth, 0)), db
 
 
 @st.composite
@@ -111,14 +120,15 @@ def _planted(rng_seed: int, bits: int, common: int, vp: tuple, p: int):
     st.integers(min_value=1, max_value=2**40),
     st.tuples(*(st.integers(min_value=0, max_value=40) for _ in range(3))),
     st.booleans(),
+    st.integers(min_value=64, max_value=2 * _LEAD_BITS),
     st.integers(min_value=1, max_value=64),
 )
-def test_kernel_rounds_as_the_reduced_point(p, seed, bits, common, vp, cancel, prec):
+def test_kernel_rounds_as_the_reduced_point(p, seed, bits, common, vp, cancel, depth, prec):
     num, den, scale = _planted(seed, bits, common, vp, p)
     if cancel:
-        # a norm that cancels in its leading bits: da near db sqrt p
-        da, db = den
-        den = (isqrt(p * db * db) + 1, db)
+        # da = db sqrt p + 2^k: the norm da^2 - p db^2 cancels in about
+        # `depth` leading bits, on either side of the kept bits
+        den = _cancelling(den[1], p, depth)
     if not any(den):
         den = (common, 0)
     xa, xb, d = _quotient(p, num, den)
@@ -144,3 +154,21 @@ def test_height_exactly_H_is_kept(G, num, den):
     z = _round_quotient(3, num(G, t), den(G, t), 1, prec)
     want = _round_point(_element(3, *_quotient(3, num(G, t), den(G, t))), prec)
     assert (z.a, z.b) == (want.a, want.b) and z.a in (t, Fraction(1, t))
+
+
+@pytest.mark.parametrize("depth, proved", ((300, True), (2 * _LEAD_BITS, False)))
+def test_tall_points_on_either_side_of_the_kept_bits(depth, proved):
+    # a tall point whose norm cancels in 300 bits, as orbit quotients of
+    # glued maps do, is proved tall by the leading bits; a cancellation
+    # deeper than the kept bits sends it to the gcd; either way it is
+    # rounded as the reduced point
+    rng = random.Random(f"cancel/{depth}")
+    p, prec = 3, 16
+    den = _cancelling(rng.getrandbits(2000) | 1 << 1999, p, depth)
+    num = (rng.getrandbits(4000), rng.getrandbits(4000))
+    assert _leading_bits_taller(8 * prec, p, num, den, 1) is proved
+    xa, xb, d = _quotient(p, num, den)
+    z = _element(p, xa, xb, d)
+    want = _round_point(z, prec)
+    got = _round_quotient(p, num, den, 1, prec)
+    assert want != z and (got.p, got.a, got.b) == (want.p, want.a, want.b)
