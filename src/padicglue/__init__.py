@@ -5,133 +5,20 @@ no floats, no approximations.  The library plans and builds a single
 rational map agreeing with prescribed local maps on disjoint closed balls
 up to a chosen tolerance, certifies the construction, and analyzes the
 fixed points of the result (classification, Hensel refinement, orbits).
+
+The package root re-exports the public names of the modules below; each
+module's ``__all__`` is the one list of them.
 """
 
-from .algebra import (
-    Poly,
-    RationalMap,
-    count_roots_with_min_valuation,
-    gauss_norm_exp,
-    poly_gcd,
-)
-from .dynamics import (
-    ATTRACTING,
-    INCONCLUSIVE,
-    INDIFFERENT,
-    REPELLING,
-    CensusReport,
-    DiskBehavior,
-    FixedPointCensus,
-    Multiplier,
-    OrbitStep,
-    Witness,
-    classify_disk,
-    epsilon_for_census,
-    hensel_fixed_point,
-    multiplier,
-    orbit,
-    suggest_witness,
-    validate_census,
-    verify_census,
-)
-from .errors import (
-    HenselConditionError,
-    HypothesisViolation,
-    LemmaInapplicable,
-    LimitExceeded,
-    PadicGlueError,
-    PoleInBallError,
-    SpecFormatError,
-)
-from .field import FieldConfig, KElement, ValExp, is_prime, reduce_mod, uniformizer_power
-from .geometry import (
-    Ball,
-    LocalExpansion,
-    Radius,
-    count_roots_in_ball,
-    distance_exp,
-    image_of_ball,
-    pairwise_deltas,
-    pole_free_on_ball,
-    sample_points,
-    sup_norm_exp_on_ball,
-    wdeg,
-)
-from .gluing import (
-    BallCheck,
-    Certificate,
-    GluingPlan,
-    LocalModel,
-    build_F,
-    build_h,
-    certify_theorem1,
-    check_c3_hypotheses,
-    check_monotonicity,
-    check_subdisk_transfer,
-    plan_gluing,
-    validate_plan,
-)
+from . import algebra, dynamics, errors, field, geometry, gluing
+from .algebra import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .field import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .gluing import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATTRACTING",
-    "Ball",
-    "BallCheck",
-    "Certificate",
-    "CensusReport",
-    "DiskBehavior",
-    "FieldConfig",
-    "FixedPointCensus",
-    "GluingPlan",
-    "HenselConditionError",
-    "HypothesisViolation",
-    "INCONCLUSIVE",
-    "INDIFFERENT",
-    "KElement",
-    "LemmaInapplicable",
-    "LimitExceeded",
-    "LocalExpansion",
-    "LocalModel",
-    "Multiplier",
-    "OrbitStep",
-    "PadicGlueError",
-    "Poly",
-    "PoleInBallError",
-    "REPELLING",
-    "Radius",
-    "RationalMap",
-    "SpecFormatError",
-    "ValExp",
-    "Witness",
-    "build_F",
-    "build_h",
-    "certify_theorem1",
-    "check_c3_hypotheses",
-    "check_monotonicity",
-    "check_subdisk_transfer",
-    "classify_disk",
-    "count_roots_in_ball",
-    "count_roots_with_min_valuation",
-    "distance_exp",
-    "epsilon_for_census",
-    "gauss_norm_exp",
-    "hensel_fixed_point",
-    "image_of_ball",
-    "is_prime",
-    "multiplier",
-    "orbit",
-    "pairwise_deltas",
-    "plan_gluing",
-    "pole_free_on_ball",
-    "poly_gcd",
-    "reduce_mod",
-    "sample_points",
-    "sup_norm_exp_on_ball",
-    "suggest_witness",
-    "uniformizer_power",
-    "validate_census",
-    "validate_plan",
-    "verify_census",
-    "wdeg",
-]
+__all__ = (field.__all__ + algebra.__all__ + geometry.__all__ + gluing.__all__
+           + dynamics.__all__ + errors.__all__)

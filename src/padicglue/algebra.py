@@ -235,12 +235,17 @@ class Poly:
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, (Poly, KElement)) and other.p != self.p:
+            return False  # arithmetic across primes raises; comparison does not
         o = self._coerce(other) if isinstance(other, (Poly, int, Fraction, KElement)) else None
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes like it
+        if self.degree <= 0:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.p, self.coeffs))
 
     def __str__(self):

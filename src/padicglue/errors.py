@@ -8,6 +8,16 @@ diagnostic echoes goes through `_show`, so no message grows with its input.
 
 import reprlib
 
+__all__ = [
+    "HenselConditionError",
+    "HypothesisViolation",
+    "LemmaInapplicable",
+    "LimitExceeded",
+    "PadicGlueError",
+    "PoleInBallError",
+    "SpecFormatError",
+]
+
 # characters of an offending value that a diagnostic echoes
 SHOW_LIMIT = 40
 

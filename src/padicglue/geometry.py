@@ -236,18 +236,13 @@ class _Diff:
                    - sum(C.coeff(i) * D.coeff(k - i) for i in _products(C, D, k)))
 
 
-class _Shift:
-    """A rational map f = P/Q rewritten in powers of (z - a) about a point a:
-    one _Prefix each for P and Q (a constant is its own), Pr and Qr, whose
+def _shift(f: RationalMap, center: KElement) -> tuple:
+    """f = P/Q rewritten in powers of (z - a) about a point a: the pair
+    (Pr, Qr) of one _Prefix each for P and Q (a constant is its own), whose
     constant terms are P(a) and Q(a).  Nothing here depends on a radius, so
     every ball about a reads the same prefixes, and each scan extends them
-    only as far as it must.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, f: RationalMap, center: KElement):
-        self.num, self.den = (P if P.degree <= 0 else _Prefix(P, center) for P in (f.num, f.den))
+    only as far as it must."""
+    return tuple(P if P.degree <= 0 else _Prefix(P, center) for P in (f.num, f.den))
 
 
 class LocalExpansion:
@@ -261,16 +256,16 @@ class LocalExpansion:
     kind of the ball only enter the scans.
     """
 
-    def __init__(self, f: RationalMap, ball: Ball, shift: _Shift | None = None):
+    def __init__(self, f: RationalMap, ball: Ball, shift: tuple | None = None):
         # a shift passed in is f's about ball.center (Expansions keys it so)
         self.f = f
         self.ball = ball
-        self._shift = _Shift(f, ball.center) if shift is None else shift
+        self._num, self._den = _shift(f, ball.center) if shift is None else shift
 
     @cached_property
     def pole_free(self) -> bool:
         """True when the reduced denominator has no zero in the ball."""
-        return self.f.den.degree == 0 or _roots_in_ball(self._shift.den, self.ball) == 0
+        return self.f.den.degree == 0 or _roots_in_ball(self._den, self.ball) == 0
 
     def _require_pole_free(self) -> None:
         if not self.pole_free:
@@ -287,7 +282,7 @@ class LocalExpansion:
         of index >= 1, divided by |Q(a)|^2 (|Q| is constant on the ball).
         """
         self._require_pole_free()
-        N, D, p = self._shift.num, self._shift.den, self.f.p
+        N, D, p = self._num, self._den, self.f.p
         pa, qa = N.coeff(0), D.coeff(0)
         g = _Diff(N, Poly.constant(p, qa), D, Poly.constant(p, pa))
         e = gauss_norm_exp(g, self.ball.radius, from_k=1)
@@ -311,13 +306,13 @@ class LocalExpansion:
         one the reduced difference gives.
         """
         self._require_pole_free()
-        N, D = self._shift.num, self._shift.den
+        N, D = self._num, self._den
         num, den_val = N, D.coeff(0).valuation()
         if minus is not None:
             if minus.ball != self.ball:
                 raise ValueError(f"expansions about different balls: {self.ball} and {minus.ball}")
             minus._require_pole_free()
-            n, d = minus._shift.num, minus._shift.den
+            n, d = minus._num, minus._den
             num = _Diff(N, d, n, D)
             den_val = den_val + d.coeff(0).valuation()
         return gauss_norm_exp(num, self.ball.radius, from_k=0) - den_val
@@ -332,8 +327,9 @@ class LocalExpansion:
         img = self.image
         if not img.contains_point(b):
             raise ValueError(f"target {b} lies outside the image {img}")
-        s, p = self._shift, self.f.p
-        return _roots_in_ball(_Diff(s.num, Poly.one(p), s.den, Poly.constant(p, b)), self.ball)
+        p = self.f.p
+        g = _Diff(self._num, Poly.one(p), self._den, Poly.constant(p, b))
+        return _roots_in_ball(g, self.ball)
 
 
 class Expansions:
@@ -353,7 +349,7 @@ class Expansions:
     def __call__(self, ball: Ball) -> LocalExpansion:
         shift = self._shifts.get(ball.center)
         if shift is None:
-            shift = self._shifts[ball.center] = _Shift(self.f, ball.center)
+            shift = self._shifts[ball.center] = _shift(self.f, ball.center)
         return LocalExpansion(self.f, ball, shift)
 
     @staticmethod

@@ -34,6 +34,7 @@ __all__ = [
     "GluingPlan",
     "LocalModel",
     "M_LIMIT",
+    "RADIUS_LIMIT",
     "build_F",
     "build_h",
     "certify_theorem1",
@@ -49,6 +50,11 @@ __all__ = [
 # in about 0.16, 0.45 and 1.5 s on a 2-vCPU host, where shifting every
 # coefficient took about 1.4, 10 and 101 s
 M_LIMIT = 256
+# a radius exponent r_i sets the size of c_i = p^(s_i), s_i = (r_i + delta_i)/2,
+# and of every power of it that follows: ex2 with every radius at 512 exits
+# (its image centers are too long to print) after about 2 s at p = 2^31 - 1,
+# at 1000 after about 7 s, on a 2-vCPU host
+RADIUS_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -174,6 +180,12 @@ def _check_models(models) -> None:
     # in B(0; 1) exactly when sup |f_i| <= 1 on B_j.
     if not models:
         raise HypothesisViolation("need at least one local model")
+    for i, m in enumerate(models):
+        if not -RADIUS_LIMIT <= m.domain.radius <= RADIUS_LIMIT:
+            raise LimitExceeded(
+                f"ball {i}: radius exponent {_show(m.domain.radius)} is outside"
+                f" [-{RADIUS_LIMIT}, {RADIUS_LIMIT}]"
+            )
     for (i, mi), (j, mj) in combinations(enumerate(models), 2):
         if not mi.domain.disjoint_from(mj.domain):
             raise HypothesisViolation(f"balls not pairwise disjoint: balls {i} and {j} intersect")
@@ -303,7 +315,8 @@ def validate_plan(models, plan: GluingPlan) -> None:
     """Check the models' hypotheses and every constant of the plan, as
     plan_gluing checks the plans it makes; M values need not be minimal
     (overrides may raise them).  Raises HypothesisViolation, or
-    LimitExceeded for an M_i above M_LIMIT."""
+    LimitExceeded for a radius exponent beyond RADIUS_LIMIT or an M_i
+    above M_LIMIT."""
     _check_models(models)
     _check_plan(models, plan)
 

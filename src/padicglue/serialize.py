@@ -520,12 +520,10 @@ def problem_from_json(obj) -> dict:
 def result_to_json(p: int, epsilon: ValExp, models, plan: GluingPlan, F: RationalMap,
                    cert: Certificate, census: FixedPointCensus | None = None,
                    census_report: CensusReport | None = None, orbit_tables=None) -> dict:
-    out = problem_to_json(p, epsilon, models)
+    out = problem_to_json(p, epsilon, models, census)
     out["plan"] = plan_to_json(plan)
     out["F"] = ratmap_to_json(F)
     out["certificate"] = certificate_to_json(cert)
-    if census is not None:
-        out["census"] = census_to_json(census)
     if census_report is not None:
         out["census_report"] = census_report_to_json(census_report)
     if orbit_tables is not None:

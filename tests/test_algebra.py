@@ -74,6 +74,24 @@ class TestPoly:
         assert Q.content() == Fraction(1, 4)
         assert (Q * 4).content() == 1
 
+    def test_another_prime_compares_unequal(self):
+        # arithmetic across primes raises, but comparison answers, as
+        # RationalMap's does
+        assert Poly(3, [1]) != Poly(5, [1])
+        assert Poly(3, [1]) not in [Poly(5, [1])]
+        assert Poly(3, [1]) != KElement(5, 1)
+        assert RationalMap(Poly(3, [1])) != RationalMap(Poly(5, [1]))
+        with pytest.raises(ValueError, match="mixed primes"):
+            Poly(3, [1]) + Poly(5, [1])
+
+    @pytest.mark.parametrize(
+        "c", [0, 2, -7, Fraction(1, 3), KElement(3, 2), KElement(3, 1, Fraction(1, 3))]
+    )
+    def test_constant_hashes_like_its_coefficient(self, c):
+        P = Poly(3, [c])
+        assert P == c and hash(P) == hash(c)
+        assert len({P, c}) == 1
+
 
 def _random_poly(rng, p):
     def coord():

@@ -206,6 +206,20 @@ class TestPlanGluing:
         with pytest.raises(LimitExceeded, match="ball 0: M = 200001"):
             plan_gluing(models, Radius(10**5))
 
+    def test_radius_limit(self):
+        # a radius exponent sets the size of c_i = p^(s_i), so plan_gluing
+        # rejects one beyond the limit before it forms c_i
+        at_limit = [LocalModel(RationalMap(Z), B(0, gluing.RADIUS_LIMIT)),
+                    LocalModel(RationalMap(Z), B(1, gluing.RADIUS_LIMIT))]
+        plan_gluing(at_limit, EX2_EPSILON)
+        for r in (gluing.RADIUS_LIMIT + 1, Fraction(2 * gluing.RADIUS_LIMIT + 1, 2), -(10**40)):
+            models = [LocalModel(RationalMap(Z), B(0, 2)), LocalModel(RationalMap(Z), B(1, r))]
+            with pytest.raises(LimitExceeded, match=r"ball 1: radius exponent .* is outside"):
+                plan_gluing(models, EX2_EPSILON)
+            # verify's path: validate_plan checks the models before the plan
+            with pytest.raises(LimitExceeded, match="ball 1: radius exponent"):
+                validate_plan(models, plan_gluing(models[:1], EX2_EPSILON, delta_override=[1]))
+
     def test_c_override(self):
         models = ex2_models()
         good = [-uniformizer_power(3, Fraction(3, 2))] * 3

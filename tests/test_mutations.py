@@ -11,13 +11,17 @@ cases have found is pinned as its own test in `test_cli.py`.
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from padicglue.cli import main
+from padicglue.gluing import RADIUS_LIMIT
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = 70  # per source document
@@ -144,3 +148,24 @@ def test_value_edit_of_F_exits_cleanly(sources, tmp_path, capsys, name):
     path = tmp_path / "mutant.json"
     _write(path, doc)
     _exits_cleanly(path, capsys, "result")
+
+
+@pytest.mark.parametrize("radius", [str(RADIUS_LIMIT + 1), str(-(RADIUS_LIMIT + 1)), str(HUGE[3])])
+def test_radius_edit_exits_2_promptly(sources, tmp_path, radius):
+    # a radius exponent sets the size of c_i = p^(s_i): without a limit, ex2
+    # with every radius at 10^4 runs for seconds, and longer radii longer
+    # still, so a separate process turns a lost limit into a timeout
+    doc = copy.deepcopy(sources["ex2"])
+    for m in doc["models"]:
+        m["ball"]["radius_exp"] = radius
+        del m["image"]  # the images and the census are those of radius 2
+    del doc["census"], doc["orbits"]
+    path = tmp_path / "radius.json"
+    _write(path, doc)
+    run = subprocess.run(
+        [sys.executable, "-m", "padicglue.cli", "glue", "--input", str(path)],
+        capture_output=True, text=True, timeout=CASE_SECONDS,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"limit exceeded: ball 0: radius exponent {radius} is outside")
