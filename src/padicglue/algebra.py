@@ -308,12 +308,13 @@ def _int_form(P: Poly) -> tuple:
     return form
 
 
-def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
+def _horner(P: Poly, u: int, v: int, w: int, deriv: bool, mod: int = 0) -> tuple:
     """Horner's rule for P at x = (u + v sqrt p)/w, in integers.
 
     Returns (D, n, ha, hb, ga, gb) with n = max(deg P, 0) and
     P(x) = (ha + hb sqrt p)/(D w^n); when deriv is set, also
-    P'(x) = (ga + gb sqrt p)/(D w^(n-1)), else ga = gb = 0.
+    P'(x) = (ga + gb sqrt p)/(D w^(n-1)), else ga = gb = 0.  Given mod > 0
+    and no deriv, a loop of its own returns ha and hb reduced mod `mod`.
 
     An integer point (v = 0, w = 1) without deriv, the case of every spot
     check at an integer center with radius p^-e, e >= 0 an integer, runs
@@ -325,6 +326,12 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     ha, hb = cs[-1]
     ga = gb = 0
     rest = cs[-2::-1]
+    if mod:
+        u, v, w, wk, pv = u % mod, v % mod, w % mod, 1, P.p * v % mod
+        for ca, cb in rest:
+            wk = wk * w % mod
+            ha, hb = (ha * u + hb * pv + ca * wk) % mod, (ha * v + hb * u + cb * wk) % mod
+        return D, len(cs) - 1, ha % mod, hb % mod, 0, 0
     if v or deriv or w != 1:
         pv = P.p * v
         wk = 1
@@ -340,22 +347,25 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     return D, len(cs) - 1, ha, hb, ga, gb
 
 
-def _values(f: "RationalMap", point: tuple, deriv: bool) -> tuple:
+def _values(f: "RationalMap", point: tuple, deriv: bool, mod: int = 0) -> tuple:
     """N(x), N'(x), Q(x), Q'(x) for f = N/Q at the point
     x = (u + v sqrt p)/w given as its `_point` triple (u, v, w), as
     Z[sqrt p] pairs n0, n1, q0, q1, all over one common nonzero integer S.
     So f(x) = n0/q0, f'(x) = (n1 q0 - n0 q1)/q0^2, and x is a pole exactly
-    when q0 = (0, 0).  Without deriv, n1 = q1 = (0, 0).
+    when q0 = (0, 0).  Without deriv, n1 = q1 = (0, 0); mod > 0 then
+    reduces n0 and q0 mod `mod`.
 
     `_horner` gives N(x) over Dn w^n and N'(x) over Dn w^(n-1), likewise
     Q(x) and Q'(x) over Dd w^m and Dd w^(m-1); S = Dn Dd w^max(n, m).
     No other function knows these scales.
     """
     u, v, w = point
-    dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, deriv)
-    dd, m, da, db, gda, gdb = _horner(f.den, u, v, w, deriv)
+    dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, deriv, mod)
+    dd, m, da, db, gda, gdb = _horner(f.den, u, v, w, deriv, mod)
     k = max(n, m)
-    sn, sd = dd * w ** (k - n), dn * w ** (k - m)
+    sn, sd = dd * pow(w, k - n, mod or None), dn * pow(w, k - m, mod or None)
+    if mod:
+        return (na * sn % mod, nb * sn % mod), (0, 0), (da * sd % mod, db * sd % mod), (0, 0)
     return (
         (na * sn, nb * sn), (gna * sn * w, gnb * sn * w),
         (da * sd, db * sd), (gda * sd * w, gdb * sd * w),

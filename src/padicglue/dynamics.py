@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import inf
+from math import inf, isqrt
 
 from .algebra import (
-    RationalMap, _element, _mul, _point, _quotient, _sub, _values,
+    Poly, RationalMap, _element, _int_form, _mul, _point, _quotient, _sub, _values,
 )
 from .errors import HenselConditionError, PoleInBallError, _show
 from .field import KElement, ValExp, _coords_mod, _int_val, _twice_val, reduce_mod
@@ -325,15 +325,8 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
 
 def _round_point(z: KElement, prec: int) -> KElement:
     # skip tiny representatives; round only when heights grow
-    h = max(
-        z.a.numerator.bit_length(),
-        z.a.denominator.bit_length(),
-        z.b.numerator.bit_length(),
-        z.b.denominator.bit_length(),
-    )
-    if h <= 8 * prec:
-        return z
-    return reduce_mod(z, prec)
+    h = max(x.bit_length() for c in (z.a, z.b) for x in (c.numerator, c.denominator))
+    return z if h <= 8 * prec else reduce_mod(z, prec)
 
 
 # leading bits of each factor that `_quotient_bits` keeps: the sqrt p
@@ -419,20 +412,95 @@ def _round_quotient(p: int, num: tuple, den: tuple, scale: int, prec: int) -> KE
     `reduce_mod` gives for the reduced point.
     - Leading bits: when `_leading_bits_taller` proves the height above H
       for the quotient's integers xa, xb and d = (da^2 - p db^2) scale,
-      every input is first reduced mod p^(prec + 2 vden), vden = v_p(d),
-      which is all the residue reads (see `field._coords_mod`).  The two
-      terms of da^2 - p db^2 have valuations of different parity, so
-      vden = min(2 v(da), 2 v(db) + 1) + v(scale) needs no product.
+      `_round_residues` rounds it, with vden = v_p(d) = min(2 v(da),
+      2 v(db) + 1) + v(scale): the two terms differ in parity.
     - gcd: otherwise the point is reduced and handed to `_round_point`.
     """
     if _leading_bits_taller(8 * prec, p, num, den, scale):
-        vden = _twice_val(p, den) + _int_val(scale, p)
-        m = p ** (prec + 2 * vden)
-        (na, nb), (da, db) = num, den
-        xa, xb, d = _quotient(p, (na % m, nb % m), (da % m, db % m))
-        return KElement(p, *_coords_mod((xa, xb), d * (scale % m), vden, p, prec))
+        return _round_residues(p, num, den, scale, _twice_val(p, den) + _int_val(scale, p), prec)
     xa, xb, d = _quotient(p, num, den)
     return _round_point(_element(p, xa, xb, d * scale), prec)
+
+
+def _round_residues(p: int, num: tuple, den: tuple, scale: int, vden: int, prec: int) -> KElement:
+    """`reduce_mod(num/(den scale), prec)` for vden = v_p(d) of the quotient's
+    d, from the inputs mod p^(prec + 2 vden): all `field._coords_mod` reads."""
+    m = p ** (prec + 2 * vden)
+    (na, nb), (da, db) = num, den
+    xa, xb, d = _quotient(p, (na % m, nb % m), (da % m, db % m))
+    return KElement(p, *_coords_mod((xa, xb), d * (scale % m), vden, p, prec))
+
+
+def _real_bits(p: int, a: int, b: int) -> tuple:
+    """(lo, hi) with 2^lo <= |a + b sqrt p| < 2^hi for integers (a, b) !=
+    (0, 0), sqrt p > 0 (pass -b for the conjugate).  m = |a| + |b|
+    (isqrt(p) + 1) bounds both conjugates, whose product is the norm; when
+    a b >= 0, also |a + b sqrt p| >= max(|a|, |b|)."""
+    m = abs(a) + abs(b) * (isqrt(p) + 1)
+    lo = (a * a - p * b * b).bit_length() - 1 - m.bit_length()
+    if a * b >= 0:
+        lo = max(lo, max(abs(a), abs(b)).bit_length() - 1)
+    return lo, m.bit_length()
+
+
+def _top_term_bits(p: int, P: Poly, s: int) -> tuple:
+    """(lo, hi, g) for P = (1/D) sum c_k z^k (`algebra._int_form`), deg P = n
+    >= 0, under sqrt p -> s sqrt p: at real x, w >= 1 with |x| >= 2^(g + 1) w,
+    T = sum c_k x^k w^(n - k) has 2^lo |x|^n < |T| < 2^hi |x|^n.  If 2^a <=
+    |c_n| < 2^b, |c_k| < 2^hi_k and g (n - k) >= hi_k - a + 1 for k < n, term
+    k is below 2^-(n - k + 1) |c_n x^n|: T is within a factor 2 of c_n x^n."""
+    *rest, (ca, cb) = _int_form(P)[1]
+    a, b = _real_bits(p, ca, s * cb)
+    his = [(k, _real_bits(p, x, s * y)[1]) for k, (x, y) in enumerate(rest) if x or y]
+    return a - 1, b + 1, max((-((a - 1 - hk) // (len(rest) - k)) for k, hk in his), default=0)
+
+
+def _embedding_prover(F: RationalMap, h: int):
+    """A test of `_point` triples (u, v, w), X = u + v sqrt p, True only if
+    F(X/w) has a reduced height above h bits or N(X/w) = 0; None unless
+    deg Q > deg N.  For (xa, xb, d) = `_quotient(p, n0, q0)`, n0 and q0 of
+    `_values`, the real embeddings s+- (sqrt p -> +-sqrt p) give d = s+(q0)
+    s-(q0) and xa +- xb sqrt p = s+-(n0) s-+(q0), so |xa|, |xb| <=
+    max(|s+(n0) s-(q0)|, |s-(n0) s+(q0)|).  s(q0) = Dn T_Q and s(n0) =
+    Dd w^(m - n) T_N for the sums T of `_top_term_bits` at s(X), m = deg Q,
+    n = deg N.  If bitlen(d) provably exceeds bitlen(x) by more than h, a
+    nonzero coordinate x leaves d/gcd(x, d) over h bits (see
+    `_leading_bits_taller`)."""
+    p, n, m = F.p, F.num.degree, F.den.degree
+    if not m > n >= 0:
+        return None
+    dn, dd = _int_form(F.num)[0].bit_length(), _int_form(F.den)[0].bit_length()
+    tops = [(_top_term_bits(p, F.num, s), _top_term_bits(p, F.den, s)) for s in (1, -1)]
+
+    def taller(u: int, v: int, w: int) -> bool:
+        if not (u or v):
+            return False
+        wb, lo_d, his = w.bit_length(), 1, []
+        for s, ((_, hi_n, g_n), (lo_q, hi_q, g_q)) in zip((1, -1), tops):
+            x_lo, x_hi = _real_bits(p, u, s * v)
+            if x_lo - wb - 1 < max(g_n, g_q):
+                return False
+            # bitlen(d) >= lo_d once both are in; |s(n0)|, |s(q0)| < 2^his
+            lo_d += dn - 1 + lo_q + m * x_lo
+            his.append((dd + wb * (m - n) + hi_n + n * x_hi, dn + hi_q + m * x_hi))
+        (n_p, q_p), (n_m, q_m) = his
+        return lo_d - max(n_p + q_m, n_m + q_p) > h
+
+    return taller
+
+
+def _residue_step(F: RationalMap, point: tuple, vden: int, prec: int) -> tuple:
+    """(F(point) rounded mod p^prec, vden = v_p(d)) for a point proved tall,
+    from n0, q0 mod p^K, K = prec + 2 vden for the guess `vden`, redone if
+    q0 mod p^K != 0 shows a larger vden; (None, vden) if q0 or n0 is 0."""
+    p, K = F.p, 0
+    while K < prec + 2 * vden:
+        K = prec + 2 * vden
+        n0, _, q0, _ = _values(F, point, False, p**K)
+        if not any(q0):
+            return None, vden
+        vden = _twice_val(p, q0)
+    return (_round_residues(p, n0, q0, 1, vden, prec) if any(n0) else None), vden
 
 
 @dataclass(frozen=True)
@@ -456,42 +524,39 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
 
     Records v(z_k - ref) when a reference point is supplied and the size of
     each step.  A pole truncates the orbit with a marked entry.  Points are
-    held at bounded height by rounding mod p^precision: each F(z) goes to
-    `_round_quotient` as the pairs N(z), Q(z) of `algebra._values`, so a
-    point that the leading bits prove tall is rounded from residues, and
-    the full quotient is formed only otherwise.  A recorded valuation is
-    exact only while it is below `precision`; `precision` must be an
-    int >= 1.
+    rounded mod p^precision as `_round_point` rounds the reduced F(z), in
+    three tiers: when the real embeddings prove F(z) tall, N(z) and Q(z)
+    are formed only mod p^(precision + 2 vden) (`_residue_step`); else they
+    are exact and `_round_quotient` rounds by leading bits or by gcd.  A
+    recorded valuation is exact only below `precision`, an int >= 1;
+    `steps` is an int >= 0.
     """
-    if not isinstance(precision, int) or isinstance(precision, bool) or precision < 1:
-        raise ValueError(f"orbit precision must be an integer >= 1, got {precision!r}")
+    for name, n, least in (("steps", steps, 0), ("precision", precision, 1)):
+        if not isinstance(n, int) or isinstance(n, bool) or n < least:
+            raise ValueError(f"orbit {name} must be an integer >= {least}, got {n!r}")
     if not isinstance(z0, KElement):
         z0 = KElement(F.p, z0)
     if ref is not None and not isinstance(ref, KElement):
         ref = KElement(F.p, ref)
-    out = [
-        OrbitStep(
-            k=0,
-            point=z0,
-            dist_exp=(z0 - ref).valuation() if ref is not None else None,
-            step_exp=None,
-        )
-    ]
-    z = z0
+
+    def entry(k: int, point: KElement, prev: KElement | None) -> OrbitStep:
+        dist = (point - ref).valuation() if ref is not None else None
+        return OrbitStep(k, point, dist, (point - prev).valuation() if prev is not None else None)
+
+    out = [entry(0, z0, None)]
+    taller = _embedding_prover(F, 8 * precision)
+    z, vden = z0, 0
     for k in range(1, steps + 1):
-        n0, _, q0, _ = _values(F, _point(F.p, z), False)
-        if not any(q0):
-            out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None))
-            break
-        nxt = _round_quotient(F.p, n0, q0, 1, precision)
-        out.append(
-            OrbitStep(
-                k=k,
-                point=nxt,
-                dist_exp=(nxt - ref).valuation() if ref is not None else None,
-                step_exp=(nxt - z).valuation(),
-            )
-        )
+        point, nxt = _point(F.p, z), None
+        if taller is not None and taller(*point):
+            nxt, vden = _residue_step(F, point, vden, precision)
+        if nxt is None:
+            n0, _, q0, _ = _values(F, point, False)
+            if not any(q0):
+                out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None))
+                break
+            nxt, vden = _round_quotient(F.p, n0, q0, 1, precision), _twice_val(F.p, q0)
+        out.append(entry(k, nxt, z))
         z = nxt
     return out
 

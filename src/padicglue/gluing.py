@@ -173,6 +173,12 @@ def build_h(a, c: KElement, M: int) -> RationalMap:
     return RationalMap(Poly.constant(p, cM), Poly.constant(p, cM) - shifted)
 
 
+def _check_exponent(e: ValExp, what: str) -> None:
+    # radius and delta exponents set the size of c_i = p^(s_i), 2 s_i = r_i + delta_i
+    if not -RADIUS_LIMIT <= e <= RADIUS_LIMIT:
+        raise LimitExceeded(f"{what} {_show(e)} is outside [-{RADIUS_LIMIT}, {RADIUS_LIMIT}]")
+
+
 def _check_models(models) -> None:
     # the hypotheses on the local models: at least one, on pairwise disjoint
     # balls, every f_i pole-free on every ball B_j and f_i(B_j) inside
@@ -181,11 +187,7 @@ def _check_models(models) -> None:
     if not models:
         raise HypothesisViolation("need at least one local model")
     for i, m in enumerate(models):
-        if not -RADIUS_LIMIT <= m.domain.radius <= RADIUS_LIMIT:
-            raise LimitExceeded(
-                f"ball {i}: radius exponent {_show(m.domain.radius)} is outside"
-                f" [-{RADIUS_LIMIT}, {RADIUS_LIMIT}]"
-            )
+        _check_exponent(m.domain.radius, f"ball {i}: radius exponent")
     for (i, mi), (j, mj) in combinations(enumerate(models), 2):
         if not mi.domain.disjoint_from(mj.domain):
             raise HypothesisViolation(f"balls not pairwise disjoint: balls {i} and {j} intersect")
@@ -280,6 +282,8 @@ def plan_gluing(
             raise HypothesisViolation(f"{name} override must list {n} entries, one per ball")
     if delta_override is not None:
         deltas = [ValExp(d) for d in delta_override]
+        for i, d in enumerate(deltas):
+            _check_exponent(d, f"delta_override[{i}]: exponent")
     elif n == 1:
         raise HypothesisViolation("a single ball needs an explicit delta_override")
     else:

@@ -64,8 +64,8 @@ __all__ = [
 # is_prime is trial division: about 23,000 divisions just below this bound,
 # hours for a prime near 2^61
 PRIME_LIMIT = 2**31
-# sample points per ball (glue, verify and example use 8 or 100) and orbit
-# steps (the benchmark's orbits take 30); each costs one exact evaluation
+# sample points per ball (8 or 100 in use), each one exact evaluation, and
+# orbit steps per run or problem file (30 in use), each one evaluation of F
 SAMPLES_LIMIT = 10**4
 STEPS_LIMIT = 10**4
 
@@ -514,6 +514,7 @@ def problem_from_json(obj) -> dict:
         "c_override", lambda c, w: None if c is None else kelement_from_json(c, p, w)
     )
     prob["orbits"] = entries("orbits", lambda o, w: _orbit_request_from_json(o, p, w))
+    check_count(sum(o["steps"] for o in prob["orbits"] or ()), STEPS_LIMIT, "problem.orbits steps")
     return prob
 
 

@@ -898,6 +898,22 @@ class TestLimits:
         assert main(["glue", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith(err)
 
+    def test_orbit_steps_in_all_above_limit_exit_2(self, tmp_path, capsys):
+        # every entry is within the limit, but together they ask for more
+        # orbit work than one entry may
+        doc = ex2_problem()
+        half = dict(doc["orbits"][0], steps=STEPS_LIMIT // 2)
+        doc["orbits"] = [half, half]
+        assert len(problem_from_json(doc)["orbits"]) == 2
+        doc["orbits"].append(dict(half, steps=1))
+        path = tmp_path / "steps.json"
+        write_json(path, doc)
+        assert main(["glue", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"limit exceeded: problem.orbits steps: {2 * (STEPS_LIMIT // 2) + 1}"
+            f" is above the limit of {STEPS_LIMIT}"
+        )
+
     def test_zero_counts_run(self, ex2_paths):
         _, result = ex2_paths
         assert main(["orbit", "--input", str(result), "--start", "9", "--steps", "0"]) == 0

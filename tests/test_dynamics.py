@@ -262,6 +262,14 @@ class TestGluedOrbits:
         with pytest.raises(ValueError, match="precision must be an integer >= 1"):
             orbit(F, 1, 3, ref=0, precision=precision)
 
+    @pytest.mark.parametrize("steps", (2.5, True, -3, "3", None))
+    def test_bad_steps_rejected(self, glued_ex2, steps):
+        # 2.5 used to end in range()'s TypeError, True to run one step and
+        # -3 to return only the start
+        _, _, F = glued_ex2
+        with pytest.raises(ValueError, match=r"orbit steps must be an integer >= 0, got "):
+            orbit(F, 1, steps, ref=0)
+
     def test_precision_one_agrees_mod_p(self, glued_ex2):
         _, _, F = glued_ex2
         coarse, fine = orbit(F, 1, 3, precision=1), orbit(F, 1, 3)

@@ -220,6 +220,19 @@ class TestPlanGluing:
             with pytest.raises(LimitExceeded, match="ball 1: radius exponent"):
                 validate_plan(models, plan_gluing(models[:1], EX2_EPSILON, delta_override=[1]))
 
+    def test_delta_override_limit(self):
+        # with one ball nothing bounds delta from below, and s = (r + delta)/2
+        # sets the size of c = p^s: ex2's first ball alone with delta 3^100000
+        # used to glue to |F - f_0| <= 3^(-50004), and 3^(10^6) still ran after 40 s
+        one, lim = ex2_models()[:1], gluing.RADIUS_LIMIT
+        assert plan_gluing(one, EX2_EPSILON, delta_override=[-lim]).deltas == (Radius(-lim),)
+        for d in (-(lim + 1), -100000, -(10**6), lim + 1, Fraction(2 * lim + 1, 2)):
+            with pytest.raises(LimitExceeded, match=rf"^delta_override\[0\]: exponent {d} is outside"):
+                plan_gluing(one, EX2_EPSILON, delta_override=[d])
+        # the entry is named, and it is checked before any c_i is formed
+        with pytest.raises(LimitExceeded, match=r"^delta_override\[2\]: exponent -600 is outside"):
+            plan_gluing(ex2_models(), EX2_EPSILON, delta_override=[Radius(1), Radius(1), -600])
+
     def test_c_override(self):
         models = ex2_models()
         good = [-uniformizer_power(3, Fraction(3, 2))] * 3

@@ -169,3 +169,24 @@ def test_radius_edit_exits_2_promptly(sources, tmp_path, radius):
     )
     assert run.returncode == 2
     assert run.stderr.startswith(f"limit exceeded: ball 0: radius exponent {radius} is outside")
+
+
+@pytest.mark.parametrize("delta", [str(-(RADIUS_LIMIT + 1)), "-1000000", str(-HUGE[3])])
+def test_delta_override_edit_exits_2_promptly(sources, tmp_path, delta):
+    # with one ball nothing bounds delta from below, and s = (r + delta)/2
+    # sets the size of c = p^s: ex2's first ball alone with delta 3^(10^6)
+    # still ran after 40 s, so a separate process turns a lost limit into a
+    # timeout
+    doc = copy.deepcopy(sources["ex2"])
+    doc["models"] = doc["models"][:1]
+    doc["delta_override"] = [delta]
+    del doc["census"], doc["orbits"]
+    path = tmp_path / "delta.json"
+    _write(path, doc)
+    run = subprocess.run(
+        [sys.executable, "-m", "padicglue.cli", "glue", "--input", str(path)],
+        capture_output=True, text=True, timeout=CASE_SECONDS,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"limit exceeded: delta_override[0]: exponent {delta} is outside")

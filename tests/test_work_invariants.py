@@ -3,8 +3,8 @@
 A lost optimisation shows up in a timed benchmark only as noise, so the
 counts are pinned here instead: the spot checks evaluate each map once per
 sample, the gcd of a glued sum runs the exact Euclid only when the
-modular pretest cannot certify coprimality, and an orbit point whose
-leading bits prove it tall is rounded from residues.  Shifts per center
+modular pretest cannot certify coprimality, and an orbit point that the
+real embeddings prove tall is rounded from residues.  Shifts per center
 are pinned in test_lazy_shift.py and by the `spy_shifts` tests.
 """
 
@@ -84,16 +84,17 @@ def test_modular_pretest_certifies_coprime_glues(seed, monkeypatch):
 @pytest.mark.parametrize("p, rounded", ((3, 28), (5, 28), (7, 28)))
 def test_orbit_rounds_tall_points_from_residues(p, rounded, monkeypatch):
     # 30 steps at precision 256 from a start near the attracting center:
-    # from the third step on every quotient N(z)/Q(z) is proved tall by
-    # the leading bits alone, and only its residues mod p^(256 + 2 vden)
-    # are multiplied; the first two are short
+    # from the third step on the real embeddings prove every F(z) tall,
+    # and N(z) and Q(z) are only formed mod p^(256 + 2 vden), vden read
+    # from the last exact step; exact `_values` runs on the first two,
+    # which are short
     F, (a0, _, _) = fixed_point_instance(p)
-    lead = spy(monkeypatch, dynamics, "_leading_bits_taller")
-    quotients = spy(monkeypatch, dynamics, "_quotient")
+    tier = spy(monkeypatch, dynamics, "_residue_step")
+    values = spy(monkeypatch, dynamics, "_values")
     orbit(F, FieldConfig(p)(a0 + p**3), 30, precision=256)
-    assert len(lead) == len(quotients) == 30
-    assert sum(taller for _, taller in lead) == rounded
-    for ((_, _, _, den, scale), taller), ((_, *pairs), _) in zip(lead, quotients):
-        if taller:
-            vden = field._twice_val(p, den)
-            assert scale == 1 and all(0 <= x < p ** (256 + 2 * vden) for x in sum(pairs, ()))
+    assert sum(out is not None for _, (out, _) in tier) == len(tier) == rounded
+    assert [len(args) for args, _ in values] == [3, 3] + [4] * rounded
+    for args, (n0, _, q0, _) in values[2:]:
+        vden = field._twice_val(p, q0)
+        assert args[3] == p ** (256 + 2 * vden)
+        assert all(0 <= x < p ** (256 + 2 * vden) for x in n0 + q0)
