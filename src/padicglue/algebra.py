@@ -378,6 +378,18 @@ def _mul(p: int, x: tuple, y: tuple) -> tuple:
     return a * c + p * b * d, a * d + b * c
 
 
+def _convolve(p: int, xs, ys) -> list:
+    """The product of two polynomials whose ascending coefficients are
+    Z[sqrt p] pairs, as a list of pairs; no `KElement` is formed."""
+    n = max(len(xs) + len(ys) - 1, 0)
+    oa, ob = [0] * n, [0] * n
+    for i, (a, b) in enumerate(xs):
+        for j, (c, d) in enumerate(ys):
+            oa[i + j] += a * c + p * b * d
+            ob[i + j] += a * d + b * c
+    return list(zip(oa, ob))
+
+
 def _sub(x: tuple, y: tuple) -> tuple:
     return x[0] - y[0], x[1] - y[1]
 

@@ -14,11 +14,12 @@ in the value group |C_v^x|; the surjectivity criteria need that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, zip_longest
 from math import inf, isqrt
+from types import SimpleNamespace
 
 from .algebra import (
-    Poly, RationalMap, _element, _int_form, _mul, _point, _quotient, _sub, _values,
+    Poly, RationalMap, _convolve, _element, _int_form, _mul, _point, _quotient, _sub, _values,
 )
 from .errors import HenselConditionError, PoleInBallError, _show
 from .field import KElement, ValExp, _coords_mod, _int_val, _twice_val, reduce_mod
@@ -272,18 +273,16 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     """Newton refinement of a fixed point of F from a seed satisfying the
     Hensel condition v(G(start)) > 2 v(G'(start)) for G = F - z.
 
-    Iterates z <- z - G(z)/G'(z) until v(G(z)) >= target_exp (checked by
-    exact evaluation).  Each iterate steps on F itself: with z = X/w and
-    the pairs n0, n1, q0, q1 of `algebra._values` (F(z) = n0/q0 and
-    F'(z) = T/q0^2, T = n1 q0 - n0 q1), G(z) = g0/(w q0) with
-    g0 = w n0 - X q0 and G'(z) = g1/q0^2 with g1 = T - q0^2, so the
-    iterate is (X g1 - q0 g0)/(w g1).  Iterates are rounded to a generous
-    p-adic working precision so coordinate heights stay bounded: the
-    pairs X g1 - q0 g0 and g1 and the scale w go to `_round_quotient`,
-    which forms the quotient from residues when the leading bits prove
-    the iterate tall.  The final exactness check is unaffected by the
-    rounding.
+    Iterates z <- z - G(z)/G'(z) until v(G(z)) >= target_exp, tested
+    exactly on F: with z = X/w and the pairs of `algebra._values`,
+    G(z) = g0/(w q0), g0 = w n0 - X q0, and at the seed only, G'(z) =
+    g1/q0^2, g1 = (n1 - q0) q0 - n0 q1.  Each iterate is a `_step` of
+    Newton's map (`_newton_map`), rounded as `orbit` rounds, at a working
+    precision far above the target.  Q(z) != 0 is checked first, so a
+    step meets a pole exactly where G' vanishes.  `max_iter` is an int.
     """
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
+        raise ValueError(f"hensel_fixed_point max_iter must be an integer, got {max_iter!r}")
     if not isinstance(start, KElement):
         start = KElement(F.p, start)
     target = ValExp(target_exp)
@@ -294,33 +293,58 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     # the valuations the iteration reasons about
     prec = target.t + 128 + F.degree
 
-    z = start
+    z, vden = start, 0
     for k in count():
         *X, w = point = _point(p, z)
-        n0, n1, q0, q1 = _values(F, point, True)
+        n0, n1, q0, q1 = _values(F, point, k == 0)
         if not any(q0):
             raise HenselConditionError(
                 "seed point is a pole of the map" if k == 0 else "iteration stepped onto a pole"
             )
         g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
-        # T - q0^2 = (n1 - q0) q0 - n0 q1
-        g1 = _sub(_mul(p, _sub(n1, q0), q0), _mul(p, n0, q1))
         vq = _twice_val(p, q0)
         vg = ValExp.twice(_twice_val(p, g0) - 2 * _int_val(w, p) - vq if any(g0) else inf)
         if vg >= target:
             return z
-        if not any(g1):
-            raise HenselConditionError(
-                "G' vanishes at the seed point" if k == 0 else "G' vanished during the iteration"
-            )
-        vgp = ValExp.twice(_twice_val(p, g1) - 2 * vq)
-        if k == 0 and not vg > vgp * 2:
-            raise HenselConditionError(
-                f"Hensel condition fails at seed: v(G) = {vg}, v(G') = {vgp}"
-            )
+        if k == 0:
+            g1 = _sub(_mul(p, _sub(n1, q0), q0), _mul(p, n0, q1))
+            if not any(g1):
+                raise HenselConditionError("G' vanishes at the seed point")
+            vgp = ValExp.twice(_twice_val(p, g1) - 2 * vq)
+            if not vg > vgp * 2:
+                raise HenselConditionError(
+                    f"Hensel condition fails at seed: v(G) = {vg}, v(G') = {vgp}"
+                )
+            newton = _newton_map(F)
+            taller = _embedding_prover(newton, 8 * prec)
+        z, vden = _step(newton, point, taller, vden, prec)
+        if z is None:
+            raise HenselConditionError("G' vanished during the iteration")
         if k >= max_iter:
             raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
-        z = _round_quotient(p, _sub(_mul(p, X, g1), _mul(p, q0, g0)), g1, w, prec)
+
+
+def _newton_map(F: RationalMap) -> SimpleNamespace:
+    """Newton's map z - G/G' of G = F - z, for F = N/Q, as the unreduced
+    (z W - N Q)/(W - Q^2), W = N'Q - N Q', so that W - Q^2 = Q^2 G'; with
+    N = a/Dn, Q = b/Dd over `_int_form` pairs, times Dn Dd^2 that is
+    Dd (z c - a b) over Dd c - Dn b^2, c = a'b - a b'.  No gcd is taken:
+    where Q(z) != 0 the denominator vanishes exactly where G' does.  For
+    m = deg Q > deg N = n the degrees are at most n + m over 2m, which
+    `_embedding_prover` covers.  Like a map, it has num, den and p."""
+    p = F.p
+    (dn, a), (dd, b) = _int_form(F.num), _int_form(F.den)
+    da, db = ([(k * x, k * y) for k, (x, y) in enumerate(xs)][1:] for xs in (a, b))
+
+    def comb(s, xs, t, ys):  # s xs - t ys
+        pairs = zip_longest(xs, ys, fillvalue=(0, 0))
+        return [(s * x - t * u, s * y - t * v) for (x, y), (u, v) in pairs]
+
+    c = comb(1, _convolve(p, da, b), 1, _convolve(p, a, db))
+    num = comb(dd, [(0, 0), *c], dd, _convolve(p, a, b))
+    den = comb(dd, c, dn, _convolve(p, b, b))
+    num, den = (Poly(p, [KElement(p, x, y) for x, y in pairs]) for pairs in (num, den))
+    return SimpleNamespace(p=p, num=num, den=den)
 
 
 def _round_point(z: KElement, prec: int) -> KElement:
@@ -329,106 +353,13 @@ def _round_point(z: KElement, prec: int) -> KElement:
     return z if h <= 8 * prec else reduce_mod(z, prec)
 
 
-# leading bits of each factor that `_quotient_bits` keeps: the sqrt p
-# parts of glued maps make orbit quotients cancel in about 300 leading bits
-_LEAD_BITS = 384
-
-
-def _lead(x: int) -> tuple:
-    """x as an interval (lo, hi, s) with lo 2^s <= x <= hi 2^s, from the
-    leading _LEAD_BITS bits of x; exact (lo = hi = x, s = 0) for a short x."""
-    s = max(x.bit_length() - _LEAD_BITS, 0)
-    t = x >> s  # floor, for either sign
-    return (t, t, 0) if not s else (t, t + 1, s)
-
-
-def _lead_mul(x: tuple, y: tuple) -> tuple:
-    (a, b, s), (c, d, t) = x, y
-    ends = (a * c, a * d, b * c, b * d)
-    return min(ends), max(ends), s + t
-
-
-def _lead_sub(x: tuple, y: tuple) -> tuple:
-    # both intervals are widened to the coarser scale, lo down and hi up
-    (a, b, s), (c, d, t) = x, y
-    u = max(s, t)
-    a, b, c, d = a >> (u - s), -(-b >> (u - s)), c >> (u - t), -(-d >> (u - t))
-    return a - d, b - c, u
-
-
-def _lead_bitlen(x: tuple) -> tuple | None:
-    """(lo, hi) with lo <= bitlen(v) <= hi for every v in the interval x,
-    or None when x holds 0: then the truncation error could hide
-    cancellation down to any size, zero included."""
-    lo, hi, s = x
-    if lo > 0:
-        return lo.bit_length() + s, hi.bit_length() + s
-    if hi < 0:
-        return (-hi).bit_length() + s, (-lo).bit_length() + s
-    return None
-
-
-def _quotient_bits(p: int, num: tuple, den: tuple, scale: int) -> tuple:
-    """Bounds on the bit lengths of xa, xb and d * scale for
-    (xa, xb, d) = `_quotient(p, num, den)`, each a `_lead_bitlen` range
-    or None, from the leading bits of the factors alone: xa = na da -
-    p nb db, xb = nb da - na db and d = da^2 - p db^2 are never formed."""
-    (na, nb), (da, db) = num, den
-    na, nb, da, db, cp = _lead(na), _lead(nb), _lead(da), _lead(db), _lead(p)
-    d = _lead_mul(_lead_sub(_lead_mul(da, da), _lead_mul(cp, _lead_mul(db, db))), _lead(scale))
-    xa = _lead_sub(_lead_mul(na, da), _lead_mul(cp, _lead_mul(nb, db)))
-    xb = _lead_sub(_lead_mul(nb, da), _lead_mul(na, db))
-    return _lead_bitlen(xa), _lead_bitlen(xb), _lead_bitlen(d)
-
-
-def _leading_bits_taller(h: int, p: int, num: tuple, den: tuple, scale: int) -> bool:
-    """True when `_quotient_bits` proves |bitlen(x) - bitlen(d scale)| > h
-    for a nonzero coordinate x of (xa, xb, d) = `_quotient(p, num, den)`;
-    then x/(d scale) in lowest terms has a numerator or denominator of
-    more than h bits.  False when the bounds cannot prove it.
-
-    g = gcd(x, d scale) divides both, so bitlen(g) <= min(bitlen(x),
-    bitlen(d scale)).  Since |x| >= 2^(bitlen(x) - 1) and g < 2^bitlen(g),
-    |x/g| exceeds 2^(bitlen(x) - bitlen(g) - 1), so x/g has at least
-    bitlen(x) - bitlen(d scale) bits; likewise (d scale)/g has at least
-    bitlen(d scale) - bitlen(x).
-    """
-    *coords, bits_d = _quotient_bits(p, num, den, scale)
-    if bits_d is None:
-        return False
-    lo_d, hi_d = bits_d
-    return any(
-        bits is not None and (bits[0] - hi_d > h or lo_d - bits[1] > h) for bits in coords
-    )
-
-
-def _round_quotient(p: int, num: tuple, den: tuple, scale: int, prec: int) -> KElement:
-    """`_round_point` of the point num/(den scale), for Z[sqrt p] pairs
-    num and den != (0, 0) and an integer scale != 0, in two tiers.
-
-    The rule stays `_round_point`'s: round mod p^prec iff the reduced
-    height exceeds H = 8 prec bits.  Rounding depends only on the value,
-    so whenever the height is proved to exceed H the result is the residue
-    `reduce_mod` gives for the reduced point.
-    - Leading bits: when `_leading_bits_taller` proves the height above H
-      for the quotient's integers xa, xb and d = (da^2 - p db^2) scale,
-      `_round_residues` rounds it, with vden = v_p(d) = min(2 v(da),
-      2 v(db) + 1) + v(scale): the two terms differ in parity.
-    - gcd: otherwise the point is reduced and handed to `_round_point`.
-    """
-    if _leading_bits_taller(8 * prec, p, num, den, scale):
-        return _round_residues(p, num, den, scale, _twice_val(p, den) + _int_val(scale, p), prec)
-    xa, xb, d = _quotient(p, num, den)
-    return _round_point(_element(p, xa, xb, d * scale), prec)
-
-
-def _round_residues(p: int, num: tuple, den: tuple, scale: int, vden: int, prec: int) -> KElement:
-    """`reduce_mod(num/(den scale), prec)` for vden = v_p(d) of the quotient's
-    d, from the inputs mod p^(prec + 2 vden): all `field._coords_mod` reads."""
+def _round_residues(p: int, num: tuple, den: tuple, vden: int, prec: int) -> KElement:
+    """`reduce_mod(num/den, prec)` for Z[sqrt p] pairs, vden = v_p(d) of the
+    quotient, from the inputs mod p^(prec + 2 vden): all `_coords_mod` reads."""
     m = p ** (prec + 2 * vden)
     (na, nb), (da, db) = num, den
     xa, xb, d = _quotient(p, (na % m, nb % m), (da % m, db % m))
-    return KElement(p, *_coords_mod((xa, xb), d * (scale % m), vden, p, prec))
+    return KElement(p, *_coords_mod((xa, xb), d, vden, p, prec))
 
 
 def _real_bits(p: int, a: int, b: int) -> tuple:
@@ -455,17 +386,18 @@ def _top_term_bits(p: int, P: Poly, s: int) -> tuple:
     return a - 1, b + 1, max((-((a - 1 - hk) // (len(rest) - k)) for k, hk in his), default=0)
 
 
-def _embedding_prover(F: RationalMap, h: int):
+def _embedding_prover(F, h: int):
     """A test of `_point` triples (u, v, w), X = u + v sqrt p, True only if
     F(X/w) has a reduced height above h bits or N(X/w) = 0; None unless
-    deg Q > deg N.  For (xa, xb, d) = `_quotient(p, n0, q0)`, n0 and q0 of
-    `_values`, the real embeddings s+- (sqrt p -> +-sqrt p) give d = s+(q0)
-    s-(q0) and xa +- xb sqrt p = s+-(n0) s-+(q0), so |xa|, |xb| <=
-    max(|s+(n0) s-(q0)|, |s-(n0) s+(q0)|).  s(q0) = Dn T_Q and s(n0) =
-    Dd w^(m - n) T_N for the sums T of `_top_term_bits` at s(X), m = deg Q,
-    n = deg N.  If bitlen(d) provably exceeds bitlen(x) by more than h, a
-    nonzero coordinate x leaves d/gcd(x, d) over h bits (see
-    `_leading_bits_taller`)."""
+    deg Q > deg N.  F = N/Q is a `RationalMap` or a `_newton_map`; only
+    F.num and F.den are read, and they need not be coprime.  For (xa, xb,
+    d) = `_quotient(p, n0, q0)`, n0 and q0 of `_values`, the real
+    embeddings s+- (sqrt p -> +-sqrt p) give d = s+(q0) s-(q0) and
+    xa +- xb sqrt p = s+-(n0) s-+(q0), so |xa|, |xb| <= max(|s+(n0) s-(q0)|,
+    |s-(n0) s+(q0)|).  s(q0) = Dn T_Q and s(n0) = Dd w^(m - n) T_N for the
+    sums T of `_top_term_bits` at s(X), m = deg Q, n = deg N.  If bitlen(d)
+    provably exceeds bitlen(x) by more than h, x != 0, then d/gcd(x, d) has
+    over h bits, as gcd(x, d) <= |x| < 2^bitlen(x), |d| >= 2^(bitlen(d) - 1)."""
     p, n, m = F.p, F.num.degree, F.den.degree
     if not m > n >= 0:
         return None
@@ -489,7 +421,7 @@ def _embedding_prover(F: RationalMap, h: int):
     return taller
 
 
-def _residue_step(F: RationalMap, point: tuple, vden: int, prec: int) -> tuple:
+def _residue_step(F, point: tuple, vden: int, prec: int) -> tuple:
     """(F(point) rounded mod p^prec, vden = v_p(d)) for a point proved tall,
     from n0, q0 mod p^K, K = prec + 2 vden for the guess `vden`, redone if
     q0 mod p^K != 0 shows a larger vden; (None, vden) if q0 or n0 is 0."""
@@ -500,7 +432,23 @@ def _residue_step(F: RationalMap, point: tuple, vden: int, prec: int) -> tuple:
         if not any(q0):
             return None, vden
         vden = _twice_val(p, q0)
-    return (_round_residues(p, n0, q0, 1, vden, prec) if any(n0) else None), vden
+    return (_round_residues(p, n0, q0, vden, prec) if any(n0) else None), vden
+
+
+def _step(F, point: tuple, taller, vden: int, prec: int) -> tuple:
+    """(F(x) rounded as `_round_point` rounds the reduced F(x), vden) at the
+    `_point` triple of x, or (None, vden) at a pole: from residues when
+    `taller` (`_embedding_prover` of F, or None) proves F(x) tall, else
+    exactly and by gcd.  vden = v_p(d) of the quotient guesses the next."""
+    if taller is not None and taller(*point):
+        nxt, vden = _residue_step(F, point, vden, prec)
+        if nxt is not None:
+            return nxt, vden
+    p = F.p
+    n0, _, q0, _ = _values(F, point, False)
+    if not any(q0):
+        return None, vden
+    return _round_point(_element(p, *_quotient(p, n0, q0)), prec), _twice_val(p, q0)
 
 
 @dataclass(frozen=True)
@@ -524,11 +472,11 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
 
     Records v(z_k - ref) when a reference point is supplied and the size of
     each step.  A pole truncates the orbit with a marked entry.  Points are
-    rounded mod p^precision as `_round_point` rounds the reduced F(z), in
-    three tiers: when the real embeddings prove F(z) tall, N(z) and Q(z)
-    are formed only mod p^(precision + 2 vden) (`_residue_step`); else they
-    are exact and `_round_quotient` rounds by leading bits or by gcd.  A
-    recorded valuation is exact only below `precision`, an int >= 1;
+    rounded mod p^precision as `_round_point` rounds the reduced F(z), by
+    `_step`: when the real embeddings prove F(z) tall, N(z) and Q(z) are
+    formed only mod p^(precision + 2 vden); else they are exact and the
+    quotient is reduced by gcd.  `hensel_fixed_point` steps the same way.
+    A recorded valuation is exact only below `precision`, an int >= 1;
     `steps` is an int >= 0.
     """
     for name, n, least in (("steps", steps, 0), ("precision", precision, 1)):
@@ -547,15 +495,10 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
     taller = _embedding_prover(F, 8 * precision)
     z, vden = z0, 0
     for k in range(1, steps + 1):
-        point, nxt = _point(F.p, z), None
-        if taller is not None and taller(*point):
-            nxt, vden = _residue_step(F, point, vden, precision)
+        nxt, vden = _step(F, _point(F.p, z), taller, vden, precision)
         if nxt is None:
-            n0, _, q0, _ = _values(F, point, False)
-            if not any(q0):
-                out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None))
-                break
-            nxt, vden = _round_quotient(F.p, n0, q0, 1, precision), _twice_val(F.p, q0)
+            out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None))
+            break
         out.append(entry(k, nxt, z))
         z = nxt
     return out

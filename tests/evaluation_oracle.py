@@ -6,9 +6,10 @@ These are the `KElement` Horner loops that the integer kernel in
 `derivative_at` builds both derivative polynomials.  They are slow but
 plainly faithful to the definitions, so the library's values must equal
 theirs exactly.  The same holds for the Newton loop of
-`hensel_fixed_point`, kept here as it was before each iterate became one
-integer step, and for the loop of `orbit`, kept here as it was before
-each point was rounded straight from the integers of its quotient.
+`hensel_fixed_point`, kept here as it was before each iterate became an
+orbit step of Newton's map (`newton_step` is one step of that loop,
+unrounded), and for the loop of `orbit`, kept here as it was before each
+point was rounded straight from the integers of its quotient.
 """
 
 from padicglue import HenselConditionError, KElement, OrbitStep, Poly, RationalMap, ValExp
@@ -44,6 +45,16 @@ def derivative_at(f, x):
     dn, dd = (poly_eval(Poly(f.p, [k * c for k, c in enumerate(P.coeffs)][1:]), x)
               for P in (f.num, f.den))
     return (dn * d - n * dd) * (d * d).inverse()
+
+
+def newton_step(F, x):
+    """x - G(x) G'(x)^(-1) for G = F - z, by the loops above; None where G'
+    vanishes.  x must not be a pole of F."""
+    if not isinstance(x, KElement):
+        x = KElement(F.p, x)
+    G = RationalMap(F.num - F.den * Poly.x(F.p), F.den)
+    gpx = derivative_at(G, x)
+    return None if gpx.is_zero else x - ratmap_eval(G, x) * gpx.inverse()
 
 
 def hensel_fixed_point(F, start, target_exp, max_iter=64):

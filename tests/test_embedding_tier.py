@@ -1,10 +1,11 @@
 """The embedding tier of `dynamics.orbit` against exact arithmetic.
 
-`orbit` rounds a step from N(z) and Q(z) mod p^K alone once the two real
-embeddings of K = Q(sqrt p) prove F(z) tall (`_embedding_prover`).  The
-integer bounds that proof rests on, `_real_bits` and `_top_term_bits`,
-are checked here against exact signs in Z[sqrt p], at points where they
-are tight.  The prover is checked against exact heights, and orbits on
+`orbit` and the Newton steps of `hensel_fixed_point` round a step from
+N(z) and Q(z) mod p^K alone once the two real embeddings of K = Q(sqrt p)
+prove F(z) tall (`_embedding_prover`).  The integer bounds that proof
+rests on, `_real_bits` and `_top_term_bits`, are checked here against
+exact signs in Z[sqrt p], at points where they are tight.  The prover is
+checked against exact heights, on Newton's maps too, and orbits on
 adversarial maps and starts must equal `evaluation_oracle.orbit` step for
 step, each case saying whether the tier decided or declined.
 """
@@ -18,8 +19,8 @@ import pytest
 import evaluation_oracle as oracle
 from conftest import spy
 from padicglue import FieldConfig, KElement, Poly, RationalMap, dynamics, orbit
-from padicglue.algebra import _horner, _mul, _point
-from padicglue.dynamics import _embedding_prover, _real_bits, _top_term_bits
+from padicglue.algebra import _horner, _mul, _point, _quotient, _values
+from padicglue.dynamics import _embedding_prover, _newton_map, _real_bits, _top_term_bits
 from test_hensel_differential import fixed_point_instance
 
 
@@ -174,9 +175,11 @@ def _random_points(p: int, rng: random.Random):
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_prover_claims_only_tall_points(p):
     # whenever the prover says F(x) is taller than h bits, the exactly
-    # evaluated and reduced F(x) is, or N(x) = 0; and it does say so
+    # evaluated and reduced F(x) is, or N(x) = 0; and it does say so.  The
+    # maps include Newton's map of the instance, an unreduced quotient
     rng = random.Random(f"prover/{p}")
     maps = [fixed_point_instance(p)[0]] if p > 2 else []
+    maps += [_newton_map(F) for F in maps]
     maps += [_random_map(p, rng) for _ in range(6)]
     proved = 0
     for F in maps:
@@ -185,8 +188,10 @@ def test_prover_claims_only_tall_points(p):
             for u, v, w in _random_points(p, rng):
                 if taller(u, v, w):
                     proved += 1
-                    z = F.eval(KElement(p, Fraction(u, w), Fraction(v, w)))
-                    assert z is None or z == 0 or _height(z) > h, (F, u, v, w, h)
+                    n0, _, q0, _ = _values(F, (u, v, w), False)
+                    xa, xb, d = _quotient(p, n0, q0)
+                    z = KElement(p, Fraction(xa, d), Fraction(xb, d))
+                    assert z == 0 or _height(z) > h, (F, u, v, w, h)
     assert proved > 200
 
 

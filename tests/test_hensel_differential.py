@@ -1,9 +1,12 @@
 """Newton refinement against the `KElement` loop it replaced.
 
 `evaluation_oracle.hensel_fixed_point` steps by z - G(z) G'(z)^(-1) in
-`KElement` arithmetic; the library takes each step in integers over
-Z[sqrt p] with one division.  Both must return the same canonical
-Fractions, or raise the same error with the same message.
+`KElement` arithmetic; the library takes each step as an orbit step of
+Newton's map, built once as an unreduced quotient of integer polynomials
+(`dynamics._newton_map`).  Both must return the same canonical
+Fractions, or raise the same error with the same message, and Newton's
+map must take the oracle's value z - G(z)/G'(z) wherever G' does not
+vanish, and have a pole where it does.
 """
 
 import functools
@@ -35,6 +38,8 @@ from padicglue import (
     plan_gluing,
     suggest_witness,
 )
+from padicglue.algebra import _element, _point, _quotient, _values
+from padicglue.dynamics import _embedding_prover, _newton_map
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
 
 TARGETS = (10, 30, 64, 200)
@@ -137,6 +142,69 @@ def test_three_ball_instances(p):
     assert results[-1][1].startswith("Hensel condition fails at seed")
 
 
+def _newton_value(newton, x: KElement):
+    """Newton's map at x through `_values`, None at a pole."""
+    p = x.p
+    n0, _, q0, _ = _values(newton, _point(p, x), False)
+    return _element(p, *_quotient(p, n0, q0)) if any(q0) else None
+
+
+def _seeded_points(p: int, centers, rng: random.Random):
+    K = FieldConfig(p)
+    for a in centers:
+        a = a if isinstance(a, KElement) else K(a)
+        yield a
+        yield a + p**3 * rng.randrange(1, p)
+        yield a + K(0, p * p * rng.randrange(1, p))  # a sqrt p part
+        # denominators in both coordinates
+        yield a + K(Fraction(rng.randrange(1, 50), p), Fraction(rng.randrange(1, 50), p**2))
+        yield a + K(Fraction(1, rng.randrange(2, 9)), Fraction(rng.randrange(-9, 10), 7))
+
+
+def assert_newton_map(F, points):
+    newton = _newton_map(F)
+    for x in points:
+        if oracle.ratmap_eval(F, x) is not None:
+            assert _newton_value(newton, x) == oracle.newton_step(F, x), (F, x)
+    return newton
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_newton_map_of_three_ball_instances(p):
+    F, centers = fixed_point_instance(p)
+    newton = assert_newton_map(F, _seeded_points(p, centers, random.Random(f"newton-map/{p}")))
+    # deg Q = m > deg N = n: degree at most n + m over 2m, in reach of the
+    # embedding tier
+    n, m = F.num.degree, F.den.degree
+    assert newton.den.degree == 2 * m and newton.num.degree <= n + m
+    assert _embedding_prover(newton, 8) is not None
+
+
+def test_newton_map_of_glued_examples(glued_examples):
+    rng = random.Random("newton-map/glued")
+    ex2, ex1 = ex2_models(), ex1_models(3, Fraction(1, 3))
+    for F, models in zip(glued_examples, (ex2, ex1)):
+        centers = [m.domain.center for m in models]
+        assert_newton_map(F, _seeded_points(3, centers, rng))
+
+
+@pytest.mark.parametrize("F, zero", (
+    (RationalMap(Poly.zero(3)), "num"),  # G = -z: Newton's map is 0
+    (RationalMap(Poly.x(3) + 3), "den"),  # G' = 0 everywhere
+    (RationalMap(Poly.x(3) * Poly.x(3)), None),  # G' vanishes at 1/2
+    # G' = 2z/3 vanishes at 0
+    (RationalMap(Poly.x(3) + (Poly.x(3) * Poly.x(3) + 1) * Fraction(1, 3)), None),
+), ids=("zero", "constant-G", "square", "critical-at-0"))
+def test_newton_map_edge_cases(F, zero):
+    points = [KElement(3, x) for x in (0, 1, 2, Fraction(1, 2), 9, Fraction(5, 3))]
+    points += list(_seeded_points(3, (0, 3), random.Random("newton-map/edge")))
+    newton = assert_newton_map(F, points)
+    assert (newton.num.is_zero, newton.den.is_zero) == (zero == "num", zero == "den")
+    # for a polynomial F the numerator of its Newton map has the higher
+    # degree, or one side is 0: the embedding tier declines
+    assert _embedding_prover(newton, 8) is None
+
+
 def test_error_cases_match():
     K3 = FieldConfig(3)
     z = Poly.x(3)
@@ -167,6 +235,15 @@ def test_no_convergence_at_small_max_iter(max_iter):
     kind, text = assert_same(F, FieldConfig(5)(a0), 64, max_iter=max_iter)
     assert kind is HenselConditionError
     assert text == f"no convergence to exponent 64 in {max_iter} steps"
+
+
+@pytest.mark.parametrize("max_iter", ("3", None, 2.5, True, False))
+def test_max_iter_must_be_an_int(max_iter):
+    # "3" and None used to end in a TypeError from the step count test,
+    # and 2.5 or True in "no convergence ... in True steps"
+    F, (a0, _, _) = fixed_point_instance(5)
+    with pytest.raises(ValueError, match=f"max_iter must be an integer, got {max_iter!r}"):
+        hensel_fixed_point(F, FieldConfig(5)(a0), 64, max_iter=max_iter)
 
 
 def test_infinite_target_rejected():

@@ -2,14 +2,12 @@
 
 `evaluation_oracle.orbit` evaluates each point with `F.eval`, which
 reduces it to lowest terms, and then rounds it with `_round_point`.  The
-library rounds each quotient N(z)/Q(z) in three tiers: from N(z) and Q(z)
-mod p^K once the real embeddings prove the point tall, else through
-`dynamics._round_quotient`, from residues once the leading bits prove it
-tall and through the gcd of `_round_point` otherwise.  Both must record
-the same `OrbitStep`s, with the same canonical point at every step.  The
-embedding and gcd tiers must round points at every precision of `PLAN`;
-the leading bits round orbit points only at the lower precisions, and
-`test_round_quotient.py` covers them.
+library rounds each quotient N(z)/Q(z) in the two tiers of
+`dynamics._step`: from N(z) and Q(z) mod p^K once the real embeddings
+prove the point tall, else from the exact quotient through the gcd of
+`_round_point`.  Both must record the same `OrbitStep`s, with the same
+canonical point at every step, and both tiers must round points at every
+precision of `PLAN`.
 """
 
 import random
@@ -57,7 +55,6 @@ CASES = [*_glued_examples(), *_three_ball_examples()]
 @pytest.mark.parametrize("precision", sorted(PLAN))
 def test_same_steps(monkeypatch, precision):
     embedding = spy(monkeypatch, dynamics, "_residue_step")
-    lead = spy(monkeypatch, dynamics, "_leading_bits_taller")
     # the oracle holds its own reference to `_round_point`, so only the
     # library's fallback is recorded; a point it rounds comes back as a
     # new element
@@ -69,7 +66,6 @@ def test_same_steps(monkeypatch, precision):
             assert orbit(F, start, steps, ref=ref, precision=precision) == want, (name, start)
     tiers = {
         "embedding": sum(out is not None for _, (out, _) in embedding),
-        "leading bits": sum(taller for _, taller in lead),
         "gcd": sum(out is not z for (z, _), out in fallback),
     }
     # every tier that orbits still use rounds points at every precision

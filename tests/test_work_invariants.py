@@ -3,9 +3,10 @@
 A lost optimisation shows up in a timed benchmark only as noise, so the
 counts are pinned here instead: the spot checks evaluate each map once per
 sample, the gcd of a glued sum runs the exact Euclid only when the
-modular pretest cannot certify coprimality, and an orbit point that the
-real embeddings prove tall is rounded from residues.  Shifts per center
-are pinned in test_lazy_shift.py and by the `spy_shifts` tests.
+modular pretest cannot certify coprimality, and an orbit point or Newton
+iterate that the real embeddings prove tall is rounded from residues.
+Shifts per center are pinned in test_lazy_shift.py and by the
+`spy_shifts` tests.
 """
 
 import random
@@ -14,7 +15,8 @@ import pytest
 
 from conftest import make_gluing_instance, shared_pole_problem, spy
 from padicglue import (
-    FieldConfig, algebra, build_F, certify_theorem1, dynamics, field, gluing, orbit, plan_gluing,
+    FieldConfig, algebra, build_F, certify_theorem1, dynamics, field, gluing, hensel_fixed_point,
+    orbit, plan_gluing,
 )
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
 from test_hensel_differential import fixed_point_instance
@@ -98,3 +100,28 @@ def test_orbit_rounds_tall_points_from_residues(p, rounded, monkeypatch):
         vden = field._twice_val(p, q0)
         assert args[3] == p ** (256 + 2 * vden)
         assert all(0 <= x < p ** (256 + 2 * vden) for x in n0 + q0)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_newton_steps_are_orbit_steps_of_one_map(p, monkeypatch):
+    # Hensel to 64 from the attracting center builds Newton's map once and
+    # takes 4 steps of it: the first two points are short, so Newton's map
+    # is evaluated exactly (one point kept, one rounded), and the real
+    # embeddings prove the last two tall, formed mod p^(prec + 2 vden) with
+    # vden read from the exact step before; F itself is evaluated exactly
+    # at each of the 5 iterates, for the convergence test
+    F, (a0, _, _) = fixed_point_instance(p)
+    maps = spy(monkeypatch, dynamics, "_newton_map")
+    values = spy(monkeypatch, dynamics, "_values")
+    tier = spy(monkeypatch, dynamics, "_residue_step")
+    rounds = spy(monkeypatch, dynamics, "_round_point")
+    hensel_fixed_point(F, FieldConfig(p)(a0), 64)
+    assert [args for args, _ in maps] == [(F,)]
+    newton = maps[0][1]
+    assert [(args[0] is F, len(args)) for args, _ in values] == [
+        (True, 3), (False, 3), (True, 3), (False, 3),
+        (True, 3), (False, 4), (True, 3), (False, 4), (True, 3),
+    ]
+    assert all(args[0] in (F, newton) for args, _ in values)
+    assert [(out is not None, vden) for _, (out, vden) in tier] == [(True, 126)] * 2
+    assert [out is not z for (z, _), out in rounds] == [False, True]
