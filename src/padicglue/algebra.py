@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm
+from operator import mul
 
 from .field import KElement, ValExp, _v2
 
@@ -308,13 +309,12 @@ def _int_form(P: Poly) -> tuple:
     return form
 
 
-def _horner(P: Poly, u: int, v: int, w: int, deriv: bool, mod: int = 0) -> tuple:
+def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     """Horner's rule for P at x = (u + v sqrt p)/w, in integers.
 
     Returns (D, n, ha, hb, ga, gb) with n = max(deg P, 0) and
     P(x) = (ha + hb sqrt p)/(D w^n); when deriv is set, also
-    P'(x) = (ga + gb sqrt p)/(D w^(n-1)), else ga = gb = 0.  Given mod > 0
-    and no deriv, a loop of its own returns ha and hb reduced mod `mod`.
+    P'(x) = (ga + gb sqrt p)/(D w^(n-1)), else ga = gb = 0.
 
     An integer point (v = 0, w = 1) without deriv, the case of every spot
     check at an integer center with radius p^-e, e >= 0 an integer, runs
@@ -326,12 +326,6 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool, mod: int = 0) -> tuple
     ha, hb = cs[-1]
     ga = gb = 0
     rest = cs[-2::-1]
-    if mod:
-        u, v, w, wk, pv = u % mod, v % mod, w % mod, 1, P.p * v % mod
-        for ca, cb in rest:
-            wk = wk * w % mod
-            ha, hb = (ha * u + hb * pv + ca * wk) % mod, (ha * v + hb * u + cb * wk) % mod
-        return D, len(cs) - 1, ha % mod, hb % mod, 0, 0
     if v or deriv or w != 1:
         pv = P.p * v
         wk = 1
@@ -347,29 +341,63 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool, mod: int = 0) -> tuple
     return D, len(cs) - 1, ha, hb, ga, gb
 
 
-def _values(f: "RationalMap", point: tuple, deriv: bool, mod: int = 0) -> tuple:
+def _values(f: "RationalMap", point: tuple, deriv: bool) -> tuple:
     """N(x), N'(x), Q(x), Q'(x) for f = N/Q at the point
     x = (u + v sqrt p)/w given as its `_point` triple (u, v, w), as
     Z[sqrt p] pairs n0, n1, q0, q1, all over one common nonzero integer S.
     So f(x) = n0/q0, f'(x) = (n1 q0 - n0 q1)/q0^2, and x is a pole exactly
-    when q0 = (0, 0).  Without deriv, n1 = q1 = (0, 0); mod > 0 then
-    reduces n0 and q0 mod `mod`.
+    when q0 = (0, 0).  Without deriv, n1 = q1 = (0, 0).
 
     `_horner` gives N(x) over Dn w^n and N'(x) over Dn w^(n-1), likewise
     Q(x) and Q'(x) over Dd w^m and Dd w^(m-1); S = Dn Dd w^max(n, m).
-    No other function knows these scales.
+    Only this function and `_values_mod` know these scales.
     """
     u, v, w = point
-    dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, deriv, mod)
-    dd, m, da, db, gda, gdb = _horner(f.den, u, v, w, deriv, mod)
+    dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, deriv)
+    dd, m, da, db, gda, gdb = _horner(f.den, u, v, w, deriv)
     k = max(n, m)
-    sn, sd = dd * pow(w, k - n, mod or None), dn * pow(w, k - m, mod or None)
-    if mod:
-        return (na * sn % mod, nb * sn % mod), (0, 0), (da * sd % mod, db * sd % mod), (0, 0)
+    sn, sd = dd * w ** (k - n), dn * w ** (k - m)
     return (
         (na * sn, nb * sn), (gna * sn * w, gnb * sn * w),
         (da * sd, db * sd), (gda * sd * w, gdb * sd * w),
     )
+
+
+def _values_mod(f: "RationalMap", point: tuple, mod: int) -> tuple:
+    """n0 and q0 of `_values(f, point, False)`, reduced mod `mod` > 1.
+
+    With d = max(deg N, deg Q, 0), X = u + v sqrt p and the `_int_form`
+    pairs A_k of N and B_k of Q, n0 = Dd sum A_k T_k and q0 = Dn sum B_k T_k
+    for T_k = X^k w^(d - k).  One table of the T_k mod `mod` serves both
+    sums, so the only products of two residues are the table's; each term
+    is a short coefficient times a residue, reduced once per sum.
+    """
+    p, (u, v, w) = f.p, point
+    (dn, ncs), (dd, dcs) = _int_form(f.num), _int_form(f.den)
+    d = max(len(ncs), len(dcs), 1) - 1
+    u, v, w = u % mod, v % mod, w % mod
+    xa, xb, uv, ta, tb = 1, 0, u + v, [1], [0]
+    for _ in range(d):
+        # three products: xa v + xb u = (xa + xb)(u + v) - xa u - xb v
+        au, bv = xa * u, xb * v
+        xa, xb = (au + p * bv) % mod, ((xa + xb) * uv - au - bv) % mod
+        ta.append(xa)
+        tb.append(xb)
+    if w != 1:
+        wk = 1
+        for k in range(d - 1, -1, -1):
+            wk = wk * w % mod
+            ta[k], tb[k] = ta[k] * wk % mod, tb[k] * wk % mod
+
+    def dot(D: int, cs) -> tuple:
+        if not cs:
+            return 0, 0
+        ca, cb = zip(*cs)
+        sa = sum(map(mul, ca, ta)) + p * sum(map(mul, cb, tb))
+        sb = sum(map(mul, ca, tb)) + sum(map(mul, cb, ta))
+        return sa * D % mod, sb * D % mod
+
+    return dot(dd, ncs), dot(dn, dcs)
 
 
 def _mul(p: int, x: tuple, y: tuple) -> tuple:

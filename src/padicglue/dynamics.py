@@ -14,12 +14,14 @@ in the value group |C_v^x|; the surjectivity criteria need that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, zip_longest
 from math import inf, isqrt
 from types import SimpleNamespace
 
 from .algebra import (
-    Poly, RationalMap, _convolve, _element, _int_form, _mul, _point, _quotient, _sub, _values,
+    Poly, RationalMap, _convolve, _element, _int_form, _mul, _point, _quotient, _sub,
+    _twice_val_at_least, _values, _values_mod,
 )
 from .errors import HenselConditionError, PoleInBallError, _show
 from .field import KElement, ValExp, _coords_mod, _int_val, _twice_val, reduce_mod
@@ -273,38 +275,56 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     """Newton refinement of a fixed point of F from a seed satisfying the
     Hensel condition v(G(start)) > 2 v(G'(start)) for G = F - z.
 
-    Iterates z <- z - G(z)/G'(z) until v(G(z)) >= target_exp, tested
-    exactly on F: with z = X/w and the pairs of `algebra._values`,
-    G(z) = g0/(w q0), g0 = w n0 - X q0, and at the seed only, G'(z) =
-    g1/q0^2, g1 = (n1 - q0) q0 - n0 q1.  Each iterate is a `_step` of
-    Newton's map (`_newton_map`), rounded as `orbit` rounds, at a working
-    precision far above the target.  Q(z) != 0 is checked first, so a
-    step meets a pole exactly where G' vanishes.  `max_iter` is an int.
+    Iterates z <- z - G(z)/G'(z) until v(G(z)) >= target_exp.  At the
+    seed the test runs on exact pairs: with z = X/w and the pairs of
+    `algebra._values`, G(z) = g0/(w q0), g0 = w n0 - X q0, and G'(z) =
+    g1/q0^2, g1 = (n1 - q0) q0 - n0 q1, which the Hensel condition reads.
+    After the seed, `_residue_test` decides it from N(z) and Q(z) mod p^K
+    only, and the exact pairs are formed again only where Q(z) = 0 mod
+    p^K.  Each iterate is a `_step` of Newton's map (`_newton_map`),
+    rounded as `orbit` rounds, at a working precision far above the
+    target.  Q(z) != 0 is checked first, so a step meets a pole exactly
+    where G' vanishes.  `target_exp` is a finite exponent in (1/2)Z and
+    `max_iter` an int.
     """
     if not isinstance(max_iter, int) or isinstance(max_iter, bool):
         raise ValueError(f"hensel_fixed_point max_iter must be an integer, got {max_iter!r}")
-    if not isinstance(start, KElement):
-        start = KElement(F.p, start)
-    target = ValExp(target_exp)
+    named = isinstance(target_exp, (bool, str)) or target_exp is None
+    try:
+        target = None if named else ValExp(target_exp)
+    except (TypeError, ValueError, OverflowError):
+        target = None
+    if target is None:
+        raise ValueError(
+            f"hensel_fixed_point target_exp must be an exponent in (1/2)Z, got {target_exp!r}"
+        )
     if target.is_infinite:
         raise ValueError("target exponent must be finite")
+    if not isinstance(start, KElement):
+        start = KElement(F.p, start)
     p = F.p
     # working precision: far above the target so rounding never disturbs
     # the valuations the iteration reasons about
     prec = target.t + 128 + F.degree
 
-    z, vden = start, 0
+    # guesses of the moduli of the next Newton step and the next test
+    z, K, test = start, prec, (target.t + 1) // 2
     for k in count():
         *X, w = point = _point(p, z)
-        n0, n1, q0, q1 = _values(F, point, k == 0)
-        if not any(q0):
-            raise HenselConditionError(
-                "seed point is a pole of the map" if k == 0 else "iteration stepped onto a pole"
-            )
-        g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
-        vq = _twice_val(p, q0)
-        vg = ValExp.twice(_twice_val(p, g0) - 2 * _int_val(w, p) - vq if any(g0) else inf)
-        if vg >= target:
+        done = None
+        if k:
+            done, test = _residue_test(F, point, target.t, test)
+        if done is None:
+            n0, n1, q0, q1 = _values(F, point, k == 0)
+            if not any(q0):
+                raise HenselConditionError(
+                    "seed point is a pole of the map" if k == 0 else "iteration stepped onto a pole"
+                )
+            g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
+            vq = _twice_val(p, q0)
+            vg = ValExp.twice(_twice_val(p, g0) - 2 * _int_val(w, p) - vq if any(g0) else inf)
+            done = vg >= target
+        if done:
             return z
         if k == 0:
             g1 = _sub(_mul(p, _sub(n1, q0), q0), _mul(p, n0, q1))
@@ -317,7 +337,7 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
                 )
             newton = _newton_map(F)
             taller = _embedding_prover(newton, 8 * prec)
-        z, vden = _step(newton, point, taller, vden, prec)
+        z, K = _step(newton, point, taller, K, prec)
         if z is None:
             raise HenselConditionError("G' vanished during the iteration")
         if k >= max_iter:
@@ -353,13 +373,27 @@ def _round_point(z: KElement, prec: int) -> KElement:
     return z if h <= 8 * prec else reduce_mod(z, prec)
 
 
-def _round_residues(p: int, num: tuple, den: tuple, vden: int, prec: int) -> KElement:
-    """`reduce_mod(num/den, prec)` for Z[sqrt p] pairs, vden = v_p(d) of the
-    quotient, from the inputs mod p^(prec + 2 vden): all `_coords_mod` reads."""
-    m = p ** (prec + 2 * vden)
-    (na, nb), (da, db) = num, den
-    xa, xb, d = _quotient(p, (na % m, nb % m), (da % m, db % m))
-    return KElement(p, *_coords_mod((xa, xb), d, vden, p, prec))
+def _quotient_digits(p: int, num: tuple, den: tuple, prec: int) -> int:
+    """The K for which num and den mod p^K decide num/den mod p^prec, for
+    Z[sqrt p] pairs, den != 0: prec + ceil(2 v(den) - min(v(num), v(den))).
+    If num' and den' agree with them mod p^K, K > v(den), then v(den') =
+    v(den) and num/den - num'/den' = (num (den' - den) - (num' - num) den)
+    /(den den') has valuation at least K + min(v(num), v(den)) - 2 v(den)
+    >= prec, so both coordinates agree mod p^prec.  The valuations may be
+    read off residues mod p^K with den' != 0; num' = 0 counts as v(num) >=
+    v(den), which then holds."""
+    tq = _twice_val(p, den)
+    tn = _twice_val(p, num) if any(num) else tq
+    return prec + tq - min(tn, tq) // 2
+
+
+def _round_residues(p: int, num: tuple, den: tuple, prec: int) -> KElement:
+    """`reduce_mod(num/den, prec)` for Z[sqrt p] pairs known mod p^K, K >=
+    `_quotient_digits(p, num, den, prec)`, den != 0 mod p^K: the quotient of
+    the residues is congruent mod p^prec, and `_coords_mod` rounds it with
+    vden = v_p(d) = 2 v(den), d the norm of den."""
+    xa, xb, d = _quotient(p, num, den)
+    return KElement(p, *_coords_mod((xa, xb), d, _twice_val(p, den), p, prec))
 
 
 def _real_bits(p: int, a: int, b: int) -> tuple:
@@ -421,37 +455,76 @@ def _embedding_prover(F, h: int):
     return taller
 
 
-def _residue_step(F, point: tuple, vden: int, prec: int) -> tuple:
-    """(F(point) rounded mod p^prec, vden = v_p(d)) for a point proved tall,
-    from n0, q0 mod p^K, K = prec + 2 vden for the guess `vden`, redone if
-    q0 mod p^K != 0 shows a larger vden; (None, vden) if q0 or n0 is 0."""
-    p, K = F.p, 0
-    while K < prec + 2 * vden:
-        K = prec + 2 * vden
-        n0, _, q0, _ = _values(F, point, False, p**K)
+def _residues(F, point: tuple, K: int, digits) -> tuple | None:
+    """(n0, q0, k): n0 and q0 of `algebra._values` at `point` mod p^K
+    (`algebra._values_mod`), for the guess K (at least 1), redone at k =
+    digits(n0, q0) while that is larger.  k is read off the residues, so
+    the caller keeps it as its next guess; None where q0 = 0 mod p^K, since
+    no valuation of Q(z) can be read there."""
+    K = max(K, 1)
+    while True:
+        n0, q0 = _values_mod(F, point, F.p**K)
         if not any(q0):
-            return None, vden
-        vden = _twice_val(p, q0)
-    return (_round_residues(p, n0, q0, vden, prec) if any(n0) else None), vden
+            return None
+        k = digits(n0, q0)
+        if k <= K:
+            return n0, q0, k
+        K = k
 
 
-def _step(F, point: tuple, taller, vden: int, prec: int) -> tuple:
-    """(F(x) rounded as `_round_point` rounds the reduced F(x), vden) at the
-    `_point` triple of x, or (None, vden) at a pole: from residues when
+def _residue_test(F, point: tuple, t: int, K: int) -> tuple:
+    """(whether 2 v(G(z)) >= t, K') for G = F - z at the `_point` triple
+    (u, v, w) of z, X = u + v sqrt p, from N(z) and Q(z) mod p^K' only.
+    With G(z) = g0/(w q0), g0 = w n0 - X q0 (`algebra._values`), the test
+    is 2 v(g0) >= r, r = t + 2 v(w) + 2 v(q0), which g0 mod p^ceil(r/2)
+    decides (`algebra._twice_val_at_least`), so K' = ceil(r/2) (`_residues`,
+    from the guess K).  (None, K) where Q(z) = 0 mod p^K."""
+    p = F.p
+    tw = t + 2 * _int_val(point[2], p)
+    found = _residues(F, point, K, lambda n0, q0: (tw + _twice_val(p, q0) + 1) // 2)
+    if found is None:
+        return None, K
+    n0, q0, K = found
+    return _twice_val_at_least(p, n0, q0, point, tw + _twice_val(p, q0)), K
+
+
+def _residue_step(F, point: tuple, K: int, prec: int) -> tuple:
+    """(F(point) rounded mod p^prec, K') for a point proved tall, from n0
+    and q0 mod p^K' only, K' = `_quotient_digits` (`_residues`, starting
+    from the guess K); (None, K) if q0 or n0 is 0 mod p^K'."""
+    p = F.p
+    found = _residues(F, point, K, lambda n0, q0: _quotient_digits(p, n0, q0, prec))
+    if found is None:
+        return None, K
+    n0, q0, K = found
+    return (_round_residues(p, n0, q0, prec) if any(n0) else None), K
+
+
+def _step(F, point: tuple, taller, K: int, prec: int) -> tuple:
+    """(F(x) rounded as `_round_point` rounds the reduced F(x), K) at the
+    `_point` triple of x, or (None, K) at a pole: from residues when
     `taller` (`_embedding_prover` of F, or None) proves F(x) tall, else
-    exactly and by gcd.  vden = v_p(d) of the quotient guesses the next."""
+    exactly and by gcd.  K guesses the modulus of the residue pass, and the
+    K returned, `_quotient_digits` of this step, guesses the next."""
     if taller is not None and taller(*point):
-        nxt, vden = _residue_step(F, point, vden, prec)
+        nxt, K = _residue_step(F, point, K, prec)
         if nxt is not None:
-            return nxt, vden
+            return nxt, K
     p = F.p
     n0, _, q0, _ = _values(F, point, False)
     if not any(q0):
-        return None, vden
-    return _round_point(_element(p, *_quotient(p, n0, q0)), prec), _twice_val(p, q0)
+        return None, K
+    z = _round_point(_element(p, *_quotient(p, n0, q0)), prec)
+    return z, _quotient_digits(p, n0, q0, prec)
 
 
-@dataclass(frozen=True)
+# orbit tables repeat a few exponents from step to step and from orbit to
+# orbit; one shared (immutable) ValExp per exponent keeps a table that its
+# caller holds on to about 15% smaller
+_shared_exp = lru_cache(maxsize=1024)(ValExp.twice)
+
+
+@dataclass(frozen=True, slots=True)
 class OrbitStep:
     """One orbit entry: the point, distance to the reference (when given),
     and the size of the step from the previous point."""
@@ -471,36 +544,42 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
     """Pointwise iteration z_{k+1} = F(z_k), never symbolic composition.
 
     Records v(z_k - ref) when a reference point is supplied and the size of
-    each step.  A pole truncates the orbit with a marked entry.  Points are
-    rounded mod p^precision as `_round_point` rounds the reduced F(z), by
-    `_step`: when the real embeddings prove F(z) tall, N(z) and Q(z) are
-    formed only mod p^(precision + 2 vden); else they are exact and the
-    quotient is reduced by gcd.  `hensel_fixed_point` steps the same way.
-    A recorded valuation is exact only below `precision`, an int >= 1;
-    `steps` is an int >= 0.
+    each step, both from the `_point` triples of the points.  A pole
+    truncates the orbit with a marked entry.  Points are rounded mod
+    p^precision as `_round_point` rounds the reduced F(z), by `_step`: when
+    the real embeddings prove F(z) tall, N(z) and Q(z) are formed only mod
+    p^K, K = `_quotient_digits`; else they are exact and the quotient is
+    reduced by gcd.  `hensel_fixed_point` steps the same way.  A recorded
+    valuation is exact only below `precision`, an int >= 1; `steps` is an
+    int >= 0.
     """
     for name, n, least in (("steps", steps, 0), ("precision", precision, 1)):
         if not isinstance(n, int) or isinstance(n, bool) or n < least:
             raise ValueError(f"orbit {name} must be an integer >= {least}, got {n!r}")
+    p = F.p
     if not isinstance(z0, KElement):
-        z0 = KElement(F.p, z0)
-    if ref is not None and not isinstance(ref, KElement):
-        ref = KElement(F.p, ref)
+        z0 = KElement(p, z0)
+    at = _point(p, ref) if ref is not None else None
 
-    def entry(k: int, point: KElement, prev: KElement | None) -> OrbitStep:
-        dist = (point - ref).valuation() if ref is not None else None
-        return OrbitStep(k, point, dist, (point - prev).valuation() if prev is not None else None)
+    def gap(x: tuple, y: tuple | None) -> ValExp | None:
+        # v(x - y) for `_point` triples: (u w' - u' w, v w' - v' w)/(w w')
+        if y is None:
+            return None
+        (u, v, w), (u1, v1, w1) = x, y
+        diff = (u * w1 - u1 * w, v * w1 - v1 * w)
+        return _shared_exp(_twice_val(p, diff) - 2 * _int_val(w * w1, p) if any(diff) else inf)
 
-    out = [entry(0, z0, None)]
+    point = _point(p, z0)
+    out = [OrbitStep(0, z0, gap(point, at), None)]
     taller = _embedding_prover(F, 8 * precision)
-    z, vden = z0, 0
+    K = precision
     for k in range(1, steps + 1):
-        nxt, vden = _step(F, _point(F.p, z), taller, vden, precision)
+        nxt, K = _step(F, point, taller, K, precision)
         if nxt is None:
             out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None))
             break
-        out.append(entry(k, nxt, z))
-        z = nxt
+        prev, point = point, _point(p, nxt)
+        out.append(OrbitStep(k, nxt, gap(point, at), gap(point, prev)))
     return out
 
 

@@ -380,28 +380,45 @@ def _rational_str(q: Fraction) -> str:
         ) from None
 
 
+def _unit_inverse(a: int, p: int, s: int) -> int:
+    # a^-1 mod p^s, s >= 1, for an integer a prime to p: from a^-1 mod p,
+    # each x <- x (2 - a x) doubles the digits that are right, which beats
+    # pow(a, -1, p^s) several times over at hundreds of digits
+    x, k = pow(a % p, -1, p), 1
+    while k < s:
+        k = min(2 * k, s)
+        m = p**k
+        x = x * (2 - a % m * x) % m
+    return x
+
+
 def _coords_mod(nums: tuple, den: int, vden: int, p: int, m: int) -> tuple:
     # canonical representative of num/den modulo p^m for each num in nums,
     # for integers num and den != 0 in any common scale and vden = v_p(den):
     # p^v * (unit residue) with v = v_p(num/den), exact and congruent:
     # v_p(num/den - result) >= m.  Only num mod p^(m + vden) and den mod
-    # p^(m + 2 vden) decide it, so long inputs are cut to those first, and
-    # the unit part of den is inverted once, mod p^(m + vden), for all nums.
+    # p^(m + 2 vden) decide it, so long inputs are cut to those first.  A
+    # result needs its unit residue mod p^(m - v) only, so the unit part of
+    # den is inverted once, mod p^(m - min v) over the nonzero results.
     # The residue depends only on the value num/den, so reduced and
     # unreduced inputs give the same result.
     t = m + vden
     if t <= 0:
         return (Fraction(0),) * len(nums)  # v >= -vden >= m
-    mod_t, inv, out = p**t, None, []
-    for num in nums:
-        num %= mod_t
-        if not num:
-            out.append(Fraction(0))  # v_p(num) >= t, so v >= m
+    mod_t = p**t
+    cut = [num % mod_t for num in nums]
+    # v_p(num) >= t, so v >= m, exactly where num is 0 mod p^t
+    vnums = [_int_val(num, p) if num else t for num in cut]
+    s = t - min(vnums)
+    if s <= 0:
+        return (Fraction(0),) * len(nums)
+    pv = p**vden
+    inv = _unit_inverse(den % (pv * p**s) // pv, p, s)
+    out = []
+    for num, vnum in zip(cut, vnums):
+        if vnum == t:
+            out.append(Fraction(0))
             continue
-        if inv is None:
-            pv = p**vden
-            inv = pow(den % (pv * mod_t) // pv, -1, mod_t)
-        vnum = _int_val(num, p)
         v = vnum - vden
         r = num // p**vnum * inv % p ** (m - v)
         out.append(Fraction(r * p**v) if v >= 0 else Fraction(r, p**(-v)))

@@ -988,6 +988,19 @@ class TestOrbit:
         assert main(["orbit", "--input", str(result), "--start", "1,2,3"]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    def test_long_orbit_output_is_unchanged(self, ex2_paths, capsys):
+        # 200 steps at the default precision 512 from 9, as the workflow's
+        # console-script step runs them: the table (step sizes down to
+        # 3^-201, element lengths of rounded points) must stay byte for
+        # byte what exact evaluation and KElement distances printed
+        _, result = ex2_paths
+        assert main(["orbit", "--input", str(result), "--start", "9", "--steps", "200"]) == 0
+        out = capsys.readouterr().out
+        assert "k=200: z = (500-char element)" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "708bd4915bc65159e77767eb5b3277ab7be55cb61e7f7f75924ee53bb4e5e1c3"
+        )
+
 
 class TestExample:
     def test_ex2(self, capsys):

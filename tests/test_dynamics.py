@@ -1,5 +1,8 @@
 """Fixed points of glued maps: classification, refinement, orbits, census."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +24,7 @@ from padicglue import (
     PoleInBallError,
     Radius,
     RationalMap,
+    ValExp,
     Witness,
     build_F,
     certify_theorem1,
@@ -153,6 +157,24 @@ class TestHensel:
         with pytest.raises(HenselConditionError, match="pole"):
             hensel_fixed_point(RationalMap(Poly.one(3), Z), 0, 10)
 
+    @pytest.mark.parametrize(
+        "target", (True, False, "64", None, float("nan"), float("inf"), Fraction(1, 3), [64]),
+        ids=("True", "False", "str", "None", "nan", "float-inf", "third", "list"),
+    )
+    def test_target_must_be_an_exponent(self, target):
+        # validated before any work, as max_iter is: a bool is no target 1
+        # and a digit string no target 64
+        with pytest.raises(ValueError, match=r"^hensel_fixed_point target_exp must be an exponent"):
+            hensel_fixed_point(RationalMap(Z**2), 4, target)
+
+    def test_targets_of_every_exponent_type(self):
+        F = RationalMap(Z**2)
+        want = hensel_fixed_point(F, 4, 10)
+        for target in (Fraction(10), 10.0, ValExp(10)):
+            assert hensel_fixed_point(F, 4, target) == want
+        z = hensel_fixed_point(F, 4, Fraction(21, 2))
+        assert (F.eval(z) - z).valuation() >= Fraction(21, 2)
+
 
 class TestOrbit:
     def test_linear_contraction_distances(self):
@@ -182,6 +204,19 @@ class TestOrbit:
     def test_no_reference_no_distances(self):
         steps = orbit(RationalMap(3 * Z), 1, 2)
         assert all(s.dist_exp is None for s in steps)
+
+    def test_steps_copy_pickle_and_asdict(self, glued_ex2):
+        # OrbitStep has slots and no __dict__; its entries, a pole entry
+        # among them, still round-trip
+        _, _, F = glued_ex2
+        steps = orbit(F, K3(9), 3, ref=0) + orbit(RationalMap(Poly.one(3), Z), 0, 1)[1:]
+        assert not hasattr(steps[0], "__dict__") and steps[-1].pole
+        for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+            assert [clone(s) for s in steps] == steps
+        for s in steps:
+            fields = dataclasses.asdict(s)
+            assert set(fields) == {"k", "point", "dist_exp", "step_exp"}
+            assert type(s)(**fields) == s
 
 
 class TestSizeTest:

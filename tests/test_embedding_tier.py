@@ -212,17 +212,18 @@ def test_tier_declines_unless_deg_Q_exceeds_deg_N(monkeypatch, F):
 
 def _tiered_orbit(monkeypatch, F, start, steps, precision) -> tuple:
     """The orbit, checked against the oracle, with the points (u, v, w)
-    that were evaluated exactly, the (point, decided, vden) of every call
-    of the embedding tier, and the moduli of its residue passes."""
+    that were evaluated exactly, the (point, decided, K) of every call of
+    the embedding tier, and the moduli of its residue passes."""
     tier = spy(monkeypatch, dynamics, "_residue_step")
     values = spy(monkeypatch, dynamics, "_values")
+    residues = spy(monkeypatch, dynamics, "_values_mod")
     got = orbit(F, start, steps, precision=precision)
     assert got == oracle.orbit(F, start, steps, precision=precision)
-    exact = [args[1] for args, _ in values if len(args) == 3]
-    decided = [(args[1], out is not None, vden) for args, (out, vden) in tier]
+    exact = [args[1] for args, _ in values]
+    decided = [(args[1], out is not None, K) for args, (out, K) in tier]
     # every step is decided by the tier or evaluated exactly, not both
     assert len(exact) + sum(ok for _, ok, _ in decided) == len(got) - 1
-    return got, exact, decided, [args[3] for args, _ in values if len(args) == 4]
+    return got, exact, decided, [args[2] for args, _ in residues]
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -230,8 +231,9 @@ def test_start_with_a_tiny_embedding(monkeypatch, sign):
     # X = (2 + sqrt 3)^60 has norm 1, so one embedding of it is about
     # 2^-114: no top term dominates there, and the tier declines the first
     # step.  The rounded points after it are decided again; on the way one
-    # has w = 3^5 and vden = 0, so the next guess is too small and its
-    # residue pass is redone
+    # has w = 3^5 and v(Q(z)) = 0, where K is the precision 64 itself, so
+    # the guess for the next point, which needs K = 64 + 32, is too small
+    # and its residue pass is redone
     F, _ = fixed_point_instance(3)
     x = _power(3, 2, 1, 60)
     start = KElement(3, x[0], sign * x[1])
@@ -239,7 +241,7 @@ def test_start_with_a_tiny_embedding(monkeypatch, sign):
     _, exact, decided, mods = _tiered_orbit(monkeypatch, F, start, 10, 64)
     assert exact[0] == _point(3, start)
     assert sum(ok for _, ok, _ in decided) >= 5
-    assert {0, 63} <= {vden for _, _, vden in decided} and len(mods) > len(decided)
+    assert {64, 96} <= {K for _, _, K in decided} and len(mods) > len(decided)
 
 
 def test_points_with_denominators_and_sqrt_p_parts(monkeypatch):
@@ -256,11 +258,13 @@ def test_points_with_denominators_and_sqrt_p_parts(monkeypatch):
 
 def test_vden_jump_redoes_the_residue_pass(monkeypatch):
     # an orbit started at a tall point is decided from its first step on,
-    # where the guess vden = 0 is too small: the pass is redone once at
-    # p^(256 + 2 vden), vden = 63, and never again while vden holds
+    # where the guess K = 256 is too small: the residues show 2 v(Q(z)) =
+    # 63 <= 2 v(N(z)), so the pass is redone once at p^K, K = 256 +
+    # ceil(2 v(Q(z)) - min(v(N(z)), v(Q(z)))) = 256 + ceil(63/2) = 288, and
+    # never again while K holds
     p = 5
     F, (a0, _, _) = fixed_point_instance(p)
     tall = orbit(F, FieldConfig(p)(a0 + p**3), 8, precision=256)[-1].point
     _, exact, decided, mods = _tiered_orbit(monkeypatch, F, tall, 4, 256)
-    assert exact == [] and [(ok, vden) for _, ok, vden in decided] == [(True, 63)] * 4
-    assert mods == [p**256] + [p ** (256 + 2 * 63)] * 4
+    assert exact == [] and [(ok, K) for _, ok, K in decided] == [(True, 288)] * 4
+    assert mods == [p**256] + [p**288] * 4

@@ -4,11 +4,11 @@ Both round a step's quotient num/den of Z[sqrt p] pairs by one rule: the
 point goes to `reduce_mod` exactly when its reduced height exceeds
 H = 8 prec bits.  `dynamics._step` decides it in two tiers.  A point that
 the real embeddings prove tall is rounded by `dynamics._round_residues`
-from num and den mod p^(prec + 2 vden), which must equal `reduce_mod` of
-the reduced point; any other point is formed exactly, reduced by gcd and
-handed to `_round_point`.  Both are checked here on planted quotients,
-with norms that cancel in many leading bits, and the gcd branch at the
-boundary height H.
+from num and den mod p^K, K = `dynamics._quotient_digits`, which must
+equal `reduce_mod` of the reduced point; any other point is formed
+exactly, reduced by gcd and handed to `_round_point`.  Both are checked
+here on planted quotients, with norms that cancel in many leading bits,
+and the gcd branch at the boundary height H.
 """
 
 import random
@@ -21,8 +21,8 @@ from hypothesis import given, strategies as st
 
 from padicglue import KElement, Poly
 from padicglue.algebra import _element, _quotient
-from padicglue.dynamics import _round_point, _round_residues, _step
-from padicglue.field import _twice_val, reduce_mod
+from padicglue.dynamics import _quotient_digits, _round_point, _round_residues, _step
+from padicglue.field import reduce_mod
 
 PRIMES = st.sampled_from((2, 3, 5, 7, 23))
 
@@ -36,7 +36,7 @@ def _gcd_step(p: int, num: tuple, den: tuple, prec: int) -> tuple:
     """`_step` of the constant map num/den, where no tier proves anything:
     the exact quotient, reduced by gcd and rounded by `_round_point`."""
     const = SimpleNamespace(p=p, num=Poly(p, [KElement(p, *num)]), den=Poly(p, [KElement(p, *den)]))
-    return _step(const, (0, 0, 1), None, 0, prec)
+    return _step(const, (0, 0, 1), None, prec, prec)
 
 
 def _planted(rng_seed: int, bits: int, common: int, vp: tuple, p: int):
@@ -73,15 +73,16 @@ def test_kernel_rounds_as_the_reduced_point(p, seed, bits, common, vp, cancel, d
         den = (common, 0)
     den = (den[0] * scale, den[1] * scale)
     z = _element(p, *_quotient(p, num, den))
-    # the residues, at the exact vden = v_p(da^2 - p db^2) that the
-    # embedding tier reads off Q(z) mod p^K
-    vden = _twice_val(p, den)
-    got = _round_residues(p, num, den, vden, prec)
+    # the residues mod p^K, at the K that the embedding tier reads off
+    # N(z) and Q(z) mod p^K
+    K = _quotient_digits(p, num, den, prec)
+    cut = tuple(tuple(x % p**K for x in pair) for pair in (num, den))
+    got = _round_residues(p, *cut, prec)
     want = reduce_mod(z, prec)
     assert (got.p, got.a, got.b) == (want.p, want.a, want.b)
-    got, got_vden = _gcd_step(p, num, den, prec)
+    got, got_K = _gcd_step(p, num, den, prec)
     want = _round_point(z, prec)
-    assert (got.p, got.a, got.b) == (want.p, want.a, want.b) and got_vden == vden
+    assert (got.p, got.a, got.b) == (want.p, want.a, want.b) and got_K == K
 
 
 @pytest.mark.parametrize(

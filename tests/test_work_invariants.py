@@ -3,8 +3,10 @@
 A lost optimisation shows up in a timed benchmark only as noise, so the
 counts are pinned here instead: the spot checks evaluate each map once per
 sample, the gcd of a glued sum runs the exact Euclid only when the
-modular pretest cannot certify coprimality, and an orbit point or Newton
-iterate that the real embeddings prove tall is rounded from residues.
+modular pretest cannot certify coprimality, an orbit point or Newton
+iterate that the real embeddings prove tall is rounded from residues at
+the modulus its own valuations set, and Hensel's convergence test after
+the seed runs on residues.
 Shifts per center are pinned in test_lazy_shift.py and by the
 `spy_shifts` tests.
 """
@@ -87,19 +89,21 @@ def test_modular_pretest_certifies_coprime_glues(seed, monkeypatch):
 def test_orbit_rounds_tall_points_from_residues(p, rounded, monkeypatch):
     # 30 steps at precision 256 from a start near the attracting center:
     # from the third step on the real embeddings prove every F(z) tall,
-    # and N(z) and Q(z) are only formed mod p^(256 + 2 vden), vden read
-    # from the last exact step; exact `_values` runs on the first two,
-    # which are short
+    # and N(z) and Q(z) are only formed mod p^K, K = 256 + ceil(2 v(Q(z))
+    # - min(v(N(z)), v(Q(z)))) = 256 + ceil(63/2) = 288, read off the last
+    # exact step and never redone; exact `_values` runs on the first two
+    # steps, which are short
     F, (a0, _, _) = fixed_point_instance(p)
     tier = spy(monkeypatch, dynamics, "_residue_step")
     values = spy(monkeypatch, dynamics, "_values")
+    residues = spy(monkeypatch, dynamics, "_values_mod")
     orbit(F, FieldConfig(p)(a0 + p**3), 30, precision=256)
-    assert sum(out is not None for _, (out, _) in tier) == len(tier) == rounded
-    assert [len(args) for args, _ in values] == [3, 3] + [4] * rounded
-    for args, (n0, _, q0, _) in values[2:]:
-        vden = field._twice_val(p, q0)
-        assert args[3] == p ** (256 + 2 * vden)
-        assert all(0 <= x < p ** (256 + 2 * vden) for x in n0 + q0)
+    assert [(out is not None, K) for _, (out, K) in tier] == [(True, 288)] * rounded
+    assert [args[2] for args, _ in values] == [False, False]
+    assert [args[2] for args, _ in residues] == [p**288] * rounded
+    for args, (n0, q0) in residues:
+        assert field._twice_val(p, q0) == 63 <= field._twice_val(p, n0)
+        assert all(0 <= x < p**288 for x in n0 + q0)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -107,21 +111,29 @@ def test_newton_steps_are_orbit_steps_of_one_map(p, monkeypatch):
     # Hensel to 64 from the attracting center builds Newton's map once and
     # takes 4 steps of it: the first two points are short, so Newton's map
     # is evaluated exactly (one point kept, one rounded), and the real
-    # embeddings prove the last two tall, formed mod p^(prec + 2 vden) with
-    # vden read from the exact step before; F itself is evaluated exactly
-    # at each of the 5 iterates, for the convergence test
+    # embeddings prove the last two tall, formed mod p^K, K = prec +
+    # ceil(2 v(Q) - min(v(N), v(Q))) = 283 + ceil(126/2) = 346 with the
+    # valuations read off the exact step before.  F itself is evaluated
+    # exactly only at the seed, for the Hensel condition; its convergence
+    # test at the 4 iterates after it runs on N(z), Q(z) mod p^K, K =
+    # ceil((2 target + 2 v(w) + 2 v(Q(z)))/2) = ceil((128 + 0 + 63)/2) = 96,
+    # after one pass at the first guess, K = target = 64
     F, (a0, _, _) = fixed_point_instance(p)
     maps = spy(monkeypatch, dynamics, "_newton_map")
     values = spy(monkeypatch, dynamics, "_values")
+    residues = spy(monkeypatch, dynamics, "_values_mod")
     tier = spy(monkeypatch, dynamics, "_residue_step")
     rounds = spy(monkeypatch, dynamics, "_round_point")
     hensel_fixed_point(F, FieldConfig(p)(a0), 64)
     assert [args for args, _ in maps] == [(F,)]
     newton = maps[0][1]
-    assert [(args[0] is F, len(args)) for args, _ in values] == [
-        (True, 3), (False, 3), (True, 3), (False, 3),
-        (True, 3), (False, 4), (True, 3), (False, 4), (True, 3),
+    assert [(args[0] is F, args[2]) for args, _ in values] == [
+        (True, True), (False, False), (False, False),
     ]
-    assert all(args[0] in (F, newton) for args, _ in values)
-    assert [(out is not None, vden) for _, (out, vden) in tier] == [(True, 126)] * 2
+    assert [(args[0] is F, args[2]) for args, _ in residues] == [
+        (True, p**64), (True, p**96), (True, p**96), (False, p**346),
+        (True, p**96), (False, p**346), (True, p**96),
+    ]
+    assert all(args[0] in (F, newton) for args, _ in values + residues)
+    assert [(out is not None, K) for _, (out, K) in tier] == [(True, 346)] * 2
     assert [out is not z for (z, _), out in rounds] == [False, True]
