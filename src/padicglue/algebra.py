@@ -193,24 +193,12 @@ class Poly:
     # -- Taylor shift ---------------------------------------------------------
 
     def recenter(self, a) -> "Poly":
-        """Coefficients of the same polynomial in powers of (z - a).
-
-        Computed by repeated synthetic division by (z - a); exact.
-        """
+        """Coefficients of the same polynomial in powers of (z - a): the
+        lazy shift _Prefix with every pass run; exact."""
         if not isinstance(a, KElement):
             a = KElement(self.p, a)
-        work = list(self.coeffs)
-        out = []
-        while work:
-            # divide `work` by (z - a): quotient q, remainder carry
-            q = [None] * (len(work) - 1)
-            carry = work[-1]
-            for k in range(len(work) - 2, -1, -1):
-                q[k] = carry
-                carry = work[k] + a * carry
-            out.append(carry)
-            work = q
-        return Poly(self.p, out)
+        shifted = _Prefix(self, a)
+        return Poly(self.p, [shifted.coeff(k) for k in range(len(self.coeffs))])
 
     # -- normal forms ------------------------------------------------------------
 
@@ -558,6 +546,41 @@ def _v2s(P: Poly) -> tuple:
 def _bounds(P) -> tuple:
     # lower bounds of 2 v(c_k) for a Poly, where they are exact, or a source
     return _v2s(P) if isinstance(P, Poly) else P.bounds
+
+
+class _Prefix:
+    """P in powers of (z - a), one coefficient c'_k at a time: the lazy
+    Taylor shift, a coefficient source for _min_plus.
+
+    It keeps the state of an in-place synthetic division by (z - a);
+    pass k yields c'_k for deg P - k products, and Poly.recenter runs
+    every pass.  Since c'_k = sum over j >= k of C(j, k) c_j a^(j-k), the
+    ultrametric inequality bounds every c'_k before any pass runs, by the
+    tail bound L_k = min over j >= k of v(c_j) + (j - k) v(a) <= v(c'_k),
+    and L_k = min(v(c_k), L_(k+1) + v(a)).
+    """
+
+    __slots__ = ("a", "_w", "_done", "bounds")
+
+    def __init__(self, P: Poly, a: KElement):
+        # _w[:_done] are c'_0, ..., the rest the quotient still to divide
+        self.a, self._w, self._done = a, list(P.coeffs), 0
+        va, low, bounds = _v2(a), inf, []  # doubled, as _min_plus reads them
+        for vc in reversed(_v2s(P)):
+            low = min(vc, low + va)
+            bounds.append(low)
+        self.bounds = bounds[::-1]
+
+    def coeff(self, k: int) -> KElement:
+        w, a = self._w, self.a
+        while self._done <= k < len(w):
+            for i in range(len(w) - 2, self._done - 1, -1):
+                w[i] = w[i] + a * w[i + 1]
+            self._done += 1
+        return w[k] if k < len(w) else KElement(a.p)
+
+    def val(self, k: int):
+        return _v2(self.coeff(k))
 
 
 def _min_plus(P, e, from_k: int = 0) -> tuple:

@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .errors import HenselConditionError, PoleInBallError, _show
 from .field import KElement, ValExp, _coords_mod, _int_val, _twice_val, reduce_mod
-from .geometry import Ball, Expansions, image_of_ball, pairwise_deltas
+from .geometry import Ball, Expansions, LocalExpansion, pairwise_deltas
 from .gluing import check_c3_hypotheses, plan_gluing
 
 __all__ = [
@@ -189,13 +189,16 @@ class CensusReport:
 def validate_census(models, census: FixedPointCensus) -> None:
     """Structural checks of a census against its models; raises ValueError.
 
-    One count triple per ball; every witness names a known kind and an
-    existing ball, and is an open disk inside that ball; no two witness
-    disks overlap.
+    One count triple per ball, with no negative count; every witness
+    names a known kind and an existing ball, and is an open disk inside
+    that ball; no two witness disks overlap.
     """
     n = len(models)
     if len(census.counts) != n:
         raise ValueError(f"census lists {len(census.counts)} count triples for {n} balls")
+    for i, counts in enumerate(census.counts):
+        if min(counts) < 0:
+            raise ValueError(f"census count triple {i} has a negative count, {_show(min(counts))}")
     wits = list(census.witnesses)
     for w in wits:
         if w.expected not in KINDS:
@@ -619,7 +622,7 @@ def epsilon_for_census(models, census: FixedPointCensus) -> ValExp:
     exps = [m.image.radius for m in models]
     has_indifferent = False
     for w in census.witnesses:
-        exps.append(image_of_ball(models[w.ball_index].f, w.disk).radius)
+        exps.append(LocalExpansion(models[w.ball_index].f, w.disk).image.radius)
         if w.expected == INDIFFERENT:
             has_indifferent = True
             exps.append(w.disk.radius)

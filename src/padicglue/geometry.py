@@ -16,16 +16,15 @@ finite comparison of exact exponents.  The key facts used throughout:
 A LocalExpansion rewrites a map's numerator and denominator in powers of
 (z - a) about a ball's center a; the pole test, the image, sup norms and
 root counts on that ball are all scans of the shifted coefficients.  The
-shift is lazy (_Prefix): it yields the coefficients one at a time and
-bounds all of them up front by the ultrametric inequality, so each scan
-computes only the prefix whose coefficients might still reach its
-minimum.  The shift does not depend on the radius, so balls about one
+shift is lazy (algebra._Prefix): it yields the coefficients one at a
+time and bounds all of them up front by the ultrametric inequality, so
+each scan computes only the prefix whose coefficients might still reach
+its minimum.  The shift does not depend on the radius, so balls about one
 center share it (see Expansions).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,7 +33,7 @@ from .algebra import (
     Poly,
     RationalMap,
     _bounds,
-    _v2s,
+    _Prefix,
     count_roots_with_min_valuation,
     gauss_norm_exp,
 )
@@ -163,48 +162,13 @@ def _roots_in_ball(shifted: Poly, ball: Ball) -> int:
 def count_roots_in_ball(P: Poly, ball: Ball) -> int:
     """Number of roots of P in the ball, with multiplicity, over C_v.
 
-    Recenters P at the ball's center and counts the roots of valuation
-    >= exp for a closed ball, > exp for an open one
+    Scans P's lazy shift about the ball's center and counts the roots of
+    valuation >= exp for a closed ball, > exp for an open one
     (see count_roots_with_min_valuation).
     """
     if P.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    return _roots_in_ball(P.recenter(ball.center), ball)
-
-
-class _Prefix:
-    """P in powers of (z - a), one coefficient c'_k at a time: the lazy
-    Taylor shift, a coefficient source for algebra._min_plus.
-
-    It keeps the state of the in-place synthetic division by (z - a) that
-    Poly.recenter runs to the end; pass k yields c'_k for deg P - k
-    products.  Since c'_k = sum over j >= k of C(j, k) c_j a^(j-k), the
-    ultrametric inequality bounds every c'_k before any pass runs, by the
-    tail bound L_k = min over j >= k of v(c_j) + (j - k) v(a) <= v(c'_k),
-    and L_k = min(v(c_k), L_(k+1) + v(a)).
-    """
-
-    __slots__ = ("a", "_w", "_done", "bounds")
-
-    def __init__(self, P: Poly, a: KElement):
-        # _w[:_done] are c'_0, ..., the rest the quotient still to divide
-        self.a, self._w, self._done = a, list(P.coeffs), 0
-        va, low, bounds = _v2(a), math.inf, []  # doubled, as algebra._min_plus reads them
-        for vc in reversed(_v2s(P)):
-            low = min(vc, low + va)
-            bounds.append(low)
-        self.bounds = bounds[::-1]
-
-    def coeff(self, k: int) -> KElement:
-        w, a = self._w, self.a
-        while self._done <= k < len(w):
-            for i in range(len(w) - 2, self._done - 1, -1):
-                w[i] = w[i] + a * w[i + 1]
-            self._done += 1
-        return w[k] if k < len(w) else KElement(a.p)
-
-    def val(self, k: int):
-        return _v2(self.coeff(k))
+    return _roots_in_ball(_Prefix(P, ball.center), ball)
 
 
 def _products(X, Y, k: int) -> range:

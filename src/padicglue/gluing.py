@@ -25,7 +25,7 @@ from .algebra import (
 from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
 from .field import KElement, ValExp, _int_val, _twice_val, uniformizer_power
 from .geometry import (
-    Ball, Expansions, LocalExpansion, image_of_ball, pairwise_deltas, sample_points,
+    Ball, Expansions, LocalExpansion, pairwise_deltas, sample_points,
 )
 
 __all__ = [
@@ -376,7 +376,7 @@ def certify_theorem1(
 ) -> Certificate:
     """Exact certification of the glued map against its contract.
 
-    Per ball B_i: (a) F pole-free; (b) image_of_ball(F, B_i) equals the
+    Per ball B_i: (a) F pole-free; (b) the image F(B_i) equals the
     model image as a set; (c) the sup-norm exponent of F - f_i on B_i
     strictly exceeds the epsilon exponent; (d) sampled points agree with
     both the certified bound and the image.  Failures are recorded, never
@@ -385,7 +385,7 @@ def certify_theorem1(
     Each ball gets one LocalExpansion of F: the numerator and denominator
     of F each get one lazy Taylor shift about a_i, and (a), (b) and (c) are
     scans of it that compute only the shifted coefficients their tail
-    bounds cannot rule out (see geometry._Prefix): on the benchmark's
+    bounds cannot rule out (see algebra._Prefix): on the benchmark's
     20-ball sweep, 6 of deg F + 1 = 97 or 101 per shift.  f_i's expansion
     is the one its LocalModel keeps.  The expansions of F come from
     `expansions` when given (they must be F's), so a caller that also
@@ -465,13 +465,13 @@ def check_subdisk_transfer(F: RationalMap, model: LocalModel, sub: Ball, eps: Va
     map must have identical images.  Raises LemmaInapplicable otherwise."""
     if not model.domain.contains_ball(sub):
         raise ValueError(f"{sub} is not contained in the model domain {model.domain}")
-    local_img = image_of_ball(model.f, sub)
+    local_img = LocalExpansion(model.f, sub).image
     if not local_img.radius < eps:
         raise LemmaInapplicable(
             f"local image radius {_power_str('p', local_img.radius)} is at most"
             f" eps {_power_str('p', eps)}; transfer says nothing"
         )
-    return image_of_ball(F, sub).same_set(local_img)
+    return LocalExpansion(F, sub).image.same_set(local_img)
 
 
 def check_c3_hypotheses(models, i: int) -> bool:

@@ -365,7 +365,10 @@ def _kind(kinds):
 def _count_triple(c, where: str) -> tuple:
     if not (isinstance(c, list) and len(c) == 3):
         raise SpecFormatError(f"{where}: expected [n, m, l] integers")
-    return tuple(_int_from_json(x, where) for x in c)
+    triple = tuple(_int_from_json(x, where) for x in c)
+    if min(triple) < 0:
+        raise SpecFormatError(f"{where}: must not be negative, got {_show(min(triple))}")
+    return triple
 
 
 def _witness_readers(p: int) -> dict:

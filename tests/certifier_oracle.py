@@ -13,6 +13,9 @@ map, computed in full.  `sample_points` builds each point as
 center + pi^(2j) * u by multiplication and addition in K, as the library
 once did, and `certify_theorem1` evaluates F and f_i at those points as K
 elements, so the library's integer spot checks are checked against it.
+`recenter` is the eager Taylor shift, one synthetic division after
+another, written independently of the library's lazy `algebra._Prefix`
+(which `Poly.recenter` forces), so every shift here checks that one.
 """
 
 from evaluation_oracle import poly_eval
@@ -28,14 +31,43 @@ from padicglue import (
     HypothesisViolation,
     KElement,
     PoleInBallError,
+    Poly,
     Radius,
     RationalMap,
     build_h,
-    count_roots_in_ball,
+    count_roots_with_min_valuation,
     gauss_norm_exp,
     uniformizer_power,
 )
 from padicglue.errors import _show
+
+
+def recenter(P, a):
+    """Coefficients of the polynomial P in powers of (z - a).
+
+    Computed by repeated synthetic division by (z - a); exact.
+    """
+    if not isinstance(a, KElement):
+        a = KElement(P.p, a)
+    work = list(P.coeffs)
+    out = []
+    while work:
+        # divide `work` by (z - a): quotient q, remainder carry
+        q = [None] * (len(work) - 1)
+        carry = work[-1]
+        for k in range(len(work) - 2, -1, -1):
+            q[k] = carry
+            carry = work[k] + a * carry
+        out.append(carry)
+        work = q
+    return Poly(P.p, out)
+
+
+def count_roots_in_ball(P, ball):
+    if P.is_zero:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    shifted = recenter(P, ball.center)
+    return count_roots_with_min_valuation(shifted, ball.radius, strict=not ball.closed)
 
 
 def glued_sum(models, plan, shift=0):
@@ -79,7 +111,7 @@ def pole_free_on_ball(f, ball):
 def sup_norm_exp_on_ball(f, ball):
     if not pole_free_on_ball(f, ball):
         raise PoleInBallError(f"map has a pole on {ball}")
-    num_exp = gauss_norm_exp(f.num.recenter(ball.center), ball.radius.exp, from_k=0)
+    num_exp = gauss_norm_exp(recenter(f.num, ball.center), ball.radius.exp, from_k=0)
     return num_exp - poly_eval(f.den, ball.center).valuation()
 
 
@@ -90,7 +122,7 @@ def image_of_ball(f, ball):
     pa = poly_eval(f.num, a)
     qa = poly_eval(f.den, a)
     g = f.num * qa - f.den * pa
-    e = gauss_norm_exp(g.recenter(a), ball.radius.exp, from_k=1)
+    e = gauss_norm_exp(recenter(g, a), ball.radius.exp, from_k=1)
     if e.is_infinite:
         raise ValueError("constant map: the image of the ball is a point, not a ball")
     return Ball(pa * qa.inverse(), Radius(e - qa.valuation() * 2), closed=ball.closed)

@@ -533,6 +533,12 @@ class TestMalformedInput:
              "problem.models[0].ball.center: unknown key 're'"),
             ("glue", _set("census", "witnesses", value=5), "problem.census.witnesses"),
             ("glue", _set("census", "counts", 0, 0, value=True), "problem.census.counts[0]"),
+            ("glue", _set("census", "counts", 0, value=[-1, 0, 0]),
+             "problem.census.counts[0]: must not be negative, got -1"),
+            ("verify", _set("census", "counts", 1, 1, value=-1),
+             "result.census.counts[1]: must not be negative, got -1"),
+            ("verify", _set("census_report", "counts", 0, "got", 2, value=-3),
+             "result.census_report.counts[0].got: must not be negative, got -3"),
             ("glue", _set("M_override", value=[True, None, None]), "problem.M_override"),
             ("glue", _set("M_override", value=[7, 7.5, None]),
              "problem.M_override[1]: expected an integer, got 7.5"),

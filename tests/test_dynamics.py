@@ -396,6 +396,9 @@ class TestVerifyCensus:
         w0 = good.witnesses[0]
         with pytest.raises(ValueError, match="count triples"):
             verify_census(F, models, FixedPointCensus(good.counts[:2], good.witnesses))
+        with pytest.raises(ValueError, match="census count triple 1 has a negative count, -1"):
+            counts = (good.counts[0], (0, -1, 0), good.counts[2])
+            verify_census(F, models, FixedPointCensus(counts, good.witnesses))
         with pytest.raises(ValueError, match="unknown expected kind"):
             verify_census(
                 F, models,

@@ -1,12 +1,14 @@
 """The lazy Taylor shift against the eager one.
 
-`geometry._Prefix` yields the coefficients of a polynomial in powers of
+`algebra._Prefix` yields the coefficients of a polynomial in powers of
 (z - a) one synthetic-division pass at a time and bounds the rest by the
 ultrametric inequality; `geometry._Diff` carries those bounds through the
 three combinations a LocalExpansion scans; `algebra._min_plus` stops
 reading a source once no coefficient still to come can reach the minimum.
-Every scan must return exactly what a full scan of `Poly.recenter`'s eager
-shift returns, and the prefix a certificate computes is pinned.
+Every scan must return exactly what a full scan of the eager shift
+`certifier_oracle.recenter` returns, and the prefix a certificate
+computes is pinned.  `Poly.recenter` forces a `_Prefix`, so it is no
+reference for one.
 """
 
 import math
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from certifier_oracle import recenter
 from padicglue import (
     Ball,
     FieldConfig,
@@ -29,8 +32,8 @@ from padicglue import (
     gauss_norm_exp,
     plan_gluing,
 )
-from padicglue.algebra import _min_plus
-from padicglue.geometry import _Diff, _Prefix
+from padicglue.algebra import _min_plus, _Prefix
+from padicglue.geometry import _Diff
 from padicglue.presets import EX2_EPSILON, ex2_models
 
 SEED = 20261018
@@ -98,7 +101,7 @@ def lazy_and_eager(rng, p: int, a: KElement) -> list:
     n, d = poly(rng, p, rng.randint(0, 3)), poly(rng, p, rng.randint(0, 3))
     b = element(rng, p)
     LN, LD, Ln, Ld = (_Prefix(P, a) for P in (N, D, n, d))
-    Nr, Dr, nr, dr = (P.recenter(a) for P in (N, D, n, d))
+    Nr, Dr, nr, dr = (recenter(P, a) for P in (N, D, n, d))
     na, da = Nr.coeff(0), Dr.coeff(0)
     const = lambda c: Poly.constant(p, c)  # noqa: E731
     return [
@@ -139,9 +142,9 @@ def test_prefix_stops_early_and_continues_where_it_stopped():
     p, a = 3, KElement(3, 1)
     P = Poly(3, [KElement(3, 3**k) for k in range(20)])
     lazy = _Prefix(P, a)
-    assert _min_plus(lazy, 0) == _min_plus(P.recenter(a), 0)
+    assert _min_plus(lazy, 0) == _min_plus(recenter(P, a), 0)
     assert lazy._done == 1  # v(c'_k) >= k, and c'_0 = P(1) is a unit
-    assert [lazy.coeff(k) for k in range(20)] == list(P.recenter(a).coeffs)
+    assert [lazy.coeff(k) for k in range(20)] == list(recenter(P, a).coeffs)
     assert lazy.coeff(20).is_zero
     assert _Prefix(Poly.zero(p), a).bounds == []
 

@@ -305,6 +305,8 @@ class TestProblemParsing:
              r"problem\.models\[0\]\.map\.num\[0\]\.a: bad rational"),
             (lambda d: d["census"]["counts"].__setitem__(0, [1, 0]),
              r"problem\.census\.counts\[0\]"),
+            (lambda d: d["census"]["counts"].__setitem__(0, [-1, 0, 0]),
+             r"problem\.census\.counts\[0\]: must not be negative, got -1"),
             (lambda d: d["orbits"].__setitem__(0, {"steps": 3}), r"problem\.orbits\[0\]"),
             (lambda d: d.__setitem__("delta_override", ["1/2"]),
              r"problem\.delta_override\[0\]: must be an integer"),
