@@ -30,7 +30,7 @@ class Poly:
     zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("p", "coeffs", "_ints", "_v2s")
+    __slots__ = ("p", "coeffs", "_ints", "_v2s", "_shifts")
 
     p: int
     coeffs: tuple
@@ -53,7 +53,7 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        # the cached integer forms are rebuilt on demand
+        # the cached integer forms and shifts are rebuilt on demand
         return Poly, (self.p, self.coeffs)
 
     # -- constructors -------------------------------------------------------
@@ -557,7 +557,9 @@ class _Prefix:
     every pass.  Since c'_k = sum over j >= k of C(j, k) c_j a^(j-k), the
     ultrametric inequality bounds every c'_k before any pass runs, by the
     tail bound L_k = min over j >= k of v(c_j) + (j - k) v(a) <= v(c'_k),
-    and L_k = min(v(c_k), L_(k+1) + v(a)).
+    and L_k = min(v(c_k), L_(k+1) + v(a)).  The scans read P's one
+    _Prefix about a through _shifted, so a later scan, in the same call or
+    another, extends the prefix an earlier one left.
     """
 
     __slots__ = ("a", "_w", "_done", "bounds")
@@ -581,6 +583,24 @@ class _Prefix:
 
     def val(self, k: int):
         return _v2(self.coeff(k))
+
+
+def _shifted(P: Poly, a: KElement) -> _Prefix:
+    """P's lazy shift about a, started once per (P, a) and kept in a
+    private slot of P for as long as P lives; a copy of P starts with none.
+    Equal KElements of different primes hash alike, so a's prime is
+    checked before the lookup."""
+    if a.p != P.p:
+        raise ValueError(f"mixed primes: {P.p} and {a.p}")
+    try:
+        shifts = P._shifts
+    except AttributeError:
+        shifts = {}
+        object.__setattr__(P, "_shifts", shifts)
+    shift = shifts.get(a)
+    if shift is None:
+        shift = shifts[a] = _Prefix(P, a)
+    return shift
 
 
 def _min_plus(P, e, from_k: int = 0) -> tuple:

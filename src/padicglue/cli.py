@@ -15,7 +15,7 @@ from dataclasses import fields
 from .dynamics import multiplier, orbit, verify_census
 from .errors import HypothesisViolation, LimitExceeded, PadicGlueError, SpecFormatError, _show
 from .field import KElement
-from .geometry import Ball, Expansions
+from .geometry import Ball
 from .gluing import build_F, certify_theorem1, plan_gluing, validate_plan
 from .presets import (
     EX2_EPSILON,
@@ -105,18 +105,17 @@ def _print_census(p: int, report) -> None:
 def _certify(p: int, models, plan, F, census, samples: int):
     """Certify F, print the plan and the certificate, then check and print
     the census when there is one: the one path of glue, verify and example.
-    Certificate and census read F's expansions from one cache, so F gets
-    one lazy Taylor shift per center; the cache ends with this call.
+    F keeps its Taylor shifts, so a census witness disk about a ball's
+    center reads the shift the certificate made about it.
 
     Returns (certificate, census report or None, whether both pass).
     """
-    expansions = Expansions(F)
-    cert = certify_theorem1(F, models, plan, samples=samples, expansions=expansions)
+    cert = certify_theorem1(F, models, plan, samples=samples)
     _print_plan(p, models, plan)
     _print_certificate(p, cert)
     report = None
     if census is not None:
-        report = verify_census(F, models, census, expansions=expansions)
+        report = verify_census(F, models, census)
         _print_census(p, report)
     return cert, report, cert.passes and (report is None or report.passes)
 
@@ -289,6 +288,7 @@ def _example_ex2(args) -> int:
         "mis-paired control (local maps attached to the wrong bump factors)"
         f" certificate passes: {crossed_cert.passes} (expected False)"
     )
+    _print_certificate(3, crossed_cert)
 
     _write_result(args.output, 3, EX2_EPSILON, models, plan, F, cert, census, report)
     return EXIT_PASS if ok and not crossed_cert.passes else EXIT_FAIL

@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .errors import HenselConditionError, PoleInBallError, _show
 from .field import KElement, ValExp, _coords_mod, _int_val, _twice_val, reduce_mod
-from .geometry import Ball, Expansions, LocalExpansion, pairwise_deltas
+from .geometry import Ball, LocalExpansion, pairwise_deltas
 from .gluing import check_c3_hypotheses, plan_gluing
 
 __all__ = [
@@ -101,7 +101,7 @@ class DiskBehavior:
     derivative_at_center: KElement | None = None
 
 
-def classify_disk(F: RationalMap, U: Ball, expansions: Expansions | None = None) -> DiskBehavior:
+def classify_disk(F: RationalMap, U: Ball) -> DiskBehavior:
     """Trichotomy for an open disk U.
 
     Attracting: F(U) a proper subdisk of U, or F(U) = U with wdeg >= 2.
@@ -109,12 +109,12 @@ def classify_disk(F: RationalMap, U: Ball, expansions: Expansions | None = None)
     Indifferent (bijective): F(U) = U with wdeg 1; any fixed points are
     indifferent, and existence is certified iff |F'(center) - 1| = 1.
     Anything else (including F(U) disjoint from U) is inconclusive.
-    F's expansion about U comes from `expansions` when given (they must be
-    F's), so a disk about an already shifted center shifts nothing.
+    F's expansion about U reads the shifts F keeps about U's center, so a
+    disk about an already shifted center shifts nothing.
     """
     if U.closed:
         raise ValueError("classification requires an open disk")
-    local = Expansions.of(F, expansions)(U)
+    local = LocalExpansion(F, U)
     img = local.image  # raises PoleInBallError when F has a pole on U
     if img.disjoint_from(U):
         return DiskBehavior(kind=INCONCLUSIVE, image=img)
@@ -217,9 +217,7 @@ def validate_census(models, census: FixedPointCensus) -> None:
                 raise ValueError(f"witness disks {_show(wa.disk)} and {_show(wb.disk)} overlap")
 
 
-def verify_census(
-    F: RationalMap, models, census: FixedPointCensus, expansions: Expansions | None = None,
-) -> CensusReport:
+def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusReport:
     """Classify every witness disk and compare aggregated counts per ball.
 
     Structural problems (see validate_census) are caller errors and raise
@@ -227,8 +225,9 @@ def verify_census(
     witness disk that holds a pole of F is classified inconclusive.
     Indifferent witnesses additionally require certified existence and the
     exact indifferent-case hypothesis check; a ball whose center is not a
-    fixed point of its local map fails that check.  Disks are expanded
-    through `expansions` when given (see classify_disk).
+    fixed point of its local map fails that check.  A witness disk about a
+    center certify_theorem1 has shifted F about reuses that shift (see
+    classify_disk).
     """
     models = list(models)
     validate_census(models, census)
@@ -237,7 +236,7 @@ def verify_census(
     got_counts = [[0, 0, 0] for _ in range(n)]
     for w in census.witnesses:
         try:
-            behavior = classify_disk(F, w.disk, expansions=expansions)
+            behavior = classify_disk(F, w.disk)
         except PoleInBallError:
             behavior = None
         got = INCONCLUSIVE if behavior is None else behavior.kind

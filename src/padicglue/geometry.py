@@ -19,8 +19,10 @@ root counts on that ball are all scans of the shifted coefficients.  The
 shift is lazy (algebra._Prefix): it yields the coefficients one at a
 time and bounds all of them up front by the ultrametric inequality, so
 each scan computes only the prefix whose coefficients might still reach
-its minimum.  The shift does not depend on the radius, so balls about one
-center share it (see Expansions).
+its minimum.  The shift does not depend on the radius, so the polynomial
+keeps its one shift per center (algebra._shifted): every ball about that
+center, in this call or a later one, reads and extends the same prefix,
+and the prefixes live as long as the polynomial.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .algebra import (
     Poly,
     RationalMap,
     _bounds,
-    _Prefix,
+    _shifted,
     count_roots_with_min_valuation,
     gauss_norm_exp,
 )
@@ -162,13 +164,13 @@ def _roots_in_ball(shifted: Poly, ball: Ball) -> int:
 def count_roots_in_ball(P: Poly, ball: Ball) -> int:
     """Number of roots of P in the ball, with multiplicity, over C_v.
 
-    Scans P's lazy shift about the ball's center and counts the roots of
-    valuation >= exp for a closed ball, > exp for an open one
+    Scans the lazy shift P keeps about the ball's center and counts the
+    roots of valuation >= exp for a closed ball, > exp for an open one
     (see count_roots_with_min_valuation).
     """
     if P.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    return _roots_in_ball(_Prefix(P, ball.center), ball)
+    return _roots_in_ball(_shifted(P, ball.center), ball)
 
 
 def _products(X, Y, k: int) -> range:
@@ -202,11 +204,11 @@ class _Diff:
 
 def _shift(f: RationalMap, center: KElement) -> tuple:
     """f = P/Q rewritten in powers of (z - a) about a point a: the pair
-    (Pr, Qr) of one _Prefix each for P and Q (a constant is its own), whose
-    constant terms are P(a) and Q(a).  Nothing here depends on a radius, so
-    every ball about a reads the same prefixes, and each scan extends them
-    only as far as it must."""
-    return tuple(P if P.degree <= 0 else _Prefix(P, center) for P in (f.num, f.den))
+    (Pr, Qr) of P's and Q's one _Prefix about a (a constant is its own),
+    whose constant terms are P(a) and Q(a).  Nothing here depends on a
+    radius, so every ball about a reads the same prefixes, and each scan
+    extends them only as far as it must."""
+    return tuple(P if P.degree <= 0 else _shifted(P, center) for P in (f.num, f.den))
 
 
 class LocalExpansion:
@@ -215,16 +217,15 @@ class LocalExpansion:
 
     Every question about the ball is a scan of the shifted Pr and Qr, whose
     constant terms are P(a) and Q(a), or of a _Diff of them, which computes
-    only the prefix that its tail bound cannot rule out.  The shift may be
-    one that other balls about a share (see Expansions); the radius and the
-    kind of the ball only enter the scans.
+    only the prefix that its tail bound cannot rule out.  The shifts are
+    the ones P and Q keep about a, shared with every other expansion of
+    them about a; the radius and the kind of the ball only enter the scans.
     """
 
-    def __init__(self, f: RationalMap, ball: Ball, shift: tuple | None = None):
-        # a shift passed in is f's about ball.center (Expansions keys it so)
+    def __init__(self, f: RationalMap, ball: Ball):
         self.f = f
         self.ball = ball
-        self._num, self._den = _shift(f, ball.center) if shift is None else shift
+        self._num, self._den = _shift(f, ball.center)
 
     @cached_property
     def pole_free(self) -> bool:
@@ -294,36 +295,6 @@ class LocalExpansion:
         p = self.f.p
         g = _Diff(self._num, Poly.one(p), self._den, Poly.constant(p, b))
         return _roots_in_ball(g, self.ball)
-
-
-class Expansions:
-    """The LocalExpansions of one map f, with one Taylor shift per center.
-
-    Calling it with a ball returns f's expansion about that ball; balls
-    with the same center share the shifted numerator and denominator, and
-    only their radius and kind enter the scans.  It
-    caches one computation: whoever makes it decides how long the shifts
-    live, and it is never kept on a map or a model.
-    """
-
-    def __init__(self, f: RationalMap):
-        self.f = f
-        self._shifts = {}
-
-    def __call__(self, ball: Ball) -> LocalExpansion:
-        shift = self._shifts.get(ball.center)
-        if shift is None:
-            shift = self._shifts[ball.center] = _shift(self.f, ball.center)
-        return LocalExpansion(self.f, ball, shift)
-
-    @staticmethod
-    def of(f: RationalMap, expansions: "Expansions | None") -> "Expansions":
-        """The given expansions, which must be f's, or new ones for f."""
-        if expansions is None:
-            return Expansions(f)
-        if expansions.f is not f:
-            raise ValueError("the expansions belong to another map")
-        return expansions
 
 
 def pole_free_on_ball(f: RationalMap, ball: Ball) -> bool:

@@ -24,9 +24,7 @@ from .algebra import (
 )
 from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
 from .field import KElement, ValExp, _int_val, _twice_val, uniformizer_power
-from .geometry import (
-    Ball, Expansions, LocalExpansion, pairwise_deltas, sample_points,
-)
+from .geometry import Ball, LocalExpansion, pairwise_deltas, sample_points
 
 __all__ = [
     "BallCheck",
@@ -370,10 +368,7 @@ def _spot_check(p, nF, qF, nf, qf, center, b2, e2, r0) -> tuple:
     return tw, ok
 
 
-def certify_theorem1(
-    F: RationalMap, models, plan: GluingPlan, samples: int = 8,
-    expansions: Expansions | None = None,
-) -> Certificate:
+def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8) -> Certificate:
     """Exact certification of the glued map against its contract.
 
     Per ball B_i: (a) F pole-free; (b) the image F(B_i) equals the
@@ -382,14 +377,13 @@ def certify_theorem1(
     both the certified bound and the image.  Failures are recorded, never
     raised.
 
-    Each ball gets one LocalExpansion of F: the numerator and denominator
-    of F each get one lazy Taylor shift about a_i, and (a), (b) and (c) are
-    scans of it that compute only the shifted coefficients their tail
-    bounds cannot rule out (see algebra._Prefix): on the benchmark's
-    20-ball sweep, 6 of deg F + 1 = 97 or 101 per shift.  f_i's expansion
-    is the one its LocalModel keeps.  The expansions of F come from
-    `expansions` when given (they must be F's), so a caller that also
-    classifies disks about the same centers shifts F once per center in all.
+    Each ball gets one LocalExpansion of F: (a), (b) and (c) are scans of
+    the lazy Taylor shifts that F's numerator and denominator keep about
+    a_i, which compute only the shifted coefficients their tail bounds
+    cannot rule out (see algebra._Prefix): on the benchmark's 20-ball
+    sweep, 6 of deg F + 1 = 97 or 101 per shift.  f_i's expansion is the
+    one its LocalModel keeps.  F keeps its shifts (algebra._shifted), so a
+    census of disks about the same centers shifts nothing again.
     The sup norm in (c) is taken of the unreduced difference
     (N*d - n*D) / (D*d) for F = N/D and f_i = n/d, without a gcd.  Its
     bound equals that of the reduced F - f_i: the Gauss norm on a ball is
@@ -409,11 +403,10 @@ def certify_theorem1(
     radius exponent rho; no valuation of that pair is computed.
     """
     p = F.p
-    expand = Expansions.of(F, expansions)
     checks = []
     for i, m in enumerate(models):
         B = m.domain
-        local = expand(B)
+        local = LocalExpansion(F, B)
         if not local.pole_free:
             checks.append(BallCheck(index=i, pole_free_ok=False))
             continue

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from padicglue import geometry
+from padicglue import algebra
 from padicglue import (
     Ball,
     FieldConfig,
@@ -90,13 +90,37 @@ def shell_points(center: KElement, exps, per_shell: int | None = None):
     return out
 
 
-def spy_shifts(monkeypatch) -> list:
-    """Record (P, a) for every Taylor shift started: each non-constant
-    polynomial P rewritten in powers of (z - a) gets one `geometry._Prefix`,
-    however many of its coefficients the scans go on to compute."""
-    started, prefix = [], geometry._Prefix
-    monkeypatch.setattr(geometry, "_Prefix", lambda P, a: started.append((P, a)) or prefix(P, a))
-    return started
+@pytest.fixture
+def spy_shifts(monkeypatch):
+    """A function that starts recording (P, a) for every Taylor shift
+    started from then on, and returns the list it appends to.  A polynomial
+    P gets one `algebra._Prefix` about a point a (see `algebra._shifted`),
+    however many of its coefficients the scans go on to compute, and keeps
+    it: count shifts only on maps the test builds itself, since a shared
+    fixture's map carries its shifts from test to test."""
+
+    def start() -> list:
+        started, prefix = [], algebra._Prefix
+        monkeypatch.setattr(
+            algebra, "_Prefix", lambda P, a: started.append((P, a)) or prefix(P, a)
+        )
+        return started
+
+    return start
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "spy_shifts: counts Taylor shifts; set on every test using that fixture"
+    )
+
+
+def pytest_collection_modifyitems(items):
+    # `pytest -m spy_shifts` runs the shift counts on their own, so none
+    # passes only because an earlier test filled a map's shifts
+    for item in items:
+        if "spy_shifts" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.spy_shifts)
 
 
 def spy(monkeypatch, owner, name: str) -> list:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import certifier_oracle as oracle
-from conftest import make_gluing_instance, shared_pole_problem, spy_shifts
+from conftest import make_gluing_instance, shared_pole_problem
 from padicglue import (
     Ball,
     FieldConfig,
@@ -345,10 +345,10 @@ def test_classify_disk_raises_on_a_pole():
         oracle.classify_disk(F, U)
 
 
-def test_certifier_shifts_F_once_per_ball(monkeypatch):
+def test_certifier_shifts_F_once_per_ball(spy_shifts):
     models = ex2_models()
     plan, F = _glue(models, EX2_EPSILON)
-    shifted = spy_shifts(monkeypatch)
+    shifted = spy_shifts()
     assert certify_theorem1(F, models, plan).passes
     # each of F.den and F.num is shifted exactly once about every center,
     # and nothing is shifted more than three times per ball in all

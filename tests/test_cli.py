@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import shared_pole_problem, spy_shifts
+from conftest import shared_pole_problem
 from padicglue import (
     Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap, build_F,
     certify_theorem1, epsilon_for_census, hensel_fixed_point, orbit, plan_gluing,
@@ -443,11 +443,11 @@ class TestVerify:
 
 
 class TestOneShiftPerCenter:
-    """glue, verify and example certify and take the census through one
-    cache of F's expansions: every preset witness disk is centered at its
-    ball's center, so F's numerator and denominator each get one Taylor
-    shift per ball, where certificate and census used to start two about
-    each witnessed center."""
+    """glue, verify and example certify and then take the census on one F,
+    which keeps its Taylor shifts: every preset witness disk is centered at
+    its ball's center, so F's numerator and denominator each get one shift
+    per ball, where certificate and census used to start two about each
+    witnessed center."""
 
     def _assert_one_shift_per_ball(self, shifted, result):
         doc = read_json(result)
@@ -459,18 +459,18 @@ class TestOneShiftPerCenter:
         assert doc["census_report"]["passes"]
 
     @pytest.mark.parametrize("name", ["ex1", "ex2"])
-    def test_verify(self, tmp_path, monkeypatch, capsys, name):
+    def test_verify(self, tmp_path, spy_shifts, capsys, name):
         result = tmp_path / f"{name}.json"
         assert main(["glue", "--input", str(ROOT / "presets" / f"{name}.json"),
                      "--output", str(result)]) == 0
-        shifted = spy_shifts(monkeypatch)
+        shifted = spy_shifts()
         assert main(["verify", "--input", str(result), "--samples", "4"]) == 0
         assert "census: PASS" in capsys.readouterr().out
         self._assert_one_shift_per_ball(shifted, result)
 
-    def test_glue(self, tmp_path, monkeypatch):
+    def test_glue(self, tmp_path, spy_shifts):
         result = tmp_path / "ex1.json"
-        shifted = spy_shifts(monkeypatch)
+        shifted = spy_shifts()
         assert main(["glue", "--input", str(ROOT / "presets" / "ex1.json"),
                      "--output", str(result)]) == 0
         self._assert_one_shift_per_ball(shifted, result)
@@ -1013,8 +1013,13 @@ class TestExample:
         assert main(["example", "--name", "ex2"]) == 0
         out = capsys.readouterr().out
         assert out.count("equal") >= 3
-        assert "expected False" in out
         assert "census: PASS" in out
+        # the control names the failing ball and check, with the bound against epsilon
+        _, control = out.split("certificate passes: False (expected False)\n")
+        assert ("ball 0: pole-free True, image B(-4374/14197 + 6912/14197*sqrt(3); 3^(-2))"
+                " matches False, |F - f_0| <= 3^(-2) (needs < 3^(-3)), samples ok False"
+                in control.splitlines())
+        assert control.endswith("certificate: FAIL\n")
 
     @pytest.mark.parametrize(
         "alpha, kind",

@@ -9,7 +9,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import spy_shifts
 from padicglue import (
     ATTRACTING,
     INCONCLUSIVE,
@@ -38,7 +37,6 @@ from padicglue import (
     suggest_witness,
     verify_census,
 )
-from padicglue.geometry import Expansions
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_models, ex2_census, ex2_models
 
 K3 = FieldConfig(3)
@@ -379,15 +377,16 @@ class TestVerifyCensus:
         assert report.counts[0].got == (0, 0, 0) and not report.counts[0].ok
         assert not report.passes
 
-    def test_census_reuses_the_certificate_shifts(self, glued_ex2, monkeypatch):
+    def test_census_reuses_the_certificate_shifts(self, spy_shifts):
         # every ex2 witness disk is centered at its ball's center, which
         # certify_theorem1 has already shifted F about
-        models, plan, F = glued_ex2
+        models = ex2_models()
+        plan = plan_gluing(models, EX2_EPSILON)
+        F = build_F(models, plan)
         census = ex2_census(models)
-        expansions = Expansions(F)
-        assert certify_theorem1(F, models, plan, expansions=expansions).passes
-        shifted = spy_shifts(monkeypatch)
-        report = verify_census(F, models, census, expansions=expansions)
+        assert certify_theorem1(F, models, plan).passes
+        shifted = spy_shifts()
+        report = verify_census(F, models, census)
         assert report.passes and shifted == []
 
     def test_structural_errors_raise(self, glued_ex2):

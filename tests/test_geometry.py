@@ -1,13 +1,12 @@
 """Balls, images, root counting, and sampling in the completed field."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 import certifier_oracle as oracle
-from conftest import spy_shifts
-
 from padicglue import (
     Ball,
     FieldConfig,
@@ -27,7 +26,6 @@ from padicglue import (
     wdeg,
 )
 from padicglue.errors import _power_str
-from padicglue.geometry import Expansions
 
 K3 = FieldConfig(3)
 Z = Poly.x(3)
@@ -208,12 +206,16 @@ class TestImageOfBall:
 
 
 class TestExpansions:
-    """Balls about one center share one Taylor shift; the radius and the
-    kind only enter the scans, so every answer equals a fresh expansion's."""
+    """A polynomial keeps one Taylor shift per center: balls about one
+    center share it, and so do later calls.  The radius and the kind only
+    enter the scans, so every answer equals one read off a fresh shift.
+    Each test builds its own map, since the shifts live as long as it does."""
 
-    F = RationalMap(Z**3 + 2 * Z + 1, Z**2 - 3)
+    @staticmethod
+    def F():
+        return RationalMap(Z**3 + 2 * Z + 1, Z**2 - 3)
 
-    def test_balls_about_one_center_share_one_shift(self, monkeypatch):
+    def test_balls_about_one_center_share_one_shift(self, spy_shifts):
         balls = [B(1, 1), B(1, 1, closed=False), B(1, 2, closed=False), B(1, 3)]
 
         def answers(local):
@@ -221,33 +223,57 @@ class TestExpansions:
             return (local.pole_free, str(img), img.closed, local.sup_norm_exp(),
                     local.wdeg(img.center))
 
-        fresh = [answers(LocalExpansion(self.F, b)) for b in balls]
-        shifted = spy_shifts(monkeypatch)
-        expand = Expansions(self.F)
-        assert [answers(expand(b)) for b in balls] == fresh
-        assert [P for P, _ in shifted] == [self.F.num, self.F.den]
+        fresh = [answers(LocalExpansion(self.F(), b)) for b in balls]
+        F = self.F()
+        shifted = spy_shifts()
+        assert [answers(LocalExpansion(F, b)) for b in balls] == fresh
+        assert [P for P, _ in shifted] == [F.num, F.den]
 
-    def test_each_center_is_shifted_once(self, monkeypatch):
-        shifted = spy_shifts(monkeypatch)
-        expand = Expansions(self.F)
+    def test_each_center_is_shifted_once(self, spy_shifts):
+        F = self.F()
+        shifted = spy_shifts()
         for b in (B(1, 1), B(4, 2), B(1, 3, closed=False), B(4, 2, closed=False)):
-            expand(b).image
+            LocalExpansion(F, b).image
+            count_roots_in_ball(F.den, b)
         assert sorted((str(a), str(P)) for P, a in shifted) == sorted(
-            (str(K3(c)), str(P)) for c in (1, 4) for P in (self.F.num, self.F.den)
+            (str(K3(c)), str(P)) for c in (1, 4) for P in (F.num, F.den)
         )
+
+    def test_shifts_outlive_the_call(self, spy_shifts):
+        F = self.F()
+        shifted = spy_shifts()
+        assert pole_free_on_ball(F, B(1, 1))
+        assert len(shifted) == 2
+        image_of_ball(F, B(1, 3, closed=False))
+        assert count_roots_in_ball(F.num, B(1, 0)) == 3
+        assert len(shifted) == 2
+
+    def test_a_copy_starts_with_no_shifts(self, spy_shifts):
+        F = self.F()
+        LocalExpansion(F, B(1, 1)).image
+        shifted = spy_shifts()
+        copies = [Poly(3, F.num.coeffs), pickle.loads(pickle.dumps(F.num))]
+        for P in copies:
+            count_roots_in_ball(P, B(1, 1))
+        assert [id(P) for P, _ in shifted] == [id(P) for P in copies]
+
+    def test_mixed_primes_raise_after_a_shift(self):
+        # KElement(5, 0) == KElement(3, 0) and both hash alike, so a lookup
+        # by center alone would hand the p = 5 ball the p = 3 shift
+        F = self.F()
+        assert LocalExpansion(F, B(0, 1)).pole_free
+        assert K3(0) == FieldConfig(5)(0) and hash(K3(0)) == hash(FieldConfig(5)(0))
+        ball5 = Ball(FieldConfig(5)(0), Radius(1))
+        with pytest.raises(ValueError, match="mixed primes"):
+            LocalExpansion(F, ball5)
+        with pytest.raises(ValueError, match="mixed primes"):
+            count_roots_in_ball(F.num, ball5)
 
     def test_pole_is_found_on_the_larger_ball_only(self):
         # z^2 - 3 has its roots at valuation 1/2: inside B(0; 3^0), outside D(0; 3^(-1/2))
-        expand = Expansions(self.F)
-        assert not expand(B(0, 0)).pole_free
-        assert expand(Ball(K3(0), Radius(Fraction(1, 2)), closed=False)).pole_free
-
-    def test_expansions_of_another_map_are_refused(self):
-        expand = Expansions(self.F)
-        assert Expansions.of(self.F, expand) is expand
-        assert Expansions.of(self.F, None).f is self.F
-        with pytest.raises(ValueError, match="another map"):
-            Expansions.of(RationalMap(Z), expand)
+        F = self.F()
+        assert not LocalExpansion(F, B(0, 0)).pole_free
+        assert LocalExpansion(F, Ball(K3(0), Radius(Fraction(1, 2)), closed=False)).pole_free
 
 
 class TestWdeg:

@@ -32,7 +32,7 @@ from padicglue import (
     gauss_norm_exp,
     plan_gluing,
 )
-from padicglue.algebra import _min_plus, _Prefix
+from padicglue.algebra import _min_plus, _Prefix, _shifted
 from padicglue.geometry import _Diff
 from padicglue.presets import EX2_EPSILON, ex2_models
 
@@ -167,22 +167,20 @@ def sweep_models(p: int = 23, n: int = 5) -> list:
     ]
 
 
-def prefix_lengths(models, epsilon, monkeypatch) -> list:
+def prefix_lengths(models, epsilon, spy_shifts) -> list:
     """(center, deg F.num + 1, coefficients of F.num computed, deg F.den + 1,
-    coefficients of F.den computed) for each ball, after certification."""
+    coefficients of F.den computed) for each ball, after certification,
+    which starts one shift of each about every center."""
     plan = plan_gluing(models, epsilon)
     F = build_F(models, plan)
-    started = []
-    monkeypatch.setattr(
-        "padicglue.geometry._Prefix",
-        lambda P, a: started.append((P, a, _Prefix(P, a))) or started[-1][2],
-    )
+    started = spy_shifts()
     assert certify_theorem1(F, models, plan).passes
     out = []
     for m in models:
         a = m.domain.center
-        (num,) = [s for P, b, s in started if P is F.num and b == a]
-        (den,) = [s for P, b, s in started if P is F.den and b == a]
+        for P in (F.num, F.den):
+            assert [b for Q, b in started if Q is P and b == a] == [a]
+        num, den = _shifted(F.num, a), _shifted(F.den, a)
         out.append((str(a), len(F.num.coeffs), num._done, len(F.den.coeffs), den._done))
     return out
 
@@ -191,14 +189,14 @@ class TestPrefixLengths:
     """The number of shifted coefficients certification computes per shift
     of F, pinned: shifting every coefficient again fails these."""
 
-    def test_ex2(self, monkeypatch):
+    def test_ex2(self, spy_shifts):
         # deg F = (15, 21): of 16 and 22 coefficients, 2, 9 and 7 of each
-        assert prefix_lengths(ex2_models(), EX2_EPSILON, monkeypatch) == [
+        assert prefix_lengths(ex2_models(), EX2_EPSILON, spy_shifts) == [
             ("0", 16, 2, 22, 2), ("3", 16, 9, 22, 9), ("6", 16, 7, 22, 7),
         ]
 
-    def test_sweep_shaped_glue(self, monkeypatch):
+    def test_sweep_shaped_glue(self, spy_shifts):
         # deg F = (21, 25): of 22 and 26 coefficients, 6 of each
-        assert prefix_lengths(sweep_models(), Radius(2), monkeypatch) == [
+        assert prefix_lengths(sweep_models(), Radius(2), spy_shifts) == [
             (a, 22, 6, 26, 6) for a in ("1", "22", "4", "16", "19")
         ]

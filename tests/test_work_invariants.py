@@ -7,8 +7,8 @@ modular pretest cannot certify coprimality, an orbit point or Newton
 iterate that the real embeddings prove tall is rounded from residues at
 the modulus its own valuations set, and Hensel's convergence test after
 the seed runs on residues.
-Shifts per center are pinned in test_lazy_shift.py and by the
-`spy_shifts` tests.
+Shifts per polynomial and center are pinned here for a whole glue and
+census, and in the other tests that take the `spy_shifts` fixture.
 """
 
 import random
@@ -18,9 +18,11 @@ import pytest
 from conftest import make_gluing_instance, shared_pole_problem, spy
 from padicglue import (
     FieldConfig, algebra, build_F, certify_theorem1, dynamics, field, gluing, hensel_fixed_point,
-    orbit, plan_gluing,
+    orbit, plan_gluing, verify_census,
 )
-from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
+from padicglue.presets import (
+    EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_census, ex2_models,
+)
 from test_hensel_differential import fixed_point_instance
 
 SAMPLES = 100
@@ -50,6 +52,30 @@ def test_certify_evaluates_each_map_once_per_sample(problem, monkeypatch):
         for f in (F, m.f)
     ]
     assert [(f, point) for (f, point, _), _ in calls] == expected
+
+
+@pytest.mark.parametrize("name", ("ex1", "ex2"))
+def test_glue_and_census_shift_once_per_polynomial_and_center(name, spy_shifts):
+    # every polynomial keeps its shifts: the model checks of plan_gluing
+    # and of build_F, the certificate and the census all read the one
+    # shift of each f_i about each center and of F about each a_i
+    shifted = spy_shifts()
+    if name == "ex1":
+        models = ex1_models("3", "1/3")
+        census = ex1_census(models)
+        epsilon = ex1_epsilon(models, census)
+    else:
+        models, epsilon = ex2_models(), EX2_EPSILON
+        census = ex2_census(models)
+    plan = plan_gluing(models, epsilon)
+    F = build_F(models, plan)
+    assert certify_theorem1(F, models, plan).passes
+    assert verify_census(F, models, census).passes
+    centers = sorted(str(m.center) for m in models)
+    polys = [P for m in models for P in (m.f.num, m.f.den) if P.degree > 0] + [F.num, F.den]
+    for P in polys:
+        assert sorted(str(a) for Q, a in shifted if Q is P) == centers
+    assert len(shifted) == len(polys) * len(centers)
 
 
 def euclid_runs(monkeypatch, models, epsilon) -> tuple:
