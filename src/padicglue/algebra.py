@@ -2,8 +2,9 @@
 
 Root counting never factorizes anything: root counts in a ball and Gauss
 norms over it are both read off one min-plus scan of the recentered
-coefficients (see count_roots_with_min_valuation).  Both are exact
-integer/Fraction computations.
+coefficients (see count_roots_with_min_valuation), exactly.  Products,
+contents and evaluations run in integers on a Poly's cached integer form
+(`_int_form`); sums, division and the Taylor shift run on K elements.
 """
 
 from __future__ import annotations
@@ -137,15 +138,8 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return Poly.zero(self.p)
-        out = [KElement(self.p)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.p, out)
+        (d1, xs), (d2, ys) = _int_form(self), _int_form(o)
+        return _poly(self.p, d1 * d2, _convolve(self.p, xs, ys))
 
     __rmul__ = __mul__
 
@@ -203,16 +197,11 @@ class Poly:
     # -- normal forms ------------------------------------------------------------
 
     def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integral parts."""
-        nums, dens = [], []
-        for c in self.coeffs:
-            for fr in (c.a, c.b):
-                if fr:
-                    nums.append(abs(fr.numerator))
-                    dens.append(fr.denominator)
-        if not nums:
-            return Fraction(1)
-        return Fraction(gcd(*nums), lcm(*dens))
+        """Positive rational c such that self/c has coprime integral parts:
+        the gcd of the `_int_form` pairs over D, the least denominator."""
+        D, cs = _int_form(self)
+        g = gcd(*(x for pair in cs for x in pair))
+        return Fraction(g, D) if g else Fraction(1)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -282,7 +271,9 @@ def _point(p: int, x) -> tuple:
 def _int_form(P: Poly) -> tuple:
     """(D, ((A_0, B_0), ...)) with P = (1/D) sum (A_k + B_k sqrt p) z^k and
     D the lcm of the coefficient denominators; (1, ()) for P = 0.  Kept in
-    a private slot of P, so it is computed once per Poly."""
+    a private slot of P, so it is computed once per Poly.  Read by
+    `Poly.__mul__`, `content`, `_coeffs_mod_q`, `_horner`, `_values_mod` and
+    dynamics' Newton map and precision bounds."""
     try:
         return P._ints
     except AttributeError:
@@ -426,6 +417,11 @@ def _element(p: int, xa: int, xb: int, den: int) -> KElement:
     return KElement(p, Fraction(xa, den), Fraction(xb, den))
 
 
+def _poly(p: int, D: int, pairs) -> Poly:
+    """The Poly (1/D) sum (A_k + B_k sqrt p) z^k, for integers D > 0."""
+    return Poly(p, [_element(p, A, B, D) for A, B in pairs])
+
+
 def _twice_val_at_least(p: int, n: tuple, q: tuple, c: tuple, r: int) -> bool:
     """Whether 2 v(n cw - (cu + cv sqrt p) q) >= r, for Z[sqrt p] pairs n
     and q and a point triple c = (cu, cv, cw), decided by divisibility.
@@ -451,14 +447,11 @@ _PRETEST_PRIMES = (1000003, 1000039, 1000099, 1000151)
 
 
 def _coeffs_mod_q(P: Poly, q: int, s: int | None):
-    out = []
-    for c in P.coeffs:
-        val = c.a.numerator * pow(c.a.denominator, -1, q)
-        if c.b:
-            if s is None:
-                return None
-            val += c.b.numerator * pow(c.b.denominator, -1, q) * s
-        out.append(val % q)
+    D, cs = _int_form(P)
+    d = pow(D, -1, q)  # ValueError when q divides a coefficient denominator
+    if s is None and any(B for _, B in cs):
+        return None
+    out = [(A + B * (s or 0)) * d % q for A, B in cs]
     if out and out[-1] == 0:
         return None  # leading coefficient vanished; degree argument breaks
     return out

@@ -20,7 +20,7 @@ from math import inf, isqrt
 from types import SimpleNamespace
 
 from .algebra import (
-    Poly, RationalMap, _convolve, _element, _int_form, _mul, _point, _quotient, _sub,
+    Poly, RationalMap, _convolve, _element, _int_form, _mul, _point, _poly, _quotient, _sub,
     _twice_val_at_least, _values, _values_mod,
 )
 from .errors import HenselConditionError, PoleInBallError, _show
@@ -365,7 +365,7 @@ def _newton_map(F: RationalMap) -> SimpleNamespace:
     c = comb(1, _convolve(p, da, b), 1, _convolve(p, a, db))
     num = comb(dd, [(0, 0), *c], dd, _convolve(p, a, b))
     den = comb(dd, c, dn, _convolve(p, b, b))
-    num, den = (Poly(p, [KElement(p, x, y) for x, y in pairs]) for pairs in (num, den))
+    num, den = _poly(p, 1, num), _poly(p, 1, den)
     return SimpleNamespace(p=p, num=num, den=den)
 
 

@@ -5,14 +5,19 @@ question recenters the polynomials it needs from scratch, the sup norm of
 F - f_i is taken of the gcd-reduced difference, and F is evaluated twice
 per sample point.  They are slow but obviously faithful to the
 definitions, so the library's certificates and disk classifications must
-equal theirs exactly.  `glued_sum` is the sum as it was before it became
-one fraction: every bump factor, product and partial sum reduced by a gcd.
-`check_global_boundedness` is the boundedness hypothesis as it was checked
-before it was read off the sup norm: the image of every ball under every
-map, computed in full.  `sample_points` builds each point as
-center + pi^(2j) * u by multiplication and addition in K, as the library
-once did, and `certify_theorem1` evaluates F and f_i at those points as K
-elements, so the library's integer spot checks are checked against it.
+equal theirs exactly.  `poly_mul` is the schoolbook product, one K
+multiply-add per pair of coefficients, written independently of the
+library's `Poly.__mul__` (which convolves integer pairs); every product
+here, of two polynomials or by a scalar, is `poly_mul`.  `glued_sum` is
+the sum as it was before it became one fraction: every bump factor
+(`bump_factor`, whose (z - a)^M is M schoolbook products), product and
+partial sum reduced by a gcd.  `check_global_boundedness` is the
+boundedness hypothesis as it was checked before it was read off the sup
+norm: the image of every ball under every map, computed in full.
+`sample_points` builds each point as center + pi^(2j) * u by
+multiplication and addition in K, as the library once did, and
+`certify_theorem1` evaluates F and f_i at those points as K elements, so
+the library's integer spot checks are checked against it.
 `recenter` is the eager Taylor shift, one synthetic division after
 another, written independently of the library's lazy `algebra._Prefix`
 (which `Poly.recenter` forces), so every shift here checks that one.
@@ -34,7 +39,6 @@ from padicglue import (
     Poly,
     Radius,
     RationalMap,
-    build_h,
     count_roots_with_min_valuation,
     gauss_norm_exp,
     uniformizer_power,
@@ -70,6 +74,30 @@ def count_roots_in_ball(P, ball):
     return count_roots_with_min_valuation(shifted, ball.radius, strict=not ball.closed)
 
 
+def poly_mul(P, Q):
+    """The product of two polynomials over K, one K multiply-add per pair of
+    coefficients; exact."""
+    if P.is_zero or Q.is_zero:
+        return Poly.zero(P.p)
+    out = [KElement(P.p)] * (len(P.coeffs) + len(Q.coeffs) - 1)
+    for i, a in enumerate(P.coeffs):
+        if a.is_zero:
+            continue
+        for j, b in enumerate(Q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(P.p, out)
+
+
+def bump_factor(a, c, M):
+    """1/(1 - ((z - a)/c)^M) = c^M/(c^M - (z - a)^M), as a reduced map."""
+    p = c.p
+    shifted = Poly.one(p)
+    for _ in range(M):
+        shifted = poly_mul(shifted, Poly(p, (-a, 1)))
+    cM = Poly.constant(p, c**M)
+    return RationalMap(cM, cM - shifted)
+
+
 def glued_sum(models, plan, shift=0):
     """sum_i f_i * h_j, h_j the bump factor of ball j = (i + shift) mod n,
     as n products and n - 1 sums of reduced rational maps."""
@@ -77,10 +105,13 @@ def glued_sum(models, plan, shift=0):
     F = None
     for i, m in enumerate(models):
         j = (i + shift) % n
-        h = build_h(models[j].domain.center, plan.c[j], plan.M[j])
-        term = RationalMap(m.f.num * h.num, m.f.den * h.den)
+        h = bump_factor(models[j].domain.center, plan.c[j], plan.M[j])
+        term = RationalMap(poly_mul(m.f.num, h.num), poly_mul(m.f.den, h.den))
         if F is not None:
-            term = RationalMap(F.num * term.den + term.num * F.den, F.den * term.den)
+            term = RationalMap(
+                poly_mul(F.num, term.den) + poly_mul(term.num, F.den),
+                poly_mul(F.den, term.den),
+            )
         F = term
     return F
 
@@ -121,7 +152,7 @@ def image_of_ball(f, ball):
     a = ball.center
     pa = poly_eval(f.num, a)
     qa = poly_eval(f.den, a)
-    g = f.num * qa - f.den * pa
+    g = poly_mul(f.num, Poly.constant(a.p, qa)) - poly_mul(f.den, Poly.constant(a.p, pa))
     e = gauss_norm_exp(recenter(g, a), ball.radius.exp, from_k=1)
     if e.is_infinite:
         raise ValueError("constant map: the image of the ball is a point, not a ball")
@@ -132,7 +163,7 @@ def wdeg(f, b, ball):
     img = image_of_ball(f, ball)
     if not img.contains_point(b):
         raise ValueError(f"target {b} lies outside the image {img}")
-    return count_roots_in_ball(f.num - f.den * b, ball)
+    return count_roots_in_ball(f.num - poly_mul(f.den, Poly.constant(b.p, b)), ball)
 
 
 def sample_points(ball, budget):
@@ -160,7 +191,9 @@ def certify_theorem1(F, models, plan, samples=8):
             checks.append(BallCheck(i, False, False, None, None, (), False))
             continue
         img = image_of_ball(F, B)
-        diff = RationalMap(F.num * m.f.den - m.f.num * F.den, F.den * m.f.den)
+        diff = RationalMap(
+            poly_mul(F.num, m.f.den) - poly_mul(m.f.num, F.den), poly_mul(F.den, m.f.den)
+        )
         bound = sup_norm_exp_on_ball(diff, B)
         witnesses = []
         samples_ok = True

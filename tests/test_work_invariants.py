@@ -5,8 +5,9 @@ counts are pinned here instead: the spot checks evaluate each map once per
 sample, the gcd of a glued sum runs the exact Euclid only when the
 modular pretest cannot certify coprimality, an orbit point or Newton
 iterate that the real embeddings prove tall is rounded from residues at
-the modulus its own valuations set, and Hensel's convergence test after
-the seed runs on residues.
+the modulus its own valuations set, Hensel's convergence test after the
+seed runs on residues, and `build_F` multiplies polynomials in integers,
+not in K.
 Shifts per polynomial and center are pinned here for a whole glue and
 census, and in the other tests that take the `spy_shifts` fixture.
 """
@@ -76,6 +77,25 @@ def test_glue_and_census_shift_once_per_polynomial_and_center(name, spy_shifts):
     for P in polys:
         assert sorted(str(a) for Q, a in shifted if Q is P) == centers
     assert len(shifted) == len(polys) * len(centers)
+
+
+def test_build_F_multiplies_polynomials_in_integers(monkeypatch):
+    # every product of the glued sum and of its bump factors convolves
+    # integer pairs; the only K products left are the powers c_i^M_i, 6
+    # each for M_i = 7 by repeated squaring (three squares, three products)
+    models = ex2_models()
+    plan = plan_gluing(models, EX2_EPSILON)
+    assert plan.M == (7, 7, 7)
+    calls, mul = [], field.KElement.__mul__
+
+    def counted(x, y):
+        calls.append(None)
+        return mul(x, y)
+
+    monkeypatch.setattr(field.KElement, "__mul__", counted)
+    monkeypatch.setattr(field.KElement, "__rmul__", counted)
+    build_F(models, plan)
+    assert len(calls) == 18
 
 
 def euclid_runs(monkeypatch, models, epsilon) -> tuple:
