@@ -2,18 +2,21 @@
 
 Root counting never factorizes anything: root counts in a ball and Gauss
 norms over it are both read off one min-plus scan of the recentered
-coefficients (see count_roots_with_min_valuation), exactly.  Products,
-contents and evaluations run in integers on a Poly's cached integer form
-(`_int_form`); sums, division and the Taylor shift run on K elements.
+coefficients (see count_roots_with_min_valuation), exactly.  A Poly is
+stored in integers, as (1/D) sum (A_k + B_k sqrt p) z^k, and sums,
+products, division, contents and evaluations all run on that form; only
+the Taylor shift runs on K elements, read off the Poly's `coeffs` view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, inf, lcm
 from operator import mul
 
-from .field import KElement, ValExp, _v2
+from .field import KElement, ValExp, _int_val, _twice_val, _v2, is_prime
 
 __all__ = [
     "Poly",
@@ -27,35 +30,30 @@ __all__ = [
 class Poly:
     """Dense polynomial over K with exact coefficients.
 
-    Coefficients are stored ascending; trailing zeros are stripped, so the
-    zero polynomial has an empty coefficient tuple and degree -1.
+    Stored as P = (1/D) sum (A_k + B_k sqrt p) z^k in integers: `pairs` is
+    ((A_0, B_0), ...) with trailing zeros stripped, and D > 0 the least
+    common denominator, so the zero polynomial has no pairs, D = 1 and
+    degree -1.  `coeffs` views the same coefficients as K elements,
+    ascending; it is built on first read and kept.
     """
 
-    __slots__ = ("p", "coeffs", "_ints", "_v2s", "_shifts")
+    __slots__ = ("p", "D", "pairs", "_coeffs", "_v2s", "_shifts")
 
     p: int
-    coeffs: tuple
+    D: int
+    pairs: tuple
 
-    def __init__(self, p: int, coeffs=()):
-        elems = []
-        for c in coeffs:
-            if isinstance(c, KElement):
-                if c.p != p:
-                    raise ValueError(f"mixed primes: {p} and {c.p}")
-                elems.append(c)
-            else:
-                elems.append(KElement(p, c))
-        while elems and elems[-1].is_zero:
-            elems.pop()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(elems))
+    def __new__(cls, p: int, coeffs=()):
+        points = [_point(p, c) for c in coeffs]
+        D = lcm(*[w for _, _, w in points])
+        return _poly(p, D, [(u * (D // w), v * (D // w)) for u, v, w in points])
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        # the cached integer forms and shifts are rebuilt on demand
-        return Poly, (self.p, self.coeffs)
+        # the view, the valuations and the shifts are rebuilt on demand
+        return _poly, (self.p, self.D, self.pairs)
 
     # -- constructors -------------------------------------------------------
 
@@ -78,23 +76,28 @@ class Poly:
     # -- structure ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        if not hasattr(self, "_coeffs"):
+            view = tuple(_element(self.p, A, B, self.D) for A, B in self.pairs)
+            object.__setattr__(self, "_coeffs", view)
+        return self._coeffs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.pairs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.pairs) - 1
 
     @property
     def lead(self) -> KElement:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _element(self.p, *self.pairs[-1], self.D)
 
     def coeff(self, k: int) -> KElement:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return KElement(self.p)
+        return self.coeffs[k] if 0 <= k < len(self.pairs) else KElement(self.p)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -113,41 +116,34 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.p, [self.coeff(k) + o.coeff(k) for k in range(n)])
+        D = lcm(self.D, o.D)  # over the least common denominator
+        return _poly(self.p, D, _comb(D // self.D, self.pairs, D // o.D, o.pairs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.p, [self.coeff(k) - o.coeff(k) for k in range(n)])
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o + -self
 
     def __neg__(self):
-        return Poly(self.p, [-c for c in self.coeffs])
+        return _poly(self.p, -self.D, self.pairs)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        (d1, xs), (d2, ys) = _int_form(self), _int_form(o)
-        return _poly(self.p, d1 * d2, _convolve(self.p, xs, ys))
+        return _poly(self.p, self.D * o.D, _convolve(self.p, self.pairs, o.pairs))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             return NotImplemented
-        out = Poly.one(self.p)
-        base = self
+        out, base = _poly(self.p, 1, [(1, 0)]), self
         while n:
             if n & 1:
                 out = out * base
@@ -156,24 +152,27 @@ class Poly:
         return out
 
     def __divmod__(self, other):
+        """(quotient, remainder) in integers.  With 1/b = c/d for the
+        divisor's leading pair b, a step scales the whole list by d, cancels
+        its top pair r by r c times the divisor's pairs and keeps r c D' (D'
+        the divisor's D) as the quotient's pair, all over D d^steps."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = o.degree
-        lead_inv = o.lead.inverse()
-        quot = [KElement(self.p)] * max(0, len(rem) - dn)
-        while len(rem) - 1 >= dn:
-            k = len(rem) - 1 - dn
-            c = rem[-1] * lead_inv
-            quot[k] = c
-            for j, oc in enumerate(o.coeffs):
-                rem[k + j] = rem[k + j] - c * oc
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return Poly(self.p, quot), Poly(self.p, rem)
+        p, n, (c, d) = self.p, o.degree, _inverse_pair(self.p, o.pairs[-1])
+        w, D = list(self.pairs), self.D
+        for top in range(len(w) - 1, n - 1, -1):
+            if not any(w[top]):
+                continue
+            t = _mul(p, w[top], c)
+            w = [(d * x, d * y) for x, y in w]
+            for j, b in enumerate(o.pairs[:-1], top - n):
+                w[j] = _sub(w[j], _mul(p, t, b))
+            w[top] = t[0] * o.D, t[1] * o.D
+            D *= d
+        return _poly(p, D, w[n:]), _poly(p, D, w[:n])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -192,23 +191,22 @@ class Poly:
         if not isinstance(a, KElement):
             a = KElement(self.p, a)
         shifted = _Prefix(self, a)
-        return Poly(self.p, [shifted.coeff(k) for k in range(len(self.coeffs))])
+        return Poly(self.p, [shifted.coeff(k) for k in range(len(self.pairs))])
 
     # -- normal forms ------------------------------------------------------------
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integral parts:
-        the gcd of the `_int_form` pairs over D, the least denominator."""
-        D, cs = _int_form(self)
-        g = gcd(*(x for pair in cs for x in pair))
-        return Fraction(g, D) if g else Fraction(1)
+        the gcd of the pairs over D."""
+        g = gcd(*(x for pair in self.pairs for x in pair))
+        return Fraction(g, self.D) if g else Fraction(1)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        # P / (b/D) = sum (A_k + B_k sqrt p) c/d for the leading pair b
+        if self.is_zero or self.pairs[-1] == (self.D, 0):
             return self
-        if self.lead == 1:
-            return self
-        return self * self.lead.inverse()
+        c, d = _inverse_pair(self.p, self.pairs[-1])
+        return _poly(self.p, d, [_mul(self.p, x, c) for x in self.pairs])
 
     # -- misc ----------------------------------------------------------------
 
@@ -218,13 +216,13 @@ class Poly:
         o = self._coerce(other) if isinstance(other, (Poly, int, Fraction, KElement)) else None
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.D == o.D and self.pairs == o.pairs
 
     def __hash__(self):
         # a constant equals its coefficient, so it hashes like it
         if self.degree <= 0:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash((self.p, self.coeffs))
+            return hash(self.lead if self.pairs else 0)
+        return hash((self.p, self.D, self.pairs))
 
     def __str__(self):
         if self.is_zero:
@@ -248,13 +246,29 @@ class Poly:
         return f"Poly(p={self.p}, {self})"
 
 
+def _poly(p: int, D: int, pairs) -> Poly:
+    """The Poly (1/D) sum (A_k + B_k sqrt p) z^k, for integers D != 0 and
+    pairs (A_k, B_k), in its stored form: trailing zeros stripped, and D
+    and every pair divided by their gcd, signed like D."""
+    pairs = list(pairs)
+    while pairs and not any(pairs[-1]):
+        pairs.pop()
+    g = gcd(D, *(x for pair in pairs for x in pair)) * (-1 if D < 0 else 1)
+    if g != 1:
+        D, pairs = D // g, [(A // g, B // g) for A, B in pairs]
+    P = object.__new__(Poly)
+    object.__setattr__(P, "p", p)
+    object.__setattr__(P, "D", D)
+    object.__setattr__(P, "pairs", tuple(pairs))
+    return P
+
+
 # -- exact evaluation in integers ----------------------------------------------
 #
 # Every evaluation runs in Z[sqrt p]: the point is x = (u + v sqrt p)/w and
 # the polynomial is P = (1/D) sum (A_k + B_k sqrt p) z^k, all integers.
 # Horner on integer pairs then yields P(x) with the single denominator
 # D w^deg, so a result costs one gcd per coordinate instead of one per step.
-# The integer form of a Poly is computed once, on first use, and kept.
 
 
 def _point(p: int, x) -> tuple:
@@ -268,26 +282,6 @@ def _point(p: int, x) -> tuple:
     return a.numerator * (w // a.denominator), b.numerator * (w // b.denominator), w
 
 
-def _int_form(P: Poly) -> tuple:
-    """(D, ((A_0, B_0), ...)) with P = (1/D) sum (A_k + B_k sqrt p) z^k and
-    D the lcm of the coefficient denominators; (1, ()) for P = 0.  Kept in
-    a private slot of P, so it is computed once per Poly.  Read by
-    `Poly.__mul__`, `content`, `_coeffs_mod_q`, `_horner`, `_values_mod` and
-    dynamics' Newton map and precision bounds."""
-    try:
-        return P._ints
-    except AttributeError:
-        pass
-    coeffs = P.coeffs
-    D = lcm(*[c.a.denominator for c in coeffs], *[c.b.denominator for c in coeffs])
-    form = D, tuple(
-        (c.a.numerator * (D // c.a.denominator), c.b.numerator * (D // c.b.denominator))
-        for c in coeffs
-    )
-    object.__setattr__(P, "_ints", form)
-    return form
-
-
 def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     """Horner's rule for P at x = (u + v sqrt p)/w, in integers.
 
@@ -299,7 +293,7 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     check at an integer center with radius p^-e, e >= 0 an integer, runs
     without the sqrt p cross terms and the w^k scaling.
     """
-    D, cs = _int_form(P)
+    D, cs = P.D, P.pairs
     if not cs:
         return 1, 0, 0, 0, 0, 0
     ha, hb = cs[-1]
@@ -345,14 +339,14 @@ def _values(f: "RationalMap", point: tuple, deriv: bool) -> tuple:
 def _values_mod(f: "RationalMap", point: tuple, mod: int) -> tuple:
     """n0 and q0 of `_values(f, point, False)`, reduced mod `mod` > 1.
 
-    With d = max(deg N, deg Q, 0), X = u + v sqrt p and the `_int_form`
+    With d = max(deg N, deg Q, 0), X = u + v sqrt p and the stored
     pairs A_k of N and B_k of Q, n0 = Dd sum A_k T_k and q0 = Dn sum B_k T_k
     for T_k = X^k w^(d - k).  One table of the T_k mod `mod` serves both
     sums, so the only products of two residues are the table's; each term
     is a short coefficient times a residue, reduced once per sum.
     """
     p, (u, v, w) = f.p, point
-    (dn, ncs), (dd, dcs) = _int_form(f.num), _int_form(f.den)
+    (dn, ncs), (dd, dcs) = (f.num.D, f.num.pairs), (f.den.D, f.den.pairs)
     d = max(len(ncs), len(dcs), 1) - 1
     u, v, w = u % mod, v % mod, w % mod
     xa, xb, uv, ta, tb = 1, 0, u + v, [1], [0]
@@ -401,6 +395,21 @@ def _sub(x: tuple, y: tuple) -> tuple:
     return x[0] - y[0], x[1] - y[1]
 
 
+def _comb(s: int, xs, t: int, ys) -> list:
+    """s xs + t ys for lists of Z[sqrt p] pairs, the shorter padded with
+    zeros."""
+    pairs = zip_longest(xs, ys, fillvalue=(0, 0))
+    return [(s * x + t * u, s * y + t * v) for (x, y), (u, v) in pairs]
+
+
+def _inverse_pair(p: int, x: tuple) -> tuple:
+    """(c, d) with 1/(a + b sqrt p) = (c_0 + c_1 sqrt p)/d for a pair
+    x = (a, b) != (0, 0): c = (1, 0) and d = a when b = 0, else the
+    conjugate and the norm a^2 - p b^2, nonzero as sqrt p is irrational."""
+    a, b = x
+    return ((1, 0), a) if not b else ((a, -b), a * a - p * b * b)
+
+
 def _quotient(p: int, num: tuple, den: tuple) -> tuple:
     """num/den for Z[sqrt p] pairs, den != (0, 0), in one division.
 
@@ -415,11 +424,6 @@ def _quotient(p: int, num: tuple, den: tuple) -> tuple:
 def _element(p: int, xa: int, xb: int, den: int) -> KElement:
     """The reduced K element (xa + xb sqrt p)/den."""
     return KElement(p, Fraction(xa, den), Fraction(xb, den))
-
-
-def _poly(p: int, D: int, pairs) -> Poly:
-    """The Poly (1/D) sum (A_k + B_k sqrt p) z^k, for integers D > 0."""
-    return Poly(p, [_element(p, A, B, D) for A, B in pairs])
 
 
 def _twice_val_at_least(p: int, n: tuple, q: tuple, c: tuple, r: int) -> bool:
@@ -442,16 +446,23 @@ def _twice_val_at_least(p: int, n: tuple, q: tuple, c: tuple, r: int) -> bool:
     return (nb * cw - cu * qb - cv * qa) % (m if r % 2 == 0 else m // p) == 0
 
 
-# primes = 3 mod 4, so square roots mod q are a single pow() when they exist
-_PRETEST_PRIMES = (1000003, 1000039, 1000099, 1000151)
+@lru_cache(maxsize=None)
+def _pretest_primes(p: int) -> tuple:
+    """The first four primes q = 3 mod 4 above 10^6 mod which p is a
+    nonzero square, each as (q, s) with s^2 = p mod q: q = 3 mod 4 makes s
+    a single pow()."""
+    out, q = [], 10**6 + 3
+    while len(out) < 4:
+        if is_prime(q) and pow(p, (q - 1) // 2, q) == 1:
+            out.append((q, pow(p, (q + 1) // 4, q)))
+        q += 4
+    return tuple(out)
 
 
-def _coeffs_mod_q(P: Poly, q: int, s: int | None):
-    D, cs = _int_form(P)
-    d = pow(D, -1, q)  # ValueError when q divides a coefficient denominator
-    if s is None and any(B for _, B in cs):
-        return None
-    out = [(A + B * (s or 0)) * d % q for A, B in cs]
+def _coeffs_mod_q(P: Poly, q: int, s: int):
+    # P's coefficients mod q, sqrt p -> s
+    d = pow(P.D, -1, q)  # ValueError when q divides a coefficient denominator
+    out = [(A + B * s) * d % q for A, B in P.pairs]
     if out and out[-1] == 0:
         return None  # leading coefficient vanished; degree argument breaks
     return out
@@ -475,19 +486,11 @@ def _gcd_degree_mod_q(av, bv, q: int) -> int:
 def _provably_coprime(A: Poly, B: Poly) -> bool:
     """Sound one-sided test: True certifies gcd(A, B) = 1 over K.
 
-    Reduces both polynomials modulo a small prime q (sending sqrt(p) to a
-    square root of p mod q) and runs Euclid there.  A trivial gcd mod q
+    Reduces both polynomials modulo a prime q of `_pretest_primes` (sending
+    sqrt(p) to a square root of p mod q) and runs Euclid there.  A trivial gcd mod q
     forces a nonzero resultant, hence coprimality over K.  Any failed
     reduction just tries the next q; False means only "not certified"."""
-    needs_sqrt = any(c.b for c in A.coeffs) or any(c.b for c in B.coeffs)
-    for q in _PRETEST_PRIMES:
-        s = None
-        if needs_sqrt:
-            if pow(A.p % q, (q - 1) // 2, q) != 1:
-                continue
-            s = pow(A.p % q, (q + 1) // 4, q)
-            if s * s % q != A.p % q:
-                continue
+    for q, s in _pretest_primes(A.p):
         try:
             av = _coeffs_mod_q(A, q, s)
             bv = _coeffs_mod_q(B, q, s)
@@ -525,13 +528,15 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
 
 
 def _v2s(P: Poly) -> tuple:
-    """(_v2(c_0), _v2(c_1), ...) for P, computed once per Poly and kept in
-    a private slot of it."""
+    """(_v2(c_0), _v2(c_1), ...) for P, read off the pairs as
+    2 v(A_k + B_k sqrt p) - 2 v(D), computed once per Poly and kept in a
+    private slot of it."""
     try:
         return P._v2s
     except AttributeError:
         pass
-    v2s = tuple(_v2(c) for c in P.coeffs)
+    vD = 2 * _int_val(P.D, P.p)
+    v2s = tuple(_twice_val(P.p, x) - vD if any(x) else inf for x in P.pairs)
     object.__setattr__(P, "_v2s", v2s)
     return v2s
 
@@ -682,10 +687,9 @@ class RationalMap:
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            if den.lead != 1:
+            if den.pairs[-1] != (den.D, 0):
                 s = den.lead.inverse()
-                num = num * s
-                den = den * s
+                num, den = num * s, den * s
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, zip_longest
+from itertools import count
 from math import inf, isqrt
 from types import SimpleNamespace
 
 from .algebra import (
-    Poly, RationalMap, _convolve, _element, _int_form, _mul, _point, _poly, _quotient, _sub,
+    Poly, RationalMap, _comb, _convolve, _element, _mul, _point, _poly, _quotient, _sub,
     _twice_val_at_least, _values, _values_mod,
 )
 from .errors import HenselConditionError, PoleInBallError, _show
@@ -349,22 +349,17 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
 def _newton_map(F: RationalMap) -> SimpleNamespace:
     """Newton's map z - G/G' of G = F - z, for F = N/Q, as the unreduced
     (z W - N Q)/(W - Q^2), W = N'Q - N Q', so that W - Q^2 = Q^2 G'; with
-    N = a/Dn, Q = b/Dd over `_int_form` pairs, times Dn Dd^2 that is
+    N = a/Dn, Q = b/Dd over their stored pairs, times Dn Dd^2 that is
     Dd (z c - a b) over Dd c - Dn b^2, c = a'b - a b'.  No gcd is taken:
     where Q(z) != 0 the denominator vanishes exactly where G' does.  For
     m = deg Q > deg N = n the degrees are at most n + m over 2m, which
     `_embedding_prover` covers.  Like a map, it has num, den and p."""
     p = F.p
-    (dn, a), (dd, b) = _int_form(F.num), _int_form(F.den)
+    (dn, a), (dd, b) = (F.num.D, F.num.pairs), (F.den.D, F.den.pairs)
     da, db = ([(k * x, k * y) for k, (x, y) in enumerate(xs)][1:] for xs in (a, b))
-
-    def comb(s, xs, t, ys):  # s xs - t ys
-        pairs = zip_longest(xs, ys, fillvalue=(0, 0))
-        return [(s * x - t * u, s * y - t * v) for (x, y), (u, v) in pairs]
-
-    c = comb(1, _convolve(p, da, b), 1, _convolve(p, a, db))
-    num = comb(dd, [(0, 0), *c], dd, _convolve(p, a, b))
-    den = comb(dd, c, dn, _convolve(p, b, b))
+    c = _comb(1, _convolve(p, da, b), -1, _convolve(p, a, db))
+    num = _comb(dd, [(0, 0), *c], -dd, _convolve(p, a, b))
+    den = _comb(dd, c, -dn, _convolve(p, b, b))
     num, den = _poly(p, 1, num), _poly(p, 1, den)
     return SimpleNamespace(p=p, num=num, den=den)
 
@@ -411,12 +406,12 @@ def _real_bits(p: int, a: int, b: int) -> tuple:
 
 
 def _top_term_bits(p: int, P: Poly, s: int) -> tuple:
-    """(lo, hi, g) for P = (1/D) sum c_k z^k (`algebra._int_form`), deg P = n
+    """(lo, hi, g) for P = (1/D) sum c_k z^k (`Poly.pairs`), deg P = n
     >= 0, under sqrt p -> s sqrt p: at real x, w >= 1 with |x| >= 2^(g + 1) w,
     T = sum c_k x^k w^(n - k) has 2^lo |x|^n < |T| < 2^hi |x|^n.  If 2^a <=
     |c_n| < 2^b, |c_k| < 2^hi_k and g (n - k) >= hi_k - a + 1 for k < n, term
     k is below 2^-(n - k + 1) |c_n x^n|: T is within a factor 2 of c_n x^n."""
-    *rest, (ca, cb) = _int_form(P)[1]
+    *rest, (ca, cb) = P.pairs
     a, b = _real_bits(p, ca, s * cb)
     his = [(k, _real_bits(p, x, s * y)[1]) for k, (x, y) in enumerate(rest) if x or y]
     return a - 1, b + 1, max((-((a - 1 - hk) // (len(rest) - k)) for k, hk in his), default=0)
@@ -437,7 +432,7 @@ def _embedding_prover(F, h: int):
     p, n, m = F.p, F.num.degree, F.den.degree
     if not m > n >= 0:
         return None
-    dn, dd = _int_form(F.num)[0].bit_length(), _int_form(F.den)[0].bit_length()
+    dn, dd = F.num.D.bit_length(), F.den.D.bit_length()
     tops = [(_top_term_bits(p, F.num, s), _top_term_bits(p, F.den, s)) for s in (1, -1)]
 
     def taller(u: int, v: int, w: int) -> bool:

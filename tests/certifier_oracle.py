@@ -8,7 +8,10 @@ definitions, so the library's certificates and disk classifications must
 equal theirs exactly.  `poly_mul` is the schoolbook product, one K
 multiply-add per pair of coefficients, written independently of the
 library's `Poly.__mul__` (which convolves integer pairs); every product
-here, of two polynomials or by a scalar, is `poly_mul`.  `glued_sum` is
+here, of two polynomials or by a scalar, is `poly_mul`.  `poly_divmod` is
+the long division loop of K multiply-adds by the inverse of the leading
+coefficient, written independently of the library's `Poly.__divmod__`
+(which divides integer pairs).  `glued_sum` is
 the sum as it was before it became one fraction: every bump factor
 (`bump_factor`, whose (z - a)^M is M schoolbook products), product and
 partial sum reduced by a gcd.  `check_global_boundedness` is the
@@ -86,6 +89,23 @@ def poly_mul(P, Q):
         for j, b in enumerate(Q.coeffs):
             out[i + j] = out[i + j] + a * b
     return Poly(P.p, out)
+
+
+def poly_divmod(P, Q):
+    """Quotient and remainder of P by Q != 0 over K: one step per quotient
+    coefficient, each one K multiply-add per coefficient of Q; exact."""
+    if Q.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, n, lead_inv = list(P.coeffs), Q.degree, Q.lead.inverse()
+    quot = [KElement(P.p)] * max(0, len(rem) - n)
+    while len(rem) - 1 >= n:
+        k = len(rem) - 1 - n
+        c = quot[k] = rem[-1] * lead_inv
+        for j, b in enumerate(Q.coeffs):
+            rem[k + j] = rem[k + j] - c * b
+        while rem and rem[-1].is_zero:
+            rem.pop()
+    return Poly(P.p, quot), Poly(P.p, rem)
 
 
 def bump_factor(a, c, M):

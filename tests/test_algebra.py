@@ -1,6 +1,7 @@
 """Polynomials, root counts, Gauss norms and rational maps over K."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from padicglue import (
     poly_gcd,
 )
 from padicglue import algebra
-from padicglue.algebra import _int_form, _provably_coprime
+from padicglue.algebra import _provably_coprime
 
 K3 = FieldConfig(3)
 Z = Poly.x(3)
@@ -102,47 +103,52 @@ def _random_poly(rng, p):
 
 
 class TestIntegerForm:
-    """P = (1/D) sum (A_k + B_k sqrt p) z^k, computed once per Poly."""
+    """P = (1/D) sum (A_k + B_k sqrt p) z^k, the one stored form."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 23])
     def test_pairs_over_D_are_the_coefficients(self, p):
         rng = random.Random(1300 + p)
         for _ in range(40):
             P = _random_poly(rng, p)
-            D, pairs = _int_form(P)
+            D, pairs = P.D, P.pairs
             assert D >= 1 and len(pairs) == len(P.coeffs)
             for (A, B), c in zip(pairs, P.coeffs):
                 assert KElement(p, Fraction(A, D), Fraction(B, D)) == c
             dens = [x.denominator for c in P.coeffs for x in (c.a, c.b)]
             assert all(D % d == 0 for d in dens)
+            # D is the least such denominator
+            assert math.gcd(D, *(x for pair in pairs for x in pair)) == 1
 
     def test_zero_polynomial(self):
-        assert _int_form(Poly.zero(3)) == (1, ())
+        assert (Poly.zero(3).D, Poly.zero(3).pairs) == (1, ())
+        assert (Z - Z).pairs == () and (Z - Z).D == 1
 
-    def test_computed_once_per_poly(self, monkeypatch):
-        P = Poly(3, (Fraction(1, 2), KElement(3, Fraction(2, 9), Fraction(-1, 4)), 5))
-        f = RationalMap(P)
-        form = _int_form(P)
-        assert _int_form(P) is form
-        _int_form(f.den)
-        calls = []
-        real = algebra.lcm
-        monkeypatch.setattr(algebra, "lcm", lambda *xs: calls.append(xs) or real(*xs))
-        for x in range(5):
-            f.eval(K3(x))
-        # only each point's own (u, v, w) takes an lcm now
-        assert len(calls) == 5
+    def test_arithmetic_builds_no_k_element(self, monkeypatch):
+        # sums, products, division, monic and content read and write the
+        # pairs only; a Poly's coefficients become K elements when read
+        A = Poly(3, (Fraction(1, 2), KElement(3, Fraction(2, 9), Fraction(-1, 4)), 5, K3(1, 1)))
+        B = Poly(3, (K3(0, Fraction(1, 3)), Fraction(-7, 5), 3))
+        built, init = [], KElement.__init__
+        monkeypatch.setattr(
+            KElement, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+        )
+        out = [A + B, A - B, -A, A * B, A**3, *divmod(A, B), A % B, A.monic(), B.monic()]
+        out.append((A * B).exact_div(B))
+        assert A.content() == Fraction(1, 36) and out[-1] == A
+        assert built == []
+        assert out[5] * B + out[6] == A and out[8].lead == 1
+        assert built
 
     def test_equality_hash_and_immutability_unchanged(self):
         P = Poly(3, (Fraction(1, 2), KElement(3, 1, Fraction(1, 3))))
         Q = Poly(3, (Fraction(1, 2), KElement(3, 1, Fraction(1, 3))))
-        _int_form(P)
+        assert P.coeffs == Q.coeffs
         assert P == Q and hash(P) == hash(Q)
         assert P != Poly(3, (Fraction(1, 2), 1))
-        for name in ("coeffs", "p", "_ints"):
+        for name in ("coeffs", "p", "D", "pairs", "_coeffs"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(P, name, None)
-        assert _int_form(P) == _int_form(Q)
+        assert (P.D, P.pairs) == (Q.D, Q.pairs) == (6, ((3, 0), (6, 2)))
 
 
 class TestPolyGcd:
@@ -301,11 +307,11 @@ class TestRationalMap:
 
 
 def _value_types():
-    # one instance of each immutable value type; the Poly has its cached
-    # integer forms filled in, which a copy rebuilds on demand
+    # one instance of each immutable value type; the Poly has its
+    # coefficient view and valuations filled in, which a copy rebuilds on
+    # demand
     P = 2 * Z**2 + K3(Fraction(1, 3), 1)
-    _int_form(P)
-    algebra._v2s(P)
+    assert P.coeffs and algebra._v2s(P)
     return (
         ValExp(Fraction(3, 2)), ValExp(None), K3(Fraction(-2, 9), 5), P,
         RationalMap(Z + 1, Z**2 - 3), RationalMap(Poly.zero(3)),
@@ -323,4 +329,4 @@ def test_value_types_copy_and_pickle(value, clone):
     out = clone(value)
     assert type(out) is type(value) and out == value and hash(out) == hash(value)
     if isinstance(value, Poly):
-        assert _int_form(out) == _int_form(value)
+        assert (out.D, out.pairs) == (value.D, value.pairs)

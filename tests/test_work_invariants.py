@@ -6,8 +6,8 @@ sample, the gcd of a glued sum runs the exact Euclid only when the
 modular pretest cannot certify coprimality, an orbit point or Newton
 iterate that the real embeddings prove tall is rounded from residues at
 the modulus its own valuations set, Hensel's convergence test after the
-seed runs on residues, and `build_F` multiplies polynomials in integers,
-not in K.
+seed runs on residues, and `build_F` multiplies, adds and divides
+polynomials in integers, not in K.
 Shifts per polynomial and center are pinned here for a whole glue and
 census, and in the other tests that take the `spy_shifts` fixture.
 """
@@ -18,8 +18,8 @@ import pytest
 
 from conftest import make_gluing_instance, shared_pole_problem, spy
 from padicglue import (
-    FieldConfig, algebra, build_F, certify_theorem1, dynamics, field, gluing, hensel_fixed_point,
-    orbit, plan_gluing, verify_census,
+    Ball, FieldConfig, LocalModel, Poly, Radius, RationalMap, algebra, build_F, certify_theorem1,
+    dynamics, field, gluing, hensel_fixed_point, orbit, plan_gluing, verify_census,
 )
 from padicglue.presets import (
     EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_census, ex2_models,
@@ -79,13 +79,8 @@ def test_glue_and_census_shift_once_per_polynomial_and_center(name, spy_shifts):
     assert len(shifted) == len(polys) * len(centers)
 
 
-def test_build_F_multiplies_polynomials_in_integers(monkeypatch):
-    # every product of the glued sum and of its bump factors convolves
-    # integer pairs; the only K products left are the powers c_i^M_i, 6
-    # each for M_i = 7 by repeated squaring (three squares, three products)
-    models = ex2_models()
-    plan = plan_gluing(models, EX2_EPSILON)
-    assert plan.M == (7, 7, 7)
+def k_products(monkeypatch) -> list:
+    """A list that gets one entry per K product from then on."""
     calls, mul = [], field.KElement.__mul__
 
     def counted(x, y):
@@ -94,8 +89,42 @@ def test_build_F_multiplies_polynomials_in_integers(monkeypatch):
 
     monkeypatch.setattr(field.KElement, "__mul__", counted)
     monkeypatch.setattr(field.KElement, "__rmul__", counted)
+    return calls
+
+
+def test_build_F_multiplies_polynomials_in_integers(monkeypatch):
+    # every product of the glued sum and of its bump factors convolves
+    # integer pairs; the only K products left are the powers c_i^M_i, 6
+    # each for M_i = 7 by repeated squaring (three squares, three products)
+    models = ex2_models()
+    plan = plan_gluing(models, EX2_EPSILON)
+    assert plan.M == (7, 7, 7)
+    calls = k_products(monkeypatch)
     build_F(models, plan)
     assert len(calls) == 18
+
+
+def test_build_F_reads_no_coefficient_as_a_k_element(monkeypatch):
+    # sums, products and the gcd read the pairs only; a pair becomes a K
+    # element just for the leading coefficient -1 of each of the three bump
+    # factors' denominators c_i^M - (z - a_i)^M, which the map divides by
+    # (254 when sums ran in K)
+    models = ex2_models()
+    plan = plan_gluing(models, EX2_EPSILON)
+    elements = spy(monkeypatch, algebra, "_element")
+    build_F(models, plan)
+    assert len(elements) == 3
+
+
+def test_shared_pole_euclid_divides_in_integers(monkeypatch):
+    # the exact Euclid that cancels the glued sum's common factor divides
+    # integer pairs, so the only K products are the powers c_i^M_i by
+    # repeated squaring (2,752 when its remainders were K elements)
+    models, epsilon = shared_pole_problem()
+    plan = plan_gluing(models, epsilon)
+    calls = k_products(monkeypatch)
+    build_F(models, plan)
+    assert len(calls) == sum(M.bit_length() + bin(M).count("1") for M in plan.M) == 26
 
 
 def euclid_runs(monkeypatch, models, epsilon) -> tuple:
@@ -119,6 +148,29 @@ def test_shared_pole_glue_runs_the_exact_euclid_once(monkeypatch):
     pretests, degrees = euclid_runs(monkeypatch, *shared_pole_problem())
     assert pretests == (False,)
     assert degrees == (6,)
+
+
+def p17_glue(n: int) -> tuple:
+    """n maps z -> (a + 1)(z - a) + (a mod 7) on B(a; 17^-1), a = 0, ...,
+    n - 1, with epsilon 17^-2, shaped like the sweep workload.  The centers
+    are 1 apart, so r_i + delta_i = 1 is odd and every bump constant c_i
+    has a sqrt 17 part, and so do F's coefficients."""
+    K, z = FieldConfig(17), Poly.x(17)
+    models = [
+        LocalModel(f=RationalMap((z - a) * (a + 1) + a % 7), domain=Ball(K(a), Radius(1)))
+        for a in range(n)
+    ]
+    return models, Radius(2)
+
+
+def test_modular_pretest_certifies_a_glue_at_p_17(monkeypatch):
+    # 17 is a square mod none of the first four primes q = 3 mod 4 above
+    # 10^6, so the pretest takes its primes further on; a fixed table of
+    # those four sent every F with a sqrt 17 part to the exact Euclid
+    models, epsilon = p17_glue(12)
+    pretests, degrees = euclid_runs(monkeypatch, models, epsilon)
+    assert pretests == (True,)
+    assert degrees == ()
 
 
 @pytest.mark.parametrize("seed", range(6))
