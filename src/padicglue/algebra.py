@@ -16,7 +16,10 @@ from itertools import zip_longest
 from math import gcd, inf, lcm
 from operator import mul
 
-from .field import KElement, ValExp, _int_val, _twice_val, _v2, is_prime
+from .field import (
+    KElement, ValExp, _element, _int_val, _inverse_pair, _mul, _point, _quotient, _sub,
+    _twice_val, _v2, is_prime,
+)
 
 __all__ = [
     "Poly",
@@ -271,17 +274,6 @@ def _poly(p: int, D: int, pairs) -> Poly:
 # D w^deg, so a result costs one gcd per coordinate instead of one per step.
 
 
-def _point(p: int, x) -> tuple:
-    """Integers (u, v, w), w > 0, with x = (u + v sqrt p)/w."""
-    if not isinstance(x, KElement):
-        x = KElement(p, x)
-    elif x.p != p:
-        raise ValueError(f"mixed primes: {p} and {x.p}")
-    a, b = x.a, x.b
-    w = lcm(a.denominator, b.denominator)
-    return a.numerator * (w // a.denominator), b.numerator * (w // b.denominator), w
-
-
 def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     """Horner's rule for P at x = (u + v sqrt p)/w, in integers.
 
@@ -373,12 +365,6 @@ def _values_mod(f: "RationalMap", point: tuple, mod: int) -> tuple:
     return dot(dd, ncs), dot(dn, dcs)
 
 
-def _mul(p: int, x: tuple, y: tuple) -> tuple:
-    """The product of two Z[sqrt p] pairs."""
-    (a, b), (c, d) = x, y
-    return a * c + p * b * d, a * d + b * c
-
-
 def _convolve(p: int, xs, ys) -> list:
     """The product of two polynomials whose ascending coefficients are
     Z[sqrt p] pairs, as a list of pairs; no `KElement` is formed."""
@@ -391,59 +377,11 @@ def _convolve(p: int, xs, ys) -> list:
     return list(zip(oa, ob))
 
 
-def _sub(x: tuple, y: tuple) -> tuple:
-    return x[0] - y[0], x[1] - y[1]
-
-
 def _comb(s: int, xs, t: int, ys) -> list:
     """s xs + t ys for lists of Z[sqrt p] pairs, the shorter padded with
     zeros."""
     pairs = zip_longest(xs, ys, fillvalue=(0, 0))
     return [(s * x + t * u, s * y + t * v) for (x, y), (u, v) in pairs]
-
-
-def _inverse_pair(p: int, x: tuple) -> tuple:
-    """(c, d) with 1/(a + b sqrt p) = (c_0 + c_1 sqrt p)/d for a pair
-    x = (a, b) != (0, 0): c = (1, 0) and d = a when b = 0, else the
-    conjugate and the norm a^2 - p b^2, nonzero as sqrt p is irrational."""
-    a, b = x
-    return ((1, 0), a) if not b else ((a, -b), a * a - p * b * b)
-
-
-def _quotient(p: int, num: tuple, den: tuple) -> tuple:
-    """num/den for Z[sqrt p] pairs, den != (0, 0), in one division.
-
-    Returns integers (xa, xb, d), d != 0, with num/den = (xa + xb sqrt p)/d,
-    not reduced to lowest terms.  Multiplies through by the conjugate of
-    den = a + b sqrt p; its norm a^2 - p b^2 is nonzero since sqrt p is
-    irrational."""
-    (na, nb), (da, db) = num, den
-    return na * da - p * nb * db, nb * da - na * db, da * da - p * db * db
-
-
-def _element(p: int, xa: int, xb: int, den: int) -> KElement:
-    """The reduced K element (xa + xb sqrt p)/den."""
-    return KElement(p, Fraction(xa, den), Fraction(xb, den))
-
-
-def _twice_val_at_least(p: int, n: tuple, q: tuple, c: tuple, r: int) -> bool:
-    """Whether 2 v(n cw - (cu + cv sqrt p) q) >= r, for Z[sqrt p] pairs n
-    and q and a point triple c = (cu, cv, cw), decided by divisibility.
-
-    The difference is a pair (x, y) with 2 v(x + y sqrt p) =
-    min(2 v(x), 2 v(y) + 1), so the test is that p^ceil(r/2) divides x and
-    p^floor(r/2) divides y; r <= 0 always passes.  Every input is reduced
-    mod p^ceil(r/2) first, so the products stay short however long n and q
-    are, and no valuation is computed.
-    """
-    if r <= 0:
-        return True
-    m = p ** ((r + 1) // 2)
-    (na, nb), (qa, qb), (cu, cv, cw) = n, q, c
-    na, nb, qa, qb, cu, cv, cw = na % m, nb % m, qa % m, qb % m, cu % m, cv % m, cw % m
-    if (na * cw - cu * qa - p * cv * qb) % m:
-        return False
-    return (nb * cw - cu * qb - cv * qa) % (m if r % 2 == 0 else m // p) == 0
 
 
 @lru_cache(maxsize=None)

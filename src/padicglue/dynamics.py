@@ -16,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from math import inf, isqrt
+from math import isqrt
 from types import SimpleNamespace
 
-from .algebra import (
-    Poly, RationalMap, _comb, _convolve, _element, _mul, _point, _poly, _quotient, _sub,
-    _twice_val_at_least, _values, _values_mod,
-)
+from .algebra import Poly, RationalMap, _comb, _convolve, _poly, _values, _values_mod
 from .errors import HenselConditionError, PoleInBallError, _show
-from .field import KElement, ValExp, _coords_mod, _int_val, _twice_val, reduce_mod
+from .field import (
+    KElement, ValExp, _coords_mod, _element, _int_val, _mul, _point, _quotient, _sub, _twice_val,
+    _twice_val_at_least, _twice_val_over, reduce_mod,
+)
 from .geometry import Ball, LocalExpansion, pairwise_deltas
 from .gluing import check_c3_hypotheses, plan_gluing
 
@@ -324,7 +324,7 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
                 )
             g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
             vq = _twice_val(p, q0)
-            vg = ValExp.twice(_twice_val(p, g0) - 2 * _int_val(w, p) - vq if any(g0) else inf)
+            vg = ValExp.twice(_twice_val_over(p, g0, w) - vq)
             done = vg >= target
         if done:
             return z
@@ -474,7 +474,7 @@ def _residue_test(F, point: tuple, t: int, K: int) -> tuple:
     (u, v, w) of z, X = u + v sqrt p, from N(z) and Q(z) mod p^K' only.
     With G(z) = g0/(w q0), g0 = w n0 - X q0 (`algebra._values`), the test
     is 2 v(g0) >= r, r = t + 2 v(w) + 2 v(q0), which g0 mod p^ceil(r/2)
-    decides (`algebra._twice_val_at_least`), so K' = ceil(r/2) (`_residues`,
+    decides (`field._twice_val_at_least`), so K' = ceil(r/2) (`_residues`,
     from the guess K).  (None, K) where Q(z) = 0 mod p^K."""
     p = F.p
     tw = t + 2 * _int_val(point[2], p)
@@ -564,7 +564,7 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
             return None
         (u, v, w), (u1, v1, w1) = x, y
         diff = (u * w1 - u1 * w, v * w1 - v1 * w)
-        return _shared_exp(_twice_val(p, diff) - 2 * _int_val(w * w1, p) if any(diff) else inf)
+        return _shared_exp(_twice_val_over(p, diff, w * w1))
 
     point = _point(p, z0)
     out = [OrbitStep(0, z0, gap(point, at), None)]

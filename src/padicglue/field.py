@@ -7,6 +7,9 @@ a valuation e is held exactly as the integer 2e (ValExp), K's own
 valuation with v(sqrt p) = 1; the valuation of 0 is math.inf.
 
 Elements are immutable pairs (a, b) of Fractions denoting a + b*sqrt(p).
+The kernels hold one as its integer triple (u, v, w) for (u + v sqrt p)/w
+(`_point`, `_element`) and compute on Z[sqrt p] pairs; every valuation is
+2 v((u + v sqrt p)/w) = `_twice_val` - 2 v_p(w) (`_twice_val_over`).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import inf, lcm
 
 from .errors import LimitExceeded
 
@@ -78,17 +81,11 @@ def _int_val(n: int, p: int) -> int:
         b *= 2
 
 
-def _rat_val(q: Fraction, p: int) -> int:
-    # p-adic valuation of a nonzero rational
-    return _int_val(q.numerator, p) - _int_val(q.denominator, p)
-
-
 def _v2(c: KElement):
     """2 v(c), an integer, or math.inf for c = 0, so that bounds add and
-    compare as they are; the two coordinates' terms differ in parity."""
-    a, b, p = c.a, c.b, c.p
-    va = 2 * _rat_val(a, p) if a else inf
-    return min(va, 2 * _rat_val(b, p) + 1) if b else va
+    compare as they are: the valuation of c's `_point` triple."""
+    u, v, w = _point(c.p, c)
+    return _twice_val_over(c.p, (u, v), w)
 
 
 def _twice_val(p: int, x: tuple) -> int:
@@ -99,6 +96,12 @@ def _twice_val(p: int, x: tuple) -> int:
     vb = 2 * _int_val(b, p) + 1 if b else None
     va = 2 * _int_val(a, p) if a else vb
     return va if vb is None else min(va, vb)
+
+
+def _twice_val_over(p: int, x: tuple, d: int):
+    """2 v((a + b sqrt p)/d) = `_twice_val(p, x)` - 2 v_p(d) for an integer
+    pair x = (a, b) and an integer d != 0, or math.inf for x = (0, 0)."""
+    return _twice_val(p, x) - 2 * _int_val(d, p) if any(x) else inf
 
 
 class ValExp:
@@ -380,6 +383,77 @@ def _rational_str(q: Fraction) -> str:
         ) from None
 
 
+# -- the integer form: triples and Z[sqrt p] pairs ------------------------------
+
+
+def _point(p: int, x) -> tuple:
+    """Integers (u, v, w), w > 0, with x = (u + v sqrt p)/w."""
+    if not isinstance(x, KElement):
+        x = KElement(p, x)
+    elif x.p != p:
+        raise ValueError(f"mixed primes: {p} and {x.p}")
+    a, b = x.a, x.b
+    da, db = a.denominator, b.denominator
+    if da == db:
+        return a.numerator, b.numerator, da
+    w = lcm(da, db)
+    return a.numerator * (w // da), b.numerator * (w // db), w
+
+
+def _element(p: int, xa: int, xb: int, den: int) -> KElement:
+    """The reduced K element (xa + xb sqrt p)/den."""
+    return KElement(p, Fraction(xa, den), Fraction(xb, den))
+
+
+def _mul(p: int, x: tuple, y: tuple) -> tuple:
+    """The product of two Z[sqrt p] pairs."""
+    (a, b), (c, d) = x, y
+    return a * c + p * b * d, a * d + b * c
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _inverse_pair(p: int, x: tuple) -> tuple:
+    """(c, d) with 1/(a + b sqrt p) = (c_0 + c_1 sqrt p)/d for a pair
+    x = (a, b) != (0, 0): c = (1, 0) and d = a when b = 0, else the
+    conjugate and the norm a^2 - p b^2, nonzero as sqrt p is irrational."""
+    a, b = x
+    return ((1, 0), a) if not b else ((a, -b), a * a - p * b * b)
+
+
+def _quotient(p: int, num: tuple, den: tuple) -> tuple:
+    """num/den for Z[sqrt p] pairs, den != (0, 0), in one division.
+
+    Returns integers (xa, xb, d), d != 0, with num/den = (xa + xb sqrt p)/d,
+    not reduced to lowest terms.  Multiplies through by the conjugate of
+    den = a + b sqrt p; its norm a^2 - p b^2 is nonzero since sqrt p is
+    irrational."""
+    (na, nb), (da, db) = num, den
+    return na * da - p * nb * db, nb * da - na * db, da * da - p * db * db
+
+
+def _twice_val_at_least(p: int, n: tuple, q: tuple, c: tuple, r: int) -> bool:
+    """Whether 2 v(n cw - (cu + cv sqrt p) q) >= r, for Z[sqrt p] pairs n
+    and q and a point triple c = (cu, cv, cw), decided by divisibility.
+
+    The difference is a pair (x, y) with 2 v(x + y sqrt p) =
+    min(2 v(x), 2 v(y) + 1), so the test is that p^ceil(r/2) divides x and
+    p^floor(r/2) divides y; r <= 0 always passes.  Every input is reduced
+    mod p^ceil(r/2) first, so the products stay short however long n and q
+    are, and no valuation is computed.
+    """
+    if r <= 0:
+        return True
+    m = p ** ((r + 1) // 2)
+    (na, nb), (qa, qb), (cu, cv, cw) = n, q, c
+    na, nb, qa, qb, cu, cv, cw = na % m, nb % m, qa % m, qb % m, cu % m, cv % m, cw % m
+    if (na * cw - cu * qa - p * cv * qb) % m:
+        return False
+    return (nb * cw - cu * qb - cv * qa) % (m if r % 2 == 0 else m // p) == 0
+
+
 def _unit_inverse(a: int, p: int, s: int) -> int:
     # a^-1 mod p^s, s >= 1, for an integer a prime to p: from a^-1 mod p,
     # each x <- x (2 - a x) doubles the digits that are right, which beats
@@ -433,10 +507,8 @@ def reduce_mod(x: KElement, m: int) -> KElement:
     valuations stay exact as long as they sit below the working precision.
     """
     p = x.p
-    return KElement(p, *(
-        _coords_mod((c.numerator,), c.denominator, _int_val(c.denominator, p), p, m)[0]
-        for c in (x.a, x.b)
-    ))
+    u, v, w = _point(p, x)
+    return KElement(p, *_coords_mod((u, v), w, _int_val(w, p), p, m))
 
 
 def uniformizer_power(p: int, e) -> KElement:

@@ -46,7 +46,6 @@ __all__ = [
     "Ball",
     "LocalExpansion",
     "Radius",
-    "count_roots_in_ball",
     "distance_exp",
     "image_of_ball",
     "pairwise_deltas",
@@ -159,18 +158,6 @@ def pairwise_deltas(centers) -> list:
 def _roots_in_ball(shifted: Poly, ball: Ball) -> int:
     # roots of a polynomial already written in powers of (z - center)
     return count_roots_with_min_valuation(shifted, ball.radius, strict=not ball.closed)
-
-
-def count_roots_in_ball(P: Poly, ball: Ball) -> int:
-    """Number of roots of P in the ball, with multiplicity, over C_v.
-
-    Scans the lazy shift P keeps about the ball's center and counts the
-    roots of valuation >= exp for a closed ball, > exp for an open one
-    (see count_roots_with_min_valuation).
-    """
-    if P.is_zero:
-        raise ValueError("the zero polynomial vanishes everywhere")
-    return _roots_in_ball(_shifted(P, ball.center), ball)
 
 
 def _products(X, Y, k: int) -> range:

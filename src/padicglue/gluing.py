@@ -19,11 +19,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
-from .algebra import (
-    Poly, RationalMap, _mul, _point, _sub, _twice_val_at_least, _values,
-)
+from .algebra import Poly, RationalMap, _values
 from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
-from .field import KElement, ValExp, _int_val, _twice_val, uniformizer_power
+from .field import (
+    KElement, ValExp, _int_val, _mul, _point, _sub, _twice_val, _twice_val_at_least,
+    uniformizer_power,
+)
 from .geometry import Ball, LocalExpansion, pairwise_deltas, sample_points
 
 __all__ = [

@@ -66,7 +66,7 @@ __all__ = [
 PRIME_LIMIT = 2**31
 # sample points per ball (8 or 100 in use), each one exact evaluation, and
 # orbit steps per run or problem file (30 in use), each one evaluation of F
-SAMPLES_LIMIT = 10**4
+SAMPLES_LIMIT = 10**3
 STEPS_LIMIT = 10**4
 
 

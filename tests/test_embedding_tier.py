@@ -19,8 +19,9 @@ import pytest
 import evaluation_oracle as oracle
 from conftest import spy
 from padicglue import FieldConfig, KElement, Poly, RationalMap, dynamics, orbit
-from padicglue.algebra import _horner, _mul, _point, _quotient, _values
+from padicglue.algebra import _horner, _values
 from padicglue.dynamics import _embedding_prover, _newton_map, _real_bits, _top_term_bits
+from padicglue.field import _mul, _point, _quotient
 from test_hensel_differential import fixed_point_instance
 
 

@@ -38,8 +38,9 @@ from padicglue import (
     plan_gluing,
     suggest_witness,
 )
-from padicglue.algebra import _element, _point, _quotient, _values
+from padicglue.algebra import _values
 from padicglue.dynamics import _embedding_prover, _newton_map
+from padicglue.field import _element, _point, _quotient
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
 
 TARGETS = (10, 30, 64, 200)

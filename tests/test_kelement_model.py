@@ -3,19 +3,26 @@ a + b sqrt p, with the field operations spelled out from sqrt(p)^2 = p
 and the valuation v(a + b sqrt p) = min(v(a), v(b) + 1/2) read off the
 coordinates by repeated division.  Any representation of K elements must
 give the model's coordinates, valuations, equalities and hashes, and
-reduce_mod must stay within p^m of its argument.
+reduce_mod must stay within p^m of its argument and round each coordinate
+to the model's canonical representative.  The kernels of `field` that hold
+an element as its integer triple (u, v, w), for (u + v sqrt p)/w, or
+compute on Z[sqrt p] pairs are checked against the same model.
 
 Inputs are seeded and cover the primes 2, 3, 5, 23 and 2^31 - 1,
 denominators w > 1, a nonzero sqrt p part, negative valuations and
 coordinates of up to 10^4 bits.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from padicglue import KElement, reduce_mod
+from padicglue.field import (
+    _element, _inverse_pair, _mul, _point, _quotient, _sub, _twice_val_over, _v2,
+)
 
 SEED = 20261019
 PRIMES = [2, 3, 5, 23, 2**31 - 1]
@@ -165,3 +172,91 @@ def test_reduce_mod_stays_within_p_to_the_m(p):
                      rng.randint(1, p * p) * Fraction(p) ** m)
         assert reduce_mod(x + y, m) == r
         assert reduce_mod(r, m) == r
+
+
+def model_round(p, q, m):
+    """The canonical representative of a rational q modulo p^m: 0 when
+    v(q) >= m, else p^v times the residue in [1, p^(m - v)) of the unit
+    q / p^v, v = v(q)."""
+    if not q:
+        return Fraction(0)
+    v = rational_val(p, q)
+    if v >= m:
+        return Fraction(0)
+    unit, mod = q / Fraction(p) ** v, p ** (m - v)
+    return Fraction(p) ** v * (unit.numerator * pow(unit.denominator, -1, mod) % mod)
+
+
+def over(x, d):
+    # the model pair of (x_0 + x_1 sqrt p)/d for integers
+    return Fraction(x[0], d), Fraction(x[1], d)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_triples_round_trip(p):
+    rng = random.Random(f"{SEED}/triple/{p}")
+    for _ in range(30):
+        mx = pair(rng, p)
+        x = KElement(p, *mx)
+        u, v, w = _point(p, x)
+        assert w > 0 and over((u, v), w) == mx
+        # the least common denominator: no prime divides all three
+        assert math.gcd(u, v, w) == 1
+        assert _point(p, mx[0]) == _point(p, KElement(p, mx[0]))
+        y = _element(p, u, v, w)
+        assert y == x and coords(y) == mx
+        # an unreduced triple, scaled by a power of p and a cofactor, is the same element
+        k = rng.choice((-1, 1)) * p ** rng.randint(0, 4) * rng.randint(1, 10**6)
+        assert coords(_element(p, u * k, v * k, w * k)) == mx
+    with pytest.raises(ValueError, match="mixed primes"):
+        _point(p, KElement(7, 1, 1))  # 7 is not among PRIMES
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_the_valuation_formula(p):
+    # 2 v((u + v sqrt p)/w) = _twice_val - 2 v_p(w), on reduced and
+    # unreduced triples alike, and infinite at 0
+    rng = random.Random(f"{SEED}/twice/{p}")
+    for _ in range(30):
+        mx = pair(rng, p)
+        u, v, w = _point(p, KElement(p, *mx))
+        want = model_val(p, mx)
+        want = math.inf if want is None else 2 * want
+        k = p ** rng.randint(0, 6) * rng.randint(1, 10**6)
+        assert _twice_val_over(p, (u, v), w) == _twice_val_over(p, (u * k, v * k), w * k) == want
+        assert _v2(KElement(p, *mx)) == want
+    assert _twice_val_over(p, (0, 0), p**5) == math.inf
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_pair_kernels_match_fraction_arithmetic(p):
+    rng = random.Random(f"{SEED}/pairs/{p}")
+    for _ in range(30):
+        x, y = (_point(p, KElement(p, *pair(rng, p)))[:2] for _ in range(2))
+        mx, my = over(x, 1), over(y, 1)
+        assert over(_mul(p, x, y), 1) == model_mul(p, mx, my)
+        assert over(_sub(x, y), 1) == (mx[0] - my[0], mx[1] - my[1])
+        if not any(y):
+            continue
+        *q, d = _quotient(p, x, y)
+        assert d != 0 and over(q, d) == model_mul(p, mx, model_inverse(p, my))
+        c, d = _inverse_pair(p, y)
+        assert d != 0 and over(c, d) == model_inverse(p, my)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_mod_rounds_each_coordinate_canonically(p):
+    # the two coordinates' denominators carry different powers of p, so
+    # the common denominator w has the p-power of one of them only, and
+    # the rounding must divide by all of it
+    rng = random.Random(f"{SEED}/round/{p}")
+    for trial in range(40):
+        i, j = rng.sample(range(0, 7), 2)
+        if trial % 2:
+            i, j = j, i
+        a, b = (coordinate(rng, p) / p**k for k in (i, j))
+        if trial % 5 == 0:
+            a = Fraction(0)
+        m = rng.randint(-max(i, j) - 2, 12)
+        r = reduce_mod(KElement(p, a, b), m)
+        assert coords(r) == (model_round(p, a, m), model_round(p, b, m)), (trial, m)

@@ -20,9 +20,9 @@ import pytest
 
 import evaluation_oracle as oracle
 from padicglue import KElement, Poly, RationalMap, dynamics, hensel_fixed_point
-from padicglue.algebra import _element, _point, _quotient, _values, _values_mod
+from padicglue.algebra import _values, _values_mod
 from padicglue.dynamics import _quotient_digits, _residue_step, _residue_test, _round_residues
-from padicglue.field import _twice_val, reduce_mod
+from padicglue.field import _element, _point, _quotient, _twice_val, reduce_mod
 from test_hensel_differential import fixed_point_instance
 
 PRIMES = (2, 3, 5, 7)

@@ -20,9 +20,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padicglue import KElement, Poly
-from padicglue.algebra import _element, _quotient
 from padicglue.dynamics import _quotient_digits, _round_point, _round_residues, _step
-from padicglue.field import reduce_mod
+from padicglue.field import _element, _quotient, reduce_mod
 
 PRIMES = st.sampled_from((2, 3, 5, 7, 23))
 

@@ -1,7 +1,7 @@
 """The certifier's integer spot-check predicates against their meaning.
 
 `gluing._spot_check` decides a sample on doubled integer exponents, and
-`algebra._twice_val_at_least` decides image membership by divisibility.
+`field._twice_val_at_least` decides image membership by divisibility.
 Both are checked here against the formulation in K: the valuation of
 F(z) - f_i(z) and of F(z) minus the image center, computed with KElement
 arithmetic, compared as ValExps with the bound, epsilon and
@@ -16,8 +16,7 @@ from fractions import Fraction
 import pytest
 
 from padicglue import Ball, KElement, ValExp
-from padicglue.algebra import _quotient, _twice_val_at_least
-from padicglue.field import _twice_val
+from padicglue.field import _quotient, _twice_val, _twice_val_at_least
 from padicglue.gluing import _spot_check, _twice_thresholds
 
 SEED = 20261019

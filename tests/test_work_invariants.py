@@ -47,7 +47,7 @@ def test_certify_evaluates_each_map_once_per_sample(problem, monkeypatch):
     assert len(calls) == 2 * pole_free * SAMPLES
     # F, then f_i, both at the sample's point
     expected = [
-        (f, algebra._point(F.p, z))
+        (f, field._point(F.p, z))
         for m, check in zip(models, cert.checks)
         for z, _ in check.witnesses
         for f in (F, m.f)
