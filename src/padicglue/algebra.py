@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd, inf, lcm
+from math import gcd, inf, isqrt, lcm
 from operator import mul
 
 from .field import (
@@ -331,38 +331,66 @@ def _values(f: "RationalMap", point: tuple, deriv: bool) -> tuple:
 def _values_mod(f: "RationalMap", point: tuple, mod: int) -> tuple:
     """n0 and q0 of `_values(f, point, False)`, reduced mod `mod` > 1.
 
-    With d = max(deg N, deg Q, 0), X = u + v sqrt p and the stored
-    pairs A_k of N and B_k of Q, n0 = Dd sum A_k T_k and q0 = Dn sum B_k T_k
-    for T_k = X^k w^(d - k).  One table of the T_k mod `mod` serves both
-    sums, so the only products of two residues are the table's; each term
-    is a short coefficient times a residue, reduced once per sum.
+    With d = max(deg N, deg Q, 0), X = u + v sqrt p and the stored pairs
+    A_k of N and B_k of Q, n0 = Dd H(A) and q0 = Dn H(B) for the sums
+    H(A) = sum A_k X^k w^(d - k), evaluated by baby steps and giant steps
+    (Paterson and Stockmeyer, SIAM J. Comput. 2(1), 1973).  With
+    s = isqrt(d + 1), the indices fall into m blocks of s from the bottom,
+    the top one holding the L <= s left over.  Block j is the dot product
+    C_j = sum_i A_(js+i) X^i w^(s-1-i) (the top block's weights are
+    w^(L-1-i)) of short coefficients with one table of residues, and
+    Horner runs over the blocks, H_j = X^s H_(j+1) + w^(L + (m-2-j) s) C_j.
+    So one table of X^0..X^s serves both sums, and each costs m - 1 full
+    residue products (and as many scalings by powers of w when w != 1),
+    about d/s, instead of d.
     """
     p, (u, v, w) = f.p, point
     (dn, ncs), (dd, dcs) = (f.num.D, f.num.pairs), (f.den.D, f.den.pairs)
     d = max(len(ncs), len(dcs), 1) - 1
+    s = isqrt(d + 1)
+    top = (d // s) * s  # the top block's first index
+    L = d + 1 - top
     u, v, w = u % mod, v % mod, w % mod
     xa, xb, uv, ta, tb = 1, 0, u + v, [1], [0]
-    for _ in range(d):
+    for _ in range(s):
         # three products: xa v + xb u = (xa + xb)(u + v) - xa u - xb v
         au, bv = xa * u, xb * v
         xa, xb = (au + p * bv) % mod, ((xa + xb) * uv - au - bv) % mod
         ta.append(xa)
         tb.append(xb)
+    ga, gb, gab = xa, xb, xa + xb  # the giant step X^s
+    ya, yb, za, zb, wl, ws = ta, tb, ta, tb, 1, 1
     if w != 1:
-        wk = 1
-        for k in range(d - 1, -1, -1):
-            wk = wk * w % mod
-            ta[k], tb[k] = ta[k] * wk % mod, tb[k] * wk % mod
+        wk = [1]
+        for _ in range(s):
+            wk.append(wk[-1] * w % mod)
+        wl, ws = wk[L], wk[s]
 
-    def dot(D: int, cs) -> tuple:
+        def weigh(t: list, n: int) -> list:  # X^i w^(n-1-i) for i < n
+            return [x * wk[n - 1 - i] % mod for i, x in enumerate(t[:n])]
+
+        ya, yb, za, zb = weigh(ta, s), weigh(tb, s), weigh(ta, L), weigh(tb, L)
+
+    def horner(D: int, cs) -> tuple:
         if not cs:
             return 0, 0
         ca, cb = zip(*cs)
-        sa = sum(map(mul, ca, ta)) + p * sum(map(mul, cb, tb))
-        sb = sum(map(mul, ca, tb)) + sum(map(mul, cb, ta))
-        return sa * D % mod, sb * D % mod
+        # the top block with its own table and weight 1, then the full
+        # blocks down to index 0, weighted w^L, w^(L + s), ...
+        ha = hb = 0
+        sa, sb, we = za, zb, 1
+        for lo in range(top, -1, -s):
+            a, b = ca[lo:lo + s], cb[lo:lo + s]
+            ba = sum(map(mul, a, sa)) + p * sum(map(mul, b, sb))
+            bb = sum(map(mul, a, sb)) + sum(map(mul, b, sa))
+            if we != 1:
+                ba, bb = ba * we, bb * we
+            au, bv = ha * ga, hb * gb
+            ha, hb = (au + p * bv + ba) % mod, ((ha + hb) * gab - au - bv + bb) % mod
+            sa, sb, we = ya, yb, wl if lo == top else we * ws % mod
+        return ha * D % mod, hb * D % mod
 
-    return dot(dd, ncs), dot(dn, dcs)
+    return horner(dd, ncs), horner(dn, dcs)
 
 
 def _convolve(p: int, xs, ys) -> list:

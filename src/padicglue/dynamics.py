@@ -14,7 +14,6 @@ in the value group |C_v^x|; the surjectivity criteria need that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 from math import isqrt
 from types import SimpleNamespace
@@ -22,8 +21,8 @@ from types import SimpleNamespace
 from .algebra import Poly, RationalMap, _comb, _convolve, _poly, _values, _values_mod
 from .errors import HenselConditionError, PoleInBallError, _show
 from .field import (
-    KElement, ValExp, _coords_mod, _element, _int_val, _mul, _point, _quotient, _sub, _twice_val,
-    _twice_val_at_least, _twice_val_over, reduce_mod,
+    KElement, ValExp, _coords_mod, _element, _int_val, _mul, _point, _quotient, _shared_exp, _sub,
+    _twice_val, _twice_val_at_least, _twice_val_over, reduce_mod,
 )
 from .geometry import Ball, LocalExpansion, pairwise_deltas
 from .gluing import check_c3_hypotheses, plan_gluing
@@ -370,27 +369,28 @@ def _round_point(z: KElement, prec: int) -> KElement:
     return z if h <= 8 * prec else reduce_mod(z, prec)
 
 
-def _quotient_digits(p: int, num: tuple, den: tuple, prec: int) -> int:
+def _quotient_digits(p: int, num: tuple, tq: int, prec: int) -> int:
     """The K for which num and den mod p^K decide num/den mod p^prec, for
-    Z[sqrt p] pairs, den != 0: prec + ceil(2 v(den) - min(v(num), v(den))).
+    Z[sqrt p] pairs, den != 0, given tq = 2 v(den) (`_twice_val`, which the
+    caller reads once and passes on to `_round_residues`):
+    prec + ceil(2 v(den) - min(v(num), v(den))).
     If num' and den' agree with them mod p^K, K > v(den), then v(den') =
     v(den) and num/den - num'/den' = (num (den' - den) - (num' - num) den)
     /(den den') has valuation at least K + min(v(num), v(den)) - 2 v(den)
     >= prec, so both coordinates agree mod p^prec.  The valuations may be
     read off residues mod p^K with den' != 0; num' = 0 counts as v(num) >=
     v(den), which then holds."""
-    tq = _twice_val(p, den)
     tn = _twice_val(p, num) if any(num) else tq
     return prec + tq - min(tn, tq) // 2
 
 
-def _round_residues(p: int, num: tuple, den: tuple, prec: int) -> KElement:
+def _round_residues(p: int, num: tuple, den: tuple, tq: int, prec: int) -> KElement:
     """`reduce_mod(num/den, prec)` for Z[sqrt p] pairs known mod p^K, K >=
-    `_quotient_digits(p, num, den, prec)`, den != 0 mod p^K: the quotient of
-    the residues is congruent mod p^prec, and `_coords_mod` rounds it with
-    vden = v_p(d) = 2 v(den), d the norm of den."""
+    `_quotient_digits(p, num, tq, prec)`, den != 0 mod p^K, tq = 2 v(den):
+    the quotient of the residues is congruent mod p^prec, and `_coords_mod`
+    rounds it with vden = v_p(d) = tq, d the norm of den."""
     xa, xb, d = _quotient(p, num, den)
-    return KElement(p, *_coords_mod((xa, xb), d, _twice_val(p, den), p, prec))
+    return KElement(p, *_coords_mod((xa, xb), d, tq, p, prec))
 
 
 def _real_bits(p: int, a: int, b: int) -> tuple:
@@ -453,19 +453,21 @@ def _embedding_prover(F, h: int):
 
 
 def _residues(F, point: tuple, K: int, digits) -> tuple | None:
-    """(n0, q0, k): n0 and q0 of `algebra._values` at `point` mod p^K
-    (`algebra._values_mod`), for the guess K (at least 1), redone at k =
-    digits(n0, q0) while that is larger.  k is read off the residues, so
-    the caller keeps it as its next guess; None where q0 = 0 mod p^K, since
-    no valuation of Q(z) can be read there."""
+    """(n0, q0, tq, k): n0 and q0 of `algebra._values` at `point` mod p^K
+    (`algebra._values_mod`), for the guess K (at least 1), and tq = 2 v(q0),
+    read once per pass, redone at k = digits(n0, tq) while that is larger.
+    k is read off the residues, so the caller keeps it as its next guess;
+    None where q0 = 0 mod p^K, since no valuation of Q(z) can be read
+    there."""
     K = max(K, 1)
     while True:
         n0, q0 = _values_mod(F, point, F.p**K)
         if not any(q0):
             return None
-        k = digits(n0, q0)
+        tq = _twice_val(F.p, q0)
+        k = digits(n0, tq)
         if k <= K:
-            return n0, q0, k
+            return n0, q0, tq, k
         K = k
 
 
@@ -478,11 +480,11 @@ def _residue_test(F, point: tuple, t: int, K: int) -> tuple:
     from the guess K).  (None, K) where Q(z) = 0 mod p^K."""
     p = F.p
     tw = t + 2 * _int_val(point[2], p)
-    found = _residues(F, point, K, lambda n0, q0: (tw + _twice_val(p, q0) + 1) // 2)
+    found = _residues(F, point, K, lambda n0, tq: (tw + tq + 1) // 2)
     if found is None:
         return None, K
-    n0, q0, K = found
-    return _twice_val_at_least(p, n0, q0, point, tw + _twice_val(p, q0)), K
+    n0, q0, tq, K = found
+    return _twice_val_at_least(p, n0, q0, point, tw + tq), K
 
 
 def _residue_step(F, point: tuple, K: int, prec: int) -> tuple:
@@ -490,11 +492,11 @@ def _residue_step(F, point: tuple, K: int, prec: int) -> tuple:
     and q0 mod p^K' only, K' = `_quotient_digits` (`_residues`, starting
     from the guess K); (None, K) if q0 or n0 is 0 mod p^K'."""
     p = F.p
-    found = _residues(F, point, K, lambda n0, q0: _quotient_digits(p, n0, q0, prec))
+    found = _residues(F, point, K, lambda n0, tq: _quotient_digits(p, n0, tq, prec))
     if found is None:
         return None, K
-    n0, q0, K = found
-    return (_round_residues(p, n0, q0, prec) if any(n0) else None), K
+    n0, q0, tq, K = found
+    return (_round_residues(p, n0, q0, tq, prec) if any(n0) else None), K
 
 
 def _step(F, point: tuple, taller, K: int, prec: int) -> tuple:
@@ -512,13 +514,7 @@ def _step(F, point: tuple, taller, K: int, prec: int) -> tuple:
     if not any(q0):
         return None, K
     z = _round_point(_element(p, *_quotient(p, n0, q0)), prec)
-    return z, _quotient_digits(p, n0, q0, prec)
-
-
-# orbit tables repeat a few exponents from step to step and from orbit to
-# orbit; one shared (immutable) ValExp per exponent keeps a table that its
-# caller holds on to about 15% smaller
-_shared_exp = lru_cache(maxsize=1024)(ValExp.twice)
+    return z, _quotient_digits(p, n0, _twice_val(p, q0), prec)
 
 
 @dataclass(frozen=True, slots=True)

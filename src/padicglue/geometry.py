@@ -319,22 +319,30 @@ def sample_points(ball: Ball, budget: int) -> list:
     Shell j contributes center + u * pi^(2j) for u = 1..p-1, where pi is
     sqrt(p); shells start at the ball's radius exponent (one step inside
     for an open ball) and shrink by a factor of p each round.  The offset
-    u * pi^(2j) is u * p^floor(j), added to the rational coordinate of the
-    center for integral j and to its sqrt p coordinate otherwise, so each
-    point is built from two Fractions without a multiplication in K.
+    u * pi^(2j) is u * p^k, k = floor(j), added to the center's rational
+    coordinate for integral j and to its sqrt p coordinate otherwise.
+    With that coordinate n/d, the point's coordinate is (n + u p^k d)/d
+    for k >= 0 and (n p^-k + u d)/(d p^-k) for k < 0, so a shell steps one
+    integer numerator, and each point is one Fraction of two integers and
+    one trusted `KElement._of`, with no Fraction addition and no prime
+    check.
     """
     if budget < 1:
         return []
-    p, a, b = ball.p, ball.center.a, ball.center.b
-    pts = [ball.center]
+    p, c = ball.p, ball.center
+    pts = [c]
     t = (ball.radius if ball.closed else ball.radius + 1).t  # t = 2j
     while len(pts) < budget:
-        k = t // 2
-        step = p**k if k >= 0 else Fraction(1, p**-k)
-        for u in range(1, p):
-            off = step * u
-            pts.append(KElement(p, a + off, b) if t % 2 == 0 else KElement(p, a, b + off))
-            if len(pts) >= budget:
-                break
+        k, odd = divmod(t, 2)
+        x = c.b if odd else c.a
+        n, d = x.numerator, x.denominator
+        if k >= 0:
+            step = p**k * d
+        else:
+            n, d, step = n * p**-k, d * p**-k, d
+        for _ in range(min(p - 1, budget - len(pts))):
+            n += step
+            y = Fraction(n, d)
+            pts.append(KElement._of(p, c.a, y) if odd else KElement._of(p, y, c.b))
         t += 2
     return pts

@@ -22,8 +22,8 @@ from math import inf
 from .algebra import Poly, RationalMap, _values
 from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
 from .field import (
-    KElement, ValExp, _int_val, _mul, _point, _sub, _twice_val, _twice_val_at_least,
-    uniformizer_power,
+    KElement, ValExp, _int_val, _mul, _point, _shared_exp, _sub, _twice_val,
+    _twice_val_at_least, uniformizer_power,
 )
 from .geometry import Ball, LocalExpansion, pairwise_deltas, sample_points
 
@@ -397,7 +397,8 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     as Z[sqrt p] pairs.  The bound, epsilon and the image radius become
     doubled integer thresholds once per ball, and the doubled witness
     2 v(nF*qf - nf*qF) - 2 v(qF) - 2 v(qf) is compared with them and
-    wrapped, unchanged, as the sample's witness ValExp.  F(z) lies in the image
+    wrapped, unchanged, as the sample's witness ValExp, one shared ValExp
+    per distinct exponent (`field._shared_exp`).  F(z) lies in the image
     about (cu + cv sqrt p)/cw when the pair nF*cw - (cu + cv sqrt p)*qF is
     divisible by p^ceil(R/2) in its rational and p^floor(R/2) in its sqrt p
     coordinate, R = 2 rho + 2 v(qF) + 2 v(cw), plus 1 for an open image of
@@ -423,7 +424,7 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
             nF, _, qF, _ = _values(F, point, False)
             nf, _, qf, _ = _values(m.f, point, False)
             tw, ok = _spot_check(p, nF, qF, nf, qf, center, b2, e2, r0)
-            witnesses.append((z, ValExp.twice(tw)))
+            witnesses.append((z, _shared_exp(tw)))
             samples_ok = samples_ok and ok
         checks.append(
             BallCheck(

@@ -3,13 +3,14 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from padicglue import FieldConfig, KElement, ValExp, is_prime, reduce_mod, uniformizer_power
-from padicglue.field import _coords_mod, _int_val, _twice_val, _v2
+from padicglue.field import _coords_mod, _digit_power, _int_val, _twice_val, _v2
 
 K3 = FieldConfig(3)
 
@@ -245,6 +246,40 @@ class TestIntVal:
                     unit += 2
                 for n in (unit * p**v, -unit * p**v):
                     assert _int_val(n, p) == self.linear(n, p) == v
+
+    @staticmethod
+    def digit_exponent(p):
+        # the largest k with p^k below 2^bits_per_digit, at least 1
+        k = 1
+        while p ** (k + 1) < 2**sys.int_info.bits_per_digit:
+            k += 1
+        return k
+
+    def test_primes_above_half_a_digit_read_one_factor_per_word(self):
+        # 46349^2 and 2^31 - 1 both exceed one 30-bit (or 15-bit) digit
+        for p in (46349, 2**31 - 1):
+            assert self.digit_exponent(p) == 1
+            assert _digit_power(p)[:2] == (p, 1)
+
+    @pytest.mark.parametrize("p", PRIMES + (46349, 2**31 - 1))
+    def test_planted_valuations_at_the_digit_and_doubling_boundaries(self, p):
+        # below k the valuation is read off n mod p^k; from k on, n is
+        # divided by p^k, then by p^2k, p^4k, ... while they divide, so the
+        # runs end at v = k, 3k, 7k, 15k, 31k: each is planted with its
+        # neighbours on long and short units of both signs
+        k = self.digit_exponent(p)
+        assert _digit_power(p)[:2] == (p**k, k)
+        edges = (k, 3 * k, 7 * k, 15 * k, 31 * k)
+        vs = sorted({e + d for e in edges for d in (-1, 0, 1)})
+        assert vs[0] == k - 1
+        rng = random.Random(f"int-val-edges/{p}")
+        for bits in (1, 31, 64, 5_000):
+            for v in vs:
+                unit = rng.getrandbits(bits) | 1
+                while unit % p == 0:
+                    unit += 2
+                for n in (unit * p**v, -unit * p**v):
+                    assert _int_val(n, p) == self.linear(n, p) == v, (p, bits, v)
 
     @given(st.integers().filter(bool), st.integers(0, 80), st.sampled_from(PRIMES))
     def test_matches_linear_loop(self, n, k, p):

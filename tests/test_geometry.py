@@ -324,7 +324,7 @@ def _seeded_balls(rng):
 
 
 class TestSamplePointsAgainstOracle:
-    """The coordinate-addition points against center + pi^(2j) * u in K."""
+    """The integer-built points against center + pi^(2j) * u in K."""
 
     def test_same_points_in_the_same_order(self):
         rng = random.Random(1301)
@@ -340,6 +340,8 @@ class TestSamplePointsAgainstOracle:
                 want = oracle.sample_points(ball, budget)
                 assert got == want, (ball, budget)
                 assert [(x.p, x.a, x.b) for x in got] == [(x.p, x.a, x.b) for x in want]
+                # the trusted constructor stores what it is given: Fractions
+                assert all(type(x.a) is type(x.b) is Fraction for x in got)
 
     def test_smaller_budget_is_a_prefix(self):
         # the stored witnesses of a result are a prefix of those verify

@@ -336,6 +336,15 @@ class TestCertification:
         assert cert.passes
         assert [len(ch.witnesses) for ch in cert.checks] == [20] * len(models)
 
+    def test_equal_witness_exponents_are_one_valexp(self, ex2):
+        # a ball's samples repeat a few exponents, and each is built once
+        models, plan, F = ex2
+        for ch in certify_theorem1(F, models, plan, samples=40).checks:
+            shared = {}
+            for _, w in ch.witnesses:
+                assert shared.setdefault(w.t, w) is w
+            assert len(shared) < len(ch.witnesses)
+
     def test_reference_glue_certifies(self, ex2):
         models, plan, F = ex2
         assert (F.num.degree, F.den.degree) == (15, 21)

@@ -1,8 +1,8 @@
 """Residue passes at the modulus their own error bound requires.
 
-`orbit` and `hensel_fixed_point` form N(z) and Q(z) mod p^K only, by one
-table of X^k w^(d - k) (`algebra._values_mod`), and pick K from the
-valuations the residues show:
+`orbit` and `hensel_fixed_point` form N(z) and Q(z) mod p^K only, by baby
+steps and giant steps over one table of X^0..X^s (`algebra._values_mod`),
+and pick K from the valuations the residues show:
 - a rounded step needs K = prec + ceil(2 v(Q) - min(v(N), v(Q)))
   (`dynamics._quotient_digits`), since residues mod p^K move N/Q by at
   least that much less than p^-prec;
@@ -15,6 +15,7 @@ the test against the exact valuation of F(z) - z, on both sides of it.
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -72,6 +73,40 @@ def test_table_evaluation_is_exact_values_reduced(p):
                 assert _values_mod(F, point, mod) == want, (F, point, mod)
 
 
+# d + 1 = 1..4, then at, one below and one above a multiple of the block
+# length s = isqrt(d + 1), so the top block holds s, s - 1 or 1 coefficients
+BLOCK_DEGREES = (0, 1, 2, 3, 7, 8, 9, 10, 11, 12, 22, 23, 24, 25, 47, 48, 49)
+
+
+def _block_points(p: int, rng: random.Random):
+    """`_point` triples with v = 0 or v != 0, each with w = 1 and w != 1,
+    w = 1 + p^3 among them: 1 mod p and mod p^3, but not mod p^200."""
+    for v_on in (False, True):
+        for w in (1, p, p**5, 1 + p**3, rng.randrange(2, 2**40)):
+            u = rng.getrandbits(rng.randrange(1, 400)) * rng.choice((1, -1))
+            v = rng.getrandbits(rng.randrange(1, 400)) * rng.choice((1, -1)) if v_on else 0
+            yield u, v, w
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_blocked_evaluation_at_every_block_shape(p):
+    rng = random.Random(f"values-mod-blocks/{p}")
+    shapes = set()
+    for d in BLOCK_DEGREES:
+        s = isqrt(d + 1)
+        shapes.add((d + 1) % s in (0, 1, s - 1))
+        # the longer of N and Q sets d; the other is shorter or constant,
+        # on either side, and N may be zero
+        for n, m in ((d, d), (d, d // 2), (d // 2, d), (d, 0), (d // 3 - 1, d)):
+            F = RationalMap(_poly(p, n, rng), _poly(p, m, rng))
+            for point in _block_points(p, rng):
+                n0, _, q0, _ = _values(F, point, False)
+                for mod in (p, p**3, p**200, 7, rng.randrange(2, 2**300)):
+                    want = tuple(tuple(x % mod for x in pair) for pair in (n0, q0))
+                    assert _values_mod(F, point, mod) == want, (F, point, mod)
+    assert shapes == {True}
+
+
 def _planted_pair(p: int, rng: random.Random, ta: int, tb: int) -> tuple:
     """A Z[sqrt p] pair with coordinate valuations ta and tb (None for a
     zero coordinate), so 2 v = min(2 ta, 2 tb + 1)."""
@@ -109,12 +144,13 @@ def test_residues_at_the_quotient_digits_round_as_the_exact_quotient(p):
         tn, tq = _twice_val(p, num), _twice_val(p, den)
         seen.add((tn < tq, tq % 2))
         for prec in (1, 16, 64, 256):
-            K = _quotient_digits(p, num, den, prec)
+            K = _quotient_digits(p, num, tq, prec)
             assert K == prec + tq - min(tn, tq) // 2
-            cut = tuple(tuple(x % p**K for x in pair) for pair in (num, den))
+            cut_num, cut_den = (tuple(x % p**K for x in pair) for pair in (num, den))
             # the valuations read off the residues give the same K
-            assert _quotient_digits(p, *cut, prec) == K
-            got = _round_residues(p, *cut, prec)
+            cut_tq = _twice_val(p, cut_den)
+            assert cut_tq == tq and _quotient_digits(p, cut_num, cut_tq, prec) == K
+            got = _round_residues(p, cut_num, cut_den, cut_tq, prec)
             want = reduce_mod(_element(p, *_quotient(p, num, den)), prec)
             assert (got.a, got.b) == (want.a, want.b), (num, den, prec, K)
     assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
@@ -137,7 +173,7 @@ def test_residue_step_rounds_as_the_exact_map(p):
                     assert not any(n0) or K == guess
                     continue
                 decided += 1
-                assert K == _quotient_digits(p, n0, q0, prec)
+                assert K == _quotient_digits(p, n0, _twice_val(p, q0), prec)
                 want = reduce_mod(_element(p, *_quotient(p, n0, q0)), prec)
                 assert (got.a, got.b) == (want.a, want.b), (F, point, prec)
     assert decided > 100

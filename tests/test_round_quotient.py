@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 
 from padicglue import KElement, Poly
 from padicglue.dynamics import _quotient_digits, _round_point, _round_residues, _step
-from padicglue.field import _element, _quotient, reduce_mod
+from padicglue.field import _element, _quotient, _twice_val, reduce_mod
 
 PRIMES = st.sampled_from((2, 3, 5, 7, 23))
 
@@ -74,9 +74,9 @@ def test_kernel_rounds_as_the_reduced_point(p, seed, bits, common, vp, cancel, d
     z = _element(p, *_quotient(p, num, den))
     # the residues mod p^K, at the K that the embedding tier reads off
     # N(z) and Q(z) mod p^K
-    K = _quotient_digits(p, num, den, prec)
-    cut = tuple(tuple(x % p**K for x in pair) for pair in (num, den))
-    got = _round_residues(p, *cut, prec)
+    K = _quotient_digits(p, num, _twice_val(p, den), prec)
+    cut_num, cut_den = (tuple(x % p**K for x in pair) for pair in (num, den))
+    got = _round_residues(p, cut_num, cut_den, _twice_val(p, cut_den), prec)
     want = reduce_mod(z, prec)
     assert (got.p, got.a, got.b) == (want.p, want.a, want.b)
     got, got_K = _gcd_step(p, num, den, prec)
