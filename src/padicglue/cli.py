@@ -13,7 +13,9 @@ import sys
 from dataclasses import fields
 
 from .dynamics import multiplier, orbit, verify_census
-from .errors import HypothesisViolation, LimitExceeded, PadicGlueError, SpecFormatError, _show
+from .errors import (
+    HypothesisViolation, LimitExceeded, PadicGlueError, SpecFormatError, _power_str, _show,
+)
 from .field import KElement
 from .geometry import Ball
 from .gluing import build_F, certify_theorem1, plan_gluing, validate_plan
@@ -56,30 +58,25 @@ _EXIT_CODES = (
 )
 
 
-def _fmt_abs(p: int, v) -> str:
-    # |x| = p^(-v(x)); valuation infinity means the value 0
-    return "0" if v.is_infinite else f"{p}^({-v})"
-
-
 def _print_plan(p: int, models, plan) -> None:
-    print(f"prime {p}, epsilon {_fmt_abs(p, plan.epsilon)}")
+    print(f"prime {p}, epsilon {_power_str(p, plan.epsilon)}")
     for i, m in enumerate(models):
         print(
-            f"ball {i}: {m.domain}  delta {_fmt_abs(p, plan.deltas[i])}"
-            f"  s {_fmt_abs(p, plan.s[i])}  M {plan.M[i]}"
+            f"ball {i}: {m.domain}  delta {_power_str(p, plan.deltas[i])}"
+            f"  s {_power_str(p, plan.s[i])}  M {plan.M[i]}"
         )
-    print(f"tau {_fmt_abs(p, plan.tau)}")
+    print(f"tau {_power_str(p, plan.tau)}")
 
 
 def _print_certificate(p: int, cert) -> None:
     for ch in cert.checks:
         bound = (
-            _fmt_abs(p, ch.eps_bound_exp) if ch.eps_bound_exp is not None else "n/a"
+            _power_str(p, ch.eps_bound_exp) if ch.eps_bound_exp is not None else "n/a"
         )
         print(
             f"ball {ch.index}: pole-free {ch.pole_free_ok}, image {ch.image}"
             f" matches {ch.image_ok}, |F - f_{ch.index}| <= {bound}"
-            f" (needs < {_fmt_abs(p, cert.epsilon)}), samples ok {ch.samples_ok}"
+            f" (needs < {_power_str(p, cert.epsilon)}), samples ok {ch.samples_ok}"
         )
     print(f"F degree: numerator {cert.degree_num}, denominator {cert.degree_den}")
     print(f"certificate: {'PASS' if cert.passes else 'FAIL'}")
@@ -198,9 +195,9 @@ def _orbit_rows(p: int, steps) -> None:
             zs = f"({len(zs)}-char element)"
         parts = [f"  k={s.k}: z = {zs}"]
         if s.dist_exp is not None:
-            parts.append(f"|z - ref| = {_fmt_abs(p, s.dist_exp)}")
+            parts.append(f"|z - ref| = {_power_str(p, s.dist_exp)}")
         if s.step_exp is not None:
-            parts.append(f"step {_fmt_abs(p, s.step_exp)}")
+            parts.append(f"step {_power_str(p, s.step_exp)}")
         print("  ".join(parts))
 
 
@@ -318,7 +315,7 @@ def _example_ex1(args) -> int:
     print(f"closed form matches evaluation exactly: {equal}")
 
     kind = multiplier(F, zero).kind
-    print(f"fixed point 0 of the glued map is {kind} (|F'(0)| = {_fmt_abs(3, lam.valuation())})")
+    print(f"fixed point 0 of the glued map is {kind} (|F'(0)| = {_power_str(3, lam.valuation())})")
 
     _write_result(args.output, 3, eps, models, plan, F, cert, census, report)
     return EXIT_PASS if ok and equal else EXIT_FAIL

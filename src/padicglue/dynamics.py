@@ -14,17 +14,16 @@ in the value group |C_v^x|; the surjectivity criteria need that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from math import isqrt
 from types import SimpleNamespace
 
 from .algebra import Poly, RationalMap, _comb, _convolve, _poly, _values, _values_mod
 from .errors import HenselConditionError, PoleInBallError, _show
 from .field import (
-    KElement, ValExp, _coords_mod, _element, _int_val, _mul, _point, _quotient, _shared_exp, _sub,
+    KElement, ValExp, _coords_mod, _element, _gap, _int_val, _mul, _point, _quotient, _sub,
     _twice_val, _twice_val_at_least, _twice_val_over, reduce_mod,
 )
-from .geometry import Ball, LocalExpansion, pairwise_deltas
+from .geometry import Ball, image_of_ball, pairwise_deltas, wdeg
 from .gluing import check_c3_hypotheses, plan_gluing
 
 __all__ = [
@@ -108,23 +107,22 @@ def classify_disk(F: RationalMap, U: Ball) -> DiskBehavior:
     Indifferent (bijective): F(U) = U with wdeg 1; any fixed points are
     indifferent, and existence is certified iff |F'(center) - 1| = 1.
     Anything else (including F(U) disjoint from U) is inconclusive.
-    F's expansion about U reads the shifts F keeps about U's center, so a
-    disk about an already shifted center shifts nothing.
+    `image_of_ball` and `wdeg` read the shifts F keeps about U's center,
+    so a disk about an already shifted center shifts nothing.
     """
     if U.closed:
         raise ValueError("classification requires an open disk")
-    local = LocalExpansion(F, U)
-    img = local.image  # raises PoleInBallError when F has a pole on U
+    img = image_of_ball(F, U)  # raises PoleInBallError when F has a pole on U
     if img.disjoint_from(U):
         return DiskBehavior(kind=INCONCLUSIVE, image=img)
     if U.properly_contains(img):
-        d = local.wdeg(img.center)
+        d = wdeg(F, img.center, U)
         return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
     if img.same_set(U):
-        d = local.wdeg(U.center)
+        d = wdeg(F, U.center, U)
         if d >= 2:
             return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
-        # local.image succeeded, so F has no pole on U and lam is a value
+        # the image exists, so F has no pole on U and lam is a value
         lam = F.derivative_at(U.center)
         return DiskBehavior(
             kind=INDIFFERENT,
@@ -134,7 +132,7 @@ def classify_disk(F: RationalMap, U: Ball) -> DiskBehavior:
             derivative_at_center=lam,
         )
     if img.properly_contains(U):
-        d = local.wdeg(U.center)
+        d = wdeg(F, U.center, U)
         if d == 1:
             return DiskBehavior(kind=REPELLING, image=img, wdeg=d)
         return DiskBehavior(kind=INCONCLUSIVE, image=img, wdeg=d)
@@ -224,9 +222,10 @@ def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusRep
     witness disk that holds a pole of F is classified inconclusive.
     Indifferent witnesses additionally require certified existence and the
     exact indifferent-case hypothesis check; a ball whose center is not a
-    fixed point of its local map fails that check.  A witness disk about a
-    center certify_theorem1 has shifted F about reuses that shift (see
-    classify_disk).
+    fixed point of its local map fails that check.  Each witness asks
+    `image_of_ball` and `wdeg` of F on its disk (see classify_disk); a
+    disk about a center certify_theorem1 has shifted F about reuses that
+    shift.
     """
     models = list(models)
     validate_census(models, census)
@@ -281,12 +280,12 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     `algebra._values`, G(z) = g0/(w q0), g0 = w n0 - X q0, and G'(z) =
     g1/q0^2, g1 = (n1 - q0) q0 - n0 q1, which the Hensel condition reads.
     After the seed, `_residue_test` decides it from N(z) and Q(z) mod p^K
-    only, and the exact pairs are formed again only where Q(z) = 0 mod
-    p^K.  Each iterate is a `_step` of Newton's map (`_newton_map`),
+    only, and the seed's exact test (`_exact_g`) runs again only where
+    Q(z) = 0 mod p^K.  Each iterate is a `_step` of Newton's map (`_newton_map`),
     rounded as `orbit` rounds, at a working precision far above the
     target.  Q(z) != 0 is checked first, so a step meets a pole exactly
     where G' vanishes.  `target_exp` is a finite exponent in (1/2)Z and
-    `max_iter` an int.
+    `max_iter` an int, the most steps taken (none when it is <= 0).
     """
     if not isinstance(max_iter, int) or isinstance(max_iter, bool):
         raise ValueError(f"hensel_fixed_point max_iter must be an integer, got {max_iter!r}")
@@ -308,41 +307,45 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     # the valuations the iteration reasons about
     prec = target.t + 128 + F.degree
 
+    point = _point(p, start)
+    vg, n0, n1, q0, q1 = _exact_g(F, point, True, "seed point is a pole of the map")
+    if vg >= target:
+        return start
+    g1 = _sub(_mul(p, _sub(n1, q0), q0), _mul(p, n0, q1))
+    if not any(g1):
+        raise HenselConditionError("G' vanishes at the seed point")
+    vgp = ValExp.twice(_twice_val(p, g1) - 2 * _twice_val(p, q0))
+    if not vg > vgp * 2:
+        raise HenselConditionError(f"Hensel condition fails at seed: v(G) = {vg}, v(G') = {vgp}")
+    newton = _newton_map(F)
+    taller = _embedding_prover(newton, 8 * prec)
     # guesses of the moduli of the next Newton step and the next test
-    z, K, test = start, prec, (target.t + 1) // 2
-    for k in count():
-        *X, w = point = _point(p, z)
-        done = None
-        if k:
-            done, test = _residue_test(F, point, target.t, test)
-        if done is None:
-            n0, n1, q0, q1 = _values(F, point, k == 0)
-            if not any(q0):
-                raise HenselConditionError(
-                    "seed point is a pole of the map" if k == 0 else "iteration stepped onto a pole"
-                )
-            g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
-            vq = _twice_val(p, q0)
-            vg = ValExp.twice(_twice_val_over(p, g0, w) - vq)
-            done = vg >= target
-        if done:
-            return z
-        if k == 0:
-            g1 = _sub(_mul(p, _sub(n1, q0), q0), _mul(p, n0, q1))
-            if not any(g1):
-                raise HenselConditionError("G' vanishes at the seed point")
-            vgp = ValExp.twice(_twice_val(p, g1) - 2 * vq)
-            if not vg > vgp * 2:
-                raise HenselConditionError(
-                    f"Hensel condition fails at seed: v(G) = {vg}, v(G') = {vgp}"
-                )
-            newton = _newton_map(F)
-            taller = _embedding_prover(newton, 8 * prec)
+    K, test = prec, (target.t + 1) // 2
+    for _ in range(max_iter):
         z, K = _step(newton, point, taller, K, prec)
         if z is None:
             raise HenselConditionError("G' vanished during the iteration")
-        if k >= max_iter:
-            raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
+        point = _point(p, z)
+        done, test = _residue_test(F, point, target.t, test)
+        if done is None:
+            done = _exact_g(F, point, False, "iteration stepped onto a pole")[0] >= target
+        if done:
+            return z
+    raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
+
+
+def _exact_g(F, point: tuple, deriv: bool, pole: str) -> tuple:
+    """(v(G(z)), n0, n1, q0, q1) for G = F - z at the `_point` triple
+    (u, v, w) of z, X = u + v sqrt p, from the exact pairs of
+    `algebra._values`: G(z) = g0/(w q0), g0 = w n0 - X q0.  Raises
+    HenselConditionError(pole) where Q(z) = 0."""
+    p = F.p
+    *X, w = point
+    n0, n1, q0, q1 = _values(F, point, deriv)
+    if not any(q0):
+        raise HenselConditionError(pole)
+    g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
+    return ValExp.twice(_twice_val_over(p, g0, w) - _twice_val(p, q0)), n0, n1, q0, q1
 
 
 def _newton_map(F: RationalMap) -> SimpleNamespace:
@@ -554,16 +557,11 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
         z0 = KElement(p, z0)
     at = _point(p, ref) if ref is not None else None
 
-    def gap(x: tuple, y: tuple | None) -> ValExp | None:
-        # v(x - y) for `_point` triples: (u w' - u' w, v w' - v' w)/(w w')
-        if y is None:
-            return None
-        (u, v, w), (u1, v1, w1) = x, y
-        diff = (u * w1 - u1 * w, v * w1 - v1 * w)
-        return _shared_exp(_twice_val_over(p, diff, w * w1))
+    def dist(x: tuple) -> ValExp | None:
+        return None if at is None else _gap(p, x, at)
 
     point = _point(p, z0)
-    out = [OrbitStep(0, z0, gap(point, at), None)]
+    out = [OrbitStep(0, z0, dist(point), None)]
     taller = _embedding_prover(F, 8 * precision)
     K = precision
     for k in range(1, steps + 1):
@@ -572,7 +570,7 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
             out.append(OrbitStep(k=k, point=None, dist_exp=None, step_exp=None))
             break
         prev, point = point, _point(p, nxt)
-        out.append(OrbitStep(k, nxt, gap(point, at), gap(point, prev)))
+        out.append(OrbitStep(k, nxt, dist(point), _gap(p, point, prev)))
     return out
 
 
@@ -612,7 +610,7 @@ def epsilon_for_census(models, census: FixedPointCensus) -> ValExp:
     exps = [m.image.radius for m in models]
     has_indifferent = False
     for w in census.witnesses:
-        exps.append(LocalExpansion(models[w.ball_index].f, w.disk).image.radius)
+        exps.append(image_of_ball(models[w.ball_index].f, w.disk).radius)
         if w.expected == INDIFFERENT:
             has_indifferent = True
             exps.append(w.disk.radius)

@@ -35,9 +35,9 @@ def _show(x) -> str:
 
 
 def _power_str(base, e) -> str:
-    # the radius base^(-e) for a ValExp e, as balls and diagnostics print
-    # it: a negative e = -k prints as base^(k), never as base^(--k)
-    return f"{base}^({-e})" if e.t < 0 else f"{base}^(-{e})"
+    # |x| = base^(-e) for a ValExp e, as balls, diagnostics and the CLI
+    # print it: base^(2), base^(0), base^(-1/2), and 0 for e infinite
+    return "0" if e.is_infinite else f"{base}^({-e})"
 
 
 class PadicGlueError(Exception):

@@ -425,6 +425,14 @@ def _point(p: int, x) -> tuple:
     return a.numerator * (w // da), b.numerator * (w // db), w
 
 
+def _gap(p: int, x: tuple, y: tuple) -> ValExp:
+    """v(x - y) for `_point` triples x = (u, v, w) and y = (u', v', w'):
+    x - y = (u w' - u' w + (v w' - v' w) sqrt p)/(w w'), as a shared
+    ValExp (`_shared_exp`)."""
+    (u, v, w), (u1, v1, w1) = x, y
+    return _shared_exp(_twice_val_over(p, (u * w1 - u1 * w, v * w1 - v1 * w), w * w1))
+
+
 def _element(p: int, xa: int, xb: int, den: int) -> KElement:
     """The reduced K element (xa + xb sqrt p)/den."""
     return KElement(p, Fraction(xa, den), Fraction(xb, den))

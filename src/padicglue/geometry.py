@@ -13,10 +13,11 @@ finite comparison of exact exponents.  The key facts used throughout:
   polynomial: the number of roots is the last (closed ball) or first
   (open ball) index k attaining min v(c_k) + k*e for radius p^(-e).
 
-A LocalExpansion rewrites a map's numerator and denominator in powers of
-(z - a) about a ball's center a; the pole test, the image, sup norms and
-root counts on that ball are all scans of the shifted coefficients.  The
-shift is lazy (algebra._Prefix): it yields the coefficients one at a
+Four functions ask the questions of a map on a ball: `pole_free_on_ball`,
+`image_of_ball`, `sup_norm_exp_on_ball` and `wdeg`.  Each rewrites the
+map's numerator and denominator in powers of (z - a) about the ball's
+center a, and answers by a scan of the shifted coefficients.  The shift
+is lazy (algebra._Prefix): it yields the coefficients one at a
 time and bounds all of them up front by the ultrametric inequality, so
 each scan computes only the prefix whose coefficients might still reach
 its minimum.  The shift does not depend on the radius, so the polynomial
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import (
     Poly,
@@ -40,11 +40,10 @@ from .algebra import (
     gauss_norm_exp,
 )
 from .errors import PoleInBallError, _power_str, _show
-from .field import KElement, ValExp, _v2
+from .field import KElement, ValExp, _gap, _point, _v2
 
 __all__ = [
     "Ball",
-    "LocalExpansion",
     "Radius",
     "distance_exp",
     "image_of_ball",
@@ -63,7 +62,7 @@ Radius = ValExp
 
 def distance_exp(x: KElement, y: KElement) -> ValExp:
     """Valuation of x - y; encodes the ultrametric distance |x - y|."""
-    return (x - y).valuation()
+    return _gap(x.p, _point(x.p, x), _point(x.p, y))
 
 
 @dataclass(frozen=True)
@@ -198,117 +197,78 @@ def _shift(f: RationalMap, center: KElement) -> tuple:
     return tuple(P if P.degree <= 0 else _shifted(P, center) for P in (f.num, f.den))
 
 
-class LocalExpansion:
-    """A rational map f = P/Q rewritten in powers of (z - a) about the
-    center a of a ball.
-
-    Every question about the ball is a scan of the shifted Pr and Qr, whose
-    constant terms are P(a) and Q(a), or of a _Diff of them, which computes
-    only the prefix that its tail bound cannot rule out.  The shifts are
-    the ones P and Q keep about a, shared with every other expansion of
-    them about a; the radius and the kind of the ball only enter the scans.
-    """
-
-    def __init__(self, f: RationalMap, ball: Ball):
-        self.f = f
-        self.ball = ball
-        self._num, self._den = _shift(f, ball.center)
-
-    @cached_property
-    def pole_free(self) -> bool:
-        """True when the reduced denominator has no zero in the ball."""
-        return self.f.den.degree == 0 or _roots_in_ball(self._den, self.ball) == 0
-
-    def _require_pole_free(self) -> None:
-        if not self.pole_free:
-            raise PoleInBallError(f"map has a pole on {_show(self.ball)}")
-
-    @cached_property
-    def image(self) -> Ball:
-        """The exact image f(ball), which is again a ball of the same kind.
-
-        Center: f(a) = P(a)/Q(a). Radius: the numerator of f(z) - f(a) is
-        g(z) = P(z)Q(a) - P(a)Q(z), which vanishes at a, and in powers of
-        (z - a) it is the combination Pr*Q(a) - Qr*P(a) of the two shifted
-        polynomials.  The image radius is the Gauss norm of g over the terms
-        of index >= 1, divided by |Q(a)|^2 (|Q| is constant on the ball).
-        """
-        self._require_pole_free()
-        N, D, p = self._num, self._den, self.f.p
-        pa, qa = N.coeff(0), D.coeff(0)
-        g = _Diff(N, Poly.constant(p, qa), D, Poly.constant(p, pa))
-        e = gauss_norm_exp(g, self.ball.radius, from_k=1)
-        if e.is_infinite:
-            raise ValueError("constant map: the image of the ball is a point, not a ball")
-        return Ball(pa * qa.inverse(), e - qa.valuation() * 2, closed=self.ball.closed)
-
-    def sup_norm_exp(self, minus: "LocalExpansion | None" = None) -> ValExp:
-        """Exponent of sup |f - g| over the ball (maximum for closed balls),
-        where g is the map of `minus`, an expansion about the same ball, or
-        g = 0 when it is omitted.
-
-        Both maps must be pole-free on the ball.  A denominator without
-        zeros on the ball has constant absolute value there, equal to its
-        value at the center, so the sup is the Gauss norm of the shifted
-        numerator divided by that constant.  With f = N/D and g = n/d the
-        difference is taken unreduced, as (N*d - n*D) / (D*d): any common
-        factor of numerator and denominator is a divisor of D*d, hence has
-        no zero on the ball, and since the Gauss norm is multiplicative its
-        norm cancels between numerator and denominator.  The bound is the
-        one the reduced difference gives.
-        """
-        self._require_pole_free()
-        N, D = self._num, self._den
-        num, den_val = N, D.coeff(0).valuation()
-        if minus is not None:
-            if minus.ball != self.ball:
-                raise ValueError(f"expansions about different balls: {self.ball} and {minus.ball}")
-            minus._require_pole_free()
-            n, d = minus._num, minus._den
-            num = _Diff(N, d, n, D)
-            den_val = den_val + d.coeff(0).valuation()
-        return gauss_norm_exp(num, self.ball.radius, from_k=0) - den_val
-
-    def wdeg(self, b: KElement) -> int:
-        """Number of solutions of f(z) = b in the ball, with multiplicity.
-
-        b must lie in the image of the ball.  Counts roots of Pr - b*Qr, the
-        shifted numerator of f(z) - b; the denominator contributes none
-        since f is pole-free there.
-        """
-        img = self.image
-        if not img.contains_point(b):
-            raise ValueError(f"target {b} lies outside the image {img}")
-        p = self.f.p
-        g = _Diff(self._num, Poly.one(p), self._den, Poly.constant(p, b))
-        return _roots_in_ball(g, self.ball)
+def _require_pole_free(f: RationalMap, ball: Ball) -> tuple:
+    """f's shifted pair (Pr, Qr) about the ball's center (see _shift), or
+    PoleInBallError when f has a pole in the ball."""
+    if not pole_free_on_ball(f, ball):
+        raise PoleInBallError(f"map has a pole on {_show(ball)}")
+    return _shift(f, ball.center)
 
 
 def pole_free_on_ball(f: RationalMap, ball: Ball) -> bool:
     """True when the reduced denominator of f has no zero in the ball."""
-    return LocalExpansion(f, ball).pole_free
-
-
-def sup_norm_exp_on_ball(f: RationalMap, ball: Ball) -> ValExp:
-    """Exponent of sup |f| over the ball (maximum for closed balls).
-
-    Requires f pole-free on the ball; see LocalExpansion.sup_norm_exp.
-    """
-    return LocalExpansion(f, ball).sup_norm_exp()
+    _, Qr = _shift(f, ball.center)
+    return f.den.degree == 0 or _roots_in_ball(Qr, ball) == 0
 
 
 def image_of_ball(f: RationalMap, ball: Ball) -> Ball:
-    """The exact image f(ball), which is again a ball of the same kind;
-    see LocalExpansion.image."""
-    return LocalExpansion(f, ball).image
+    """The exact image f(ball), which is again a ball of the same kind.
+
+    Center: f(a) = P(a)/Q(a). Radius: the numerator of f(z) - f(a) is
+    g(z) = P(z)Q(a) - P(a)Q(z), which vanishes at a, and in powers of
+    (z - a) it is the combination Pr*Q(a) - Qr*P(a) of the two shifted
+    polynomials.  The image radius is the Gauss norm of g over the terms
+    of index >= 1, divided by |Q(a)|^2 (|Q| is constant on the ball).
+    Raises PoleInBallError when f has a pole in the ball.
+    """
+    N, D = _require_pole_free(f, ball)
+    pa, qa = N.coeff(0), D.coeff(0)
+    g = _Diff(N, Poly.constant(f.p, qa), D, Poly.constant(f.p, pa))
+    e = gauss_norm_exp(g, ball.radius, from_k=1)
+    if e.is_infinite:
+        raise ValueError("constant map: the image of the ball is a point, not a ball")
+    return Ball(pa * qa.inverse(), e - qa.valuation() * 2, closed=ball.closed)
+
+
+def sup_norm_exp_on_ball(f: RationalMap, ball: Ball, minus: RationalMap | None = None) -> ValExp:
+    """Exponent of sup |f - g| over the ball (maximum for closed balls),
+    where g is the map `minus`, or g = 0 when it is omitted.
+
+    Both maps must be pole-free on the ball; PoleInBallError otherwise.  A
+    denominator without zeros on the ball has constant absolute value
+    there, equal to its value at the center, so the sup is the Gauss norm
+    of the shifted numerator divided by that constant.  With f = N/D and
+    g = n/d the difference is taken unreduced, as (N*d - n*D) / (D*d): any
+    common factor of numerator and denominator is a divisor of D*d, hence
+    has no zero on the ball, and since the Gauss norm is multiplicative its
+    norm cancels between numerator and denominator.  The bound is the one
+    the reduced difference gives.
+    """
+    N, D = _require_pole_free(f, ball)
+    num, den_val = N, D.coeff(0).valuation()
+    if minus is not None:
+        n, d = _require_pole_free(minus, ball)
+        num = _Diff(N, d, n, D)
+        den_val = den_val + d.coeff(0).valuation()
+    return gauss_norm_exp(num, ball.radius, from_k=0) - den_val
 
 
 def wdeg(f: RationalMap, b: KElement, ball: Ball) -> int:
     """Number of solutions of f(z) = b in the ball, with multiplicity.
 
-    b must lie in the image of the ball; see LocalExpansion.wdeg.
+    Counts roots of Pr - b*Qr, the shifted numerator of f(z) - b; the
+    denominator contributes none, since f must be pole-free there
+    (PoleInBallError otherwise).  b must lie in the image of the ball,
+    which holds exactly when the count is at least 1, so the image is
+    built only to word the error.
     """
-    return LocalExpansion(f, ball).wdeg(b)
+    N, D = _require_pole_free(f, ball)
+    if f.degree > 0:
+        count = _roots_in_ball(_Diff(N, Poly.one(f.p), D, Poly.constant(f.p, b)), ball)
+        if count:
+            return count
+    # b lies outside f(ball), or f is constant and image_of_ball raises
+    raise ValueError(f"target {b} lies outside the image {image_of_ball(f, ball)}")
 
 
 def sample_points(ball: Ball, budget: int) -> list:

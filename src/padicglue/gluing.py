@@ -25,7 +25,9 @@ from .field import (
     KElement, ValExp, _int_val, _mul, _point, _shared_exp, _sub, _twice_val,
     _twice_val_at_least, uniformizer_power,
 )
-from .geometry import Ball, LocalExpansion, pairwise_deltas, sample_points
+from .geometry import (
+    Ball, image_of_ball, pairwise_deltas, pole_free_on_ball, sample_points, sup_norm_exp_on_ball,
+)
 
 __all__ = [
     "BallCheck",
@@ -60,10 +62,9 @@ RADIUS_LIMIT = 512
 class LocalModel:
     """A local map f together with its closed domain ball.
 
-    The image ball is always computed exactly; when a declared image is
-    supplied it is checked against the computation at construction time.
-    The expansion of f about its own domain is kept, so the image, the
-    boundedness check and the certificate share one recentring.
+    The image ball is always computed exactly, once, and kept; when a
+    declared image is supplied it is checked against the computation at
+    construction time.
     """
 
     f: RationalMap
@@ -73,11 +74,10 @@ class LocalModel:
     def __post_init__(self):
         if not self.domain.closed:
             raise HypothesisViolation("local model domains must be closed balls")
-        local = LocalExpansion(self.f, self.domain)
-        if not local.pole_free:
+        if not pole_free_on_ball(self.f, self.domain):
             raise HypothesisViolation(f"local map has a pole on its domain {_show(self.domain)}")
         try:
-            img = local.image
+            img = image_of_ball(self.f, self.domain)
         except ValueError as exc:
             raise HypothesisViolation(
                 "local map is constant on its domain; its image is not a ball"
@@ -87,11 +87,11 @@ class LocalModel:
                 f"declared image {_show(self.declared_image)} differs from"
                 f" computed image {_show(img)}"
             )
-        object.__setattr__(self, "_local", local)
+        object.__setattr__(self, "_image", img)
 
     @property
     def image(self) -> Ball:
-        return self._local.image
+        return self._image
 
     @property
     def center(self) -> KElement:
@@ -192,15 +192,15 @@ def _check_models(models) -> None:
             raise HypothesisViolation(f"balls not pairwise disjoint: balls {i} and {j} intersect")
     for i, mi in enumerate(models):
         for j, mj in enumerate(models):
-            local = mi._local if i == j else LocalExpansion(mi.f, mj.domain)
-            if not local.pole_free:
+            if not pole_free_on_ball(mi.f, mj.domain):
                 raise HypothesisViolation(
                     f"map {i} has a pole on ball {j} ({_show(mj.domain)}); "
                     "every local map must be analytic on the union of the balls"
                 )
-            if local.sup_norm_exp() < 0:
+            if sup_norm_exp_on_ball(mi.f, mj.domain) < 0:
+                img = image_of_ball(mi.f, mj.domain)
                 raise HypothesisViolation(
-                    f"map {i} sends ball {j} onto {_show(local.image)}, which is not inside B(0; 1)"
+                    f"map {i} sends ball {j} onto {_show(img)}, which is not inside B(0; 1)"
                 )
 
 
@@ -378,12 +378,13 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     both the certified bound and the image.  Failures are recorded, never
     raised.
 
-    Each ball gets one LocalExpansion of F: (a), (b) and (c) are scans of
-    the lazy Taylor shifts that F's numerator and denominator keep about
-    a_i, which compute only the shifted coefficients their tail bounds
-    cannot rule out (see algebra._Prefix): on the benchmark's 20-ball
-    sweep, 6 of deg F + 1 = 97 or 101 per shift.  f_i's expansion is the
-    one its LocalModel keeps.  F keeps its shifts (algebra._shifted), so a
+    (a), (b) and (c) are `pole_free_on_ball`, `image_of_ball` and
+    `sup_norm_exp_on_ball(F, B_i, minus=f_i)`, scans of the lazy Taylor
+    shifts that F's numerator and denominator keep about a_i, which
+    compute only the shifted coefficients their tail bounds cannot rule
+    out (see algebra._Prefix): on the benchmark's 20-ball sweep, 6 of
+    deg F + 1 = 97 or 101 per shift.  f_i's shifts about a_i are the ones
+    its LocalModel started.  F keeps its shifts (algebra._shifted), so a
     census of disks about the same centers shifts nothing again.
     The sup norm in (c) is taken of the unreduced difference
     (N*d - n*D) / (D*d) for F = N/D and f_i = n/d, without a gcd.  Its
@@ -408,12 +409,11 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     checks = []
     for i, m in enumerate(models):
         B = m.domain
-        local = LocalExpansion(F, B)
-        if not local.pole_free:
+        if not pole_free_on_ball(F, B):
             checks.append(BallCheck(index=i, pole_free_ok=False))
             continue
-        img = local.image
-        bound = local.sup_norm_exp(minus=m._local)
+        img = image_of_ball(F, B)
+        bound = sup_norm_exp_on_ball(F, B, minus=m.f)
         center = _point(p, img.center)
         b2, e2, r0 = _twice_thresholds(bound, plan.epsilon, img, center[2])
         witnesses = []
@@ -460,13 +460,13 @@ def check_subdisk_transfer(F: RationalMap, model: LocalModel, sub: Ball, eps: Va
     map must have identical images.  Raises LemmaInapplicable otherwise."""
     if not model.domain.contains_ball(sub):
         raise ValueError(f"{sub} is not contained in the model domain {model.domain}")
-    local_img = LocalExpansion(model.f, sub).image
+    local_img = image_of_ball(model.f, sub)
     if not local_img.radius < eps:
         raise LemmaInapplicable(
             f"local image radius {_power_str('p', local_img.radius)} is at most"
             f" eps {_power_str('p', eps)}; transfer says nothing"
         )
-    return LocalExpansion(F, sub).image.same_set(local_img)
+    return image_of_ball(F, sub).same_set(local_img)
 
 
 def check_c3_hypotheses(models, i: int) -> bool:

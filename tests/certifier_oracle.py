@@ -1,6 +1,6 @@
 """Reference certifier and disk classifier for differential tests.
 
-These are the direct formulations that `LocalExpansion` replaced: every
+These are the direct formulations that the `geometry` scans replaced: every
 question recenters the polynomials it needs from scratch, the sup norm of
 F - f_i is taken of the gcd-reduced difference, and F is evaluated twice
 per sample point.  They are slow but obviously faithful to the

@@ -12,11 +12,11 @@ from padicglue import (
     Ball,
     FieldConfig,
     KElement,
-    LocalExpansion,
     Poly,
     PoleInBallError,
     Radius,
     RationalMap,
+    ValExp,
     count_roots_with_min_valuation,
     distance_exp,
     image_of_ball,
@@ -106,13 +106,15 @@ class TestBallSetSemantics:
         assert str(B(3, 1, closed=False)) == "D(3; 3^(-1))"
 
     def test_str_of_radius_at_least_one(self):
-        # a radius p^(-e) with e <= 0; e = 0 keeps its sign, as stored
-        # outputs print it
-        assert str(B(0, 0)) == "B(0; 3^(-0))"
+        # a radius p^(-e) with e <= 0; e = 0 prints unsigned, as the CLI
+        # prints |x| = 1
+        assert str(B(0, 0)) == "B(0; 3^(0))"
         assert str(B(0, -1)) == "B(0; 3^(1))"
         assert str(B(1, Fraction(-3, 2), closed=False)) == "D(1; 3^(3/2))"
         assert _power_str("p", Radius(-2)) == "p^(2)"
         assert _power_str("p", Radius(Fraction(1, 2))) == "p^(-1/2)"
+        assert _power_str(3, Radius(0)) == "3^(0)"
+        assert _power_str(3, ValExp.infinite()) == "0"
 
 
 def test_distance_exp():
@@ -178,6 +180,19 @@ class TestSupNorm:
         with pytest.raises(PoleInBallError):
             sup_norm_exp_on_ball(RationalMap(Poly.one(3), Z), B(0, 1))
 
+    def test_minus_is_the_sup_of_the_difference(self):
+        # (3z + 1) - 1 = 3z and z/(z - 1) - (-z) = z^2/(z - 1), |z - 1| = 1 on B(0; 3^-2)
+        one = RationalMap(Poly.one(3))
+        assert sup_norm_exp_on_ball(RationalMap(3 * Z + 1), B(0, 2), minus=one) == 3
+        f, g = RationalMap(Z, Z - 1), RationalMap(-Z)
+        assert sup_norm_exp_on_ball(f, B(0, 2)) == 2
+        assert sup_norm_exp_on_ball(f, B(0, 2), minus=g) == 4
+        assert sup_norm_exp_on_ball(f, B(0, 2), minus=f).is_infinite
+
+    def test_minus_with_a_pole_raises(self):
+        with pytest.raises(PoleInBallError):
+            sup_norm_exp_on_ball(RationalMap(Z), B(0, 1), minus=RationalMap(Poly.one(3), Z))
+
 
 class TestImageOfBall:
     def test_contraction(self):
@@ -220,23 +235,23 @@ class TestExpansions:
     def test_balls_about_one_center_share_one_shift(self, spy_shifts):
         balls = [B(1, 1), B(1, 1, closed=False), B(1, 2, closed=False), B(1, 3)]
 
-        def answers(local):
-            img = local.image
-            return (local.pole_free, str(img), img.closed, local.sup_norm_exp(),
-                    local.wdeg(img.center))
+        def answers(F, b):
+            img = image_of_ball(F, b)
+            return (pole_free_on_ball(F, b), str(img), img.closed, sup_norm_exp_on_ball(F, b),
+                    wdeg(F, img.center, b))
 
-        fresh = [answers(LocalExpansion(self.F(), b)) for b in balls]
+        fresh = [answers(self.F(), b) for b in balls]
         F = self.F()
         shifted = spy_shifts()
-        assert [answers(LocalExpansion(F, b)) for b in balls] == fresh
+        assert [answers(F, b) for b in balls] == fresh
         assert [P for P, _ in shifted] == [F.num, F.den]
 
     def test_each_center_is_shifted_once(self, spy_shifts):
         F = self.F()
         shifted = spy_shifts()
         for b in (B(1, 1), B(4, 2), B(1, 3, closed=False), B(4, 2, closed=False)):
-            LocalExpansion(F, b).image
-            LocalExpansion(F, b).pole_free
+            image_of_ball(F, b)
+            pole_free_on_ball(F, b)
         assert sorted((str(a), str(P)) for P, a in shifted) == sorted(
             (str(K3(c)), str(P)) for c in (1, 4) for P in (F.num, F.den)
         )
@@ -252,7 +267,7 @@ class TestExpansions:
 
     def test_a_copy_starts_with_no_shifts(self, spy_shifts):
         F = self.F()
-        LocalExpansion(F, B(1, 1)).image
+        image_of_ball(F, B(1, 1))
         shifted = spy_shifts()
         copies = [Poly(3, F.num.coeffs), pickle.loads(pickle.dumps(F.num))]
         for P in copies:
@@ -263,19 +278,19 @@ class TestExpansions:
         # KElement(5, 0) == KElement(3, 0) and both hash alike, so a lookup
         # by center alone would hand the p = 5 ball the p = 3 shift
         F = self.F()
-        assert LocalExpansion(F, B(0, 1)).pole_free
+        assert pole_free_on_ball(F, B(0, 1))
         assert K3(0) == FieldConfig(5)(0) and hash(K3(0)) == hash(FieldConfig(5)(0))
         ball5 = Ball(FieldConfig(5)(0), Radius(1))
         with pytest.raises(ValueError, match="mixed primes"):
-            LocalExpansion(F, ball5)
+            pole_free_on_ball(F, ball5)
         with pytest.raises(ValueError, match="mixed primes"):
             _shifted(F.num, ball5.center)
 
     def test_pole_is_found_on_the_larger_ball_only(self):
         # z^2 - 3 has its roots at valuation 1/2: inside B(0; 3^0), outside D(0; 3^(-1/2))
         F = self.F()
-        assert not LocalExpansion(F, B(0, 0)).pole_free
-        assert LocalExpansion(F, Ball(K3(0), Radius(Fraction(1, 2)), closed=False)).pole_free
+        assert not pole_free_on_ball(F, B(0, 0))
+        assert pole_free_on_ball(F, Ball(K3(0), Radius(Fraction(1, 2)), closed=False))
 
 
 class TestWdeg:
@@ -290,8 +305,20 @@ class TestWdeg:
         assert wdeg(RationalMap(Z**2), K3(1), B(1, 0, closed=False)) == 1
 
     def test_target_outside_image_rejected(self):
-        with pytest.raises(ValueError, match="outside the image"):
+        with pytest.raises(ValueError, match=r"target 1 lies outside the image B\(0; 3\^\(-3\)\)"):
             wdeg(RationalMap(3 * Z), K3(1), B(0, 2))
+        with pytest.raises(ValueError, match="outside the image"):
+            wdeg(RationalMap(Z**2), K3(1), B(0, 1))
+
+    def test_constant_map_rejected_whatever_the_target(self):
+        # f - b is then a nonzero constant, or zero when b is the constant
+        for b in (5, 1):
+            with pytest.raises(ValueError, match="constant map"):
+                wdeg(RationalMap(Poly.constant(3, 5)), K3(b), B(0, 1))
+
+    def test_pole_raises(self):
+        with pytest.raises(PoleInBallError):
+            wdeg(RationalMap(Poly.one(3), Z), K3(1), B(0, 1))
 
 
 class TestSamplePoints:

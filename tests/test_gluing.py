@@ -158,7 +158,7 @@ class TestPlanGluing:
     def test_radius_above_one_prints_its_exponent(self):
         # r = 3^1 on a single ball squeezed to delta = 3^0
         models = [LocalModel(RationalMap(27 * Z), B(0, -1))]
-        with pytest.raises(HypothesisViolation, match=r"\(r = p\^\(1\), delta = p\^\(-0\)\)$"):
+        with pytest.raises(HypothesisViolation, match=r"\(r = p\^\(1\), delta = p\^\(0\)\)$"):
             plan_gluing(models, Radius(3), delta_override=[Radius(0)])
 
     @pytest.mark.parametrize("override", [[9], [9, None, 8, 100]])
@@ -311,17 +311,17 @@ class TestBuildF:
 
 
 class TestCertification:
-    def test_expands_only_F_about_each_ball(self, ex2, monkeypatch):
-        # each f_i comes with the expansion its LocalModel keeps
-        models, plan, F = ex2
-        expanded = []
-        init = gluing.LocalExpansion.__init__
-        monkeypatch.setattr(
-            gluing.LocalExpansion, "__init__",
-            lambda self, f, ball: expanded.append(f) or init(self, f, ball),
-        )
+    def test_expands_only_F_about_each_ball(self, ex2, spy_shifts):
+        # each f_i was shifted about its center when its LocalModel was
+        # built; F, built here so that it has no shifts yet, gets one shift
+        # of its numerator and one of its denominator per ball
+        models, plan, _ = ex2
+        F = build_F(models, plan)
+        shifted = spy_shifts()
         assert certify_theorem1(F, models, plan).passes
-        assert expanded == [F] * len(models)
+        assert sorted((str(a), id(P)) for P, a in shifted) == sorted(
+            (str(m.center), id(P)) for m in models for P in (F.num, F.den)
+        )
 
     def test_spot_checks_evaluate_no_map(self, ex2, monkeypatch):
         # F(z) and f_i(z) are read as integer pairs; no K element is built

@@ -16,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 import evaluation_oracle as oracle
-from padicglue import algebra
+from conftest import spy
+from padicglue import algebra, dynamics
 from padicglue import (
     ATTRACTING,
     INDIFFERENT,
@@ -236,6 +237,22 @@ def test_no_convergence_at_small_max_iter(max_iter):
     kind, text = assert_same(F, FieldConfig(5)(a0), 64, max_iter=max_iter)
     assert kind is HenselConditionError
     assert text == f"no convergence to exponent 64 in {max_iter} steps"
+
+
+@pytest.mark.parametrize("max_iter", (-1, 0, 1, 2))
+def test_no_step_past_max_iter(glued_examples, monkeypatch, max_iter):
+    # ex1's glued F needs 4 Newton steps from 9 to v(G(z)) >= 64; the
+    # refinement gives up after max(max_iter, 0) of them, each one tested,
+    # as the oracle does, and never computes a step it does not test
+    F = glued_examples[1]
+    steps = spy(monkeypatch, dynamics, "_step")
+    kind, text = assert_same(F, 9, 64, max_iter=max_iter)
+    assert kind is HenselConditionError
+    assert text == f"no convergence to exponent 64 in {max_iter} steps"
+    assert len(steps) == max(max_iter, 0)
+    steps.clear()
+    assert_same(F, 9, 64, max_iter=4)
+    assert len(steps) == 4
 
 
 @pytest.mark.parametrize("max_iter", ("3", None, 2.5, True, False))

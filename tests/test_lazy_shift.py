@@ -3,7 +3,7 @@
 `algebra._Prefix` yields the coefficients of a polynomial in powers of
 (z - a) one synthetic-division pass at a time and bounds the rest by the
 ultrametric inequality; `geometry._Diff` carries those bounds through the
-three combinations a LocalExpansion scans; `algebra._min_plus` stops
+three combinations the `geometry` functions scan; `algebra._min_plus` stops
 reading a source once no coefficient still to come can reach the minimum.
 Every scan must return exactly what a full scan of the eager shift
 `certifier_oracle.recenter` returns, and the prefix a certificate
@@ -94,7 +94,7 @@ def center(rng, p: int, kind: str) -> KElement:
 
 def lazy_and_eager(rng, p: int, a: KElement) -> list:
     """(name, lazy source, eager Poly) for a shifted polynomial and the three
-    combinations a LocalExpansion scans, built as `geometry` builds them:
+    combinations the `geometry` functions scan, built as they build them:
     the image numerator Nr*Dr[0] - Dr*Nr[0], the sup-norm numerator
     Nr*dr - nr*Dr against a second map n/d, and Nr - b*Dr for wdeg."""
     N, D = poly(rng, p, rng.randint(0, 9)), poly(rng, p, rng.randint(0, 9))
