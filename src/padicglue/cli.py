@@ -33,6 +33,7 @@ from .serialize import (
     SAMPLES_LIMIT,
     STEPS_LIMIT,
     check_count,
+    kelement_to_json,
     orbit_to_json,
     parse_point,
     parse_rational,
@@ -217,8 +218,8 @@ def _run_orbits(p: int, F, models, requests):
         _orbit_rows(p, steps)
         tables.append(
             {
-                "start": str(start),
-                "ref": str(ref) if ref is not None else None,
+                "start": kelement_to_json(start),
+                "ref": kelement_to_json(ref) if ref is not None else None,
                 "steps": orbit_to_json(steps),
             }
         )

@@ -20,8 +20,8 @@ from types import SimpleNamespace
 from .algebra import Poly, RationalMap, _comb, _convolve, _poly, _values, _values_mod
 from .errors import HenselConditionError, PoleInBallError, _show
 from .field import (
-    KElement, ValExp, _coords_mod, _element, _gap, _int_val, _mul, _point, _quotient, _sub,
-    _twice_val, _twice_val_at_least, _twice_val_over, reduce_mod,
+    KElement, ValExp, _coords_mod, _element, _gap, _int_val, _point, _quotient, _twice_val,
+    _twice_val_at_least, reduce_mod,
 )
 from .geometry import Ball, image_of_ball, pairwise_deltas, wdeg
 from .gluing import check_c3_hypotheses, plan_gluing
@@ -116,27 +116,22 @@ def classify_disk(F: RationalMap, U: Ball) -> DiskBehavior:
     if img.disjoint_from(U):
         return DiskBehavior(kind=INCONCLUSIVE, image=img)
     if U.properly_contains(img):
-        d = wdeg(F, img.center, U)
-        return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
-    if img.same_set(U):
-        d = wdeg(F, U.center, U)
-        if d >= 2:
-            return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
-        # the image exists, so F has no pole on U and lam is a value
-        lam = F.derivative_at(U.center)
-        return DiskBehavior(
-            kind=INDIFFERENT,
-            image=img,
-            wdeg=d,
-            existence_certified=(lam - 1).valuation() == 0,
-            derivative_at_center=lam,
-        )
+        return DiskBehavior(kind=ATTRACTING, image=img, wdeg=wdeg(F, img.center, U))
+    # disks that meet are nested, so F(U) = U or F(U) is a proper superdisk
+    d = wdeg(F, U.center, U)
     if img.properly_contains(U):
-        d = wdeg(F, U.center, U)
-        if d == 1:
-            return DiskBehavior(kind=REPELLING, image=img, wdeg=d)
-        return DiskBehavior(kind=INCONCLUSIVE, image=img, wdeg=d)
-    return DiskBehavior(kind=INCONCLUSIVE, image=img)
+        return DiskBehavior(kind=REPELLING if d == 1 else INCONCLUSIVE, image=img, wdeg=d)
+    if d >= 2:
+        return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
+    # the image exists, so F has no pole on U and lam is a value
+    lam = F.derivative_at(U.center)
+    return DiskBehavior(
+        kind=INDIFFERENT,
+        image=img,
+        wdeg=d,
+        existence_certified=(lam - 1).valuation() == 0,
+        derivative_at_center=lam,
+    )
 
 
 @dataclass(frozen=True)
@@ -276,12 +271,11 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     Hensel condition v(G(start)) > 2 v(G'(start)) for G = F - z.
 
     Iterates z <- z - G(z)/G'(z) until v(G(z)) >= target_exp.  At the
-    seed the test runs on exact pairs: with z = X/w and the pairs of
-    `algebra._values`, G(z) = g0/(w q0), g0 = w n0 - X q0, and G'(z) =
-    g1/q0^2, g1 = (n1 - q0) q0 - n0 q1, which the Hensel condition reads.
-    After the seed, `_residue_test` decides it from N(z) and Q(z) mod p^K
-    only, and the seed's exact test (`_exact_g`) runs again only where
-    Q(z) = 0 mod p^K.  Each iterate is a `_step` of Newton's map (`_newton_map`),
+    seed the test reads the map exactly: G(z) = F(z) - z from `F.eval`
+    and G'(z) = F'(z) - 1 from `F.derivative_at`.  After the seed,
+    `_residue_test` decides it from N(z) and Q(z) mod p^K only, and F(z)
+    is evaluated exactly again only where Q(z) = 0 mod p^K.  Each iterate
+    is a `_step` of Newton's map (`_newton_map`),
     rounded as `orbit` rounds, at a working precision far above the
     target.  Q(z) != 0 is checked first, so a step meets a pole exactly
     where G' vanishes.  `target_exp` is a finite exponent in (1/2)Z and
@@ -307,20 +301,23 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     # the valuations the iteration reasons about
     prec = target.t + 128 + F.degree
 
-    point = _point(p, start)
-    vg, n0, n1, q0, q1 = _exact_g(F, point, True, "seed point is a pole of the map")
+    fz = F.eval(start)
+    if fz is None:
+        raise HenselConditionError("seed point is a pole of the map")
+    vg = (fz - start).valuation()
     if vg >= target:
         return start
-    g1 = _sub(_mul(p, _sub(n1, q0), q0), _mul(p, n0, q1))
-    if not any(g1):
+    dg = F.derivative_at(start) - 1
+    if dg.is_zero:
         raise HenselConditionError("G' vanishes at the seed point")
-    vgp = ValExp.twice(_twice_val(p, g1) - 2 * _twice_val(p, q0))
+    vgp = dg.valuation()
     if not vg > vgp * 2:
         raise HenselConditionError(f"Hensel condition fails at seed: v(G) = {vg}, v(G') = {vgp}")
     newton = _newton_map(F)
     taller = _embedding_prover(newton, 8 * prec)
     # guesses of the moduli of the next Newton step and the next test
     K, test = prec, (target.t + 1) // 2
+    point = _point(p, start)
     for _ in range(max_iter):
         z, K = _step(newton, point, taller, K, prec)
         if z is None:
@@ -328,24 +325,13 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
         point = _point(p, z)
         done, test = _residue_test(F, point, target.t, test)
         if done is None:
-            done = _exact_g(F, point, False, "iteration stepped onto a pole")[0] >= target
+            fz = F.eval(z)
+            if fz is None:
+                raise HenselConditionError("iteration stepped onto a pole")
+            done = (fz - z).valuation() >= target
         if done:
             return z
     raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
-
-
-def _exact_g(F, point: tuple, deriv: bool, pole: str) -> tuple:
-    """(v(G(z)), n0, n1, q0, q1) for G = F - z at the `_point` triple
-    (u, v, w) of z, X = u + v sqrt p, from the exact pairs of
-    `algebra._values`: G(z) = g0/(w q0), g0 = w n0 - X q0.  Raises
-    HenselConditionError(pole) where Q(z) = 0."""
-    p = F.p
-    *X, w = point
-    n0, n1, q0, q1 = _values(F, point, deriv)
-    if not any(q0):
-        raise HenselConditionError(pole)
-    g0 = _sub(_mul(p, (w, 0), n0), _mul(p, X, q0))
-    return ValExp.twice(_twice_val_over(p, g0, w) - _twice_val(p, q0)), n0, n1, q0, q1
 
 
 def _newton_map(F: RationalMap) -> SimpleNamespace:

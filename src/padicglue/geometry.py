@@ -89,34 +89,30 @@ class Ball:
     def kind(self) -> str:
         return "closed" if self.closed else "open"
 
+    @property
+    def _key(self) -> int:
+        # the one size order of balls over C_v: B(e) > D(e) > B(e') for
+        # e < e', as 2*2e for a closed ball and 2*2e + 1 for an open one, so
+        # a larger key is a smaller ball.  Balls that meet are nested, so
+        # each relation of two balls compares keys once and tests one center
+        return 2 * self.radius.t + (not self.closed)
+
     def _within(self, d: ValExp) -> bool:
         # whether a point at distance exponent d from the center lies in
-        # the ball: the one closed/open comparison rule
-        return d >= self.radius if self.closed else d > self.radius
+        # the ball: d >= e when closed, d > e when open
+        return 2 * d.t >= self._key
 
     def contains_point(self, x: KElement) -> bool:
         return self._within(distance_exp(x, self.center))
 
     def contains_ball(self, other: "Ball") -> bool:
-        within = self._within(distance_exp(other.center, self.center))
-        if self.closed:
-            return other.radius >= self.radius and within
-        # open outer ball: a closed inner ball must be strictly smaller
-        if other.closed and not other.radius > self.radius:
-            return False
-        if not other.closed and not other.radius >= self.radius:
-            return False
-        return within
+        return self._key <= other._key and self.contains_point(other.center)
 
     def same_set(self, other: "Ball") -> bool:
-        # over C_v a closed ball of radius in the value group never equals
-        # an open one, so kinds must agree
-        if self.closed != other.closed or self.radius != other.radius:
-            return False
-        return self._within(distance_exp(other.center, self.center))
+        return self._key == other._key and self.contains_point(other.center)
 
     def properly_contains(self, other: "Ball") -> bool:
-        return self.contains_ball(other) and not self.same_set(other)
+        return self._key < other._key and self.contains_point(other.center)
 
     def intersects(self, other: "Ball") -> bool:
         # in an ultrametric, intersecting balls are nested, so it suffices
@@ -152,11 +148,6 @@ def pairwise_deltas(centers) -> list:
                 best = d
         out.append(best)
     return out
-
-
-def _roots_in_ball(shifted: Poly, ball: Ball) -> int:
-    # roots of a polynomial already written in powers of (z - center)
-    return count_roots_with_min_valuation(shifted, ball.radius, strict=not ball.closed)
 
 
 def _products(X, Y, k: int) -> range:
@@ -207,8 +198,8 @@ def _require_pole_free(f: RationalMap, ball: Ball) -> tuple:
 
 def pole_free_on_ball(f: RationalMap, ball: Ball) -> bool:
     """True when the reduced denominator of f has no zero in the ball."""
-    _, Qr = _shift(f, ball.center)
-    return f.den.degree == 0 or _roots_in_ball(Qr, ball) == 0
+    _, Q = _shift(f, ball.center)
+    return f.den.degree == 0 or not count_roots_with_min_valuation(Q, ball.radius, not ball.closed)
 
 
 def image_of_ball(f: RationalMap, ball: Ball) -> Ball:
@@ -264,7 +255,8 @@ def wdeg(f: RationalMap, b: KElement, ball: Ball) -> int:
     """
     N, D = _require_pole_free(f, ball)
     if f.degree > 0:
-        count = _roots_in_ball(_Diff(N, Poly.one(f.p), D, Poly.constant(f.p, b)), ball)
+        g = _Diff(N, Poly.one(f.p), D, Poly.constant(f.p, b))
+        count = count_roots_with_min_valuation(g, ball.radius, strict=not ball.closed)
         if count:
             return count
     # b lies outside f(ball), or f is constant and image_of_ball raises

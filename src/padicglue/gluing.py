@@ -20,14 +20,14 @@ from itertools import combinations
 from math import inf
 
 from .algebra import Poly, RationalMap, _values
-from .errors import HypothesisViolation, LemmaInapplicable, LimitExceeded, _power_str, _show
+from .errors import (
+    HypothesisViolation, LemmaInapplicable, LimitExceeded, PoleInBallError, _power_str, _show,
+)
 from .field import (
     KElement, ValExp, _int_val, _mul, _point, _shared_exp, _sub, _twice_val,
     _twice_val_at_least, uniformizer_power,
 )
-from .geometry import (
-    Ball, image_of_ball, pairwise_deltas, pole_free_on_ball, sample_points, sup_norm_exp_on_ball,
-)
+from .geometry import Ball, image_of_ball, pairwise_deltas, sample_points, sup_norm_exp_on_ball
 
 __all__ = [
     "BallCheck",
@@ -74,10 +74,12 @@ class LocalModel:
     def __post_init__(self):
         if not self.domain.closed:
             raise HypothesisViolation("local model domains must be closed balls")
-        if not pole_free_on_ball(self.f, self.domain):
-            raise HypothesisViolation(f"local map has a pole on its domain {_show(self.domain)}")
         try:
             img = image_of_ball(self.f, self.domain)
+        except PoleInBallError as exc:
+            raise HypothesisViolation(
+                f"local map has a pole on its domain {_show(self.domain)}"
+            ) from exc
         except ValueError as exc:
             raise HypothesisViolation(
                 "local map is constant on its domain; its image is not a ball"
@@ -192,12 +194,14 @@ def _check_models(models) -> None:
             raise HypothesisViolation(f"balls not pairwise disjoint: balls {i} and {j} intersect")
     for i, mi in enumerate(models):
         for j, mj in enumerate(models):
-            if not pole_free_on_ball(mi.f, mj.domain):
+            try:
+                sup = sup_norm_exp_on_ball(mi.f, mj.domain)
+            except PoleInBallError as exc:
                 raise HypothesisViolation(
                     f"map {i} has a pole on ball {j} ({_show(mj.domain)}); "
                     "every local map must be analytic on the union of the balls"
-                )
-            if sup_norm_exp_on_ball(mi.f, mj.domain) < 0:
+                ) from exc
+            if sup < 0:
                 img = image_of_ball(mi.f, mj.domain)
                 raise HypothesisViolation(
                     f"map {i} sends ball {j} onto {_show(img)}, which is not inside B(0; 1)"
@@ -378,8 +382,9 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     both the certified bound and the image.  Failures are recorded, never
     raised.
 
-    (a), (b) and (c) are `pole_free_on_ball`, `image_of_ball` and
-    `sup_norm_exp_on_ball(F, B_i, minus=f_i)`, scans of the lazy Taylor
+    (b) and (c) are `image_of_ball` and `sup_norm_exp_on_ball(F, B_i,
+    minus=f_i)`, and (a) is the PoleInBallError that the first of them
+    raises on a ball holding a pole of F.  Both are scans of the lazy Taylor
     shifts that F's numerator and denominator keep about a_i, which
     compute only the shifted coefficients their tail bounds cannot rule
     out (see algebra._Prefix): on the benchmark's 20-ball sweep, 6 of
@@ -409,10 +414,11 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     checks = []
     for i, m in enumerate(models):
         B = m.domain
-        if not pole_free_on_ball(F, B):
+        try:
+            img = image_of_ball(F, B)
+        except PoleInBallError:
             checks.append(BallCheck(index=i, pole_free_ok=False))
             continue
-        img = image_of_ball(F, B)
         bound = sup_norm_exp_on_ball(F, B, minus=m.f)
         center = _point(p, img.center)
         b2, e2, r0 = _twice_thresholds(bound, plan.epsilon, img, center[2])

@@ -24,6 +24,11 @@ the library's integer spot checks are checked against it.
 `recenter` is the eager Taylor shift, one synthetic division after
 another, written independently of the library's lazy `algebra._Prefix`
 (which `Poly.recenter` forces), so every shift here checks that one.
+`contains_point`, `contains_ball`, `same_set`, `properly_contains`,
+`intersects` and `disjoint_from` are the relations of two balls by the
+closed/open case analysis that `Ball` used before it compared one size
+key, with distances read as valuations of K differences; the reference
+certifier and classifier ask them instead of `Ball`'s methods.
 """
 
 from evaluation_oracle import poly_eval
@@ -75,6 +80,44 @@ def count_roots_in_ball(P, ball):
         raise ValueError("the zero polynomial vanishes everywhere")
     shifted = recenter(P, ball.center)
     return count_roots_with_min_valuation(shifted, ball.radius, strict=not ball.closed)
+
+
+def contains_point(ball, x):
+    d = (x - ball.center).valuation()
+    return d >= ball.radius if ball.closed else d > ball.radius
+
+
+def contains_ball(outer, inner):
+    within = contains_point(outer, inner.center)
+    if outer.closed:
+        return inner.radius >= outer.radius and within
+    # open outer ball: a closed inner ball must be strictly smaller
+    if inner.closed and not inner.radius > outer.radius:
+        return False
+    if not inner.closed and not inner.radius >= outer.radius:
+        return False
+    return within
+
+
+def same_set(x, y):
+    # over C_v a closed ball of radius in the value group never equals an
+    # open one, so kinds must agree
+    if x.closed != y.closed or x.radius != y.radius:
+        return False
+    return contains_point(x, y.center)
+
+
+def properly_contains(x, y):
+    return contains_ball(x, y) and not same_set(x, y)
+
+
+def intersects(x, y):
+    # balls that meet are nested, so one center lies in the other ball
+    return contains_point(x, y.center) or contains_point(y, x.center)
+
+
+def disjoint_from(x, y):
+    return not intersects(x, y)
 
 
 def poly_mul(P, Q):
@@ -181,7 +224,7 @@ def image_of_ball(f, ball):
 
 def wdeg(f, b, ball):
     img = image_of_ball(f, ball)
-    if not img.contains_point(b):
+    if not contains_point(img, b):
         raise ValueError(f"target {b} lies outside the image {img}")
     return count_roots_in_ball(f.num - poly_mul(f.den, Poly.constant(b.p, b)), ball)
 
@@ -220,10 +263,10 @@ def certify_theorem1(F, models, plan, samples=8):
         for z in sample_points(B, samples):
             w = (F.eval(z) - m.f.eval(z)).valuation()
             witnesses.append((z, w))
-            if not (w >= bound and w > eps_exp and img.contains_point(F.eval(z))):
+            if not (w >= bound and w > eps_exp and contains_point(img, F.eval(z))):
                 samples_ok = False
         checks.append(
-            BallCheck(i, True, img.same_set(m.image), img, bound, tuple(witnesses), samples_ok)
+            BallCheck(i, True, same_set(img, m.image), img, bound, tuple(witnesses), samples_ok)
         )
     return Certificate(
         checks=tuple(checks),
@@ -239,11 +282,11 @@ def classify_disk(F, U):
     if not pole_free_on_ball(F, U):
         raise PoleInBallError(f"map has a pole on {U}")
     img = image_of_ball(F, U)
-    if img.disjoint_from(U):
+    if disjoint_from(img, U):
         return DiskBehavior(kind=INCONCLUSIVE, image=img)
-    if U.properly_contains(img):
+    if properly_contains(U, img):
         return DiskBehavior(kind=ATTRACTING, image=img, wdeg=wdeg(F, img.center, U))
-    if img.same_set(U):
+    if same_set(img, U):
         d = wdeg(F, U.center, U)
         if d >= 2:
             return DiskBehavior(kind=ATTRACTING, image=img, wdeg=d)
@@ -256,7 +299,7 @@ def classify_disk(F, U):
             existence_certified=certified,
             derivative_at_center=lam if isinstance(lam, KElement) else None,
         )
-    if img.properly_contains(U):
+    if properly_contains(img, U):
         d = wdeg(F, U.center, U)
         return DiskBehavior(kind=REPELLING if d == 1 else INCONCLUSIVE, image=img, wdeg=d)
     return DiskBehavior(kind=INCONCLUSIVE, image=img)

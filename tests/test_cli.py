@@ -989,6 +989,25 @@ class TestOrbit:
         out = capsys.readouterr().out
         assert out.count("z = 0") == 4
 
+    def test_table_writes_start_and_ref_as_field_elements(self, tmp_path, capsys):
+        # a start with a sqrt 3 part inside B(0; 3^-2), whose center becomes
+        # the ref, and one outside every ball, which has none: the tables
+        # write both as {"a", "b"}, like every field element of a result
+        doc = ex2_problem()
+        doc["orbits"] = [
+            {"start": {"a": "9", "b": "9"}, "steps": 2},
+            {"start": {"a": "1", "b": "1"}, "steps": 1},
+        ]
+        problem, result = tmp_path / "sqrt.json", tmp_path / "sqrt.out.json"
+        write_json(problem, doc)
+        assert main(["glue", "--input", str(problem), "--output", str(result)]) == 0
+        inside, outside = read_json(result)["orbit_tables"]
+        assert kelement_from_json(inside["start"], 3, "start") == KElement(3, 9, 9)
+        assert kelement_from_json(inside["ref"], 3, "ref") == K3(0)
+        assert inside["start"] == {"a": "9", "b": "9"}
+        assert kelement_from_json(outside["start"], 3, "start") == KElement(3, 1, 1)
+        assert outside["ref"] is None
+
     def test_bad_start_exit_2(self, ex2_paths, capsys):
         _, result = ex2_paths
         assert main(["orbit", "--input", str(result), "--start", "1,2,3"]) == 2

@@ -117,6 +117,46 @@ class TestBallSetSemantics:
         assert _power_str(3, ValExp.infinite()) == "0"
 
 
+RELATIONS = ("contains_ball", "same_set", "properly_contains", "intersects", "disjoint_from")
+
+
+def random_balls(p: int, rng: random.Random, n: int) -> list:
+    """n balls about a few nearby centers, half of them with a sqrt p part,
+    with radius exponents in (1/2)Z from -2 to 4, closed or open."""
+    coords = [Fraction(x) for x in (0, 1, p, p * p, Fraction(1, p), p + p**3)]
+    balls = []
+    for _ in range(n):
+        b = rng.choice(coords) if rng.random() < 0.5 else 0
+        center = KElement(p, rng.choice(coords), b)
+        balls.append(Ball(center, Radius(Fraction(rng.randint(-4, 8), 2)), rng.random() < 0.5))
+    return balls
+
+
+class TestBallRelationsAgainstReference:
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_relations_match_the_case_analysis(self, p):
+        # every ordered pair of 36 random balls, 1,296 per prime: each
+        # relation that Ball reads off its size key agrees with the
+        # closed/open case analysis of the reference (certifier_oracle)
+        balls = random_balls(p, random.Random(f"ball relations/{p}"), 36)
+        seen = set()
+        for x in balls:
+            for y in balls:
+                assert x.contains_point(y.center) == oracle.contains_point(x, y.center)
+                for name in RELATIONS:
+                    got = getattr(x, name)(y)
+                    assert got == getattr(oracle, name)(x, y), (name, str(x), str(y))
+                    seen.add((name, got))
+        assert len(seen) == 2 * len(RELATIONS)
+        # the sample holds the pairs where only the kinds decide: balls of
+        # one radius, one closed and one open, that meet
+        assert any(
+            x.radius == y.radius and x.closed and not y.closed and oracle.intersects(x, y)
+            for x in balls
+            for y in balls
+        )
+
+
 def test_distance_exp():
     assert distance_exp(K3(9), K3(0)) == 2
     assert distance_exp(K3(1), K3(1)).is_infinite

@@ -231,7 +231,7 @@ def test_residue_test_declines_where_Q_vanishes_mod_p_K():
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_hensel_with_every_test_exact_gives_the_same_point(p, monkeypatch):
-    # where Q(z) = 0 mod p^K the loop falls back to exact pairs; forcing
+    # where Q(z) = 0 mod p^K the loop falls back to the exact F(z); forcing
     # that fallback at every iterate must not change any result
     F, (a0, a1, _) = fixed_point_instance(p)
     starts = ((KElement(p, a0), 64), (KElement(p, a0 + p**3), 30), (KElement(p, a1), 30))

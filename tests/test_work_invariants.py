@@ -6,8 +6,9 @@ sample, the gcd of a glued sum runs the exact Euclid only when the
 modular pretest cannot certify coprimality, an orbit point or Newton
 iterate that the real embeddings prove tall is rounded from residues at
 the modulus its own valuations set, Hensel's convergence test after the
-seed runs on residues, and `build_F` multiplies, adds and divides
-polynomials in integers, not in K.
+seed runs on residues, `build_F` multiplies, adds and divides
+polynomials in integers, not in K, and certification and a local model
+scan for poles once per question, with no pole check asked first.
 Shifts per polynomial and center are pinned here for a whole glue and
 census, and in the other tests that take the `spy_shifts` fixture.
 """
@@ -19,7 +20,7 @@ import pytest
 from conftest import make_gluing_instance, shared_pole_problem, spy
 from padicglue import (
     Ball, FieldConfig, LocalModel, Poly, Radius, RationalMap, algebra, build_F, certify_theorem1,
-    dynamics, field, gluing, hensel_fixed_point, orbit, plan_gluing, verify_census,
+    dynamics, field, geometry, gluing, hensel_fixed_point, orbit, plan_gluing, verify_census,
 )
 from padicglue.presets import (
     EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_census, ex2_models,
@@ -53,6 +54,30 @@ def test_certify_evaluates_each_map_once_per_sample(problem, monkeypatch):
         for f in (F, m.f)
     ]
     assert [(f, point) for (f, point, _), _ in calls] == expected
+
+
+@pytest.mark.parametrize(
+    "problem, scans", ((ex1, 4), (lambda: (ex2_models(), EX2_EPSILON), 6)), ids=("ex1", "ex2")
+)
+def test_certify_asks_each_pole_question_once(problem, scans, monkeypatch):
+    # no caller asks first whether F is pole-free: per ball, image_of_ball
+    # and sup_norm_exp_on_ball each scan F's shifted denominator for roots
+    # once, and the polynomial maps f_i have no denominator to scan
+    models, epsilon = problem()
+    plan = plan_gluing(models, epsilon)
+    F = build_F(models, plan)
+    scanned = spy(monkeypatch, geometry, "count_roots_with_min_valuation")
+    assert certify_theorem1(F, models, plan).passes
+    assert all(m.f.den.degree == 0 for m in models)
+    assert len(scanned) == 2 * len(models) == scans
+
+
+def test_local_model_scans_its_denominator_once(monkeypatch):
+    # the model takes its pole verdict from image_of_ball's scan
+    z = Poly.x(3)
+    scanned = spy(monkeypatch, geometry, "count_roots_with_min_valuation")
+    LocalModel(f=RationalMap(z, z + 1), domain=Ball(FieldConfig(3)(0), Radius(1)))
+    assert len(scanned) == 1
 
 
 @pytest.mark.parametrize("name", ("ex1", "ex2"))
@@ -212,22 +237,32 @@ def test_newton_steps_are_orbit_steps_of_one_map(p, monkeypatch):
     # embeddings prove the last two tall, formed mod p^K, K = prec +
     # ceil(2 v(Q) - min(v(N), v(Q))) = 283 + ceil(126/2) = 346 with the
     # valuations read off the exact step before.  F itself is evaluated
-    # exactly only at the seed, for the Hensel condition; its convergence
-    # test at the 4 iterates after it runs on N(z), Q(z) mod p^K, K =
+    # exactly only at the seed, for the Hensel condition, by one
+    # `RationalMap.eval` and one `derivative_at`; its convergence test at
+    # the 4 iterates after it runs on N(z), Q(z) mod p^K, K =
     # ceil((2 target + 2 v(w) + 2 v(Q(z)))/2) = ceil((128 + 0 + 63)/2) = 96,
     # after one pass at the first guess, K = target = 64
     F, (a0, _, _) = fixed_point_instance(p)
+    seed = FieldConfig(p)(a0)
     maps = spy(monkeypatch, dynamics, "_newton_map")
+    evals = spy(monkeypatch, RationalMap, "eval")
+    derivatives = spy(monkeypatch, RationalMap, "derivative_at")
+    exact = spy(monkeypatch, algebra, "_values")
     values = spy(monkeypatch, dynamics, "_values")
     residues = spy(monkeypatch, dynamics, "_values_mod")
     tier = spy(monkeypatch, dynamics, "_residue_step")
     rounds = spy(monkeypatch, dynamics, "_round_point")
-    hensel_fixed_point(F, FieldConfig(p)(a0), 64)
+    hensel_fixed_point(F, seed, 64)
     assert [args for args, _ in maps] == [(F,)]
     newton = maps[0][1]
-    assert [(args[0] is F, args[2]) for args, _ in values] == [
-        (True, True), (False, False), (False, False),
+    assert [args for args, _ in evals] == [(F, seed)]
+    assert [args for args, _ in derivatives] == [(F, seed)]
+    # every exact evaluation of F is the seed's; Newton's map is evaluated
+    # exactly at its two short points
+    assert [args for args, _ in exact] == [
+        (F, field._point(p, seed), False), (F, field._point(p, seed), True),
     ]
+    assert [(args[0] is newton, args[2]) for args, _ in values] == [(True, False)] * 2
     assert [(args[0] is F, args[2]) for args, _ in residues] == [
         (True, p**64), (True, p**96), (True, p**96), (False, p**346),
         (True, p**96), (False, p**346), (True, p**96),
