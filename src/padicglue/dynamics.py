@@ -24,7 +24,7 @@ from .field import (
     _twice_val_at_least, reduce_mod,
 )
 from .geometry import Ball, image_of_ball, pairwise_deltas, wdeg
-from .gluing import check_c3_hypotheses, plan_gluing
+from .gluing import plan_gluing
 
 __all__ = [
     "ATTRACTING",
@@ -39,6 +39,7 @@ __all__ = [
     "REPELLING",
     "Witness",
     "WitnessResult",
+    "check_c3_hypotheses",
     "classify_disk",
     "epsilon_for_census",
     "hensel_fixed_point",
@@ -60,6 +61,8 @@ KIND_SLOT = {kind: slot for slot, kind in enumerate(KINDS)}
 
 # how many times suggest_witness shrinks a disk by p before giving up
 MAX_SHRINK = 8
+# how many Newton steps hensel_fixed_point takes before giving up
+NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -209,6 +212,29 @@ def validate_census(models, census: FixedPointCensus) -> None:
                 raise ValueError(f"witness disks {_show(wa.disk)} and {_show(wb.disk)} overlap")
 
 
+def check_c3_hypotheses(models, i: int) -> bool:
+    """Exact check of the indifferent-case hypotheses at the center a_i.
+
+    Requires a_i to be a fixed point of f_i (`multiplier` raises
+    ValueError otherwise); returns the conjunction of: |f_i'(a_i)| = 1,
+    |f_i'(a_i) - 1| = 1, and for every other index j,
+    |f_j'(a_i)| < 1/min{t_1, ..., t_n}.
+    """
+    models = list(models)
+    a = models[i].domain.center
+    lam = multiplier(models[i].f, a)
+    if lam.kind != INDIFFERENT or (lam.value - 1).valuation() != 0:
+        return False
+    # min over all model image radii; the bound is |f_j'(a_i)| < p^(max exp)
+    max_t = max(m.image.radius for m in models)
+    for j, mj in enumerate(models):
+        if j != i:
+            dj = mj.f.derivative_at(a)
+            if dj is None or not dj.valuation() > -max_t:
+                return False
+    return True
+
+
 def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusReport:
     """Classify every witness disk and compare aggregated counts per ball.
 
@@ -266,7 +292,7 @@ def verify_census(F: RationalMap, models, census: FixedPointCensus) -> CensusRep
     return CensusReport(witnesses=tuple(wresults), counts=tuple(cresults), passes=passes)
 
 
-def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) -> KElement:
+def hensel_fixed_point(F: RationalMap, start, target_exp) -> KElement:
     """Newton refinement of a fixed point of F from a seed satisfying the
     Hensel condition v(G(start)) > 2 v(G'(start)) for G = F - z.
 
@@ -278,11 +304,9 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     is a `_step` of Newton's map (`_newton_map`),
     rounded as `orbit` rounds, at a working precision far above the
     target.  Q(z) != 0 is checked first, so a step meets a pole exactly
-    where G' vanishes.  `target_exp` is a finite exponent in (1/2)Z and
-    `max_iter` an int, the most steps taken (none when it is <= 0).
+    where G' vanishes.  `target_exp` is a finite exponent in (1/2)Z; at
+    most NEWTON_STEPS steps are taken.
     """
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
-        raise ValueError(f"hensel_fixed_point max_iter must be an integer, got {max_iter!r}")
     named = isinstance(target_exp, (bool, str)) or target_exp is None
     try:
         target = None if named else ValExp(target_exp)
@@ -318,7 +342,7 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
     # guesses of the moduli of the next Newton step and the next test
     K, test = prec, (target.t + 1) // 2
     point = _point(p, start)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         z, K = _step(newton, point, taller, K, prec)
         if z is None:
             raise HenselConditionError("G' vanished during the iteration")
@@ -331,7 +355,7 @@ def hensel_fixed_point(F: RationalMap, start, target_exp, max_iter: int = 64) ->
             done = (fz - z).valuation() >= target
         if done:
             return z
-    raise HenselConditionError(f"no convergence to exponent {target} in {max_iter} steps")
+    raise HenselConditionError(f"no convergence to exponent {target} in {NEWTON_STEPS} steps")
 
 
 def _newton_map(F: RationalMap) -> SimpleNamespace:

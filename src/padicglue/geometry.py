@@ -209,15 +209,16 @@ def image_of_ball(f: RationalMap, ball: Ball) -> Ball:
     g(z) = P(z)Q(a) - P(a)Q(z), which vanishes at a, and in powers of
     (z - a) it is the combination Pr*Q(a) - Qr*P(a) of the two shifted
     polynomials.  The image radius is the Gauss norm of g over the terms
-    of index >= 1, divided by |Q(a)|^2 (|Q| is constant on the ball).
+    of index >= 1, divided by |Q(a)|^2 (|Q| is constant on the ball); g is
+    0 only when f is constant, which raises ValueError before any scan.
     Raises PoleInBallError when f has a pole in the ball.
     """
+    if f.degree == 0:
+        raise ValueError("constant map: the image of the ball is a point, not a ball")
     N, D = _require_pole_free(f, ball)
     pa, qa = N.coeff(0), D.coeff(0)
     g = _Diff(N, Poly.constant(f.p, qa), D, Poly.constant(f.p, pa))
     e = gauss_norm_exp(g, ball.radius, from_k=1)
-    if e.is_infinite:
-        raise ValueError("constant map: the image of the ball is a point, not a ball")
     return Ball(pa * qa.inverse(), e - qa.valuation() * 2, closed=ball.closed)
 
 

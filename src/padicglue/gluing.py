@@ -39,7 +39,6 @@ __all__ = [
     "build_F",
     "build_h",
     "certify_theorem1",
-    "check_c3_hypotheses",
     "check_monotonicity",
     "check_subdisk_transfer",
     "plan_gluing",
@@ -74,15 +73,15 @@ class LocalModel:
     def __post_init__(self):
         if not self.domain.closed:
             raise HypothesisViolation("local model domains must be closed balls")
+        if self.f.degree == 0:
+            raise HypothesisViolation(
+                "local map is constant on its domain; its image is not a ball"
+            )
         try:
             img = image_of_ball(self.f, self.domain)
         except PoleInBallError as exc:
             raise HypothesisViolation(
                 f"local map has a pole on its domain {_show(self.domain)}"
-            ) from exc
-        except ValueError as exc:
-            raise HypothesisViolation(
-                "local map is constant on its domain; its image is not a ball"
             ) from exc
         if self.declared_image is not None and not img.same_set(self.declared_image):
             raise HypothesisViolation(
@@ -474,34 +473,3 @@ def check_subdisk_transfer(F: RationalMap, model: LocalModel, sub: Ball, eps: Va
         )
     return image_of_ball(F, sub).same_set(local_img)
 
-
-def check_c3_hypotheses(models, i: int) -> bool:
-    """Exact check of the indifferent-case hypotheses at the center a_i.
-
-    Requires a_i to be a fixed point of f_i (error otherwise); returns the
-    conjunction of: |f_i'(a_i)| = 1, |f_i'(a_i) - 1| = 1, and for every
-    other index j, |f_j'(a_i)| < 1/min{t_1, ..., t_n}.
-    """
-    models = list(models)
-    m = models[i]
-    a = m.domain.center
-    fa = m.f.eval(a)
-    if fa is None or fa != a:
-        raise ValueError(f"center {a} is not a fixed point of model {i}")
-    # f(a) = a, so a is no pole of f and lam is a value
-    lam = m.f.derivative_at(a)
-    if lam.valuation() != 0:
-        return False
-    if (lam - 1).valuation() != 0:
-        return False
-    # min over all model image radii; the bound is |f_j'(a_i)| < p^(max exp)
-    max_t = max(mm.image.radius for mm in models)
-    for j, mj in enumerate(models):
-        if j == i:
-            continue
-        dj = mj.f.derivative_at(a)
-        if dj is None:
-            return False
-        if not dj.valuation() > -max_t:
-            return False
-    return True

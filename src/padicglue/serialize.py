@@ -502,10 +502,7 @@ def problem_from_json(obj) -> dict:
     def entries(key, read):
         # an optional list section, null meaning absent; read(entry, where)
         raw = obj.get(key)
-        if raw is None:
-            return None
-        return [read(x, f"problem.{key}[{i}]")
-                for i, x in enumerate(_list_from_json(raw, f"problem.{key}"))]
+        return None if raw is None else list(_items(read)(raw, f"problem.{key}"))
 
     prob["delta_override"] = entries(
         "delta_override", lambda d, w: _exp_from_json(d, w, integral=True)

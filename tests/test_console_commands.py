@@ -1,9 +1,11 @@
 """CI's console commands, run locally through `python -m padicglue.cli`.
 
 The list and its runner live in `console_commands.py`; CI runs the same
-list through the installed `padicglue` script.
+list through the installed `padicglue` script.  Each command must end
+with its exit code and print the stdout whose sha256 the list records.
 """
 
+import hashlib
 import os
 import sys
 
@@ -22,5 +24,16 @@ def test_runner_reports_every_command_that_fails(tmp_path):
     # a prefix that exits 3 whatever it is asked: every command is run and
     # named, none stops the list
     failed = run([sys.executable, "-c", "raise SystemExit(3)"], tmp_path)
-    assert [line.split(":")[0] for line in failed] == [" ".join(a) for a, _, _ in COMMANDS]
+    assert [line.split(":")[0] for line in failed] == [" ".join(a) for a, *_ in COMMANDS]
     assert all(": exit 3, expected 0: " in line for line in failed)
+
+
+def test_runner_reports_every_stdout_that_drifts(tmp_path):
+    # a prefix that exits 0 but prints another stdout: every command is
+    # named once, with the digest it printed and the one it should have
+    failed = run([sys.executable, "-c", "print('drift')"], tmp_path)
+    got = hashlib.sha256(b"drift\n").hexdigest()
+    assert failed == [
+        f"{' '.join(args)}: stdout sha256 {got}, expected {digest}"
+        for args, _, _, digest in COMMANDS
+    ]

@@ -160,8 +160,8 @@ class TestHensel:
         ids=("True", "False", "str", "None", "nan", "float-inf", "third", "list"),
     )
     def test_target_must_be_an_exponent(self, target):
-        # validated before any work, as max_iter is: a bool is no target 1
-        # and a digit string no target 64
+        # validated before any work: a bool is no target 1 and a digit
+        # string no target 64
         with pytest.raises(ValueError, match=r"^hensel_fixed_point target_exp must be an exponent"):
             hensel_fixed_point(RationalMap(Z**2), 4, target)
 

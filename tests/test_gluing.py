@@ -65,8 +65,16 @@ class TestLocalModel:
             LocalModel(RationalMap(Poly.one(3), Z), B(0, 2))
 
     def test_constant_rejected(self):
-        with pytest.raises(HypothesisViolation, match="constant"):
+        # read off the degree, before any scan
+        message = "local map is constant on its domain; its image is not a ball"
+        with pytest.raises(HypothesisViolation, match=f"^{re.escape(message)}$"):
             LocalModel(RationalMap(Poly.one(3)), B(0, 2))
+
+    def test_map_over_another_prime_is_not_called_constant(self):
+        # a p = 3 map on a p = 5 ball: the shift names both primes, and no
+        # ValueError of the scan is reported as a constant map
+        with pytest.raises(ValueError, match=r"^mixed primes: 3 and 5$"):
+            LocalModel(RationalMap(Z), Ball(FieldConfig(5)(0), Radius(1)))
 
     def test_wrong_declared_image_rejected(self):
         with pytest.raises(HypothesisViolation, match="differs from computed"):

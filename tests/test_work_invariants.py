@@ -8,7 +8,8 @@ iterate that the real embeddings prove tall is rounded from residues at
 the modulus its own valuations set, Hensel's convergence test after the
 seed runs on residues, `build_F` multiplies, adds and divides
 polynomials in integers, not in K, and certification and a local model
-scan for poles once per question, with no pole check asked first.
+scan for poles once per question, with no pole check asked first, and
+`example ex1` reads F at 0 once, through `multiplier`.
 Shifts per polynomial and center are pinned here for a whole glue and
 census, and in the other tests that take the `spy_shifts` fixture.
 """
@@ -22,6 +23,7 @@ from padicglue import (
     Ball, FieldConfig, LocalModel, Poly, Radius, RationalMap, algebra, build_F, certify_theorem1,
     dynamics, field, geometry, gluing, hensel_fixed_point, orbit, plan_gluing, verify_census,
 )
+from padicglue import cli
 from padicglue.presets import (
     EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_census, ex2_models,
 )
@@ -78,6 +80,28 @@ def test_local_model_scans_its_denominator_once(monkeypatch):
     scanned = spy(monkeypatch, geometry, "count_roots_with_min_valuation")
     LocalModel(f=RationalMap(z, z + 1), domain=Ball(FieldConfig(3)(0), Radius(1)))
     assert len(scanned) == 1
+
+
+def test_example_ex1_reads_F_at_0_once_after_the_census(monkeypatch):
+    # the multiplier at 0 is F(0) = 0 and F'(0), one evaluation each; the
+    # derivative printed and compared with the closed form is its value
+    log = []
+    census = cli.verify_census
+
+    def logged_census(*args):
+        report = census(*args)
+        log.append("census")
+        return report
+
+    monkeypatch.setattr(cli, "verify_census", logged_census)
+    for name in ("eval", "derivative_at"):
+        fn = getattr(RationalMap, name)
+        monkeypatch.setattr(
+            RationalMap, name, lambda f, x, fn=fn, name=name: log.append((name, x)) or fn(f, x)
+        )
+    assert cli.main(["example", "--name", "ex1", "--alpha", "3", "--beta", "1/3"]) == 0
+    zero = FieldConfig(3)(0)
+    assert log[log.index("census") + 1:] == [("eval", zero), ("derivative_at", zero)]
 
 
 @pytest.mark.parametrize("name", ("ex1", "ex2"))
