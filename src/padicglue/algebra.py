@@ -688,14 +688,19 @@ class RationalMap:
     __call__ = eval
 
     def derivative_at(self, x):
-        """Derivative value at x without building the reduced derivative map:
-        (n1 q0 - n0 q1)/q0^2 from the pairs of `_values`; None at a pole."""
+        """Derivative value at x without building the reduced derivative map;
+        None at a pole."""
+        return self._value_and_derivative(x)[1]
+
+    def _value_and_derivative(self, x) -> tuple:
+        """(f(x), f'(x)) from one `_values` pass with derivatives, f'(x) =
+        (n1 q0 - n0 q1)/q0^2, or (None, None) at a pole."""
         p = self.p
         n0, n1, q0, q1 = _values(self, _point(p, x), True)
         if not any(q0):
-            return None
+            return None, None
         t = _sub(_mul(p, n1, q0), _mul(p, n0, q1))
-        return _element(p, *_quotient(p, t, _mul(p, q0, q0)))
+        return _element(p, *_quotient(p, n0, q0)), _element(p, *_quotient(p, t, _mul(p, q0, q0)))
 
     # -- misc ----------------------------------------------------------------
 

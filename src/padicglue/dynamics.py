@@ -77,10 +77,9 @@ def multiplier(f: RationalMap, x) -> Multiplier:
     """Exact multiplier f'(x) at a verified fixed point x."""
     if not isinstance(x, KElement):
         x = KElement(f.p, x)
-    fx = f.eval(x)
+    fx, lam = f._value_and_derivative(x)
     if fx is None or fx != x:
         raise ValueError(f"{x} is not a fixed point")
-    lam = f.derivative_at(x)
     v = lam.valuation()
     if v > 0:
         kind = ATTRACTING
@@ -297,11 +296,11 @@ def hensel_fixed_point(F: RationalMap, start, target_exp) -> KElement:
     Hensel condition v(G(start)) > 2 v(G'(start)) for G = F - z.
 
     Iterates z <- z - G(z)/G'(z) until v(G(z)) >= target_exp.  At the
-    seed the test reads the map exactly: G(z) = F(z) - z from `F.eval`
-    and G'(z) = F'(z) - 1 from `F.derivative_at`.  After the seed,
-    `_residue_test` decides it from N(z) and Q(z) mod p^K only, and F(z)
-    is evaluated exactly again only where Q(z) = 0 mod p^K.  Each iterate
-    is a `_step` of Newton's map (`_newton_map`),
+    seed the test reads the map exactly: G(z) = F(z) - z and
+    G'(z) = F'(z) - 1 from one pass (`RationalMap._value_and_derivative`).
+    After the seed, `_residue_test` decides it from N(z) and Q(z) mod p^K
+    only, and F(z) is evaluated exactly again only where Q(z) = 0 mod
+    p^K.  Each iterate is a `_step` of Newton's map (`_newton_map`),
     rounded as `orbit` rounds, at a working precision far above the
     target.  Q(z) != 0 is checked first, so a step meets a pole exactly
     where G' vanishes.  `target_exp` is a finite exponent in (1/2)Z; at
@@ -325,13 +324,13 @@ def hensel_fixed_point(F: RationalMap, start, target_exp) -> KElement:
     # the valuations the iteration reasons about
     prec = target.t + 128 + F.degree
 
-    fz = F.eval(start)
+    fz, dF = F._value_and_derivative(start)
     if fz is None:
         raise HenselConditionError("seed point is a pole of the map")
     vg = (fz - start).valuation()
     if vg >= target:
         return start
-    dg = F.derivative_at(start) - 1
+    dg = dF - 1
     if dg.is_zero:
         raise HenselConditionError("G' vanishes at the seed point")
     vgp = dg.valuation()

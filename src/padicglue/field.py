@@ -56,14 +56,15 @@ def _check_prime(p) -> None:
 
 @lru_cache(maxsize=None)
 def _digit_power(p: int) -> tuple:
-    """(q, k, logs): q = p^k the largest power of p below 2^bits_per_digit,
-    so that q fits one CPython digit, with k >= 1 (a prime too large for
-    one digit, 2^31 - 1 on 30-bit digits, gets q = p), and logs mapping
-    p^j to j for j <= k."""
+    """(q, k, logs, rungs): q = p^k the largest power of p below
+    2^bits_per_digit, so that q fits one CPython digit, with k >= 1 (a
+    prime too large for one digit, 2^31 - 1 on 30-bit digits, gets q = p),
+    logs mapping p^j to j for j <= k, and rungs the list q, q^2, q^4, ...
+    that `_int_val` climbs and descends, squared on demand and kept."""
     q, k, top = p, 1, 1 << sys.int_info.bits_per_digit
     while q * p < top:
         q, k = q * p, k + 1
-    return q, k, {p**j: j for j in range(k + 1)}
+    return q, k, {p**j: j for j in range(k + 1)}, [q]
 
 
 def _int_val(n: int, p: int) -> int:
@@ -72,20 +73,34 @@ def _int_val(n: int, p: int) -> int:
     One division by the one-digit q = p^k (`_digit_power`) leaves r = n mod
     q, and a valuation below k is read off the word-size r at once: it is
     the exponent of gcd(r, q) = p^v.  Only a run of k or more factors
-    divides n itself: by q once, then by p^2k, p^4k, ... while they divide,
-    and the first that does not leaves a remainder far shorter than n,
-    whose valuation is read the same way.
+    climbs: n is divided by q, q^2, q^4, ... (the rungs) while they divide.
+    The remainder of the first that does not has n's valuation and is far
+    shorter; the descent through the lower rungs divides it where a rung
+    divides and keeps the remainder where it does not, so the valuation is
+    read in binary, and the last remainder mod q, one word, gives the rest.
     """
-    q, k, logs = _digit_power(p)
+    q, k, logs, rungs = _digit_power(p)
     r = n % q
     if r:
         return logs[gcd(r, q)]
-    n, v, b = n // q, k, 2 * k
+    n, v, i = n // q, k, 1
     while True:
-        t, r = divmod(n, p**b)
+        if i == len(rungs):
+            rungs.append(rungs[-1] * rungs[-1])
+        t, r = divmod(n, rungs[i])
         if r:
-            return v + _int_val(r, p)
-        n, v, b = t, v + b, 2 * b
+            break
+        n, v, i = t, v + (k << i), i + 1
+    # v_q(r) < 2^i: each lower rung either divides r or leaves a remainder
+    # of the same valuation
+    while i:
+        i -= 1
+        t, s = divmod(r, rungs[i])
+        if s:
+            r = s
+        else:
+            r, v = t, v + (k << i)
+    return v + logs[gcd(r % q, q)]
 
 
 def _v2(c: KElement):
@@ -258,7 +273,12 @@ class KElement:
     def _of(cls, p: int, a: Fraction, b: Fraction) -> KElement:
         """a + b sqrt p for a prime p and Fractions a and b, stored as they
         are: the trusted constructor, without `__init__`'s prime check and
-        conversions, for kernels whose p and coordinates are known good."""
+        conversions, for kernels whose p and coordinates are known good.
+        K's own sums, differences, products, negations and inverses build
+        through it: `_coerce` has matched the primes, and Fraction
+        arithmetic returns Fractions.  Values are validated where they
+        enter K: `__init__`, `_coerce` of an int or Fraction, `_element`
+        and the JSON readers."""
         x = object.__new__(cls)
         object.__setattr__(x, "p", p)
         object.__setattr__(x, "a", a)
@@ -296,7 +316,7 @@ class KElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElement(self.p, self.a + o.a, self.b + o.b)
+        return KElement._of(self.p, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -304,7 +324,7 @@ class KElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElement(self.p, self.a - o.a, self.b - o.b)
+        return KElement._of(self.p, self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -317,7 +337,7 @@ class KElement:
         if o is None:
             return NotImplemented
         # (a1 + b1 s)(a2 + b2 s) with s^2 = p
-        return KElement(
+        return KElement._of(
             self.p,
             self.a * o.a + self.p * self.b * o.b,
             self.a * o.b + self.b * o.a,
@@ -331,10 +351,10 @@ class KElement:
         # 1/(a + b s) = (a - b s)/(a^2 - p b^2); the norm is a nonzero rational
         # because sqrt(p) is irrational.
         n = self.a * self.a - self.p * self.b * self.b
-        return KElement(self.p, self.a / n, -self.b / n)
+        return KElement._of(self.p, self.a / n, -self.b / n)
 
     def __neg__(self):
-        return KElement(self.p, -self.a, -self.b)
+        return KElement._of(self.p, -self.a, -self.b)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool):

@@ -264,8 +264,8 @@ class TestIntVal:
     @pytest.mark.parametrize("p", PRIMES + (46349, 2**31 - 1))
     def test_planted_valuations_at_the_digit_and_doubling_boundaries(self, p):
         # below k the valuation is read off n mod p^k; from k on, n is
-        # divided by p^k, then by p^2k, p^4k, ... while they divide, so the
-        # runs end at v = k, 3k, 7k, 15k, 31k: each is planted with its
+        # divided by q = p^k, then by q^2, q^4, ... while they divide, so the
+        # climbs end at v = k, 3k, 7k, 15k, 31k: each is planted with its
         # neighbours on long and short units of both signs
         k = self.digit_exponent(p)
         assert _digit_power(p)[:2] == (p**k, k)
@@ -280,6 +280,21 @@ class TestIntVal:
                     unit += 2
                 for n in (unit * p**v, -unit * p**v):
                     assert _int_val(n, p) == self.linear(n, p) == v, (p, bits, v)
+
+    @pytest.mark.parametrize("p", (2, 3, 23, 2**31 - 1))
+    def test_planted_valuations_of_deep_shells(self, p):
+        # valuations near 1,000 and 5,000, as deep sample shells make: n
+        # climbs several rungs q^(2^i), and the descent must read every
+        # lower rung and the last word to land on v
+        rng = random.Random(f"int-val-deep/{p}")
+        for v in sorted({c + d for c in (1000, 5000) for d in range(-6, 7)}):
+            pv = p**v
+            for bits in (1, 2_000):
+                unit = rng.getrandbits(bits) | 1
+                while unit % p == 0:
+                    unit += 2
+                for n in (unit * pv, -unit * pv):
+                    assert _int_val(n, p) == v, (p, bits, v)
 
     @given(st.integers().filter(bool), st.integers(0, 80), st.sampled_from(PRIMES))
     def test_matches_linear_loop(self, n, k, p):

@@ -6,7 +6,9 @@ give the model's coordinates, valuations, equalities and hashes, and
 reduce_mod must stay within p^m of its argument and round each coordinate
 to the model's canonical representative.  The kernels of `field` that hold
 an element as its integer triple (u, v, w), for (u + v sqrt p)/w, or
-compute on Z[sqrt p] pairs are checked against the same model.
+compute on Z[sqrt p] pairs are checked against the same model.  Every
+arithmetic result is a K element of its operands' prime with Fraction
+coordinates, and arithmetic inside K checks no prime.
 
 Inputs are seeded and cover the primes 2, 3, 5, 23 and 2^31 - 1,
 denominators w > 1, a nonzero sqrt p part, negative valuations and
@@ -19,7 +21,8 @@ from fractions import Fraction
 
 import pytest
 
-from padicglue import KElement, reduce_mod
+from conftest import spy
+from padicglue import KElement, field, reduce_mod
 from padicglue.field import (
     _element, _inverse_pair, _mul, _point, _quotient, _sub, _twice_val_over, _v2,
 )
@@ -102,6 +105,15 @@ def check_valuation(p, x, want):
         assert v.exp == want
 
 
+def closed(p, x):
+    """The coordinates of an arithmetic result, which must be a K element
+    of its operands' p with Fraction coordinates, as `__init__` stores
+    them: the operators build through the trusted `KElement._of`."""
+    assert type(x) is KElement and x.p == p
+    assert type(x.a) is type(x.b) is Fraction
+    return coords(x)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_kelement_matches_the_pair_model(p):
     rng = random.Random(f"{SEED}/{p}")
@@ -111,28 +123,54 @@ def test_kelement_matches_the_pair_model(p):
         assert coords(x) == mx
         n, q = rng.randint(-10**6, 10**6), Fraction(rng.randint(1, 99), rng.randint(1, 99))
 
-        assert coords(x + y) == (mx[0] + my[0], mx[1] + my[1])
-        assert coords(x - y) == (mx[0] - my[0], mx[1] - my[1])
-        assert coords(-x) == (-mx[0], -mx[1])
-        assert coords(x * y) == model_mul(p, mx, my)
-        assert coords(n + x) == (n + mx[0], mx[1])
-        assert coords(q - x) == (q - mx[0], -mx[1])
-        assert coords(x * q) == (mx[0] * q, mx[1] * q)
+        assert closed(p, x + y) == (mx[0] + my[0], mx[1] + my[1])
+        assert closed(p, x - y) == (mx[0] - my[0], mx[1] - my[1])
+        assert closed(p, -x) == (-mx[0], -mx[1])
+        assert closed(p, x * y) == model_mul(p, mx, my)
+        assert closed(p, n + x) == (n + mx[0], mx[1])
+        assert closed(p, q - x) == (q - mx[0], -mx[1])
+        assert closed(p, x * q) == (mx[0] * q, mx[1] * q)
 
         for e in (0, 1, 2, 5):
-            assert coords(x**e) == model_pow(p, mx, e)
+            assert closed(p, x**e) == model_pow(p, mx, e)
         if x.is_zero:
             with pytest.raises(ZeroDivisionError):
                 x.inverse()
             with pytest.raises(ZeroDivisionError):
                 x**-1
         else:
-            assert coords(x.inverse()) == model_inverse(p, mx)
+            assert closed(p, x.inverse()) == model_inverse(p, mx)
             for e in (-1, -2, -3):
-                assert coords(x**e) == model_pow(p, mx, e)
+                assert closed(p, x**e) == model_pow(p, mx, e)
 
         for z, mz in ((x, mx), (y, my), (x * y, model_mul(p, mx, my)), (x - x, (0, 0))):
             check_valuation(p, z, model_val(p, mz))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_arithmetic_inside_k_validates_nothing(p, monkeypatch):
+    # validation runs where a value enters K; sums, differences, products,
+    # negations and inverses of elements of one prime check no prime
+    rng = random.Random(f"{SEED}/trusted/{p}")
+    xs = [KElement(p, *pair(rng, p)) for _ in range(8)]
+    checked = spy(monkeypatch, field, "_check_prime")
+    for x, y in zip(xs, xs[1:]):
+        results = [
+            x + y, x - y, x * y, -x,
+            y.__radd__(x), y.__rsub__(x), y.__rmul__(x),
+        ]
+        if not x.is_zero:
+            results.append(x.inverse())
+        for r in results:
+            closed(p, r)
+    assert checked == []
+    # an int or a Fraction operand enters K through `_coerce`
+    x = xs[0]
+    closed(p, x + 1)
+    closed(p, x * Fraction(1, 3))
+    assert [args for args, _ in checked] == [(p,), (p,)]
+    with pytest.raises(ValueError, match=f"mixed primes: {p} and 7"):
+        x + KElement(7, 1)  # 7 is not among PRIMES
 
 
 @pytest.mark.parametrize("p", PRIMES)

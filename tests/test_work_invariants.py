@@ -8,7 +8,8 @@ iterate that the real embeddings prove tall is rounded from residues at
 the modulus its own valuations set, Hensel's convergence test after the
 seed runs on residues, `build_F` multiplies, adds and divides
 polynomials in integers, not in K, and certification and a local model
-scan for poles once per question, with no pole check asked first, and
+scan for poles once per question, with no pole check asked first,
+certification checks a prime only where a value enters K, and
 `example ex1` reads F at 0 once, through `multiplier`.
 Shifts per polynomial and center are pinned here for a whole glue and
 census, and in the other tests that take the `spy_shifts` fixture.
@@ -74,6 +75,21 @@ def test_certify_asks_each_pole_question_once(problem, scans, monkeypatch):
     assert len(scanned) == 2 * len(models) == scans
 
 
+@pytest.mark.parametrize("problem, checks", ((ex1, 78), (lambda: (ex2_models(), EX2_EPSILON), 96)),
+                         ids=("ex1", "ex2"))
+def test_certify_validates_only_values_entering_k(problem, checks, monkeypatch):
+    # the Taylor passes and `_Diff` products are K arithmetic, which builds
+    # through the trusted constructor; primes are checked only where a
+    # value enters K: the int 0 that starts each `sum` of `_Diff.val`,
+    # through `_coerce`, and the `coeffs` views `_element` builds
+    models, epsilon = problem()
+    plan = plan_gluing(models, epsilon)
+    F = build_F(models, plan)
+    checked = spy(monkeypatch, field, "_check_prime")
+    assert certify_theorem1(F, models, plan, samples=8).passes
+    assert len(checked) == checks
+
+
 def test_local_model_scans_its_denominator_once(monkeypatch):
     # the model takes its pole verdict from image_of_ball's scan
     z = Poly.x(3)
@@ -83,25 +99,25 @@ def test_local_model_scans_its_denominator_once(monkeypatch):
 
 
 def test_example_ex1_reads_F_at_0_once_after_the_census(monkeypatch):
-    # the multiplier at 0 is F(0) = 0 and F'(0), one evaluation each; the
-    # derivative printed and compared with the closed form is its value
+    # the multiplier at 0 is F(0) = 0 and F'(0), both from one evaluation
+    # with derivatives; the derivative printed and compared with the closed
+    # form is its value
     log = []
-    census = cli.verify_census
+    census, values = cli.verify_census, algebra._values
 
     def logged_census(*args):
         report = census(*args)
-        log.append("census")
+        log.append(("census", args[0]))
         return report
 
     monkeypatch.setattr(cli, "verify_census", logged_census)
-    for name in ("eval", "derivative_at"):
-        fn = getattr(RationalMap, name)
-        monkeypatch.setattr(
-            RationalMap, name, lambda f, x, fn=fn, name=name: log.append((name, x)) or fn(f, x)
-        )
+    monkeypatch.setattr(
+        algebra, "_values", lambda *args: log.append(args) or values(*args)
+    )
     assert cli.main(["example", "--name", "ex1", "--alpha", "3", "--beta", "1/3"]) == 0
-    zero = FieldConfig(3)(0)
-    assert log[log.index("census") + 1:] == [("eval", zero), ("derivative_at", zero)]
+    [at] = [i for i, entry in enumerate(log) if entry[0] == "census"]
+    F = log[at][1]
+    assert log[at + 1:] == [(F, field._point(3, 0), True)]
 
 
 @pytest.mark.parametrize("name", ("ex1", "ex2"))
@@ -261,8 +277,8 @@ def test_newton_steps_are_orbit_steps_of_one_map(p, monkeypatch):
     # embeddings prove the last two tall, formed mod p^K, K = prec +
     # ceil(2 v(Q) - min(v(N), v(Q))) = 283 + ceil(126/2) = 346 with the
     # valuations read off the exact step before.  F itself is evaluated
-    # exactly only at the seed, for the Hensel condition, by one
-    # `RationalMap.eval` and one `derivative_at`; its convergence test at
+    # exactly only at the seed, for the Hensel condition, by one `_values`
+    # pass with derivatives; its convergence test at
     # the 4 iterates after it runs on N(z), Q(z) mod p^K, K =
     # ceil((2 target + 2 v(w) + 2 v(Q(z)))/2) = ceil((128 + 0 + 63)/2) = 96,
     # after one pass at the first guess, K = target = 64
@@ -271,6 +287,7 @@ def test_newton_steps_are_orbit_steps_of_one_map(p, monkeypatch):
     maps = spy(monkeypatch, dynamics, "_newton_map")
     evals = spy(monkeypatch, RationalMap, "eval")
     derivatives = spy(monkeypatch, RationalMap, "derivative_at")
+    seeds = spy(monkeypatch, RationalMap, "_value_and_derivative")
     exact = spy(monkeypatch, algebra, "_values")
     values = spy(monkeypatch, dynamics, "_values")
     residues = spy(monkeypatch, dynamics, "_values_mod")
@@ -279,13 +296,11 @@ def test_newton_steps_are_orbit_steps_of_one_map(p, monkeypatch):
     hensel_fixed_point(F, seed, 64)
     assert [args for args, _ in maps] == [(F,)]
     newton = maps[0][1]
-    assert [args for args, _ in evals] == [(F, seed)]
-    assert [args for args, _ in derivatives] == [(F, seed)]
+    assert evals == derivatives == []
+    assert [args for args, _ in seeds] == [(F, seed)]
     # every exact evaluation of F is the seed's; Newton's map is evaluated
     # exactly at its two short points
-    assert [args for args, _ in exact] == [
-        (F, field._point(p, seed), False), (F, field._point(p, seed), True),
-    ]
+    assert [args for args, _ in exact] == [(F, field._point(p, seed), True)]
     assert [(args[0] is newton, args[2]) for args, _ in values] == [(True, False)] * 2
     assert [(args[0] is F, args[2]) for args, _ in residues] == [
         (True, p**64), (True, p**96), (True, p**96), (False, p**346),
