@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, inf, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .field import (
     KElement, ValExp, _element, _int_val, _inverse_pair, _mul, _point, _quotient, _sub,
@@ -338,7 +338,9 @@ def _values_mod(f: "RationalMap", point: tuple, mod: int) -> tuple:
     s = isqrt(d + 1), the indices fall into m blocks of s from the bottom,
     the top one holding the L <= s left over.  Block j is the dot product
     C_j = sum_i A_(js+i) X^i w^(s-1-i) (the top block's weights are
-    w^(L-1-i)) of short coefficients with one table of residues, and
+    w^(L-1-i)) of short coefficients with one table of residues; its two
+    parts come from three dot products, a x, b y and (a + b)(x + y) over
+    the pairs (a, b) and the entries (x, y), as the table's own steps do.
     Horner runs over the blocks, H_j = X^s H_(j+1) + w^(L + (m-2-j) s) C_j.
     So one table of X^0..X^s serves both sums, and each costs m - 1 full
     residue products (and as many scalings by powers of w when w != 1),
@@ -370,24 +372,27 @@ def _values_mod(f: "RationalMap", point: tuple, mod: int) -> tuple:
             return [x * wk[n - 1 - i] % mod for i, x in enumerate(t[:n])]
 
         ya, yb, za, zb = weigh(ta, s), weigh(tb, s), weigh(ta, L), weigh(tb, L)
+    # the sums x_a + x_b of each table entry, for the blocks' cross terms
+    yab, zab = list(map(add, ya, yb)), list(map(add, za, zb))
 
     def horner(D: int, cs) -> tuple:
         if not cs:
             return 0, 0
         ca, cb = zip(*cs)
+        cab = list(map(add, ca, cb))
         # the top block with its own table and weight 1, then the full
         # blocks down to index 0, weighted w^L, w^(L + s), ...
         ha = hb = 0
-        sa, sb, we = za, zb, 1
+        sa, sb, sab, we = za, zb, zab, 1
         for lo in range(top, -1, -s):
-            a, b = ca[lo:lo + s], cb[lo:lo + s]
-            ba = sum(map(mul, a, sa)) + p * sum(map(mul, b, sb))
-            bb = sum(map(mul, a, sb)) + sum(map(mul, b, sa))
+            ax = sum(map(mul, ca[lo:lo + s], sa))
+            by = sum(map(mul, cb[lo:lo + s], sb))
+            ba, bb = ax + p * by, sum(map(mul, cab[lo:lo + s], sab)) - ax - by
             if we != 1:
                 ba, bb = ba * we, bb * we
             au, bv = ha * ga, hb * gb
             ha, hb = (au + p * bv + ba) % mod, ((ha + hb) * gab - au - bv + bb) % mod
-            sa, sb, we = ya, yb, wl if lo == top else we * ws % mod
+            sa, sb, sab, we = ya, yb, yab, wl if lo == top else we * ws % mod
         return ha * D % mod, hb * D % mod
 
     return horner(dd, ncs), horner(dn, dcs)
@@ -526,11 +531,12 @@ class _Prefix:
     another, extends the prefix an earlier one left.
     """
 
-    __slots__ = ("a", "_w", "_done", "bounds")
+    __slots__ = ("a", "_w", "_done", "_vals", "bounds")
 
     def __init__(self, P: Poly, a: KElement):
-        # _w[:_done] are c'_0, ..., the rest the quotient still to divide
-        self.a, self._w, self._done = a, list(P.coeffs), 0
+        # _w[:_done] are c'_0, ..., the rest the quotient still to divide;
+        # _vals keeps the doubled valuations read so far, by index
+        self.a, self._w, self._done, self._vals = a, list(P.coeffs), 0, {}
         va, low, bounds = _v2(a), inf, []  # doubled, as _min_plus reads them
         for vc in reversed(_v2s(P)):
             low = min(vc, low + va)
@@ -546,7 +552,12 @@ class _Prefix:
         return w[k] if k < len(w) else KElement(a.p)
 
     def val(self, k: int):
-        return _v2(self.coeff(k))
+        # a finished coefficient never changes, so its valuation is kept
+        try:
+            return self._vals[k]
+        except KeyError:
+            v = self._vals[k] = _v2(self.coeff(k))
+            return v
 
 
 def _shifted(P: Poly, a: KElement) -> _Prefix:

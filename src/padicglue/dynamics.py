@@ -14,7 +14,7 @@ in the value group |C_v^x|; the surjectivity criteria need that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from types import SimpleNamespace
 
 from .algebra import Poly, RationalMap, _comb, _convolve, _poly, _values, _values_mod
@@ -63,6 +63,10 @@ KIND_SLOT = {kind: slot for slot, kind in enumerate(KINDS)}
 MAX_SHRINK = 8
 # how many Newton steps hensel_fixed_point takes before giving up
 NEWTON_STEPS = 64
+# orbit points and Newton iterates are rounded mod p^prec exactly when
+# their reduced height exceeds HEIGHT_FACTOR * prec bits; the embedding
+# prover is sound only at that same threshold
+HEIGHT_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -301,8 +305,9 @@ def hensel_fixed_point(F: RationalMap, start, target_exp) -> KElement:
     After the seed, `_residue_test` decides it from N(z) and Q(z) mod p^K
     only, and F(z) is evaluated exactly again only where Q(z) = 0 mod
     p^K.  Each iterate is a `_step` of Newton's map (`_newton_map`),
-    rounded as `orbit` rounds, at a working precision far above the
-    target.  Q(z) != 0 is checked first, so a step meets a pole exactly
+    rounded as `orbit` rounds, at the working precision prec =
+    max(2 target, ceil(target - v(G'(start)))) + 128 + deg F, far above
+    the target.  Q(z) != 0 is checked first, so a step meets a pole exactly
     where G' vanishes.  `target_exp` is a finite exponent in (1/2)Z; at
     most NEWTON_STEPS steps are taken.
     """
@@ -320,9 +325,6 @@ def hensel_fixed_point(F: RationalMap, start, target_exp) -> KElement:
     if not isinstance(start, KElement):
         start = KElement(F.p, start)
     p = F.p
-    # working precision: far above the target so rounding never disturbs
-    # the valuations the iteration reasons about
-    prec = target.t + 128 + F.degree
 
     fz, dF = F._value_and_derivative(start)
     if fz is None:
@@ -336,8 +338,12 @@ def hensel_fixed_point(F: RationalMap, start, target_exp) -> KElement:
     vgp = dg.valuation()
     if not vg > vgp * 2:
         raise HenselConditionError(f"Hensel condition fails at seed: v(G) = {vg}, v(G') = {vgp}")
+    # working precision: far above the target so rounding never disturbs
+    # the valuations the iteration reasons about; rounding at p^prec moves
+    # G by p^(prec + v(G')), so it also covers target - v(G')
+    prec = max(target.t, (target.t - vgp.t + 1) // 2) + 128 + F.degree
     newton = _newton_map(F)
-    taller = _embedding_prover(newton, 8 * prec)
+    taller = _embedding_prover(newton, HEIGHT_FACTOR * prec)
     # guesses of the moduli of the next Newton step and the next test
     K, test = prec, (target.t + 1) // 2
     point = _point(p, start)
@@ -359,26 +365,47 @@ def hensel_fixed_point(F: RationalMap, start, target_exp) -> KElement:
 
 def _newton_map(F: RationalMap) -> SimpleNamespace:
     """Newton's map z - G/G' of G = F - z, for F = N/Q, as the unreduced
-    (z W - N Q)/(W - Q^2), W = N'Q - N Q', so that W - Q^2 = Q^2 G'; with
-    N = a/Dn, Q = b/Dd over their stored pairs, times Dn Dd^2 that is
-    Dd (z c - a b) over Dd c - Dn b^2, c = a'b - a b'.  No gcd is taken:
-    where Q(z) != 0 the denominator vanishes exactly where G' does.  For
-    m = deg Q > deg N = n the degrees are at most n + m over 2m, which
-    `_embedding_prover` covers.  Like a map, it has num, den and p."""
+    (z W - N Q)/(W - Q^2), W = N'Q - N Q' = 2 N'Q - (N Q)', so that W - Q^2
+    = Q^2 G'; with N = a/Dn, Q = b/Dd over their stored pairs, times Dn Dd^2
+    that is Dd (z c - a b) over Dd c - Dn b^2, c = 2 a'b - (a b)': three
+    products, a'b, a b and b^2.  No gcd is taken: where Q(z) != 0 the
+    denominator vanishes exactly where G' does.  For m = deg Q > deg N = n
+    the degrees are at most n + m over 2m, which `_embedding_prover`
+    covers.  Like a map, it has num, den and p."""
     p = F.p
     (dn, a), (dd, b) = (F.num.D, F.num.pairs), (F.den.D, F.den.pairs)
-    da, db = ([(k * x, k * y) for k, (x, y) in enumerate(xs)][1:] for xs in (a, b))
-    c = _comb(1, _convolve(p, da, b), -1, _convolve(p, a, db))
-    num = _comb(dd, [(0, 0), *c], -dd, _convolve(p, a, b))
+    ab = _convolve(p, a, b)
+    c = _comb(2, _convolve(p, _derivative(a), b), -1, _derivative(ab))
+    num = _comb(dd, [(0, 0), *c], -dd, ab)
     den = _comb(dd, c, -dn, _convolve(p, b, b))
     num, den = _poly(p, 1, num), _poly(p, 1, den)
     return SimpleNamespace(p=p, num=num, den=den)
 
 
+def _derivative(xs) -> list:
+    # the pairs of the derivative of a polynomial with ascending pairs xs
+    return [(k * x, k * y) for k, (x, y) in enumerate(xs)][1:]
+
+
 def _round_point(z: KElement, prec: int) -> KElement:
     # skip tiny representatives; round only when heights grow
     h = max(x.bit_length() for c in (z.a, z.b) for x in (c.numerator, c.denominator))
-    return z if h <= 8 * prec else reduce_mod(z, prec)
+    return z if h <= HEIGHT_FACTOR * prec else reduce_mod(z, prec)
+
+
+def _round_quotient(p: int, xa: int, xb: int, d: int, prec: int) -> KElement:
+    """`_round_point(_element(p, xa, xb, d), prec)` for integers xa, xb and
+    d != 0, with one gcd: if the first nonzero coordinate x/d alone has a
+    reduced height above the threshold, so has the point, and the
+    unreduced quotient is rounded at once by `_coords_mod` with vden =
+    v_p(d), since the residue depends only on the value; else the point is
+    reduced and handed to `_round_point`."""
+    x = xa or xb
+    if x:
+        g = gcd(x, d)
+        if max((x // g).bit_length(), (d // g).bit_length()) > HEIGHT_FACTOR * prec:
+            return KElement._of(p, *_coords_mod((xa, xb), d, _int_val(d, p), p, prec))
+    return _round_point(_element(p, xa, xb, d), prec)
 
 
 def _quotient_digits(p: int, num: tuple, tq: int, prec: int) -> int:
@@ -402,7 +429,7 @@ def _round_residues(p: int, num: tuple, den: tuple, tq: int, prec: int) -> KElem
     the quotient of the residues is congruent mod p^prec, and `_coords_mod`
     rounds it with vden = v_p(d) = tq, d the norm of den."""
     xa, xb, d = _quotient(p, num, den)
-    return KElement(p, *_coords_mod((xa, xb), d, tq, p, prec))
+    return KElement._of(p, *_coords_mod((xa, xb), d, tq, p, prec))
 
 
 def _real_bits(p: int, a: int, b: int) -> tuple:
@@ -417,16 +444,23 @@ def _real_bits(p: int, a: int, b: int) -> tuple:
     return lo, m.bit_length()
 
 
-def _top_term_bits(p: int, P: Poly, s: int) -> tuple:
-    """(lo, hi, g) for P = (1/D) sum c_k z^k (`Poly.pairs`), deg P = n
-    >= 0, under sqrt p -> s sqrt p: at real x, w >= 1 with |x| >= 2^(g + 1) w,
-    T = sum c_k x^k w^(n - k) has 2^lo |x|^n < |T| < 2^hi |x|^n.  If 2^a <=
-    |c_n| < 2^b, |c_k| < 2^hi_k and g (n - k) >= hi_k - a + 1 for k < n, term
-    k is below 2^-(n - k + 1) |c_n x^n|: T is within a factor 2 of c_n x^n."""
+def _top_term_bits(p: int, P: Poly) -> tuple:
+    """((lo, hi, g) under sqrt p -> sqrt p, the same under sqrt p -> -sqrt p)
+    for P = (1/D) sum c_k z^k (`Poly.pairs`), deg P = n >= 0: at real x,
+    w >= 1 with |x| >= 2^(g + 1) w, T = sum c_k x^k w^(n - k) has 2^lo |x|^n
+    < |T| < 2^hi |x|^n.  If 2^a <= |c_n| < 2^b, |c_k| < 2^hi_k and g (n - k)
+    >= hi_k - a + 1 for k < n, term k is below 2^-(n - k + 1) |c_n x^n|: T
+    is within a factor 2 of c_n x^n.  hi_k is `_real_bits`'s upper bound,
+    the same under both embeddings, so it is read once for both."""
     *rest, (ca, cb) = P.pairs
-    a, b = _real_bits(p, ca, s * cb)
-    his = [(k, _real_bits(p, x, s * y)[1]) for k, (x, y) in enumerate(rest) if x or y]
-    return a - 1, b + 1, max((-((a - 1 - hk) // (len(rest) - k)) for k, hk in his), default=0)
+    r = isqrt(p) + 1
+    his = [(k, (abs(x) + abs(y) * r).bit_length()) for k, (x, y) in enumerate(rest) if x or y]
+    out = []
+    for s in (1, -1):
+        a, b = _real_bits(p, ca, s * cb)
+        g = max((-((a - 1 - hk) // (len(rest) - k)) for k, hk in his), default=0)
+        out.append((a - 1, b + 1, g))
+    return tuple(out)
 
 
 def _embedding_prover(F, h: int):
@@ -445,7 +479,7 @@ def _embedding_prover(F, h: int):
     if not m > n >= 0:
         return None
     dn, dd = F.num.D.bit_length(), F.den.D.bit_length()
-    tops = [(_top_term_bits(p, F.num, s), _top_term_bits(p, F.den, s)) for s in (1, -1)]
+    tops = list(zip(_top_term_bits(p, F.num), _top_term_bits(p, F.den)))
 
     def taller(u: int, v: int, w: int) -> bool:
         if not (u or v):
@@ -515,8 +549,9 @@ def _step(F, point: tuple, taller, K: int, prec: int) -> tuple:
     """(F(x) rounded as `_round_point` rounds the reduced F(x), K) at the
     `_point` triple of x, or (None, K) at a pole: from residues when
     `taller` (`_embedding_prover` of F, or None) proves F(x) tall, else
-    exactly and by gcd.  K guesses the modulus of the residue pass, and the
-    K returned, `_quotient_digits` of this step, guesses the next."""
+    exactly, by `_round_quotient`.  K guesses the modulus of the residue
+    pass, and the K returned, `_quotient_digits` of this step, guesses the
+    next."""
     if taller is not None and taller(*point):
         nxt, K = _residue_step(F, point, K, prec)
         if nxt is not None:
@@ -525,7 +560,7 @@ def _step(F, point: tuple, taller, K: int, prec: int) -> tuple:
     n0, _, q0, _ = _values(F, point, False)
     if not any(q0):
         return None, K
-    z = _round_point(_element(p, *_quotient(p, n0, q0)), prec)
+    z = _round_quotient(p, *_quotient(p, n0, q0), prec)
     return z, _quotient_digits(p, n0, _twice_val(p, q0), prec)
 
 
@@ -553,10 +588,10 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
     truncates the orbit with a marked entry.  Points are rounded mod
     p^precision as `_round_point` rounds the reduced F(z), by `_step`: when
     the real embeddings prove F(z) tall, N(z) and Q(z) are formed only mod
-    p^K, K = `_quotient_digits`; else they are exact and the quotient is
-    reduced by gcd.  `hensel_fixed_point` steps the same way.  A recorded
-    valuation is exact only below `precision`, an int >= 1; `steps` is an
-    int >= 0.
+    p^K, K = `_quotient_digits`; else they are exact, and one gcd decides
+    whether the quotient is rounded (`_round_quotient`).
+    `hensel_fixed_point` steps the same way.  A recorded valuation is exact
+    only below `precision`, an int >= 1; `steps` is an int >= 0.
     """
     for name, n, least in (("steps", steps, 0), ("precision", precision, 1)):
         if not isinstance(n, int) or isinstance(n, bool) or n < least:
@@ -571,7 +606,7 @@ def orbit(F: RationalMap, z0, steps: int, ref=None, precision: int = 512) -> lis
 
     point = _point(p, z0)
     out = [OrbitStep(0, z0, dist(point), None)]
-    taller = _embedding_prover(F, 8 * precision)
+    taller = _embedding_prover(F, HEIGHT_FACTOR * precision)
     K = precision
     for k in range(1, steps + 1):
         nxt, K = _step(F, point, taller, K, precision)

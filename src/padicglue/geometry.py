@@ -174,9 +174,20 @@ class _Diff:
                         self.bounds[i + j] = u + w
 
     def val(self, k: int):
+        # each sum starts at its first product, so no int 0 enters K; one
+        # of the two may be empty (None)
         A, B, C, D = self._factors
-        return _v2(sum(A.coeff(i) * B.coeff(k - i) for i in _products(A, B, k))
-                   - sum(C.coeff(i) * D.coeff(k - i) for i in _products(C, D, k)))
+        ab = _sum(A.coeff(i) * B.coeff(k - i) for i in _products(A, B, k))
+        cd = _sum(C.coeff(i) * D.coeff(k - i) for i in _products(C, D, k))
+        return _v2(ab if cd is None else -cd if ab is None else ab - cd)
+
+
+def _sum(terms):
+    # the sum of K elements from the first, or None for no terms
+    total = None
+    for t in terms:
+        total = t if total is None else total + t
+    return total
 
 
 def _shift(f: RationalMap, center: KElement) -> tuple:

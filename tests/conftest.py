@@ -6,7 +6,11 @@ p-integral, which certifies the boundedness hypothesis by construction.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
+import importlib.util
 import random
+import sys
 
 import pytest
 
@@ -19,8 +23,11 @@ from padicglue import (
     Poly,
     Radius,
     RationalMap,
+    build_F,
     count_roots_with_min_valuation,
+    epsilon_for_census,
     pairwise_deltas,
+    plan_gluing,
     uniformizer_power,
 )
 
@@ -131,6 +138,37 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if "spy_shifts" in getattr(item, "fixturenames", ()):
             item.add_marker(pytest.mark.spy_shifts)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark harness, loaded by path and only read.
+    Dataclasses need their module registered while it runs."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@lru_cache(maxsize=None)
+def orbit_pool() -> tuple:
+    """The benchmark's `orbits` instances as its workload glues them:
+    (key, instance, F) for each key of its pool, in pool order."""
+    inputs = load_perfbench("inputs")
+    out = []
+    for key in inputs.orbit_pool():
+        inst = inputs.fixed_point_instance(key)
+        plan = plan_gluing(inst.models, epsilon_for_census(inst.models, inst.census))
+        out.append((key, inst, build_F(inst.models, plan)))
+    return tuple(out)
 
 
 def spy(monkeypatch, owner, name: str) -> list:

@@ -8,11 +8,16 @@ plainly faithful to the definitions, so the library's values must equal
 theirs exactly.  The same holds for the Newton loop of
 `hensel_fixed_point`, kept here as it was before each iterate became an
 orbit step of Newton's map (`newton_step` is one step of that loop,
-unrounded), and for the loop of `orbit`, kept here as it was before each
-point was rounded straight from the integers of its quotient.
+unrounded), for the loop of `orbit`, kept here as it was before each
+point was rounded straight from the integers of its quotient, and for
+`newton_map`, Newton's map as it was built from four products.
 """
 
+from math import ceil
+from types import SimpleNamespace
+
 from padicglue import HenselConditionError, KElement, OrbitStep, Poly, RationalMap, ValExp
+from padicglue.algebra import _comb, _convolve, _poly
 from padicglue.dynamics import _round_point
 
 
@@ -57,6 +62,19 @@ def newton_step(F, x):
     return None if gpx.is_zero else x - ratmap_eval(G, x) * gpx.inverse()
 
 
+def newton_map(F):
+    """Newton's map as `dynamics._newton_map` built it from four products:
+    (z W - N Q)/(W - Q^2), W = N'Q - N Q', over the stored pairs a of N
+    and b of Q as Dd (z c - a b) over Dd c - Dn b^2, c = a'b - a b'."""
+    p = F.p
+    (dn, a), (dd, b) = (F.num.D, F.num.pairs), (F.den.D, F.den.pairs)
+    da, db = ([(k * x, k * y) for k, (x, y) in enumerate(xs)][1:] for xs in (a, b))
+    c = _comb(1, _convolve(p, da, b), -1, _convolve(p, a, db))
+    num = _comb(dd, [(0, 0), *c], -dd, _convolve(p, a, b))
+    den = _comb(dd, c, -dn, _convolve(p, b, b))
+    return SimpleNamespace(p=p, num=_poly(p, 1, num), den=_poly(p, 1, den))
+
+
 def hensel_fixed_point(F, start, target_exp, max_iter=64):
     """The Newton loop that `padicglue.hensel_fixed_point` replaced: each
     iterate evaluates G = F - z and G' as `KElement`s and steps by
@@ -68,7 +86,6 @@ def hensel_fixed_point(F, start, target_exp, max_iter=64):
     if target.is_infinite:
         raise ValueError("target exponent must be finite")
     G = RationalMap(F.num - F.den * Poly.x(F.p), F.den)
-    prec = int(2 * target.exp) + 128 + F.degree
 
     z = start
     gz = G.eval(z)
@@ -83,6 +100,9 @@ def hensel_fixed_point(F, start, target_exp, max_iter=64):
         raise HenselConditionError(
             f"Hensel condition fails at seed: v(G) = {gz.valuation()}, v(G') = {gpz.valuation()}"
         )
+    # rounding at p^prec moves G by p^(prec + v(G')): 2 target when v(G')
+    # >= -target, else target - v(G'), then the same margin
+    prec = max(int(2 * target.exp), ceil(target.exp - gpz.valuation().exp)) + 128 + F.degree
     for _ in range(max_iter):
         z = _round_point(z - gz * gpz.inverse(), prec)
         gz = G.eval(z)

@@ -3,7 +3,7 @@
 import ast
 import copy
 import hashlib
-import importlib.util
+import importlib
 import json
 import os
 import re
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import shared_pole_problem
+from conftest import load_perfbench, shared_pole_problem
 from padicglue import (
     Ball, FieldConfig, KElement, LocalModel, Poly, Radius, RationalMap, build_F,
     certify_theorem1, epsilon_for_census, hensel_fixed_point, orbit, plan_gluing,
@@ -606,21 +606,6 @@ class TestMalformedInput:
         assert err == "parse error: result.F: a constant map sends no ball onto a ball\n"
 
 
-def _perfbench(name: str):
-    """A module of the benchmark harness, loaded by path and only read.
-    Dataclasses need their module registered while it runs."""
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 class TestStoredClaims:
     """verify recomputes the certificate and refuses a result whose stored
     claims disagree with it, naming each field on stderr."""
@@ -748,7 +733,7 @@ class TestStoredClaims:
         # may draw, glued as it glues them; ex1's indifferent witness runs
         # derivative_at through the census
         digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
-        inputs = _perfbench("inputs")
+        inputs = load_perfbench("inputs")
         generated = [inputs.suite_instance(key) for key in inputs.verify_suite_candidates()] + [
             inputs.sweep_instance(inputs.sweep_key(inputs.VERIFY_SWEEP_N, v))
             for v in range(inputs.SWEEP_VARIANTS)
@@ -785,13 +770,13 @@ class TestStoredClaims:
 
     @pytest.mark.parametrize(
         "key",
-        _perfbench("inputs").suite_pool()
-        + [k for k in _perfbench("inputs").sweep_pool() if int(k.split("/")[1][1:]) <= 10],
+        load_perfbench("inputs").suite_pool()
+        + [k for k in load_perfbench("inputs").sweep_pool() if int(k.split("/")[1][1:]) <= 10],
     )
     def test_glue_matches_benchmark_digests(self, key):
         # the plan, F and certificate sections of the benchmark's glue ops,
         # against the stored digests, which this test only reads
-        inputs = _perfbench("inputs")
+        inputs = load_perfbench("inputs")
         digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
         make = inputs.suite_instance if key.startswith("suite/") else inputs.sweep_instance
         inst = make(key)
@@ -803,10 +788,10 @@ class TestStoredClaims:
         text = json.dumps(sections, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digests[key]
 
-    @pytest.mark.parametrize("key", _perfbench("inputs").orbit_pool())
+    @pytest.mark.parametrize("key", load_perfbench("inputs").orbit_pool())
     def test_orbits_match_benchmark_digests(self, key):
         # the benchmark's instance generator and stored digests, only read
-        inputs = _perfbench("inputs")
+        inputs = load_perfbench("inputs")
         digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
         inst = inputs.fixed_point_instance(key)
         plan = plan_gluing(inst.models, epsilon_for_census(inst.models, inst.census))
@@ -821,7 +806,7 @@ class TestStoredClaims:
     def test_traced_names_resolve(self):
         # the benchmark's tracer rebinds these by name; a renamed or deleted
         # one would silently drop its span or counter
-        tracer = _perfbench("tracer")
+        tracer = load_perfbench("tracer")
         names = list(tracer.SPANNED) + [(m, q) for m, q, _ in tracer.COUNTED]
         for module, qualname in names:
             obj = importlib.import_module(module)
@@ -847,7 +832,7 @@ class TestStoredClaims:
     def test_tracer_installs_and_restores(self):
         # the tracer's own lookup: it must find every traced function and
         # method in the loaded library, rebind it, and put it back
-        tracer_module = _perfbench("tracer")
+        tracer_module = load_perfbench("tracer")
         tracer = tracer_module.Tracer()
         try:
             tracer.install()

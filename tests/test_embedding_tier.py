@@ -122,8 +122,7 @@ def test_top_term_bounds_from_the_threshold(p, n, G, sign, root):
     # the least |x| the bound admits, with the lower terms as large as it
     # allows and all opposing or all adding to the top term
     P = _lower_terms(p, n, G, sign, root)
-    for s in (1, -1):
-        lo, hi, g = _top_term_bits(p, P, s)
+    for s, (lo, hi, g) in zip((1, -1), _top_term_bits(p, P)):
         for w in (1, 3, 4):
             for v in (0, 1, 7):
                 # both embeddings of X = u + v sqrt p are at least 2^(g + 1) w
@@ -137,8 +136,7 @@ def test_top_term_bits_of_glued_maps(p):
     F, _ = fixed_point_instance(p)
     rng = random.Random(f"top-term/{p}")
     for P in (F.num, F.den):
-        for s in (1, -1):
-            lo, hi, g = _top_term_bits(p, P, s)
+        for s, (lo, hi, g) in zip((1, -1), _top_term_bits(p, P)):
             for _ in range(20):
                 w = rng.choice((1, p, p**3, rng.randrange(1, 2**40)))
                 v = rng.getrandbits(rng.randrange(1, 200))

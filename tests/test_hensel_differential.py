@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import evaluation_oracle as oracle
-from conftest import spy
+from conftest import orbit_pool, spy
 from padicglue import algebra, dynamics
 from padicglue import (
     ATTRACTING,
@@ -207,6 +207,37 @@ def test_newton_map_edge_cases(F, zero):
     assert _embedding_prover(newton, 8) is None
 
 
+def _sqrt_p_maps(p: int, rng: random.Random):
+    """Maps whose coefficients have sqrt p parts and denominators, over
+    degree pairs with deg Q above, equal to and below deg N, a constant
+    numerator and a zero one."""
+    K = FieldConfig(p)
+
+    def poly(n):
+        return Poly(p, [K(Fraction(rng.randrange(-99, 100), rng.choice((1, p, 7))),
+                          Fraction(rng.randrange(-9, 10), rng.choice((1, p**2))))
+                        for _ in range(n)] + [K(rng.randrange(1, 9), rng.randrange(-3, 4))])
+
+    for n, m in ((3, 5), (2, 2), (5, 1), (0, 4), (1, 0)):
+        yield RationalMap(poly(n), poly(m))
+    yield RationalMap(Poly.zero(p), poly(3))
+
+
+def _pairs(newton) -> tuple:
+    return tuple((P.D, P.pairs) for P in (newton.num, newton.den))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_newton_map_matches_the_four_product_form(p):
+    # 2 N'Q - (N Q)' is N'Q - N Q' term for term, so the three products
+    # give the very pairs that four gave, on the benchmark's 18 maps and
+    # on maps with sqrt p parts
+    maps = [F for _, _, F in orbit_pool() if F.p == p]
+    maps += _sqrt_p_maps(p, random.Random(f"newton-products/{p}"))
+    for F in maps:
+        assert _pairs(_newton_map(F)) == _pairs(oracle.newton_map(F)), F
+
+
 def test_error_cases_match():
     K3 = FieldConfig(3)
     z = Poly.x(3)
@@ -267,3 +298,36 @@ def test_no_step_past_max_iter(glued_examples, monkeypatch, steps):
 def test_infinite_target_rejected():
     F = RationalMap(Poly.x(3) * Poly.x(3))
     assert assert_same(F, 4, ValExp.infinite()) == (ValueError, "target exponent must be finite")
+
+
+LINEAR = RationalMap(Poly.x(3) * (1 + Fraction(1, 3**100)) + Fraction(1, 3**150))
+
+
+@pytest.mark.parametrize("target", (-40, -60, -100, -140))
+def test_working_precision_covers_a_large_derivative(target):
+    # G = 3^-100 z + 3^-150 from 0: v(G) = -150 > 2 v(G') = -200, and one
+    # exact Newton step lands on the fixed point -3^-50.  The working
+    # precision must reach target - v(G'), since rounding at p^prec moves
+    # G by p^(prec + v(G')); at 2 target + 128 + 1, the iterate rounded
+    # to p^9 (target -60) left v(G) at -91 and never converged
+    assert assert_same(LINEAR, 0, target) == (3, -Fraction(1, 3**50), 0)
+
+
+def test_far_from_integral_map_converges_at_a_negative_target():
+    # (z/3^200 + 1/3^300)/(1 + z^2) from 0 at target -250: v(G) = -300,
+    # v(G') = -200; the iterate returned has v(G) = -100
+    z = Poly.x(3)
+    F = RationalMap(z * Fraction(1, 3**200) + Fraction(1, 3**300), z * z + 1)
+    p, a, b = assert_same(F, 0, -250)
+    x = KElement(p, a, b)
+    assert (F(x) - x).valuation() == -100
+
+
+def test_seed_outside_hensel_reach_still_fails():
+    # v(G) = -100 > 2 v(G') = -182 at 0, but the coefficients are far from
+    # integral and v(G(z_k)) stays at -100 at every step
+    z = Poly.x(3)
+    F = RationalMap(z * (1 + Fraction(1, 3**60)) + Fraction(1, 3**100) + z * z * 3**5, 1 + z * 3**9)
+    assert assert_same(F, 0, 10) == (
+        HenselConditionError, "no convergence to exponent 10 in 64 steps"
+    )

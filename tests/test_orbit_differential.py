@@ -4,10 +4,10 @@
 reduces it to lowest terms, and then rounds it with `_round_point`.  The
 library rounds each quotient N(z)/Q(z) in the two tiers of
 `dynamics._step`: from N(z) and Q(z) mod p^K once the real embeddings
-prove the point tall, else from the exact quotient through the gcd of
-`_round_point`.  Both must record the same `OrbitStep`s, with the same
-canonical point at every step, and both tiers must round points at every
-precision of `PLAN`.
+prove the point tall, else from the exact quotient, by one gcd that
+decides the height rule (`dynamics._round_quotient`).  Both must record
+the same `OrbitStep`s, with the same canonical point at every step, and
+both tiers must round points at every precision of `PLAN`.
 """
 
 import random
@@ -17,12 +17,12 @@ import pytest
 
 import evaluation_oracle as oracle
 from conftest import spy
-from padicglue import FieldConfig, KElement, build_F, dynamics, orbit, plan_gluing
+from padicglue import FieldConfig, KElement, build_F, dynamics, field, orbit, plan_gluing
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
 from test_hensel_differential import fixed_point_instance
 
-# precision -> (steps, how many starts of each case; None for all).  Both
-# loops reduce unrounded points by gcd, which costs seconds per orbit once
+# precision -> (steps, how many starts of each case; None for all).  The
+# oracle reduces every point by gcd, which costs seconds per orbit once
 # points may grow to 8 * 2048 bits before they are rounded.
 PLAN = {16: (12, None), 64: (12, None), 256: (12, None), 512: (6, None), 2048: (4, 1)}
 
@@ -55,10 +55,9 @@ CASES = [*_glued_examples(), *_three_ball_examples()]
 @pytest.mark.parametrize("precision", sorted(PLAN))
 def test_same_steps(monkeypatch, precision):
     embedding = spy(monkeypatch, dynamics, "_residue_step")
-    # the oracle holds its own reference to `_round_point`, so only the
-    # library's fallback is recorded; a point it rounds comes back as a
-    # new element
-    fallback = spy(monkeypatch, dynamics, "_round_point")
+    # the exact tier rounds a point where it returns other than the
+    # reduced quotient
+    exact = spy(monkeypatch, dynamics, "_round_quotient")
     steps, n_starts = PLAN[precision]
     for name, F, ref, starts in CASES:
         for start in starts[:n_starts]:
@@ -66,7 +65,7 @@ def test_same_steps(monkeypatch, precision):
             assert orbit(F, start, steps, ref=ref, precision=precision) == want, (name, start)
     tiers = {
         "embedding": sum(out is not None for _, (out, _) in embedding),
-        "gcd": sum(out is not z for (z, _), out in fallback),
+        "gcd": sum(out != field._element(*args[:4]) for args, out in exact),
     }
     # every tier that orbits still use rounds points at every precision
     assert tiers["embedding"] and tiers["gcd"], tiers

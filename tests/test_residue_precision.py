@@ -20,9 +20,12 @@ from math import isqrt
 import pytest
 
 import evaluation_oracle as oracle
+from conftest import orbit_pool
 from padicglue import KElement, Poly, RationalMap, dynamics, hensel_fixed_point
 from padicglue.algebra import _values, _values_mod
-from padicglue.dynamics import _quotient_digits, _residue_step, _residue_test, _round_residues
+from padicglue.dynamics import (
+    _newton_map, _quotient_digits, _residue_step, _residue_test, _round_residues,
+)
 from padicglue.field import _element, _point, _quotient, _twice_val, reduce_mod
 from test_hensel_differential import fixed_point_instance
 
@@ -105,6 +108,22 @@ def test_blocked_evaluation_at_every_block_shape(p):
                     want = tuple(tuple(x % mod for x in pair) for pair in (n0, q0))
                     assert _values_mod(F, point, mod) == want, (F, point, mod)
     assert shapes == {True}
+
+
+def test_blocked_evaluation_of_the_orbits_pool():
+    # the benchmark's maps and their Newton maps, whose coefficients have
+    # sqrt p parts, at points with v != 0 and w != 1, where every block's
+    # cross term comes from the dot product of sums
+    rng = random.Random("values-mod-pool")
+    for _, _, F in orbit_pool():
+        p = F.p
+        for G in (F, _newton_map(F)):
+            for w in (p, p**5, 1 + p**3, rng.randrange(2, 2**40)):
+                point = (rng.getrandbits(300) - 2**299, rng.getrandbits(300) | 1, w)
+                n0, _, q0, _ = _values(G, point, False)
+                for mod in (p**64, p**288, rng.randrange(2, 2**300)):
+                    want = tuple(tuple(x % mod for x in pair) for pair in (n0, q0))
+                    assert _values_mod(G, point, mod) == want, (F, point, mod)
 
 
 def _planted_pair(p: int, rng: random.Random, ta: int, tb: int) -> tuple:

@@ -5,11 +5,13 @@ counts are pinned here instead: the spot checks evaluate each map once per
 sample, the gcd of a glued sum runs the exact Euclid only when the
 modular pretest cannot certify coprimality, an orbit point or Newton
 iterate that the real embeddings prove tall is rounded from residues at
-the modulus its own valuations set, Hensel's convergence test after the
-seed runs on residues, `build_F` multiplies, adds and divides
+the modulus its own valuations set, the exact tier reduces only the
+point it keeps, Hensel's convergence test after the seed runs on
+residues, `build_F` multiplies, adds and divides
 polynomials in integers, not in K, and certification and a local model
 scan for poles once per question, with no pole check asked first,
-certification checks a prime only where a value enters K, and
+certification checks a prime only where a value enters K and reads
+each shifted valuation once, and
 `example ex1` reads F at 0 once, through `multiplier`.
 Shifts per polynomial and center are pinned here for a whole glue and
 census, and in the other tests that take the `spy_shifts` fixture.
@@ -19,7 +21,7 @@ import random
 
 import pytest
 
-from conftest import make_gluing_instance, shared_pole_problem, spy
+from conftest import load_perfbench, make_gluing_instance, orbit_pool, shared_pole_problem, spy
 from padicglue import (
     Ball, FieldConfig, LocalModel, Poly, Radius, RationalMap, algebra, build_F, certify_theorem1,
     dynamics, field, geometry, gluing, hensel_fixed_point, orbit, plan_gluing, verify_census,
@@ -75,19 +77,35 @@ def test_certify_asks_each_pole_question_once(problem, scans, monkeypatch):
     assert len(scanned) == 2 * len(models) == scans
 
 
-@pytest.mark.parametrize("problem, checks", ((ex1, 78), (lambda: (ex2_models(), EX2_EPSILON), 96)),
+@pytest.mark.parametrize("problem, checks", ((ex1, 34), (lambda: (ex2_models(), EX2_EPSILON), 44)),
                          ids=("ex1", "ex2"))
 def test_certify_validates_only_values_entering_k(problem, checks, monkeypatch):
     # the Taylor passes and `_Diff` products are K arithmetic, which builds
-    # through the trusted constructor; primes are checked only where a
-    # value enters K: the int 0 that starts each `sum` of `_Diff.val`,
-    # through `_coerce`, and the `coeffs` views `_element` builds
+    # through the trusted constructor, and each sum of `_Diff.val` starts
+    # at its first product; primes are checked only where a value enters
+    # K, in the `coeffs` views `_element` builds (78 and 96 when each sum
+    # started at the int 0)
     models, epsilon = problem()
     plan = plan_gluing(models, epsilon)
     F = build_F(models, plan)
     checked = spy(monkeypatch, field, "_check_prime")
     assert certify_theorem1(F, models, plan, samples=8).passes
     assert len(checked) == checks
+
+
+@pytest.mark.parametrize("problem, reads", ((ex1, 10), (lambda: (ex2_models(), EX2_EPSILON), 15)),
+                         ids=("ex1", "ex2"))
+def test_certify_reads_each_shifted_valuation_once(problem, reads, monkeypatch):
+    # a shift keeps each doubled valuation it has read, so the pole scans
+    # that `image_of_ball` and `sup_norm_exp_on_ball` repeat on a ball read
+    # kept values: `algebra._v2` runs once per shift, for v(a), and once
+    # per coefficient read (16 and 24 when every read recomputed it)
+    models, epsilon = problem()
+    plan = plan_gluing(models, epsilon)
+    F = build_F(models, plan)
+    valued = spy(monkeypatch, algebra, "_v2")
+    assert certify_theorem1(F, models, plan, samples=8).passes
+    assert len(valued) == reads
 
 
 def test_local_model_scans_its_denominator_once(monkeypatch):
@@ -269,6 +287,24 @@ def test_orbit_rounds_tall_points_from_residues(p, rounded, monkeypatch):
         assert all(0 <= x < p**288 for x in n0 + q0)
 
 
+def test_exact_tier_reduces_only_the_kept_point(monkeypatch):
+    # per pool instance, Hensel's refinement and the orbit each take two
+    # exact steps: the first, short, is reduced once and kept, and the
+    # second is rounded from its unreduced quotient, so each call builds
+    # one reduced K element and calls `reduce_mod` zero times
+    inputs = load_perfbench("inputs")
+    reduced = spy(monkeypatch, dynamics, "_element")
+    rounded = spy(monkeypatch, dynamics, "reduce_mod")
+    for key, inst, F in orbit_pool():
+        counts = []
+        zstar = hensel_fixed_point(F, inst.attracting_center, inputs.HENSEL_TARGET)
+        counts.append((len(reduced), len(rounded)))
+        orbit(F, inst.orbit_start, inputs.ORBIT_STEPS, ref=zstar, precision=inputs.ORBIT_PRECISION)
+        counts.append((len(reduced), len(rounded)))
+        assert counts == [(1, 0), (2, 0)], key
+        reduced.clear()
+
+
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_newton_steps_are_orbit_steps_of_one_map(p, monkeypatch):
     # Hensel to 64 from the attracting center builds Newton's map once and
@@ -292,7 +328,8 @@ def test_newton_steps_are_orbit_steps_of_one_map(p, monkeypatch):
     values = spy(monkeypatch, dynamics, "_values")
     residues = spy(monkeypatch, dynamics, "_values_mod")
     tier = spy(monkeypatch, dynamics, "_residue_step")
-    rounds = spy(monkeypatch, dynamics, "_round_point")
+    rounds = spy(monkeypatch, dynamics, "_round_quotient")
+    kept = spy(monkeypatch, dynamics, "_round_point")
     hensel_fixed_point(F, seed, 64)
     assert [args for args, _ in maps] == [(F,)]
     newton = maps[0][1]
@@ -308,4 +345,8 @@ def test_newton_steps_are_orbit_steps_of_one_map(p, monkeypatch):
     ]
     assert all(args[0] in (F, newton) for args, _ in values + residues)
     assert [(out is not None, K) for _, (out, K) in tier] == [(True, 346)] * 2
-    assert [out is not z for (z, _), out in rounds] == [False, True]
+    # the exact tier keeps the first point and rounds the second at once,
+    # from its first coordinate's height, so only the first is reduced and
+    # reaches `_round_point`, which keeps it
+    assert [out != field._element(*args[:4]) for args, out in rounds] == [False, True]
+    assert [out is z for (z, _), out in kept] == [True]
