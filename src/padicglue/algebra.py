@@ -315,7 +315,8 @@ def _values(f: "RationalMap", point: tuple, deriv: bool) -> tuple:
 
     `_horner` gives N(x) over Dn w^n and N'(x) over Dn w^(n-1), likewise
     Q(x) and Q'(x) over Dd w^m and Dd w^(m-1); S = Dn Dd w^max(n, m).
-    Only this function and `_values_mod` know these scales.
+    Only this function, `_values_mod` and `gluing._spot_checks` know these
+    scales.
     """
     u, v, w = point
     dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, deriv)
@@ -528,7 +529,9 @@ class _Prefix:
     tail bound L_k = min over j >= k of v(c_j) + (j - k) v(a) <= v(c'_k),
     and L_k = min(v(c_k), L_(k+1) + v(a)).  The scans read P's one
     _Prefix about a through _shifted, so a later scan, in the same call or
-    another, extends the prefix an earlier one left.
+    another, extends the prefix an earlier one left.  About a = 0 P is its
+    own shift: every coefficient is final, and its bound is its valuation,
+    so no pass runs and no valuation is read again.
     """
 
     __slots__ = ("a", "_w", "_done", "_vals", "bounds")
@@ -537,6 +540,10 @@ class _Prefix:
         # _w[:_done] are c'_0, ..., the rest the quotient still to divide;
         # _vals keeps the doubled valuations read so far, by index
         self.a, self._w, self._done, self._vals = a, list(P.coeffs), 0, {}
+        if a.is_zero:
+            self._done, self.bounds = len(self._w), list(_v2s(P))
+            self._vals = dict(enumerate(self.bounds))
+            return
         va, low, bounds = _v2(a), inf, []  # doubled, as _min_plus reads them
         for vc in reversed(_v2s(P)):
             low = min(vc, low + va)

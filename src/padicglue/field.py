@@ -111,13 +111,31 @@ def _v2(c: KElement):
 
 
 def _twice_val(p: int, x: tuple) -> int:
-    """2 v(a + b sqrt p) for an integer pair x = (a, b) != (0, 0), an
-    integer: the two terms have valuations of different parity, so the
-    smaller wins."""
+    """2 v(a + b sqrt p) = min(2 v(a), 2 v(b) + 1) for an integer pair
+    x = (a, b) != (0, 0): the two terms' valuations differ in parity.
+
+    Valuations below k, for the one-digit q = p^k, are read off residues
+    mod q (a residue of 0 reads k and loses), and below 2k off those of
+    a/q and b/q.  Past that, one ladder reads v(b), and a mod p^(v(b) + 1)
+    decides: 0 when 2 v(b) + 1 wins, else a short remainder of a's
+    valuation.
+    """
     a, b = x
-    vb = 2 * _int_val(b, p) + 1 if b else None
-    va = 2 * _int_val(a, p) if a else vb
-    return va if vb is None else min(va, vb)
+    if not b:
+        return 2 * _int_val(a, p)
+    if not a:
+        return 2 * _int_val(b, p) + 1
+    q, k, logs, _ = _digit_power(p)
+    ra, rb = a % q, b % q
+    if ra or rb:
+        return min(2 * logs[gcd(ra, q)], 2 * logs[gcd(rb, q)] + 1)
+    a, b = a // q, b // q
+    ra, rb = a % q, b % q
+    if ra or rb:
+        return 2 * k + min(2 * logs[gcd(ra, q)], 2 * logs[gcd(rb, q)] + 1)
+    vb = _int_val(b, p)
+    r = a % p ** (vb + 1)
+    return 2 * k + (2 * _int_val(r, p) if r else 2 * vb + 1)
 
 
 def _twice_val_over(p: int, x: tuple, d: int):

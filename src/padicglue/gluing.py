@@ -19,13 +19,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
-from .algebra import Poly, RationalMap, _values
+from .algebra import Poly, RationalMap, _horner
 from .errors import (
     HypothesisViolation, LemmaInapplicable, LimitExceeded, PoleInBallError, _power_str, _show,
 )
 from .field import (
-    KElement, ValExp, _int_val, _mul, _point, _shared_exp, _sub, _twice_val,
-    _twice_val_at_least, uniformizer_power,
+    KElement, ValExp, _int_val, _point, _shared_exp, _twice_val, _twice_val_at_least,
+    uniformizer_power,
 )
 from .geometry import Ball, image_of_ball, pairwise_deltas, sample_points, sup_norm_exp_on_ball
 
@@ -359,17 +359,47 @@ def _twice_thresholds(bound: ValExp, epsilon: ValExp, image: Ball, cw: int) -> t
     return bound.t, epsilon.t, r0
 
 
-def _spot_check(p, nF, qF, nf, qf, center, b2, e2, r0) -> tuple:
-    """(tw, ok) for one sample z with F(z) = nF/qF and f_i(z) = nf/qf:
-    tw = 2 v(F(z) - f_i(z)), math.inf when the two values are equal, and
-    whether tw clears the thresholds and F(z) lies in the image (see
-    _twice_thresholds).  The image test runs only for a witness that
-    passes, since it cannot change ok otherwise."""
-    tF = _twice_val(p, qF)
-    t = _sub(_mul(p, nF, qf), _mul(p, nf, qF))
-    tw = _twice_val(p, t) - tF - _twice_val(p, qf) if any(t) else inf
-    ok = tw >= b2 and tw > e2 and _twice_val_at_least(p, nF, qF, center, r0 + tF)
-    return tw, ok
+def _spot_checks(F: RationalMap, f: RationalMap, points, center: tuple, b2, e2, r0) -> tuple:
+    """(witnesses, ok) for one ball's sample points: a witness (z, e) per
+    point z, e = v(F(z) - f(z)) as one shared ValExp per exponent
+    (`field._shared_exp`), and whether every sample clears the thresholds
+    and lands in the image (see _twice_thresholds).
+
+    One integer pass per sample builds no K element: z's `_point` triple
+    (u, v, w) feeds one `_horner` per polynomial, P(z) = h/(D w^deg P) for
+    a Z[sqrt p] pair h, so F = N/Q gives F(z) = nF/qF with nF = hN D_Q
+    w^(m - n) and qF = hQ D_N for deg N = n <= deg Q = m (w^(n - m) goes
+    to qF when n > m), and f(z) = nf/qf likewise.  The doubled witness
+    2 v(nF qf - nf qF) - 2 v(qF) - 2 v(qf), math.inf for equal values, is
+    compared with the thresholds and wrapped unchanged.  The image test
+    (`field._twice_val_at_least`) is divisibility, not a valuation, and
+    runs only while every sample has passed, as it cannot change the
+    verdict otherwise.
+    """
+    p = F.p
+    (N, Q), (n, q) = (F.num, F.den), (f.num, f.den)
+    witnesses, ok = [], True
+    for z in points:
+        u, v, w = _point(p, z)
+        dN, kN, Na, Nb, _, _ = _horner(N, u, v, w, False)
+        dQ, kQ, Qa, Qb, _, _ = _horner(Q, u, v, w, False)
+        dn, kn, na, nb, _, _ = _horner(n, u, v, w, False)
+        dq, kq, qa, qb, _, _ = _horner(q, u, v, w, False)
+        # F(z) = (Na + Nb sqrt p) dQ w^kQ / ((Qa + Qb sqrt p) dN w^kN)
+        s, t = (dQ * w ** (kQ - kN), dN) if kQ >= kN else (dQ, dN * w ** (kN - kQ))
+        Na, Nb, Qa, Qb = Na * s, Nb * s, Qa * t, Qb * t
+        s, t = (dq * w ** (kq - kn), dn) if kq >= kn else (dq, dn * w ** (kn - kq))
+        na, nb, qa, qb = na * s, nb * s, qa * t, qb * t
+        # nF qf - nf qF
+        xa = Na * qa + p * Nb * qb - na * Qa - p * nb * Qb
+        xb = Na * qb + Nb * qa - na * Qb - nb * Qa
+        tQ = _twice_val(p, (Qa, Qb))
+        tw = _twice_val(p, (xa, xb)) - tQ - _twice_val(p, (qa, qb)) if xa or xb else inf
+        ok = ok and tw >= b2 and tw > e2 and _twice_val_at_least(
+            p, (Na, Nb), (Qa, Qb), center, r0 + tQ
+        )
+        witnesses.append((z, _shared_exp(tw)))
+    return witnesses, ok
 
 
 def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8) -> Certificate:
@@ -396,18 +426,8 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     multiplicative, and a common factor divides D*d, which has no zero on
     B_i, so its norm on B_i equals its absolute value at a_i and cancels.
 
-    The spot checks build no K element for F(z) or f_i(z), and decide
-    every pass or fail on integers: per sample z, one `_point` of z feeds
-    one `_values` call each, which gives F(z) = nF/qF and f_i(z) = nf/qf
-    as Z[sqrt p] pairs.  The bound, epsilon and the image radius become
-    doubled integer thresholds once per ball, and the doubled witness
-    2 v(nF*qf - nf*qF) - 2 v(qF) - 2 v(qf) is compared with them and
-    wrapped, unchanged, as the sample's witness ValExp, one shared ValExp
-    per distinct exponent (`field._shared_exp`).  F(z) lies in the image
-    about (cu + cv sqrt p)/cw when the pair nF*cw - (cu + cv sqrt p)*qF is
-    divisible by p^ceil(R/2) in its rational and p^floor(R/2) in its sqrt p
-    coordinate, R = 2 rho + 2 v(qF) + 2 v(cw), plus 1 for an open image of
-    radius exponent rho; no valuation of that pair is computed.
+    (d) is `_spot_checks` at `sample_points(B_i, samples)`, decided on
+    integers against thresholds made once per ball (`_twice_thresholds`).
     """
     p = F.p
     checks = []
@@ -421,16 +441,10 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
         bound = sup_norm_exp_on_ball(F, B, minus=m.f)
         center = _point(p, img.center)
         b2, e2, r0 = _twice_thresholds(bound, plan.epsilon, img, center[2])
-        witnesses = []
-        samples_ok = True
-        for z in sample_points(B, samples):
-            # F and f_i are pole-free on B, so neither qF nor qf is (0, 0)
-            point = _point(p, z)
-            nF, _, qF, _ = _values(F, point, False)
-            nf, _, qf, _ = _values(m.f, point, False)
-            tw, ok = _spot_check(p, nF, qF, nf, qf, center, b2, e2, r0)
-            witnesses.append((z, _shared_exp(tw)))
-            samples_ok = samples_ok and ok
+        # F and f_i are pole-free on B, so neither qF nor qf is (0, 0)
+        witnesses, samples_ok = _spot_checks(
+            F, m.f, sample_points(B, samples), center, b2, e2, r0
+        )
         checks.append(
             BallCheck(
                 index=i,

@@ -74,12 +74,19 @@ STEPS_LIMIT = 10**4
 
 
 def parse_rational(s, where: str) -> Fraction:
-    """An exact rational from a JSON integer or a string such as '-1/3'."""
+    """An exact rational from a JSON integer or a string such as '-1/3'.
+
+    The forms the writer emits, -?digits and -?digits/digits, are read
+    with int; every other string goes to Fraction, which accepts more
+    (a sign, spaces, underscores, decimals) and says what it refuses."""
     if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise SpecFormatError(f"{where}: expected an exact rational string, got {_show(s)}")
     try:
+        num, slash, den = s.partition("/")
+        if s.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFormatError(f"{where}: bad rational {_show(s)}") from exc

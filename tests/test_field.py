@@ -302,6 +302,52 @@ class TestIntVal:
         assert _int_val(n, p) == self.linear(n, p)
 
 
+class TestTwiceVal:
+    """`_twice_val` against the two-ladder reading it replaced,
+    min(2 v(a), 2 v(b) + 1) with an `_int_val` of each nonzero coordinate.
+    Valuations are planted below, at and above the one-digit power
+    q = p^k, where the residues stop deciding and one ladder and one
+    division start: with v(a) = v(b), where a decides, v(a) = v(b) + 1,
+    where b does, further apart both ways, and with a zero coordinate."""
+
+    @staticmethod
+    def two_ladders(p, a, b):
+        va = 2 * _int_val(a, p) if a else math.inf
+        vb = 2 * _int_val(b, p) + 1 if b else math.inf
+        return min(va, vb)
+
+    @pytest.mark.parametrize("p", (2, 3, 23, 2**31 - 1))
+    def test_planted_valuations_about_the_digit_power(self, p):
+        k = _digit_power(p)[1]
+        rng = random.Random(f"twice-val/{p}")
+        vs = sorted({max(e + d, 0) for e in (0, k, 2 * k, 3 * k, 40) for d in (-1, 0, 1)})
+        for bits in (1, 31, 64, 3_000):
+
+            def unit():
+                u = rng.getrandbits(bits) | 1
+                while u % p == 0:
+                    u += 2
+                return u * rng.choice((1, -1))
+
+            for vb in vs:
+                for gap in (-3, -1, 0, 1, 2, 5):
+                    va = vb + gap
+                    if va < 0:
+                        continue
+                    a, b = unit() * p**va, unit() * p**vb
+                    for x in ((a, b), (a, 0), (0, b)):
+                        want = self.two_ladders(p, *x)
+                        assert _twice_val(p, x) == want, (p, bits, va, vb, x == (a, b))
+                    assert _twice_val(p, (a, b)) == (2 * va if gap <= 0 else 2 * vb + 1)
+
+    @given(st.integers(), st.integers(), st.integers(0, 60), st.integers(0, 60),
+           st.sampled_from((2, 3, 5, 23, 2**31 - 1)))
+    def test_matches_two_ladders(self, a, b, i, j, p):
+        a, b = a * p**i, b * p**j
+        if a or b:
+            assert _twice_val(p, (a, b)) == self.two_ladders(p, a, b)
+
+
 @given(
     st.integers(min_value=-(2**300), max_value=2**300),
     st.integers(min_value=1, max_value=2**300),

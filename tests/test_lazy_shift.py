@@ -168,9 +168,12 @@ def sweep_models(p: int = 23, n: int = 5) -> list:
 
 
 def prefix_lengths(models, epsilon, spy_shifts) -> list:
-    """(center, deg F.num + 1, coefficients of F.num computed, deg F.den + 1,
-    coefficients of F.den computed) for each ball, after certification,
-    which starts one shift of each about every center."""
+    """(center, deg F.num + 1, passes run on F.num, deg F.den + 1, passes
+    run on F.den) for each ball, after certification, which starts one
+    shift of each about every center.  A pass makes one coefficient
+    final, so the passes run are the final coefficients less those final
+    when the shift was built: all of them about 0, where P is its own
+    shift, none about any other center."""
     plan = plan_gluing(models, epsilon)
     F = build_F(models, plan)
     started = spy_shifts()
@@ -180,23 +183,24 @@ def prefix_lengths(models, epsilon, spy_shifts) -> list:
         a = m.domain.center
         for P in (F.num, F.den):
             assert [b for Q, b in started if Q is P and b == a] == [a]
-        num, den = _shifted(F.num, a), _shifted(F.den, a)
-        out.append((str(a), len(F.num.coeffs), num._done, len(F.den.coeffs), den._done))
+        num, den = (_shifted(P, a)._done - _Prefix(P, a)._done for P in (F.num, F.den))
+        out.append((str(a), len(F.num.coeffs), num, len(F.den.coeffs), den))
     return out
 
 
 class TestPrefixLengths:
-    """The number of shifted coefficients certification computes per shift
-    of F, pinned: shifting every coefficient again fails these."""
+    """The number of passes certification runs per shift of F, pinned:
+    shifting every coefficient again, or shifting about 0, fails these."""
 
     def test_ex2(self, spy_shifts):
-        # deg F = (15, 21): of 16 and 22 coefficients, 2, 9 and 7 of each
+        # deg F = (15, 21): of 16 and 22 coefficients, no pass about 0,
+        # where F is its own shift, and 9 and 7 of each about 3 and 6
         assert prefix_lengths(ex2_models(), EX2_EPSILON, spy_shifts) == [
-            ("0", 16, 2, 22, 2), ("3", 16, 9, 22, 9), ("6", 16, 7, 22, 7),
+            ("0", 16, 0, 22, 0), ("3", 16, 9, 22, 9), ("6", 16, 7, 22, 7),
         ]
 
     def test_sweep_shaped_glue(self, spy_shifts):
-        # deg F = (21, 25): of 22 and 26 coefficients, 6 of each
+        # deg F = (21, 25): of 22 and 26 coefficients, 6 passes on each
         assert prefix_lengths(sweep_models(), Radius(2), spy_shifts) == [
             (a, 22, 6, 26, 6) for a in ("1", "22", "4", "16", "19")
         ]

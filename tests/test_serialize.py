@@ -55,6 +55,7 @@ from padicglue.serialize import (
     kelement_to_json,
     orbit_to_json,
     parse_point,
+    parse_rational,
     plan_from_json,
     plan_to_json,
     poly_from_json,
@@ -108,6 +109,24 @@ class TestScalars:
     def test_valexp_forms(self):
         assert valexp_to_json(ValExp(Fraction(7, 2))) == {"exp": "7/2"}
         assert valexp_to_json(ValExp(None)) == {"exp": "inf"}
+
+    @pytest.mark.parametrize(
+        "text",
+        ["-3/4", "12", "-0/5", "6/4", "007", "-0", "+1", " 1", "1 ", "1_0", "1e3", "1.5", "1/0",
+         "0/0", "3/-4", "-3/-4", "--1", "-", "", "/2", "2/", "1/2/3", "\u0663", "\u00b2",
+         "1" * 4000, "9" * 5000, "1/" + "7" * 5000],
+        ids=lambda text: repr(text) if len(text) < 20 else f"{len(text)}-chars",
+    )
+    def test_rationals_read_as_fraction_reads_them(self, text):
+        # the writer's forms take a shortcut past Fraction; every string,
+        # in that form or not, gets Fraction's value or a parse error
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(SpecFormatError, match="t: bad rational"):
+                parse_rational(text, "t")
+        else:
+            assert parse_rational(text, "t") == want
 
     def test_bad_rational_named(self):
         with pytest.raises(SpecFormatError, match="t.a: bad rational"):

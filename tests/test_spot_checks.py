@@ -1,13 +1,14 @@
 """The certifier's integer spot-check predicates against their meaning.
 
-`gluing._spot_check` decides a sample on doubled integer exponents, and
+`gluing._spot_checks` decides a sample on doubled integer exponents, and
 `field._twice_val_at_least` decides image membership by divisibility.
 Both are checked here against the formulation in K: the valuation of
 F(z) - f_i(z) and of F(z) minus the image center, computed with KElement
 arithmetic, compared as ValExps with the bound, epsilon and
 `Ball._within`.  Inputs are seeded Z[sqrt p] pairs whose valuations sit
-near each threshold, so an off-by-one in a rounding or in the open-ball
-rule changes some verdict.
+near each threshold, planted as the values of seeded rational maps at a
+seeded point, so an off-by-one in a rounding, in the open-ball rule or in
+the scaling of an evaluation changes some verdict.
 """
 
 import random
@@ -15,9 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from padicglue import Ball, KElement, ValExp
+from conftest import spy
+from padicglue import Ball, KElement, Poly, RationalMap, ValExp, gluing
 from padicglue.field import _quotient, _twice_val, _twice_val_at_least
-from padicglue.gluing import _spot_check, _twice_thresholds
+from padicglue.gluing import _spot_checks, _twice_thresholds
 
 SEED = 20261019
 CASES = 400
@@ -44,6 +46,30 @@ def pair(rng, p: int, nonzero: bool = False) -> tuple:
             return a, b
 
 
+def point(rng, p: int) -> KElement:
+    """An integer, a fraction whose denominator may hold p, or a point with
+    a sqrt p part, so that evaluation meets w = 1, w > 1 and v != 0."""
+    kind = rng.randrange(3)
+    a = Fraction(rng.randrange(-30, 31), 1 if kind == 0 else rng.choice((1, p, 7, 3 * p)))
+    return KElement(p, a, Fraction(rng.randrange(1, 9), rng.choice((1, p, 5))) if kind == 2 else 0)
+
+
+def map_through(rng, p: int, z: KElement, num: tuple, den: tuple) -> RationalMap:
+    """A rational map whose value at z is num/den: N = num + (z - z0) g and
+    Q = den + (z - z0) h for seeded polynomials g and h of degree up to 2,
+    either of them possibly 0, so that deg N and deg Q vary both ways."""
+    X = Poly(p, (-z, 1))
+
+    def tail() -> Poly:
+        if rng.random() < 0.25:
+            return Poly.zero(p)
+        degree = rng.randrange(3)
+        return Poly(p, [element(p, pair(rng, p), rng.choice((1, p))) for _ in range(degree + 1)])
+
+    N = Poly.constant(p, element(p, num)) + X * tail()
+    return RationalMap(N, Poly.constant(p, element(p, den)) + X * tail())
+
+
 def near(rng, e: ValExp) -> Fraction:
     # a radius exponent at, just above or just below e, or far below it
     base = Fraction(0) if e.is_infinite else e.exp
@@ -67,7 +93,8 @@ def test_membership_by_divisibility_is_a_valuation_test(p):
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 @pytest.mark.parametrize("closed", (True, False))
-def test_spot_check_agrees_with_the_k_formulation(p, closed):
+def test_spot_check_agrees_with_the_k_formulation(p, closed, monkeypatch):
+    tests = spy(monkeypatch, gluing, "_twice_val_at_least")
     rng = random.Random(f"{SEED}/spot/{p}/{closed}")
     seen = set()
     for index in range(CASES):
@@ -93,12 +120,16 @@ def test_spot_check_agrees_with_the_k_formulation(p, closed):
 
         expected = w >= bound and w > epsilon and image._within(d)
         thresholds = _twice_thresholds(bound, epsilon, image, cw)
-        tw, ok = _spot_check(p, nF, qF, nf, qf, (cu, cv, cw), *thresholds)
-        assert tw == (float("inf") if w.is_infinite else 2 * w.exp)
-        assert ok == expected, (nF, qF, nf, qf, (cu, cv, cw), bound, epsilon, image)
+        z = point(rng, p)
+        F, f = map_through(rng, p, z, nF, qF), map_through(rng, p, z, nf, qf)
+        [(at, tw)], ok = _spot_checks(F, f, [z], (cu, cv, cw), *thresholds)
+        assert at is z and tw == w
+        assert ok == expected, (F, f, z, (cu, cv, cw), bound, epsilon, image)
         witness_ok = w >= bound and w > epsilon
-        R = thresholds[2] + _twice_val(p, qF)
-        seen.add((witness_ok, expected, w.is_infinite, bound.is_infinite, d.is_infinite, R <= 0))
+        # the image test's R = r0 + 2 v(qF), when it ran
+        R = tests.pop()[0][-1] if tests else None
+        R_decides = R is not None and R <= 0
+        seen.add((witness_ok, expected, w.is_infinite, bound.is_infinite, d.is_infinite, R_decides))
     # every case the predicates single out was drawn: a witness failing, and
     # one passing with F(z) inside and outside the image; an infinite
     # witness, bound and center distance; and R <= 0 deciding a pass

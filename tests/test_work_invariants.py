@@ -8,7 +8,8 @@ iterate that the real embeddings prove tall is rounded from residues at
 the modulus its own valuations set, the exact tier reduces only the
 point it keeps, Hensel's convergence test after the seed runs on
 residues, `build_F` multiplies, adds and divides
-polynomials in integers, not in K, and certification and a local model
+polynomials in integers, not in K, certifying ex2 climbs a pinned number
+of `_int_val` ladders, and certification and a local model
 scan for poles once per question, with no pole check asked first,
 certification checks a prime only where a value enters K and reads
 each shifted valuation once, and
@@ -45,20 +46,45 @@ def test_certify_evaluates_each_map_once_per_sample(problem, monkeypatch):
     models, epsilon = problem()
     plan = plan_gluing(models, epsilon)
     F = build_F(models, plan)
-    calls = spy(monkeypatch, gluing, "_values")
+    calls = spy(monkeypatch, gluing, "_horner")
     cert = certify_theorem1(F, models, plan, samples=SAMPLES)
     assert cert.passes
     pole_free = sum(check.pole_free_ok for check in cert.checks)
     assert pole_free == len(models)
-    assert len(calls) == 2 * pole_free * SAMPLES
-    # F, then f_i, both at the sample's point
+    assert len(calls) == 4 * pole_free * SAMPLES
+    # F's numerator and denominator, then f_i's, all at the sample's point
     expected = [
-        (f, field._point(F.p, z))
+        (P, *field._point(F.p, z), False)
         for m, check in zip(models, cert.checks)
         for z, _ in check.witnesses
-        for f in (F, m.f)
+        for P in (F.num, F.den, m.f.num, m.f.den)
     ]
-    assert [(f, point) for (f, point, _), _ in calls] == expected
+    assert [args for args, _ in calls] == expected
+
+
+def test_certify_reads_valuations_with_one_ladder_per_pair(monkeypatch):
+    # ex2 at 100 samples per ball: every map once per sample, and
+    # `_twice_val` calls `_int_val` once for a pair with a zero coordinate;
+    # a pair of two nonzero coordinates is read off residues unless both
+    # are multiples of q^2, for the one-digit power q of 3, and then takes
+    # one ladder for v(b) and, where v(a) wins, one on a short remainder.
+    # 1,713 calls when each nonzero coordinate had its own `_int_val` and
+    # the shifts about 0 read their valuations again
+    models = ex2_models()
+    plan = plan_gluing(models, EX2_EPSILON)
+    F = build_F(models, plan)
+    evaluated = spy(monkeypatch, gluing, "_horner")
+    ladders, int_val = [], field._int_val
+
+    def ladder(n, p):
+        ladders.append(n)
+        return int_val(n, p)
+
+    for module in (field, algebra, gluing):
+        monkeypatch.setattr(module, "_int_val", ladder)
+    assert certify_theorem1(F, models, plan, samples=SAMPLES).passes
+    assert len(evaluated) == 4 * len(models) * SAMPLES
+    assert len(ladders) == 415
 
 
 @pytest.mark.parametrize(
@@ -93,13 +119,15 @@ def test_certify_validates_only_values_entering_k(problem, checks, monkeypatch):
     assert len(checked) == checks
 
 
-@pytest.mark.parametrize("problem, reads", ((ex1, 10), (lambda: (ex2_models(), EX2_EPSILON), 15)),
+@pytest.mark.parametrize("problem, reads", ((ex1, 7), (lambda: (ex2_models(), EX2_EPSILON), 12)),
                          ids=("ex1", "ex2"))
 def test_certify_reads_each_shifted_valuation_once(problem, reads, monkeypatch):
     # a shift keeps each doubled valuation it has read, so the pole scans
     # that `image_of_ball` and `sup_norm_exp_on_ball` repeat on a ball read
-    # kept values: `algebra._v2` runs once per shift, for v(a), and once
-    # per coefficient read (16 and 24 when every read recomputed it)
+    # kept values: `algebra._v2` runs once per shift about a != 0, for
+    # v(a), and once per coefficient read there (16 and 24 when every read
+    # recomputed it); a shift about 0 starts with every valuation its
+    # Poly keeps, and reads none (10 and 15 when it read them)
     models, epsilon = problem()
     plan = plan_gluing(models, epsilon)
     F = build_F(models, plan)
