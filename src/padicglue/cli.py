@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import cache
 
 from .dynamics import multiplier, orbit, verify_census
 from .errors import (
@@ -324,7 +325,10 @@ def cmd_example(args) -> int:
     return _example_ex2(args)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was, so
+    # repeated in-process calls of main share it
     parser = argparse.ArgumentParser(
         prog="padicglue",
         description="Glue local maps on disjoint balls into one rational map, exactly.",
@@ -356,7 +360,14 @@ def main(argv=None) -> int:
     e.add_argument("--samples", type=int, default=8)
     e.set_defaults(func=cmd_example)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit code; argparse exits 2 itself on a bad flag.  It may be called
+    any number of times in one process."""
+    args = _parser().parse_args(argv)
     try:
         for flag, limit in (("samples", SAMPLES_LIMIT), ("steps", STEPS_LIMIT)):
             if hasattr(args, flag):

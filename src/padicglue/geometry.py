@@ -287,9 +287,9 @@ def sample_points(ball: Ball, budget: int) -> list:
     coordinate for integral j and to its sqrt p coordinate otherwise.
     With that coordinate n/d, the point's coordinate is (n + u p^k d)/d
     for k >= 0 and (n p^-k + u d)/(d p^-k) for k < 0, so a shell steps one
-    integer numerator, and each point is one Fraction of two integers and
-    one trusted `KElement._of`, with no Fraction addition and no prime
-    check.
+    integer numerator, and each point is one Fraction of two integers (of
+    one, with no gcd, where d = 1) and one trusted `KElement._of`, with no
+    Fraction addition and no prime check.
     """
     if budget < 1:
         return []
@@ -306,7 +306,7 @@ def sample_points(ball: Ball, budget: int) -> list:
             n, d, step = n * p**-k, d * p**-k, d
         for _ in range(min(p - 1, budget - len(pts))):
             n += step
-            y = Fraction(n, d)
+            y = Fraction(n, d) if d != 1 else Fraction(n)
             pts.append(KElement._of(p, c.a, y) if odd else KElement._of(p, y, c.b))
         t += 2
     return pts

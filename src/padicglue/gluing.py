@@ -252,10 +252,10 @@ def _check_plan(models, plan: GluingPlan) -> None:
         if not isinstance(M, int) or isinstance(M, bool) or M < m_min:
             raise HypothesisViolation(
                 f"ball {i}: M = {_show(M)} fails the strict tau bound;"
-                f" M must be an integer >= the minimal value {m_min}"
+                f" M must be an integer >= the minimal value {_show(m_min)}"
             )
         if M > M_LIMIT:
-            raise LimitExceeded(f"ball {i}: M = {M} is above the limit of {M_LIMIT}")
+            raise LimitExceeded(f"ball {i}: M = {_show(M)} is above the limit of {M_LIMIT}")
 
 
 def plan_gluing(

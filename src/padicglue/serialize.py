@@ -11,8 +11,11 @@ exponents).  Every diagnostic names the offending entry.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .algebra import Poly, RationalMap
@@ -27,7 +30,7 @@ from .dynamics import (
     validate_census,
 )
 from .errors import LimitExceeded, SpecFormatError, _show
-from .field import KElement, ValExp, _rational_str, is_prime
+from .field import KElement, ValExp, _check_prime, _rational_str, is_prime
 from .geometry import Ball
 from .gluing import BallCheck, Certificate, GluingPlan, LocalModel
 
@@ -78,7 +81,10 @@ def parse_rational(s, where: str) -> Fraction:
 
     The forms the writer emits, -?digits and -?digits/digits, are read
     with int; every other string goes to Fraction, which accepts more
-    (a sign, spaces, underscores, decimals) and says what it refuses."""
+    (a sign, spaces, underscores, decimals) and says what it refuses.
+    int refuses more than sys.get_int_max_str_digits() digits, and a
+    decimal or exponent form whose value needs more (`_check_decimal`) is
+    refused before Fraction builds it."""
     if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
@@ -87,9 +93,36 @@ def parse_rational(s, where: str) -> Fraction:
         num, slash, den = s.partition("/")
         if s.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        _check_decimal(s, where)
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFormatError(f"{where}: bad rational {_show(s)}") from exc
+
+
+# a decimal as Fraction reads it: digits, an optional fraction part and an
+# optional exponent, with underscores; it matches more than Fraction reads,
+# and Fraction refuses the rest
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
+
+
+def _check_decimal(s: str, where: str) -> None:
+    # Fraction reads a decimal w.f e x as the integer wf times 10^k, with
+    # k = x - len(f), and builds the power of ten in full before it reduces:
+    # '1e10000000' took 9 s.  Refuse a value that needs more digits than int
+    # reads, as numerator wf 10^max(k, 0) or as denominator 10^max(-k, 0);
+    # a bad exponent raises ValueError, as in Fraction
+    m = _DECIMAL.fullmatch(s)
+    limit = sys.get_int_max_str_digits()
+    if m is None or not limit:
+        return
+    whole, part, exp = m.groups()
+    if part is exp is None:
+        return  # an integer: int refuses it past the limit
+    frac = len((part or "").replace("_", ""))
+    n = len(whole.replace("_", "")) + frac
+    k = int(exp or 0) - frac
+    if max(n + k, n, 1 - k) > limit:
+        raise LimitExceeded(f"{where}: {_show(s)} is above the limit of {limit} digits")
 
 
 def check_count(n: int, limit: int, where: str) -> int:
@@ -132,14 +165,21 @@ def _list_from_json(x, where: str) -> list:
     return x
 
 
-def _fields(obj, where: str, required, optional=()) -> dict:
+@cache
+def _key_sets(required: tuple, optional: tuple) -> tuple:
+    # (the required keys, every known key) of one kind of object
+    return frozenset(required), frozenset(required + optional)
+
+
+def _fields(obj, where: str, required: tuple, optional: tuple = ()) -> dict:
     # every JSON object: all required keys present, no key outside the known set
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected an object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise SpecFormatError(f"{where}: unknown key {_show(unknown[0])}")
-    if not all(k in obj for k in required):
+    needed, known = _key_sets(required, optional)
+    keys = obj.keys()
+    if not keys <= known:
+        raise SpecFormatError(f"{where}: unknown key {_show(sorted(keys - known)[0])}")
+    if not keys >= needed:
         *rest, last = required
         names = f"{', '.join(rest)}, or {last}" if len(rest) > 1 else " or ".join(required)
         raise SpecFormatError(f"{where}: missing {names}")
@@ -170,15 +210,19 @@ def kelement_to_json(x: KElement) -> dict:
 
 
 def kelement_from_json(obj, p: int, where: str, rational_only: bool = False) -> KElement:
+    # parse_rational returns Fractions, so the element is built as they are,
+    # after the same prime check as KElement's, in the same order of errors
     if isinstance(obj, (str, int)):
         # plain rational shorthand
-        return KElement(p, parse_rational(obj, where))
-    obj = _fields(obj, where, ("a",), ("b",))
-    a = parse_rational(obj["a"], f"{where}.a")
-    b = parse_rational(obj.get("b", "0"), f"{where}.b")
-    if rational_only and b:
-        raise SpecFormatError(f"{where}: must be rational (no sqrt part), got b = {_show(b)}")
-    return KElement(p, a, b)
+        a, b = parse_rational(obj, where), Fraction(0)
+    else:
+        obj = _fields(obj, where, ("a",), ("b",))
+        a = parse_rational(obj["a"], f"{where}.a")
+        b = parse_rational(obj.get("b", "0"), f"{where}.b")
+        if rational_only and b:
+            raise SpecFormatError(f"{where}: must be rational (no sqrt part), got b = {_show(b)}")
+    _check_prime(p)
+    return KElement._of(p, a, b)
 
 
 def parse_point(text: str, p: int) -> KElement:
@@ -274,7 +318,7 @@ def _to_json(x):
 
 def _record_from_json(cls, obj, where: str, readers: dict):
     # exactly the keys of readers; readers[key](value, where) reads each
-    obj = _fields(obj, where, readers)
+    obj = _fields(obj, where, tuple(readers))
     return cls(**{k: read(obj[k], f"{where}.{k}") for k, read in readers.items()})
 
 

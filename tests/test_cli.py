@@ -20,6 +20,7 @@ from padicglue import (
     certify_theorem1, epsilon_for_census, hensel_fixed_point, orbit, plan_gluing,
     uniformizer_power,
 )
+from padicglue import cli
 from padicglue.cli import main
 from padicglue.gluing import M_LIMIT, GluingPlan, _glued_sum
 from padicglue.presets import (
@@ -1073,3 +1074,39 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(["example", "--name", "ex9"])
         assert exc.value.code == 2
+
+
+class TestParserCache:
+    """main builds its parser once per process; a call made with the cached
+    parser exits and prints exactly as one made with a new parser."""
+
+    @staticmethod
+    def _run(argv, capsys) -> tuple:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit on a bad flag
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_cached_parser_changes_no_output(self, ex2_paths, capsys):
+        problem, result = ex2_paths
+        calls = [
+            ["verify", "--input", str(result)],
+            ["example", "--name", "ex9"],
+            ["glue", "--input", str(problem), "--samples", "-3"],
+            ["verify", "--input", str(result)],
+        ]
+        cli._parser.cache_clear()
+        cached = [self._run(argv, capsys) for argv in calls]
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 2, 2, 0]
+        assert "invalid choice: 'ex9'" in cached[1][2]
+        assert cached[2][2] == "parse error: --samples: must not be negative, got -3\n"
+        assert cached[0] == cached[3]

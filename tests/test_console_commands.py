@@ -9,7 +9,8 @@ import hashlib
 import os
 import sys
 
-from console_commands import COMMANDS, run
+from console_commands import COMMANDS, make_problems, run
+from padicglue import cli
 
 
 def test_ci_console_commands_pass(tmp_path, monkeypatch):
@@ -37,3 +38,26 @@ def test_runner_reports_every_stdout_that_drifts(tmp_path):
         f"{' '.join(args)}: stdout sha256 {got}, expected {digest}"
         for args, _, _, digest in COMMANDS
     ]
+
+
+# the glue, verify and orbit entries, less the M_i = 128 pair and the
+# 1,000-sample walks, which take most of the list's time
+IN_PROCESS = [
+    entry for entry in COMMANDS
+    if entry[0][0] in ("glue", "verify", "orbit")
+    and "1000" not in entry[0] and "128" not in " ".join(entry[0])
+]
+
+
+def test_console_commands_repeat_in_one_process(tmp_path, monkeypatch, capsys):
+    # in-process callers such as the benchmark's verify op call cli.main
+    # again and again: each run prints and exits as the first did, whatever
+    # the per-process caches (the parser, shared exponents, valuation
+    # rungs, primality and pretest primes) kept from the runs before it
+    monkeypatch.chdir(tmp_path)
+    make_problems(tmp_path)
+    for _ in range(2):
+        for args, _, code, digest in IN_PROCESS:
+            assert cli.main(args) == code, args
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, args

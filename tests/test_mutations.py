@@ -190,3 +190,64 @@ def test_delta_override_edit_exits_2_promptly(sources, tmp_path, delta):
     )
     assert run.returncode == 2
     assert run.stderr.startswith(f"limit exceeded: delta_override[0]: exponent {delta} is outside")
+
+
+# an epsilon exponent of 4,300 nines sets a least M_i of 4,301 digits,
+# one more than Python prints
+LONG_NINES = "9" * 4300
+
+
+def test_long_epsilon_glue_exits_2_with_a_named_diagnostic(sources, tmp_path, capsys):
+    doc = copy.deepcopy(sources["ex2"])
+    doc["epsilon_exp"] = LONG_NINES
+    path = tmp_path / "epsilon.json"
+    _write(path, doc)
+    assert main(["glue", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "limit exceeded: ball 0: M = <a value too long to print> is above the limit of 256\n"
+    )
+
+
+def test_long_epsilon_verify_exits_3_with_a_named_diagnostic(sources, tmp_path, capsys):
+    doc = copy.deepcopy(sources["result"])
+    doc["epsilon_exp"] = doc["plan"]["epsilon_exp"] = doc["plan"]["tau_exp"] = LONG_NINES
+    path = tmp_path / "epsilon.json"
+    _write(path, doc)
+    assert main(["verify", "--input", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "hypothesis violation: ball 0: M = 7 fails the strict tau bound; M must be an integer"
+        " >= the minimal value <a value too long to print>\n"
+    )
+
+
+# Fraction builds a decimal's power of ten in full: '1e10000000' took 9 s
+# and each further exponent digit about 35 times longer, so a separate
+# process turns a lost digit limit into a timeout
+LONG_DECIMALS = ("1e4301", "1e-4301", "1.5e10000000", "-1E999999999")
+
+
+@pytest.mark.parametrize("text", LONG_DECIMALS)
+@pytest.mark.parametrize("where", ["file", "--alpha", "--beta", "--start"])
+def test_long_decimal_exits_2_promptly(sources, tmp_path, text, where):
+    path = tmp_path / "doc.json"
+    if where == "file":
+        doc = copy.deepcopy(sources["ex2"])
+        doc["epsilon_exp"] = text
+        argv, named = ["glue", "--input", str(path)], "problem.epsilon_exp"
+    elif where == "--start":
+        doc = sources["result"]
+        argv, named = ["orbit", "--input", str(path), f"--start={text}"], "point"
+    else:
+        doc = None
+        values = {"--alpha": "2", "--beta": "1/3", where: text}
+        argv = ["example", "--name", "ex1", *(f"{k}={v}" for k, v in values.items())]
+        named = where
+    if doc is not None:
+        _write(path, doc)
+    run = subprocess.run(
+        [sys.executable, "-m", "padicglue.cli", *argv],
+        capture_output=True, text=True, timeout=CASE_SECONDS,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == 2
+    assert run.stderr == f"limit exceeded: {named}: {text!r} is above the limit of 4300 digits\n"

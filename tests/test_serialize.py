@@ -128,6 +128,55 @@ class TestScalars:
         else:
             assert parse_rational(text, "t") == want
 
+    @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1.5e10000000", "-1E999999999",
+                                      "0e5000", "0.5e-4300", " 1_0e4_301 "])
+    def test_decimal_above_the_digit_limit_is_refused_promptly(self, text):
+        # Fraction would first build 10^k in full: 9 s for '1e10000000'
+        with pytest.raises(LimitExceeded, match="t: .* is above the limit of 4300 digits"):
+            parse_rational(text, "t")
+
+    @pytest.mark.parametrize("text", ["1e4299", "1e-4299", "-2.5e4298", "0.5e-4298", "1_0e1_0"])
+    def test_decimal_within_the_digit_limit_reads_as_fraction(self, text):
+        assert parse_rational(text, "t") == Fraction(text)
+
+    # (obj, p, rational_only) -> KElement(p, a, b), or the exception and
+    # message the reader raised when it built through KElement.__init__: a
+    # bad value is named before a bad prime
+    KELEMENT_TABLE = [
+        ((7, 3, False), (7, 0)),
+        (("-5/3", 3, False), (Fraction(-5, 3), 0)),
+        (({"a": "-7/2"}, 3, False), (Fraction(-7, 2), 0)),
+        (({"a": "1", "b": "1/3"}, 3, False), (1, Fraction(1, 3))),
+        (({"a": 2, "b": -4}, 2, False), (2, -4)),
+        (({"a": "1", "c": "2"}, 3, False), (SpecFormatError, "t: unknown key 'c'")),
+        (({"b": "1"}, 3, False), (SpecFormatError, "t: missing a")),
+        ((["1"], 3, False), (SpecFormatError, "t: expected an object")),
+        (({"a": "0", "b": "1"}, 3, True),
+         (SpecFormatError, "t: must be rational (no sqrt part), got b = 1")),
+        (({"a": "2"}, 3, True), (2, 0)),
+        (({"a": "1", "b": None}, 3, False),
+         (SpecFormatError, "t.b: expected an exact rational string, got None")),
+        (({"a": "x"}, 4, False), (SpecFormatError, "t.a: bad rational 'x'")),
+        (("x", 4, False), (SpecFormatError, "t: bad rational 'x'")),
+        (({"a": "1", "z": 1}, 4, False), (SpecFormatError, "t: unknown key 'z'")),
+        (({"a": "1"}, 4, False), (ValueError, "p must be a prime integer, got 4")),
+        ((1, 4, False), (ValueError, "p must be a prime integer, got 4")),
+        (({"a": "1/2", "b": "3"}, 2**31 - 1, False), (Fraction(1, 2), 3)),
+    ]
+
+    @pytest.mark.parametrize("given, want", KELEMENT_TABLE,
+                             ids=[repr(given) for given, _ in KELEMENT_TABLE])
+    def test_kelement_reader_table(self, given, want):
+        obj, p, rational_only = given
+        if isinstance(want[0], type):
+            with pytest.raises(want[0]) as exc:
+                kelement_from_json(obj, p, "t", rational_only=rational_only)
+            assert type(exc.value) is want[0] and str(exc.value) == want[1]
+        else:
+            x = kelement_from_json(obj, p, "t", rational_only=rational_only)
+            assert x == KElement(p, *want)
+            assert type(x.a) is Fraction and type(x.b) is Fraction
+
     def test_bad_rational_named(self):
         with pytest.raises(SpecFormatError, match="t.a: bad rational"):
             kelement_from_json({"a": "x"}, 3, "t")

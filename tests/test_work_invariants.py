@@ -19,6 +19,7 @@ census, and in the other tests that take the `spy_shifts` fixture.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,13 +28,14 @@ from padicglue import (
     Ball, FieldConfig, LocalModel, Poly, Radius, RationalMap, algebra, build_F, certify_theorem1,
     dynamics, field, geometry, gluing, hensel_fixed_point, orbit, plan_gluing, verify_census,
 )
-from padicglue import cli
+from padicglue import cli, serialize
 from padicglue.presets import (
     EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_census, ex2_models,
 )
 from test_hensel_differential import fixed_point_instance
 
 SAMPLES = 100
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
 
 def ex1():
@@ -225,6 +227,27 @@ def test_build_F_reads_no_coefficient_as_a_k_element(monkeypatch):
     elements = spy(monkeypatch, algebra, "_element")
     build_F(models, plan)
     assert len(elements) == 3
+
+
+def test_reading_a_result_builds_each_k_value_once(tmp_path, monkeypatch):
+    # the JSON reader builds each element of the glued ex2 result from the
+    # Fractions it parsed, through the trusted constructor; what is left
+    # are the 16 coefficient views `algebra._element` builds for the
+    # models' images and the one leading coefficient F's RationalMap
+    # divides by (104 when the reader ran KElement.__init__ on every
+    # element)
+    path = tmp_path / "ex2.result.json"
+    assert cli.main(["glue", "--input", str(PRESETS / "ex2.json"), "--output", str(path)]) == 0
+    doc = serialize.read_json(path)
+    built, init = [], field.KElement.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(field.KElement, "__init__", counted)
+    serialize.result_from_json(doc)
+    assert len(built) == 17
 
 
 def test_shared_pole_euclid_divides_in_integers(monkeypatch):
