@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import inf
+from typing import NamedTuple
 
 from .algebra import Poly, RationalMap, _horner
 from .errors import (
@@ -36,6 +37,7 @@ __all__ = [
     "LocalModel",
     "M_LIMIT",
     "RADIUS_LIMIT",
+    "Sample",
     "build_F",
     "build_h",
     "certify_theorem1",
@@ -109,6 +111,13 @@ class GluingPlan:
     M: tuple
     tau: ValExp
     epsilon: ValExp
+
+
+class Sample(NamedTuple):
+    """A spot check's witness on ball i: a point z and v(F(z) - f_i(z))."""
+
+    point: KElement
+    diff_exp: ValExp
 
 
 @dataclass(frozen=True)
@@ -348,22 +357,11 @@ def build_F(models, plan: GluingPlan) -> RationalMap:
     return _glued_sum(models, plan, 0)
 
 
-def _twice_thresholds(bound: ValExp, epsilon: ValExp, image: Ball, cw: int) -> tuple:
-    """One ball's spot-check thresholds as doubled integers (b2, e2, r0):
-    a witness w passes when 2w >= b2 and 2w > e2, since a pointwise value
-    can never beat the certified sup bound and must itself clear epsilon;
-    and F(z) = n/q lies in the image with center (cu + cv sqrt p)/cw
-    exactly when 2 v(n cw - (cu + cv sqrt p) q) >= r0 + 2 v(q).  The +1 of
-    an open image turns its strict radius test into the same >=."""
-    r0 = image.radius.t + 2 * _int_val(cw, image.p) + (0 if image.closed else 1)
-    return bound.t, epsilon.t, r0
-
-
-def _spot_checks(F: RationalMap, f: RationalMap, points, center: tuple, b2, e2, r0) -> tuple:
-    """(witnesses, ok) for one ball's sample points: a witness (z, e) per
+def _spot_checks(F, f, points, image: Ball, bound: ValExp, epsilon: ValExp) -> tuple:
+    """(witnesses, ok) for one ball's sample points: a `Sample` (z, e) per
     point z, e = v(F(z) - f(z)) as one shared ValExp per exponent
-    (`field._shared_exp`), and whether every sample clears the thresholds
-    and lands in the image (see _twice_thresholds).
+    (`field._shared_exp`), and whether every sample clears the certified
+    bound and epsilon and lands in the image.
 
     One integer pass per sample builds no K element: z's `_point` triple
     (u, v, w) feeds one `_horner` per polynomial, P(z) = h/(D w^deg P) for
@@ -371,13 +369,19 @@ def _spot_checks(F: RationalMap, f: RationalMap, points, center: tuple, b2, e2, 
     w^(m - n) and qF = hQ D_N for deg N = n <= deg Q = m (w^(n - m) goes
     to qF when n > m), and f(z) = nf/qf likewise.  The doubled witness
     2 v(nF qf - nf qF) - 2 v(qF) - 2 v(qf), math.inf for equal values, is
-    compared with the thresholds and wrapped unchanged.  The image test
-    (`field._twice_val_at_least`) is divisibility, not a valuation, and
-    runs only while every sample has passed, as it cannot change the
+    wrapped unchanged; it passes when at least twice the bound, which no
+    pointwise value beats, and above twice epsilon.  F(z) lies in the
+    image of radius exponent rho about (cu + cv sqrt p)/cw exactly when
+    2 v(nF cw - (cu + cv sqrt p) qF) >= r0 + 2 v(qF), r0 = 2 rho + 2 v(cw),
+    plus 1 for an open image to make its strict test the same >=.  That
+    test (`field._twice_val_at_least`) is divisibility, not a valuation,
+    and runs only while every sample has passed, as it cannot change the
     verdict otherwise.
     """
     p = F.p
     (N, Q), (n, q) = (F.num, F.den), (f.num, f.den)
+    center = _point(p, image.center)
+    r0 = image.radius.t + 2 * _int_val(center[2], p) + (0 if image.closed else 1)
     witnesses, ok = [], True
     for z in points:
         u, v, w = _point(p, z)
@@ -395,10 +399,10 @@ def _spot_checks(F: RationalMap, f: RationalMap, points, center: tuple, b2, e2, 
         xb = Na * qb + Nb * qa - na * Qb - nb * Qa
         tQ = _twice_val(p, (Qa, Qb))
         tw = _twice_val(p, (xa, xb)) - tQ - _twice_val(p, (qa, qb)) if xa or xb else inf
-        ok = ok and tw >= b2 and tw > e2 and _twice_val_at_least(
+        ok = ok and tw >= bound.t and tw > epsilon.t and _twice_val_at_least(
             p, (Na, Nb), (Qa, Qb), center, r0 + tQ
         )
-        witnesses.append((z, _shared_exp(tw)))
+        witnesses.append(Sample(z, _shared_exp(tw)))
     return witnesses, ok
 
 
@@ -427,9 +431,8 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     B_i, so its norm on B_i equals its absolute value at a_i and cancels.
 
     (d) is `_spot_checks` at `sample_points(B_i, samples)`, decided on
-    integers against thresholds made once per ball (`_twice_thresholds`).
+    integers; a ball's witnesses are its `Sample`s, one per point.
     """
-    p = F.p
     checks = []
     for i, m in enumerate(models):
         B = m.domain
@@ -439,11 +442,9 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
             checks.append(BallCheck(index=i, pole_free_ok=False))
             continue
         bound = sup_norm_exp_on_ball(F, B, minus=m.f)
-        center = _point(p, img.center)
-        b2, e2, r0 = _twice_thresholds(bound, plan.epsilon, img, center[2])
         # F and f_i are pole-free on B, so neither qF nor qf is (0, 0)
         witnesses, samples_ok = _spot_checks(
-            F, m.f, sample_points(B, samples), center, b2, e2, r0
+            F, m.f, sample_points(B, samples), img, bound, plan.epsilon
         )
         checks.append(
             BallCheck(

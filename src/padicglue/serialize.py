@@ -30,9 +30,9 @@ from .dynamics import (
     validate_census,
 )
 from .errors import LimitExceeded, SpecFormatError, _show
-from .field import KElement, ValExp, _check_prime, _rational_str, is_prime
+from .field import KElement, ValExp, _check_prime, _rational_str, _shared_exp, is_prime
 from .geometry import Ball
-from .gluing import BallCheck, Certificate, GluingPlan, LocalModel
+from .gluing import BallCheck, Certificate, GluingPlan, LocalModel, Sample
 
 __all__ = [
     "ball_from_json",
@@ -136,13 +136,13 @@ def check_count(n: int, limit: int, where: str) -> int:
 
 
 def _exp_from_json(s, where: str, integral: bool = False) -> ValExp:
-    # a finite exponent e of p^(-e); integral=True narrows (1/2)Z to Z
+    # a finite exponent e of p^(-e), built once from 2e; integral=True narrows (1/2)Z to Z
     e = parse_rational(s, where)
     if integral and e.denominator != 1:
         raise SpecFormatError(f"{where}: must be an integer, got {_show(e)}")
     if e.denominator not in (1, 2):
         raise SpecFormatError(f"{where}: valuation exponent must lie in (1/2)Z, got {_show(e)}")
-    return ValExp(e)
+    return _shared_exp(2 * e.numerator // e.denominator)
 
 
 def _int_from_json(x, where: str) -> int:
@@ -201,7 +201,7 @@ def valexp_to_json(v: ValExp) -> dict:
 def valexp_from_json(obj, where: str) -> ValExp:
     obj = _fields(obj, where, ("exp",))
     if obj["exp"] == "inf":
-        return ValExp(None)
+        return ValExp.infinite()
     return _exp_from_json(obj["exp"], where)
 
 
@@ -289,21 +289,20 @@ def ratmap_from_json(obj, p: int, where: str) -> RationalMap:
 
 # -- records ------------------------------------------------------------------
 #
-# A record is a dataclass whose JSON object has one key per field, under the
-# field's name: a certificate ball, a census and its witnesses, a census
-# report and its rows, an orbit step.  Its dataclass is the one list of its
-# fields; the writer walks them, and each reader table maps the same names,
-# in the order the "missing ..." diagnostic lists them, to their readers.
+# A record is a dataclass or `Sample` whose JSON object has one key per field,
+# under the field's name: a certificate ball and its samples, a census and
+# its witnesses, a census report and its rows, an orbit step.  Its class
+# lists its fields; the writer walks them, and each reader table maps the
+# same names to readers, in the order the "missing ..." diagnostic lists.
 
 
 def _to_json(x):
     """x by type: a field element, exponent or ball through its writer, a
-    certificate's (point, diff_exp) sample witness as {point, diff_exp}, a
     record as one key per field, any other tuple or list as a list, and
     None, bool, int and str as they are."""
+    if isinstance(x, Sample):
+        return {k: _to_json(v) for k, v in zip(Sample._fields, x)}
     if isinstance(x, (tuple, list)):
-        if len(x) == 2 and isinstance(x[0], KElement) and isinstance(x[1], ValExp):
-            return {"point": kelement_to_json(x[0]), "diff_exp": valexp_to_json(x[1])}
         return [_to_json(v) for v in x]
     if isinstance(x, KElement):
         return kelement_to_json(x)
@@ -382,7 +381,6 @@ def certificate_from_json(obj, p: int, where: str) -> Certificate:
     # the stored verdict is a claim; verify compares it with its own
     _bool_from_json(obj["passes"], f"{where}.passes")
     deg = _fields(obj["degree"], f"{where}.degree", ("num", "den"))
-    # a sample witness is a (point, diff_exp) pair, not a record
     samples = {"point": lambda x, w: kelement_from_json(x, p, w), "diff_exp": valexp_from_json}
     balls = _records(BallCheck, {
         "index": _int_from_json,
@@ -390,7 +388,7 @@ def certificate_from_json(obj, p: int, where: str) -> Certificate:
         "image_ok": _bool_from_json,
         "image": _maybe(lambda x, w: ball_from_json(x, p, w)),
         "eps_bound_exp": _maybe(valexp_from_json),
-        "witnesses": _records(lambda **pair: tuple(pair.values()), samples),
+        "witnesses": _records(Sample, samples),
         "samples_ok": _bool_from_json,
     })
     return Certificate(

@@ -47,6 +47,7 @@ from padicglue import (
     Poly,
     Radius,
     RationalMap,
+    Sample,
     count_roots_with_min_valuation,
     gauss_norm_exp,
     uniformizer_power,
@@ -262,7 +263,7 @@ def certify_theorem1(F, models, plan, samples=8):
         samples_ok = True
         for z in sample_points(B, samples):
             w = (F.eval(z) - m.f.eval(z)).valuation()
-            witnesses.append((z, w))
+            witnesses.append(Sample(z, w))
             if not (w >= bound and w > eps_exp and contains_point(img, F.eval(z))):
                 samples_ok = False
         checks.append(

@@ -9,11 +9,13 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 import importlib.util
+import os
 import random
 import sys
 
 import pytest
 
+import seeded_faults
 from padicglue import algebra
 from padicglue import (
     Ball,
@@ -130,6 +132,11 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "spy_shifts: counts Taylor shifts; set on every test using that fixture"
     )
+    # a seeded fault named in the environment (see seeded_faults.py) is in
+    # place before any test module is imported
+    fault = os.environ.get(seeded_faults.FAULT_VARIABLE)
+    if fault:
+        seeded_faults.apply(fault)
 
 
 def pytest_collection_modifyitems(items):

@@ -50,6 +50,9 @@ COMMANDS = (
      "db4ab41a10b401fa657df906297522e5614a6c33a66d2d56d6a20e1e520b2dab"),
     (["orbit", "--input", "r.json", "--start", "9", "--steps", "200"], 120, 0,
      "708bd4915bc65159e77767eb5b3277ab7be55cb61e7f7f75924ee53bb4e5e1c3"),
+    # 3 sqrt 3 = a_0 + c_0 is a pole of ex2's F: the table's pole row
+    (["orbit", "--input", "r.json", "--start", "0,3", "--steps", "3"], 60, 0,
+     "cf3a7647ef31c4bbc8a79bacb45836672d5bd473783e5c03d02daf12344fde9a"),
     # ex2 with every M_i = 128, so deg F = 257/384: the only glue of degree
     # above ~100 that any test or step runs
     (["glue", "--input", "ex2-m128.json", "--output", "r128.json"], 300, 0,

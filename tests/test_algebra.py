@@ -36,6 +36,13 @@ class TestPoly:
         assert Poly(3, ()).is_zero
         assert Poly(3, (0,)).is_zero
 
+    def test_str_brackets_sqrt_p_coefficients(self):
+        # the zero polynomial prints 0; a coefficient with a sqrt p part
+        # prints with a space, and is bracketed
+        assert str(Poly.zero(3)) == "0"
+        P = Poly(3, (K3(1, 2), K3(0, -1), K3(2, 1)))
+        assert str(P) == "(1 + 2*sqrt(3)) + -sqrt(3)*z + (2 + sqrt(3))*z^2"
+
     def test_arithmetic_and_call(self):
         P = Z**2 + 2 * Z + 1
         assert RationalMap(P).eval(K3(2)) == K3(9)
@@ -278,6 +285,12 @@ class TestRationalMap:
         g = RationalMap(Z, 2 * Z + 2)
         assert g.den.lead == 1
         assert g.den == Z + 1
+
+    def test_str_and_repr(self):
+        # a polynomial map prints as its numerator
+        f, g = RationalMap(3 * Z, Z + 1), RationalMap(Z**2 + 1)
+        assert (str(f), repr(f)) == ("(3*z) / (1 + z)", "RationalMap((3*z) / (1 + z))")
+        assert (str(g), repr(g)) == ("1 + z^2", "RationalMap(1 + z^2)")
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

@@ -559,6 +559,28 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and where in err
 
+    @pytest.mark.parametrize(
+        "mutate, err",
+        [
+            (_set("certificate", "epsilon_exp", value="1/3"),
+             "result.certificate.epsilon_exp: valuation exponent must lie in (1/2)Z, got 1/3"),
+            (_set("certificate", "balls", 0, "witnesses", 1, "diff_exp", "exp", value="5/4"),
+             "result.certificate.balls[0].witnesses[1].diff_exp:"
+             " valuation exponent must lie in (1/2)Z, got 5/4"),
+            (_set("epsilon_exp", value="7/2"), "result.epsilon_exp: must be an integer, got 7/2"),
+        ],
+        ids=["half-integers", "witness", "integers"],
+    )
+    def test_exponent_diagnostics_exit_2(self, ex2_paths, tmp_path, capsys, mutate, err):
+        # the exponent reader's two refusals, in full: an exponent outside
+        # (1/2)Z, and one that is not an integer where one is required
+        _, result = ex2_paths
+        doc = read_json(result)
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        assert main(["verify", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: {err}\n"
 
     @pytest.mark.parametrize(
         "mutate, where",
@@ -953,6 +975,19 @@ class TestOrbit:
         out = capsys.readouterr().out
         assert "warning: start 1 lies outside every model ball" in out
         assert "k=2" in out
+
+    def test_orbit_stops_at_a_pole(self, ex2_paths, capsys):
+        # 3 sqrt 3 = a_0 + c_0 zeroes the denominator of ball 0's bump
+        # factor, and so of F: the first step prints the pole row and the
+        # orbit ends there, with exit 0
+        _, result = ex2_paths
+        assert main(["orbit", "--input", str(result), "--start", "0,3", "--steps", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "warning: start 3*sqrt(3) lies outside every model ball\n"
+            "orbit from 3*sqrt(3)\n"
+            "  k=0: z = 3*sqrt(3)\n"
+            "  k=1: pole reached, orbit stops\n"
+        )
 
     def test_zero_steps_prints_start_only(self, ex2_paths, capsys):
         _, result = ex2_paths

@@ -19,6 +19,7 @@ from padicglue import (
     FixedPointCensus,
     HenselConditionError,
     KElement,
+    LocalModel,
     Poly,
     PoleInBallError,
     Radius,
@@ -440,6 +441,24 @@ class TestEpsilonForCensus:
         for alpha, expected in ((Fraction(3), 4), (Fraction(1, 3), 3), (Fraction(2), 3)):
             m = ex1_models(alpha, Fraction(1, 3))
             assert epsilon_for_census(m, ex1_census(m)) == Radius(expected)
+
+    def test_raises_epsilon_until_every_M_is_at_least_2(self):
+        # ball 0 holds an indifferent witness; ball 1 = B(1; 3^-5) holds
+        # none, and its map (z - 1)/((z - 1)^2 + 3^5) sends it onto B(0; 1),
+        # so the first candidate, 3^-2, gives the tiny ball M = 1
+        f1 = RationalMap(Z - 1, (Z - 1) ** 2 + 3**5)
+        models = [
+            LocalModel(RationalMap(2 * Z), D(0, 1, closed=True)),
+            LocalModel(f1, D(1, 5, closed=True)),
+        ]
+        census = FixedPointCensus(((0, 0, 1), (0, 0, 0)), (Witness(0, D(0, 1), INDIFFERENT),))
+        assert plan_gluing(models, Radius(2)).M == (5, 1)
+        eps = epsilon_for_census(models, census)
+        plan = plan_gluing(models, eps)
+        assert eps == Radius(3) and plan.M == (7, 2)
+        F = build_F(models, plan)
+        assert certify_theorem1(F, models, plan).passes
+        assert verify_census(F, models, census).passes
 
     def test_suggested_tolerance_certifies_and_counts(self):
         models = ex2_models()

@@ -124,6 +124,10 @@ class TestPlanGluing:
         assert plan.tau == Radius(3)
         assert plan.epsilon == EX2_EPSILON
 
+    def test_no_models_rejected(self):
+        with pytest.raises(HypothesisViolation, match="need at least one local model"):
+            plan_gluing([], Radius(3))
+
     def test_overlapping_balls_rejected(self):
         models = [
             LocalModel(RationalMap(3 * Z), B(0, 2)),
@@ -430,6 +434,17 @@ class TestC3Hypotheses:
         assert check_c3_hypotheses(ex1_models(Fraction(2), beta), 0)
         assert not check_c3_hypotheses(ex1_models(Fraction(3), beta), 0)
         assert not check_c3_hypotheses(ex1_models(Fraction(1, 3), beta), 0)
+
+    @pytest.mark.parametrize("k, ok", [(1, True), (2, False), (3, False)])
+    def test_other_derivatives_must_stay_small(self, k, ok):
+        # f_0 = 2z is indifferent at 0 with |2 - 1| = 1; f_1 = z/3^k has
+        # |f_1'(0)| = 3^k, which must stay below 1/min{t_i} = 3^2, the
+        # inverse of ball 0's image radius
+        models = [
+            LocalModel(RationalMap(2 * Z), B(0, 2)),
+            LocalModel(RationalMap(Z * Fraction(1, 3**k)), B(3, 2)),
+        ]
+        assert check_c3_hypotheses(models, 0) is ok
 
     def test_tangent_to_identity_fails(self):
         f = RationalMap(Z, 3 * Z + 1)

@@ -22,6 +22,7 @@ from padicglue import (
     Poly,
     Radius,
     RationalMap,
+    Sample,
     SpecFormatError,
     OrbitStep,
     ValExp,
@@ -252,6 +253,12 @@ class TestStructuredRoundTrips:
         _, _, _, cert = ex2_result
         back = certificate_from_json(certificate_to_json(cert), 3, "t")
         assert back == cert and back.passes
+        # the certifier makes and the reader rebuilds Sample records, which
+        # the writer writes as {point, diff_exp}
+        for check in cert.checks + back.checks:
+            assert check.witnesses and all(type(w) is Sample for w in check.witnesses)
+        ball = certificate_to_json(cert)["balls"][0]
+        assert all(w.keys() == {"point", "diff_exp"} for w in ball["witnesses"])
 
     def test_census(self):
         census = ex2_census(ex2_models())

@@ -19,7 +19,7 @@ import pytest
 from conftest import spy
 from padicglue import Ball, KElement, Poly, RationalMap, ValExp, gluing
 from padicglue.field import _quotient, _twice_val, _twice_val_at_least
-from padicglue.gluing import _spot_checks, _twice_thresholds
+from padicglue.gluing import Sample, _spot_checks
 
 SEED = 20261019
 CASES = 400
@@ -119,11 +119,10 @@ def test_spot_check_agrees_with_the_k_formulation(p, closed, monkeypatch):
         epsilon = ValExp(near(rng, w))
 
         expected = w >= bound and w > epsilon and image._within(d)
-        thresholds = _twice_thresholds(bound, epsilon, image, cw)
         z = point(rng, p)
         F, f = map_through(rng, p, z, nF, qF), map_through(rng, p, z, nf, qf)
-        [(at, tw)], ok = _spot_checks(F, f, [z], (cu, cv, cw), *thresholds)
-        assert at is z and tw == w
+        [sample], ok = _spot_checks(F, f, [z], image, bound, epsilon)
+        assert type(sample) is Sample and sample.point is z and sample.diff_exp == w
         assert ok == expected, (F, f, z, (cu, cv, cw), bound, epsilon, image)
         witness_ok = w >= bound and w > epsilon
         # the image test's R = r0 + 2 v(qF), when it ran

@@ -229,6 +229,23 @@ def test_build_F_reads_no_coefficient_as_a_k_element(monkeypatch):
     assert len(elements) == 3
 
 
+def inits_reading_glued_ex2(tmp_path, monkeypatch, cls) -> int:
+    """The calls of cls.__init__ while `result_from_json` reads the result
+    of `glue --input presets/ex2.json`."""
+    path = tmp_path / "ex2.result.json"
+    assert cli.main(["glue", "--input", str(PRESETS / "ex2.json"), "--output", str(path)]) == 0
+    doc = serialize.read_json(path)
+    built, init = [], cls.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    serialize.result_from_json(doc)
+    return len(built)
+
+
 def test_reading_a_result_builds_each_k_value_once(tmp_path, monkeypatch):
     # the JSON reader builds each element of the glued ex2 result from the
     # Fractions it parsed, through the trusted constructor; what is left
@@ -236,18 +253,16 @@ def test_reading_a_result_builds_each_k_value_once(tmp_path, monkeypatch):
     # models' images and the one leading coefficient F's RationalMap
     # divides by (104 when the reader ran KElement.__init__ on every
     # element)
-    path = tmp_path / "ex2.result.json"
-    assert cli.main(["glue", "--input", str(PRESETS / "ex2.json"), "--output", str(path)]) == 0
-    doc = serialize.read_json(path)
-    built, init = [], field.KElement.__init__
+    assert inits_reading_glued_ex2(tmp_path, monkeypatch, field.KElement) == 17
 
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
 
-    monkeypatch.setattr(field.KElement, "__init__", counted)
-    serialize.result_from_json(doc)
-    assert len(built) == 17
+def test_reading_a_result_builds_each_exponent_once(tmp_path, monkeypatch):
+    # the JSON reader builds each exponent of the glued ex2 result from its
+    # doubled value after its own (1/2)Z test, as a shared ValExp, and an
+    # infinite one as ValExp.infinite(): what is left are the 3 Gauss norms
+    # of the models' images (53, 50 of them the reader's, when it parsed
+    # every exponent a second time in ValExp.__init__)
+    assert inits_reading_glued_ex2(tmp_path, monkeypatch, field.ValExp) == 3
 
 
 def test_shared_pole_euclid_divides_in_integers(monkeypatch):
