@@ -550,6 +550,10 @@ class _Prefix:
             bounds.append(low)
         self.bounds = bounds[::-1]
 
+    @property
+    def p(self) -> int:
+        return self.a.p
+
     def coeff(self, k: int) -> KElement:
         w, a = self._w, self.a
         while self._done <= k < len(w):

@@ -24,6 +24,11 @@ its minimum.  The shift does not depend on the radius, so the polynomial
 keeps its one shift per center (algebra._shifted): every ball about that
 center, in this call or a later one, reads and extends the same prefix,
 and the prefixes live as long as the polynomial.
+
+The shift's passes are the only K arithmetic here.  A combination of
+shifted polynomials (`_Diff`) reads its coefficients on integer
+`_point` triples, the image center is one integer quotient of P(a) and
+Q(a), and `sample_points` hands the spot checks each point's triple.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .algebra import (
     gauss_norm_exp,
 )
 from .errors import PoleInBallError, _power_str, _show
-from .field import KElement, ValExp, _gap, _point, _v2
+from .field import KElement, ValExp, _element, _gap, _point, _quotient, _twice_val_over
 
 __all__ = [
     "Ball",
@@ -161,10 +166,10 @@ class _Diff:
     v(X_i) + v(Y_(k-i)) bounds it, and reading it exactly reads the
     factors up to index k only."""
 
-    __slots__ = ("_factors", "bounds")
+    __slots__ = ("_p", "_factors", "bounds")
 
     def __init__(self, A, B, C, D):
-        self._factors, self.bounds = (A, B, C, D), []
+        self._p, self._factors, self.bounds = A.p, (A, B, C, D), []
         for X, Y in ((A, B), (C, D)):
             for i, u in enumerate(_bounds(X)):
                 for j, w in enumerate(_bounds(Y)):
@@ -174,20 +179,29 @@ class _Diff:
                         self.bounds[i + j] = u + w
 
     def val(self, k: int):
-        # each sum starts at its first product, so no int 0 enters K; one
-        # of the two may be empty (None)
-        A, B, C, D = self._factors
-        ab = _sum(A.coeff(i) * B.coeff(k - i) for i in _products(A, B, k))
-        cd = _sum(C.coeff(i) * D.coeff(k - i) for i in _products(C, D, k))
-        return _v2(ab if cd is None else -cd if ab is None else ab - cd)
+        # the sum on `_point` triples, over one running denominator W: a
+        # product over another denominator w brings the sum to W*w, and
+        # the C*D products enter negated; the sum builds no K element
+        p, (A, B, C, D) = self._p, self._factors
+        X = Y = 0
+        W = 1
+        for L, R, sign in ((A, B, 1), (C, D, -1)):
+            for i in _products(L, R, k):
+                (a, b, u), (c, d, v) = _triple(L, i), _triple(R, k - i)
+                x, y, w = sign * (a * c + p * b * d), sign * (a * d + b * c), u * v
+                if w == W:
+                    X, Y = X + x, Y + y
+                else:
+                    X, Y, W = X * w + x * W, Y * w + y * W, W * w
+        return _twice_val_over(p, (X, Y), W)
 
 
-def _sum(terms):
-    # the sum of K elements from the first, or None for no terms
-    total = None
-    for t in terms:
-        total = t if total is None else total + t
-    return total
+def _triple(X, i: int) -> tuple:
+    # coefficient i of a Poly, read off its pairs, or of a _Prefix, as a
+    # `_point` triple (u, v, w) for (u + v sqrt p)/w
+    if isinstance(X, Poly):
+        return (*X.pairs[i], X.D)
+    return _point(X.p, X.coeff(i))
 
 
 def _shift(f: RationalMap, center: KElement) -> tuple:
@@ -227,10 +241,13 @@ def image_of_ball(f: RationalMap, ball: Ball) -> Ball:
     if f.degree == 0:
         raise ValueError("constant map: the image of the ball is a point, not a ball")
     N, D = _require_pole_free(f, ball)
-    pa, qa = N.coeff(0), D.coeff(0)
-    g = _Diff(N, Poly.constant(f.p, qa), D, Poly.constant(f.p, pa))
+    p, pa, qa = f.p, N.coeff(0), D.coeff(0)
+    g = _Diff(N, Poly.constant(p, qa), D, Poly.constant(p, pa))
     e = gauss_norm_exp(g, ball.radius, from_k=1)
-    return Ball(pa * qa.inverse(), e - qa.valuation() * 2, closed=ball.closed)
+    # P(a)/Q(a) = (u + v sqrt p) w' / ((u' + v' sqrt p) w), one division
+    (u, v, w), (u1, v1, w1) = _point(p, pa), _point(p, qa)
+    center = _element(p, *_quotient(p, (u * w1, v * w1), (u1 * w, v1 * w)))
+    return Ball(center, e - qa.valuation() * 2, closed=ball.closed)
 
 
 def sup_norm_exp_on_ball(f: RationalMap, ball: Ball, minus: RationalMap | None = None) -> ValExp:
@@ -275,7 +292,7 @@ def wdeg(f: RationalMap, b: KElement, ball: Ball) -> int:
     raise ValueError(f"target {b} lies outside the image {image_of_ball(f, ball)}")
 
 
-def sample_points(ball: Ball, budget: int) -> list:
+def sample_points(ball: Ball, budget: int, triples: bool = False) -> list:
     """Deterministic K-rational points of the ball: the center first, then
     shells of decreasing radius, breadth-first, so the first k points of a
     larger budget are the points of budget k.
@@ -290,23 +307,34 @@ def sample_points(ball: Ball, budget: int) -> list:
     integer numerator, and each point is one Fraction of two integers (of
     one, with no gcd, where d = 1) and one trusted `KElement._of`, with no
     Fraction addition and no prime check.
+
+    With `triples` set, each point comes as (z, (u, v, w)), its K element
+    and its `_point` triple, for the spot checks' integer evaluation.  For
+    k >= 0 the stepped coordinate keeps its denominator d, so the triple is
+    the center's (cu, cv, cw) with that coordinate's numerator n*(cw/d),
+    built without an lcm; for k < 0 it is `_point` of the point.
     """
     if budget < 1:
         return []
     p, c = ball.p, ball.center
-    pts = [c]
+    cu, cv, cw = center = _point(p, c)
+    pts = [(c, center)]
     t = (ball.radius if ball.closed else ball.radius + 1).t  # t = 2j
     while len(pts) < budget:
         k, odd = divmod(t, 2)
         x = c.b if odd else c.a
         n, d = x.numerator, x.denominator
         if k >= 0:
-            step = p**k * d
+            step, scale = p**k * d, cw // d
         else:
-            n, d, step = n * p**-k, d * p**-k, d
+            n, d, step, scale = n * p**-k, d * p**-k, d, None
         for _ in range(min(p - 1, budget - len(pts))):
             n += step
             y = Fraction(n, d) if d != 1 else Fraction(n)
-            pts.append(KElement._of(p, c.a, y) if odd else KElement._of(p, y, c.b))
+            z = KElement._of(p, c.a, y) if odd else KElement._of(p, y, c.b)
+            if scale is None:
+                pts.append((z, _point(p, z)))
+            else:
+                pts.append((z, (cu, n * scale, cw) if odd else (n * scale, cv, cw)))
         t += 2
-    return pts
+    return pts if triples else [z for z, _ in pts]

@@ -358,18 +358,21 @@ def build_F(models, plan: GluingPlan) -> RationalMap:
 
 
 def _spot_checks(F, f, points, image: Ball, bound: ValExp, epsilon: ValExp) -> tuple:
-    """(witnesses, ok) for one ball's sample points: a `Sample` (z, e) per
-    point z, e = v(F(z) - f(z)) as one shared ValExp per exponent
-    (`field._shared_exp`), and whether every sample clears the certified
-    bound and epsilon and lands in the image.
+    """(witnesses, ok) for one ball's sample points, each a pair (z, (u, v,
+    w)) of the point and its `_point` triple (`sample_points` with
+    `triples` set): a `Sample` (z, e) per point, e = v(F(z) - f(z)) as one
+    shared ValExp per exponent (`field._shared_exp`), and whether every
+    sample clears the certified bound and epsilon and lands in the image.
 
-    One integer pass per sample builds no K element: z's `_point` triple
-    (u, v, w) feeds one `_horner` per polynomial, P(z) = h/(D w^deg P) for
-    a Z[sqrt p] pair h, so F = N/Q gives F(z) = nF/qF with nF = hN D_Q
-    w^(m - n) and qF = hQ D_N for deg N = n <= deg Q = m (w^(n - m) goes
-    to qF when n > m), and f(z) = nf/qf likewise.  The doubled witness
+    One integer pass per sample builds no K element: the triple feeds one
+    `_horner` per polynomial, P(z) = h/(D w^deg P) for a Z[sqrt p] pair h,
+    so F = N/Q gives F(z) = nF/qF with nF = hN D_Q w^(m - n) and qF = hQ
+    D_N for deg N = n <= deg Q = m (w^(n - m) goes to qF when n > m), and
+    f(z) = nf/qf likewise.  The scales depend on the ball alone where
+    w = 1, and a scale of 1 multiplies nothing.  The doubled witness
     2 v(nF qf - nf qF) - 2 v(qF) - 2 v(qf), math.inf for equal values, is
-    wrapped unchanged; it passes when at least twice the bound, which no
+    wrapped unchanged; its sqrt p cross terms of f run only where f(z) has
+    a sqrt p part.  It passes when at least twice the bound, which no
     pointwise value beats, and above twice epsilon.  F(z) lies in the
     image of radius exponent rho about (cu + cv sqrt p)/cw exactly when
     2 v(nF cw - (cu + cv sqrt p) qF) >= r0 + 2 v(qF), r0 = 2 rho + 2 v(cw),
@@ -382,24 +385,41 @@ def _spot_checks(F, f, points, image: Ball, bound: ValExp, epsilon: ValExp) -> t
     (N, Q), (n, q) = (F.num, F.den), (f.num, f.den)
     center = _point(p, image.center)
     r0 = image.radius.t + 2 * _int_val(center[2], p) + (0 if image.closed else 1)
+    # per ball: the polynomials' Ds, and deg Q - deg N and deg q - deg n
+    # as `_horner` counts them, from 0 up
+    DN, DQ, Dn, Dq = N.D, Q.D, n.D, q.D
+    eF = max(Q.degree, 0) - max(N.degree, 0)
+    ef = max(q.degree, 0) - max(n.degree, 0)
+    tb, te = bound.t, epsilon.t
     witnesses, ok = [], True
-    for z in points:
-        u, v, w = _point(p, z)
-        dN, kN, Na, Nb, _, _ = _horner(N, u, v, w, False)
-        dQ, kQ, Qa, Qb, _, _ = _horner(Q, u, v, w, False)
-        dn, kn, na, nb, _, _ = _horner(n, u, v, w, False)
-        dq, kq, qa, qb, _, _ = _horner(q, u, v, w, False)
-        # F(z) = (Na + Nb sqrt p) dQ w^kQ / ((Qa + Qb sqrt p) dN w^kN)
-        s, t = (dQ * w ** (kQ - kN), dN) if kQ >= kN else (dQ, dN * w ** (kN - kQ))
-        Na, Nb, Qa, Qb = Na * s, Nb * s, Qa * t, Qb * t
-        s, t = (dq * w ** (kq - kn), dn) if kq >= kn else (dq, dn * w ** (kn - kq))
-        na, nb, qa, qb = na * s, nb * s, qa * t, qb * t
+    for z, (u, v, w) in points:
+        _, _, Na, Nb, _, _ = _horner(N, u, v, w, False)
+        _, _, Qa, Qb, _, _ = _horner(Q, u, v, w, False)
+        _, _, na, nb, _, _ = _horner(n, u, v, w, False)
+        _, _, qa, qb, _, _ = _horner(q, u, v, w, False)
+        # F(z) = (Na + Nb sqrt p) D_Q w^eF / ((Qa + Qb sqrt p) D_N)
+        if w == 1:
+            s, t, s1, t1 = DQ, DN, Dq, Dn
+        else:
+            s, t = (DQ * w**eF, DN) if eF >= 0 else (DQ, DN * w**-eF)
+            s1, t1 = (Dq * w**ef, Dn) if ef >= 0 else (Dq, Dn * w**-ef)
+        if s != 1:
+            Na, Nb = Na * s, Nb * s
+        if t != 1:
+            Qa, Qb = Qa * t, Qb * t
+        if s1 != 1:
+            na, nb = na * s1, nb * s1
+        if t1 != 1:
+            qa, qb = qa * t1, qb * t1
         # nF qf - nf qF
-        xa = Na * qa + p * Nb * qb - na * Qa - p * nb * Qb
-        xb = Na * qb + Nb * qa - na * Qb - nb * Qa
+        if nb or qb:
+            xa = Na * qa + p * Nb * qb - na * Qa - p * nb * Qb
+            xb = Na * qb + Nb * qa - na * Qb - nb * Qa
+        else:
+            xa, xb = Na * qa - na * Qa, Nb * qa - na * Qb
         tQ = _twice_val(p, (Qa, Qb))
         tw = _twice_val(p, (xa, xb)) - tQ - _twice_val(p, (qa, qb)) if xa or xb else inf
-        ok = ok and tw >= bound.t and tw > epsilon.t and _twice_val_at_least(
+        ok = ok and tw >= tb and tw > te and _twice_val_at_least(
             p, (Na, Nb), (Qa, Qb), center, r0 + tQ
         )
         witnesses.append(Sample(z, _shared_exp(tw)))
@@ -430,8 +450,8 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     multiplicative, and a common factor divides D*d, which has no zero on
     B_i, so its norm on B_i equals its absolute value at a_i and cancels.
 
-    (d) is `_spot_checks` at `sample_points(B_i, samples)`, decided on
-    integers; a ball's witnesses are its `Sample`s, one per point.
+    (d) is `_spot_checks` at `sample_points(B_i, samples, triples=True)`,
+    decided on integers; a ball's witnesses are its `Sample`s, one per point.
     """
     checks = []
     for i, m in enumerate(models):
@@ -444,7 +464,7 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
         bound = sup_norm_exp_on_ball(F, B, minus=m.f)
         # F and f_i are pole-free on B, so neither qF nor qf is (0, 0)
         witnesses, samples_ok = _spot_checks(
-            F, m.f, sample_points(B, samples), img, bound, plan.epsilon
+            F, m.f, sample_points(B, samples, triples=True), img, bound, plan.epsilon
         )
         checks.append(
             BallCheck(

@@ -21,6 +21,8 @@ norm: the image of every ball under every map, computed in full.
 multiplication and addition in K, as the library once did, and
 `certify_theorem1` evaluates F and f_i at those points as K elements, so
 the library's integer spot checks are checked against it.
+`diff_val` is coefficient k of A*B - C*D summed as K products, the
+formula `geometry._Diff.val` used before it summed integer triples.
 `recenter` is the eager Taylor shift, one synthetic division after
 another, written independently of the library's lazy `algebra._Prefix`
 (which `Poly.recenter` forces), so every shift here checks that one.
@@ -53,6 +55,7 @@ from padicglue import (
     uniformizer_power,
 )
 from padicglue.errors import _show
+from padicglue.field import _v2
 
 
 def recenter(P, a):
@@ -74,6 +77,16 @@ def recenter(P, a):
         out.append(carry)
         work = q
     return Poly(P.p, out)
+
+
+def diff_val(A, B, C, D, k):
+    """2 v(c_k), math.inf for c_k = 0, of c_k the coefficient k of A*B -
+    C*D, for Poly or lazy-shift factors: every product X_i * Y_(k-i) for
+    i = 0..k is formed in K, a factor reading 0 past its last coefficient."""
+    total = KElement(A.coeff(0).p)
+    for i in range(k + 1):
+        total = total + A.coeff(i) * B.coeff(k - i) - C.coeff(i) * D.coeff(k - i)
+    return _v2(total)
 
 
 def count_roots_in_ball(P, ball):

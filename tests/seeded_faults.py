@@ -41,8 +41,8 @@ FAULTS = {
     # put on the other side of F(z)
     "spot-check-w-power-side": Fault(
         "padicglue.gluing._spot_checks",
-        "s, t = (dQ * w ** (kQ - kN), dN) if kQ >= kN",
-        "s, t = (dQ, dN * w ** (kQ - kN)) if kQ >= kN",
+        "s, t = (DQ * w**eF, DN) if eF >= 0",
+        "s, t = (DQ, DN * w**eF) if eF >= 0",
         ("tests/test_spot_checks.py::test_spot_check_agrees_with_the_k_formulation",),
         6,
     ),
@@ -53,6 +53,41 @@ FAULTS = {
         "",
         ("tests/test_spot_checks.py::test_spot_check_agrees_with_the_k_formulation",),
         3,
+    ),
+    # the C*D products of a difference coefficient added, not subtracted
+    "diff-products-added": Fault(
+        "padicglue.geometry._Diff.val",
+        "(C, D, -1)",
+        "(C, D, 1)",
+        ("tests/test_diff_coefficients.py::test_triple_sums_equal_k_sums",),
+        3,
+    ),
+    # a product over another denominator added to the sum as if over the
+    # running one
+    "diff-denominator-not-rescaled": Fault(
+        "padicglue.geometry._Diff.val",
+        "X, Y, W = X * w + x * W, Y * w + y * W, W * w",
+        "X, Y = X + x, Y + y",
+        ("tests/test_diff_coefficients.py::test_triple_sums_equal_k_sums",),
+        3,
+    ),
+    # the image center built as Q(a)/P(a)
+    "image-center-inverted": Fault(
+        "padicglue.geometry.image_of_ball",
+        "_quotient(p, (u * w1, v * w1), (u1 * w, v1 * w))",
+        "_quotient(p, (u1 * w, v1 * w), (u * w1, v * w1))",
+        ("tests/test_geometry.py::TestImageCenter",),
+        3,
+    ),
+    # a sample's triple left over the stepped coordinate's denominator,
+    # not over the center's common one
+    "sample-triple-unscaled": Fault(
+        "padicglue.geometry.sample_points",
+        "step, scale = p**k * d, cw // d",
+        "step, scale = p**k * d, 1",
+        ("tests/test_geometry.py::TestSamplePointsAgainstOracle::test_same_points_in_the_same_order",
+         "tests/test_certifier_differential.py::test_sqrt_centers_and_half_integral_radii"),
+        4,
     ),
     # each full shell one point short; a shell of p = 2 keeps its one
     # point, since a shell that adds none would never end the walk

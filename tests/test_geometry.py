@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import certifier_oracle as oracle
-from conftest import roots_in_ball
+from conftest import load_perfbench, roots_in_ball
 from padicglue import (
     Ball,
     FieldConfig,
@@ -17,10 +17,12 @@ from padicglue import (
     Radius,
     RationalMap,
     ValExp,
+    build_F,
     count_roots_with_min_valuation,
     distance_exp,
     image_of_ball,
     pairwise_deltas,
+    plan_gluing,
     pole_free_on_ball,
     sample_points,
     sup_norm_exp_on_ball,
@@ -28,6 +30,8 @@ from padicglue import (
 )
 from padicglue.algebra import _shifted
 from padicglue.errors import _power_str
+from padicglue.field import _point
+from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
 
 K3 = FieldConfig(3)
 Z = Poly.x(3)
@@ -262,6 +266,48 @@ class TestImageOfBall:
         assert img.same_set(B(0, 2))
 
 
+def glued(models, epsilon) -> list:
+    """(map, ball) for every model on its own ball and the glued F on
+    every ball."""
+    F = build_F(models, plan_gluing(models, epsilon))
+    return [(m.f, m.domain) for m in models] + [(F, m.domain) for m in models]
+
+
+class TestImageCenter:
+    """The image center, P(a)/Q(a) from one integer quotient, is f(a):
+    the same reduced element, printed the same."""
+
+    @staticmethod
+    def assert_center_is_value(f, ball):
+        got, want = image_of_ball(f, ball).center, f.eval(ball.center)
+        assert (got.p, got.a, got.b, str(got)) == (want.p, want.a, want.b, str(want)), (f, ball)
+
+    def test_presets(self):
+        ex1 = ex1_models("3", "1/3")
+        for f, ball in (glued(ex1, ex1_epsilon(ex1, ex1_census(ex1)))
+                        + glued(ex2_models(), EX2_EPSILON)):
+            self.assert_center_is_value(f, ball)
+
+    def test_suite_problems(self):
+        inputs = load_perfbench("inputs")
+        for key in inputs.suite_pool():
+            inst = inputs.suite_instance(key)
+            for f, ball in glued(inst.models, inst.epsilon):
+                self.assert_center_is_value(f, ball)
+
+    def test_q_at_center_with_a_sqrt_p_part(self):
+        # Q = 2 - sqrt 3 + 3z + z^2/3, kept monic, at a = 1/3 + sqrt 3:
+        # Q(a) has a sqrt 3 part, and P(a) and Q(a) both have denominators
+        K = FieldConfig(3)
+        Q = Poly(3, (K(2, -1), 3, Fraction(1, 3)))
+        f = RationalMap(Poly(3, (K(Fraction(1, 5), 2), Fraction(7, 9))), Q)
+        a = K(Fraction(1, 3), 1)
+        qa = _shifted(f.den, a).coeff(0)
+        assert qa.b and qa.a.denominator > 1
+        for ball in (Ball(a, Radius(1)), Ball(a, Radius(Fraction(5, 2)), closed=False)):
+            self.assert_center_is_value(f, ball)
+
+
 class TestExpansions:
     """A polynomial keeps one Taylor shift per center: balls about one
     center share it, and so do later calls.  The radius and the kind only
@@ -409,6 +455,10 @@ class TestSamplePointsAgainstOracle:
                 assert [(x.p, x.a, x.b) for x in got] == [(x.p, x.a, x.b) for x in want]
                 # the trusted constructor stores what it is given: Fractions
                 assert all(type(x.a) is type(x.b) is Fraction for x in got)
+                # the spot checks' triples are the points' own `_point`s
+                assert sample_points(ball, budget, triples=True) == [
+                    (z, _point(p, z)) for z in got
+                ]
 
     def test_smaller_budget_is_a_prefix(self):
         # the stored witnesses of a result are a prefix of those verify

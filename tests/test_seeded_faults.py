@@ -4,13 +4,15 @@ Each entry runs its tests in a fresh pytest process with the fault in
 place (the hook in `conftest.py`), so no edit reaches another test.  A
 fault whose tests all pass, or that fails fewer than its minimum, means a
 guard no longer bites; a text that no longer occurs in its target means
-the entry must follow the code it breaks.  An entry takes about 2 s.
+the entry must follow the code it breaks.  An entry takes about 2 s, and
+the selected entries run two processes at a time (`WORKERS`).
 """
 
 import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ import seeded_faults
 from seeded_faults import FAULT_VARIABLE, FAULTS
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKERS = 2
 
 
 def run_with_fault(name: str) -> tuple:
@@ -36,9 +39,19 @@ def run_with_fault(name: str) -> tuple:
     return caught, out
 
 
+@pytest.fixture(scope="module")
+def runs(request) -> dict:
+    """The run of every entry this session selected, by name, each started
+    as soon as one of the WORKERS is free."""
+    names = [item.callspec.params["name"] for item in request.session.items
+             if getattr(item, "originalname", None) == "test_seeded_fault_is_caught"]
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        yield {name: pool.submit(run_with_fault, name) for name in names}
+
+
 @pytest.mark.parametrize("name", sorted(FAULTS))
-def test_seeded_fault_is_caught(name):
-    caught, out = run_with_fault(name)
+def test_seeded_fault_is_caught(name, runs):
+    caught, out = runs[name].result()
     assert caught >= FAULTS[name].min_failed, out[-3000:]
 
 

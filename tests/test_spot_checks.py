@@ -18,7 +18,7 @@ import pytest
 
 from conftest import spy
 from padicglue import Ball, KElement, Poly, RationalMap, ValExp, gluing
-from padicglue.field import _quotient, _twice_val, _twice_val_at_least
+from padicglue.field import _point, _quotient, _twice_val, _twice_val_at_least
 from padicglue.gluing import Sample, _spot_checks
 
 SEED = 20261019
@@ -121,7 +121,7 @@ def test_spot_check_agrees_with_the_k_formulation(p, closed, monkeypatch):
         expected = w >= bound and w > epsilon and image._within(d)
         z = point(rng, p)
         F, f = map_through(rng, p, z, nF, qF), map_through(rng, p, z, nf, qf)
-        [sample], ok = _spot_checks(F, f, [z], image, bound, epsilon)
+        [sample], ok = _spot_checks(F, f, [(z, _point(p, z))], image, bound, epsilon)
         assert type(sample) is Sample and sample.point is z and sample.diff_exp == w
         assert ok == expected, (F, f, z, (cu, cv, cw), bound, epsilon, image)
         witness_ok = w >= bound and w > epsilon

@@ -11,14 +11,16 @@ residues, `build_F` multiplies, adds and divides
 polynomials in integers, not in K, certifying ex2 climbs a pinned number
 of `_int_val` ladders, and certification and a local model
 scan for poles once per question, with no pole check asked first,
-certification checks a prime only where a value enters K and reads
-each shifted valuation once, and
+certification checks a prime only where a value enters K, reads
+each shifted valuation once and multiplies in K only in the Taylor
+passes, and
 `example ex1` reads F at 0 once, through `multiplier`.
 Shifts per polynomial and center are pinned here for a whole glue and
 census, and in the other tests that take the `spy_shifts` fixture.
 """
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,14 +107,17 @@ def test_certify_asks_each_pole_question_once(problem, scans, monkeypatch):
     assert len(scanned) == 2 * len(models) == scans
 
 
-@pytest.mark.parametrize("problem, checks", ((ex1, 34), (lambda: (ex2_models(), EX2_EPSILON), 44)),
+@pytest.mark.parametrize("problem, checks", ((ex1, 33), (lambda: (ex2_models(), EX2_EPSILON), 41)),
                          ids=("ex1", "ex2"))
 def test_certify_validates_only_values_entering_k(problem, checks, monkeypatch):
-    # the Taylor passes and `_Diff` products are K arithmetic, which builds
-    # through the trusted constructor, and each sum of `_Diff.val` starts
-    # at its first product; primes are checked only where a value enters
-    # K, in the `coeffs` views `_element` builds (78 and 96 when each sum
-    # started at the int 0)
+    # the Taylor passes are K arithmetic, which builds through the trusted
+    # constructor, and `_Diff.val` reads a Poly factor's pairs, not its
+    # `coeffs` view; primes are checked only where a value enters K, in
+    # the views of the shifted polynomials and in one image center per
+    # ball, both built by `_element` (34 and 44 when `_Diff.val` summed K
+    # products of the constant factors' views and the center was P(a)
+    # times the inverse of Q(a); 78 and 96 when each sum started at the
+    # int 0)
     models, epsilon = problem()
     plan = plan_gluing(models, epsilon)
     F = build_F(models, plan)
@@ -193,16 +198,30 @@ def test_glue_and_census_shift_once_per_polynomial_and_center(name, spy_shifts):
 
 
 def k_products(monkeypatch) -> list:
-    """A list that gets one entry per K product from then on."""
+    """A list that gets one entry per K product from then on: the code
+    object of the function that asked for it."""
     calls, mul = [], field.KElement.__mul__
 
     def counted(x, y):
-        calls.append(None)
+        calls.append(sys._getframe(1).f_code)
         return mul(x, y)
 
     monkeypatch.setattr(field.KElement, "__mul__", counted)
     monkeypatch.setattr(field.KElement, "__rmul__", counted)
     return calls
+
+
+@pytest.mark.parametrize("problem", (ex1, lambda: (ex2_models(), EX2_EPSILON)), ids=("ex1", "ex2"))
+def test_certify_multiplies_in_k_only_in_the_taylor_passes(problem, monkeypatch):
+    # difference coefficients sum integer triples, the image center is one
+    # integer quotient, and the spot checks evaluate on integers, so every
+    # K product left is a synthetic-division step of a lazy shift
+    models, epsilon = problem()
+    plan = plan_gluing(models, epsilon)
+    F = build_F(models, plan)
+    calls = k_products(monkeypatch)
+    assert certify_theorem1(F, models, plan, samples=8).passes
+    assert calls and set(calls) == {algebra._Prefix.coeff.__code__}
 
 
 def test_build_F_multiplies_polynomials_in_integers(monkeypatch):
