@@ -518,16 +518,28 @@ def _bounds(P) -> tuple:
     return _v2s(P) if isinstance(P, Poly) else P.bounds
 
 
+def _tail_bounds(v2s, va) -> list:
+    """The tail bounds of a shift about a point a, doubled as `_min_plus`
+    reads them: L_k = min over j >= k of v(c_j) + (j - k) v(a), for the
+    doubled valuations v2s of c_0, c_1, ... and va = 2 v(a), math.inf for
+    a = 0.  Coefficient k of the polynomial in powers of (z - a) is
+    sum over j >= k of C(j, k) c_j a^(j-k), so the ultrametric inequality
+    puts its valuation at L_k or above; L_k = min(v(c_k), L_(k+1) + v(a))."""
+    low, bounds = inf, []
+    for vc in reversed(v2s):
+        low = min(vc, low + va)
+        bounds.append(low)
+    return bounds[::-1]
+
+
 class _Prefix:
     """P in powers of (z - a), one coefficient c'_k at a time: the lazy
     Taylor shift, a coefficient source for _min_plus.
 
     It keeps the state of an in-place synthetic division by (z - a);
     pass k yields c'_k for deg P - k products, and Poly.recenter runs
-    every pass.  Since c'_k = sum over j >= k of C(j, k) c_j a^(j-k), the
-    ultrametric inequality bounds every c'_k before any pass runs, by the
-    tail bound L_k = min over j >= k of v(c_j) + (j - k) v(a) <= v(c'_k),
-    and L_k = min(v(c_k), L_(k+1) + v(a)).  The scans read P's one
+    every pass.  The tail bounds L_k <= v(c'_k) (`_tail_bounds`) bound
+    every c'_k before any pass runs.  The scans read P's one
     _Prefix about a through _shifted, so a later scan, in the same call or
     another, extends the prefix an earlier one left.  About a = 0 P is its
     own shift: every coefficient is final, and its bound is its valuation,
@@ -544,11 +556,7 @@ class _Prefix:
             self._done, self.bounds = len(self._w), list(_v2s(P))
             self._vals = dict(enumerate(self.bounds))
             return
-        va, low, bounds = _v2(a), inf, []  # doubled, as _min_plus reads them
-        for vc in reversed(_v2s(P)):
-            low = min(vc, low + va)
-            bounds.append(low)
-        self.bounds = bounds[::-1]
+        self.bounds = _tail_bounds(_v2s(P), _v2(a))
 
     @property
     def p(self) -> int:

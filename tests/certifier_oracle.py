@@ -2,8 +2,8 @@
 
 These are the direct formulations that the `geometry` scans replaced: every
 question recenters the polynomials it needs from scratch, the sup norm of
-F - f_i is taken of the gcd-reduced difference, and F is evaluated twice
-per sample point.  They are slow but obviously faithful to the
+F - f_i is taken of the gcd-reduced difference, and every sample point
+is evaluated in K.  They are slow but obviously faithful to the
 definitions, so the library's certificates and disk classifications must
 equal theirs exactly.  `poly_mul` is the schoolbook product, one K
 multiply-add per pair of coefficients, written independently of the
@@ -19,8 +19,9 @@ boundedness hypothesis as it was checked before it was read off the sup
 norm: the image of every ball under every map, computed in full.
 `sample_points` builds each point as center + pi^(2j) * u by
 multiplication and addition in K, as the library once did, and
-`certify_theorem1` evaluates F and f_i at those points as K elements, so
-the library's integer spot checks are checked against it.
+`certify_theorem1` evaluates F and f_i at every one of those points as K
+elements (`sample_checks`), so the library's integer spot checks, and the
+deep shells it reads off the center, are checked against it.
 `diff_val` is coefficient k of A*B - C*D summed as K products, the
 formula `geometry._Diff.val` used before it summed integer triples.
 `recenter` is the eager Taylor shift, one synthetic division after
@@ -259,6 +260,25 @@ def sample_points(ball, budget):
     return pts
 
 
+def sample_checks(F, f, ball, samples, image, bound, epsilon):
+    """(Sample(z, v(F(z) - f(z))), whether z passes) for the ball's first
+    `samples` sample points z: F and f evaluated at every point in K, with
+    no shell read off the center."""
+    out = []
+    for z in sample_points(ball, samples):
+        Fz = F.eval(z)
+        w = (Fz - f.eval(z)).valuation()
+        out.append((Sample(z, w), w >= bound and w > epsilon and contains_point(image, Fz)))
+    return out
+
+
+def spot_checks(F, f, ball, samples, image, bound, epsilon):
+    """(witnesses, ok) for the ball's first `samples` sample points, as
+    `gluing._spot_checks` returns them."""
+    checks = sample_checks(F, f, ball, samples, image, bound, epsilon)
+    return tuple(s for s, _ in checks), all(ok for _, ok in checks)
+
+
 def certify_theorem1(F, models, plan, samples=8):
     eps_exp = plan.epsilon.exp
     checks = []
@@ -272,15 +292,9 @@ def certify_theorem1(F, models, plan, samples=8):
             poly_mul(F.num, m.f.den) - poly_mul(m.f.num, F.den), poly_mul(F.den, m.f.den)
         )
         bound = sup_norm_exp_on_ball(diff, B)
-        witnesses = []
-        samples_ok = True
-        for z in sample_points(B, samples):
-            w = (F.eval(z) - m.f.eval(z)).valuation()
-            witnesses.append(Sample(z, w))
-            if not (w >= bound and w > eps_exp and contains_point(img, F.eval(z))):
-                samples_ok = False
+        witnesses, samples_ok = spot_checks(F, m.f, B, samples, img, bound, eps_exp)
         checks.append(
-            BallCheck(i, True, same_set(img, m.image), img, bound, tuple(witnesses), samples_ok)
+            BallCheck(i, True, same_set(img, m.image), img, bound, witnesses, samples_ok)
         )
     return Certificate(
         checks=tuple(checks),

@@ -3,7 +3,7 @@
 Each entry of COMMANDS gives the arguments after the command prefix, the
 seconds the command may take, the exit code it must end with and the
 sha256 of the stdout it must print, so a change in what the CLI prints
-fails like a change in how it exits.  `run` writes the two generated
+fails like a change in how it exits.  `run` writes the three generated
 problems, then runs every entry in a working directory with a given
 prefix.  CI runs the list through the installed console script:
 
@@ -66,11 +66,19 @@ COMMANDS = (
      "979df4670fec1c7182a48b4ec8f1780eecd58291b5c9d3c93c250c751608aae3"),
     (["verify", "--input", "r17.json"], 120, 0,
      "78a8245c94490d8a1df2dd5db3a665b4605876bb7c1009fb88eca7efce7c29f0"),
+    # p = 2 moves one shell inward per sample, so 1,000 samples reach
+    # a + 2^(r + 999); ball 0's center 1/2 has valuation -1, and the
+    # census witness is an open disk
+    (["glue", "--input", "p2.json", "--output", "r2.json"], 120, 0,
+     "6a6b1df4c5fad80b2d8844633d21f2fb18d3e3aab6557767964630ac8e0acd59"),
+    (["verify", "--input", "r2.json", "--samples", "1000"], 60, 0,
+     "ac62921cb830af30915d8160ae85c39eef388ba7ae1bc12cf79a13b63d062c59"),
 )
 
 
 def make_problems(where: Path) -> None:
-    """Write ex2-m128.json and p17.json, the problems COMMANDS generates."""
+    """Write ex2-m128.json, p17.json and p2.json, the problems COMMANDS
+    generates."""
     ex2 = json.loads(Path(EX2).read_text())
     ex2["M_override"] = [128] * 3
     (where / "ex2-m128.json").write_text(json.dumps(ex2))
@@ -85,6 +93,18 @@ def make_problems(where: Path) -> None:
     ]
     p17 = {"prime": 17, "epsilon_exp": "2", "models": models}
     (where / "p17.json").write_text(json.dumps(p17))
+
+    # B(1/2; 2^-2) under z -> 2z and B(0; 2^-2) under z -> 2z + 4z^2, whose
+    # attracting fixed point 0 the open disk D(0; 2^-2) witnesses
+    models = [
+        {"ball": {"center": k(x), "radius_exp": "2"}, "map": {"num": [k(c) for c in num]}}
+        for x, num in (("1/2", (0, 2)), (0, (0, 2, 4)))
+    ]
+    disk = {"center": k(0), "kind": "open", "radius_exp": "2"}
+    census = {"counts": [[0, 0, 0], [1, 0, 0]],
+              "witnesses": [{"ball_index": 1, "expected": "attracting", "disk": disk}]}
+    p2 = {"prime": 2, "epsilon_exp": "4", "models": models, "census": census}
+    (where / "p2.json").write_text(json.dumps(p2))
 
 
 def run(prefix: list, where: Path) -> list:

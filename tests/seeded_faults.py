@@ -54,6 +54,41 @@ FAULTS = {
         ("tests/test_spot_checks.py::test_spot_check_agrees_with_the_k_formulation",),
         3,
     ),
+    # a shell whose term ties v(X(a)) read as deep, so the witness of a
+    # sample where the two cancel is taken from the center: the strict
+    # ultrametric inequality read as <=
+    "deep-shell-tie-read-as-deep": Fault(
+        "padicglue.gluing._first_deep_sample",
+        "dn + dQ) + 1",
+        "dn + dQ)",
+        ("tests/test_deep_shells.py::test_witness_read_off_the_center_only_past_a_strict_bound",
+         "tests/test_deep_shells.py::test_seeded_suite"),
+        2,
+    ),
+    # an open image's deep shells found as if it were closed
+    "deep-shell-open-image-as-closed": Fault(
+        "padicglue.gluing._first_deep_sample",
+        " + (not image.closed)",
+        "",
+        ("tests/test_deep_shells.py::test_image_test_failing_only_on_a_shallow_shell",),
+        1,
+    ),
+    # each pass of the lazy Taylor shift stops one update short
+    "prefix-pass-skips-last-update": Fault(
+        "padicglue.algebra._Prefix.coeff",
+        "range(len(w) - 2, self._done - 1, -1)",
+        "range(len(w) - 2, self._done, -1)",
+        ("tests/test_lazy_shift.py",),
+        15,
+    ),
+    # the sqrt p * sqrt p term of a product of Z[sqrt p] pairs dropped
+    "convolve-drops-sqrt-p-square": Fault(
+        "padicglue.algebra._convolve",
+        "a * c + p * b * d",
+        "a * c",
+        ("tests/test_poly_product_model.py::test_product_is_the_schoolbook_product",),
+        5,
+    ),
     # the C*D products of a difference coefficient added, not subtracted
     "diff-products-added": Fault(
         "padicglue.geometry._Diff.val",

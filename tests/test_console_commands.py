@@ -18,7 +18,10 @@ def test_ci_console_commands_pass(tmp_path, monkeypatch):
     assert run([sys.executable, "-m", "padicglue.cli"], tmp_path) == []
     # each glue wrote its result where the verify after it read it
     written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == ["ex2-m128.json", "p17.json", "r.json", "r1.json", "r128.json", "r17.json"]
+    assert written == [
+        "ex2-m128.json", "p17.json", "p2.json", "r.json", "r1.json", "r128.json", "r17.json",
+        "r2.json",
+    ]
 
 
 def test_runner_reports_every_command_that_fails(tmp_path):
