@@ -18,7 +18,7 @@ from operator import add, mul
 
 from .field import (
     KElement, ValExp, _element, _int_val, _inverse_pair, _mul, _point, _quotient, _sub,
-    _twice_val, _v2, is_prime,
+    _twice_val, _twice_val_over, _v2, is_prime,
 )
 
 __all__ = [
@@ -306,6 +306,12 @@ def _horner(P: Poly, u: int, v: int, w: int, deriv: bool) -> tuple:
     return D, len(cs) - 1, ha, hb, ga, gb
 
 
+def _v2_at(P: Poly, point: tuple):
+    """2 v(P(x)) at x given as its `_point` triple, math.inf where P(x) = 0."""
+    D, n, ha, hb, _, _ = _horner(P, *point, False)
+    return _twice_val_over(P.p, (ha, hb), D * point[2] ** n)
+
+
 def _values(f: "RationalMap", point: tuple, deriv: bool) -> tuple:
     """N(x), N'(x), Q(x), Q'(x) for f = N/Q at the point
     x = (u + v sqrt p)/w given as its `_point` triple (u, v, w), as
@@ -315,14 +321,15 @@ def _values(f: "RationalMap", point: tuple, deriv: bool) -> tuple:
 
     `_horner` gives N(x) over Dn w^n and N'(x) over Dn w^(n-1), likewise
     Q(x) and Q'(x) over Dd w^m and Dd w^(m-1); S = Dn Dd w^max(n, m).
-    Only this function, `_values_mod` and `gluing._spot_checks` know these
-    scales.
+    Only this function and `_values_mod` know these scales.
     """
     u, v, w = point
     dn, n, na, nb, gna, gnb = _horner(f.num, u, v, w, deriv)
     dd, m, da, db, gda, gdb = _horner(f.den, u, v, w, deriv)
     k = max(n, m)
-    sn, sd = dd * w ** (k - n), dn * w ** (k - m)
+    sn, sd = (dd, dn) if w == 1 else (dd * w ** (k - n), dn * w ** (k - m))
+    if not deriv:
+        return (na * sn, nb * sn), (0, 0), (da * sd, db * sd), (0, 0)
     return (
         (na * sn, nb * sn), (gna * sn * w, gnb * sn * w),
         (da * sd, db * sd), (gda * sd * w, gdb * sd * w),

@@ -27,8 +27,8 @@ and the prefixes live as long as the polynomial.
 
 The shift's passes are the only K arithmetic here.  A combination of
 shifted polynomials (`_Diff`) reads its coefficients on integer
-`_point` triples, the image center is one integer quotient of P(a) and
-Q(a), and `sample_points` hands the spot checks each point's triple.
+`_point` triples, and the image center is one integer quotient of P(a)
+and Q(a).
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def wdeg(f: RationalMap, b: KElement, ball: Ball) -> int:
     raise ValueError(f"target {b} lies outside the image {image_of_ball(f, ball)}")
 
 
-def sample_points(ball: Ball, budget: int, triples: bool = False) -> list:
+def sample_points(ball: Ball, budget: int) -> list:
     """Deterministic K-rational points of the ball: the center first, then
     shells of decreasing radius, breadth-first, so the first k points of a
     larger budget are the points of budget k.
@@ -307,34 +307,23 @@ def sample_points(ball: Ball, budget: int, triples: bool = False) -> list:
     integer numerator, and each point is one Fraction of two integers (of
     one, with no gcd, where d = 1) and one trusted `KElement._of`, with no
     Fraction addition and no prime check.
-
-    With `triples` set, each point comes as (z, (u, v, w)), its K element
-    and its `_point` triple, for the spot checks' integer evaluation.  For
-    k >= 0 the stepped coordinate keeps its denominator d, so the triple is
-    the center's (cu, cv, cw) with that coordinate's numerator n*(cw/d),
-    built without an lcm; for k < 0 it is `_point` of the point.
     """
     if budget < 1:
         return []
     p, c = ball.p, ball.center
-    cu, cv, cw = center = _point(p, c)
-    pts = [(c, center)]
+    pts = [c]
     t = (ball.radius if ball.closed else ball.radius + 1).t  # t = 2j
     while len(pts) < budget:
         k, odd = divmod(t, 2)
         x = c.b if odd else c.a
         n, d = x.numerator, x.denominator
         if k >= 0:
-            step, scale = p**k * d, cw // d
+            step = p**k * d
         else:
-            n, d, step, scale = n * p**-k, d * p**-k, d, None
+            n, d, step = n * p**-k, d * p**-k, d
         for _ in range(min(p - 1, budget - len(pts))):
             n += step
             y = Fraction(n, d) if d != 1 else Fraction(n)
-            z = KElement._of(p, c.a, y) if odd else KElement._of(p, y, c.b)
-            if scale is None:
-                pts.append((z, _point(p, z)))
-            else:
-                pts.append((z, (cu, n * scale, cw) if odd else (n * scale, cv, cw)))
+            pts.append(KElement._of(p, c.a, y) if odd else KElement._of(p, y, c.b))
         t += 2
-    return pts if triples else [z for z, _ in pts]
+    return pts

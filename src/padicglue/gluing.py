@@ -20,7 +20,7 @@ from itertools import combinations
 from math import inf
 from typing import NamedTuple
 
-from .algebra import Poly, RationalMap, _comb, _convolve, _horner, _tail_bounds, _v2s
+from .algebra import Poly, RationalMap, _tail_bounds, _v2_at, _v2s, _values
 from .errors import (
     HypothesisViolation, LemmaInapplicable, LimitExceeded, PoleInBallError, _power_str, _show,
 )
@@ -367,57 +367,45 @@ def build_F(models, plan: GluingPlan) -> RationalMap:
 _DEEP_SHELL_SAMPLES = 32
 
 
-def _first_deep_sample(F, f, ball: Ball, image: Ball, budget: int, tw, hQ: tuple, hq: tuple):
+def _first_deep_sample(F, f, ball: Ball, image: Ball, budget: int, tw):
     """The index of the first of `sample_points(ball, budget)` from which
     on every sample z = a + t has the witness tw of the center a, and lies
     in the image when a does; math.inf where no such index is below the
-    budget.  hQ and hq are `_horner`'s pairs of F's and f's denominators
-    at a.
+    budget.
 
     With F = N/Q and f = n/q, F - f = X/(Q q) for X = N q - n Q, and
-    F - c = Y/Q for Y = N - c Q and the image center c = F(a), X and Y
-    built here on integer pairs.  For P = Q, q, X, a shell t with
-    v(P(a)) < min over k >= 1 of L_k + k v(t), L_k P's tail bounds about
-    a (`algebra._tail_bounds`), gives v(P(z)) = v(P(a)) at each of its
-    points, by the strict ultrametric inequality, so the witness there is
-    tw.  Once min over k >= 1 of L_k + k v(t) - v(Q(a)) for Y reaches the
-    image radius (exceeds it for an open image), F(z) - c is as close to 0
-    as F(a) - c, or within the radius.  Each bound rises with v(t), so
-    every deeper shell holds too.  X(a) = 0 leaves every sample exact.
-    The rows go from the cheapest, and stop once a shell lies past the
-    budget.
+    F - c = Y/Q for Y = N - c Q and the image center c.  F and f are
+    pole-free on the ball, so Q and q have no zero there, and a
+    polynomial with no zero in a ball keeps its absolute value at a on the
+    whole ball (its Newton polygon): v(Q(z)) = v(Q(a)) and
+    v(q(z)) = v(q(a)) at every sample, and Q and q need no row.  A shell t
+    with v(X(a)) < min over k >= 1 of L_k + k v(t), L_k X's tail bounds
+    about a (`algebra._tail_bounds`), gives v(X(z)) = v(X(a)) at each of
+    its points, by the strict ultrametric inequality, so the witness there
+    is tw.  Once min over k >= 1 of L_k + k v(t) - v(Q(a)) for Y reaches
+    the image radius (exceeds it for an open image), F(z) - c is as close
+    to 0 as F(a) - c, or within the radius.  Each bound rises with v(t),
+    so every deeper shell holds too.  X(a) = 0 leaves every sample exact.
+    Y is built only when X's shell lies within the budget.
     """
+    if tw == inf:
+        return inf
     p, (N, Q), (n, q) = F.p, (F.num, F.den), (f.num, f.den)
-    au, av, aw = _point(p, ball.center)
-    va, vw = _twice_val_over(p, (au, av), aw), _int_val(aw, p)
-    dN, dQ, dn, dq = (_int_val(P.D, p) for P in (N, Q, n, q))
-    # 2 v(Q(a)) and 2 v(q(a)): `_horner` gives P(a) over D w^deg P
-    tQ = _twice_val(p, hQ) - 2 * (dQ + Q.degree * vw)
-    tq = _twice_val(p, hq) - 2 * (dq + q.degree * vw)
+    a = _point(p, ball.center)
+    # 2 v(a), 2 v(Q(a)) and 2 v(q(a))
+    va, tQ, tq = _twice_val_over(p, a[:2], a[2]), _v2_at(Q, a), _v2_at(q, a)
 
     def rows():
-        # per polynomial, its doubled coefficient valuations and the least
-        # R that L_k + k v(t) must reach for every k >= 1, both doubled:
-        # above v(P(a)) for Q, q and X, and the radius plus v(Q(a)) for Y.
-        # X and Y are over DN Dq Dn DQ and DN DQ cw, for the pairs A, B, a,
-        # b of N, Q, n, q: X = Dn DQ A*b - DN Dq a*B and
-        # Y = DQ cw A - DN (cu + cv sqrt p) B
-        yield _v2s(Q), tQ + 1
-        yield _v2s(q), tq + 1
-        X = _comb(n.D * Q.D, _convolve(p, N.pairs, q.pairs), -N.D * q.D,
-                  _convolve(p, n.pairs, Q.pairs))
-        yield _pair_vals(p, X), tw + tQ + tq + 2 * (dN + dq + dn + dQ) + 1
-        cu, cv, cw = _point(p, image.center)
-        Y = _comb(Q.D * cw, N.pairs, -N.D, _convolve(p, ((cu, cv),), Q.pairs))
-        yield _pair_vals(p, Y), (image.radius.t + (not image.closed) + tQ
-                                 + 2 * (dN + dQ + _int_val(cw, p)))
+        # per polynomial, the least R that L_k + k v(t) must reach for
+        # every k >= 1, doubled: above v(X(a)) = v(F(a) - f(a)) + v(Q(a))
+        # + v(q(a)) for X, and the image radius plus v(Q(a)) for Y
+        yield N * q - n * Q, tw + tQ + tq + 1
+        yield N - Q * image.center, image.radius.t + (not image.closed) + tQ
 
     # shells run from t0 = 2 v(t) in steps of 2, p - 1 points each
     t0 = t = ball.radius.t + (0 if ball.closed else 2)
-    for v2s, R in rows():
-        if R == inf:
-            return inf
-        for k, L in enumerate(_tail_bounds(v2s, va)[1:], 1):
+    for P, R in rows():
+        for k, L in enumerate(_tail_bounds(_v2s(P), va)[1:], 1):
             if L < inf:
                 t = max(t, -((L - R) // k))
         first = 1 + (p - 1) * -((t0 - t) // 2)
@@ -426,25 +414,18 @@ def _first_deep_sample(F, f, ball: Ball, image: Ball, budget: int, tw, hQ: tuple
     return first
 
 
-def _pair_vals(p: int, pairs) -> list:
-    # doubled valuations of Z[sqrt p] pairs, math.inf for (0, 0)
-    return [_twice_val(p, x) if any(x) else inf for x in pairs]
-
-
 def _spot_checks(F, f, ball: Ball, samples: int, image: Ball, bound: ValExp,
                  epsilon: ValExp) -> tuple:
     """(witnesses, ok) for the ball's first `samples` sample points
     (`sample_points`): a `Sample` (z, e) per point, e = v(F(z) - f(z)) as
     one shared ValExp per exponent (`field._shared_exp`), and whether every
     sample clears the certified bound and epsilon and lands in the image.
+    F and f must be pole-free on the ball, as `certify_theorem1` proves
+    before it calls this.
 
     One integer pass per sample builds no K element: the point's `_point`
-    triple (u, v, w) feeds one
-    `_horner` per polynomial, P(z) = h/(D w^deg P) for a Z[sqrt p] pair h,
-    so F = N/Q gives F(z) = nF/qF with nF = hN D_Q w^(m - n) and qF = hQ
-    D_N for deg N = n <= deg Q = m (w^(n - m) goes to qF when n > m), and
-    f(z) = nf/qf likewise.  The scales depend on the ball alone where
-    w = 1, and a scale of 1 multiplies nothing.  The doubled witness
+    triple feeds one `algebra._values` per map, which gives F(z) = nF/qF
+    and f(z) = nf/qf as Z[sqrt p] pairs.  The doubled witness
     2 v(nF qf - nf qF) - 2 v(qF) - 2 v(qf), math.inf for equal values, is
     wrapped unchanged; its sqrt p cross terms of f run only where f(z) has
     a sqrt p part.  It passes when at least twice the bound, which no
@@ -464,56 +445,32 @@ def _spot_checks(F, f, ball: Ball, samples: int, image: Ball, bound: ValExp,
     only where _DEEP_SHELL_SAMPLES or more samples follow the center.
     """
     p = F.p
-    points = sample_points(ball, samples, triples=True)
-    (N, Q), (n, q) = (F.num, F.den), (f.num, f.den)
+    points = sample_points(ball, samples)
     center = _point(p, image.center)
     r0 = image.radius.t + 2 * _int_val(center[2], p) + (0 if image.closed else 1)
-    # per ball: the polynomials' Ds, and deg Q - deg N and deg q - deg n
-    # as `_horner` counts them, from 0 up
-    DN, DQ, Dn, Dq = N.D, Q.D, n.D, q.D
-    eF = max(Q.degree, 0) - max(N.degree, 0)
-    ef = max(q.degree, 0) - max(n.degree, 0)
     tb, te = bound.t, epsilon.t
     witnesses, ok, deep = [], True, inf
-    for index, (z, (u, v, w)) in enumerate(points):
+    for index, z in enumerate(points):
         if index == deep:
             break
-        _, _, Na, Nb, _, _ = _horner(N, u, v, w, False)
-        _, _, Qa, Qb, _, _ = _horner(Q, u, v, w, False)
-        _, _, na, nb, _, _ = _horner(n, u, v, w, False)
-        _, _, qa, qb, _, _ = _horner(q, u, v, w, False)
-        hQ, hq = (Qa, Qb), (qa, qb)
-        # F(z) = (Na + Nb sqrt p) D_Q w^eF / ((Qa + Qb sqrt p) D_N)
-        if w == 1:
-            s, t, s1, t1 = DQ, DN, Dq, Dn
-        else:
-            s, t = (DQ * w**eF, DN) if eF >= 0 else (DQ, DN * w**-eF)
-            s1, t1 = (Dq * w**ef, Dn) if ef >= 0 else (Dq, Dn * w**-ef)
-        if s != 1:
-            Na, Nb = Na * s, Nb * s
-        if t != 1:
-            Qa, Qb = Qa * t, Qb * t
-        if s1 != 1:
-            na, nb = na * s1, nb * s1
-        if t1 != 1:
-            qa, qb = qa * t1, qb * t1
+        x = _point(p, z)
+        nF, _, qF, _ = _values(F, x, False)
+        (na, nb), _, (qa, qb), _ = _values(f, x, False)
+        (Na, Nb), (Qa, Qb) = nF, qF
         # nF qf - nf qF
         if nb or qb:
             xa = Na * qa + p * Nb * qb - na * Qa - p * nb * Qb
             xb = Na * qb + Nb * qa - na * Qb - nb * Qa
         else:
             xa, xb = Na * qa - na * Qa, Nb * qa - na * Qb
-        tQ = _twice_val(p, (Qa, Qb))
+        tQ = _twice_val(p, qF)
         tw = _twice_val(p, (xa, xb)) - tQ - _twice_val(p, (qa, qb)) if xa or xb else inf
-        ok = ok and tw >= tb and tw > te and _twice_val_at_least(
-            p, (Na, Nb), (Qa, Qb), center, r0 + tQ
-        )
+        ok = ok and tw >= tb and tw > te and _twice_val_at_least(p, nF, qF, center, r0 + tQ)
         witnesses.append(Sample(z, _shared_exp(tw)))
         if not index and len(points) > _DEEP_SHELL_SAMPLES:
-            deep = _first_deep_sample(F, f, ball, image, len(points), tw, hQ, hq)
-    if deep < len(points):
-        e = witnesses[0].diff_exp
-        witnesses.extend(Sample(z, e) for z, _ in points[deep:])
+            deep = _first_deep_sample(F, f, ball, image, len(points), tw)
+    # the deep samples, if any, take the center's witness
+    witnesses.extend(Sample(z, witnesses[0].diff_exp) for z in points[len(witnesses):])
     return witnesses, ok
 
 
@@ -541,9 +498,9 @@ def certify_theorem1(F: RationalMap, models, plan: GluingPlan, samples: int = 8)
     multiplicative, and a common factor divides D*d, which has no zero on
     B_i, so its norm on B_i equals its absolute value at a_i and cancels.
 
-    (d) is `_spot_checks` at `sample_points(B_i, samples, triples=True)`,
-    decided on integers, with the deep shells read off the center; a
-    ball's witnesses are its `Sample`s, one per point.
+    (d) is `_spot_checks` at `sample_points(B_i, samples)`, decided on
+    integers, with the deep shells read off the center; a ball's
+    witnesses are its `Sample`s, one per point.
     """
     checks = []
     for i, m in enumerate(models):

@@ -37,14 +37,16 @@ class Fault(NamedTuple):
 
 
 FAULTS = {
-    # the power w^(kQ - kN) that brings N(z) and Q(z) to one denominator,
-    # put on the other side of F(z)
+    # the scales that bring N(x) and Q(x) to one denominator swapped, as
+    # if the power of w belonged to the other value
     "spot-check-w-power-side": Fault(
-        "padicglue.gluing._spot_checks",
-        "s, t = (DQ * w**eF, DN) if eF >= 0",
-        "s, t = (DQ, DN * w**eF) if eF >= 0",
-        ("tests/test_spot_checks.py::test_spot_check_agrees_with_the_k_formulation",),
-        6,
+        "padicglue.algebra._values",
+        "(dd * w ** (k - n), dn * w ** (k - m))",
+        "(dd * w ** (k - m), dn * w ** (k - n))",
+        ("tests/test_spot_checks.py::test_spot_check_agrees_with_the_k_formulation",
+         "tests/test_evaluation_differential.py",
+         "tests/test_deep_shells.py::test_rational_center_of_negative_valuation"),
+        21,
     ),
     # an open image tested as if it were closed
     "open-image-plus-one": Fault(
@@ -59,10 +61,27 @@ FAULTS = {
     # ultrametric inequality read as <=
     "deep-shell-tie-read-as-deep": Fault(
         "padicglue.gluing._first_deep_sample",
-        "dn + dQ) + 1",
-        "dn + dQ)",
+        "tq + 1",
+        "tq",
         ("tests/test_deep_shells.py::test_witness_read_off_the_center_only_past_a_strict_bound",
-         "tests/test_deep_shells.py::test_seeded_suite"),
+         "tests/test_deep_shells.py::test_witness_row_counts_the_local_denominator_at_the_center",
+         "tests/test_deep_shells.py::test_seeded_suite[11]"),
+        3,
+    ),
+    # v(X(a)) taken as v(F(a) - f(a)) + v(Q(a)), without f's denominator
+    "deep-shell-witness-row-drops-q-at-center": Fault(
+        "padicglue.gluing._first_deep_sample",
+        "tw + tQ + tq + 1",
+        "tw + tQ + 1",
+        ("tests/test_deep_shells.py::test_witness_row_counts_the_local_denominator_at_the_center",),
+        1,
+    ),
+    # the image row's threshold without v(Q(a)), as if F - c were Y itself
+    "deep-shell-image-row-drops-Q-at-center": Fault(
+        "padicglue.gluing._first_deep_sample",
+        "(not image.closed) + tQ",
+        "(not image.closed)",
+        ("tests/test_deep_shells.py::test_image_row_counts_the_glued_denominator_at_the_center",),
         2,
     ),
     # an open image's deep shells found as if it were closed
@@ -70,8 +89,49 @@ FAULTS = {
         "padicglue.gluing._first_deep_sample",
         " + (not image.closed)",
         "",
-        ("tests/test_deep_shells.py::test_image_test_failing_only_on_a_shallow_shell",),
-        1,
+        ("tests/test_deep_shells.py::test_image_test_failing_only_on_a_shallow_shell",
+         "tests/test_deep_shells.py::test_image_row_counts_the_glued_denominator_at_the_center"),
+        2,
+    ),
+    # a polynomial's shift about a point started again on every call
+    "shift-cache-never-read": Fault(
+        "padicglue.algebra._shifted",
+        "shift = shifts.get(a)",
+        "shift = None",
+        ("tests/test_lazy_shift.py::TestPrefixLengths",
+         "tests/test_work_invariants.py"),
+        9,
+    ),
+    # a point of another prime looked up among the shifts: equal
+    # KElements of different primes hash alike
+    "shift-prime-unchecked": Fault(
+        "padicglue.algebra._shifted",
+        "if a.p != P.p:",
+        "if False:",
+        ("tests/test_gluing.py::TestLocalModel::test_map_over_another_prime_is_not_called_constant",
+         "tests/test_geometry.py::TestExpansions::test_mixed_primes_raise_after_a_shift"),
+        2,
+    ),
+    # a stored form normalised without D's sign: -P keeps a negative D, so
+    # it differs from the same polynomial built from its coefficients
+    "poly-normalised-without-D-sign": Fault(
+        "padicglue.algebra._poly",
+        " * (-1 if D < 0 else 1)",
+        "",
+        ("tests/test_poly_product_model.py",
+         "tests/test_algebra.py::TestPolyGcd"),
+        17,
+    ),
+    # the rounding divides by the p-power of one coordinate's denominator,
+    # not by that of their common one
+    "reduce-mod-one-denominator": Fault(
+        "padicglue.field.reduce_mod",
+        "_int_val(w, p)",
+        "_int_val(x.a.denominator, p)",
+        ("tests/test_kelement_model.py::test_reduce_mod_stays_within_p_to_the_m",
+         "tests/test_kelement_model.py::test_reduce_mod_rounds_each_coordinate_canonically",
+         "tests/test_field.py::test_reduce_mod_property"),
+        11,
     ),
     # each pass of the lazy Taylor shift stops one update short
     "prefix-pass-skips-last-update": Fault(
@@ -113,16 +173,6 @@ FAULTS = {
         "_quotient(p, (u1 * w, v1 * w), (u * w1, v * w1))",
         ("tests/test_geometry.py::TestImageCenter",),
         3,
-    ),
-    # a sample's triple left over the stepped coordinate's denominator,
-    # not over the center's common one
-    "sample-triple-unscaled": Fault(
-        "padicglue.geometry.sample_points",
-        "step, scale = p**k * d, cw // d",
-        "step, scale = p**k * d, 1",
-        ("tests/test_geometry.py::TestSamplePointsAgainstOracle::test_same_points_in_the_same_order",
-         "tests/test_certifier_differential.py::test_sqrt_centers_and_half_integral_radii"),
-        4,
     ),
     # each full shell one point short; a shell of p = 2 keeps its one
     # point, since a shell that adds none would never end the walk

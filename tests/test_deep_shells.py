@@ -179,3 +179,38 @@ def test_odd_shells_open_balls_and_negative_centers(center, radius, closed):
     f = RationalMap((z - a) * (z - a) * 9 + Fa)
     image = Ball(Fa, Radius(radius), closed=closed)
     assert_same_spot_checks(F, f, ball, image)
+
+
+def test_witness_row_counts_the_local_denominator_at_the_center():
+    # F(z) = z + 1 and f = (z^2 + 3z + 30)/(z + 3) over p = 3 on B(0; 3^-2),
+    # where z + 3 has no zero but v(q(0)) = 1: X = N q - n Q = z - 27, so
+    # the witness v(X(z)) - v(q(z)) is 2 at the center, and the shell
+    # v(t) = 3 ties the term t with X(0): z = 27 has an infinite witness,
+    # and only shells from v(t) = 4 on are deep.  Without v(q(a)) in the
+    # threshold the tied shell would read as deep
+    K, z = FieldConfig(3), Poly.x(3)
+    F = RationalMap(z + 1)
+    f = RationalMap(z * z + z * 3 + 30, z + 3)
+    ball = Ball(K(0), Radius(2))
+    ref = assert_same_spot_checks(F, f, ball, Ball(K(1), Radius(2)))
+    assert [s.diff_exp for s, _ in ref[:3]] == [2, 1, 1] and ref[3][0].diff_exp.is_infinite
+    assert all(s.diff_exp == 2 for s, _ in ref[4:])
+
+
+@pytest.mark.parametrize("closed", (True, False), ids=("closed-image", "open-image"))
+def test_image_row_counts_the_glued_denominator_at_the_center(closed):
+    # F(z) = z/(z + 3) over p = 3 on B(0; 3^-2), where z + 3 has no zero but
+    # v(Q(0)) = 1, against f = F - 3^4: every witness is 4, read off the
+    # center from the first shell on.  F(z) - F(0) = z/(z + 3) has
+    # valuation v(z) - 1, so the first shell, v(t) = 2, leaves the image
+    # about 0 of radius 3^-2 closed or 3^-1 open, and every deeper shell
+    # lies inside.  Without v(Q(a)) in the image row's threshold the first
+    # shell would read as deep, and inside
+    K, z = FieldConfig(3), Poly.x(3)
+    F = RationalMap(z, z + 3)
+    f = RationalMap(z - (z + 3) * 3**4, z + 3)
+    image = Ball(K(0), Radius(2 if closed else 1), closed=closed)
+    ref = assert_same_spot_checks(F, f, Ball(K(0), Radius(2)), image)
+    assert all(s.diff_exp == 4 for s, _ in ref)
+    assert [ok for _, ok in ref[:5]] == [True, False, False, True, True]
+    assert all(ok for _, ok in ref[5:])

@@ -30,7 +30,6 @@ from padicglue import (
 )
 from padicglue.algebra import _shifted
 from padicglue.errors import _power_str
-from padicglue.field import _point
 from padicglue.presets import EX2_EPSILON, ex1_census, ex1_epsilon, ex1_models, ex2_models
 
 K3 = FieldConfig(3)
@@ -455,10 +454,6 @@ class TestSamplePointsAgainstOracle:
                 assert [(x.p, x.a, x.b) for x in got] == [(x.p, x.a, x.b) for x in want]
                 # the trusted constructor stores what it is given: Fractions
                 assert all(type(x.a) is type(x.b) is Fraction for x in got)
-                # the spot checks' triples are the points' own `_point`s
-                assert sample_points(ball, budget, triples=True) == [
-                    (z, _point(p, z)) for z in got
-                ]
 
     def test_smaller_budget_is_a_prefix(self):
         # the stored witnesses of a result are a prefix of those verify

@@ -49,23 +49,23 @@ def ex2():
     return ex2_models(), EX2_EPSILON
 
 
-def horner_passes(monkeypatch, problem, samples) -> tuple:
-    """(the certificate, F, the `_horner` calls of its spot checks)."""
+def evaluations(monkeypatch, problem, samples) -> tuple:
+    """(the certificate, F, the `_values` calls of its spot checks)."""
     models, epsilon = problem()
     plan = plan_gluing(models, epsilon)
     F = build_F(models, plan)
-    calls = spy(monkeypatch, gluing, "_horner")
+    calls = spy(monkeypatch, gluing, "_values")
     return models, certify_theorem1(F, models, plan, samples=samples), F, calls
 
 
-def passes_on(models, cert, F, exact) -> list:
-    # F's numerator and denominator, then f_i's, all at the sample's point,
-    # for the first exact[i] samples of ball i
+def evaluations_on(models, cert, F, exact) -> list:
+    # F, then f_i, at the sample's point, for the first exact[i] samples
+    # of ball i
     return [
-        (P, *field._point(F.p, z), False)
+        (g, field._point(F.p, z), False)
         for m, check, k in zip(models, cert.checks, exact)
         for z, _ in check.witnesses[:k]
-        for P in (F.num, F.den, m.f.num, m.f.den)
+        for g in (F, m.f)
     ]
 
 
@@ -74,17 +74,17 @@ def passes_on(models, cert, F, exact) -> list:
 def test_certify_evaluates_each_map_once_per_sample(problem, exact, monkeypatch):
     # at 100 samples per ball, only the center and the shells above the
     # first deep one (`gluing._first_deep_sample`) are evaluated, each map
-    # once per sample; the rest take the center's witness.  ex1's ball 0
-    # has X(a) = F(a) - f_0(a) = 0, as F and f_0 share the fixed point 0,
-    # so all its samples stay exact; ex1's ball 1 turns deep after ten
-    # evaluated shells of two points, ex2's balls right after the center,
-    # after eight shells and after six (800 and 1,200 passes when every
-    # sample was evaluated)
-    models, cert, F, calls = horner_passes(monkeypatch, problem, SAMPLES)
+    # once per sample by one `_values`; the rest take the center's witness.
+    # ex1's ball 0 has X(a) = F(a) - f_0(a) = 0, as F and f_0 share the
+    # fixed point 0, so all its samples stay exact; ex1's ball 1 turns deep
+    # after ten evaluated shells of two points, ex2's balls right after the
+    # center, after eight shells and after six (400 and 600 evaluations
+    # when every sample was evaluated)
+    models, cert, F, calls = evaluations(monkeypatch, problem, SAMPLES)
     assert cert.passes
     assert all(len(check.witnesses) == SAMPLES for check in cert.checks)
-    assert len(calls) == 4 * sum(exact)
-    assert [args for args, _ in calls] == passes_on(models, cert, F, exact)
+    assert len(calls) == 2 * sum(exact)
+    assert [args for args, _ in calls] == evaluations_on(models, cert, F, exact)
     # a deep sample has the center's witness
     for check, k in zip(cert.checks, exact):
         assert {e for _, e in check.witnesses[k:]} <= {check.witnesses[0].diff_exp}
@@ -94,21 +94,21 @@ def test_certify_evaluates_each_map_once_per_sample(problem, exact, monkeypatch)
 def test_glue_budget_evaluates_every_sample(problem, monkeypatch):
     # below `gluing._DEEP_SHELL_SAMPLES` samples past the center the
     # deep-shell set-up does not pay, so glue's default of 8 samples per
-    # ball makes four passes per sample, as before the rule
-    models, cert, F, calls = horner_passes(monkeypatch, problem, 8)
+    # ball evaluates both maps at every sample, as before the rule
+    models, cert, F, calls = evaluations(monkeypatch, problem, 8)
     assert cert.passes
-    assert len(calls) == 4 * 8 * len(models)
-    assert [args for args, _ in calls] == passes_on(models, cert, F, (8,) * len(models))
+    assert len(calls) == 2 * 8 * len(models)
+    assert [args for args, _ in calls] == evaluations_on(models, cert, F, (8,) * len(models))
 
 
 def test_deep_shells_are_not_evaluated_at_the_sample_cap(monkeypatch):
-    # ex2 at 1,000 samples per ball, the cap, makes the passes that 100
-    # make: none on the shells from the first deep one inward, which reach
+    # ex2 at 1,000 samples per ball, the cap, makes the evaluations that
+    # 100 make: none on the shells from the first deep one inward, which reach
     # a + u 3^501
-    models, cert, F, calls = horner_passes(monkeypatch, ex2, 1000)
+    models, cert, F, calls = evaluations(monkeypatch, ex2, 1000)
     assert cert.passes
     assert all(len(check.witnesses) == 1000 for check in cert.checks)
-    assert [args for args, _ in calls] == passes_on(models, cert, F, (1, 17, 13))
+    assert [args for args, _ in calls] == evaluations_on(models, cert, F, (1, 17, 13))
 
 
 def test_certify_reads_valuations_with_one_ladder_per_pair(monkeypatch):
@@ -117,15 +117,16 @@ def test_certify_reads_valuations_with_one_ladder_per_pair(monkeypatch):
     # nonzero coordinates is read off residues unless both are multiples
     # of q^2, for the one-digit power q of 3, and then takes one ladder for
     # v(b) and, where v(a) wins, one on a short remainder.  The deep-shell
-    # set-up of the three balls makes 52 of the calls, on the centers, the
-    # denominators and the coefficients of X and Y.  415 calls when all
-    # 300 samples were evaluated, and 1,713 when each nonzero
-    # coordinate had its own `_int_val` and the shifts about 0 read their
-    # valuations again
+    # set-up of the three balls makes 46 of the calls, on the centers,
+    # Q(a) and q(a) and the coefficients of X and Y (52 when it read the
+    # pairs of X and Y over their polynomials' Ds and had rows for Q and
+    # q).  415 calls when all 300 samples were evaluated, and 1,713 when
+    # each nonzero coordinate had its own `_int_val` and the shifts about 0
+    # read their valuations again
     models = ex2_models()
     plan = plan_gluing(models, EX2_EPSILON)
     F = build_F(models, plan)
-    evaluated = spy(monkeypatch, gluing, "_horner")
+    evaluated = spy(monkeypatch, gluing, "_values")
     ladders, int_val = [], field._int_val
 
     def ladder(n, p):
@@ -135,8 +136,8 @@ def test_certify_reads_valuations_with_one_ladder_per_pair(monkeypatch):
     for module in (field, algebra, gluing):
         monkeypatch.setattr(module, "_int_val", ladder)
     assert certify_theorem1(F, models, plan, samples=SAMPLES).passes
-    assert len(evaluated) == 4 * (1 + 17 + 13)
-    assert len(ladders) == 198
+    assert len(evaluated) == 2 * (1 + 17 + 13)
+    assert len(ladders) == 192
 
 
 @pytest.mark.parametrize(
